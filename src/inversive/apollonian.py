@@ -19,12 +19,12 @@ caps and reports truncation instead of looping forever.
 """
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
-from .scalars import DEFAULT_TOL, EXACT, ExactnessError, mode_of, near, sqrt_scalar
+from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, mode_of,
+                      near, sqrt_scalar)
 
 
 def reflection_matrix(n, i, mode=EXACT):
@@ -34,12 +34,9 @@ def reflection_matrix(n, i, mode=EXACT):
                          "configurations instead")
     if not 0 <= i < n + 2:
         raise ValueError(f"row index {i} out of range")
-    exact = mode == EXACT
-    c = Fraction(2, n - 1) if exact else 2.0 / (n - 1)
-    r = linalg.identity(n + 2, exact)
-    one = Fraction(1) if exact else 1.0
-    for j in range(n + 2):
-        r[i, j] = c if j != i else -one
+    r = linalg.identity(n + 2, mode == EXACT)
+    r[i] = coerce(2, mode) / (n - 1)
+    r[i, i] = -coerce(1, mode)
     return r
 
 
@@ -63,8 +60,7 @@ def reflect(w, i, validate=False, tol=DEFAULT_TOL):
                          "configurations instead")
     if not 0 <= i < w.n + 2:
         raise ValueError(f"row index {i} out of range")
-    exact = w.mode == EXACT
-    coeff = Fraction(2, w.n - 1) if exact else 2.0 / (w.n - 1)
+    coeff = coerce(2, w.mode) / (w.n - 1)
     entry_rows = tuple(r.entries for r in w.rows)
     out = forms.ConfigMatrix.from_rows(w.geometry,
                                        _reflect_entries(entry_rows, i, coeff),
@@ -107,14 +103,15 @@ def _row_key(entries, exact):
 
 
 def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
-             workers=1, tol=DEFAULT_TOL):
+             tol=DEFAULT_TOL):
     """Breadth-first closure of a seed under all reflections.
 
     New rows are kept while the absolute value of their bend entry is at
-    most bound.  Configurations are deduplicated by their sorted row key
-    (exact rows, or rows rounded to 1e-6 in float mode).  The frontier may
-    be expanded by several workers; results are merged in deterministic
-    order, so the outcome is independent of the worker count.
+    most bound; in float mode a bend within tol * max(1, bound) above the
+    bound counts as on it, so rounding does not drop circles that exact mode
+    keeps.  Configurations are deduplicated by their sorted row key (exact
+    rows, or rows rounded to 1e-6 in float mode).  Levels are expanded in
+    order, so the result is deterministic.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
@@ -132,9 +129,13 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                                tol)
     if not res.ok:
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
-    coeff = Fraction(2, n - 1) if exact else 2.0 / (n - 1)
+    coeff = coerce(2, mode) / (n - 1)
     col = forms.bend_column(seed.geometry)
-    bound_value = Fraction(bound) if exact else float(bound)
+    if exact:
+        bound_value = limit = Fraction(bound)
+    else:
+        bound_value = float(bound)
+        limit = bound_value + tol * max(1.0, bound_value)
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
 
@@ -146,54 +147,38 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     for r in seed_rows:
         row_map.setdefault(_row_key(r, exact), r)
 
-    def expand(entry_rows):
-        found = []
-        for i in range(n + 2):
-            new_rows = _reflect_entries(entry_rows, i, coeff)
-            if abs(new_rows[i][col]) > bound_value:
-                continue
-            found.append(new_rows)
-        return found
-
     frontier = [seed_rows]
     explored = 0
     depth = 0
     truncated = False
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            if max_depth is not None and depth >= max_depth:
-                truncated = True
-                break
-            if pool is not None:
-                batches = list(pool.map(expand, frontier))
-            else:
-                batches = [expand(cfg) for cfg in frontier]
-            explored += len(frontier)
-            next_frontier = []
-            for batch in batches:
-                for new_rows in batch:
-                    key = tuple(sorted(_row_key(r, exact) for r in new_rows))
-                    if key in seen_configs:
-                        continue
-                    if max_configs is not None and \
-                            len(seen_configs) >= max_configs:
-                        truncated = True
-                        break
-                    seen_configs.add(key)
-                    kept_configs[key] = new_rows
-                    for r in new_rows:
-                        row_map.setdefault(_row_key(r, exact), r)
-                    next_frontier.append(new_rows)
-                if truncated:
+    while frontier:
+        if max_depth is not None and depth >= max_depth:
+            truncated = True
+            break
+        explored += len(frontier)
+        next_frontier = []
+        for entry_rows in frontier:
+            for i in range(n + 2):
+                new_rows = _reflect_entries(entry_rows, i, coeff)
+                if abs(new_rows[i][col]) > limit:
+                    continue
+                key = tuple(sorted(_row_key(r, exact) for r in new_rows))
+                if key in seen_configs:
+                    continue
+                if max_configs is not None and len(seen_configs) >= max_configs:
+                    truncated = True
                     break
-            depth += 1
+                seen_configs.add(key)
+                kept_configs[key] = new_rows
+                for r in new_rows:
+                    row_map.setdefault(_row_key(r, exact), r)
+                next_frontier.append(new_rows)
             if truncated:
                 break
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        depth += 1
+        if truncated:
+            break
+        frontier = next_frontier
 
     sorted_rows = tuple(
         forms.CoordRow(seed.geometry, row_map[k]) for k in sorted(row_map))
@@ -223,13 +208,12 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
         raise ValueError("step count must be nonnegative")
     n = seed.n
     mode = seed.mode
-    exact = mode == EXACT
     q = forms.descartes_form(n, mode)
     res = forms.check_identity(seed, q, forms.target_for(seed.geometry, n, mode),
                                tol)
     if not res.ok:
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
-    coeff = Fraction(2, n - 1) if exact else 2.0 / (n - 1)
+    coeff = coerce(2, mode) / (n - 1)
     col = forms.bend_column(seed.geometry)
     entry_rows = tuple(r.entries for r in seed.rows)
     bends = [r[col] for r in entry_rows]
@@ -248,13 +232,9 @@ def recurrence_check(seq, tol=1e-6):
     bends = seq.bends if isinstance(seq, LoxodromicSequence) else tuple(seq)
     if len(bends) < 5:
         raise ValueError("need at least 5 terms")
-    exact = mode_of(bends) == EXACT
     for j in range(4, len(bends)):
         predicted = 2 * (bends[j - 1] + bends[j - 2] + bends[j - 3]) - bends[j - 4]
-        if exact:
-            if bends[j] != predicted:
-                return False
-        elif not near(bends[j], predicted, tol):
+        if not near(bends[j], predicted, tol):
             return False
     return True
 

@@ -14,11 +14,10 @@ forms.augmented_gram_target).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import forms, linalg
-from .scalars import (DEFAULT_TOL, EXACT, FLOAT, coerce_row, is_exact,
-                      mode_of, near, sqrt_scalar)
+from .scalars import (DEFAULT_TOL, coerce, coerce_row, div, mode_of, near,
+                      sqrt_scalar)
 
 
 @dataclass(frozen=True)
@@ -40,9 +39,7 @@ class OrientedSphere:
 
     @property
     def radius(self):
-        if is_exact(self.curvature):
-            return Fraction(1, 1) / self.curvature
-        return 1.0 / self.curvature
+        return div(1, self.curvature)
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ def augmented_coords(obj):
     if isinstance(obj, OrientedSphere):
         b = obj.curvature
         norm2 = sum(x * x for x in obj.center)
-        bbar = norm2 * b - 1 / (Fraction(b) if is_exact(b) else b)
+        bbar = norm2 * b - div(1, b)
         entries = (bbar, b) + tuple(b * x for x in obj.center)
     else:
         entries = (2 * obj.offset, 0 * obj.offset) + obj.normal
@@ -101,13 +98,8 @@ def object_from_augmented(row, tol=DEFAULT_TOL):
         raise ValueError(f"not a valid augmented row, self product {self_product}")
     bbar, b = entries[0], entries[1]
     tail = entries[2:]
-    exact = mode_of(entries) == EXACT
-    if (b == 0) if exact else (abs(b) <= tol):
-        if exact:
-            d = Fraction(bbar, 2)
-        else:
-            d = bbar / 2.0
-        return OrientedHyperplane(tail, d)
+    if near(b, 0, tol):
+        return OrientedHyperplane(tail, div(bbar, 2))
     return OrientedSphere(b, tuple(m / b for m in tail))
 
 
@@ -128,15 +120,7 @@ def invert_unit_sphere(obj):
 def descartes_check(bends):
     """Value of the Descartes form on a bend vector; 0 for every family of
     n+2 mutually tangent spheres."""
-    bends = tuple(bends)
-    n = len(bends) - 2
-    if n < 1:
-        raise ValueError("need at least 3 bends")
-    total = sum(bends)
-    square_sum = sum(b * b for b in bends)
-    if mode_of(bends) == EXACT:
-        return square_sum - Fraction(1, n) * total * total
-    return square_sum - (total * total) / n
+    return forms.bend_residual(forms.EUCLIDEAN, bends)
 
 
 def _as_complex_pair(z):
@@ -170,7 +154,7 @@ def complex_descartes_check(bends, centers):
     bz = [(b * z[0], b * z[1]) for b, z in zip(bends, zs)]
     sum_b = sum(bends)
     sum_bz = (sum(v[0] for v in bz), sum(v[1] for v in bz))
-    half = Fraction(1, 2) if mode_of(bends + sum(zs, ())) == EXACT else 0.5
+    half = coerce(1, mode_of(bends + sum(zs, ()))) / 2
     sq = [_cmul(v, v) for v in bz]
     lhs1 = (sum(v[0] for v in sq), sum(v[1] for v in sq))
     rhs1 = _cmul(sum_bz, sum_bz)
@@ -206,15 +190,14 @@ def scale(obj, s):
     if s <= 0:
         raise ValueError("scale factor must be positive")
     if isinstance(obj, OrientedSphere):
-        b = obj.curvature / s if not is_exact(obj.curvature) else Fraction(obj.curvature, 1) / s
+        b = div(obj.curvature, s)
         return OrientedSphere(b, tuple(x * s for x in obj.center))
     return OrientedHyperplane(obj.normal, obj.offset * s)
 
 
 def _complete_rows(w1, w2, w3, mode):
     """Both augmented rows tangent to three mutually tangent rows."""
-    exact = mode == EXACT
-    k = forms.pair_form(forms.EUCLIDEAN, 2, EXACT if exact else FLOAT)
+    k = forms.pair_form(forms.EUCLIDEAN, 2, mode)
     rows = linalg.as_matrix([w1, w2, w3], mode=mode)
     system = rows @ k
     minus_one = [-1, -1, -1]
@@ -228,7 +211,7 @@ def _complete_rows(w1, w2, w3, mode):
     if a == 0:
         raise ValueError("degenerate tangency arrangement")
     disc = b * b - 4 * a * c
-    if not exact and disc < 0:
+    if disc < 0:
         raise ValueError("no real completion; tangency points may coincide")
     root = sqrt_scalar(disc)
     if root == 0:
@@ -272,8 +255,8 @@ def _realize_strip(bends, mode):
     zero_pos = [i for i, b in enumerate(bends) if b == 0]
     circle_pos = [i for i, b in enumerate(bends) if b != 0]
     s = bends[circle_pos[0]]
-    r = (Fraction(1, 1) if mode == EXACT else 1.0) / s
-    one = Fraction(1) if mode == EXACT else 1.0
+    r = div(1, s)
+    one = coerce(1, mode)
     objs = [None] * 4
     objs[zero_pos[0]] = OrientedHyperplane((0 * one, -one), 0 * one)
     objs[zero_pos[1]] = OrientedHyperplane((0 * one, one), 2 * r)
@@ -297,8 +280,7 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     if len(bends) != 4:
         raise ValueError("realization is implemented for the plane (4 bends)")
     mode = mode_of(bends)
-    if mode == EXACT:
-        bends = tuple(Fraction(b) for b in bends)
+    bends = coerce_row(bends, mode)
     residual = descartes_check(bends)
     if not near(residual, 0, tol):
         raise ValueError(f"bends violate the Descartes relation by {residual}")
@@ -316,7 +298,7 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
         return _realize_strip(bends, mode)
     order = sorted(range(4), key=lambda i: (-bends[i], i))
     ba, bb, bc, bd = (bends[i] for i in order)
-    one = Fraction(1) if mode == EXACT else 1.0
+    one = coerce(1, mode)
     ra, rb, rc = one / ba, one / bb, one / bc
     ax, bx = ra, -rb
     cx = rc * (rb - ra) / (ra + rb)

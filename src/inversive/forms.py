@@ -11,17 +11,21 @@ on n+2 coordinates.  Everything here is generic over exact and float entries.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, coerce_row, is_exact, mode_of
+from .scalars import (DEFAULT_TOL, EXACT, FLOAT, coerce, coerce_row, mode_of,
+                      near)
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 HYPERBOLIC = "hyperbolic"
 GEOMETRIES = (EUCLIDEAN, SPHERICAL, HYPERBOLIC)
+
+# Curvature sign k of each geometry in the unified Descartes relation
+# sum b^2 - (sum b)^2 / n + 2k = 0 (Lagarias, Mallows, Wilks).
+CURVATURE_SIGN = {EUCLIDEAN: 0, SPHERICAL: 1, HYPERBOLIC: -1}
 
 
 def bend_column(geometry):
@@ -140,27 +144,20 @@ def descartes_form(n, mode=EXACT):
     """Q_n = I - (1/n) ones ones^T on n+2 coordinates."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    k = n + 2
-    if mode == EXACT:
-        c = Fraction(1, n)
-        q = np.full((k, k), -c, dtype=object)
-        for i in range(k):
-            q[i, i] = 1 - c
-    else:
-        q = np.eye(k) - np.full((k, k), 1.0 / n)
-    return QuadForm(n, q)
+    return QuadForm(n, _identity_minus(n + 2, coerce(1, mode) / n))
 
 
 def descartes_form_inverse(n, mode=EXACT):
     """Q_n^{-1} = I - (1/2) ones ones^T, independent of n."""
-    k = n + 2
-    if mode == EXACT:
-        half = Fraction(1, 2)
-        q = np.full((k, k), -half, dtype=object)
-        for i in range(k):
-            q[i, i] = 1 - half
-        return q
-    return np.eye(k) - np.full((k, k), 0.5)
+    return _identity_minus(n + 2, coerce(1, mode) / 2)
+
+
+def _identity_minus(k, c):
+    """I - c ones ones^T on k coordinates; object dtype for a Fraction c."""
+    m = np.full((k, k), -c)
+    for i in range(k):
+        m[i, i] += 1
+    return m
 
 
 def lorentz_like_form(n, mode=EXACT):
@@ -171,11 +168,9 @@ def lorentz_like_form(n, mode=EXACT):
 
 
 def _diag(values, mode):
-    k = len(values)
-    exact = mode == EXACT
-    m = linalg.identity(k, exact)
+    m = linalg.identity(len(values), mode == EXACT)
     for i, v in enumerate(values):
-        m[i, i] = Fraction(v) if exact else float(v)
+        m[i, i] = coerce(v, mode)
     return m
 
 
@@ -186,11 +181,8 @@ def centers_gram_target(n, mode=EXACT):
 
 def augmented_gram_target(n, mode=EXACT):
     """Target for Euclidean augmented matrices: antidiagonal -4 block, then 2I."""
-    k = n + 2
     t = _diag([0] * 2 + [2] * n, mode)
-    minus4 = Fraction(-4) if mode == EXACT else -4.0
-    t[0, 1] = minus4
-    t[1, 0] = minus4
+    t[0, 1] = t[1, 0] = coerce(-4, mode)
     return t
 
 
@@ -217,15 +209,11 @@ def pair_form(geometry, n, mode=EXACT):
     exact = mode == EXACT
     if geometry == EUCLIDEAN:
         k = linalg.identity(n + 2, exact)
-        zero = Fraction(0) if exact else 0.0
-        half = Fraction(1, 2) if exact else 0.5
-        k[0, 0] = zero
-        k[1, 1] = zero
-        k[0, 1] = -half
-        k[1, 0] = -half
+        k[0, 0] = k[1, 1] = coerce(0, mode)
+        k[0, 1] = k[1, 0] = -coerce(1, mode) / 2
         return k
     if geometry == SPHERICAL:
-        return lorentz_like_form(n, EXACT if exact else FLOAT)
+        return lorentz_like_form(n, mode)
     if geometry == HYPERBOLIC:
         j = linalg.identity(n + 2, exact)
         j[1, 1] = -j[1, 1]
@@ -240,7 +228,7 @@ def pair_product(geometry, row_a, row_b):
     if len(a) != len(b):
         raise ValueError("row length mismatch")
     if geometry == EUCLIDEAN:
-        half = Fraction(1, 2) if mode_of(a + b) == EXACT else 0.5
+        half = coerce(1, mode_of(a + b)) / 2
         tail = sum((x * y for x, y in zip(a[2:], b[2:])), start=a[0] * 0)
         return -half * (a[0] * b[1] + a[1] * b[0]) + tail
     if geometry == SPHERICAL:
@@ -266,9 +254,7 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
     g = gram(w, q)
     diff = g - _as_array(target)
     err = linalg.max_abs(diff)
-    exact = all(is_exact(x) for x in diff.flat)
-    ok = err == 0 if exact else err <= tol
-    return Residual(err, diff, bool(ok))
+    return Residual(err, diff, bool(near(err, 0, tol)))
 
 
 def inverse_conjugation_check(w, a, b, tol=DEFAULT_TOL):
@@ -282,6 +268,57 @@ def inverse_conjugation_check(w, a, b, tol=DEFAULT_TOL):
     bm = _as_array(b)
     diff = wm.T @ linalg.mat_inv(bm) @ wm - linalg.mat_inv(am)
     err = linalg.max_abs(diff)
-    exact = all(is_exact(x) for x in diff.flat)
-    ok = err == 0 if exact else err <= tol
-    return Residual(err, diff, bool(ok))
+    return Residual(err, diff, bool(near(err, 0, tol)))
+
+
+def bend_residual(geometry, bends):
+    """Residual sum b^2 - (sum b)^2 / n + 2k of the Descartes relation on
+    n+2 bends, k the geometry's curvature sign; zero for n+2 pairwise
+    tangent spheres, exact on exact bends."""
+    bends = tuple(bends)
+    n = len(bends) - 2
+    if n < 1:
+        raise ValueError("need at least 3 bends")
+    total = sum(bends)
+    square_sum = sum(b * b for b in bends)
+    return (square_sum - total * total / coerce(n, mode_of(bends))
+            + 2 * CURVATURE_SIGN[geometry])
+
+
+def _realize_tangent_rows(geometry, bends, n, first_tails):
+    """One configuration of pairwise tangent rows (c_i, t_i) with the given
+    spherical cot or hyperbolic coth values c_i.
+
+    With k the geometry's curvature sign the tails carry the form
+    diag(k, 1, ..., 1), and tangency asks <t_i, t_i> = 1 + k c_i^2 and
+    <t_j, t_i> = k c_i c_j - 1.  first_tails(c_0, one) lists the leading
+    entries of the first-tail candidates, zero-padded to full length; later
+    tails come from linalg.realize_tails, which backtracks out of tail
+    choices that strand a later row.  Exact bends give an exact matrix or a
+    ValueError.
+    """
+    bends = tuple(bends)
+    if n is None:
+        n = len(bends) - 2
+    name = "cot" if geometry == SPHERICAL else "coth"
+    if len(bends) != n + 2:
+        raise ValueError(f"need n+2 {name} values")
+    mode = mode_of(bends)
+    c = coerce_row(bends, mode)
+    residual = bend_residual(geometry, c)
+    if not near(residual, 0, DEFAULT_TOL):
+        raise ValueError(f"{name} values violate the bend relation by {residual}")
+    k = CURVATURE_SIGN[geometry]
+    one = coerce(1, mode)
+    zero = one - one
+    first_options = [head + (zero,) * (n + 1 - len(head))
+                     for head in first_tails(c[0], one)]
+    tails = linalg.realize_tails(
+        first_options, (k,) + (1,) * n,
+        pair_value=lambda j, i: k * c[i] * c[j] - 1,
+        self_value=lambda i: 1 + k * c[i] * c[i],
+        count=n + 2, exact=mode == EXACT)
+    if tails is None:
+        raise ValueError(f"no realization found for these {name} values")
+    entry_rows = [(c[i],) + tuple(tails[i]) for i in range(n + 2)]
+    return ConfigMatrix.from_rows(geometry, entry_rows, mode=mode)

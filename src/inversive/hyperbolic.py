@@ -19,11 +19,10 @@ exact arithmetic happens on rows and the center/radius view is approximate.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import forms, linalg
-from .scalars import (DEFAULT_TOL, EXACT, coerce_row, mode_of, near,
-                      rational_sqrt)
+from . import forms
+from .scalars import (DEFAULT_TOL, ExactnessError, coerce_row, div, mode_of,
+                      near, sqrt_scalar)
 
 REAL_SPHERE = "real-sphere"
 HOROCYCLE = "horocycle"
@@ -121,9 +120,8 @@ def classify_row(row, tol=DEFAULT_TOL):
     if not near(self_product, 1, tol):
         raise ValueError(f"not a valid row, self product {self_product}")
     c = entries[0]
-    exact = mode_of(entries) == EXACT
     coord = forms.CoordRow(forms.HYPERBOLIC, coerce_row(entries, mode_of(entries)))
-    if (abs(c) == 1) if exact else near(abs(c), 1, tol):
+    if near(abs(c), 1, tol):
         kind = HOROCYCLE
     elif abs(c) > 1:
         kind = REAL_SPHERE
@@ -145,25 +143,19 @@ def sphere_from_linear_form(g_vec, g):
     """
     center = HyperboloidPoint(g_vec)
     mode = mode_of((g,) + center.u)
-    exact = mode == EXACT
     if abs(g) > 1:
-        norm2 = g * g - 1
-        inv_sinh = None
-        if exact:
-            inv_sinh = rational_sqrt(Fraction(1, 1) / norm2)
-        row = None
-        if inv_sinh is not None:
-            row = coerce_row((g * inv_sinh,) +
-                             tuple(x * inv_sinh for x in center.u), mode)
-        elif not exact:
-            s = 1.0 / math.sqrt(float(norm2))
-            row = tuple(float(x) * s for x in (g,) + center.u)
+        try:
+            inv_sinh = div(1, sqrt_scalar(g * g - 1))
+            row = coerce_row(tuple(x * inv_sinh for x in (g,) + center.u),
+                             mode)
+        except ExactnessError:  # exact g with an irrational sinh
+            row = None
         if g > 1:
             return HyperbolicSphere(center, math.acosh(float(g)), row=row)
         entries = row if row is not None else (g,) + center.u
         return HypRowClass(REAL_SPHERE,
                            forms.CoordRow(forms.HYPERBOLIC, entries))
-    kind = HOROCYCLE if ((abs(g) == 1) if exact else near(abs(g), 1, DEFAULT_TOL)) else VIRTUAL
+    kind = HOROCYCLE if near(abs(g), 1, DEFAULT_TOL) else VIRTUAL
     raw = forms.CoordRow(forms.HYPERBOLIC, coerce_row((g,) + center.u, mode))
     return HypRowClass(kind, raw)
 
@@ -171,11 +163,7 @@ def sphere_from_linear_form(g_vec, g):
 def ball_to_hyperboloid(p):
     """Unit ball to upper sheet: u_0 = 2/D - 1, u_j = 2 y_j/D, D = 1 - |y|^2."""
     y = p.y if isinstance(p, BallPoint) else tuple(p)
-    delta = 1 - sum(v * v for v in y)
-    if mode_of(y) == EXACT:
-        inv = Fraction(2, 1) / delta
-    else:
-        inv = 2.0 / delta
+    inv = div(2, 1 - sum(v * v for v in y))
     return HyperboloidPoint((inv - 1,) + tuple(inv * v for v in y))
 
 
@@ -183,9 +171,7 @@ def hyperboloid_to_ball(u):
     """Upper sheet to unit ball: y_j = u_j / (1 + u_0)."""
     coords = u.u if isinstance(u, HyperboloidPoint) else tuple(u)
     denom = 1 + coords[0]
-    if mode_of(coords) == EXACT:
-        return BallPoint(tuple(Fraction(v) / denom for v in coords[1:]))
-    return BallPoint(tuple(v / denom for v in coords[1:]))
+    return BallPoint(tuple(div(v, denom) for v in coords[1:]))
 
 
 def cosh_distance_hyperboloid(u, v):
@@ -204,9 +190,7 @@ def cosh_distance_ball(p, q):
     dot = sum(x * y for x, y in zip(a, b))
     num = (1 + na) * (1 + nb) - 4 * dot
     den = (1 - na) * (1 - nb)
-    if mode_of(a + b) == EXACT:
-        return Fraction(num) / den
-    return num / den
+    return div(num, den)
 
 
 def distance_hyperboloid(u, v):
@@ -220,49 +204,19 @@ def distance_ball(p, q):
 def hyp_soddy_check(coths):
     """Residual of the bend relation on a vector of coth(s) values; zero for
     n+2 pairwise tangent hyperbolic spheres."""
-    coths = tuple(coths)
-    n = len(coths) - 2
-    if n < 1:
-        raise ValueError("need at least 3 values")
-    total = sum(coths)
-    square_sum = sum(c * c for c in coths)
-    if mode_of(coths) == EXACT:
-        return square_sum - Fraction(1, n) * total * total - 2
-    return square_sum - (total * total) / n - 2
+    return forms.bend_residual(forms.HYPERBOLIC, coths)
 
 
 def realize_sphere_config(coths, n=None):
     """One configuration of pairwise tangent rows with the given coth values.
 
     Works like the spherical realizer but under the Lorentz tail form
-    diag(-1, 1, ..., 1).  A coth entry of absolute value 1 admits the zero
-    tail (the row of the ideal boundary itself), which is tried first; a
-    depth-first search backtracks out of degenerate tail choices that strand
-    later rows.  Exact input yields an exact matrix or a ValueError.
+    diag(-1, 1, ..., 1), with first tail (c_1, 1, 0, ..., 0).  A coth entry
+    of absolute value 1 admits the zero tail (the row of the ideal boundary
+    itself), which is tried first.  Exact input yields an exact matrix or a
+    ValueError.
     """
-    coths = tuple(coths)
-    if n is None:
-        n = len(coths) - 2
-    if len(coths) != n + 2:
-        raise ValueError("need n+2 coth values")
-    mode = mode_of(coths)
-    exact = mode == EXACT
-    coths = coerce_row(coths, mode)
-    residual = hyp_soddy_check(coths)
-    if not near(residual, 0, DEFAULT_TOL):
-        raise ValueError(f"coth values violate the bend relation by {residual}")
-    signs = (-1,) + (1,) * n
-    one = Fraction(1) if exact else 1.0
-    zero = one - one
-    first_options = [(coths[0] * one, one) + (zero,) * (n - 1)]
-    if abs(coths[0]) == 1:
-        first_options.insert(0, (zero,) * (n + 1))
-    tails = linalg.realize_tails(
-        first_options, signs,
-        pair_value=lambda j, i: -1 - coths[i] * coths[j],
-        self_value=lambda i: 1 - coths[i] * coths[i],
-        count=n + 2, exact=exact)
-    if tails is None:
-        raise ValueError("no realization found for these coth values")
-    entry_rows = [(coths[i],) + tuple(tails[i]) for i in range(n + 2)]
-    return forms.ConfigMatrix.from_rows(forms.HYPERBOLIC, entry_rows, mode=mode)
+    def first_tails(c0, one):
+        return ([()] if abs(c0) == 1 else []) + [(c0, one)]
+
+    return forms._realize_tangent_rows(forms.HYPERBOLIC, coths, n, first_tails)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import EXACT, ExactnessError, is_exact, rational_sqrt, sqrt_scalar
+from .scalars import EXACT, FLOAT, ExactnessError, is_exact, near, sqrt_scalar
 
 
 def as_matrix(rows, mode=None):
@@ -95,16 +95,14 @@ def solve_affine(a, b):
     for i in range(r, rows):
         if abs(aug[i, cols]) > zero_tol:
             raise ValueError("inconsistent linear system")
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    particular = np.full(cols, zero, dtype=object if exact else float)
+    eye = identity(cols, exact)
+    particular = 0 * eye[0]
     for i, c in enumerate(pivots):
         particular[c] = aug[i, cols]
     free = [c for c in range(cols) if c not in pivots]
     kernel = []
     for c in free:
-        vec = np.full(cols, zero, dtype=object if exact else float)
-        vec[c] = one
+        vec = eye[c].copy()
         for i, pc in enumerate(pivots):
             vec[pc] = -aug[i, c]
         kernel.append(vec)
@@ -131,20 +129,21 @@ def _assignment_patterns(dim):
 
 
 def _solve_univariate(a, b, c, exact):
-    """Roots of a u^2 + b u + c = 0 in the working mode, or None."""
+    """A root of a u^2 + b u + c = 0 in the working mode, or None."""
     if a == 0:
         if b == 0:
-            return Fraction(0) if (c == 0 and exact) else (0.0 if c == 0 else None)
+            return None if c != 0 else c - c  # every u solves 0 = 0; take 0
         return -c / b
     disc = b * b - 4 * a * c
-    if exact:
-        root = rational_sqrt(Fraction(disc))
-        if root is None:
-            return None
-        return (-b + root) / (2 * a)
-    if disc < 0:
+    if not exact and abs(disc) <= 1e-12 * max(b * b, abs(4 * a * c), 1.0):
+        # a double root that rounding moved off zero; its square root would
+        # put an error of about 1e-8 into the tail and strand later rows
+        disc = 0.0
+    try:
+        root = sqrt_scalar(disc)
+    except (ValueError, ExactnessError):  # no real or no rational root
         return None
-    return (-b + sqrt_scalar(float(disc))) / (2 * a)
+    return (-b + root) / (2 * a)
 
 
 def diag_dot(signs, u, v):
@@ -164,18 +163,17 @@ def tail_candidates(prev_tails, signs, pair_values, self_value, exact):
     are already inconsistent.
     """
     m = len(signs)
-    mode = EXACT if exact else "float"
     if prev_tails:
         a = as_matrix([[t[i] * signs[i] for i in range(m)] for t in prev_tails],
-                      mode=mode)
+                      mode=EXACT if exact else FLOAT)
         p, kernel = solve_affine(a, list(pair_values))
     else:
-        p = as_matrix([[0] * m], mode=mode)[0]
-        kernel = [identity(m, exact)[i] for i in range(m)]
+        eye = identity(m, exact)
+        p = 0 * eye[0]
+        kernel = list(eye)
     if not kernel:
         residual = diag_dot(signs, p, p) - self_value
-        limit = 0 if exact else 1e-8 * max(1.0, abs(float(self_value)))
-        if abs(residual) <= limit:
+        if near(residual, 0, 1e-8 * max(1.0, abs(float(self_value)))):
             yield tuple(p)
         return
     dim = len(kernel)
@@ -198,17 +196,6 @@ def tail_candidates(prev_tails, signs, pair_values, self_value, exact):
             if key not in seen:
                 seen.add(key)
                 yield t
-
-
-def extend_tail(prev_tails, signs, pair_values, self_value, exact):
-    """First tail_candidates solution, or an error when none exists."""
-    for t in tail_candidates(prev_tails, signs, pair_values, self_value, exact):
-        return t
-    if exact:
-        raise ExactnessError(
-            "no rational solution found for the quadratic condition; "
-            "use float mode")
-    raise ValueError("could not satisfy the quadratic condition")
 
 
 def realize_tails(first_options, signs, pair_value, self_value, count, exact,

@@ -15,10 +15,9 @@ with Q_1 the Descartes form on three variables.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import forms
-from .scalars import EXACT, is_exact, mode_of
+from .scalars import div, mode_of
 
 
 @dataclass(frozen=True)
@@ -39,14 +38,12 @@ class OrientedInterval:
 
     @property
     def r(self):
-        half = Fraction(1, 2) if mode_of((self.a, self.b)) == EXACT else 0.5
-        length = (self.b - self.a) * half
+        length = div(self.b - self.a, 2)
         return -length if self.infinite else length
 
     @property
     def curvature(self):
-        r = self.r
-        return (Fraction(1) if is_exact(r) else 1.0) / r
+        return div(1, self.r)
 
 
 @dataclass(frozen=True)
@@ -99,31 +96,28 @@ def descartes_1d_check(curvatures):
     curvatures = tuple(curvatures)
     if len(curvatures) != 3:
         raise ValueError("need exactly 3 curvatures")
-    total = sum(curvatures)
-    return sum(a * a for a in curvatures) - total * total
+    return forms.bend_residual(forms.EUCLIDEAN, curvatures)
 
 
-def _finite_row(interval, exact):
+def _finite_row(interval):
     a, b = interval.a, interval.b
     length = b - a
-    two = Fraction(2) if exact else 2.0
-    curv = two / length
+    curv = div(2, length)
     # image of [a, b] under x -> 1/x has oriented curvature 2ab/(b - a),
     # covering the 0-in-interior and 0-endpoint cases uniformly
-    bbar = 2 * a * b / (Fraction(length) if exact else length)
-    center = (a + b) / two
+    bbar = div(2 * a * b, length)
+    center = div(a + b, 2)
     return (bbar, curv, curv * center)
 
 
-def _infinite_row(interval, exact):
+def _infinite_row(interval):
     length = interval.b - interval.a
-    two = Fraction(2) if exact else 2.0
-    shift = (interval.a + interval.b) / two
+    shift = div(interval.a + interval.b, 2)
     # in the frame shifted by -shift the complement is symmetric around 0,
     # x -> 1/x maps the infinite interval onto [-2/L, 2/L], and that image
     # has curvature L/2 and center 0
-    bbar_shifted = length / two
-    curv = -two / length
+    bbar_shifted = div(length, 2)
+    curv = -div(2, length)
     m_shifted = curv * 0
     bbar = bbar_shifted + 2 * shift * m_shifted + shift * shift * curv
     return (bbar, curv, m_shifted + curv * shift)
@@ -132,13 +126,8 @@ def _infinite_row(interval, exact):
 def augmented_1d(config):
     """3x3 augmented matrix of a covering configuration, rows in input
     order; satisfies the n = 1 Gram identity exactly on exact input."""
-    exact = config.mode == EXACT
-    rows = []
-    for interval in config.intervals:
-        if interval.infinite:
-            rows.append(_infinite_row(interval, exact))
-        else:
-            rows.append(_finite_row(interval, exact))
+    rows = [_infinite_row(i) if i.infinite else _finite_row(i)
+            for i in config.intervals]
     return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows, mode=config.mode)
 
 
@@ -149,6 +138,4 @@ def solve_third_curvature(a2, a3):
     s = a2 + a3
     if s == 0:
         raise ValueError("degenerate pair, curvatures cancel")
-    if mode_of((a2, a3)) == EXACT:
-        return Fraction(-a2 * a3, s) if isinstance(a2 * a3, int) else -a2 * a3 / Fraction(s)
-    return -a2 * a3 / s
+    return div(-a2 * a3, s)

@@ -47,6 +47,13 @@ def coerce_row(values, mode):
     return tuple(coerce(x, mode) for x in values)
 
 
+def div(a, b):
+    """a / b, a Fraction when both operands are exact (so 1/3 stays 1/3)."""
+    if is_exact(a) and is_exact(b):
+        return Fraction(a) / b
+    return a / b
+
+
 def rational_sqrt(q):
     """Square root of a nonnegative Fraction, or None if irrational."""
     q = Fraction(q)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, sqrt_scalar
+from .scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce, sqrt_scalar
 
 
 def scalar_to_json(x):
@@ -151,9 +151,6 @@ def loads_packing(text):
 # ---------------------------------------------------------------------------
 # bend completion
 
-_CURVE = {forms.EUCLIDEAN: 0, forms.SPHERICAL: 1, forms.HYPERBOLIC: -1}
-
-
 def complete_bend(geometry, values):
     """Both completions of n+1 bend values to a full Descartes bend vector,
     from the quadratic (n-1)x^2 - 2*s1*x + (n*s2 - s1^2 + 2*n*k) = 0 with
@@ -161,7 +158,7 @@ def complete_bend(geometry, values):
     n = len(values) - 1
     if n < 2:
         raise ValueError("bend completion needs at least three values")
-    k = _CURVE[geometry]
+    k = forms.CURVATURE_SIGN[geometry]
     s1 = sum(values)
     s2 = sum(v * v for v in values)
     a = n - 1
@@ -217,7 +214,6 @@ def _build_parser():
                     help="keep rows with |bend| up to this value")
     sp.add_argument("--max-depth", type=int, default=None)
     sp.add_argument("--max-configs", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _io_args(sp)
 
@@ -241,7 +237,6 @@ def _build_parser():
                     help="generate to this bound when no --in stream is given")
     sp.add_argument("--max-depth", type=int, default=None)
     sp.add_argument("--max-configs", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sp.add_argument("--width", type=int, default=800)
     sp.add_argument("--height", type=int, default=800)
@@ -288,9 +283,7 @@ def _parse_scalars(text, mode):
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty value list")
-    if mode == EXACT:
-        return tuple(Fraction(t) for t in tokens)
-    return tuple(float(Fraction(t)) for t in tokens)
+    return tuple(coerce(Fraction(t), mode) for t in tokens)
 
 
 def _seed_config(args, tol):
@@ -305,7 +298,7 @@ def _seed_config(args, tol):
 
 
 def _parse_bound(text, mode):
-    return Fraction(text) if mode == EXACT else float(Fraction(text))
+    return coerce(Fraction(text), mode)
 
 
 def _cmd_verify(args):
@@ -355,7 +348,6 @@ def _generate(args):
         bound,
         max_depth=args.max_depth,
         max_configs=args.max_configs,
-        workers=args.workers,
         tol=args.tol,
     )
 

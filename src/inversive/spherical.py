@@ -16,10 +16,9 @@ radian/center view is derived (and approximate) rather than stored.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import forms, linalg
-from .scalars import (DEFAULT_TOL, EXACT, coerce_row, mode_of, near)
+from . import forms
+from .scalars import DEFAULT_TOL, EXACT, mode_of, near
 
 
 @dataclass(frozen=True)
@@ -120,15 +119,7 @@ def complementary_cap(cap):
 def spherical_soddy_check(cots):
     """Residual of the bend relation on a vector of cot(alpha) values;
     zero for n+2 pairwise tangent caps."""
-    cots = tuple(cots)
-    n = len(cots) - 2
-    if n < 1:
-        raise ValueError("need at least 3 values")
-    total = sum(cots)
-    square_sum = sum(c * c for c in cots)
-    if mode_of(cots) == EXACT:
-        return square_sum - Fraction(1, n) * total * total + 2
-    return square_sum - (total * total) / n + 2
+    return forms.bend_residual(forms.SPHERICAL, cots)
 
 
 def realize_cap_config(cots, n=None):
@@ -140,27 +131,5 @@ def realize_cap_config(cots, n=None):
     the search sticks to rational tails and raises if none of its candidate
     branches closes, so a returned matrix is exact whenever the input is.
     """
-    cots = tuple(cots)
-    if n is None:
-        n = len(cots) - 2
-    if len(cots) != n + 2:
-        raise ValueError("need n+2 cot values")
-    mode = mode_of(cots)
-    exact = mode == EXACT
-    cots = coerce_row(cots, mode)
-    residual = spherical_soddy_check(cots)
-    if not near(residual, 0, DEFAULT_TOL):
-        raise ValueError(f"cot values violate the bend relation by {residual}")
-    signs = (1,) * (n + 1)
-    one = Fraction(1) if exact else 1.0
-    zero = one - one
-    first = (one, cots[0] * one) + (zero,) * (n - 1)
-    tails = linalg.realize_tails(
-        [first], signs,
-        pair_value=lambda j, i: cots[i] * cots[j] - 1,
-        self_value=lambda i: 1 + cots[i] * cots[i],
-        count=n + 2, exact=exact)
-    if tails is None:
-        raise ValueError("no realization found for these cot values")
-    entry_rows = [(cots[i],) + tuple(tails[i]) for i in range(n + 2)]
-    return forms.ConfigMatrix.from_rows(forms.SPHERICAL, entry_rows, mode=mode)
+    return forms._realize_tangent_rows(forms.SPHERICAL, cots, n,
+                                       lambda c0, one: [(one, c0)])

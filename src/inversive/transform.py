@@ -21,21 +21,18 @@ tested against an independently computed answer.
 """
 
 import math
-from fractions import Fraction
 
 from . import euclid, forms, linalg, spherical
-from .scalars import DEFAULT_TOL, EXACT, coerce_row, mode_of, near
+from .scalars import DEFAULT_TOL, EXACT, coerce, coerce_row, div, mode_of, near
 
 _ORDER = (forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC)
 
 
 def _block(first_two_rows, n, mode):
-    exact = mode == EXACT
-    m = linalg.identity(n + 2, exact)
-    one = Fraction(1) if exact else 1.0
+    m = linalg.identity(n + 2, mode == EXACT)
     for i, row in enumerate(first_two_rows):
-        m[i, 0] = row[0] * one
-        m[i, 1] = row[1] * one
+        m[i, 0] = coerce(row[0], mode)
+        m[i, 1] = coerce(row[1], mode)
     return m
 
 
@@ -44,10 +41,9 @@ def conversion_matrix(src, dst, n, mode=EXACT):
     for tag in (src, dst):
         if tag not in _ORDER:
             raise ValueError(f"unknown geometry {tag!r}")
-    exact = mode == EXACT
-    half = Fraction(1, 2) if exact else 0.5
+    half = coerce(1, mode) / 2
     if src == dst:
-        return linalg.identity(n + 2, exact)
+        return linalg.identity(n + 2, mode == EXACT)
     if (src, dst) == (forms.SPHERICAL, forms.EUCLIDEAN):
         return _block([(1, 1), (-1, 1)], n, mode)
     if (src, dst) == (forms.EUCLIDEAN, forms.SPHERICAL):
@@ -88,8 +84,7 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
 def bend_triple(b, bbar):
     """(cot alpha, coth s) of the cap and hyperbolic sphere matching a
     Euclidean row with bend b and inverted bend bbar; their sum is b."""
-    half = Fraction(1, 2) if mode_of((b, bbar)) == EXACT else 0.5
-    return (half * (b + bbar), half * (b - bbar))
+    return (div(b + bbar, 2), div(b - bbar, 2))
 
 
 def cap_to_plane(cap, tol=DEFAULT_TOL):
@@ -107,11 +102,9 @@ def cap_to_plane(cap, tol=DEFAULT_TOL):
         q0 = cap.row[1]
         q = cap.row[2:]
         b = q0 + c
-        exact = mode_of(cap.row) == EXACT
-        if (b == 0) if exact else near(b, 0, tol):
+        if near(b, 0, tol):
             return euclid.OrientedHyperplane(q, c)
-        return euclid.OrientedSphere(b, tuple(
-            (Fraction(x) if exact else x) / b for x in q))
+        return euclid.OrientedSphere(b, tuple(div(x, b) for x in q))
     ca = math.cos(cap.angular_radius)
     sa = math.sin(cap.angular_radius)
     denom = float(cap.center[0]) + ca
@@ -135,11 +128,10 @@ def plane_to_cap(obj):
         entries = (d, -d) + obj.normal
     else:
         b = obj.curvature
-        inv = (Fraction(1) if mode_of((b,)) == EXACT else 1.0) / b
+        inv = div(1, b)
         norm2 = sum(x * x for x in obj.center)
-        half = Fraction(1, 2) if mode_of((b,) + obj.center) == EXACT else 0.5
-        entries = (half * (b * (1 + norm2) - inv),
-                   half * (b * (1 - norm2) + inv)) + \
+        entries = (div(b * (1 + norm2) - inv, 2),
+                   div(b * (1 - norm2) + inv, 2)) + \
             tuple(b * x for x in obj.center)
     entries = coerce_row(entries, mode_of(entries))
     return spherical.cap_from_coords(entries)

@@ -115,11 +115,23 @@ def test_generate_matches_complex_descartes_enumeration(euclid_seed):
     assert got == _complex_route_rows(F(60))
 
 
-def test_generate_worker_split_is_deterministic(euclid_seed):
-    p1 = apollonian.generate(euclid_seed, 200, workers=1)
-    p4 = apollonian.generate(euclid_seed, 200, workers=4)
-    assert tuple(r.entries for r in p1.rows) == tuple(r.entries for r in p4.rows)
+def test_generate_is_deterministic(euclid_seed):
+    p1 = apollonian.generate(euclid_seed, 200)
+    p2 = apollonian.generate(euclid_seed, 200)
+    assert tuple(r.entries for r in p1.rows) == tuple(r.entries for r in p2.rows)
     assert len(p1.rows) == 413
+
+
+def test_generate_float_keeps_bends_on_the_bound():
+    # exact mode keeps the |bend| = 600 circles of this seed; float rounding
+    # lands some of them just above 600, and they must be kept all the same
+    bends = (-8, 16, 16, 24)
+    exact = apollonian.generate(
+        apollonian.realize_bends(forms.EUCLIDEAN, tuple(map(F, bends))), 600)
+    fl = apollonian.generate(
+        apollonian.realize_bends(forms.EUCLIDEAN, tuple(map(float, bends))), 600)
+    assert len(exact.rows) == len(fl.rows) == 119
+    assert sorted(map(float, exact.bends)) == pytest.approx(sorted(fl.bends))
 
 
 def test_generate_max_depth_truncates(euclid_seed):

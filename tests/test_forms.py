@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from inversive import apollonian, forms, transform
+from inversive import apollonian, forms, shell, transform
 from inversive.scalars import EXACT, FLOAT
 
 
@@ -76,6 +76,37 @@ def test_seed_identities(geometry):
         w, forms.descartes_form(2), forms.target_for(geometry, 2)
     )
     assert res.ok and res.max_abs_entry_error == 0
+
+
+@pytest.mark.parametrize("geometry", forms.GEOMETRIES)
+def test_bend_residual_against_gram_identity(geometry):
+    """The unified Descartes relation is exactly zero on both completions of
+    every exact configuration and within 1e-9 on the float seeds of
+    n = 3..5; the Gram identity on the same configurations is the oracle."""
+    def gram_ok(w, mode=EXACT):
+        return forms.check_identity(w, forms.descartes_form(w.n, mode),
+                                    forms.target_for(geometry, w.n, mode)).ok
+
+    packing = apollonian.generate(apollonian.standard_seed(geometry), 40,
+                                  keep_configs=True, max_configs=200)
+    for w in packing.configs:
+        assert gram_ok(w)
+        bends = w.bends
+        assert forms.bend_residual(geometry, bends) == 0
+        for i in range(4):
+            rest = bends[:i] + bends[i + 1:]
+            roots = shell.complete_bend(geometry, rest)
+            for r in roots:
+                assert forms.bend_residual(geometry, rest + (r,)) == 0
+            # the two completions are this configuration and its reflection
+            other = apollonian.reflect(w, i)
+            assert gram_ok(other)
+            assert sorted((bends[i], other.bends[i])) == list(roots)
+        assert forms.bend_residual(geometry, bends[:3] + (bends[3] + 1,)) != 0
+    for n in (3, 4, 5):
+        w = apollonian.standard_seed(geometry, n, mode=FLOAT)
+        assert gram_ok(w, FLOAT)
+        assert abs(forms.bend_residual(geometry, w.bends)) <= 1e-9
 
 
 def test_check_identity_flags_corruption(euclid_seed):

@@ -124,6 +124,15 @@ def test_realize_deep_seed():
     assert _hyp_gram_ok(w)
 
 
+def test_realize_deep_seed_float_matches_exact():
+    # the exact realization passes a double root at row 2; in float its
+    # discriminant rounds to about 3.5e-15, which must not strand row 3
+    w = apollonian.realize_bends(forms.HYPERBOLIC, (-2.0, 3.0, 5.0, 6.0))
+    for row, exact in zip(w.rows, DEEP_ROWS):
+        assert row.entries == pytest.approx(exact, abs=1e-9)
+    assert _hyp_gram_ok(w)
+
+
 def test_realize_rejects_bad_coths():
     with pytest.raises(ValueError):
         hyperbolic.realize_sphere_config((F(-1), F(1), F(1), F(2)))
