@@ -18,6 +18,7 @@ of the same bend pattern, so generate() also accepts max_depth/max_configs
 caps and reports truncation instead of looping forever.
 """
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +41,15 @@ def reflection_matrix(n, i, mode=EXACT):
     return r
 
 
-def _reflect_entries(entry_rows, i, coeff):
+def _column_sums(entry_rows):
     total = entry_rows[0]
     for row in entry_rows[1:]:
         total = tuple(a + b for a, b in zip(total, row))
+    return total
+
+
+def _reflect_entries(entry_rows, i, coeff):
+    total = _column_sums(entry_rows)
     old = entry_rows[i]
     new = tuple(coeff * (t - x) - x for t, x in zip(total, old))
     return entry_rows[:i] + (new,) + entry_rows[i + 1:]
@@ -102,6 +108,11 @@ def _row_key(entries, exact):
     return tuple(round(float(x), 6) for x in entries)
 
 
+def _integral(q):
+    """q as an int when its denominator is 1, so sums stay in int arithmetic."""
+    return int(q) if q.denominator == 1 else q
+
+
 def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
              tol=DEFAULT_TOL):
     """Breadth-first closure of a seed under all reflections.
@@ -112,6 +123,19 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     keeps.  Configurations are deduplicated by their sorted row key (exact
     rows, or rows rounded to 1e-6 in float mode).  Levels are expanded in
     order, so the result is deterministic.
+
+    Exact mode walks on integers: the seed rows are multiplied by the least
+    common multiple of their denominators, and since the reflection
+    coefficient 2/(n-1) is the integer 2 for n = 2, every row of the packing
+    is then an int vector (for other n the same loop runs on Fractions).
+    The bound is scaled alike, and scaling by a positive number keeps the
+    sorted order of rows and keys, so only the rows and configurations put
+    into the returned Packing are divided back into Fractions.
+
+    Each configuration remembers the index whose reflection produced it and
+    is not reflected at that index again, since that only rebuilds its
+    parent.  The column sums are formed once per configuration, and a child
+    row is built only when its bend is within the bound.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
@@ -131,23 +155,36 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
     coeff = coerce(2, mode) / (n - 1)
     col = forms.bend_column(seed.geometry)
+    seed_rows = tuple(r.entries for r in seed.rows)
     if exact:
-        bound_value = limit = Fraction(bound)
+        bound_value = Fraction(bound)
+        scale = math.lcm(*(x.denominator for r in seed_rows for x in r))
+        coeff = _integral(coeff)
+        limit = _integral(bound_value * scale)
+        seed_rows = tuple(tuple(_integral(x * scale) for x in r)
+                          for r in seed_rows)
+
+        def unscaled(row):
+            return tuple(Fraction(x, scale) for x in row)
     else:
         bound_value = float(bound)
         limit = bound_value + tol * max(1.0, bound_value)
+
+        def unscaled(row):
+            return row
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
 
-    seed_rows = tuple(r.entries for r in seed.rows)
-    seed_key = tuple(sorted(_row_key(r, exact) for r in seed_rows))
+    seed_keys = tuple(_row_key(r, exact) for r in seed_rows)
+    seed_key = tuple(sorted(seed_keys))
     seen_configs = {seed_key}
-    kept_configs = {seed_key: seed_rows}
+    kept_configs = {seed_key: seed_rows} if keep_configs else None
     row_map = {}
-    for r in seed_rows:
-        row_map.setdefault(_row_key(r, exact), r)
+    for k, r in zip(seed_keys, seed_rows):
+        row_map.setdefault(k, r)
 
-    frontier = [seed_rows]
+    # (rows, row keys, index that produced it; -1 for the seed)
+    frontier = [(seed_rows, seed_keys, -1)]
     explored = 0
     depth = 0
     truncated = False
@@ -157,22 +194,30 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
             break
         explored += len(frontier)
         next_frontier = []
-        for entry_rows in frontier:
+        for entry_rows, entry_keys, parent in frontier:
+            total = _column_sums(entry_rows)
+            total_bend = total[col]
             for i in range(n + 2):
-                new_rows = _reflect_entries(entry_rows, i, coeff)
-                if abs(new_rows[i][col]) > limit:
+                if i == parent:
                     continue
-                key = tuple(sorted(_row_key(r, exact) for r in new_rows))
+                old = entry_rows[i]
+                if abs(coeff * (total_bend - old[col]) - old[col]) > limit:
+                    continue
+                new = tuple(coeff * (t - x) - x for t, x in zip(total, old))
+                new_key = _row_key(new, exact)
+                child_keys = entry_keys[:i] + (new_key,) + entry_keys[i + 1:]
+                key = tuple(sorted(child_keys))
                 if key in seen_configs:
                     continue
                 if max_configs is not None and len(seen_configs) >= max_configs:
                     truncated = True
                     break
                 seen_configs.add(key)
-                kept_configs[key] = new_rows
-                for r in new_rows:
-                    row_map.setdefault(_row_key(r, exact), r)
-                next_frontier.append(new_rows)
+                child = entry_rows[:i] + (new,) + entry_rows[i + 1:]
+                if keep_configs:
+                    kept_configs[key] = child
+                row_map.setdefault(new_key, new)
+                next_frontier.append((child, child_keys, i))
             if truncated:
                 break
         depth += 1
@@ -180,13 +225,13 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
             break
         frontier = next_frontier
 
-    sorted_rows = tuple(
-        forms.CoordRow(seed.geometry, row_map[k]) for k in sorted(row_map))
+    sorted_rows = tuple(forms.CoordRow(seed.geometry, unscaled(row_map[k]))
+                        for k in sorted(row_map))
     configs = None
     if keep_configs:
         configs = tuple(
-            forms.ConfigMatrix.from_rows(seed.geometry, kept_configs[k],
-                                         mode=mode)
+            forms.ConfigMatrix.from_rows(
+                seed.geometry, tuple(map(unscaled, kept_configs[k])), mode=mode)
             for k in sorted(kept_configs))
     return Packing(seed.geometry, n, seed, sorted_rows, bound_value, configs,
                    explored, depth, truncated)
