@@ -5,11 +5,23 @@ one header record followed by one row per line, so large generations can be
 streamed.  Exact scalars serialize as fraction strings in lowest terms
 (integers without the denominator), float scalars as JSON numbers.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+iter_packing_lines yields a packing stream one line at a time, each row
+formatted by hand from numerator and denominator (or float repr); `gen`
+writes the lines as they come.  loads_packing takes the stream as text or
+as a text file object and decodes it line by line; exact scalars of the
+form n or n/d are parsed as integers, and anything else goes through
+scalar_from_json.  Malformed input raises ValueError.
+
+The CLI runs as `inversive` or `python -m inversive`.  Exit codes: 0
+success, 1 validation failure or malformed input, 2 usage error.
 """
 
 import argparse
+import contextlib
+import itertools
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,14 +37,24 @@ def scalar_to_json(x):
     return str(Fraction(x))
 
 
+def _fraction(v):
+    """Fraction(v), with a zero denominator or a non-number reported as a
+    ValueError."""
+    try:
+        return Fraction(v)
+    except (TypeError, ZeroDivisionError):
+        raise ValueError(f"not a rational number: {v!r}") from None
+
+
 def scalar_from_json(v, mode):
     if mode == EXACT:
         if isinstance(v, float):
             raise ValueError(f"float entry {v!r} in an exact document")
-        return Fraction(v)
-    if isinstance(v, str):
-        return float(Fraction(v))
-    return float(v)
+        return _fraction(v)
+    try:
+        return float(_fraction(v)) if isinstance(v, str) else float(v)
+    except (TypeError, OverflowError):
+        raise ValueError(f"not a float scalar: {v!r}") from None
 
 
 @dataclass(frozen=True)
@@ -70,6 +92,9 @@ def parse_document(text, tol=DEFAULT_TOL):
         rows = [tuple(scalar_from_json(v, mode) for v in row) for row in raw["rows"]]
     except KeyError as e:
         raise ValueError(f"configuration document is missing field {e}")
+    except TypeError:
+        raise ValueError("configuration document is not an object with "
+                         "rows of scalars") from None
     w = forms.ConfigMatrix.from_rows(geometry, rows, mode=mode)
     if w.n != n:
         raise ValueError(f"declared n = {n} but rows have n = {w.n}")
@@ -91,7 +116,17 @@ def loads_config(text, strict=True, tol=DEFAULT_TOL):
     return doc.config
 
 
-def dumps_packing(p):
+def _json_scalar(x):
+    """One scalar as JSON text, as json.dumps(scalar_to_json(x)) writes it."""
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+    n, d = x.numerator, x.denominator
+    return f'"{n}"' if d == 1 else f'"{n}/{d}"'
+
+
+def iter_packing_lines(p):
+    """The packing stream of p line by line: the header record, then one
+    {"bend", "row"} record per row, each line ending in a newline."""
     bend_col = forms.bend_column(p.geometry)
     head = {
         "kind": "packing",
@@ -104,22 +139,63 @@ def dumps_packing(p):
         "truncated": p.truncated,
         "seed": [[scalar_to_json(x) for x in r.entries] for r in p.seed.rows],
     }
-    lines = [json.dumps(head, separators=(",", ":"))]
+    yield json.dumps(head, separators=(",", ":")) + "\n"
     for r in p.rows:
-        rec = {
-            "bend": scalar_to_json(r.entries[bend_col]),
-            "row": [scalar_to_json(x) for x in r.entries],
-        }
-        lines.append(json.dumps(rec, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+        row = [_json_scalar(x) for x in r.entries]
+        yield '{"bend":%s,"row":[%s]}\n' % (row[bend_col], ",".join(row))
 
 
-def loads_packing(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+def dumps_packing(p):
+    return "".join(iter_packing_lines(p))
+
+
+# An exact scalar written by the encoder: an integer, or n/d.
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _exact_from_text(v):
+    m = _RATIO.fullmatch(v)
+    if m is None:
+        return scalar_from_json(v, EXACT)
+    a, b = m.groups()
+    if b is None:
+        return Fraction(int(a))
+    try:
+        return Fraction(int(a), int(b))
+    except ZeroDivisionError:
+        return scalar_from_json(v, EXACT)  # reports the zero denominator
+
+
+def _exact_reader():
+    """Converter for the exact row scalars of one stream.  Each distinct
+    string is parsed once, and equal entries share one Fraction."""
+    memo = {}
+
+    def scalar(v):
+        if v.__class__ is not str:
+            return scalar_from_json(v, EXACT)
+        q = memo.get(v)
+        if q is None:
+            q = memo[v] = _exact_from_text(v)
+        return q
+
+    return scalar
+
+
+def _float_from_json(v):
+    return v if v.__class__ is float else scalar_from_json(v, FLOAT)
+
+
+def loads_packing(source):
+    """Packing from a packing stream, given as text or as a text file
+    object (any iterable of lines), which is read line by line."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    lines = (ln for ln in lines if ln.strip())
+    first = next(lines, None)
+    if first is None:
         raise ValueError("empty packing stream")
-    head = json.loads(lines[0])
-    if head.get("kind") != "packing":
+    head = json.loads(first)
+    if not isinstance(head, dict) or head.get("kind") != "packing":
         raise ValueError("not a packing stream (missing packing header)")
     try:
         geometry, mode = head["geometry"], head["mode"]
@@ -128,11 +204,16 @@ def loads_packing(text):
         ]
         bound = scalar_from_json(head["bound"], mode)
         seed = forms.ConfigMatrix.from_rows(geometry, seed_rows, mode=mode)
+        scalar = _exact_reader() if mode == EXACT else _float_from_json
+        decode = json.JSONDecoder().decode
+        width = seed.n + 2
         rows = []
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            entries = tuple(scalar_from_json(v, mode) for v in rec["row"])
-            rows.append(forms.CoordRow(geometry, entries))
+        for ln in lines:
+            rec = decode(ln)
+            row = rec["row"] if isinstance(rec, dict) else None
+            if not isinstance(row, list) or len(row) != width:
+                raise ValueError(f"malformed packing row {ln.strip()[:80]!r}")
+            rows.append(forms.CoordRow(geometry, tuple(map(scalar, row))))
         return apollonian.Packing(
             geometry=geometry,
             n=seed.n,
@@ -259,17 +340,28 @@ def _build_parser():
     return parser
 
 
-def _read_in(args):
+def _open_in(args):
+    """The input as a text file object: --in FILE, else stdin ('-' or none)."""
     if getattr(args, "infile", None) in (None, "-"):
-        return sys.stdin.read()
-    return Path(args.infile).read_text()
+        return contextlib.nullcontext(sys.stdin)
+    return open(args.infile)
+
+
+def _read_in(args):
+    with _open_in(args) as f:
+        return f.read()
+
+
+def _write_lines(args, lines):
+    if args.out:
+        with open(args.out, "w") as f:
+            f.writelines(lines)
+    else:
+        sys.stdout.writelines(lines)
 
 
 def _write_text(args, text):
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(args, (text,))
 
 
 def _write_bytes(args, data):
@@ -283,7 +375,7 @@ def _parse_scalars(text, mode):
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty value list")
-    return tuple(coerce(Fraction(t), mode) for t in tokens)
+    return tuple(coerce(_fraction(t), mode) for t in tokens)
 
 
 def _seed_config(args, tol):
@@ -298,7 +390,7 @@ def _seed_config(args, tol):
 
 
 def _parse_bound(text, mode):
-    return coerce(Fraction(text), mode)
+    return coerce(_fraction(text), mode)
 
 
 def _cmd_verify(args):
@@ -353,7 +445,7 @@ def _generate(args):
 
 
 def _cmd_gen(args):
-    _write_text(args, dumps_packing(_generate(args)))
+    _write_lines(args, iter_packing_lines(_generate(args)))
     return 0
 
 
@@ -378,12 +470,13 @@ def _cmd_lox(args):
 
 def _cmd_render(args):
     if getattr(args, "infile", None):
-        text = _read_in(args)
-        first = text.lstrip()[:200]
-        if '"kind"' in first.split("\n", 1)[0]:
-            packing = loads_packing(text)
-        else:
-            packing = loads_config(text, tol=args.tol)
+        with _open_in(args) as f:
+            # the first non-blank line tells a packing stream from a document
+            first = next((ln for ln in f if ln.strip()), "")
+            if '"kind"' in first.lstrip()[:200]:
+                packing = loads_packing(itertools.chain((first,), f))
+            else:
+                packing = loads_config(first + f.read(), tol=args.tol)
     else:
         packing = _generate(args)
     options = svg.RenderOptions(

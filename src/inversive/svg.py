@@ -13,7 +13,7 @@ number format, so identical inputs produce identical bytes.
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import itemgetter
 
 from . import forms
 
@@ -58,15 +58,16 @@ def _label_text(value):
     """Integral bends label exactly; everything else to 6 significant digits."""
     if isinstance(value, float):
         return str(int(value)) if value == int(value) else f"{value:.6g}"
-    q = Fraction(value)
-    return str(q.numerator) if q.denominator == 1 else f"{float(q):.6g}"
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{float(value):.6g}"
 
 
 def _sorted_rows(packing):
-    """Row entry tuples in canonical float order; accepts any object with
-    CoordRow-valued .rows (Packing or ConfigMatrix)."""
-    rows = [r.entries for r in packing.rows]
-    rows.sort(key=lambda e: tuple(float(x) for x in e))
+    """(float tuple, entry tuple) per row, in canonical float order; accepts
+    any object with CoordRow-valued .rows (Packing or ConfigMatrix)."""
+    rows = [(tuple(map(float, r.entries)), r.entries) for r in packing.rows]
+    rows.sort(key=itemgetter(0))
     return rows
 
 
@@ -224,9 +225,7 @@ def render_euclidean(packing, options=None):
         raise ValueError("render_euclidean needs a Euclidean packing")
     if packing.n != 2:
         raise ValueError("rendering is implemented for n = 2 only")
-    shaped = []
-    for e in _sorted_rows(packing):
-        shaped.append((float(e[0]), float(e[1]), float(e[2]), float(e[3]), e[1]))
+    shaped = [(*f, e[1]) for f, e in _sorted_rows(packing)]
     circles, lines = _plane_shapes(shaped, bend_value=True)
     box = _world_box(circles, lines)
     return _draw_plane(circles, lines, box, options)
@@ -244,12 +243,11 @@ def render_hyperbolic_disk(packing, options=None):
     if packing.n != 2:
         raise ValueError("rendering is implemented for n = 2 only")
     shaped, skipped = [], 0
-    for e in _sorted_rows(packing):
-        c, q0 = float(e[0]), float(e[1])
+    for (c, q0, mx, my), e in _sorted_rows(packing):
         if abs(c) < 1 - _ZERO:
             skipped += 1
             continue
-        shaped.append((q0 - c, q0 + c, float(e[2]), float(e[3]), e[0]))
+        shaped.append((q0 - c, q0 + c, mx, my, e[0]))
     circles, lines = _plane_shapes(shaped, bend_value=True)
     if not any(
         abs(cx) <= _ZERO and abs(cy) <= _ZERO and abs(abs(r) - 1) <= _ZERO
@@ -270,11 +268,11 @@ def _orthographic(rows, options):
     elements, labels = [], []
     ox, oy = to_px(0.0, 0.0)
     elements.append(f'<circle cx="{_fmt(ox)}" cy="{_fmt(oy)}" r="{_fmt(s)}"/>')
-    for e in rows:
-        c = float(e[0])
+    for f, e in rows:
+        c = f[0]
         sin_a = 1 / math.sqrt(1 + c * c)
         cos_a = c * sin_a
-        y = [float(q) * sin_a for q in e[1:]]  # unit center on the sphere
+        y = [q * sin_a for q in f[1:]]  # unit center on the sphere
         axis, plane = y[0], (y[1], y[2])
         rho = math.hypot(*plane)
         major = sin_a
@@ -316,10 +314,7 @@ def render_spherical(packing, options=None):
     if options.projection == ORTHOGRAPHIC:
         return _orthographic(rows, options)
     # stereographic: (c, q0, m) -> Euclidean (c - q0, c + q0, m), pole at q0 axis
-    shaped = []
-    for e in rows:
-        c, q0 = float(e[0]), float(e[1])
-        shaped.append((c - q0, c + q0, float(e[2]), float(e[3]), e[0]))
+    shaped = [(c - q0, c + q0, mx, my, e[0]) for (c, q0, mx, my), e in rows]
     circles, lines = _plane_shapes(shaped, bend_value=True)
     box = _world_box(circles, lines)
     return _draw_plane(circles, lines, box, options)

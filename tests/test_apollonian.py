@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from inversive import apollonian, forms
-from inversive.scalars import EXACT, FLOAT, ExactnessError
+from inversive import apollonian, forms, shell
+from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
 
 
 SEED_ROWS = ((1, -1, 0, 0), (0, 2, 1, 0), (0, 2, -1, 0), (1, 3, 0, 2))
@@ -113,6 +113,177 @@ def test_generate_matches_complex_descartes_enumeration(euclid_seed):
         assert bbar * b == m1 * m1 + m2 * m2 - 1
         got.add((b, m1, m2))
     assert got == _complex_route_rows(F(60))
+
+
+# The breadth-first Fraction closure that generate() ran before it moved onto
+# scaled integer rows, kept verbatim as an independent oracle.
+def _reference_reflect_entries(entry_rows, i, coeff):
+    total = entry_rows[0]
+    for row in entry_rows[1:]:
+        total = tuple(a + b for a, b in zip(total, row))
+    old = entry_rows[i]
+    new = tuple(coeff * (t - x) - x for t, x in zip(total, old))
+    return entry_rows[:i] + (new,) + entry_rows[i + 1:]
+
+
+def _reference_row_key(entries, exact):
+    if exact:
+        return entries
+    return tuple(round(float(x), 6) for x in entries)
+
+
+def _reference_generate(seed, bound, keep_configs=False, max_depth=None,
+                        max_configs=None, tol=DEFAULT_TOL):
+    if not isinstance(seed, forms.ConfigMatrix):
+        raise TypeError("seed must be a ConfigMatrix")
+    n = seed.n
+    if n < 2:
+        raise ValueError("generation needs n >= 2")
+    mode = seed.mode
+    exact = mode == EXACT
+    q = forms.descartes_form(n, mode)
+    res = forms.check_identity(seed, q, forms.target_for(seed.geometry, n, mode),
+                               tol)
+    if not res.ok:
+        raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
+    coeff = coerce(2, mode) / (n - 1)
+    col = forms.bend_column(seed.geometry)
+    if exact:
+        bound_value = limit = F(bound)
+    else:
+        bound_value = float(bound)
+        limit = bound_value + tol * max(1.0, bound_value)
+    if bound_value < 0:
+        raise ValueError("bound must be nonnegative")
+
+    seed_rows = tuple(r.entries for r in seed.rows)
+    seed_key = tuple(sorted(_reference_row_key(r, exact) for r in seed_rows))
+    seen_configs = {seed_key}
+    kept_configs = {seed_key: seed_rows}
+    row_map = {}
+    for r in seed_rows:
+        row_map.setdefault(_reference_row_key(r, exact), r)
+
+    frontier = [seed_rows]
+    explored = 0
+    depth = 0
+    truncated = False
+    while frontier:
+        if max_depth is not None and depth >= max_depth:
+            truncated = True
+            break
+        explored += len(frontier)
+        next_frontier = []
+        for entry_rows in frontier:
+            for i in range(n + 2):
+                new_rows = _reference_reflect_entries(entry_rows, i, coeff)
+                if abs(new_rows[i][col]) > limit:
+                    continue
+                key = tuple(sorted(_reference_row_key(r, exact) for r in new_rows))
+                if key in seen_configs:
+                    continue
+                if max_configs is not None and len(seen_configs) >= max_configs:
+                    truncated = True
+                    break
+                seen_configs.add(key)
+                kept_configs[key] = new_rows
+                for r in new_rows:
+                    row_map.setdefault(_reference_row_key(r, exact), r)
+                next_frontier.append(new_rows)
+            if truncated:
+                break
+        depth += 1
+        if truncated:
+            break
+        frontier = next_frontier
+
+    sorted_rows = tuple(
+        forms.CoordRow(seed.geometry, row_map[k]) for k in sorted(row_map))
+    configs = None
+    if keep_configs:
+        configs = tuple(
+            forms.ConfigMatrix.from_rows(seed.geometry, kept_configs[k],
+                                         mode=mode)
+            for k in sorted(kept_configs))
+    return apollonian.Packing(seed.geometry, n, seed, sorted_rows, bound_value,
+                              configs, explored, depth, truncated)
+
+
+def _dilated(seed, s):
+    """A Euclidean configuration scaled by s about the origin: each row
+    (bbar, b, m1, m2) becomes (bbar * s, b / s, m1, m2)."""
+    rows = [(r.entries[0] * s, r.entries[1] / s) + r.entries[2:] for r in seed.rows]
+    return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows)
+
+
+def _float_twin(seed):
+    rows = [[float(x) for x in r.entries] for r in seed.rows]
+    return forms.ConfigMatrix.from_rows(seed.geometry, rows, mode=FLOAT)
+
+
+def _realized(geometry, bends):
+    return lambda: apollonian.realize_bends(geometry, tuple(map(F, bends)))
+
+
+def _standard_dilated(s):
+    return lambda: _dilated(apollonian.standard_seed(forms.EUCLIDEAN), s)
+
+
+# name: (seed builder, bound, truncation caps)
+_ORACLE_INPUTS = {
+    "euclidean-1000": (_realized(forms.EUCLIDEAN, (-1, 2, 2, 3)), 1000, {}),
+    "euclidean-600": (_realized(forms.EUCLIDEAN, (-8, 16, 16, 24)), 600, {}),
+    "strip-configs": (_realized(forms.EUCLIDEAN, (0, 0, 1, 1)), 1,
+                      {"max_configs": 60}),
+    "strip-depth": (_realized(forms.EUCLIDEAN, (0, 0, 1, 1)), 1, {"max_depth": 6}),
+    "spherical-200": (_realized(forms.SPHERICAL, (0, 1, 1, 2)), 200, {}),
+    "hyperbolic-200": (_realized(forms.HYPERBOLIC, (-2, 3, 5, 6)), 200, {}),
+    "horocycles": (_realized(forms.HYPERBOLIC, (-1, 1, 1, 1)), 1000,
+                   {"max_configs": 200}),
+    "dilated-1/3": (_standard_dilated(F(1, 3)), 300, {}),
+    "dilated-7/2": (_standard_dilated(F(7, 2)), F(200, 7), {}),
+}
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("name", sorted(_ORACLE_INPUTS))
+def test_generate_matches_reference(name, mode):
+    build, bound, caps = _ORACLE_INPUTS[name]
+    seed = build()
+    if mode == FLOAT:
+        seed, bound = _float_twin(seed), float(bound)
+    ref = _reference_generate(seed, bound, keep_configs=True, **caps)
+    got = apollonian.generate(seed, bound, **caps)
+    kept = apollonian.generate(seed, bound, keep_configs=True, **caps)
+    assert shell.dumps_packing(got) == shell.dumps_packing(ref)
+    assert kept.configs == ref.configs
+    assert (got.explored, got.depth, got.truncated) == (
+        ref.explored, ref.depth, ref.truncated)
+    entry_type = F if mode == EXACT else float
+    for p in (got, kept):
+        assert all(type(x) is entry_type for r in p.rows for x in r.entries)
+    assert all(type(x) is entry_type
+               for w in kept.configs for r in w.rows for x in r.entries)
+
+
+def test_generate_n3_float_matches_reference():
+    seed = apollonian.standard_seed(forms.EUCLIDEAN, n=3, mode=FLOAT)
+    ref = _reference_generate(seed, 4.0, keep_configs=True)
+    got = apollonian.generate(seed, 4.0, keep_configs=True)
+    assert shell.dumps_packing(got) == shell.dumps_packing(ref)
+    assert got.configs == ref.configs
+    assert (got.explored, got.depth, got.truncated) == (
+        ref.explored, ref.depth, ref.truncated)
+
+
+@pytest.mark.parametrize("s", (F(1, 10**7), F(10**7)), ids=("1e-7", "1e7"))
+def test_float_dedup_at_extreme_scales(s):
+    # float rows of a far dilated seed must dedup as their exact twins do
+    seed = _dilated(apollonian.standard_seed(forms.EUCLIDEAN), s)
+    bound = 500 / s
+    exact = apollonian.generate(seed, bound)
+    fl = apollonian.generate(_float_twin(seed), float(bound))
+    assert len(exact.rows) == len(fl.rows) == 1325
 
 
 def test_generate_is_deterministic(euclid_seed):

@@ -1,7 +1,9 @@
 """Document serialization and the command line front end."""
 
+import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,6 +16,7 @@ import pytest
 import inversive
 from inversive import apollonian, forms, shell
 from inversive.scalars import EXACT, FLOAT
+from inversive.shell import scalar_from_json, scalar_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -84,6 +87,124 @@ def test_packing_roundtrip(euclid_seed):
     assert tuple(r.entries for r in back.rows) == tuple(r.entries for r in p.rows)
     assert (back.geometry, back.n, back.bound) == (p.geometry, p.n, p.bound)
     assert not back.truncated
+
+
+# The line-by-line json codec the packing stream had before the hand-formatted
+# encoder and the integer-aware decoder, kept verbatim as an oracle.
+def _reference_dumps_packing(p):
+    bend_col = forms.bend_column(p.geometry)
+    head = {
+        "kind": "packing",
+        "geometry": p.geometry,
+        "n": p.n,
+        "mode": p.seed.mode,
+        "bound": scalar_to_json(p.bound),
+        "explored": p.explored,
+        "depth": p.depth,
+        "truncated": p.truncated,
+        "seed": [[scalar_to_json(x) for x in r.entries] for r in p.seed.rows],
+    }
+    lines = [json.dumps(head, separators=(",", ":"))]
+    for r in p.rows:
+        rec = {
+            "bend": scalar_to_json(r.entries[bend_col]),
+            "row": [scalar_to_json(x) for x in r.entries],
+        }
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_loads_packing(text):
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty packing stream")
+    head = json.loads(lines[0])
+    if head.get("kind") != "packing":
+        raise ValueError("not a packing stream (missing packing header)")
+    try:
+        geometry, mode = head["geometry"], head["mode"]
+        seed_rows = [
+            tuple(scalar_from_json(v, mode) for v in row) for row in head["seed"]
+        ]
+        bound = scalar_from_json(head["bound"], mode)
+        seed = forms.ConfigMatrix.from_rows(geometry, seed_rows, mode=mode)
+        rows = []
+        for ln in lines[1:]:
+            rec = json.loads(ln)
+            entries = tuple(scalar_from_json(v, mode) for v in rec["row"])
+            rows.append(forms.CoordRow(geometry, entries))
+        return apollonian.Packing(
+            geometry=geometry,
+            n=seed.n,
+            seed=seed,
+            rows=tuple(rows),
+            bound=bound,
+            configs=(),
+            explored=head["explored"],
+            depth=head["depth"],
+            truncated=head["truncated"],
+        )
+    except KeyError as e:
+        raise ValueError(f"packing stream is missing field {e}")
+
+
+_CODEC_INPUTS = (
+    (forms.EUCLIDEAN, (-1, 2, 2, 3), 200),
+    (forms.EUCLIDEAN, (-1, 2, 2, 3), 3000),
+    (forms.SPHERICAL, (0, 1, 1, 2), 100),
+    (forms.HYPERBOLIC, (-2, 3, 5, 6), 150),
+    (forms.EUCLIDEAN, (-8, 16, 16, 24), 600),
+)
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("geometry, bends, bound", _CODEC_INPUTS)
+def test_packing_codec_matches_reference(geometry, bends, bound, mode):
+    scalar = F if mode == EXACT else float
+    seed = apollonian.realize_bends(geometry, tuple(map(scalar, bends)))
+    p = apollonian.generate(seed, scalar(bound))
+    text = shell.dumps_packing(p)
+    assert text == _reference_dumps_packing(p)
+    assert "".join(shell.iter_packing_lines(p)) == text
+    ref = _reference_loads_packing(text)
+    for back in (shell.loads_packing(text), shell.loads_packing(io.StringIO(text))):
+        assert back == ref
+        assert back.rows == p.rows
+        assert all(type(x) is scalar for r in back.rows for x in r.entries)
+
+
+def test_packing_codec_non_finite_floats():
+    p = apollonian.generate(apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT), 6.0)
+    rows = (forms.CoordRow(forms.EUCLIDEAN, (math.nan, math.inf, -math.inf, -0.0)),)
+    p = dataclasses.replace(p, rows=p.rows + rows)
+    text = shell.dumps_packing(p)
+    assert text == _reference_dumps_packing(p)
+    assert text.endswith('{"bend":Infinity,"row":[NaN,Infinity,-Infinity,-0.0]}\n')
+    assert repr(shell.loads_packing(text)) == repr(_reference_loads_packing(text))
+
+
+def _one_row_stream(values, mode=EXACT):
+    seed = apollonian.standard_seed(forms.EUCLIDEAN, mode=mode)
+    head = next(shell.iter_packing_lines(apollonian.generate(seed, 6)))
+    return head + json.dumps({"bend": values[1], "row": values}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "v", ["-0", "007", "3/6", "+3", " 3", "1.5", "1e3", "-7/2"])
+def test_exact_scalar_grid_matches_fraction_strings(v):
+    text = _one_row_stream([v, "1", "-2", "3/4"])
+    (row,) = shell.loads_packing(text).rows
+    assert row == _reference_loads_packing(text).rows[0]
+    assert row.entries[0] == F(v) and type(row.entries[0]) is F
+
+
+def test_packing_rows_keep_their_input_errors():
+    with pytest.raises(ValueError, match="float entry"):
+        shell.loads_packing(_one_row_stream([1.5, "1", "0", "0"]))
+    with pytest.raises(ValueError):
+        shell.loads_packing(_one_row_stream(["x", "1", "0", "0"]))
+    with pytest.raises(ValueError):
+        shell.loads_packing(_one_row_stream(["3/4", "1/0", "0", "0"], mode=FLOAT))
 
 
 def test_complete_bend():
@@ -291,6 +412,61 @@ def test_missing_input_file_is_reported(capsys):
     code, _, err = run(["verify", "--in", "/nonexistent/path.json"], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_malformed_input_is_reported(tmp_path, capsys, euclid_seed):
+    raw = json.loads(shell.dumps_config(euclid_seed))
+    raw["rows"][0][0] = "1/0"
+    doc = tmp_path / "zero.json"
+    doc.write_text(json.dumps(raw))
+    stream = shell.dumps_packing(apollonian.generate(euclid_seed, 6)).splitlines()
+    bad_rows = {
+        "zero.jsonl": stream[:2] + ['{"bend":"2","row":["1/0","2","1","0"]}'],
+        "array.jsonl": stream[:2] + ["[1,2]"],
+        "short.jsonl": stream[:2] + ['{"bend":"2","row":["1","2","3"]}'],
+        "long.jsonl": stream[:2] + ['{"bend":"2","row":["1","2","3","4","5"]}'],
+        "header.jsonl": ["[1,2]"] + stream[1:],
+    }
+    for name, lines in bad_rows.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    runs = [["verify", "--in", str(doc)], ["render", "--in", str(doc)]]
+    for i, text in enumerate(("[1]", '{"geometry":"euclidean","n":2,'
+                              '"mode":"exact","rows":[1,2,3,4]}')):
+        (tmp_path / f"shape{i}.json").write_text(text)
+        runs.append(["verify", "--in", str(tmp_path / f"shape{i}.json")])
+    runs += [["render", "--in", str(tmp_path / name)] for name in bad_rows]
+    runs.append(["gen", "--geometry", "euclidean", "--seed=-1,2,2,3",
+                 "--max-bend", "1/0"])
+    for argv in runs:
+        code, out, err = run(argv, capsys)
+        assert code == 1, argv
+        assert out == "" and err.startswith("error: "), argv
+
+
+def test_render_streams_packing_from_stdin(monkeypatch, capsys, tmp_path):
+    p = apollonian.generate(apollonian.standard_seed(forms.SPHERICAL), 20)
+    # leading blank lines do not hide the packing header
+    monkeypatch.setattr(sys, "stdin", io.StringIO("\n  \n" + shell.dumps_packing(p)))
+    code, out, _ = run(["render", "--in", "-"], capsys)
+    assert code == 0
+    assert out == shell.svg.render(p).decode("ascii")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(inversive.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "inversive",
+         "gen", "--geometry", "euclidean", "--seed=-1,2,2,3", "--max-bend", "20"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    seed = apollonian.realize_bends(forms.EUCLIDEAN, (F(-1), F(2), F(2), F(3)))
+    assert proc.stdout == shell.dumps_packing(apollonian.generate(seed, 20))
 
 
 def _declared_console_script(name):
