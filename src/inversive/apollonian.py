@@ -18,14 +18,13 @@ of the same bend pattern, so generate() also accepts max_depth/max_configs
 caps and reports truncation instead of looping forever.
 """
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
-from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, mode_of,
-                      near, sqrt_scalar)
+from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
+                      integer_rows, mode_of, near, sqrt_scalar)
 
 
 def reflection_matrix(n, i, mode=EXACT):
@@ -35,10 +34,10 @@ def reflection_matrix(n, i, mode=EXACT):
                          "configurations instead")
     if not 0 <= i < n + 2:
         raise ValueError(f"row index {i} out of range")
-    r = linalg.identity(n + 2, mode == EXACT)
-    r[i] = coerce(2, mode) / (n - 1)
-    r[i, i] = -coerce(1, mode)
-    return r
+    eye = linalg.block_diag((), (1,) * (n + 2), mode)
+    c = coerce(2, mode) / (n - 1)
+    row = (c,) * i + (-coerce(1, mode),) + (c,) * (n + 1 - i)
+    return eye[:i] + (row,) + eye[i + 1:]
 
 
 def _column_sums(entry_rows):
@@ -113,6 +112,24 @@ def _integral(q):
     return int(q) if q.denominator == 1 else q
 
 
+def _scaled_rows(entry_rows):
+    """(rows, scale, unscaled) for exact rows: the int rows and the scale
+    of scalars.integer_rows, and the function that divides such a row back
+    into Fractions."""
+    rows, scale = integer_rows(entry_rows)
+    if scale == 1:
+        def unscaled(row):
+            return tuple(map(Fraction, row))
+    else:
+        def unscaled(row):
+            return tuple(Fraction(x, scale) for x in row)
+    return rows, scale, unscaled
+
+
+def _unchanged(row):
+    return row
+
+
 def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
              tol=DEFAULT_TOL):
     """Breadth-first closure of a seed under all reflections.
@@ -158,20 +175,13 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     seed_rows = tuple(r.entries for r in seed.rows)
     if exact:
         bound_value = Fraction(bound)
-        scale = math.lcm(*(x.denominator for r in seed_rows for x in r))
+        seed_rows, scale, unscaled = _scaled_rows(seed_rows)
         coeff = _integral(coeff)
         limit = _integral(bound_value * scale)
-        seed_rows = tuple(tuple(_integral(x * scale) for x in r)
-                          for r in seed_rows)
-
-        def unscaled(row):
-            return tuple(Fraction(x, scale) for x in row)
     else:
         bound_value = float(bound)
         limit = bound_value + tol * max(1.0, bound_value)
-
-        def unscaled(row):
-            return row
+        unscaled = _unchanged
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
 
@@ -248,7 +258,11 @@ class LoxodromicSequence:
 
 def loxodromic(seed, k, tol=DEFAULT_TOL):
     """Reflect k times at the row of minimal bend entry (ties to the least
-    index), appending each produced bend."""
+    index), appending each produced bend.
+
+    Exact mode walks on the seed rows scaled to integers, as generate does;
+    each step builds one new CoordRow and reuses the other rows.
+    """
     if k < 0:
         raise ValueError("step count must be nonnegative")
     n = seed.n
@@ -262,13 +276,21 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     col = forms.bend_column(seed.geometry)
     entry_rows = tuple(r.entries for r in seed.rows)
     bends = [r[col] for r in entry_rows]
+    if mode == EXACT:
+        entry_rows, _, unscaled = _scaled_rows(entry_rows)
+        coeff = _integral(coeff)
+    else:
+        unscaled = _unchanged
+    rows = tuple(forms.CoordRow(seed.geometry, coerce_row(r.entries, mode))
+                 for r in seed.rows)
     configs = [seed]
     for _ in range(k):
         i = min(range(n + 2), key=lambda j: (entry_rows[j][col], j))
         entry_rows = _reflect_entries(entry_rows, i, coeff)
-        bends.append(entry_rows[i][col])
-        configs.append(forms.ConfigMatrix.from_rows(seed.geometry, entry_rows,
-                                                    mode=mode))
+        new = unscaled(entry_rows[i])
+        bends.append(new[col])
+        rows = rows[:i] + (forms.CoordRow(seed.geometry, new),) + rows[i + 1:]
+        configs.append(forms.ConfigMatrix(seed.geometry, rows))
     return LoxodromicSequence(seed.geometry, tuple(bends), tuple(configs))
 
 

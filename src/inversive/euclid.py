@@ -197,17 +197,16 @@ def scale(obj, s):
 
 def _complete_rows(w1, w2, w3, mode):
     """Both augmented rows tangent to three mutually tangent rows."""
-    k = forms.pair_form(forms.EUCLIDEAN, 2, mode)
-    rows = linalg.as_matrix([w1, w2, w3], mode=mode)
-    system = rows @ k
-    minus_one = [-1, -1, -1]
-    particular, kernel = linalg.solve_affine(system, minus_one)
+    half = coerce(1, mode) / 2
+    # row w times the matrix K of pair_product is (-w_1/2, -w_0/2, w_2, ...)
+    system = [(-half * w[1], -half * w[0]) + tuple(w[2:]) for w in (w1, w2, w3)]
+    particular, kernel = linalg.solve_affine(system, [-1, -1, -1])
     if len(kernel) != 1:
         raise ValueError("degenerate input rows")
     kv = kernel[0]
-    a = kv @ k @ kv
-    b = 2 * (particular @ k @ kv)
-    c = particular @ k @ particular - 1
+    a = pair_product(kv, kv)
+    b = 2 * pair_product(particular, kv)
+    c = pair_product(particular, particular) - 1
     if a == 0:
         raise ValueError("degenerate tangency arrangement")
     disc = b * b - 4 * a * c
@@ -218,8 +217,8 @@ def _complete_rows(w1, w2, w3, mode):
         raise ValueError("completions coincide; tangency points are not distinct")
     u1 = (-b + root) / (2 * a)
     u2 = (-b - root) / (2 * a)
-    sol1 = tuple(particular + u1 * kv)
-    sol2 = tuple(particular + u2 * kv)
+    sol1 = tuple(p + u1 * x for p, x in zip(particular, kv))
+    sol2 = tuple(p + u2 * x for p, x in zip(particular, kv))
     return sol1, sol2
 
 

@@ -8,15 +8,20 @@ exactly when W^T Q_n W equals that target, where Q_n is the Descartes form
     Q_n = I - (1/n) * ones * ones^T
 
 on n+2 coordinates.  Everything here is generic over exact and float entries.
+
+Matrices are tuples of row tuples.  The exact Gram check runs on integers:
+with V = sW the rows scaled by the LCM s of their denominators and sigma
+the column sums of V, n s^2 W^T Q_n W = n V^T V - sigma sigma^T.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
+import functools
+from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import mul
 
 from . import linalg
-from .scalars import (DEFAULT_TOL, EXACT, FLOAT, coerce, coerce_row, mode_of,
-                      near)
+from .scalars import (DEFAULT_TOL, EXACT, FLOAT, all_exact, coerce,
+                      coerce_row, integer_rows, mode_of, near)
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
@@ -26,6 +31,8 @@ GEOMETRIES = (EUCLIDEAN, SPHERICAL, HYPERBOLIC)
 # Curvature sign k of each geometry in the unified Descartes relation
 # sum b^2 - (sum b)^2 / n + 2k = 0 (Lagarias, Mallows, Wilks).
 CURVATURE_SIGN = {EUCLIDEAN: 0, SPHERICAL: 1, HYPERBOLIC: -1}
+
+_ZERO = Fraction(0)
 
 
 def bend_column(geometry):
@@ -105,7 +112,8 @@ class ConfigMatrix:
         return tuple(r.bend for r in self.rows)
 
     def matrix(self):
-        return linalg.as_matrix([r.entries for r in self.rows], mode=self.mode)
+        mode = self.mode
+        return tuple(coerce_row(r.entries, mode) for r in self.rows)
 
     @classmethod
     def from_rows(cls, geometry, entry_rows, mode=None):
@@ -117,10 +125,25 @@ class ConfigMatrix:
 
 @dataclass(frozen=True)
 class QuadForm:
-    """The Descartes form Q_n together with its dimension."""
+    """The Descartes form Q_n together with its dimension.
+
+    matrix must equal I - (1/n) ones ones^T on n+2 coordinates (in either
+    mode); check_identity relies on that shape.
+    """
 
     n: int
-    matrix: np.ndarray
+    matrix: tuple
+    mode: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        matrix = tuple(tuple(row) for row in self.matrix)
+        mode = mode_of([x for row in matrix for x in row])
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "mode", mode)
+        if self.n < 1:
+            raise ValueError("dimension must be positive")
+        if matrix != _identity_minus(self.n + 2, coerce(1, mode) / self.n):
+            raise ValueError(f"matrix is not the Descartes form Q_{self.n}")
 
 
 @dataclass(frozen=True)
@@ -128,18 +151,23 @@ class Residual:
     """Entrywise deviation of a Gram product from its target."""
 
     max_abs_entry_error: object
-    entrywise: np.ndarray
+    entrywise: tuple
     ok: bool
 
 
-def _as_array(m):
+def _rows(m):
+    """Entries of a configuration, a form or a nested sequence of rows, as a
+    tuple of row tuples."""
     if isinstance(m, ConfigMatrix):
-        return m.matrix()
+        return tuple(r.entries for r in m.rows)
     if isinstance(m, QuadForm):
         return m.matrix
-    return np.asarray(m)
+    if isinstance(m, tuple) and all(type(row) is tuple for row in m):
+        return m
+    return tuple(tuple(row) for row in m)
 
 
+@functools.lru_cache(maxsize=None)
 def descartes_form(n, mode=EXACT):
     """Q_n = I - (1/n) ones ones^T on n+2 coordinates."""
     if n < 1:
@@ -153,47 +181,37 @@ def descartes_form_inverse(n, mode=EXACT):
 
 
 def _identity_minus(k, c):
-    """I - c ones ones^T on k coordinates; object dtype for a Fraction c."""
-    m = np.full((k, k), -c)
-    for i in range(k):
-        m[i, i] += 1
-    return m
+    """I - c ones ones^T on k coordinates, entries of c's type."""
+    off = -c
+    diag = off + 1
+    return tuple(tuple(diag if i == j else off for j in range(k))
+                 for i in range(k))
 
 
 def lorentz_like_form(n, mode=EXACT):
     """diag(-1, 1, ..., 1) on n+2 coordinates."""
-    j = linalg.identity(n + 2, mode == EXACT)
-    j[0, 0] = -j[0, 0]
-    return j
-
-
-def _diag(values, mode):
-    m = linalg.identity(len(values), mode == EXACT)
-    for i, v in enumerate(values):
-        m[i, i] = coerce(v, mode)
-    return m
+    return linalg.block_diag((), (-1,) + (1,) * (n + 1), mode)
 
 
 def centers_gram_target(n, mode=EXACT):
     """Target for curvature-center matrices: diag(0, 2, ..., 2) on n+1."""
-    return _diag([0] + [2] * n, mode)
+    return linalg.block_diag((), (0,) + (2,) * n, mode)
 
 
 def augmented_gram_target(n, mode=EXACT):
     """Target for Euclidean augmented matrices: antidiagonal -4 block, then 2I."""
-    t = _diag([0] * 2 + [2] * n, mode)
-    t[0, 1] = t[1, 0] = coerce(-4, mode)
-    return t
+    return linalg.block_diag(((0, -4), (-4, 0)), (2,) * n, mode)
 
 
 def spherical_gram_target(n, mode=EXACT):
-    return _diag([-2] + [2] * (n + 1), mode)
+    return linalg.block_diag((), (-2,) + (2,) * (n + 1), mode)
 
 
 def hyperbolic_gram_target(n, mode=EXACT):
-    return _diag([2, -2] + [2] * n, mode)
+    return linalg.block_diag((), (2, -2) + (2,) * n, mode)
 
 
+@functools.lru_cache(maxsize=None)
 def target_for(geometry, n, mode=EXACT):
     if geometry == EUCLIDEAN:
         return augmented_gram_target(n, mode)
@@ -201,23 +219,6 @@ def target_for(geometry, n, mode=EXACT):
         return spherical_gram_target(n, mode)
     if geometry == HYPERBOLIC:
         return hyperbolic_gram_target(n, mode)
-    raise ValueError(f"unknown geometry {geometry!r}")
-
-
-def pair_form(geometry, n, mode=EXACT):
-    """Bilinear form evaluating to 1 on each row and -1 on tangent pairs."""
-    exact = mode == EXACT
-    if geometry == EUCLIDEAN:
-        k = linalg.identity(n + 2, exact)
-        k[0, 0] = k[1, 1] = coerce(0, mode)
-        k[0, 1] = k[1, 0] = -coerce(1, mode) / 2
-        return k
-    if geometry == SPHERICAL:
-        return lorentz_like_form(n, mode)
-    if geometry == HYPERBOLIC:
-        j = linalg.identity(n + 2, exact)
-        j[1, 1] = -j[1, 1]
-        return j
     raise ValueError(f"unknown geometry {geometry!r}")
 
 
@@ -239,22 +240,87 @@ def pair_product(geometry, row_a, row_b):
     raise ValueError(f"unknown geometry {geometry!r}")
 
 
+def _scaled_gram(w, q):
+    """(G, m, exact) with G = m W^T Q W; G is an int matrix in exact mode.
+
+    Exact mode scales W by the LCM s of its denominators and Q by the LCM d
+    of its own, so that G = V^T (P V) with int V = sW, P = dQ and m = s^2 d.
+    For the Descartes form d = n and P V = n V - ones sigma^T, sigma holding
+    the column sums of V, so G = n V^T V - sigma sigma^T and P is never
+    formed.  Float mode runs the same products with s = d = 1.
+    """
+    rows = _rows(w)
+    form = q if isinstance(q, QuadForm) else None
+    qrows = _rows(q)
+    if len(qrows) != len(rows):
+        raise ValueError(f"form of size {len(qrows)} does not fit "
+                         f"{len(rows)} rows")
+    exact = all_exact([x for row in rows for x in row]) and (
+        form.mode == EXACT if form else
+        all_exact([x for row in qrows for x in row]))
+    if exact:
+        v, s = integer_rows(rows)
+    else:
+        v, s = [list(map(float, row)) for row in rows], 1
+    if form is not None:
+        n = form.n
+        sigma = tuple(map(sum, zip(*v)))
+        d, shift = (n, sigma) if exact else (1, [t / n for t in sigma])
+        pv = [[d * x - t for x, t in zip(row, shift)] for row in v]
+    else:
+        if exact:
+            p, d = integer_rows(qrows)
+        else:
+            p, d = [list(map(float, row)) for row in qrows], 1
+        pv = linalg.matmul(p, v)
+    pv_cols = tuple(zip(*pv))
+    g = [[sum(map(mul, ca, cb)) for cb in pv_cols] for ca in zip(*v)]
+    return g, s * s * d, exact
+
+
 def gram(w, q):
     """W^T Q W for a row matrix and a quadratic form."""
-    wm = _as_array(w)
-    return wm.T @ _as_array(q) @ wm
+    g, m, exact = _scaled_gram(w, q)
+    if exact:
+        return tuple(tuple(Fraction(x, m) for x in row) for row in g)
+    return tuple(tuple(x / m for x in row) for row in g)
 
 
 def check_identity(w, q, target, tol=DEFAULT_TOL):
     """Residual of W^T Q W against a target Gram matrix.
 
     Exact inputs are compared exactly and tol is ignored; float inputs pass
-    when the largest entry deviation is within tol.
+    when the largest entry deviation is within tol.  Exact mode compares
+    the int matrix G = m W^T Q W of _scaled_gram with m times the target
+    and builds a Fraction only for an entry that differs.
     """
-    g = gram(w, q)
-    diff = g - _as_array(target)
-    err = linalg.max_abs(diff)
-    return Residual(err, diff, bool(near(err, 0, tol)))
+    g, m, exact = _scaled_gram(w, q)
+    t = _rows(target)
+    if len(t) != len(g) or any(len(row) != len(g) for row in t):
+        raise ValueError("target shape does not match the Gram matrix")
+    if exact and not all_exact([x for row in t for x in row]):
+        g = [[x / m for x in row] for row in g]
+        m, exact = 1, False
+    if exact:
+        diff = []
+        err = _ZERO
+        for grow, trow in zip(g, t):
+            out = []
+            for x, y in zip(grow, trow):
+                num, den = y.as_integer_ratio()
+                delta = x * den - num * m
+                if delta:
+                    entry = Fraction(delta, m * den)
+                    err = max(err, abs(entry))
+                else:
+                    entry = _ZERO
+                out.append(entry)
+            diff.append(tuple(out))
+    else:
+        diff = [tuple([x / m - y for x, y in zip(grow, trow)])
+                for grow, trow in zip(g, t)]
+        err = linalg.max_abs(diff)
+    return Residual(err, tuple(diff), bool(near(err, 0, tol)))
 
 
 def inverse_conjugation_check(w, a, b, tol=DEFAULT_TOL):
@@ -263,12 +329,8 @@ def inverse_conjugation_check(w, a, b, tol=DEFAULT_TOL):
     Whenever W A W^T = B holds for square W, the transposed relation with the
     inverses holds as well; this check exercises that on concrete data.
     """
-    wm = _as_array(w)
-    am = _as_array(a)
-    bm = _as_array(b)
-    diff = wm.T @ linalg.mat_inv(bm) @ wm - linalg.mat_inv(am)
-    err = linalg.max_abs(diff)
-    return Residual(err, diff, bool(near(err, 0, tol)))
+    return check_identity(w, linalg.mat_inv(_rows(b)),
+                          linalg.mat_inv(_rows(a)), tol)
 
 
 def bend_residual(geometry, bends):

@@ -1,112 +1,128 @@
 """Dense matrix helpers that work for exact and float entries alike.
 
-numpy handles the bookkeeping; exact matrices are object arrays of Fractions,
-float matrices are ordinary float64 arrays.  numpy.linalg is float-only, so
-the few solvers needed here (inverse, affine solve) are written out by hand
-with pivoting that works in both modes.
+Matrices are tuples of row tuples (the largest one in this package is 7x7),
+with Fraction entries in exact mode and floats in float mode.  The few
+solvers needed here (inverse, affine solve, the tail search) are written out
+by hand, with the same pivoting in both modes: largest absolute pivot, first
+row on ties.
 """
 
-from fractions import Fraction
+from operator import mul
 
-import numpy as np
-
-from .scalars import EXACT, FLOAT, ExactnessError, is_exact, near, sqrt_scalar
-
-
-def as_matrix(rows, mode=None):
-    """Build a 2-d array from nested scalars, picking the dtype by mode."""
-    flat = [x for row in rows for x in row]
-    exact = all(is_exact(x) for x in flat) if mode is None else mode == EXACT
-    if exact:
-        data = [[Fraction(x) for x in row] for row in rows]
-        return np.array(data, dtype=object)
-    return np.array([[float(x) for x in row] for row in rows], dtype=float)
+from .scalars import (EXACT, FLOAT, ExactnessError, coerce, coerce_row,
+                      mode_of, near, sqrt_scalar)
 
 
-def identity(k, exact):
-    if exact:
-        eye = np.full((k, k), Fraction(0), dtype=object)
-        for i in range(k):
-            eye[i, i] = Fraction(1)
-        return eye
-    return np.eye(k)
+def block_diag(head, diagonal, mode):
+    """Square matrix with the square block head in its top-left corner, the
+    values of diagonal down the rest of the main diagonal, zeros elsewhere;
+    every entry coerced to mode."""
+    zero = coerce(0, mode)
+    h = len(head)
+    k = h + len(diagonal)
+    rows = [coerce_row(row, mode) + (zero,) * (k - h) for row in head]
+    for i, v in enumerate(diagonal):
+        row = [zero] * k
+        row[h + i] = coerce(v, mode)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def is_exact_matrix(a):
-    return a.dtype == object
+def transpose(a):
+    return tuple(zip(*a))
+
+
+def matmul(a, b):
+    """Product of two matrices given as sequences of rows; each entry adds
+    its products in index order."""
+    cols = transpose(b)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def max_abs(a):
-    """Largest absolute entry; exact scalar for exact input."""
-    values = [abs(x) for x in np.asarray(a).flat]
-    if not values:
-        return 0
-    return max(values)
+    """Largest absolute entry of a matrix; exact scalar for exact input."""
+    return max([abs(x) for row in a for x in row], default=0)
+
+
+def _coerced_rows(rows):
+    flat = [x for row in rows for x in row]
+    mode = mode_of(flat)
+    return [list(coerce_row(row, mode)) for row in rows], mode
 
 
 def mat_inv(a):
     """Gauss-Jordan inverse, generic over the entry type."""
-    a = np.array(a)
-    k = a.shape[0]
-    if a.shape != (k, k):
+    a, mode = _coerced_rows(a)
+    k = len(a)
+    if any(len(row) != k for row in a):
         raise ValueError("square matrix required")
-    exact = is_exact_matrix(a)
-    aug = np.concatenate([a.copy(), identity(k, exact)], axis=1)
+    one = coerce(1, mode)
+    zero = coerce(0, mode)
+    aug = [row + [one if j == i else zero for j in range(k)]
+           for i, row in enumerate(a)]
     for col in range(k):
-        pivot = max(range(col, k), key=lambda r: abs(aug[r, col]))
-        if aug[pivot, col] == 0:
+        pivot = max(range(col, k), key=lambda r: abs(aug[r][col]))
+        if aug[pivot][col] == 0:
             raise ValueError("singular matrix")
-        if pivot != col:
-            aug[[col, pivot]] = aug[[pivot, col]]
-        aug[col] = aug[col] / aug[col, col]
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        p = aug[col][col]
+        prow = aug[col] = [x / p for x in aug[col]]
         for r in range(k):
-            if r != col and aug[r, col] != 0:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
-    return aug[:, k:]
+            f = aug[r][col]
+            if r != col and f != 0:
+                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
+    return tuple(tuple(row[k:]) for row in aug)
 
 
 def solve_affine(a, b):
-    """All solutions of a x = b as (particular, kernel basis columns).
+    """All solutions of a x = b as (particular, kernel basis vectors).
 
     Works on exact and float matrices; float pivoting is by magnitude with a
-    small threshold for rank decisions.
+    small threshold for rank decisions.  The particular solution and the
+    kernel vectors are tuples.
     """
-    a = np.array(a)
-    rows, cols = a.shape
-    exact = is_exact_matrix(a)
+    rows = len(a)
+    if len(b) != rows:
+        raise ValueError("right-hand side does not match the rows")
+    aug, mode = _coerced_rows([tuple(row) + (bi,) for row, bi in zip(a, b)])
+    cols = len(aug[0]) - 1
+    exact = mode == EXACT
     zero_tol = 0 if exact else 1e-12 * max(1.0, float(max_abs(a)))
-    aug = np.concatenate([a, np.array(b).reshape(rows, 1)], axis=1)
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = max(range(r, rows), key=lambda i: abs(aug[i, c]), default=None)
-        if pivot is None or abs(aug[pivot, c]) <= zero_tol:
+        pivot = max(range(r, rows), key=lambda i: abs(aug[i][c]), default=None)
+        if pivot is None or abs(aug[pivot][c]) <= zero_tol:
             continue
-        if pivot != r:
-            aug[[r, pivot]] = aug[[pivot, r]]
-        aug[r] = aug[r] / aug[r, c]
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        p = aug[r][c]
+        prow = aug[r] = [x / p for x in aug[r]]
         for i in range(rows):
-            if i != r and aug[i, c] != 0:
-                aug[i] = aug[i] - aug[i, c] * aug[r]
+            f = aug[i][c]
+            if i != r and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
         pivots.append(c)
         r += 1
         if r == rows:
             break
     for i in range(r, rows):
-        if abs(aug[i, cols]) > zero_tol:
+        if abs(aug[i][cols]) > zero_tol:
             raise ValueError("inconsistent linear system")
-    eye = identity(cols, exact)
-    particular = 0 * eye[0]
+    one = coerce(1, mode)
+    zero = coerce(0, mode)
+    particular = [zero] * cols
     for i, c in enumerate(pivots):
-        particular[c] = aug[i, cols]
-    free = [c for c in range(cols) if c not in pivots]
+        particular[c] = aug[i][cols]
     kernel = []
-    for c in free:
-        vec = eye[c].copy()
+    for c in range(cols):
+        if c in pivots:
+            continue
+        vec = [zero] * cols
+        vec[c] = one
         for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i, c]
-        kernel.append(vec)
-    return particular, kernel
+            vec[pc] = -aug[i][c]
+        kernel.append(tuple(vec))
+    return tuple(particular), kernel
 
 
 def _assignment_patterns(dim):
@@ -153,6 +169,11 @@ def diag_dot(signs, u, v):
     return total
 
 
+def _axpy(base, u, v):
+    """base + u * v entrywise."""
+    return tuple(b + u * x for b, x in zip(base, v))
+
+
 def tail_candidates(prev_tails, signs, pair_values, self_value, exact):
     """Vectors t with diag-form products against prev_tails prescribed.
 
@@ -164,17 +185,16 @@ def tail_candidates(prev_tails, signs, pair_values, self_value, exact):
     """
     m = len(signs)
     if prev_tails:
-        a = as_matrix([[t[i] * signs[i] for i in range(m)] for t in prev_tails],
-                      mode=EXACT if exact else FLOAT)
-        p, kernel = solve_affine(a, list(pair_values))
+        a = [[t[i] * signs[i] for i in range(m)] for t in prev_tails]
+        p, kernel = solve_affine(a, pair_values)
     else:
-        eye = identity(m, exact)
-        p = 0 * eye[0]
-        kernel = list(eye)
+        mode = EXACT if exact else FLOAT
+        p = (coerce(0, mode),) * m
+        kernel = list(block_diag((), (1,) * m, mode))
     if not kernel:
         residual = diag_dot(signs, p, p) - self_value
         if near(residual, 0, 1e-8 * max(1.0, abs(float(self_value)))):
-            yield tuple(p)
+            yield p
         return
     dim = len(kernel)
     seen = set()
@@ -182,8 +202,10 @@ def tail_candidates(prev_tails, signs, pair_values, self_value, exact):
         for j in range(dim):
             base = p
             for k in range(dim):
-                if k != j:
-                    base = base + pattern[k] * kernel[k]
+                # an exact zero term adds nothing; a float one can still
+                # turn a -0.0 entry into 0.0, so float mode adds it
+                if k != j and (pattern[k] or not exact):
+                    base = _axpy(base, pattern[k], kernel[k])
             kj = kernel[j]
             a2 = diag_dot(signs, kj, kj)
             b2 = 2 * diag_dot(signs, base, kj)
@@ -191,7 +213,7 @@ def tail_candidates(prev_tails, signs, pair_values, self_value, exact):
             u = _solve_univariate(a2, b2, c2, exact)
             if u is None:
                 continue
-            t = tuple(base + u * kj)
+            t = _axpy(base, u, kj)
             key = t if exact else tuple(round(float(x), 9) for x in t)
             if key not in seen:
                 seen.add(key)

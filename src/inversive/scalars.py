@@ -22,8 +22,15 @@ def is_exact(x):
     return isinstance(x, (Fraction, int)) and not isinstance(x, bool)
 
 
+_EXACT_TYPES = frozenset((Fraction, int))
+
+
 def all_exact(values):
-    return all(is_exact(x) for x in values)
+    if not isinstance(values, (tuple, list)):
+        values = tuple(values)
+    # the type test settles the common case; the full one sees subclasses
+    return _EXACT_TYPES.issuperset(map(type, values)) or \
+        all(map(is_exact, values))
 
 
 def mode_of(values):
@@ -37,6 +44,8 @@ def coerce(x, mode):
     rather than silently rationalized.
     """
     if mode == EXACT:
+        if type(x) is Fraction:  # immutable, so the value itself will do
+            return x
         if isinstance(x, float):
             raise ExactnessError(f"float {x!r} not accepted in exact mode")
         return Fraction(x)
@@ -45,6 +54,14 @@ def coerce(x, mode):
 
 def coerce_row(values, mode):
     return tuple(coerce(x, mode) for x in values)
+
+
+def integer_rows(rows):
+    """(int rows, s) for exact rows: the rows times the least common
+    multiple s of their denominators, as tuples of ints."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    s = math.lcm(*[d for row in ratios for _, d in row])
+    return tuple([tuple([a * (s // d) for a, d in row]) for row in ratios]), s
 
 
 def div(a, b):

@@ -198,9 +198,14 @@ def loads_packing(source):
     if not isinstance(head, dict) or head.get("kind") != "packing":
         raise ValueError("not a packing stream (missing packing header)")
     try:
-        geometry, mode = head["geometry"], head["mode"]
+        geometry, mode, seed_field = head["geometry"], head["mode"], head["seed"]
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"unknown packing mode {mode!r}")
+        if not (isinstance(seed_field, list)
+                and all(isinstance(row, list) for row in seed_field)):
+            raise ValueError("packing seed is not a list of rows")
         seed_rows = [
-            tuple(scalar_from_json(v, mode) for v in row) for row in head["seed"]
+            tuple(scalar_from_json(v, mode) for v in row) for row in seed_field
         ]
         bound = scalar_from_json(head["bound"], mode)
         seed = forms.ConfigMatrix.from_rows(geometry, seed_rows, mode=mode)
@@ -544,3 +549,7 @@ def run(argv=None):
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -13,6 +13,7 @@ number format, so identical inputs produce identical bytes.
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 
 from . import forms
@@ -66,7 +67,11 @@ def _label_text(value):
 def _sorted_rows(packing):
     """(float tuple, entry tuple) per row, in canonical float order; accepts
     any object with CoordRow-valued .rows (Packing or ConfigMatrix)."""
-    rows = [(tuple(map(float, r.entries)), r.entries) for r in packing.rows]
+    # float(Fraction) goes through numbers.Rational.__float__ on Python 3.11;
+    # dividing numerator by denominator is the same correctly rounded value
+    rows = [(tuple([x.numerator / x.denominator if type(x) is Fraction
+                    else float(x) for x in r.entries]), r.entries)
+            for r in packing.rows]
     rows.sort(key=itemgetter(0))
     return rows
 

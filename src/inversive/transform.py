@@ -20,22 +20,22 @@ they apply the projection formulas directly so the matrix route can be
 tested against an independently computed answer.
 """
 
+import functools
 import math
+from fractions import Fraction
 
 from . import euclid, forms, linalg, spherical
-from .scalars import DEFAULT_TOL, EXACT, coerce, coerce_row, div, mode_of, near
+from .scalars import (DEFAULT_TOL, EXACT, coerce, coerce_row, div,
+                      integer_rows, mode_of, near)
 
 _ORDER = (forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC)
 
 
 def _block(first_two_rows, n, mode):
-    m = linalg.identity(n + 2, mode == EXACT)
-    for i, row in enumerate(first_two_rows):
-        m[i, 0] = coerce(row[0], mode)
-        m[i, 1] = coerce(row[1], mode)
-    return m
+    return linalg.block_diag(first_two_rows, (1,) * n, mode)
 
 
+@functools.lru_cache(maxsize=None)
 def conversion_matrix(src, dst, n, mode=EXACT):
     """Right-multiplication matrix sending src-kind rows to dst-kind rows."""
     for tag in (src, dst):
@@ -43,7 +43,7 @@ def conversion_matrix(src, dst, n, mode=EXACT):
             raise ValueError(f"unknown geometry {tag!r}")
     half = coerce(1, mode) / 2
     if src == dst:
-        return linalg.identity(n + 2, mode == EXACT)
+        return _block([(1, 0), (0, 1)], n, mode)
     if (src, dst) == (forms.SPHERICAL, forms.EUCLIDEAN):
         return _block([(1, 1), (-1, 1)], n, mode)
     if (src, dst) == (forms.EUCLIDEAN, forms.SPHERICAL):
@@ -63,7 +63,9 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
 
     The input must satisfy its own Gram identity; the output satisfies the
     target's.  Conversion back is the inverse matrix, so round trips are
-    exact in rational mode.
+    exact in rational mode.  The matrix is the identity outside its top-left
+    2x2 block, so each row keeps its tail and only its first two entries are
+    mixed.
     """
     if not isinstance(w, forms.ConfigMatrix):
         raise TypeError("convert_matrix expects a ConfigMatrix")
@@ -75,10 +77,20 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
         raise ValueError(
             f"input violates the {w.geometry} identity "
             f"(max residual {res.max_abs_entry_error})")
-    m = conversion_matrix(w.geometry, to, n, mode)
-    converted = w.matrix() @ m
-    return forms.ConfigMatrix.from_rows(to, [tuple(r) for r in converted],
-                                        mode=mode)
+    block = [row[:2] for row in conversion_matrix(w.geometry, to, n, mode)[:2]]
+    rows = w.matrix()
+    heads = [row[:2] for row in rows]
+    if mode == EXACT:
+        # both sides as ints over the LCMs of their denominators
+        ((a, b), (c, d)), h = integer_rows(block)
+        heads, s = integer_rows(heads)
+        heads = [(Fraction(x * a + y * c, s * h), Fraction(x * b + y * d, s * h))
+                 for x, y in heads]
+    else:
+        (a, b), (c, d) = block
+        heads = [(x * a + y * c, x * b + y * d) for x, y in heads]
+    return forms.ConfigMatrix(to, [forms.CoordRow(to, head + row[2:])
+                                   for head, row in zip(heads, rows)])
 
 
 def bend_triple(b, bbar):

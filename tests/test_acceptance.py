@@ -22,6 +22,7 @@ from inversive import (
     euclid,
     forms,
     hyperbolic,
+    linalg,
     onedim,
     spherical,
     svg,
@@ -382,7 +383,8 @@ def test_criterion_08_inverse_conjugation(capsys, exact_fuzz):
     for geometry in GEOMS:
         target = forms.target_for(geometry, 2)
         for w in pools[geometry]:
-            res = forms.inverse_conjugation_check(w.matrix().T, q, target)
+            res = forms.inverse_conjugation_check(
+                linalg.transpose(w.matrix()), q, target)
             failures += not (res.ok and res.max_abs_entry_error == 0)
             checked += 1
     dt = time.perf_counter() - t0

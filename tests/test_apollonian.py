@@ -413,3 +413,15 @@ def test_realize_bends_dispatch():
     assert h.geometry == forms.HYPERBOLIC and h.rows[0].entries == (-1, 0, 0, 0)
     with pytest.raises(ValueError):
         apollonian.realize_bends("affine", (F(0), F(1), F(1), F(2)))
+
+
+def test_scaled_rows_walk_on_integers():
+    rows = ((F(1, 2), F(-1, 3), F(0), F(1)), (F(5, 6), F(2), F(1, 4), F(0)))
+    scaled, scale, unscaled = apollonian._scaled_rows(rows)
+    assert scale == 12
+    assert scaled == ((6, -4, 0, 12), (10, 24, 3, 0))
+    assert all(type(x) is int for r in scaled for x in r)
+    assert tuple(map(unscaled, scaled)) == rows
+    assert all(type(x) is F for r in map(unscaled, scaled) for x in r)
+    integral, one, back = apollonian._scaled_rows(((F(3), F(-1)),))
+    assert one == 1 and integral == ((3, -1),) and back(integral[0]) == (3, -1)

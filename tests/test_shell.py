@@ -443,6 +443,28 @@ def test_malformed_input_is_reported(tmp_path, capsys, euclid_seed):
         assert out == "" and err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("seed", 5, "packing seed is not a list of rows"),
+    ("seed", [5, 6, 7, 8], "packing seed is not a list of rows"),
+    ("seed", "1,2", "packing seed is not a list of rows"),
+    ("mode", "xyz", "unknown packing mode 'xyz'"),
+    ("mode", None, "unknown packing mode None"),
+])
+def test_malformed_packing_header_is_reported(tmp_path, capsys, euclid_seed,
+                                              field, value, message):
+    lines = shell.dumps_packing(apollonian.generate(euclid_seed, 6)).splitlines()
+    head = json.loads(lines[0])
+    head[field] = value
+    text = "\n".join([json.dumps(head)] + lines[1:]) + "\n"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        shell.loads_packing(text)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    code, out, err = run(["render", "--in", str(path)], capsys)
+    assert code == 1
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_render_streams_packing_from_stdin(monkeypatch, capsys, tmp_path):
     p = apollonian.generate(apollonian.standard_seed(forms.SPHERICAL), 20)
     # leading blank lines do not hide the packing header
@@ -485,6 +507,21 @@ def _declared_console_script(name):
         if match:
             return match.groups()
     return None
+
+
+def test_python_dash_m_shell_module_runs_the_cli():
+    src = str(Path(inversive.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "inversive.shell",
+         "lox", "--geometry", "spherical", "--seed=0,1,1,2", "--steps", "2"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["bends"] == ["0", "1", "1", "2", "8", "21"]
 
 
 def test_console_script_smoke():

@@ -133,3 +133,34 @@ def test_geometry_dispatch_is_checked():
     n3 = apollonian.standard_seed(forms.EUCLIDEAN, n=3, mode=FLOAT)
     with pytest.raises(ValueError):
         svg.render(n3)
+
+
+def _reference_sorted_rows(packing):
+    """svg._sorted_rows as it was, converting entries with float()."""
+    rows = [(tuple(map(float, r.entries)), r.entries) for r in packing.rows]
+    rows.sort(key=lambda pair: pair[0])
+    return rows
+
+
+# the exact and float packings that the stream-render benchmark renders
+STREAM_INPUTS = ((forms.EUCLIDEAN, (-1, 2, 2, 3), 200),
+                 (forms.SPHERICAL, (0, 1, 1, 2), 100),
+                 (forms.HYPERBOLIC, (-2, 3, 5, 6), 150))
+
+
+@pytest.mark.parametrize("geometry,bends,bound", STREAM_INPUTS)
+@pytest.mark.parametrize("mode", ["exact", FLOAT])
+def test_render_bytes_match_float_conversion(monkeypatch, geometry, bends,
+                                             bound, mode):
+    seed = apollonian.realize_bends(
+        geometry, bends if mode == "exact" else tuple(map(float, bends)))
+    p = apollonian.generate(seed, bound)
+    assert svg._sorted_rows(p) == _reference_sorted_rows(p)
+    projections = (svg.ORTHOGRAPHIC, svg.STEREOGRAPHIC) \
+        if geometry == forms.SPHERICAL else (svg.ORTHOGRAPHIC,)
+    options = [svg.RenderOptions(labels=labels, cutoff=cutoff, projection=pr)
+               for labels in ("bend", "none")
+               for cutoff in (1 / 800, 1 / 400, 1 / 200) for pr in projections]
+    new = [svg.render(p, o) for o in options]
+    monkeypatch.setattr(svg, "_sorted_rows", _reference_sorted_rows)
+    assert new == [svg.render(p, o) for o in options]

@@ -20,7 +20,7 @@ def test_conversion_matrices_inverse_pairs():
                 m = np.array(transform.conversion_matrix(src, dst, n))
                 back = np.array(transform.conversion_matrix(dst, src, n))
                 prod = m @ back
-                eye = np.array(forms._as_array(
+                eye = np.array(forms._rows(
                     [[F(int(i == j)) for j in range(n + 2)] for i in range(n + 2)]
                 ))
                 assert (prod == eye).all(), (src, dst, n)
@@ -151,7 +151,7 @@ def _object_route(row):
 
 def _matrix_route(row, n, mode):
     m = transform.conversion_matrix(forms.SPHERICAL, forms.EUCLIDEAN, n, mode)
-    return tuple((np.array(forms._as_array([row])) @ np.array(m))[0])
+    return tuple((np.array(forms._rows([row])) @ np.array(m))[0])
 
 
 def test_object_and_matrix_routes_agree_exact(word_fuzz, rng):
