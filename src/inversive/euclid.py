@@ -14,10 +14,11 @@ forms.augmented_gram_target).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import forms, linalg
-from .scalars import (DEFAULT_TOL, coerce, coerce_row, div, mode_of, near,
-                      sqrt_scalar)
+from .scalars import (DEFAULT_TOL, EXACT, FLOAT, coerce, coerce_row, div,
+                      integer_rows, mode_of, near, sqrt_scalar)
 
 
 @dataclass(frozen=True)
@@ -268,12 +269,19 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     """Construct one planar configuration with the prescribed bend vector.
 
     The bends must satisfy the Descartes relation.  Placement is canonical:
-    the two largest bends become circles tangent at the origin with centers
-    on the x axis, the third circle sits in the upper half plane, and the
-    remaining row is the matching completion.  A vector with two zero bends
-    yields the two-line strip arrangement instead.  Vectors whose majority
-    orientation is outward are realized by reversing all orientations of the
-    mirror input.
+    the two largest bends b_a >= b_b become circles tangent at the origin
+    with centers on the x axis, the third circle b_c sits in the upper half
+    plane, and the remaining row is the completion with bend b_d.  A vector
+    with two zero bends yields the two-line strip arrangement instead.
+    Vectors whose majority orientation is outward are realized by reversing
+    all orientations of the mirror input.
+
+    Exact mode needs no square root and no solve: rows a and b are
+    (0, b_a, 1, 0) and (0, b_b, -1, 0), and the Descartes relation gives
+    sqrt(b_a b_b + b_b b_c + b_c b_a) = |b_d - b_a - b_b - b_c| / 2, which
+    fixes row c.  With its bend given, the tangency conditions on the fourth
+    row are linear, and they solve in closed form.  Float mode places circle
+    c by its radii and picks the completion whose bend matches b_d.
     """
     bends = tuple(bends)
     if len(bends) != 4:
@@ -295,9 +303,46 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     zeros = sum(1 for b in bends if b == 0)
     if zeros == 2:
         return _realize_strip(bends, mode)
-    order = sorted(range(4), key=lambda i: (-bends[i], i))
+    # largest first; the stable sort keeps ties in index order
+    order = sorted(range(4), key=bends.__getitem__, reverse=True)
     ba, bb, bc, bd = (bends[i] for i in order)
-    one = coerce(1, mode)
+    if mode == EXACT:
+        placed = _place_exact(ba, bb, bc, bd)
+    else:
+        placed = _place_float(ba, bb, bc, bd, tol)
+    ordered = [None] * 4
+    for slot, original_index in enumerate(order):
+        ordered[original_index] = placed[slot]
+    return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, ordered, mode=mode)
+
+
+def _place_exact(ba, bb, bc, bd):
+    """The canonical rows for exact Descartes bends ba >= bb >= bc >= bd with
+    ba, bb > 0, worked out on the bends times the LCM l of their
+    denominators.  Then bc > 0 too (bc <= 0 would force a second zero
+    bend), so circle c, centered at (b_a - b_b, q) / (s b_c) with
+    s = b_a + b_b and q = |b_d - b_a - b_b - b_c|, lies above the x axis,
+    and q^2 = 4 (b_a b_b + b_c s) > 0: the two completions never coincide
+    here, and none of the degenerate cases of _complete_rows can arise."""
+    ((ia, ib, ic, id_),), l = integer_rows([(ba, bb, bc, bd)])
+    s = ia + ib
+    q = abs(id_ - s - ic)
+    zero, one = Fraction(0), Fraction(1)
+    bbar = Fraction(4 * l, s)  # both other circles touch a and b at 0
+    x = Fraction(ia - ib, s)
+    # rows a and b fix bbar_d and x_d, and row c then gives y_d = y - 2 or
+    # y + 2 as b_d is the smaller or the larger root of the Descartes
+    # quadratic in b_d
+    y = Fraction(q, s)
+    y_d = Fraction(q - 2 * s if id_ < s + ic else q + 2 * s, s)
+    return [(zero, ba, one, zero), (zero, bb, -one, zero), (bbar, bc, x, y),
+            (bbar, bd, x, y_d)]
+
+
+def _place_float(ba, bb, bc, bd, tol):
+    """The canonical rows in floats: circle c placed by its radii, and the
+    completion whose bend matches bd."""
+    one = 1.0
     ra, rb, rc = one / ba, one / bb, one / bc
     ax, bx = ra, -rb
     cx = rc * (rb - ra) / (ra + rb)
@@ -306,15 +351,11 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     circle_b = OrientedSphere(bb, (bx, 0 * one))
     circle_c = OrientedSphere(bc, (cx, cy))
     rows3 = [augmented_coords(o).entries for o in (circle_a, circle_b, circle_c)]
-    sol1, sol2 = _complete_rows(rows3[0], rows3[1], rows3[2], mode)
+    sol1, sol2 = _complete_rows(rows3[0], rows3[1], rows3[2], FLOAT)
     if near(sol1[1], bd, tol):
         w4 = sol1
     elif near(sol2[1], bd, tol):
         w4 = sol2
     else:
         raise ValueError("no completion matches the fourth bend")
-    placed = rows3 + [w4]
-    ordered = [None] * 4
-    for slot, original_index in enumerate(order):
-        ordered[original_index] = placed[slot]
-    return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, ordered, mode=mode)
+    return rows3 + [w4]

@@ -341,10 +341,17 @@ def bend_residual(geometry, bends):
     n = len(bends) - 2
     if n < 1:
         raise ValueError("need at least 3 bends")
+    k = CURVATURE_SIGN[geometry]
+    if all_exact(bends):
+        # on the bends times s, the LCM of their denominators
+        (ints,), s = integer_rows([bends])
+        total = sum(ints)
+        ns2 = n * s * s
+        return Fraction(n * sum(map(mul, ints, ints)) - total * total
+                        + 2 * k * ns2, ns2)
     total = sum(bends)
     square_sum = sum(b * b for b in bends)
-    return (square_sum - total * total / coerce(n, mode_of(bends))
-            + 2 * CURVATURE_SIGN[geometry])
+    return square_sum - total * total / float(n) + 2 * k
 
 
 def _realize_tangent_rows(geometry, bends, n, first_tails):

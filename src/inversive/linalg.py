@@ -3,14 +3,18 @@
 Matrices are tuples of row tuples (the largest one in this package is 7x7),
 with Fraction entries in exact mode and floats in float mode.  The few
 solvers needed here (inverse, affine solve, the tail search) are written out
-by hand, with the same pivoting in both modes: largest absolute pivot, first
-row on ties.
+by hand.  Exact mode eliminates on Python ints, fraction-free: the rows are
+scaled by the LCM of their denominators, combined by cross multiplication
+and divided by their gcd, and only the results become Fractions.  The reduced row echelon form is unique, so exact results do not
+depend on the pivot order.  Float mode pivots on the largest absolute entry,
+first row on ties.
 """
 
+from fractions import Fraction
+from math import gcd, isqrt, lcm, sqrt
 from operator import mul
 
-from .scalars import (EXACT, FLOAT, ExactnessError, coerce, coerce_row,
-                      mode_of, near, sqrt_scalar)
+from .scalars import EXACT, coerce, coerce_row, integer_rows, mode_of, near
 
 
 def block_diag(head, diagonal, mode):
@@ -50,15 +54,82 @@ def _coerced_rows(rows):
     return [list(coerce_row(row, mode)) for row in rows], mode
 
 
+def _integer_rref(out, cols):
+    """Fraction-free Gauss-Jordan elimination of int rows (a list of
+    sequences, changed in place), pivoting in the first cols columns.
+
+    Rows are combined by cross multiplication and divided by their gcd.
+    Returns (rows, pivots): row i < len(pivots) is nonzero at column
+    pivots[i] and zero at the other pivot columns, and the later rows are
+    zero in the first cols columns.  Row i of the reduced row echelon form
+    is rows[i] over its pivot entry.
+    """
+    m = len(out)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot = next((i for i in range(r, m) if out[i][c]), None)
+        if pivot is None:
+            continue
+        prow = out[pivot]
+        g = gcd(*prow)
+        prow = [x // g for x in prow]
+        out[pivot] = out[r]
+        out[r] = prow
+        p = prow[c]
+        for i in range(m):
+            f = out[i][c]
+            if f and i != r:
+                row = [p * x - f * y for x, y in zip(out[i], prow)]
+                g = gcd(*row)
+                out[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+    return out, pivots
+
+
+def _integer_solve(aug):
+    """(particular, kernel, d) for int augmented rows [a | b] of a x = b:
+    the particular solution and the kernel basis vectors of solve_affine
+    times their common denominator d > 0, as lists of ints."""
+    cols = len(aug[0]) - 1
+    rows, pivots = _integer_rref(aug, cols)
+    if any(row[cols] for row in rows[len(pivots):]):
+        raise ValueError("inconsistent linear system")
+    d = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    rows = [[x * (d // row[c]) for x in row] for row, c in zip(rows, pivots)]
+    particular = [0] * cols
+    for row, c in zip(rows, pivots):
+        particular[c] = row[cols]
+    kernel = []
+    for c in range(cols):
+        if c in pivots:
+            continue
+        vec = [0] * cols
+        vec[c] = d
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[c]
+        kernel.append(vec)
+    return particular, kernel, d
+
+
 def mat_inv(a):
-    """Gauss-Jordan inverse, generic over the entry type."""
+    """Gauss-Jordan inverse: on integers for exact entries, with partial
+    pivoting for float ones."""
     a, mode = _coerced_rows(a)
     k = len(a)
     if any(len(row) != k for row in a):
         raise ValueError("square matrix required")
-    one = coerce(1, mode)
-    zero = coerce(0, mode)
-    aug = [row + [one if j == i else zero for j in range(k)]
+    if mode == EXACT:
+        eye = [[int(i == j) for j in range(k)] for i in range(k)]
+        rows, _ = integer_rows([row + e for row, e in zip(a, eye)])
+        rows, pivots = _integer_rref(list(rows), k)
+        if len(pivots) < k:
+            raise ValueError("singular matrix")
+        return tuple(tuple(Fraction(x, row[i]) for x in row[k:])
+                     for i, row in enumerate(rows))
+    aug = [row + [1.0 if j == i else 0.0 for j in range(k)]
            for i, row in enumerate(a)]
     for col in range(k):
         pivot = max(range(col, k), key=lambda r: abs(aug[r][col]))
@@ -77,17 +148,23 @@ def mat_inv(a):
 def solve_affine(a, b):
     """All solutions of a x = b as (particular, kernel basis vectors).
 
-    Works on exact and float matrices; float pivoting is by magnitude with a
-    small threshold for rank decisions.  The particular solution and the
-    kernel vectors are tuples.
+    Exact systems are solved on integers and only the result becomes
+    Fractions; float pivoting is by magnitude with a small threshold for
+    rank decisions.  The particular solution and the kernel vectors are
+    tuples.
     """
     rows = len(a)
     if len(b) != rows:
         raise ValueError("right-hand side does not match the rows")
+    if not rows or any(len(row) != len(a[0]) for row in a):
+        raise ValueError("need at least one row, all of the same length")
     aug, mode = _coerced_rows([tuple(row) + (bi,) for row, bi in zip(a, b)])
+    if mode == EXACT:
+        particular, kernel, d = _integer_solve(list(integer_rows(aug)[0]))
+        return (tuple(Fraction(x, d) for x in particular),
+                [tuple(Fraction(x, d) for x in vec) for vec in kernel])
     cols = len(aug[0]) - 1
-    exact = mode == EXACT
-    zero_tol = 0 if exact else 1e-12 * max(1.0, float(max_abs(a)))
+    zero_tol = 1e-12 * max(1.0, float(max_abs(a)))
     pivots = []
     r = 0
     for c in range(cols):
@@ -108,17 +185,15 @@ def solve_affine(a, b):
     for i in range(r, rows):
         if abs(aug[i][cols]) > zero_tol:
             raise ValueError("inconsistent linear system")
-    one = coerce(1, mode)
-    zero = coerce(0, mode)
-    particular = [zero] * cols
+    particular = [0.0] * cols
     for i, c in enumerate(pivots):
         particular[c] = aug[i][cols]
     kernel = []
     for c in range(cols):
         if c in pivots:
             continue
-        vec = [zero] * cols
-        vec[c] = one
+        vec = [0.0] * cols
+        vec[c] = 1.0
         for i, pc in enumerate(pivots):
             vec[pc] = -aug[i][c]
         kernel.append(tuple(vec))
@@ -144,22 +219,20 @@ def _assignment_patterns(dim):
                         yield tuple(vec)
 
 
-def _solve_univariate(a, b, c, exact):
-    """A root of a u^2 + b u + c = 0 in the working mode, or None."""
+def _solve_univariate(a, b, c):
+    """A real root of a u^2 + b u + c = 0 in floats, or None."""
     if a == 0:
         if b == 0:
             return None if c != 0 else c - c  # every u solves 0 = 0; take 0
         return -c / b
     disc = b * b - 4 * a * c
-    if not exact and abs(disc) <= 1e-12 * max(b * b, abs(4 * a * c), 1.0):
+    if abs(disc) <= 1e-12 * max(b * b, abs(4 * a * c), 1.0):
         # a double root that rounding moved off zero; its square root would
         # put an error of about 1e-8 into the tail and strand later rows
         disc = 0.0
-    try:
-        root = sqrt_scalar(disc)
-    except (ValueError, ExactnessError):  # no real or no rational root
+    if disc < 0:
         return None
-    return (-b + root) / (2 * a)
+    return (-b + sqrt(disc)) / (2 * a)
 
 
 def diag_dot(signs, u, v):
@@ -174,23 +247,78 @@ def _axpy(base, u, v):
     return tuple(b + u * x for b, x in zip(base, v))
 
 
-def tail_candidates(prev_tails, signs, pair_values, self_value, exact):
-    """Vectors t with diag-form products against prev_tails prescribed.
+def _exact_tail_candidates(prev_tails, signs, pair_values, self_value):
+    """Tails t with diag-form products <t_j, t> = pair_values[j] against
+    prev_tails and <t, t> = self_value, on ints.
 
-    Solves the linear conditions <t_j, t> = pair_values[j] exactly, then
-    walks a deterministic list of kernel assignments and yields every
-    distinct t for which the remaining quadratic <t, t> = self_value has a
-    root in the working mode.  Raises ValueError when the linear conditions
-    are already inconsistent.
+    A tail is an int tuple (x_1, ..., x_m, e) in lowest terms with e > 0,
+    standing for (x_1, ..., x_m) / e.  The linear conditions give the
+    solutions (p + sum_k u_k kernel[k]) / d.  For each kernel assignment the
+    quadratic in the one free u_j is scaled by d^2 times the denominator of
+    self_value, so its coefficients are ints and a rational root is an
+    isqrt perfect square.  Raises ValueError when the linear conditions are
+    inconsistent.
     """
     m = len(signs)
-    if prev_tails:
-        a = [[t[i] * signs[i] for i in range(m)] for t in prev_tails]
-        p, kernel = solve_affine(a, pair_values)
-    else:
-        mode = EXACT if exact else FLOAT
-        p = (coerce(0, mode),) * m
-        kernel = list(block_diag((), (1,) * m, mode))
+    aug = []
+    for t, v in zip(prev_tails, pair_values):
+        vn, vd = v.as_integer_ratio()
+        aug.append([vd * s * x for s, x in zip(signs, t)] + [t[m] * vn])
+    p, kernel, d = _integer_solve(aug)
+    sn, sd = self_value.as_integer_ratio()
+    target = d * d * sn
+
+    def form(u, v):
+        return sd * sum(map(mul, map(mul, signs, u), v))
+
+    def tail(vec, e):
+        g = gcd(e, *vec) if e > 0 else -gcd(e, *vec)
+        return tuple([x // g for x in vec]) + (e // g,)
+
+    if not kernel:
+        if form(p, p) == target:
+            yield tail(p, d)
+        return
+    dim = len(kernel)
+    norms = [form(v, v) for v in kernel]
+    seen = set()
+    for pattern in _assignment_patterns(dim):
+        for j in range(dim):
+            base = p
+            for k in range(dim):
+                if k != j and pattern[k]:
+                    base = [x + pattern[k] * y for x, y in zip(base, kernel[k])]
+            kj = kernel[j]
+            a2 = norms[j]
+            b2 = 2 * form(base, kj)
+            c2 = form(base, base) - target
+            # the root u_j = num / den
+            if a2:
+                disc = b2 * b2 - 4 * a2 * c2
+                if disc < 0:
+                    continue
+                root = isqrt(disc)
+                if root * root != disc:
+                    continue
+                num, den = root - b2, 2 * a2
+            elif b2:
+                num, den = -c2, b2
+            elif c2:
+                continue
+            else:
+                num, den = 0, 1
+            t = tail([den * x + num * y for x, y in zip(base, kj)], den * d)
+            if t not in seen:
+                seen.add(t)
+                yield t
+
+
+def _float_tail_candidates(prev_tails, signs, pair_values, self_value):
+    """Float twin of _exact_tail_candidates on float tails; a root is
+    accepted up to rounding, and tails are told apart to 9 decimals."""
+    m = len(signs)
+    a = [[t[i] * signs[i] for i in range(m)] for t in prev_tails]
+    p, kernel = solve_affine(a, pair_values)
     if not kernel:
         residual = diag_dot(signs, p, p) - self_value
         if near(residual, 0, 1e-8 * max(1.0, abs(float(self_value)))):
@@ -202,19 +330,18 @@ def tail_candidates(prev_tails, signs, pair_values, self_value, exact):
         for j in range(dim):
             base = p
             for k in range(dim):
-                # an exact zero term adds nothing; a float one can still
-                # turn a -0.0 entry into 0.0, so float mode adds it
-                if k != j and (pattern[k] or not exact):
+                # even a zero term can turn a -0.0 entry into 0.0
+                if k != j:
                     base = _axpy(base, pattern[k], kernel[k])
             kj = kernel[j]
             a2 = diag_dot(signs, kj, kj)
             b2 = 2 * diag_dot(signs, base, kj)
             c2 = diag_dot(signs, base, base) - self_value
-            u = _solve_univariate(a2, b2, c2, exact)
+            u = _solve_univariate(a2, b2, c2)
             if u is None:
                 continue
             t = _axpy(base, u, kj)
-            key = t if exact else tuple(round(float(x), 9) for x in t)
+            key = tuple(round(float(x), 9) for x in t)
             if key not in seen:
                 seen.add(key)
                 yield t
@@ -225,22 +352,32 @@ def realize_tails(first_options, signs, pair_value, self_value, count, exact,
     """Depth-first search for count tails with prescribed diag-form products.
 
     pair_value(j, i) and self_value(i) prescribe <t_j, t_i> and <t_i, t_i>.
-    The first tail is drawn from first_options; later tails from
-    tail_candidates, branching over at most branch_limit candidates per row.
-    A greedy first choice can strand a later row (picking a degenerate tail
-    whose linear conditions become unsatisfiable), so failed branches are
-    abandoned and the next candidate tried.  Returns a list of tuples or
+    The first tail is drawn from first_options; each later tail solves the
+    linear conditions against the earlier ones and walks a deterministic
+    list of kernel assignments for a root of its quadratic, branching over
+    at most branch_limit distinct candidates per row.  A greedy first choice
+    can strand a later row (picking a degenerate tail whose linear
+    conditions become unsatisfiable), so failed branches are abandoned and
+    the next candidate tried.  Exact mode searches on ints and builds
+    Fractions only for the tails it returns.  Returns a list of tuples or
     None.
     """
+    if exact:
+        candidates = _exact_tail_candidates
+        # a tail (x_1, ..., x_m) / e is searched as the ints (x_1, ..., x_m, e)
+        first_options = [ints + (e,) for (ints,), e in
+                         (integer_rows([t]) for t in first_options)]
+    else:
+        candidates = _float_tail_candidates
+
     def search(tails):
         i = len(tails)
         if i == count:
             return tails
         targets = [pair_value(j, i) for j in range(i)]
         try:
-            candidates = tail_candidates(tails, signs, targets,
-                                         self_value(i), exact)
-            for k, t in enumerate(candidates):
+            for k, t in enumerate(candidates(tails, signs, targets,
+                                             self_value(i))):
                 if k >= branch_limit:
                     break
                 result = search(tails + [t])
@@ -253,5 +390,8 @@ def realize_tails(first_options, signs, pair_value, self_value, count, exact,
     for first in first_options:
         result = search([tuple(first)])
         if result is not None:
+            if exact:
+                return [tuple(Fraction(x, t[-1]) for x in t[:-1])
+                        for t in result]
             return result
     return None

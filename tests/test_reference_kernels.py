@@ -1,24 +1,33 @@
-"""The plain-tuple matrix layer against the numpy code it replaced.
+"""The plain-tuple matrix layer and the integer realizers against the code
+they replaced.
 
-The _reference_* functions are the numpy implementations of check_identity,
-convert_matrix, loxodromic and solve_affine as the package had them, copied
-verbatim together with the helpers they called (_ref_as_matrix,
-_ref_identity, ...).  Only names changed: those calls point at the copies
-here, and conversion_matrix, which now returns a tuple of rows, is wrapped
-in np.array.  numpy is a test-only dependency (the [test] extra).
+The first _reference_* functions are the numpy implementations of
+check_identity, convert_matrix, loxodromic and solve_affine as the package
+had them, copied verbatim together with the helpers they called
+(_ref_as_matrix, _ref_identity, ...).  Only names changed: those calls point
+at the copies here, and conversion_matrix, which now returns a tuple of
+rows, is wrapped in np.array.  numpy is a test-only dependency (the [test]
+extra).  Exact results must be equal; float results may differ by 1e-12
+relative, since the new code adds products in another order than numpy's
+BLAS.
 
-Exact results must be equal; float results may differ by 1e-12 relative,
-since the new code adds products in another order than numpy's BLAS.
+The second set is the realize path as it was on Fractions, before exact
+realization moved onto integers: solve_affine on lists, the tail search,
+bend_residual, the tangent-row realizer and the Euclidean realizer with its
+completion, again verbatim but for names.  There every output must be the
+same to the byte, in both modes.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from inversive import apollonian, euclid, forms, linalg, transform
-from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, coerce, is_exact,
-                               near)
+from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
+                               coerce, coerce_row, integer_rows, is_exact,
+                               mode_of, near, sqrt_scalar)
 
 E, S, H = forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC
 GEOMS = (E, S, H)
@@ -376,3 +385,497 @@ def test_solve_affine_matches_reference(mode):
         assert len(new[1]) == len(ref[1])
         assert _same(new[1], [v.tolist() for v in ref[1]], exact, scale)
     assert inconsistent > 0
+
+
+# --- the Fraction realize path, verbatim ----------------------------------
+
+def _ref_list_max_abs(a):
+    """Largest absolute entry of a matrix; exact scalar for exact input."""
+    return max([abs(x) for row in a for x in row], default=0)
+
+
+def _ref_coerced_rows(rows):
+    flat = [x for row in rows for x in row]
+    mode = mode_of(flat)
+    return [list(coerce_row(row, mode)) for row in rows], mode
+
+
+def _reference_list_solve_affine(a, b):
+    """All solutions of a x = b as (particular, kernel basis vectors).
+
+    Works on exact and float matrices; float pivoting is by magnitude with a
+    small threshold for rank decisions.  The particular solution and the
+    kernel vectors are tuples.
+    """
+    rows = len(a)
+    if len(b) != rows:
+        raise ValueError("right-hand side does not match the rows")
+    aug, mode = _ref_coerced_rows([tuple(row) + (bi,)
+                                   for row, bi in zip(a, b)])
+    cols = len(aug[0]) - 1
+    exact = mode == EXACT
+    zero_tol = 0 if exact else 1e-12 * max(1.0, float(_ref_list_max_abs(a)))
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = max(range(r, rows), key=lambda i: abs(aug[i][c]), default=None)
+        if pivot is None or abs(aug[pivot][c]) <= zero_tol:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        p = aug[r][c]
+        prow = aug[r] = [x / p for x in aug[r]]
+        for i in range(rows):
+            f = aug[i][c]
+            if i != r and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if abs(aug[i][cols]) > zero_tol:
+            raise ValueError("inconsistent linear system")
+    one = coerce(1, mode)
+    zero = coerce(0, mode)
+    particular = [zero] * cols
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i][cols]
+    kernel = []
+    for c in range(cols):
+        if c in pivots:
+            continue
+        vec = [zero] * cols
+        vec[c] = one
+        for i, pc in enumerate(pivots):
+            vec[pc] = -aug[i][c]
+        kernel.append(tuple(vec))
+    return tuple(particular), kernel
+
+
+def _ref_assignment_patterns(dim):
+    """Deterministic small assignments for all-but-one free coordinate."""
+    yield (0,) * dim
+    values = (1, -1, 2, -2, 3)
+    for j in range(dim):
+        for v in values:
+            vec = [0] * dim
+            vec[j] = v
+            yield tuple(vec)
+    if dim >= 2:
+        for j in range(dim):
+            for k in range(j + 1, dim):
+                for vj in (1, -1, 2):
+                    for vk in (1, -1, 2):
+                        vec = [0] * dim
+                        vec[j], vec[k] = vj, vk
+                        yield tuple(vec)
+
+
+def _reference_solve_univariate(a, b, c, exact):
+    """A root of a u^2 + b u + c = 0 in the working mode, or None."""
+    if a == 0:
+        if b == 0:
+            return None if c != 0 else c - c  # every u solves 0 = 0; take 0
+        return -c / b
+    disc = b * b - 4 * a * c
+    if not exact and abs(disc) <= 1e-12 * max(b * b, abs(4 * a * c), 1.0):
+        # a double root that rounding moved off zero; its square root would
+        # put an error of about 1e-8 into the tail and strand later rows
+        disc = 0.0
+    try:
+        root = sqrt_scalar(disc)
+    except (ValueError, ExactnessError):  # no real or no rational root
+        return None
+    return (-b + root) / (2 * a)
+
+
+def _ref_diag_dot(signs, u, v):
+    total = 0
+    for s, x, y in zip(signs, u, v):
+        total = total + (x * y if s > 0 else -(x * y))
+    return total
+
+
+def _ref_axpy(base, u, v):
+    """base + u * v entrywise."""
+    return tuple(b + u * x for b, x in zip(base, v))
+
+
+def _reference_tail_candidates(prev_tails, signs, pair_values, self_value,
+                               exact):
+    """Vectors t with diag-form products against prev_tails prescribed.
+
+    Solves the linear conditions <t_j, t> = pair_values[j] exactly, then
+    walks a deterministic list of kernel assignments and yields every
+    distinct t for which the remaining quadratic <t, t> = self_value has a
+    root in the working mode.  Raises ValueError when the linear conditions
+    are already inconsistent.
+    """
+    m = len(signs)
+    if prev_tails:
+        a = [[t[i] * signs[i] for i in range(m)] for t in prev_tails]
+        p, kernel = _reference_list_solve_affine(a, pair_values)
+    else:
+        mode = EXACT if exact else FLOAT
+        p = (coerce(0, mode),) * m
+        kernel = list(linalg.block_diag((), (1,) * m, mode))
+    if not kernel:
+        residual = _ref_diag_dot(signs, p, p) - self_value
+        if near(residual, 0, 1e-8 * max(1.0, abs(float(self_value)))):
+            yield p
+        return
+    dim = len(kernel)
+    seen = set()
+    for pattern in _ref_assignment_patterns(dim):
+        for j in range(dim):
+            base = p
+            for k in range(dim):
+                # an exact zero term adds nothing; a float one can still
+                # turn a -0.0 entry into 0.0, so float mode adds it
+                if k != j and (pattern[k] or not exact):
+                    base = _ref_axpy(base, pattern[k], kernel[k])
+            kj = kernel[j]
+            a2 = _ref_diag_dot(signs, kj, kj)
+            b2 = 2 * _ref_diag_dot(signs, base, kj)
+            c2 = _ref_diag_dot(signs, base, base) - self_value
+            u = _reference_solve_univariate(a2, b2, c2, exact)
+            if u is None:
+                continue
+            t = _ref_axpy(base, u, kj)
+            key = t if exact else tuple(round(float(x), 9) for x in t)
+            if key not in seen:
+                seen.add(key)
+                yield t
+
+
+def _reference_realize_tails(first_options, signs, pair_value, self_value,
+                             count, exact, branch_limit=24):
+    """Depth-first search for count tails with prescribed diag-form products.
+
+    pair_value(j, i) and self_value(i) prescribe <t_j, t_i> and <t_i, t_i>.
+    The first tail is drawn from first_options; later tails from
+    tail_candidates, branching over at most branch_limit candidates per row.
+    A greedy first choice can strand a later row (picking a degenerate tail
+    whose linear conditions become unsatisfiable), so failed branches are
+    abandoned and the next candidate tried.  Returns a list of tuples or
+    None.
+    """
+    def search(tails):
+        i = len(tails)
+        if i == count:
+            return tails
+        targets = [pair_value(j, i) for j in range(i)]
+        try:
+            candidates = _reference_tail_candidates(tails, signs, targets,
+                                                    self_value(i), exact)
+            for k, t in enumerate(candidates):
+                if k >= branch_limit:
+                    break
+                result = search(tails + [t])
+                if result is not None:
+                    return result
+        except ValueError:
+            return None
+        return None
+
+    for first in first_options:
+        result = search([tuple(first)])
+        if result is not None:
+            return result
+    return None
+
+
+def _reference_bend_residual(geometry, bends):
+    """Residual sum b^2 - (sum b)^2 / n + 2k of the Descartes relation on
+    n+2 bends, k the geometry's curvature sign; zero for n+2 pairwise
+    tangent spheres, exact on exact bends."""
+    bends = tuple(bends)
+    n = len(bends) - 2
+    if n < 1:
+        raise ValueError("need at least 3 bends")
+    total = sum(bends)
+    square_sum = sum(b * b for b in bends)
+    return (square_sum - total * total / coerce(n, mode_of(bends))
+            + 2 * forms.CURVATURE_SIGN[geometry])
+
+
+def _reference_realize_tangent_rows(geometry, bends, n, first_tails):
+    """One configuration of pairwise tangent rows (c_i, t_i) with the given
+    spherical cot or hyperbolic coth values c_i.
+
+    With k the geometry's curvature sign the tails carry the form
+    diag(k, 1, ..., 1), and tangency asks <t_i, t_i> = 1 + k c_i^2 and
+    <t_j, t_i> = k c_i c_j - 1.  first_tails(c_0, one) lists the leading
+    entries of the first-tail candidates, zero-padded to full length; later
+    tails come from linalg.realize_tails, which backtracks out of tail
+    choices that strand a later row.  Exact bends give an exact matrix or a
+    ValueError.
+    """
+    bends = tuple(bends)
+    if n is None:
+        n = len(bends) - 2
+    name = "cot" if geometry == forms.SPHERICAL else "coth"
+    if len(bends) != n + 2:
+        raise ValueError(f"need n+2 {name} values")
+    mode = mode_of(bends)
+    c = coerce_row(bends, mode)
+    residual = _reference_bend_residual(geometry, c)
+    if not near(residual, 0, DEFAULT_TOL):
+        raise ValueError(f"{name} values violate the bend relation by {residual}")
+    k = forms.CURVATURE_SIGN[geometry]
+    one = coerce(1, mode)
+    zero = one - one
+    first_options = [head + (zero,) * (n + 1 - len(head))
+                     for head in first_tails(c[0], one)]
+    tails = _reference_realize_tails(
+        first_options, (k,) + (1,) * n,
+        pair_value=lambda j, i: k * c[i] * c[j] - 1,
+        self_value=lambda i: 1 + k * c[i] * c[i],
+        count=n + 2, exact=mode == EXACT)
+    if tails is None:
+        raise ValueError(f"no realization found for these {name} values")
+    entry_rows = [(c[i],) + tuple(tails[i]) for i in range(n + 2)]
+    return forms.ConfigMatrix.from_rows(geometry, entry_rows, mode=mode)
+
+
+def _ref_descartes_check(bends):
+    """Value of the Descartes form on a bend vector; 0 for every family of
+    n+2 mutually tangent spheres."""
+    return _reference_bend_residual(forms.EUCLIDEAN, bends)
+
+
+def _reference_complete_rows(w1, w2, w3, mode):
+    """Both augmented rows tangent to three mutually tangent rows."""
+    half = coerce(1, mode) / 2
+    # row w times the matrix K of pair_product is (-w_1/2, -w_0/2, w_2, ...)
+    system = [(-half * w[1], -half * w[0]) + tuple(w[2:]) for w in (w1, w2, w3)]
+    particular, kernel = _reference_list_solve_affine(system,
+                                                      [-1, -1, -1])
+    if len(kernel) != 1:
+        raise ValueError("degenerate input rows")
+    kv = kernel[0]
+    a = euclid.pair_product(kv, kv)
+    b = 2 * euclid.pair_product(particular, kv)
+    c = euclid.pair_product(particular, particular) - 1
+    if a == 0:
+        raise ValueError("degenerate tangency arrangement")
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        raise ValueError("no real completion; tangency points may coincide")
+    root = sqrt_scalar(disc)
+    if root == 0:
+        raise ValueError("completions coincide; tangency points are not distinct")
+    u1 = (-b + root) / (2 * a)
+    u2 = (-b - root) / (2 * a)
+    sol1 = tuple(p + u1 * x for p, x in zip(particular, kv))
+    sol2 = tuple(p + u2 * x for p, x in zip(particular, kv))
+    return sol1, sol2
+
+
+def _reference_realize_curvature_vector(bends, tol=DEFAULT_TOL):
+    """Construct one planar configuration with the prescribed bend vector.
+
+    The bends must satisfy the Descartes relation.  Placement is canonical:
+    the two largest bends become circles tangent at the origin with centers
+    on the x axis, the third circle sits in the upper half plane, and the
+    remaining row is the matching completion.  A vector with two zero bends
+    yields the two-line strip arrangement instead.  Vectors whose majority
+    orientation is outward are realized by reversing all orientations of the
+    mirror input.
+    """
+    bends = tuple(bends)
+    if len(bends) != 4:
+        raise ValueError("realization is implemented for the plane (4 bends)")
+    mode = mode_of(bends)
+    bends = coerce_row(bends, mode)
+    residual = _ref_descartes_check(bends)
+    if not near(residual, 0, tol):
+        raise ValueError(f"bends violate the Descartes relation by {residual}")
+    if all(b == 0 for b in bends):
+        raise ValueError("the zero vector is not a bend vector")
+    positives = sum(1 for b in bends if b > 0)
+    if positives < 2:
+        flipped = _reference_realize_curvature_vector(
+            tuple(-b for b in bends), tol)
+        rows = tuple(
+            forms.CoordRow(forms.EUCLIDEAN, tuple(-x for x in r.entries))
+            for r in flipped.rows)
+        return forms.ConfigMatrix(forms.EUCLIDEAN, rows)
+    zeros = sum(1 for b in bends if b == 0)
+    if zeros == 2:
+        return euclid._realize_strip(bends, mode)
+    order = sorted(range(4), key=lambda i: (-bends[i], i))
+    ba, bb, bc, bd = (bends[i] for i in order)
+    one = coerce(1, mode)
+    ra, rb, rc = one / ba, one / bb, one / bc
+    ax, bx = ra, -rb
+    cx = rc * (rb - ra) / (ra + rb)
+    cy = 2 * sqrt_scalar((ra + rb + rc) * ra * rb * rc) / (ra + rb)
+    circle_a = euclid.OrientedSphere(ba, (ax, 0 * one))
+    circle_b = euclid.OrientedSphere(bb, (bx, 0 * one))
+    circle_c = euclid.OrientedSphere(bc, (cx, cy))
+    rows3 = [euclid.augmented_coords(o).entries
+             for o in (circle_a, circle_b, circle_c)]
+    sol1, sol2 = _reference_complete_rows(rows3[0], rows3[1], rows3[2],
+                                          mode)
+    if near(sol1[1], bd, tol):
+        w4 = sol1
+    elif near(sol2[1], bd, tol):
+        w4 = sol2
+    else:
+        raise ValueError("no completion matches the fourth bend")
+    placed = rows3 + [w4]
+    ordered = [None] * 4
+    for slot, original_index in enumerate(order):
+        ordered[original_index] = placed[slot]
+    return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, ordered, mode=mode)
+
+
+
+def _reference_realize_cap_config(cots, n=None):
+    return _reference_realize_tangent_rows(forms.SPHERICAL, cots, n,
+                                           lambda c0, one: [(one, c0)])
+
+
+def _reference_realize_sphere_config(coths, n=None):
+    def first_tails(c0, one):
+        return ([()] if abs(c0) == 1 else []) + [(c0, one)]
+
+    return _reference_realize_tangent_rows(forms.HYPERBOLIC, coths, n,
+                                           first_tails)
+
+
+REFERENCE_REALIZERS = {E: _reference_realize_curvature_vector,
+                       S: _reference_realize_cap_config,
+                       H: _reference_realize_sphere_config}
+
+
+# --- bend vectors --------------------------------------------------------
+
+REALIZE_WORDS = ((), (0,), (2, 1), (3, 0, 2), (1, 3, 0, 2), (0, 2, 1, 3, 0))
+# rational cot values of five pairwise tangent caps (n = 3); no exact
+# configuration has them, so both searches must give up the same way
+N3_COTS = ((-3, Fraction(-5, 2), -1, Fraction(-1, 2), Fraction(-1, 2)),
+           (Fraction(-5, 2), Fraction(-5, 2), -2, Fraction(-1, 2), 0),
+           (Fraction(-5, 2), -2, -2, Fraction(-3, 2), Fraction(1, 2)))
+NOT_DESCARTES = ((1, 2, 3, 4), (1, 1, 1, 1), (0, 0, 0, 0), (1, 2, 2, 3),
+                 (1, 2, 3))
+
+
+def _reflect_bends(v, i):
+    """v moved by the Apollonian reflection at index i (n = 2), which acts
+    on the bends of all three geometries alike."""
+    v = list(v)
+    v[i] = 2 * (sum(v) - v[i]) - v[i]
+    return tuple(v)
+
+
+def _large(v):
+    """v reflected at its smallest entry until some entry passes 10^12."""
+    while max(abs(x) for x in v) < 10 ** 12:
+        v = _reflect_bends(v, min(range(4), key=lambda i: (v[i], i)))
+    return v
+
+
+def _bend_vectors(geometry):
+    """Exact bend vectors: root or base vectors moved by reflection words of
+    length 0-5, Fraction and outward (negated) vectors, vectors near
+    10^12, the strip and horocycle seeds, vectors that are no bend vectors,
+    and spherical n = 3 cots."""
+    if geometry == E:
+        bases = ROOTS + ((0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 4))
+    else:
+        bases = BASES[geometry] + tuple(
+            transform.convert_matrix(apollonian.realize_bends(E, r),
+                                     geometry).bends for r in ROOTS[:4])
+    out = []
+    for v in bases:
+        for word in REALIZE_WORDS:
+            r = v
+            for i in word:
+                r = _reflect_bends(r, i)
+            out.append(r)
+    if geometry == E:
+        out += [tuple(Fraction(x, 2) for x in v) for v in ROOTS[:4]]
+        out += [tuple(Fraction(2 * x, 3) for x in v) for v in ROOTS[4:]]
+        out += [tuple(x * 10 ** 12 for x in v) for v in ROOTS[:3]]
+    out += [_large(v) for v in bases[:3]]
+    if geometry == S:
+        out += list(N3_COTS)
+    out += [tuple(-x for x in v) for v in out]
+    return out + list(NOT_DESCARTES)
+
+
+def _outcome_bytes(fn, *args):
+    """repr of the rows fn returns, or the type and message of its error;
+    equal reprs mean equal Fractions or bit-equal floats."""
+    try:
+        w = fn(*args)
+    except (ValueError, ArithmeticError) as e:
+        return (type(e), str(e))
+    return (w.geometry, w.mode, repr([r.entries for r in w.rows]))
+
+
+@pytest.mark.parametrize("geometry,mode", CASES)
+def test_realize_bends_matches_reference(geometry, mode):
+    exact = mode == EXACT
+    realized = failed = 0
+    for v in _bend_vectors(geometry):
+        bends = v if exact else tuple(float(x) for x in v)
+        new = _outcome_bytes(apollonian.realize_bends, geometry, bends)
+        ref = _outcome_bytes(REFERENCE_REALIZERS[geometry], bends)
+        assert new == ref, (geometry, bends)
+        if isinstance(ref[0], type):
+            failed += 1
+        else:
+            realized += 1
+            if exact:
+                assert new[1] == EXACT
+    assert realized >= 60 and failed >= len(NOT_DESCARTES), (realized, failed)
+
+
+def _tail_searches(geometry):
+    """(prev_tails, signs, pair_values, self_value) for every row of the
+    exact tail search along each realized configuration of the geometry."""
+    k = forms.CURVATURE_SIGN[geometry]
+    out = []
+    for v in _bend_vectors(geometry):
+        try:
+            w = apollonian.realize_bends(geometry, v)
+        except ValueError:
+            continue
+        c = [r.entries[0] for r in w.rows]
+        tails = [r.entries[1:] for r in w.rows]
+        signs = (k,) + (1,) * (len(c) - 2)
+        for i in range(1, len(c)):
+            out.append((tails[:i], signs, [k * c[i] * c[j] - 1
+                                           for j in range(i)],
+                        1 + k * c[i] * c[i]))
+    return out
+
+
+@pytest.mark.parametrize("geometry", (S, H))
+def test_exact_tail_candidates_match_reference(geometry):
+    """The integer tail search yields the same tails in the same order as
+    the Fraction one, each in lowest terms over a positive denominator."""
+    searches = _tail_searches(geometry)
+    for prev, signs, pair_values, self_value in searches:
+        int_prev = [ints + (e,) for (ints,), e in
+                    (integer_rows([t]) for t in prev)]
+        new = list(linalg._exact_tail_candidates(int_prev, signs,
+                                                 pair_values, self_value))
+        ref = list(_reference_tail_candidates(prev, signs, pair_values,
+                                              self_value, True))
+        for t in new:
+            assert t[-1] > 0 and math.gcd(*t) == 1, t
+        assert [tuple(Fraction(x, t[-1]) for x in t[:-1])
+                for t in new] == ref
+    assert len(searches) >= 100
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_solve_affine_rejects_malformed_systems(mode):
+    one = coerce(1, mode)
+    for a, b in (([], []), ([[one, 2 * one], [one]], [one, one])):
+        with pytest.raises(ValueError):
+            linalg.solve_affine(a, b)
