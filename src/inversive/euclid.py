@@ -15,9 +15,10 @@ forms.augmented_gram_target).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 
 from . import forms, linalg
-from .scalars import (DEFAULT_TOL, EXACT, FLOAT, coerce, coerce_row, div,
+from .scalars import (DEFAULT_TOL, EXACT, coerce, coerce_row, div,
                       integer_rows, mode_of, near, sqrt_scalar)
 
 
@@ -268,20 +269,21 @@ def _realize_strip(bends, mode):
 def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     """Construct one planar configuration with the prescribed bend vector.
 
-    The bends must satisfy the Descartes relation.  Placement is canonical:
-    the two largest bends b_a >= b_b become circles tangent at the origin
-    with centers on the x axis, the third circle b_c sits in the upper half
-    plane, and the remaining row is the completion with bend b_d.  A vector
-    with two zero bends yields the two-line strip arrangement instead.
-    Vectors whose majority orientation is outward are realized by reversing
-    all orientations of the mirror input.
+    The bends must satisfy the Descartes relation; float bends up to tol
+    times the square of their largest magnitude (at least 1).  Placement is
+    canonical: the two largest bends b_a >= b_b become circles tangent at
+    the origin with centers on the x axis, the third circle b_c sits in the
+    upper half plane, and the remaining row is the one with bend b_d.  A
+    vector with two zero bends yields the two-line strip arrangement
+    instead.  Vectors whose majority orientation is outward are realized by
+    reversing all orientations of the mirror input.
 
-    Exact mode needs no square root and no solve: rows a and b are
-    (0, b_a, 1, 0) and (0, b_b, -1, 0), and the Descartes relation gives
-    sqrt(b_a b_b + b_b b_c + b_c b_a) = |b_d - b_a - b_b - b_c| / 2, which
-    fixes row c.  With its bend given, the tangency conditions on the fourth
-    row are linear, and they solve in closed form.  Float mode places circle
-    c by its radii and picks the completion whose bend matches b_d.
+    Both modes place the rows by one closed form, with no square root and no
+    solve: rows a and b are (0, b_a, 1, 0) and (0, b_b, -1, 0), and the
+    Descartes relation gives sqrt(b_a b_b + b_b b_c + b_c b_a) =
+    |b_d - b_a - b_b - b_c| / 2, which fixes row c.  With its bend given,
+    the tangency conditions on the fourth row are linear, and they solve in
+    closed form.  The rows therefore carry the given bends unchanged.
     """
     bends = tuple(bends)
     if len(bends) != 4:
@@ -289,7 +291,11 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     mode = mode_of(bends)
     bends = coerce_row(bends, mode)
     residual = descartes_check(bends)
-    if not near(residual, 0, tol):
+    # a float residual carries the rounding error of the squared bends; an
+    # exact one is compared with zero exactly, and a float bound made from
+    # exact bends past 1e154 would overflow
+    bound = tol if mode == EXACT else tol * max(1.0, *map(abs, bends)) ** 2
+    if not near(residual, 0, bound):
         raise ValueError(f"bends violate the Descartes relation by {residual}")
     if all(b == 0 for b in bends):
         raise ValueError("the zero vector is not a bend vector")
@@ -305,57 +311,39 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
         return _realize_strip(bends, mode)
     # largest first; the stable sort keeps ties in index order
     order = sorted(range(4), key=bends.__getitem__, reverse=True)
-    ba, bb, bc, bd = (bends[i] for i in order)
-    if mode == EXACT:
-        placed = _place_exact(ba, bb, bc, bd)
-    else:
-        placed = _place_float(ba, bb, bc, bd, tol)
+    placed = _place(*(bends[i] for i in order), mode == EXACT)
     ordered = [None] * 4
     for slot, original_index in enumerate(order):
         ordered[original_index] = placed[slot]
     return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, ordered, mode=mode)
 
 
-def _place_exact(ba, bb, bc, bd):
-    """The canonical rows for exact Descartes bends ba >= bb >= bc >= bd with
-    ba, bb > 0, worked out on the bends times the LCM l of their
-    denominators.  Then bc > 0 too (bc <= 0 would force a second zero
-    bend), so circle c, centered at (b_a - b_b, q) / (s b_c) with
-    s = b_a + b_b and q = |b_d - b_a - b_b - b_c|, lies above the x axis,
-    and q^2 = 4 (b_a b_b + b_c s) > 0: the two completions never coincide
-    here, and none of the degenerate cases of _complete_rows can arise."""
-    ((ia, ib, ic, id_),), l = integer_rows([(ba, bb, bc, bd)])
+def _place(ba, bb, bc, bd, exact):
+    """The canonical rows for Descartes bends ba >= bb >= bc >= bd with
+    ba, bb > 0.  Exact mode works on the bends times the LCM l of their
+    denominators and divides into Fractions; float mode runs the same
+    formulas on the floats with l = 1.
+
+    For exact bends bc > 0 too (bc <= 0 would force a second zero bend), so
+    circle c, centered at (b_a - b_b, q) / (s b_c) with s = b_a + b_b and
+    q = |b_d - b_a - b_b - b_c|, lies above the x axis, and
+    q^2 = 4 (b_a b_b + b_c s) > 0: the two completions never coincide here,
+    and none of the degenerate cases of _complete_rows can arise."""
+    if exact:
+        ((ia, ib, ic, id_),), l = integer_rows([(ba, bb, bc, bd)])
+        quotient = Fraction
+    else:
+        (ia, ib, ic, id_), l = (ba, bb, bc, bd), 1.0
+        quotient = truediv
     s = ia + ib
     q = abs(id_ - s - ic)
-    zero, one = Fraction(0), Fraction(1)
-    bbar = Fraction(4 * l, s)  # both other circles touch a and b at 0
-    x = Fraction(ia - ib, s)
+    zero, one = quotient(0, 1), quotient(1, 1)
+    bbar = quotient(4 * l, s)  # both other circles touch a and b at 0
+    x = quotient(ia - ib, s)
     # rows a and b fix bbar_d and x_d, and row c then gives y_d = y - 2 or
     # y + 2 as b_d is the smaller or the larger root of the Descartes
     # quadratic in b_d
-    y = Fraction(q, s)
-    y_d = Fraction(q - 2 * s if id_ < s + ic else q + 2 * s, s)
+    y = quotient(q, s)
+    y_d = quotient(q - 2 * s if id_ < s + ic else q + 2 * s, s)
     return [(zero, ba, one, zero), (zero, bb, -one, zero), (bbar, bc, x, y),
             (bbar, bd, x, y_d)]
-
-
-def _place_float(ba, bb, bc, bd, tol):
-    """The canonical rows in floats: circle c placed by its radii, and the
-    completion whose bend matches bd."""
-    one = 1.0
-    ra, rb, rc = one / ba, one / bb, one / bc
-    ax, bx = ra, -rb
-    cx = rc * (rb - ra) / (ra + rb)
-    cy = 2 * sqrt_scalar((ra + rb + rc) * ra * rb * rc) / (ra + rb)
-    circle_a = OrientedSphere(ba, (ax, 0 * one))
-    circle_b = OrientedSphere(bb, (bx, 0 * one))
-    circle_c = OrientedSphere(bc, (cx, cy))
-    rows3 = [augmented_coords(o).entries for o in (circle_a, circle_b, circle_c)]
-    sol1, sol2 = _complete_rows(rows3[0], rows3[1], rows3[2], FLOAT)
-    if near(sol1[1], bd, tol):
-        w4 = sol1
-    elif near(sol2[1], bd, tol):
-        w4 = sol2
-    else:
-        raise ValueError("no completion matches the fourth bend")
-    return rows3 + [w4]

@@ -3,11 +3,14 @@
 Matrices are tuples of row tuples (the largest one in this package is 7x7),
 with Fraction entries in exact mode and floats in float mode.  The few
 solvers needed here (inverse, affine solve, the tail search) are written out
-by hand.  Exact mode eliminates on Python ints, fraction-free: the rows are
-scaled by the LCM of their denominators, combined by cross multiplication
-and divided by their gcd, and only the results become Fractions.  The reduced row echelon form is unique, so exact results do not
+by hand, on one Gauss-Jordan elimination per mode that the inverse and the
+affine solve share.  Exact mode eliminates on Python ints, fraction-free:
+the rows are scaled by the LCM of their denominators, combined by cross
+multiplication and divided by their gcd, and only the results become
+Fractions.  The reduced row echelon form is unique, so exact results do not
 depend on the pivot order.  Float mode pivots on the largest absolute entry,
-first row on ties.
+first row on ties.  Both modes read the affine solution off the reduced rows
+the same way.
 """
 
 from fractions import Fraction
@@ -89,6 +92,51 @@ def _integer_rref(out, cols):
     return out, pivots
 
 
+def _float_rref(out, cols, zero_tol):
+    """Gauss-Jordan elimination of float rows (a list of lists, changed in
+    place), pivoting in the first cols columns on the largest absolute
+    entry, first row on ties; a column whose largest entry is within
+    zero_tol of zero gets no pivot.  Returns (rows, pivots) as
+    _integer_rref does, with every pivot entry 1."""
+    m = len(out)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == m:
+            break
+        pivot = max(range(r, m), key=lambda i: abs(out[i][c]))
+        if abs(out[pivot][c]) <= zero_tol:
+            continue
+        out[r], out[pivot] = out[pivot], out[r]
+        p = out[r][c]
+        prow = out[r] = [x / p for x in out[r]]
+        for i in range(m):
+            f = out[i][c]
+            if i != r and f != 0:
+                out[i] = [x - f * y for x, y in zip(out[i], prow)]
+        pivots.append(c)
+    return out, pivots
+
+
+def _solution(rows, pivots, cols, zero, d):
+    """(particular, kernel) of the reduced augmented rows [a | b] of a x = b
+    whose pivot entries all equal d: the particular solution and the kernel
+    basis vectors of solve_affine times d, as lists."""
+    particular = [zero] * cols
+    for row, c in zip(rows, pivots):
+        particular[c] = row[cols]
+    kernel = []
+    for c in range(cols):
+        if c in pivots:
+            continue
+        vec = [zero] * cols
+        vec[c] = d
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[c]
+        kernel.append(vec)
+    return particular, kernel
+
+
 def _integer_solve(aug):
     """(particular, kernel, d) for int augmented rows [a | b] of a x = b:
     the particular solution and the kernel basis vectors of solve_affine
@@ -99,19 +147,7 @@ def _integer_solve(aug):
         raise ValueError("inconsistent linear system")
     d = lcm(*[row[c] for row, c in zip(rows, pivots)])
     rows = [[x * (d // row[c]) for x in row] for row, c in zip(rows, pivots)]
-    particular = [0] * cols
-    for row, c in zip(rows, pivots):
-        particular[c] = row[cols]
-    kernel = []
-    for c in range(cols):
-        if c in pivots:
-            continue
-        vec = [0] * cols
-        vec[c] = d
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[c]
-        kernel.append(vec)
-    return particular, kernel, d
+    return (*_solution(rows, pivots, cols, 0, d), d)
 
 
 def mat_inv(a):
@@ -121,28 +157,19 @@ def mat_inv(a):
     k = len(a)
     if any(len(row) != k for row in a):
         raise ValueError("square matrix required")
+    eye = [[int(i == j) for j in range(k)] for i in range(k)]
     if mode == EXACT:
-        eye = [[int(i == j) for j in range(k)] for i in range(k)]
         rows, _ = integer_rows([row + e for row, e in zip(a, eye)])
         rows, pivots = _integer_rref(list(rows), k)
-        if len(pivots) < k:
-            raise ValueError("singular matrix")
+    else:
+        rows, pivots = _float_rref(
+            [row + list(map(float, e)) for row, e in zip(a, eye)], k, 0.0)
+    if len(pivots) < k:
+        raise ValueError("singular matrix")
+    if mode == EXACT:
         return tuple(tuple(Fraction(x, row[i]) for x in row[k:])
                      for i, row in enumerate(rows))
-    aug = [row + [1.0 if j == i else 0.0 for j in range(k)]
-           for i, row in enumerate(a)]
-    for col in range(k):
-        pivot = max(range(col, k), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            raise ValueError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        p = aug[col][col]
-        prow = aug[col] = [x / p for x in aug[col]]
-        for r in range(k):
-            f = aug[r][col]
-            if r != col and f != 0:
-                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
-    return tuple(tuple(row[k:]) for row in aug)
+    return tuple(tuple(row[k:]) for row in rows)
 
 
 def solve_affine(a, b):
@@ -165,39 +192,11 @@ def solve_affine(a, b):
                 [tuple(Fraction(x, d) for x in vec) for vec in kernel])
     cols = len(aug[0]) - 1
     zero_tol = 1e-12 * max(1.0, float(max_abs(a)))
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = max(range(r, rows), key=lambda i: abs(aug[i][c]), default=None)
-        if pivot is None or abs(aug[pivot][c]) <= zero_tol:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        p = aug[r][c]
-        prow = aug[r] = [x / p for x in aug[r]]
-        for i in range(rows):
-            f = aug[i][c]
-            if i != r and f != 0:
-                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if abs(aug[i][cols]) > zero_tol:
-            raise ValueError("inconsistent linear system")
-    particular = [0.0] * cols
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][cols]
-    kernel = []
-    for c in range(cols):
-        if c in pivots:
-            continue
-        vec = [0.0] * cols
-        vec[c] = 1.0
-        for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i][c]
-        kernel.append(tuple(vec))
-    return tuple(particular), kernel
+    aug, pivots = _float_rref(aug, cols, zero_tol)
+    if any(abs(row[cols]) > zero_tol for row in aug[len(pivots):]):
+        raise ValueError("inconsistent linear system")
+    particular, kernel = _solution(aug, pivots, cols, 0.0, 1.0)
+    return tuple(particular), [tuple(vec) for vec in kernel]
 
 
 def _assignment_patterns(dim):
@@ -347,15 +346,18 @@ def _float_tail_candidates(prev_tails, signs, pair_values, self_value):
                 yield t
 
 
-def realize_tails(first_options, signs, pair_value, self_value, count, exact,
-                  branch_limit=24):
+# distinct tail candidates tried per row before the search backs out
+BRANCH_LIMIT = 24
+
+
+def realize_tails(first_options, signs, pair_value, self_value, count, exact):
     """Depth-first search for count tails with prescribed diag-form products.
 
     pair_value(j, i) and self_value(i) prescribe <t_j, t_i> and <t_i, t_i>.
     The first tail is drawn from first_options; each later tail solves the
     linear conditions against the earlier ones and walks a deterministic
     list of kernel assignments for a root of its quadratic, branching over
-    at most branch_limit distinct candidates per row.  A greedy first choice
+    at most BRANCH_LIMIT distinct candidates per row.  A greedy first choice
     can strand a later row (picking a degenerate tail whose linear
     conditions become unsatisfiable), so failed branches are abandoned and
     the next candidate tried.  Exact mode searches on ints and builds
@@ -378,7 +380,7 @@ def realize_tails(first_options, signs, pair_value, self_value, count, exact,
         try:
             for k, t in enumerate(candidates(tails, signs, targets,
                                              self_value(i))):
-                if k >= branch_limit:
+                if k >= BRANCH_LIMIT:
                     break
                 result = search(tails + [t])
                 if result is not None:

@@ -208,7 +208,7 @@ def _draw_plane(circles, lines, box, options, comment=None):
     return _document(options, elements, labels, comment)
 
 
-def _plane_shapes(rows, bend_value):
+def _plane_shapes(rows):
     """Split augmented Euclidean-style rows into circle and line shape lists.
 
     rows yields (bbar, b, mx, my) floats plus the label value per row.
@@ -216,9 +216,9 @@ def _plane_shapes(rows, bend_value):
     circles, lines = [], []
     for bbar, b, mx, my, value in rows:
         if abs(b) <= _ZERO:
-            lines.append((mx, my, bbar / 2, value if bend_value else None))
+            lines.append((mx, my, bbar / 2, value))
         else:
-            circles.append((mx / b, my / b, 1 / b, value if bend_value else None))
+            circles.append((mx / b, my / b, 1 / b, value))
     return circles, lines
 
 
@@ -231,7 +231,7 @@ def render_euclidean(packing, options=None):
     if packing.n != 2:
         raise ValueError("rendering is implemented for n = 2 only")
     shaped = [(*f, e[1]) for f, e in _sorted_rows(packing)]
-    circles, lines = _plane_shapes(shaped, bend_value=True)
+    circles, lines = _plane_shapes(shaped)
     box = _world_box(circles, lines)
     return _draw_plane(circles, lines, box, options)
 
@@ -253,7 +253,7 @@ def render_hyperbolic_disk(packing, options=None):
             skipped += 1
             continue
         shaped.append((q0 - c, q0 + c, mx, my, e[0]))
-    circles, lines = _plane_shapes(shaped, bend_value=True)
+    circles, lines = _plane_shapes(shaped)
     if not any(
         abs(cx) <= _ZERO and abs(cy) <= _ZERO and abs(abs(r) - 1) <= _ZERO
         for cx, cy, r, _ in circles
@@ -320,7 +320,7 @@ def render_spherical(packing, options=None):
         return _orthographic(rows, options)
     # stereographic: (c, q0, m) -> Euclidean (c - q0, c + q0, m), pole at q0 axis
     shaped = [(c - q0, c + q0, mx, my, e[0]) for (c, q0, mx, my), e in rows]
-    circles, lines = _plane_shapes(shaped, bend_value=True)
+    circles, lines = _plane_shapes(shaped)
     box = _world_box(circles, lines)
     return _draw_plane(circles, lines, box, options)
 

@@ -164,6 +164,29 @@ def test_realize_float():
     assert _gram_ok(w)
 
 
+ROOTS = ((-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 4, 12, 13), (-3, 5, 8, 8),
+         (-4, 8, 9, 9), (-6, 10, 15, 19), (-10, 14, 35, 39), (-12, 21, 28, 37))
+
+
+def test_realize_float_keeps_the_bends():
+    # the rows carry the requested bends unchanged, also at 10^12, where
+    # the float Descartes residual is rounded by far more than 1e-9
+    for root in ROOTS:
+        for v in (root, tuple(-x for x in root)):
+            for s in (1.0, 1e12):
+                bends = tuple(s * x for x in v)
+                w = euclid.realize_curvature_vector(bends)
+                assert w.bends == bends
+                assert s > 1 or _gram_ok(w)
+
+
+def test_realize_exact_at_any_scale():
+    bends = tuple(F(x * 10 ** 200) for x in (-1, 2, 2, 3))
+    w = euclid.realize_curvature_vector(bends)
+    assert w.bends == bends
+    assert _gram_ok(w)
+
+
 def test_realize_rejects_non_descartes():
     with pytest.raises(ValueError):
         euclid.realize_curvature_vector((F(1), F(1), F(1), F(1)))

@@ -15,10 +15,17 @@ The second set is the realize path as it was on Fractions, before exact
 realization moved onto integers: solve_affine on lists, the tail search,
 bend_residual, the tangent-row realizer and the Euclidean realizer with its
 completion, again verbatim but for names.  There every output must be the
-same to the byte, in both modes.
+same to the byte, in both modes, except float Euclidean rows: those now come
+from the closed form of exact mode, and are checked against the exact rows
+and held within 1e-15 relative of the old ones.
+
+The third set is the float branches of mat_inv and solve_affine as they were
+before they shared one elimination, verbatim but for names.  Their results
+and errors must be the same to the bit.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -816,6 +823,39 @@ def _outcome_bytes(fn, *args):
     return (w.geometry, w.mode, repr([r.entries for r in w.rows]))
 
 
+def _max_rel_diff(rows, ref_rows):
+    """Largest entry difference over the largest absolute entry of ref_rows."""
+    scale = max(abs(x) for row in ref_rows for x in row)
+    return max(abs(a - b) for row, ref in zip(rows, ref_rows)
+               for a, b in zip(row, ref)) / scale
+
+
+def _check_float_euclidean(v, bends, ref):
+    """Float Euclidean rows come from the closed form of exact mode, not
+    from the reference's radii placement and completion: float mode must
+    fail exactly where exact mode fails, keep the requested bends, give the
+    float of every exact row where the float bends are the exact ones (up
+    to the sign of zero, which the orientation flip makes -0.0 in float
+    mode), and stay within 1e-15 relative of the exact rows and of every
+    row the reference still realizes."""
+    twin, twin_err = _outcome(apollonian.realize_bends, E, v)
+    w, err = _outcome(apollonian.realize_bends, E, bends)
+    assert (err is None) == (twin_err is None), (v, err, twin_err)
+    if err is not None:
+        return
+    assert w.mode == FLOAT and w.bends == bends, v
+    rows = [r.entries for r in w.rows]
+    exact_rows = [tuple(map(float, r.entries)) for r in twin.rows]
+    if all(Fraction(b) == x for b, x in zip(bends, v)):
+        assert repr([tuple(x + 0.0 for x in row) for row in rows]) == \
+            repr(exact_rows), v
+    else:
+        assert _max_rel_diff(rows, exact_rows) <= 1e-15, v
+    if not isinstance(ref[0], type):
+        ref_rows = [r.entries for r in REFERENCE_REALIZERS[E](bends).rows]
+        assert _max_rel_diff(rows, ref_rows) <= 1e-15, v
+
+
 @pytest.mark.parametrize("geometry,mode", CASES)
 def test_realize_bends_matches_reference(geometry, mode):
     exact = mode == EXACT
@@ -824,8 +864,11 @@ def test_realize_bends_matches_reference(geometry, mode):
         bends = v if exact else tuple(float(x) for x in v)
         new = _outcome_bytes(apollonian.realize_bends, geometry, bends)
         ref = _outcome_bytes(REFERENCE_REALIZERS[geometry], bends)
-        assert new == ref, (geometry, bends)
-        if isinstance(ref[0], type):
+        if (geometry, mode) == (E, FLOAT):
+            _check_float_euclidean(v, bends, ref)
+        else:
+            assert new == ref, (geometry, bends)
+        if isinstance(new[0], type):
             failed += 1
         else:
             realized += 1
@@ -879,3 +922,189 @@ def test_solve_affine_rejects_malformed_systems(mode):
     for a, b in (([], []), ([[one, 2 * one], [one]], [one, one])):
         with pytest.raises(ValueError):
             linalg.solve_affine(a, b)
+
+
+# --- the float eliminations, verbatim ------------------------------------
+
+def _reference_float_mat_inv(a):
+    """Gauss-Jordan inverse with partial pivoting, for float entries."""
+    a, mode = _ref_coerced_rows(a)
+    k = len(a)
+    if any(len(row) != k for row in a):
+        raise ValueError("square matrix required")
+    aug = [row + [1.0 if j == i else 0.0 for j in range(k)]
+           for i, row in enumerate(a)]
+    for col in range(k):
+        pivot = max(range(col, k), key=lambda r: abs(aug[r][col]))
+        if aug[pivot][col] == 0:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        p = aug[col][col]
+        prow = aug[col] = [x / p for x in aug[col]]
+        for r in range(k):
+            f = aug[r][col]
+            if r != col and f != 0:
+                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
+    return tuple(tuple(row[k:]) for row in aug)
+
+
+def _reference_float_solve_affine(a, b):
+    """All solutions of a x = b as (particular, kernel basis vectors), for
+    float systems; pivoting is by magnitude with a small threshold for rank
+    decisions.  The particular solution and the kernel vectors are tuples.
+    """
+    rows = len(a)
+    if len(b) != rows:
+        raise ValueError("right-hand side does not match the rows")
+    if not rows or any(len(row) != len(a[0]) for row in a):
+        raise ValueError("need at least one row, all of the same length")
+    aug, mode = _ref_coerced_rows([tuple(row) + (bi,)
+                                   for row, bi in zip(a, b)])
+    cols = len(aug[0]) - 1
+    zero_tol = 1e-12 * max(1.0, float(_ref_list_max_abs(a)))
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot = max(range(r, rows), key=lambda i: abs(aug[i][c]), default=None)
+        if pivot is None or abs(aug[pivot][c]) <= zero_tol:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        p = aug[r][c]
+        prow = aug[r] = [x / p for x in aug[r]]
+        for i in range(rows):
+            f = aug[i][c]
+            if i != r and f != 0:
+                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if abs(aug[i][cols]) > zero_tol:
+            raise ValueError("inconsistent linear system")
+    particular = [0.0] * cols
+    for i, c in enumerate(pivots):
+        particular[c] = aug[i][cols]
+    kernel = []
+    for c in range(cols):
+        if c in pivots:
+            continue
+        vec = [0.0] * cols
+        vec[c] = 1.0
+        for i, pc in enumerate(pivots):
+            vec[pc] = -aug[i][c]
+        kernel.append(tuple(vec))
+    return tuple(particular), kernel
+
+
+def _repr_outcome(fn, *args):
+    """repr of what fn returns, or the type and message of its error; equal
+    reprs mean bit-equal floats, signed zeros included."""
+    try:
+        return repr(fn(*args))
+    except ValueError as e:
+        return (type(e), str(e))
+
+
+def _random_float_rows(rng, m, k):
+    """m rows of k floats: small integers (so that eliminations cancel to
+    exact zeros), wide-range values, and +-0.0."""
+    def entry():
+        roll = rng.random()
+        if roll < 0.4:
+            return float(rng.randint(-3, 3))
+        if roll < 0.5:
+            return rng.choice((0.0, -0.0))
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6)
+    return [[entry() for _ in range(k)] for _ in range(m)]
+
+
+def _random_float_systems():
+    """(a, b) systems of a fixed seed: full rank, rank-deficient (a row
+    repeated or a combination of two others), inconsistent (a repeated row
+    with another right-hand side), square, under- and overdetermined."""
+    rng = random.Random(20011)
+    out = []
+    for _ in range(1200):
+        m, k = rng.randint(1, 6), rng.randint(1, 7)
+        a = _random_float_rows(rng, m, k)
+        b = _random_float_rows(rng, 1, m)[0]
+        roll = rng.random()
+        if m >= 2 and roll < 0.3:
+            i, j = rng.sample(range(m), 2)
+            a[i] = list(a[j])
+            b[i] = b[j] if rng.random() < 0.5 else b[j] + 1.0
+        elif m >= 3 and roll < 0.5:
+            i, j, l = rng.sample(range(m), 3)
+            f = float(rng.randint(-2, 2))
+            a[i] = [x + f * y for x, y in zip(a[j], a[l])]
+            b[i] = b[j] + f * b[l]
+        out.append((a, b))
+    return out
+
+
+def _random_square_matrices():
+    """Square float matrices of a fixed seed, a third of them made singular
+    by a repeated row, a zero column or a row combination."""
+    rng = random.Random(20012)
+    out = []
+    for _ in range(800):
+        k = rng.randint(1, 7)
+        a = _random_float_rows(rng, k, k)
+        roll = rng.random()
+        if k >= 2 and roll < 0.1:
+            i, j = rng.sample(range(k), 2)
+            a[i] = list(a[j])
+        elif roll < 0.2:
+            c = rng.randrange(k)
+            for row in a:
+                row[c] = rng.choice((0.0, -0.0))
+        elif k >= 3 and roll < 0.3:
+            i, j, l = rng.sample(range(k), 3)
+            a[i] = [x - y for x, y in zip(a[j], a[l])]
+        out.append(a)
+    return out
+
+
+def _tail_search_systems(geometry, monkeypatch):
+    """Every system the float tail search hands to solve_affine while
+    realizing the float bend vectors of the geometry."""
+    seen = []
+    solve = linalg.solve_affine
+
+    def recording(a, b):
+        seen.append(([list(row) for row in a], list(b)))
+        return solve(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "solve_affine", recording)
+        for v in _bend_vectors(geometry):
+            _outcome_bytes(apollonian.realize_bends, geometry,
+                           tuple(float(x) for x in v))
+    return seen
+
+
+def test_float_solve_affine_matches_reference(monkeypatch):
+    systems = _random_float_systems()
+    searched = _tail_search_systems(S, monkeypatch) + \
+        _tail_search_systems(H, monkeypatch)
+    assert len(searched) >= 400
+    inconsistent = deficient = 0
+    for a, b in systems + searched:
+        new = _repr_outcome(linalg.solve_affine, a, b)
+        assert new == _repr_outcome(_reference_float_solve_affine, a, b), \
+            (a, b)
+        if isinstance(new, tuple):
+            inconsistent += 1
+        elif "), [(" in new:
+            deficient += 1
+    assert inconsistent >= 50 and deficient >= 500, (inconsistent, deficient)
+
+
+def test_float_mat_inv_matches_reference():
+    singular = 0
+    for a in _random_square_matrices():
+        new = _repr_outcome(linalg.mat_inv, a)
+        assert new == _repr_outcome(_reference_float_mat_inv, a), a
+        singular += isinstance(new, tuple)
+    assert singular >= 100, singular
