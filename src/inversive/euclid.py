@@ -16,10 +16,15 @@ forms.augmented_gram_target).
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
+from sys import float_info
 
 from . import forms, linalg
 from .scalars import (DEFAULT_TOL, EXACT, coerce, coerce_row, div,
                       integer_rows, mode_of, near, sqrt_scalar)
+
+# the bound on the Descartes residual of float bends scaled to at most 1:
+# the rounding of the bends and of the residual's sums of squares
+ROUNDING = 64 * float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -269,8 +274,9 @@ def _realize_strip(bends, mode):
 def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     """Construct one planar configuration with the prescribed bend vector.
 
-    The bends must satisfy the Descartes relation; float bends up to tol
-    times the square of their largest magnitude (at least 1).  Placement is
+    The bends must satisfy the Descartes relation; float bends up to tol,
+    or up to ROUNDING times the square of their largest magnitude (at least
+    1), the rounding error of bends that large.  Placement is
     canonical: the two largest bends b_a >= b_b become circles tangent at
     the origin with centers on the x axis, the third circle b_c sits in the
     upper half plane, and the remaining row is the one with bend b_d.  A
@@ -291,11 +297,11 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     mode = mode_of(bends)
     bends = coerce_row(bends, mode)
     residual = descartes_check(bends)
-    # a float residual carries the rounding error of the squared bends; an
-    # exact one is compared with zero exactly, and a float bound made from
-    # exact bends past 1e154 would overflow
-    bound = tol if mode == EXACT else tol * max(1.0, *map(abs, bends)) ** 2
-    if not near(residual, 0, bound):
+    # float bends of size m cannot meet the relation closer than its
+    # rounding error, a few eps times m^2; dividing by m twice neither
+    # overflows nor rounds an exact residual
+    m = max(1, *map(abs, bends))
+    if not (near(residual, 0, tol) or near(residual / m / m, 0, ROUNDING)):
         raise ValueError(f"bends violate the Descartes relation by {residual}")
     if all(b == 0 for b in bends):
         raise ValueError("the zero vector is not a bend vector")

@@ -157,19 +157,20 @@ def mat_inv(a):
     k = len(a)
     if any(len(row) != k for row in a):
         raise ValueError("square matrix required")
-    eye = [[int(i == j) for j in range(k)] for i in range(k)]
     if mode == EXACT:
-        rows, _ = integer_rows([row + e for row, e in zip(a, eye)])
+        rows, _ = integer_rows(
+            [row + [int(i == j) for j in range(k)] for i, row in enumerate(a)])
         rows, pivots = _integer_rref(list(rows), k)
+        if len(pivots) == k:
+            return tuple(tuple(Fraction(x, row[i]) for x in row[k:])
+                         for i, row in enumerate(rows))
     else:
         rows, pivots = _float_rref(
-            [row + list(map(float, e)) for row, e in zip(a, eye)], k, 0.0)
-    if len(pivots) < k:
-        raise ValueError("singular matrix")
-    if mode == EXACT:
-        return tuple(tuple(Fraction(x, row[i]) for x in row[k:])
-                     for i, row in enumerate(rows))
-    return tuple(tuple(row[k:]) for row in rows)
+            [row + [float(i == j) for j in range(k)] for i, row in enumerate(a)],
+            k, 0.0)
+        if len(pivots) == k:
+            return tuple(tuple(row[k:]) for row in rows)
+    raise ValueError("singular matrix")
 
 
 def solve_affine(a, b):

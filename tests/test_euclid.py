@@ -180,6 +180,22 @@ def test_realize_float_keeps_the_bends():
                 assert s > 1 or _gram_ok(w)
 
 
+def test_realize_float_rejects_bends_off_the_relation():
+    # off by 1e-4 in the bend 3, where the residual is quadratic in the
+    # error: 5e-9 at scale 1, 5e-3 at scale 10^3; beyond 1e-9 absolute and
+    # beyond rounding relative to the squared bends
+    for s in (1.0, 1e3):
+        with pytest.raises(ValueError, match="Descartes relation"):
+            euclid.realize_curvature_vector((-s, 2 * s, 2 * s, 3.0001 * s))
+    # within 1e-9 absolute (residual 4.5e-10), as float bends carried over
+    # from an earlier computation may be
+    bends = (-1.0, 2.0, 2.0, 3.00003)
+    assert euclid.realize_curvature_vector(bends).bends == bends
+    # squares past the float range: a nan residual, not an OverflowError
+    with pytest.raises(ValueError, match="Descartes relation"):
+        euclid.realize_curvature_vector((-1e200, 2e200, 2e200, 3e200))
+
+
 def test_realize_exact_at_any_scale():
     bends = tuple(F(x * 10 ** 200) for x in (-1, 2, 2, 3))
     w = euclid.realize_curvature_vector(bends)

@@ -296,6 +296,16 @@ def test_gen_rejects_non_descartes_seed(capsys):
     assert "error: bends violate the Descartes relation by -4" in err
 
 
+def test_gen_rejects_a_float_seed_past_the_float_range(capsys):
+    code, _, err = run(
+        ["gen", "--mode", "float", "--geometry", "euclidean",
+         "--seed=-1e200,2e200,2e200,3e200", "--max-bend", "1"],
+        capsys,
+    )
+    assert code == 1
+    assert "error: bends violate the Descartes relation" in err
+
+
 def test_gen_requires_a_seed_source(capsys):
     code, _, err = run(["gen", "--max-bend", "5"], capsys)
     assert code == 1
