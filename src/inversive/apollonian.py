@@ -11,6 +11,13 @@ entry stays within a bound, produces the packing; always reflecting at the
 row of minimal bend (the largest sphere) produces the loxodromic sequence
 with its fourth order recurrence.
 
+For n = 2 the four reflections generate a free product of four copies of
+Z/2 (Graham, Lagarias, Mallows, Wilks, Yan, geometry and group theory I),
+so the closure is a tree: a walk that never reflects back at the index that
+produced a configuration meets no configuration twice, and needs no
+deduplication.  In higher dimensions the group has further relations, and
+generate() deduplicates configurations and rows.
+
 A bend bound alone does not always make the closure finite.  A strip
 configuration in the plane, or a hyperbolic packing containing horocycle
 chains along the ideal boundary, contains infinitely many congruent copies
@@ -21,10 +28,11 @@ caps and reports truncation instead of looping forever.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
-                      integer_rows, mode_of, near, sqrt_scalar)
+                      integer_rows, mode_of, near, negligible, sqrt_scalar)
 
 
 def reflection_matrix(n, i, mode=EXACT):
@@ -41,10 +49,12 @@ def reflection_matrix(n, i, mode=EXACT):
 
 
 def _column_sums(entry_rows):
+    # chained map(add) adds each column left to right, as sum() would not
+    # for floats, and builds one tuple
     total = entry_rows[0]
     for row in entry_rows[1:]:
-        total = tuple(a + b for a, b in zip(total, row))
-    return total
+        total = map(add, total, row)
+    return tuple(total)
 
 
 def _reflect_entries(entry_rows, i, coeff):
@@ -83,7 +93,8 @@ def reflect(w, i, validate=False, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class Packing:
-    """Deduplicated closure of a seed under reflections, within a bound."""
+    """Closure of a seed under reflections, within a bound: the distinct
+    circles of the configurations reached."""
 
     geometry: str
     n: int
@@ -104,7 +115,11 @@ class Packing:
 def _row_key(entries, exact):
     if exact:
         return entries
-    return tuple(round(float(x), 6) for x in entries)
+    return tuple([round(x, 6) for x in entries])
+
+
+def _config_key(entry_rows, exact):
+    return tuple(sorted(_row_key(r, exact) for r in entry_rows))
 
 
 def _integral(q):
@@ -112,17 +127,29 @@ def _integral(q):
     return int(q) if q.denominator == 1 else q
 
 
+class _Unscaled(dict):
+    """{x: Fraction(x, scale)}, filled as entries are looked up, so equal
+    entries of a walk share one Fraction."""
+
+    def __init__(self, scale):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, x):
+        value = self[x] = (Fraction(x) if self.scale == 1
+                           else Fraction(x, self.scale))
+        return value
+
+
 def _scaled_rows(entry_rows):
     """(rows, scale, unscaled) for exact rows: the int rows and the scale
     of scalars.integer_rows, and the function that divides such a row back
     into Fractions."""
     rows, scale = integer_rows(entry_rows)
-    if scale == 1:
-        def unscaled(row):
-            return tuple(map(Fraction, row))
-    else:
-        def unscaled(row):
-            return tuple(Fraction(x, scale) for x in row)
+    fraction = _Unscaled(scale).__getitem__
+
+    def unscaled(row):
+        return tuple(map(fraction, row))
     return rows, scale, unscaled
 
 
@@ -130,16 +157,38 @@ def _unchanged(row):
     return row
 
 
+def _check_seed(seed, tol):
+    """Raise ValueError unless the seed meets its Gram identity within tol,
+    or within the rounding of float entries as large as its own."""
+    n, mode = seed.n, seed.mode
+    res = forms.check_identity(seed, forms.descartes_form(n, mode),
+                               forms.target_for(seed.geometry, n, mode), tol)
+    if not negligible(res.max_abs_entry_error,
+                      (x for r in seed.rows for x in r.entries), tol):
+        raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
+
+
 def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
              tol=DEFAULT_TOL):
-    """Breadth-first closure of a seed under all reflections.
+    """Level-order closure of a seed under all reflections.
 
     New rows are kept while the absolute value of their bend entry is at
     most bound; in float mode a bend within tol * max(1, bound) above the
     bound counts as on it, so rounding does not drop circles that exact mode
-    keeps.  Configurations are deduplicated by their sorted row key (exact
-    rows, or rows rounded to 1e-6 in float mode).  Levels are expanded in
-    order, so the result is deterministic.
+    keeps.  Levels are expanded in order, so the result is deterministic;
+    rows are returned sorted (float rows by their entries rounded to 1e-6).
+
+    Each configuration remembers the index whose reflection produced it and
+    is not reflected at that index again, since that only rebuilds its
+    parent.  For n = 2 that is all the deduplication needed: the reflections
+    generate a free product of four copies of Z/2 (Graham, Lagarias,
+    Mallows, Wilks, Yan), so every configuration is reached by exactly one
+    word without repeated letters, and the walk is a tree.  Each kept child
+    then adds exactly one new circle, and the rows are the seed rows plus
+    one per child.  For n >= 3 the group has further relations and the same
+    configuration is reached by different words, so configurations are
+    deduplicated by their sorted row keys (exact rows, or rows rounded to
+    1e-6 in float mode), and rows by their keys.
 
     Exact mode walks on integers: the seed rows are multiplied by the least
     common multiple of their denominators, and since the reflection
@@ -147,12 +196,9 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     is then an int vector (for other n the same loop runs on Fractions).
     The bound is scaled alike, and scaling by a positive number keeps the
     sorted order of rows and keys, so only the rows and configurations put
-    into the returned Packing are divided back into Fractions.
-
-    Each configuration remembers the index whose reflection produced it and
-    is not reflected at that index again, since that only rebuilds its
-    parent.  The column sums are formed once per configuration, and a child
-    row is built only when its bend is within the bound.
+    into the returned Packing are divided back into Fractions.  The column
+    sums are formed once per configuration, and a child row is built only
+    when its bend is within the bound.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
@@ -165,11 +211,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         raise ValueError("generation needs n >= 2")
     mode = seed.mode
     exact = mode == EXACT
-    q = forms.descartes_form(n, mode)
-    res = forms.check_identity(seed, q, forms.target_for(seed.geometry, n, mode),
-                               tol)
-    if not res.ok:
-        raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
+    _check_seed(seed, tol)
     coeff = coerce(2, mode) / (n - 1)
     col = forms.bend_column(seed.geometry)
     seed_rows = tuple(r.entries for r in seed.rows)
@@ -185,16 +227,20 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
 
-    seed_keys = tuple(_row_key(r, exact) for r in seed_rows)
-    seed_key = tuple(sorted(seed_keys))
-    seen_configs = {seed_key}
-    kept_configs = {seed_key: seed_rows} if keep_configs else None
-    row_map = {}
-    for k, r in zip(seed_keys, seed_rows):
-        row_map.setdefault(k, r)
+    def reflected(t, x):
+        return coeff * (t - x) - x
 
-    # (rows, row keys, index that produced it; -1 for the seed)
+    dedup = n > 2
+    seed_keys = tuple(_row_key(r, exact) for r in seed_rows) if dedup else None
+    seen_configs = {tuple(sorted(seed_keys))} if dedup else None
+    seen_rows = set(seed_keys) if dedup else None
+    kept_configs = ({_config_key(seed_rows, exact): seed_rows}
+                    if keep_configs else None)
+    rows = list(seed_rows)
+
+    # (rows, row keys for n >= 3, index that produced it; -1 for the seed)
     frontier = [(seed_rows, seed_keys, -1)]
+    found = 1  # configurations, the seed included
     explored = 0
     depth = 0
     truncated = False
@@ -213,20 +259,28 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                 old = entry_rows[i]
                 if abs(coeff * (total_bend - old[col]) - old[col]) > limit:
                     continue
-                new = tuple(coeff * (t - x) - x for t, x in zip(total, old))
-                new_key = _row_key(new, exact)
-                child_keys = entry_keys[:i] + (new_key,) + entry_keys[i + 1:]
-                key = tuple(sorted(child_keys))
-                if key in seen_configs:
-                    continue
-                if max_configs is not None and len(seen_configs) >= max_configs:
+                new = tuple(map(reflected, total, old))
+                child_keys = key = None
+                if dedup:
+                    new_key = _row_key(new, exact)
+                    child_keys = entry_keys[:i] + (new_key,) + entry_keys[i + 1:]
+                    key = tuple(sorted(child_keys))
+                    if key in seen_configs:
+                        continue
+                if max_configs is not None and found >= max_configs:
                     truncated = True
                     break
-                seen_configs.add(key)
+                found += 1
                 child = entry_rows[:i] + (new,) + entry_rows[i + 1:]
+                if not dedup:
+                    rows.append(new)
+                else:
+                    seen_configs.add(key)
+                    if new_key not in seen_rows:
+                        seen_rows.add(new_key)
+                        rows.append(new)
                 if keep_configs:
-                    kept_configs[key] = child
-                row_map.setdefault(new_key, new)
+                    kept_configs[key if dedup else _config_key(child, exact)] = child
                 next_frontier.append((child, child_keys, i))
             if truncated:
                 break
@@ -235,8 +289,9 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
             break
         frontier = next_frontier
 
-    sorted_rows = tuple(forms.CoordRow(seed.geometry, unscaled(row_map[k]))
-                        for k in sorted(row_map))
+    rows.sort(key=None if exact else lambda r: _row_key(r, False))
+    sorted_rows = tuple(forms.CoordRow(seed.geometry, unscaled(row))
+                        for row in rows)
     configs = None
     if keep_configs:
         configs = tuple(
@@ -267,11 +322,7 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
         raise ValueError("step count must be nonnegative")
     n = seed.n
     mode = seed.mode
-    q = forms.descartes_form(n, mode)
-    res = forms.check_identity(seed, q, forms.target_for(seed.geometry, n, mode),
-                               tol)
-    if not res.ok:
-        raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
+    _check_seed(seed, tol)
     coeff = coerce(2, mode) / (n - 1)
     col = forms.bend_column(seed.geometry)
     entry_rows = tuple(r.entries for r in seed.rows)
@@ -304,6 +355,27 @@ def recurrence_check(seq, tol=1e-6):
         if not near(bends[j], predicted, tol):
             return False
     return True
+
+
+def root_quadruple(bends):
+    """The root of an exact Descartes quadruple: oriented to a positive bend
+    sum, then reflected at its largest bend while that lowers it (Graham,
+    Lagarias, Mallows, Wilks, Yan, number theory).
+
+    Each step lowers the bend sum by a positive multiple of the reciprocal
+    of the common denominator of the bends, and the sum stays positive, so
+    the reduction ends.  A packing with a root of two zero bends, the strip
+    (0, 0, c, c), contains infinitely many circles at every bound.
+    """
+    v = list(bends)
+    if sum(v) < 0:
+        v = [-b for b in v]
+    while True:
+        i = max(range(len(v)), key=v.__getitem__)
+        new = 2 * (sum(v) - v[i]) - v[i]
+        if new >= v[i]:
+            return tuple(v)
+        v[i] = new
 
 
 @dataclass(frozen=True)

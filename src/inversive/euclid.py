@@ -16,15 +16,10 @@ forms.augmented_gram_target).
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
-from sys import float_info
 
 from . import forms, linalg
 from .scalars import (DEFAULT_TOL, EXACT, coerce, coerce_row, div,
-                      integer_rows, mode_of, near, sqrt_scalar)
-
-# the bound on the Descartes residual of float bends scaled to at most 1:
-# the rounding of the bends and of the residual's sums of squares
-ROUNDING = 64 * float_info.epsilon
+                      integer_rows, mode_of, near, negligible, sqrt_scalar)
 
 
 @dataclass(frozen=True)
@@ -275,8 +270,8 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     """Construct one planar configuration with the prescribed bend vector.
 
     The bends must satisfy the Descartes relation; float bends up to tol,
-    or up to ROUNDING times the square of their largest magnitude (at least
-    1), the rounding error of bends that large.  Placement is
+    or up to scalars.ROUNDING times the square of their largest magnitude
+    (at least 1), the rounding error of bends that large.  Placement is
     canonical: the two largest bends b_a >= b_b become circles tangent at
     the origin with centers on the x axis, the third circle b_c sits in the
     upper half plane, and the remaining row is the one with bend b_d.  A
@@ -297,11 +292,7 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     mode = mode_of(bends)
     bends = coerce_row(bends, mode)
     residual = descartes_check(bends)
-    # float bends of size m cannot meet the relation closer than its
-    # rounding error, a few eps times m^2; dividing by m twice neither
-    # overflows nor rounds an exact residual
-    m = max(1, *map(abs, bends))
-    if not (near(residual, 0, tol) or near(residual / m / m, 0, ROUNDING)):
+    if not negligible(residual, bends, tol):
         raise ValueError(f"bends violate the Descartes relation by {residual}")
     if all(b == 0 for b in bends):
         raise ValueError("the zero vector is not a bend vector")

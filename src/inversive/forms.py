@@ -21,7 +21,7 @@ from operator import mul
 
 from . import linalg
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, all_exact, coerce,
-                      coerce_row, integer_rows, mode_of, near)
+                      coerce_row, integer_rows, mode_of, near, negligible)
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
@@ -364,7 +364,8 @@ def _realize_tangent_rows(geometry, bends, n, first_tails):
     entries of the first-tail candidates, zero-padded to full length; later
     tails come from linalg.realize_tails, which backtracks out of tail
     choices that strand a later row.  Exact bends give an exact matrix or a
-    ValueError.
+    ValueError.  Float bends must meet the bend relation up to DEFAULT_TOL
+    or up to the rounding of float values as large as theirs.
     """
     bends = tuple(bends)
     if n is None:
@@ -375,7 +376,7 @@ def _realize_tangent_rows(geometry, bends, n, first_tails):
     mode = mode_of(bends)
     c = coerce_row(bends, mode)
     residual = bend_residual(geometry, c)
-    if not near(residual, 0, DEFAULT_TOL):
+    if not negligible(residual, c):
         raise ValueError(f"{name} values violate the bend relation by {residual}")
     k = CURVATURE_SIGN[geometry]
     one = coerce(1, mode)

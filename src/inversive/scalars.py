@@ -7,8 +7,14 @@ mode; the helpers here are the only place the two modes are told apart.
 
 import math
 from fractions import Fraction
+from sys import float_info
 
 DEFAULT_TOL = 1e-9
+
+# the bound on the residual of a quadratic relation in float values scaled
+# to at most 1: the rounding of the values and of the residual's sums of
+# products
+ROUNDING = 64 * float_info.epsilon
 
 EXACT = "exact"
 FLOAT = "float"
@@ -104,3 +110,18 @@ def near(x, y, tol=DEFAULT_TOL):
     if is_exact(x) and is_exact(y):
         return x == y
     return abs(x - y) <= tol
+
+
+def negligible(residual, values, tol=DEFAULT_TOL):
+    """Whether the residual of a relation quadratic in values is zero:
+    within tol, or within ROUNDING after dividing by m = max(1, max|values|)
+    twice, the rounding error of float values of size m.
+
+    Dividing neither overflows nor rounds an exact residual, so exact
+    residuals must be zero, and a nan residual is never negligible.  The
+    values are only read when the residual is not within tol.
+    """
+    if near(residual, 0, tol):
+        return True
+    m = max(1, max(map(abs, values)))
+    return near(residual / m / m, 0, ROUNDING)

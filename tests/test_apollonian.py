@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from inversive import apollonian, forms, shell
+from inversive import apollonian, euclid, forms, shell
 from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
 
 
@@ -310,6 +310,75 @@ def test_generate_max_depth_truncates(euclid_seed):
     assert p.depth == 2
     assert p.truncated
     assert len(p.rows) == 20
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("geometry,bends,bound", (
+    (forms.EUCLIDEAN, (-1, 2, 2, 3), 300),
+    (forms.EUCLIDEAN, (F(-1, 2), 1, 1, F(3, 2)), 40),
+    (forms.SPHERICAL, (0, 1, 1, 2), 100),
+    (forms.HYPERBOLIC, (-2, 3, 5, 6), 100)))
+def test_generate_n2_is_a_tree(geometry, bends, bound, mode):
+    # the reflections of an n = 2 configuration generate a free product of
+    # four copies of Z/2: every configuration after the seed adds one new
+    # circle, and no circle comes twice
+    seed = apollonian.realize_bends(geometry, tuple(map(F, bends)))
+    if mode == FLOAT:
+        seed, bound = _float_twin(seed), float(bound)
+    p = apollonian.generate(seed, bound)
+    assert not p.truncated
+    assert len(p.rows) == p.explored + 3
+    assert len({r.entries for r in p.rows}) == len(p.rows)
+    assert len({apollonian._row_key(r.entries, False)
+                for r in p.rows}) == len(p.rows)
+
+
+def _moved(seed, s, t):
+    """seed dilated by s about the origin, then translated by t."""
+    objs = euclid.objects_from_config(seed)
+    return euclid.config_from_objects(
+        [euclid.translate(euclid.scale(o, s), t) for o in objs])
+
+
+_MOVES = {"t=(12345/7,-3/11)": (F(1), (F(12345, 7), F(-3, 11))),
+          "s=1e7,t=(1/3,2/7)s": (F(10**7), (F(10**7, 3), F(2 * 10**7, 7)))}
+
+
+@pytest.mark.parametrize("move", sorted(_MOVES))
+def test_generate_accepts_float_roundings_of_moved_seeds(move):
+    # the Gram residual of a rounded seed grows with the square of its
+    # entries; an absolute 1e-9 rejected both (residuals 0.022 and 0.0625)
+    s, t = _MOVES[move]
+    seed = _moved(apollonian.standard_seed(forms.EUCLIDEAN), s, t)
+    fl = _float_twin(seed)
+    exact = apollonian.generate(seed, 300 / s)
+    rounded = apollonian.generate(fl, float(300 / s))
+    assert len(exact.rows) == len(rounded.rows) == 695
+    assert sorted(map(float, exact.bends)) == pytest.approx(
+        sorted(rounded.bends), rel=1e-9)
+    assert apollonian.loxodromic(fl, 5).bends == pytest.approx(
+        apollonian.loxodromic(seed, 5).bends, rel=1e-9)
+    rows = [list(r.entries) for r in fl.rows]
+    rows[2][0] *= 1 + 1e-6
+    off = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows, mode=FLOAT)
+    with pytest.raises(ValueError, match="invalid seed"):
+        apollonian.generate(off, float(300 / s))
+    with pytest.raises(ValueError, match="invalid seed"):
+        apollonian.loxodromic(off, 5)
+
+
+def test_root_quadruple():
+    assert apollonian.root_quadruple((-1, 2, 2, 3)) == (-1, 2, 2, 3)
+    assert apollonian.root_quadruple((15, 2, 2, 3)) == (-1, 2, 2, 3)
+    assert apollonian.root_quadruple((-3, -2, -2, 1)) == (3, 2, 2, -1)
+    assert apollonian.root_quadruple((4, 0, 1, 1)) == (0, 0, 1, 1)
+    assert apollonian.root_quadruple((0, 1, 1, 4)) == (0, 1, 1, 0)
+    assert apollonian.root_quadruple(
+        (F(15, 2), 1, 1, F(3, 2))) == (F(-1, 2), 1, 1, F(3, 2))
+    w = apollonian.standard_seed(forms.EUCLIDEAN)
+    for i in (3, 0, 2, 1, 3, 0):
+        w = apollonian.reflect(w, i)
+    assert apollonian.root_quadruple(w.bends) == (-1, 2, 2, 3)
 
 
 def test_generate_strip_needs_cap():

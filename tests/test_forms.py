@@ -206,3 +206,39 @@ def test_lorentz_like_form():
         [0, 0, 1, 0],
         [0, 0, 0, 1],
     ]
+
+
+@pytest.mark.parametrize("geometry,bends,realized", (
+    (forms.SPHERICAL, (0, 1, 1, 2), 45),
+    (forms.HYPERBOLIC, (-2, 3, 5, 6), 46)))
+def test_float_tangent_rows_accept_rounded_walk_vectors(geometry, bends,
+                                                        realized):
+    # the loxodromic walk passes 10^12 within 60 steps; every bend vector on
+    # it meets the relation, so float mode may not reject one for its
+    # residual, which is float rounding that grows with the square of the
+    # bends (the tail search may still find no realization)
+    seed = apollonian.realize_bends(geometry, tuple(map(F, bends)))
+    count = 0
+    for w in apollonian.loxodromic(seed, 60).configs:
+        try:
+            apollonian.realize_bends(geometry, tuple(map(float, w.bends)))
+        except ValueError as e:
+            assert "violate" not in str(e), w.bends
+        else:
+            count += 1
+    assert count == realized
+
+
+@pytest.mark.parametrize("geometry,bends,moved", (
+    (forms.SPHERICAL, (0, 1, 1, 2), 1e-4 / 2),
+    (forms.SPHERICAL, (2494144, 103325, 298613, 863010), 1e-9),
+    (forms.HYPERBOLIC, (132782, 383751, 1109049, 45942), 1e-9)))
+def test_float_tangent_rows_reject_near_misses(geometry, bends, moved):
+    # the last two vectors lie on the loxodromic walks from (0, 1, 1, 2) and
+    # (-2, 3, 5, 6); each vector's largest entry is moved by moved relative
+    assert forms.bend_residual(geometry, tuple(map(F, bends))) == 0
+    near_miss = list(map(float, bends))
+    i = max(range(4), key=near_miss.__getitem__)
+    near_miss[i] *= 1 + moved
+    with pytest.raises(ValueError, match="violate the bend relation"):
+        apollonian.realize_bends(geometry, tuple(near_miss))

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -321,6 +322,29 @@ def test_gen_strip_truncates(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out_path.read_text().splitlines()[0])["truncated"] is True
+
+
+@pytest.mark.parametrize("command", ("gen", "render"))
+@pytest.mark.parametrize("seed", ("0,0,1,1", "4,0,1,1", "-1/2,-1/2,0,0"))
+def test_gen_without_a_cap_refuses_a_strip(command, seed, capsys):
+    # the root quadruple of each seed is a strip, infinite at bound 1
+    t0 = time.perf_counter()
+    code, out, err = run([command, "--geometry", "euclidean", f"--seed={seed}",
+                          "--max-bend", "1"], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert "is a strip" in err and "--max-configs or --max-depth" in err
+
+
+def test_gen_without_a_cap_keeps_a_strip_below_its_bends(capsys):
+    # below the bend of its circles a strip's closure is finite
+    code, out, _ = run(["gen", "--geometry", "euclidean", "--seed=4,0,1,1",
+                        "--max-bend", "1/2"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert json.loads(lines[0])["truncated"] is False
+    assert sorted(json.loads(line)["bend"] for line in lines[1:]) == \
+        ["0", "0", "1", "1", "4"]
 
 
 def test_convert_then_verify_pipeline(tmp_path, capsys, euclid_seed):
