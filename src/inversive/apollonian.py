@@ -128,17 +128,22 @@ def _integral(q):
 
 
 class _Unscaled(dict):
-    """{x: Fraction(x, scale)}, filled as entries are looked up, so equal
-    entries of a walk share one Fraction."""
+    """{x: Fraction(x, scale)} for the int entries of rows scaled by
+    scalars.integer_rows, filled as entries are looked up, so equal entries
+    share one Fraction; row() divides a whole row."""
 
     def __init__(self, scale):
         super().__init__()
         self.scale = scale
 
     def __missing__(self, x):
+        # Fraction(x) skips the gcd that Fraction(x, 1) pays
         value = self[x] = (Fraction(x) if self.scale == 1
                            else Fraction(x, self.scale))
         return value
+
+    def row(self, row):
+        return tuple(map(self.__getitem__, row))
 
 
 def _scaled_rows(entry_rows):
@@ -146,10 +151,12 @@ def _scaled_rows(entry_rows):
     of scalars.integer_rows, and the function that divides such a row back
     into Fractions."""
     rows, scale = integer_rows(entry_rows)
-    fraction = _Unscaled(scale).__getitem__
-
-    def unscaled(row):
-        return tuple(map(fraction, row))
+    if scale == 1:
+        def unscaled(row):
+            return tuple(map(Fraction, row))
+    else:
+        def unscaled(row):
+            return tuple(Fraction(x, scale) for x in row)
     return rows, scale, unscaled
 
 
@@ -159,13 +166,49 @@ def _unchanged(row):
 
 def _check_seed(seed, tol):
     """Raise ValueError unless the seed meets its Gram identity within tol,
-    or within the rounding of float entries as large as its own."""
+    or entry by entry within the rounding of float entries as large as
+    its own.
+
+    Entry (i, j) of W^T Q W is bilinear in columns i and j of W, and the
+    columns of a seed can differ in size by orders of magnitude (the
+    Euclidean bar-bend grows with the square of the distance from the
+    origin, the bend does not), so each entry is scaled by its own two
+    columns.
+    """
     n, mode = seed.n, seed.mode
     res = forms.check_identity(seed, forms.descartes_form(n, mode),
                                forms.target_for(seed.geometry, n, mode), tol)
-    if not negligible(res.max_abs_entry_error,
-                      (x for r in seed.rows for x in r.entries), tol):
+    if res.ok:
+        return
+    cols = tuple(zip(*(r.entries for r in seed.rows)))
+    if not all(negligible(d, cols[i], tol, cols[j])
+               for i, row in enumerate(res.entrywise)
+               for j, d in enumerate(row)):
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
+
+
+class InfiniteClosure(ValueError):
+    """The closure of a seed within a bound is infinite, and no cap was
+    given."""
+
+
+def _check_finite(seed, bound):
+    """Raise InfiniteClosure if the uncapped walk of generate() from an
+    exact Euclidean n = 2 seed reaches a strip.
+
+    The walk reaches the configuration that root_quadruple(bends, bound)
+    returns.  When that is a root (0, 0, c, c) with c <= bound, the circles
+    of bend c between its two parallel lines repeat forever.  Float seeds
+    and the horocycle chains of hyperbolic packings are not checked.
+    """
+    if seed.mode != EXACT or seed.geometry != forms.EUCLIDEAN or seed.n != 2:
+        return
+    root = root_quadruple(seed.bends, bound)
+    if root.count(0) >= 2 and max(root) <= bound:
+        raise InfiniteClosure(
+            f"the packing of this seed is infinite at any bound of at least "
+            f"{max(root)}: its root quadruple {','.join(map(str, root))} is "
+            "a strip between two parallel lines")
 
 
 def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
@@ -202,7 +245,9 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
-    Packing records whether truncation happened.
+    Packing records whether truncation happened.  Without either cap, an
+    exact Euclidean n = 2 seed whose walk reaches a strip within the bound
+    raises InfiniteClosure (a ValueError) before walking.
     """
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
@@ -217,7 +262,10 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     seed_rows = tuple(r.entries for r in seed.rows)
     if exact:
         bound_value = Fraction(bound)
-        seed_rows, scale, unscaled = _scaled_rows(seed_rows)
+        seed_rows, scale = integer_rows(seed_rows)
+        # a packing repeats its entries (equal bends, mirrored centers), so
+        # a memo builds each Fraction once
+        unscaled = _Unscaled(scale).row
         coeff = _integral(coeff)
         limit = _integral(bound_value * scale)
     else:
@@ -226,6 +274,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         unscaled = _unchanged
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
+    if max_depth is None and max_configs is None:
+        _check_finite(seed, bound_value)
 
     def reflected(t, x):
         return coeff * (t - x) - x
@@ -357,7 +407,7 @@ def recurrence_check(seq, tol=1e-6):
     return True
 
 
-def root_quadruple(bends):
+def root_quadruple(bends, bound=None):
     """The root of an exact Descartes quadruple: oriented to a positive bend
     sum, then reflected at its largest bend while that lowers it (Graham,
     Lagarias, Mallows, Wilks, Yan, number theory).
@@ -365,7 +415,14 @@ def root_quadruple(bends):
     Each step lowers the bend sum by a positive multiple of the reciprocal
     of the common denominator of the bends, and the sum stays positive, so
     the reduction ends.  A packing with a root of two zero bends, the strip
-    (0, 0, c, c), contains infinitely many circles at every bound.
+    (0, 0, c, c), contains infinitely many circles at every bound >= c.
+
+    With a bound the reduction also stops before a step whose new bend
+    exceeds it in absolute value, and returns the quadruple reached.  Each
+    step is a reflection that generate() takes at that bound too, so the
+    reduction takes at most as many steps as generate() walks
+    configurations; a seed deep in a chain of circles tangent to two fixed
+    ones takes one step per circle of the chain.
     """
     v = list(bends)
     if sum(v) < 0:
@@ -373,7 +430,7 @@ def root_quadruple(bends):
     while True:
         i = max(range(len(v)), key=v.__getitem__)
         new = 2 * (sum(v) - v[i]) - v[i]
-        if new >= v[i]:
+        if new >= v[i] or (bound is not None and abs(new) > bound):
             return tuple(v)
         v[i] = new
 

@@ -112,10 +112,12 @@ def near(x, y, tol=DEFAULT_TOL):
     return abs(x - y) <= tol
 
 
-def negligible(residual, values, tol=DEFAULT_TOL):
+def negligible(residual, values, tol=DEFAULT_TOL, others=None):
     """Whether the residual of a relation quadratic in values is zero:
     within tol, or within ROUNDING after dividing by m = max(1, max|values|)
-    twice, the rounding error of float values of size m.
+    twice, the rounding error of float values of size m.  For a relation
+    bilinear in values and others the second division is by max(1,
+    max|others|) instead.
 
     Dividing neither overflows nor rounds an exact residual, so exact
     residuals must be zero, and a nan residual is never negligible.  The
@@ -124,4 +126,5 @@ def negligible(residual, values, tol=DEFAULT_TOL):
     if near(residual, 0, tol):
         return True
     m = max(1, max(map(abs, values)))
-    return near(residual / m / m, 0, ROUNDING)
+    k = m if others is None else max(1, max(map(abs, others)))
+    return near(residual / m / k, 0, ROUNDING)

@@ -435,26 +435,11 @@ def _cmd_solve(args):
     return 0
 
 
-class _Unbounded(Exception):
-    """A generation that no bend bound ends, asked for without a cap."""
-
-
 def _generate(args):
     seed = _seed_config(args, args.tol)
     if args.max_bend is None:
         raise ValueError("need --max-bend")
     bound = _parse_bound(args.max_bend, seed.mode)
-    if args.max_depth is None and args.max_configs is None and \
-            seed.mode == EXACT and seed.geometry == forms.EUCLIDEAN and \
-            seed.n == 2:
-        # a strip holds infinitely many circles of bend c, its largest
-        root = apollonian.root_quadruple(seed.bends)
-        if root.count(0) >= 2 and bound >= max(root):
-            raise _Unbounded(
-                "the packing of this seed is infinite at any bound of at "
-                f"least {max(root)}: its root quadruple "
-                f"{','.join(map(str, root))} is a strip between two "
-                "parallel lines; pass --max-configs or --max-depth")
     return apollonian.generate(
         seed,
         bound,
@@ -557,8 +542,8 @@ def run(argv=None):
         return e.code if e.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except _Unbounded as e:  # a usage error, as argparse's
-        print(f"error: {e}", file=sys.stderr)
+    except apollonian.InfiniteClosure as e:  # a usage error, as argparse's
+        print(f"error: {e}; pass --max-configs or --max-depth", file=sys.stderr)
         return 2
     except (ValueError, ExactnessError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Reflection group, packing generation, loxodromic sequences."""
 
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -341,6 +342,7 @@ def _moved(seed, s, t):
 
 
 _MOVES = {"t=(12345/7,-3/11)": (F(1), (F(12345, 7), F(-3, 11))),
+          "t=(1e4,0)": (F(1), (F(10**4), F(0))),
           "s=1e7,t=(1/3,2/7)s": (F(10**7), (F(10**7, 3), F(2 * 10**7, 7)))}
 
 
@@ -358,13 +360,18 @@ def test_generate_accepts_float_roundings_of_moved_seeds(move):
         sorted(rounded.bends), rel=1e-9)
     assert apollonian.loxodromic(fl, 5).bends == pytest.approx(
         apollonian.loxodromic(seed, 5).bends, rel=1e-9)
-    rows = [list(r.entries) for r in fl.rows]
-    rows[2][0] *= 1 + 1e-6
-    off = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows, mode=FLOAT)
-    with pytest.raises(ValueError, match="invalid seed"):
-        apollonian.generate(off, float(300 / s))
-    with pytest.raises(ValueError, match="invalid seed"):
-        apollonian.loxodromic(off, 5)
+    # the bar-bends (column 0) grow with the square of the distance from
+    # the origin, the bends (column 1) do not: moved by 1e4 a bend off by
+    # 1e-6 relative is within the rounding of the bar-bends squared, so
+    # each Gram entry is checked at the size of its own two columns
+    for col in (0, 1):
+        rows = [list(r.entries) for r in fl.rows]
+        rows[2][col] *= 1 + 1e-6
+        off = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows, mode=FLOAT)
+        with pytest.raises(ValueError, match="invalid seed"):
+            apollonian.generate(off, float(300 / s))
+        with pytest.raises(ValueError, match="invalid seed"):
+            apollonian.loxodromic(off, 5)
 
 
 def test_root_quadruple():
@@ -379,6 +386,12 @@ def test_root_quadruple():
     for i in (3, 0, 2, 1, 3, 0):
         w = apollonian.reflect(w, i)
     assert apollonian.root_quadruple(w.bends) == (-1, 2, 2, 3)
+    # a bound stops the reduction before its first step past the bound
+    chain = (0, 1, 100, 121)  # (0, 1, k^2, (k+1)^2) reduces to (k-1)^2
+    assert apollonian.root_quadruple(chain) == (0, 1, 0, 1)
+    assert apollonian.root_quadruple(chain, 100) == (0, 1, 0, 1)
+    assert apollonian.root_quadruple(chain, 80) == chain
+    assert apollonian.root_quadruple(chain, 81) == (0, 1, 0, 1)
 
 
 def test_generate_strip_needs_cap():
@@ -388,6 +401,33 @@ def test_generate_strip_needs_cap():
     p = apollonian.generate(strip, 1, max_configs=50)
     assert p.truncated
     assert len(p.rows) == 53
+
+
+def test_generate_without_a_cap_refuses_a_strip_it_reaches():
+    strip = apollonian.realize_bends(forms.EUCLIDEAN, (F(0), F(0), F(1), F(1)))
+    with pytest.raises(apollonian.InfiniteClosure, match="is a strip"):
+        apollonian.generate(strip, 1)
+    # from deep in a chain the walk reaches the strip (0, 1, 0, 1) only
+    # once the bound takes in the next circle of the chain, 81
+    deep = apollonian.realize_bends(forms.EUCLIDEAN,
+                                    (F(0), F(1), F(100), F(121)))
+    assert len(apollonian.generate(deep, 80).rows) == 4
+    with pytest.raises(apollonian.InfiniteClosure):
+        apollonian.generate(deep, 81)
+    assert apollonian.generate(deep, 81, max_depth=3).truncated
+
+
+@pytest.mark.parametrize("bends", ((0, 1, 10**18, (10**9 + 1)**2),
+                                   (-1, 2, 10**18 + 2, (10**9 + 1)**2 + 2)))
+def test_generate_without_a_cap_is_quick_deep_in_a_chain(bends):
+    # the reduction to the root would take 10^9 steps; at bounds below the
+    # next circle of the chain it takes none, as the walk does
+    seed = apollonian.realize_bends(forms.EUCLIDEAN, tuple(map(F, bends)))
+    t0 = time.perf_counter()
+    for bound in (F(1, 2), 1, 10**6):
+        p = apollonian.generate(seed, bound)
+        assert len(p.rows) == 4 and not p.truncated
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_horocycle_packing_truncates(horocycle_packing):
