@@ -32,7 +32,7 @@ from operator import add
 
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
-                      integer_rows, mode_of, near, negligible, sqrt_scalar)
+                      mode_of, near, negligible, scaled_rows, sqrt_scalar)
 
 
 def reflection_matrix(n, i, mode=EXACT):
@@ -122,15 +122,10 @@ def _config_key(entry_rows, exact):
     return tuple(sorted(_row_key(r, exact) for r in entry_rows))
 
 
-def _integral(q):
-    """q as an int when its denominator is 1, so sums stay in int arithmetic."""
-    return int(q) if q.denominator == 1 else q
-
-
 class _Unscaled(dict):
-    """{x: Fraction(x, scale)} for the int entries of rows scaled by
-    scalars.integer_rows, filled as entries are looked up, so equal entries
-    share one Fraction; row() divides a whole row."""
+    """{x: Fraction(x, scale)} for the int entries of rows in the exact
+    frame of scalars.scaled_rows, filled as entries are looked up, so equal
+    entries share one Fraction; row() divides a whole row."""
 
     def __init__(self, scale):
         super().__init__()
@@ -144,24 +139,6 @@ class _Unscaled(dict):
 
     def row(self, row):
         return tuple(map(self.__getitem__, row))
-
-
-def _scaled_rows(entry_rows):
-    """(rows, scale, unscaled) for exact rows: the int rows and the scale
-    of scalars.integer_rows, and the function that divides such a row back
-    into Fractions."""
-    rows, scale = integer_rows(entry_rows)
-    if scale == 1:
-        def unscaled(row):
-            return tuple(map(Fraction, row))
-    else:
-        def unscaled(row):
-            return tuple(Fraction(x, scale) for x in row)
-    return rows, scale, unscaled
-
-
-def _unchanged(row):
-    return row
 
 
 def _check_seed(seed, tol):
@@ -185,6 +162,34 @@ def _check_seed(seed, tol):
                for i, row in enumerate(res.entrywise)
                for j, d in enumerate(row)):
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
+
+
+def _walk_frame(seed, tol, task):
+    """(rows, scale, coeff, unscaled): what the walks of generate() and
+    loxodromic() start from, after checking the seed.
+
+    The rows are the seed rows in the frame of scalars.scaled_rows, with
+    their scale, and coeff is the reflection coefficient 2/(n-1).
+    unscaled(row) turns a row of the walk back into entries.  In exact mode
+    coeff is an int for n = 2 and n = 3, so that reflections of int rows
+    stay ints, and unscaled() goes through a memo of Fractions, since a
+    packing repeats its entries (equal bends, mirrored centers) and the memo
+    builds each Fraction once.  In float mode coeff is a float, which
+    multiplies floats faster than an int does, and rows are returned
+    unchanged.
+    """
+    n = seed.n
+    if n < 2:
+        raise ValueError(f"{task} needs n >= 2")
+    _check_seed(seed, tol)
+    rows, scale, quotient = scaled_rows([r.entries for r in seed.rows],
+                                        seed.mode)
+    if seed.mode == EXACT:
+        coeff = 2 // (n - 1) if n <= 3 else quotient(2, n - 1)
+        unscaled = _Unscaled(scale).row
+    else:
+        coeff, unscaled = quotient(2, n - 1), tuple
+    return rows, scale, coeff, unscaled
 
 
 class InfiniteClosure(ValueError):
@@ -233,15 +238,16 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     deduplicated by their sorted row keys (exact rows, or rows rounded to
     1e-6 in float mode), and rows by their keys.
 
-    Exact mode walks on integers: the seed rows are multiplied by the least
-    common multiple of their denominators, and since the reflection
-    coefficient 2/(n-1) is the integer 2 for n = 2, every row of the packing
-    is then an int vector (for other n the same loop runs on Fractions).
-    The bound is scaled alike, and scaling by a positive number keeps the
-    sorted order of rows and keys, so only the rows and configurations put
-    into the returned Packing are divided back into Fractions.  The column
-    sums are formed once per configuration, and a child row is built only
-    when its bend is within the bound.
+    The walk runs on the seed rows in the frame of scalars.scaled_rows.  In
+    exact mode these are the rows times the least common multiple of their
+    denominators, and since the reflection coefficient 2/(n-1) is an
+    integer for n = 2 and n = 3, every row of the packing is then an int
+    vector (for higher n the same loop runs on Fractions).  The bound is
+    scaled alike, and scaling by a positive number keeps the sorted order
+    of rows and keys, so only the rows and configurations put into the
+    returned Packing are divided back into Fractions.  The column sums are
+    formed once per configuration, and a child row is built only when its
+    bend is within the bound.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
@@ -251,27 +257,19 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     """
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
-    n = seed.n
-    if n < 2:
-        raise ValueError("generation needs n >= 2")
-    mode = seed.mode
+    seed_rows, scale, coeff, unscaled = _walk_frame(seed, tol, "generation")
+    n, mode = seed.n, seed.mode
     exact = mode == EXACT
-    _check_seed(seed, tol)
-    coeff = coerce(2, mode) / (n - 1)
     col = forms.bend_column(seed.geometry)
-    seed_rows = tuple(r.entries for r in seed.rows)
     if exact:
         bound_value = Fraction(bound)
-        seed_rows, scale = integer_rows(seed_rows)
-        # a packing repeats its entries (equal bends, mirrored centers), so
-        # a memo builds each Fraction once
-        unscaled = _Unscaled(scale).row
-        coeff = _integral(coeff)
-        limit = _integral(bound_value * scale)
+        limit = bound_value * scale
+        # an int limit keeps the bound test on int rows in int arithmetic
+        if limit.denominator == 1:
+            limit = limit.numerator
     else:
         bound_value = float(bound)
         limit = bound_value + tol * max(1.0, bound_value)
-        unscaled = _unchanged
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
     if max_depth is None and max_configs is None:
@@ -365,23 +363,18 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     """Reflect k times at the row of minimal bend entry (ties to the least
     index), appending each produced bend.
 
-    Exact mode walks on the seed rows scaled to integers, as generate does;
-    each step builds one new CoordRow and reuses the other rows.
+    The walk starts as generate's does, on the seed rows in the frame of
+    scalars.scaled_rows (ints in exact mode), and each step turns only its
+    new row back into entries, through the same unscaler; each step builds
+    one new CoordRow and reuses the other rows.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    n = seed.n
-    mode = seed.mode
-    _check_seed(seed, tol)
-    coeff = coerce(2, mode) / (n - 1)
+    entry_rows, _, coeff, unscaled = _walk_frame(seed, tol,
+                                                 "the loxodromic sequence")
+    n, mode = seed.n, seed.mode
     col = forms.bend_column(seed.geometry)
-    entry_rows = tuple(r.entries for r in seed.rows)
-    bends = [r[col] for r in entry_rows]
-    if mode == EXACT:
-        entry_rows, _, unscaled = _scaled_rows(entry_rows)
-        coeff = _integral(coeff)
-    else:
-        unscaled = _unchanged
+    bends = [r.entries[col] for r in seed.rows]
     rows = tuple(forms.CoordRow(seed.geometry, coerce_row(r.entries, mode))
                  for r in seed.rows)
     configs = [seed]

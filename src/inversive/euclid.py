@@ -14,12 +14,10 @@ forms.augmented_gram_target).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import truediv
 
 from . import forms, linalg
-from .scalars import (DEFAULT_TOL, EXACT, coerce, coerce_row, div,
-                      integer_rows, mode_of, near, negligible, sqrt_scalar)
+from .scalars import (DEFAULT_TOL, coerce, coerce_row, div, mode_of, near,
+                      negligible, scaled_rows, sqrt_scalar)
 
 
 @dataclass(frozen=True)
@@ -308,30 +306,25 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
         return _realize_strip(bends, mode)
     # largest first; the stable sort keeps ties in index order
     order = sorted(range(4), key=bends.__getitem__, reverse=True)
-    placed = _place(*(bends[i] for i in order), mode == EXACT)
+    placed = _place(*(bends[i] for i in order), mode)
     ordered = [None] * 4
     for slot, original_index in enumerate(order):
         ordered[original_index] = placed[slot]
     return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, ordered, mode=mode)
 
 
-def _place(ba, bb, bc, bd, exact):
+def _place(ba, bb, bc, bd, mode):
     """The canonical rows for Descartes bends ba >= bb >= bc >= bd with
-    ba, bb > 0.  Exact mode works on the bends times the LCM l of their
-    denominators and divides into Fractions; float mode runs the same
-    formulas on the floats with l = 1.
+    ba, bb > 0, evaluated on the bends in the frame of scalars.scaled_rows:
+    times their scale l, divided by its quotient (into Fractions in exact
+    mode, l = 1.0 and true division in float mode).
 
     For exact bends bc > 0 too (bc <= 0 would force a second zero bend), so
     circle c, centered at (b_a - b_b, q) / (s b_c) with s = b_a + b_b and
     q = |b_d - b_a - b_b - b_c|, lies above the x axis, and
     q^2 = 4 (b_a b_b + b_c s) > 0: the two completions never coincide here,
     and none of the degenerate cases of _complete_rows can arise."""
-    if exact:
-        ((ia, ib, ic, id_),), l = integer_rows([(ba, bb, bc, bd)])
-        quotient = Fraction
-    else:
-        (ia, ib, ic, id_), l = (ba, bb, bc, bd), 1.0
-        quotient = truediv
+    ((ia, ib, ic, id_),), l, quotient = scaled_rows([(ba, bb, bc, bd)], mode)
     s = ia + ib
     q = abs(id_ - s - ic)
     zero, one = quotient(0, 1), quotient(1, 1)

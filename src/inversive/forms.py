@@ -9,9 +9,12 @@ exactly when W^T Q_n W equals that target, where Q_n is the Descartes form
 
 on n+2 coordinates.  Everything here is generic over exact and float entries.
 
-Matrices are tuples of row tuples.  The exact Gram check runs on integers:
-with V = sW the rows scaled by the LCM s of their denominators and sigma
-the column sums of V, n s^2 W^T Q_n W = n V^T V - sigma sigma^T.
+Matrices are tuples of row tuples.  The Gram products and the tangency
+values of the realizer run on rows in the frame of scalars.scaled_rows: on
+integers in exact mode, so with V = sW the rows scaled by the LCM s of
+their denominators and sigma the column sums of V,
+n s^2 W^T Q_n W = n V^T V - sigma sigma^T, and one quotient by the scale
+turns a result back into an entry.
 """
 
 import functools
@@ -21,7 +24,8 @@ from operator import mul
 
 from . import linalg
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, all_exact, coerce,
-                      coerce_row, integer_rows, mode_of, near, negligible)
+                      coerce_row, integer_rows, mode_of, near, negligible,
+                      scaled_rows)
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
@@ -241,13 +245,15 @@ def pair_product(geometry, row_a, row_b):
 
 
 def _scaled_gram(w, q):
-    """(G, m, exact) with G = m W^T Q W; G is an int matrix in exact mode.
+    """(G, m, quotient) with G = m W^T Q W, so that quotient(G_ij, m) is an
+    entry of W^T Q W; G is an int matrix in exact mode.
 
-    Exact mode scales W by the LCM s of its denominators and Q by the LCM d
-    of its own, so that G = V^T (P V) with int V = sW, P = dQ and m = s^2 d.
-    For the Descartes form d = n and P V = n V - ones sigma^T, sigma holding
-    the column sums of V, so G = n V^T V - sigma sigma^T and P is never
-    formed.  Float mode runs the same products with s = d = 1.
+    W and Q are taken into the frame of scalars.scaled_rows, V = sW and
+    P = dQ with their scales s and d, so that G = V^T (P V) and m = s^2 d.
+    For the Descartes form exact mode takes d = n and P V = n V - ones
+    sigma^T, sigma holding the column sums of V, so G = n V^T V - sigma
+    sigma^T and P is never formed; float mode takes d = 1 and P V = V -
+    ones sigma^T / n.
     """
     rows = _rows(w)
     form = q if isinstance(q, QuadForm) else None
@@ -255,35 +261,26 @@ def _scaled_gram(w, q):
     if len(qrows) != len(rows):
         raise ValueError(f"form of size {len(qrows)} does not fit "
                          f"{len(rows)} rows")
-    exact = all_exact([x for row in rows for x in row]) and (
-        form.mode == EXACT if form else
-        all_exact([x for row in qrows for x in row]))
-    if exact:
-        v, s = integer_rows(rows)
-    else:
-        v, s = [list(map(float, row)) for row in rows], 1
+    mode = mode_of([x for m in (rows, qrows) for row in m for x in row])
+    v, s, quotient = scaled_rows(rows, mode)
     if form is not None:
         n = form.n
         sigma = tuple(map(sum, zip(*v)))
-        d, shift = (n, sigma) if exact else (1, [t / n for t in sigma])
+        d, shift = ((n, sigma) if mode == EXACT else
+                    (1, [t / n for t in sigma]))
         pv = [[d * x - t for x, t in zip(row, shift)] for row in v]
     else:
-        if exact:
-            p, d = integer_rows(qrows)
-        else:
-            p, d = [list(map(float, row)) for row in qrows], 1
+        p, d, _ = scaled_rows(qrows, mode)
         pv = linalg.matmul(p, v)
     pv_cols = tuple(zip(*pv))
     g = [[sum(map(mul, ca, cb)) for cb in pv_cols] for ca in zip(*v)]
-    return g, s * s * d, exact
+    return g, s * s * d, quotient
 
 
 def gram(w, q):
     """W^T Q W for a row matrix and a quadratic form."""
-    g, m, exact = _scaled_gram(w, q)
-    if exact:
-        return tuple(tuple(Fraction(x, m) for x in row) for row in g)
-    return tuple(tuple(x / m for x in row) for row in g)
+    g, m, quotient = _scaled_gram(w, q)
+    return tuple(tuple(quotient(x, m) for x in row) for row in g)
 
 
 def check_identity(w, q, target, tol=DEFAULT_TOL):
@@ -294,7 +291,8 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
     the int matrix G = m W^T Q W of _scaled_gram with m times the target
     and builds a Fraction only for an entry that differs.
     """
-    g, m, exact = _scaled_gram(w, q)
+    g, m, quotient = _scaled_gram(w, q)
+    exact = quotient is Fraction
     t = _rows(target)
     if len(t) != len(g) or any(len(row) != len(g) for row in t):
         raise ValueError("target shape does not match the Gram matrix")
@@ -383,11 +381,15 @@ def _realize_tangent_rows(geometry, bends, n, first_tails):
     zero = one - one
     first_options = [head + (zero,) * (n + 1 - len(head))
                      for head in first_tails(c[0], one)]
+    # the tangency values on the bends v = s c of the frame, one quotient
+    # each
+    (v,), s, quotient = scaled_rows([c], mode)
+    s2 = s * s
     tails = linalg.realize_tails(
         first_options, (k,) + (1,) * n,
-        pair_value=lambda j, i: k * c[i] * c[j] - 1,
-        self_value=lambda i: 1 + k * c[i] * c[i],
-        count=n + 2, exact=mode == EXACT)
+        pair_value=lambda j, i: quotient(k * v[i] * v[j] - s2, s2),
+        self_value=lambda i: quotient(s2 + k * v[i] * v[i], s2),
+        count=n + 2)
     if tails is None:
         raise ValueError(f"no realization found for these {name} values")
     entry_rows = [(c[i],) + tuple(tails[i]) for i in range(n + 2)]

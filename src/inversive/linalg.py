@@ -351,7 +351,7 @@ def _float_tail_candidates(prev_tails, signs, pair_values, self_value):
 BRANCH_LIMIT = 24
 
 
-def realize_tails(first_options, signs, pair_value, self_value, count, exact):
+def realize_tails(first_options, signs, pair_value, self_value, count):
     """Depth-first search for count tails with prescribed diag-form products.
 
     pair_value(j, i) and self_value(i) prescribe <t_j, t_i> and <t_i, t_i>.
@@ -361,17 +361,21 @@ def realize_tails(first_options, signs, pair_value, self_value, count, exact):
     at most BRANCH_LIMIT distinct candidates per row.  A greedy first choice
     can strand a later row (picking a degenerate tail whose linear
     conditions become unsatisfiable), so failed branches are abandoned and
-    the next candidate tried.  Exact mode searches on ints and builds
+    the next candidate tried.  The first options are coerced to one mode,
+    which is the mode of the search.  Exact mode searches on ints and builds
     Fractions only for the tails it returns.  Returns a list of tuples or
     None.
     """
-    if exact:
+    if mode_of(first_options[0]) == EXACT:
         candidates = _exact_tail_candidates
         # a tail (x_1, ..., x_m) / e is searched as the ints (x_1, ..., x_m, e)
         first_options = [ints + (e,) for (ints,), e in
                          (integer_rows([t]) for t in first_options)]
+
+        def finish(tails):
+            return [tuple(Fraction(x, t[-1]) for x in t[:-1]) for t in tails]
     else:
-        candidates = _float_tail_candidates
+        candidates, finish = _float_tail_candidates, list
 
     def search(tails):
         i = len(tails)
@@ -393,8 +397,5 @@ def realize_tails(first_options, signs, pair_value, self_value, count, exact):
     for first in first_options:
         result = search([tuple(first)])
         if result is not None:
-            if exact:
-                return [tuple(Fraction(x, t[-1]) for x in t[:-1])
-                        for t in result]
-            return result
+            return finish(result)
     return None

@@ -7,6 +7,7 @@ mode; the helpers here are the only place the two modes are told apart.
 
 import math
 from fractions import Fraction
+from operator import truediv
 from sys import float_info
 
 DEFAULT_TOL = 1e-9
@@ -68,6 +69,20 @@ def integer_rows(rows):
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     s = math.lcm(*[d for row in ratios for _, d in row])
     return tuple([tuple([a * (s // d) for a, d in row]) for row in ratios]), s
+
+
+def scaled_rows(rows, mode):
+    """(rows, scale, quotient): the frame in which a kernel runs one body
+    for both modes.
+
+    Exact mode gives the int rows and the LCM scale of integer_rows and
+    Fraction as the quotient, so that quotient(x, scale) is an entry of the
+    input again and only results become Fractions.  Float mode gives the
+    rows as floats, 1.0 and true division.
+    """
+    if mode == EXACT:
+        return (*integer_rows(rows), Fraction)
+    return tuple([tuple(map(float, row)) for row in rows]), 1.0, truediv
 
 
 def div(a, b):

@@ -22,11 +22,10 @@ tested against an independently computed answer.
 
 import functools
 import math
-from fractions import Fraction
 
 from . import euclid, forms, linalg, spherical
-from .scalars import (DEFAULT_TOL, EXACT, coerce, coerce_row, div,
-                      integer_rows, mode_of, near)
+from .scalars import (DEFAULT_TOL, EXACT, coerce, coerce_row, div, mode_of,
+                      near, scaled_rows)
 
 _ORDER = (forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC)
 
@@ -65,7 +64,8 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
     target's.  Conversion back is the inverse matrix, so round trips are
     exact in rational mode.  The matrix is the identity outside its top-left
     2x2 block, so each row keeps its tail and only its first two entries are
-    mixed.
+    mixed, on the block and the heads in the frame of scalars.scaled_rows
+    (as ints over the LCMs of their denominators in exact mode).
     """
     if not isinstance(w, forms.ConfigMatrix):
         raise TypeError("convert_matrix expects a ConfigMatrix")
@@ -79,16 +79,10 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
             f"(max residual {res.max_abs_entry_error})")
     block = [row[:2] for row in conversion_matrix(w.geometry, to, n, mode)[:2]]
     rows = w.matrix()
-    heads = [row[:2] for row in rows]
-    if mode == EXACT:
-        # both sides as ints over the LCMs of their denominators
-        ((a, b), (c, d)), h = integer_rows(block)
-        heads, s = integer_rows(heads)
-        heads = [(Fraction(x * a + y * c, s * h), Fraction(x * b + y * d, s * h))
-                 for x, y in heads]
-    else:
-        (a, b), (c, d) = block
-        heads = [(x * a + y * c, x * b + y * d) for x, y in heads]
+    ((a, b), (c, d)), h, _ = scaled_rows(block, mode)
+    heads, s, quotient = scaled_rows([row[:2] for row in rows], mode)
+    heads = [(quotient(x * a + y * c, s * h), quotient(x * b + y * d, s * h))
+             for x, y in heads]
     return forms.ConfigMatrix(to, [forms.CoordRow(to, head + row[2:])
                                    for head, row in zip(heads, rows)])
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from inversive import apollonian, euclid, forms, shell
+from inversive import apollonian, euclid, forms, onedim, shell
 from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
 
 
@@ -456,6 +456,14 @@ def test_loxodromic_spherical_and_hyperbolic():
     assert apollonian.recurrence_check(hlox)
 
 
+def test_loxodromic_rejects_n1():
+    line = onedim.augmented_1d(onedim.complete_line(
+        onedim.OrientedInterval(F(0), F(1)), onedim.OrientedInterval(F(1), F(3))))
+    assert line.n == 1
+    with pytest.raises(ValueError, match="needs n >= 2"):
+        apollonian.loxodromic(line, 3)
+
+
 def test_loxodromic_long_run_satisfies_recurrence(euclid_seed):
     lox = apollonian.loxodromic(euclid_seed, 50)
     assert len(lox.bends) == 54
@@ -524,13 +532,16 @@ def test_realize_bends_dispatch():
         apollonian.realize_bends("affine", (F(0), F(1), F(1), F(2)))
 
 
-def test_scaled_rows_walk_on_integers():
-    rows = ((F(1, 2), F(-1, 3), F(0), F(1)), (F(5, 6), F(2), F(1, 4), F(0)))
-    scaled, scale, unscaled = apollonian._scaled_rows(rows)
-    assert scale == 12
-    assert scaled == ((6, -4, 0, 12), (10, 24, 3, 0))
-    assert all(type(x) is int for r in scaled for x in r)
-    assert tuple(map(unscaled, scaled)) == rows
-    assert all(type(x) is F for r in map(unscaled, scaled) for x in r)
-    integral, one, back = apollonian._scaled_rows(((F(3), F(-1)),))
-    assert one == 1 and integral == ((3, -1),) and back(integral[0]) == (3, -1)
+def test_walk_frame():
+    seed = apollonian.standard_seed(forms.EUCLIDEAN)
+    rows, scale, coeff, unscaled = apollonian._walk_frame(seed, 1e-9, "walk")
+    assert (scale, coeff) == (1, 2) and type(coeff) is int
+    # equal entries share one Fraction
+    row = unscaled((3, 3, -3))
+    assert row == (3, 3, -3) and type(row[0]) is F
+    assert row[0] is row[1] and unscaled((3,))[0] is row[0]
+    float_seed = apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT)
+    rows, scale, coeff, unscaled = apollonian._walk_frame(float_seed, 1e-9,
+                                                          "walk")
+    assert (scale, coeff) == (1.0, 2.0) and type(coeff) is float
+    assert unscaled(rows[0]) is rows[0]

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction as F
+from operator import truediv
 
 import pytest
 
@@ -48,3 +49,22 @@ def test_near():
     assert scalars.near(F(1), F(1), 0)
     assert scalars.near(1.0, 1.0 + 1e-12, 1e-9)
     assert not scalars.near(1.0, 1.1, 1e-9)
+
+
+def test_scaled_rows():
+    rows = ((F(1, 2), F(-1, 3), F(0), F(1)), (F(5, 6), F(2), F(1, 4), F(0)))
+    scaled, scale, quotient = scalars.scaled_rows(rows, EXACT)
+    assert scale == 12 and quotient is F
+    assert scaled == ((6, -4, 0, 12), (10, 24, 3, 0))
+    assert all(type(x) is int for r in scaled for x in r)
+    back = tuple(tuple(quotient(x, scale) for x in r) for r in scaled)
+    assert back == rows and all(type(x) is F for r in back for x in r)
+    integral, one, _ = scalars.scaled_rows(((F(3), F(-1)),), EXACT)
+    assert one == 1 and integral == ((3, -1),)
+
+    floats, scale, quotient = scalars.scaled_rows(((0.5, -0.0), (F(1, 4), 3)),
+                                                  FLOAT)
+    assert scale == 1.0 and quotient is truediv
+    assert floats == ((0.5, 0.0), (0.25, 3.0))
+    assert all(type(x) is float for r in floats for x in r)
+    assert math.copysign(1.0, floats[0][1]) == -1.0

@@ -393,6 +393,17 @@ def test_onedim_command(capsys):
     assert "touch" in err
 
 
+def test_lox_on_an_interval_configuration_is_an_error(monkeypatch, capsys):
+    code, out, _ = run(["onedim", "--intervals=0,1,1,3"], capsys)
+    assert code == 0
+    document = json.dumps(json.loads(out)["document"])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    code, out, err = run(["lox", "--in", "-", "--steps", "3"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "n >= 2" in err
+    assert "Traceback" not in err
+
+
 def test_render_command_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     argv = ["render", "--geometry", "euclidean", "--seed=-1,2,2,3",
