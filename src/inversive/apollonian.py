@@ -26,13 +26,14 @@ caps and reports truncation instead of looping forever.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
-                      mode_of, near, negligible, scaled_rows, sqrt_scalar)
+                      integer_rows, mode_of, near, negligible, scaled_rows,
+                      sqrt_scalar)
 
 
 def reflection_matrix(n, i, mode=EXACT):
@@ -94,7 +95,17 @@ def reflect(w, i, validate=False, tol=DEFAULT_TOL):
 @dataclass(frozen=True)
 class Packing:
     """Closure of a seed under reflections, within a bound: the distinct
-    circles of the configurations reached."""
+    circles of the configurations reached.
+
+    rows is a tuple of CoordRows.  generate() and shell.loads_packing()
+    pass rows=None and scaled=(rows, scale) instead: the rows in the frame
+    of scalars.scaled_rows, which in exact mode are int tuples over the
+    least common multiple scale of their denominators (float tuples and
+    1.0 in float mode).  The CoordRows are then built when rows is first
+    read, with Fraction entries in exact mode, and kept.  Rows given to the
+    constructor win: scaled is dropped, so dataclasses.replace(p, rows=...)
+    is a packing of exactly those rows.  scaled takes no part in equality.
+    """
 
     geometry: str
     n: int
@@ -105,6 +116,31 @@ class Packing:
     explored: int
     depth: int
     truncated: bool
+    scaled: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.rows is not None:
+            object.__setattr__(self, "scaled", None)
+        elif self.scaled is None:
+            raise ValueError("a packing needs rows or scaled rows")
+        else:
+            object.__delattr__(self, "rows")  # built by __getattr__
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance does not hold: rows
+        # before it is first read
+        if name != "rows":
+            raise AttributeError(name)
+        rows, scale = self.scaled
+        if self.seed.mode == EXACT:
+            # a packing repeats its entries (equal bends, mirrored
+            # centers), and equal entries share one Fraction
+            unscaled = {x: Fraction(x) if scale == 1 else Fraction(x, scale)
+                        for x in {x for row in rows for x in row}}.__getitem__
+            rows = (tuple(map(unscaled, row)) for row in rows)
+        built = tuple(forms.CoordRow(self.geometry, row) for row in rows)
+        object.__setattr__(self, "rows", built)
+        return built
 
     @property
     def bends(self):
@@ -120,25 +156,6 @@ def _row_key(entries, exact):
 
 def _config_key(entry_rows, exact):
     return tuple(sorted(_row_key(r, exact) for r in entry_rows))
-
-
-class _Unscaled(dict):
-    """{x: Fraction(x, scale)} for the int entries of rows in the exact
-    frame of scalars.scaled_rows, filled as entries are looked up, so equal
-    entries share one Fraction; row() divides a whole row."""
-
-    def __init__(self, scale):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, x):
-        # Fraction(x) skips the gcd that Fraction(x, 1) pays
-        value = self[x] = (Fraction(x) if self.scale == 1
-                           else Fraction(x, self.scale))
-        return value
-
-    def row(self, row):
-        return tuple(map(self.__getitem__, row))
 
 
 def _check_seed(seed, tol):
@@ -165,18 +182,16 @@ def _check_seed(seed, tol):
 
 
 def _walk_frame(seed, tol, task):
-    """(rows, scale, coeff, unscaled): what the walks of generate() and
+    """(rows, scale, coeff, quotient): what the walks of generate() and
     loxodromic() start from, after checking the seed.
 
     The rows are the seed rows in the frame of scalars.scaled_rows, with
-    their scale, and coeff is the reflection coefficient 2/(n-1).
-    unscaled(row) turns a row of the walk back into entries.  In exact mode
-    coeff is an int for n = 2 and n = 3, so that reflections of int rows
-    stay ints, and unscaled() goes through a memo of Fractions, since a
-    packing repeats its entries (equal bends, mirrored centers) and the memo
-    builds each Fraction once.  In float mode coeff is a float, which
-    multiplies floats faster than an int does, and rows are returned
-    unchanged.
+    their scale and the frame's quotient, so that quotient(x, scale) turns
+    an entry of the walk back into an entry of the seed's mode, and coeff
+    is the reflection coefficient 2/(n-1).  In exact mode coeff is an int
+    for n = 2 and n = 3, so that reflections of int rows stay ints.  In
+    float mode coeff is a float, which multiplies floats faster than an int
+    does.
     """
     n = seed.n
     if n < 2:
@@ -184,12 +199,11 @@ def _walk_frame(seed, tol, task):
     _check_seed(seed, tol)
     rows, scale, quotient = scaled_rows([r.entries for r in seed.rows],
                                         seed.mode)
-    if seed.mode == EXACT:
-        coeff = 2 // (n - 1) if n <= 3 else quotient(2, n - 1)
-        unscaled = _Unscaled(scale).row
+    if seed.mode == EXACT and n <= 3:
+        coeff = 2 // (n - 1)
     else:
-        coeff, unscaled = quotient(2, n - 1), tuple
-    return rows, scale, coeff, unscaled
+        coeff = quotient(2, n - 1)
+    return rows, scale, coeff, quotient
 
 
 class InfiniteClosure(ValueError):
@@ -198,18 +212,21 @@ class InfiniteClosure(ValueError):
 
 
 def _check_finite(seed, bound):
-    """Raise InfiniteClosure if the uncapped walk of generate() from an
-    exact Euclidean n = 2 seed reaches a strip.
+    """Raise InfiniteClosure if the uncapped walk of generate() from a
+    Euclidean n = 2 seed reaches a strip.
 
     The walk reaches the configuration that root_quadruple(bends, bound)
     returns.  When that is a root (0, 0, c, c) with c <= bound, the circles
-    of bend c between its two parallel lines repeat forever.  Float seeds
-    and the horocycle chains of hyperbolic packings are not checked.
+    of bend c between its two parallel lines repeat forever.  A float bend
+    counts as zero when scalars.negligible says so next to the other bends
+    of the root.  The horocycle chains of hyperbolic packings are not
+    checked.
     """
-    if seed.mode != EXACT or seed.geometry != forms.EUCLIDEAN or seed.n != 2:
+    if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
         return
     root = root_quadruple(seed.bends, bound)
-    if root.count(0) >= 2 and max(root) <= bound:
+    zeros = sum(negligible(b, root) for b in root)
+    if zeros >= 2 and max(root) <= bound:
         raise InfiniteClosure(
             f"the packing of this seed is infinite at any bound of at least "
             f"{max(root)}: its root quadruple {','.join(map(str, root))} is "
@@ -242,22 +259,24 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     exact mode these are the rows times the least common multiple of their
     denominators, and since the reflection coefficient 2/(n-1) is an
     integer for n = 2 and n = 3, every row of the packing is then an int
-    vector (for higher n the same loop runs on Fractions).  The bound is
-    scaled alike, and scaling by a positive number keeps the sorted order
-    of rows and keys, so only the rows and configurations put into the
-    returned Packing are divided back into Fractions.  The column sums are
-    formed once per configuration, and a child row is built only when its
-    bend is within the bound.
+    vector (for higher n the same loop runs on Fractions, and the sorted
+    rows are put back on ints at the end).  The bound is scaled alike, and
+    scaling by a positive number keeps the sorted order of rows and keys.
+    The returned Packing holds the sorted rows as they are, with their
+    scale, in its scaled field, and builds its Fraction rows from them only
+    when they are read; only kept configurations are divided back here.
+    The column sums are formed once per configuration, and a child row is
+    built only when its bend is within the bound.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
-    Packing records whether truncation happened.  Without either cap, an
-    exact Euclidean n = 2 seed whose walk reaches a strip within the bound
-    raises InfiniteClosure (a ValueError) before walking.
+    Packing records whether truncation happened.  Without either cap, a
+    Euclidean n = 2 seed whose walk reaches a strip within the bound raises
+    InfiniteClosure (a ValueError) before walking.
     """
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
-    seed_rows, scale, coeff, unscaled = _walk_frame(seed, tol, "generation")
+    seed_rows, scale, coeff, quotient = _walk_frame(seed, tol, "generation")
     n, mode = seed.n, seed.mode
     exact = mode == EXACT
     col = forms.bend_column(seed.geometry)
@@ -273,7 +292,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
     if max_depth is None and max_configs is None:
-        _check_finite(seed, bound_value)
+        # the bound the walk applies, in the units of the seed
+        _check_finite(seed, bound_value if exact else limit)
 
     def reflected(t, x):
         return coeff * (t - x) - x
@@ -338,16 +358,19 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         frontier = next_frontier
 
     rows.sort(key=None if exact else lambda r: _row_key(r, False))
-    sorted_rows = tuple(forms.CoordRow(seed.geometry, unscaled(row))
-                        for row in rows)
     configs = None
     if keep_configs:
         configs = tuple(
             forms.ConfigMatrix.from_rows(
-                seed.geometry, tuple(map(unscaled, kept_configs[k])), mode=mode)
+                seed.geometry,
+                [[quotient(x, scale) for x in row] for row in kept_configs[k]],
+                mode=mode)
             for k in sorted(kept_configs))
-    return Packing(seed.geometry, n, seed, sorted_rows, bound_value, configs,
-                   explored, depth, truncated)
+    if exact and type(coeff) is not int:
+        rows, denominator = integer_rows(rows)
+        scale *= denominator
+    return Packing(seed.geometry, n, seed, None, bound_value, configs,
+                   explored, depth, truncated, scaled=(tuple(rows), scale))
 
 
 @dataclass(frozen=True)
@@ -364,14 +387,14 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     index), appending each produced bend.
 
     The walk starts as generate's does, on the seed rows in the frame of
-    scalars.scaled_rows (ints in exact mode), and each step turns only its
-    new row back into entries, through the same unscaler; each step builds
+    scalars.scaled_rows (ints in exact mode), and each step divides only its
+    new row back into entries, by the frame's quotient; each step builds
     one new CoordRow and reuses the other rows.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    entry_rows, _, coeff, unscaled = _walk_frame(seed, tol,
-                                                 "the loxodromic sequence")
+    entry_rows, scale, coeff, quotient = _walk_frame(
+        seed, tol, "the loxodromic sequence")
     n, mode = seed.n, seed.mode
     col = forms.bend_column(seed.geometry)
     bends = [r.entries[col] for r in seed.rows]
@@ -381,7 +404,7 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     for _ in range(k):
         i = min(range(n + 2), key=lambda j: (entry_rows[j][col], j))
         entry_rows = _reflect_entries(entry_rows, i, coeff)
-        new = unscaled(entry_rows[i])
+        new = tuple([quotient(x, scale) for x in entry_rows[i]])
         bends.append(new[col])
         rows = rows[:i] + (forms.CoordRow(seed.geometry, new),) + rows[i + 1:]
         configs.append(forms.ConfigMatrix(seed.geometry, rows))

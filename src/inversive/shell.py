@@ -6,11 +6,13 @@ streamed.  Exact scalars serialize as fraction strings in lowest terms
 (integers without the denominator), float scalars as JSON numbers.
 
 iter_packing_lines yields a packing stream one line at a time, each row
-formatted by hand from numerator and denominator (or float repr); `gen`
+formatted by hand, from the int rows and scale that generate() leaves on an
+exact Packing (or from numerator and denominator, or float repr); `gen`
 writes the lines as they come.  loads_packing takes the stream as text or
-as a text file object and decodes it line by line; exact scalars of the
-form n or n/d are parsed as integers, and anything else goes through
-scalar_from_json.  Malformed input raises ValueError.
+as a text file object and reads it line by line; exact rows written as
+iter_packing_lines writes them are parsed by one regex straight into ints,
+and any other line goes through the json decoder and scalar_from_json.
+Malformed input raises ValueError.
 
 The CLI runs as `inversive` or `python -m inversive`.  Exit codes: 0
 success, 1 validation failure or malformed input, 2 usage error.
@@ -124,9 +126,47 @@ def _json_scalar(x):
     return f'"{n}"' if d == 1 else f'"{n}/{d}"'
 
 
+def _ratio_texts(scale):
+    """x -> the JSON text of x / scale in lowest terms, for ints x; each
+    distinct x is reduced by a gcd once."""
+    memo = {}
+
+    def text(x):
+        t = memo.get(x)
+        if t is None:
+            g = math.gcd(x, scale)
+            t = memo[x] = (f'"{x // g}"' if g == scale
+                           else f'"{x // g}/{scale // g}"')
+        return t
+
+    return text
+
+
+def _row_texts(p):
+    """The JSON texts of the entries of each row of p: formatted from the
+    rows in the frame of scalars.scaled_rows when p holds them, else from
+    the entries of p.rows."""
+    if p.scaled is None:
+        return ([_json_scalar(x) for x in r.entries] for r in p.rows)
+    rows, scale = p.scaled
+    if p.seed.mode == FLOAT:
+        text = _json_scalar
+    elif scale == 1:
+        text = '"%d"'.__mod__
+    else:
+        text = _ratio_texts(scale)
+    return (list(map(text, row)) for row in rows)
+
+
 def iter_packing_lines(p):
     """The packing stream of p line by line: the header record, then one
-    {"bend", "row"} record per row, each line ending in a newline."""
+    {"bend", "row"} record per row, each line ending in a newline.
+
+    The rows of a packing from generate() or loads_packing() are written
+    from its int rows and their scale: x / scale is the int itself at scale
+    1, and is otherwise reduced by a gcd, once per distinct x.  A packing
+    built from CoordRows is written from their entries, with the same
+    bytes for the same values."""
     bend_col = forms.bend_column(p.geometry)
     head = {
         "kind": "packing",
@@ -140,8 +180,7 @@ def iter_packing_lines(p):
         "seed": [[scalar_to_json(x) for x in r.entries] for r in p.seed.rows],
     }
     yield json.dumps(head, separators=(",", ":")) + "\n"
-    for r in p.rows:
-        row = [_json_scalar(x) for x in r.entries]
+    for row in _row_texts(p):
         yield '{"bend":%s,"row":[%s]}\n' % (row[bend_col], ",".join(row))
 
 
@@ -149,37 +188,41 @@ def dumps_packing(p):
     return "".join(iter_packing_lines(p))
 
 
-# An exact scalar written by the encoder: an integer, or n/d.
-_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# An exact scalar as the encoder writes it: an integer, or n/d with d > 0.
+_EXACT_SCALAR = r"-?[0-9]+(?:/[1-9][0-9]*)?"
 
 
-def _exact_from_text(v):
-    m = _RATIO.fullmatch(v)
-    if m is None:
-        return scalar_from_json(v, EXACT)
-    a, b = m.groups()
-    if b is None:
-        return Fraction(int(a))
-    try:
-        return Fraction(int(a), int(b))
-    except ZeroDivisionError:
-        return scalar_from_json(v, EXACT)  # reports the zero denominator
+def _exact_row_match(width):
+    """fullmatch of a row line of an exact stream exactly as
+    iter_packing_lines writes it, for rows of the given width, with the
+    text of each entry as a group."""
+    entry = f'"({_EXACT_SCALAR})"'
+    return re.compile(r'\{"bend":"%s","row":\[%s\]\}\n?' % (
+        _EXACT_SCALAR, ",".join([entry] * width))).fullmatch
 
 
-def _exact_reader():
-    """Converter for the exact row scalars of one stream.  Each distinct
-    string is parsed once, and equal entries share one Fraction."""
-    memo = {}
+def _ratio(v):
+    """(numerator, denominator) in lowest terms of an entry text that
+    _EXACT_SCALAR matches, or of a Fraction."""
+    if v.__class__ is not str:
+        return v.as_integer_ratio()
+    a, _, b = v.partition("/")
+    if not b:
+        return int(a), 1
+    a, b = int(a), int(b)
+    g = math.gcd(a, b)
+    return a // g, b // g
 
-    def scalar(v):
-        if v.__class__ is not str:
-            return scalar_from_json(v, EXACT)
-        q = memo.get(v)
-        if q is None:
-            q = memo[v] = _exact_from_text(v)
-        return q
 
-    return scalar
+def _exact_rows(row_texts):
+    """(int rows, scale) from the entries of exact rows, given as entry
+    texts or Fractions: the rows times the least common multiple scale of
+    their denominators, the frame of scalars.scaled_rows.  Each distinct
+    entry is converted once."""
+    ratios = {v: _ratio(v) for v in set(itertools.chain.from_iterable(row_texts))}
+    scale = math.lcm(*[d for _, d in ratios.values()])
+    ints = {v: a * (scale // d) for v, (a, d) in ratios.items()}.__getitem__
+    return tuple([tuple(map(ints, row)) for row in row_texts]), scale
 
 
 def _float_from_json(v):
@@ -188,7 +231,15 @@ def _float_from_json(v):
 
 def loads_packing(source):
     """Packing from a packing stream, given as text or as a text file
-    object (any iterable of lines), which is read line by line."""
+    object (any iterable of lines), which is read line by line.
+
+    The packing holds its rows as scaled=(rows, scale), as generate()
+    leaves them, and builds its CoordRows when they are read.  In an exact
+    stream, a row line written exactly as iter_packing_lines writes it is
+    matched by one anchored regex, and its entries go straight to ints; the
+    rows are returned over the least common multiple of the denominators
+    seen.  Any other line is decoded by json, so it is accepted or rejected
+    as any JSON row record is.  Float rows are float tuples at scale 1.0."""
     lines = source.splitlines() if isinstance(source, str) else source
     lines = (ln for ln in lines if ln.strip())
     first = next(lines, None)
@@ -209,26 +260,35 @@ def loads_packing(source):
         ]
         bound = scalar_from_json(head["bound"], mode)
         seed = forms.ConfigMatrix.from_rows(geometry, seed_rows, mode=mode)
-        scalar = _exact_reader() if mode == EXACT else _float_from_json
         decode = json.JSONDecoder().decode
         width = seed.n + 2
-        rows = []
-        for ln in lines:
+
+        def decoded(ln, scalar):
             rec = decode(ln)
             row = rec["row"] if isinstance(rec, dict) else None
             if not isinstance(row, list) or len(row) != width:
                 raise ValueError(f"malformed packing row {ln.strip()[:80]!r}")
-            rows.append(forms.CoordRow(geometry, tuple(map(scalar, row))))
+            return tuple(map(scalar, row))
+
+        if mode == EXACT:
+            match = _exact_row_match(width)
+            scaled = _exact_rows([
+                m.groups() if (m := match(ln))
+                else decoded(ln, lambda v: scalar_from_json(v, EXACT))
+                for ln in lines])
+        else:
+            scaled = tuple([decoded(ln, _float_from_json) for ln in lines]), 1.0
         return apollonian.Packing(
             geometry=geometry,
             n=seed.n,
             seed=seed,
-            rows=tuple(rows),
+            rows=None,
             bound=bound,
             configs=(),
             explored=head["explored"],
             depth=head["depth"],
             truncated=head["truncated"],
+            scaled=scaled,
         )
     except KeyError as e:
         raise ValueError(f"packing stream is missing field {e}")
@@ -505,11 +565,15 @@ def _cmd_onedim(args):
             onedim.OrientedInterval(vals[0], vals[1]),
             onedim.OrientedInterval(vals[2], vals[3]),
         )
-        w = onedim.augmented_1d(cfg)
+        # a configuration document, so that the output pipes into verify,
+        # convert and lox (parse_document reads past the other fields); the
+        # nested "document" keeps the earlier layout readable
+        document = document_from_config(onedim.augmented_1d(cfg))
         out = {
-            "document": document_from_config(w),
+            **document,
             "curvatures": [scalar_to_json(i.curvature) for i in cfg.intervals],
             "radii": [scalar_to_json(i.r) for i in cfg.intervals],
+            "document": document,
         }
     elif args.curvatures:
         vals = _parse_scalars(args.curvatures, args.mode)

@@ -66,12 +66,29 @@ def _label_text(value):
 
 def _sorted_rows(packing):
     """(float tuple, entry tuple) per row, in canonical float order; accepts
-    any object with CoordRow-valued .rows (Packing or ConfigMatrix)."""
-    # float(Fraction) goes through numbers.Rational.__float__ on Python 3.11;
-    # dividing numerator by denominator is the same correctly rounded value
-    rows = [(tuple([x.numerator / x.denominator if type(x) is Fraction
-                    else float(x) for x in r.entries]), r.entries)
-            for r in packing.rows]
+    any object with CoordRow-valued .rows (Packing or ConfigMatrix).
+
+    A Packing that holds its rows in the frame of scalars.scaled_rows is
+    read from there: each int is divided once in float, x / scale, which is
+    correctly rounded and so the same float as float(Fraction(x, scale)).
+    At scale 1 the entries are the ints themselves, which equal the Fraction
+    entries of its rows; at other scales they are the entries of its rows.
+    """
+    scaled = getattr(packing, "scaled", None)
+    if scaled is None:
+        # float(Fraction) goes through numbers.Rational.__float__ on Python
+        # 3.11; dividing numerator by denominator is the same correctly
+        # rounded value
+        rows = [(tuple([x.numerator / x.denominator if type(x) is Fraction
+                        else float(x) for x in r.entries]), r.entries)
+                for r in packing.rows]
+    else:
+        ints, scale = scaled
+        if scale == 1:
+            rows = [(tuple(map(float, r)), r) for r in ints]
+        else:
+            rows = [(tuple([x / scale for x in r]), e.entries)
+                    for r, e in zip(ints, packing.rows)]
     rows.sort(key=itemgetter(0))
     return rows
 

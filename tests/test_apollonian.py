@@ -532,16 +532,58 @@ def test_realize_bends_dispatch():
         apollonian.realize_bends("affine", (F(0), F(1), F(1), F(2)))
 
 
-def test_walk_frame():
+def test_walk_frame_returns_quotient():
     seed = apollonian.standard_seed(forms.EUCLIDEAN)
-    rows, scale, coeff, unscaled = apollonian._walk_frame(seed, 1e-9, "walk")
+    rows, scale, coeff, quotient = apollonian._walk_frame(seed, 1e-9, "walk")
     assert (scale, coeff) == (1, 2) and type(coeff) is int
-    # equal entries share one Fraction
-    row = unscaled((3, 3, -3))
-    assert row == (3, 3, -3) and type(row[0]) is F
-    assert row[0] is row[1] and unscaled((3,))[0] is row[0]
+    assert all(type(x) is int for row in rows for x in row)
+    assert quotient(3, scale) == 3 and type(quotient(3, scale)) is F
+    seed = apollonian.realize_bends(forms.EUCLIDEAN, (F(-1), F(2), F(2), F(3)))
+    rows, scale, coeff, quotient = apollonian._walk_frame(seed, 1e-9, "walk")
+    assert scale == 5
+    assert [[quotient(x, scale) for x in row] for row in rows] == \
+        [list(r.entries) for r in seed.rows]
     float_seed = apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT)
-    rows, scale, coeff, unscaled = apollonian._walk_frame(float_seed, 1e-9,
+    rows, scale, coeff, quotient = apollonian._walk_frame(float_seed, 1e-9,
                                                           "walk")
     assert (scale, coeff) == (1.0, 2.0) and type(coeff) is float
-    assert unscaled(rows[0]) is rows[0]
+    assert quotient(rows[0][0], scale) == rows[0][0]
+
+
+@pytest.mark.parametrize("bends", ((0, 0, 1, 1), (4, 0, 1, 1),
+                                   (F(-1, 2), F(-1, 2), 0, 0)))
+def test_generate_without_a_cap_refuses_a_float_strip(bends):
+    seed = _float_twin(apollonian.realize_bends(forms.EUCLIDEAN,
+                                                tuple(map(F, bends))))
+    with pytest.raises(apollonian.InfiniteClosure, match="is a strip"):
+        apollonian.generate(seed, 1.0)
+    assert apollonian.generate(seed, 1.0, max_configs=50).truncated
+    deep = _float_twin(apollonian.realize_bends(
+        forms.EUCLIDEAN, (F(0), F(1), F(100), F(121))))
+    assert len(apollonian.generate(deep, 80.0).rows) == 4
+    with pytest.raises(apollonian.InfiniteClosure):
+        apollonian.generate(deep, 81.0)
+
+
+# The Euclidean seeds of the float benchmark: the standard seed at 100, the
+# primitive integral root quadruples (-a, b, c, d) with a <= 15 at 60a, and
+# (-8, 16, 16, 24) at 600.
+_ROOTS = (
+    (-2, 3, 6, 7), (-3, 4, 12, 13), (-3, 5, 8, 8), (-4, 5, 20, 21),
+    (-4, 8, 9, 9), (-5, 6, 30, 31), (-6, 7, 42, 43), (-6, 10, 15, 19),
+    (-6, 11, 14, 15), (-7, 8, 56, 57), (-8, 9, 72, 73), (-9, 10, 90, 91),
+    (-10, 14, 35, 39), (-12, 21, 28, 37), (-15, 24, 40, 49),
+)
+_FLOAT_WALKS = (((-1, 2, 2, 3), 100), ((-8, 16, 16, 24), 600)) + tuple(
+    (bends, -60 * bends[0]) for bends in _ROOTS)
+
+
+@pytest.mark.parametrize("bends, bound", _FLOAT_WALKS)
+def test_float_root_quadruples_are_not_refused(bends, bound):
+    exact = apollonian.realize_bends(forms.EUCLIDEAN, tuple(map(F, bends)))
+    seed = _float_twin(exact)
+    assert apollonian.root_quadruple(seed.bends) == \
+        apollonian.root_quadruple(exact.bends)
+    apollonian._check_finite(seed, float(bound))
+    p = apollonian.generate(seed, float(bound))
+    assert not p.truncated and len(p.rows) > 4

@@ -1,0 +1,186 @@
+"""Packings that hold their rows in the frame of scalars.scaled_rows, checked
+against slow oracles on the same inputs: a Packing built from the same rows
+as explicit CoordRows, the json path of loads_packing, and a plain json and
+Fraction decoder."""
+
+import dataclasses
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from inversive import apollonian, forms, shell, svg
+from inversive.scalars import EXACT, FLOAT
+
+# (geometry, bends, bound, scale of the realized exact seed)
+INPUTS = (
+    (forms.EUCLIDEAN, (-1, 2, 2, 3), 200, 5),
+    (forms.EUCLIDEAN, (-15, 24, 40, 49), 900, 89),
+    (forms.SPHERICAL, (0, 1, 1, 2), 100, 1),
+    (forms.HYPERBOLIC, (-2, 3, 5, 6), 150, 1),
+)
+IDS = ["euclidean", "euclidean-scale-89", "spherical", "hyperbolic"]
+
+
+def _packing(geometry, bends, bound, mode):
+    scalar = F if mode == EXACT else float
+    seed = apollonian.realize_bends(geometry, tuple(map(scalar, bends)))
+    return apollonian.generate(seed, scalar(bound))
+
+
+def _explicit(p, rows=None):
+    """p with its rows given as CoordRows, rebuilt entry by entry from
+    p.scaled (or the given rows), so nothing of the scaled frame is left."""
+    if rows is None:
+        ints, scale = p.scaled
+        divide = (lambda x: F(x, scale)) if p.seed.mode == EXACT else float
+        rows = tuple(forms.CoordRow(p.geometry, tuple(map(divide, r)))
+                     for r in ints)
+    q = apollonian.Packing(p.geometry, p.n, p.seed, rows, p.bound, p.configs,
+                           p.explored, p.depth, p.truncated)
+    assert q.scaled is None
+    return q
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("geometry, bends, bound, scale", INPUTS, ids=IDS)
+def test_walk_rows_dump_and_render_as_explicit_rows(geometry, bends, bound,
+                                                    scale, mode):
+    p = _packing(geometry, bends, bound, mode)
+    ints, got_scale = p.scaled
+    if mode == EXACT:
+        assert got_scale == scale
+        assert all(type(x) is int for r in ints for x in r)
+    else:
+        assert got_scale == 1.0
+    oracle = _explicit(p)
+    assert oracle == p and oracle.rows == p.rows
+    assert all(type(x) is (F if mode == EXACT else float)
+               for r in p.rows for x in r.entries)
+    assert shell.dumps_packing(p) == shell.dumps_packing(oracle)
+    projections = (svg.ORTHOGRAPHIC, svg.STEREOGRAPHIC) \
+        if geometry == forms.SPHERICAL else (svg.ORTHOGRAPHIC,)
+    for labels in ("bend", "none"):
+        for projection in projections:
+            o = svg.RenderOptions(labels=labels, projection=projection)
+            assert svg.render(p, o) == svg.render(oracle, o)
+
+
+def _json_path(text):
+    """The stream with every row line respaced, which the row regex of
+    loads_packing does not match, so each row goes through json."""
+    head, *rows = text.splitlines(keepends=True)
+    return head + "".join(json.dumps(json.loads(ln)) + "\n" for ln in rows)
+
+
+def _loads_through_json(monkeypatch, text):
+    """loads_packing with its row regex matching nothing, so that every row
+    line goes through json."""
+    with monkeypatch.context() as m:
+        m.setattr(shell, "_exact_row_match", lambda width: lambda ln: None)
+        return shell.loads_packing(text)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("geometry, bends, bound, scale", INPUTS, ids=IDS)
+def test_row_regex_matches_the_json_path(monkeypatch, geometry, bends, bound,
+                                        scale, mode):
+    p = _packing(geometry, bends, bound, mode)
+    text = shell.dumps_packing(p)
+    spaced = _json_path(text)
+    assert spaced != text
+    fast = shell.loads_packing(text)
+    for slow in (shell.loads_packing(spaced),
+                 _loads_through_json(monkeypatch, text)):
+        assert fast.scaled == slow.scaled == p.scaled
+        assert fast == slow and fast.rows == p.rows
+        assert shell.dumps_packing(fast) == shell.dumps_packing(slow) == text
+
+
+def _oracle_loads(text):
+    """Packing from a stream by json.loads and Fraction alone."""
+    head, *lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = json.loads(head)
+    mode = head["mode"]
+    seed = forms.ConfigMatrix.from_rows(
+        head["geometry"],
+        [[shell.scalar_from_json(v, mode) for v in r] for r in head["seed"]],
+        mode=mode)
+    rows = []
+    for ln in lines:
+        row = json.loads(ln)["row"]
+        if len(row) != seed.n + 2:
+            raise ValueError("malformed packing row")
+        rows.append(forms.CoordRow(head["geometry"], tuple(
+            shell.scalar_from_json(v, mode) for v in row)))
+    return apollonian.Packing(head["geometry"], seed.n, seed, tuple(rows),
+                              shell.scalar_from_json(head["bound"], mode), (),
+                              head["explored"], head["depth"],
+                              head["truncated"])
+
+
+def _stream_with(line):
+    p = _packing(forms.EUCLIDEAN, (-1, 2, 2, 3), 20, EXACT)
+    head, first, *rest = shell.dumps_packing(p).splitlines(keepends=True)
+    return head + line + "".join(rest)
+
+
+NON_CANONICAL = {
+    "spaces": '{"bend": "2", "row": ["0", "2", "-1", "0"]}\n',
+    "inner-spaces": '{"bend":"2","row":[ "0","2","-1","0" ]}\n',
+    "crlf": '{"bend":"2","row":["0","2","-1","0"]}\r\n',
+    "unreduced": '{"bend":"2","row":["0/4","4/2","-2/4","0"]}\n',
+    "minus-zero": '{"bend":"2","row":["-0","2","-1","-0"]}\n',
+    "leading-zeros": '{"bend":"2","row":["00","002","-1","0"]}\n',
+    "bare-ints": '{"bend":2,"row":[0,2,-1,0]}\n',
+    "zero-denominator": '{"bend":"2","row":["1/0","2","-1","0"]}\n',
+    "narrow": '{"bend":"2","row":["0","2","-1"]}\n',
+    "wide": '{"bend":"2","row":["0","2","-1","0","0"]}\n',
+    "float": '{"bend":"2","row":[0.5,"2","-1","0"]}\n',
+    "no-row": '{"bend":"2"}\n',
+}
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@pytest.mark.parametrize("line", NON_CANONICAL.values(), ids=NON_CANONICAL)
+def test_non_canonical_rows_load_as_through_json(monkeypatch, line):
+    text = _stream_with(line)
+    fast = _outcome(shell.loads_packing, text)
+    slow = _outcome(lambda t: _loads_through_json(monkeypatch, t), text)
+    assert fast == slow
+    try:
+        expected = _oracle_loads(text)
+    except (ValueError, KeyError):
+        assert isinstance(fast, str)
+    else:
+        assert fast == expected and fast.scaled == slow.scaled
+
+
+def test_replaced_rows_win_over_scaled():
+    p = _packing(forms.EUCLIDEAN, (-15, 24, 40, 49), 900, EXACT)
+    subset = p.rows[::3]
+    q = dataclasses.replace(p, rows=subset)
+    assert q.scaled is None and q.rows == subset
+    oracle = _explicit(p, subset)
+    assert shell.dumps_packing(q) == shell.dumps_packing(oracle)
+    assert len(shell.dumps_packing(q).splitlines()) == len(subset) + 1
+    assert svg.render(q) == svg.render(oracle)
+    assert svg.render(q) != svg.render(p)
+
+
+def test_packing_needs_rows_or_scaled_rows():
+    p = _packing(forms.SPHERICAL, (0, 1, 1, 2), 20, EXACT)
+    with pytest.raises(ValueError):
+        apollonian.Packing(p.geometry, p.n, p.seed, None, p.bound, (), 0, 0,
+                           False)
+    # rows are built once, on first read, and kept
+    assert "rows" not in vars(p)
+    assert p.rows is p.rows and "rows" in vars(p)
+    with pytest.raises(AttributeError):
+        p.no_such_field

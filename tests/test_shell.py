@@ -588,3 +588,34 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["bends"] == ["0", "1", "1", "2", "8", "21"]
+
+
+def _cli(args, stdin=None):
+    src = str(Path(inversive.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "inversive", *args],
+                          input=stdin, capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+def test_gen_without_a_cap_refuses_a_float_strip():
+    t0 = time.perf_counter()
+    proc = _cli(["gen", "--mode", "float", "--geometry", "euclidean",
+                 "--seed=0,0,1,1", "--max-bend", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "is a strip" in proc.stderr
+
+
+def test_onedim_output_pipes_into_verify():
+    out = _cli(["onedim", "--intervals", "0,1,1,3"])
+    assert out.returncode == 0
+    doc = json.loads(out.stdout)
+    assert doc["geometry"] == "euclidean" and doc["n"] == 1
+    assert doc["curvatures"] == ["2", "1", "-2/3"]
+    proc = _cli(["verify"], stdin=out.stdout)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["valid"] is True
