@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from inversive import apollonian, forms, svg
+from inversive import apollonian, forms, shell, svg
 from inversive.scalars import FLOAT
+
+import reference_svg
 
 
 class Holder:
@@ -155,12 +157,106 @@ def test_render_bytes_match_float_conversion(monkeypatch, geometry, bends,
     seed = apollonian.realize_bends(
         geometry, bends if mode == "exact" else tuple(map(float, bends)))
     p = apollonian.generate(seed, bound)
-    assert svg._sorted_rows(p) == _reference_sorted_rows(p)
+    rows, text = svg._sorted_rows(p)
+    reference = _reference_sorted_rows(p)
+    col = forms.bend_column(geometry)
+    # every float, and every label read from the scaled ints, against the
+    # conversion of the entries of p.rows
+    assert [f for f, _ in rows] == [f for f, _ in reference]
+    assert [text(v) for _, v in rows] \
+        == [svg._label_text(e[col]) for _, e in reference]
     projections = (svg.ORTHOGRAPHIC, svg.STEREOGRAPHIC) \
         if geometry == forms.SPHERICAL else (svg.ORTHOGRAPHIC,)
     options = [svg.RenderOptions(labels=labels, cutoff=cutoff, projection=pr)
                for labels in ("bend", "none")
                for cutoff in (1 / 800, 1 / 400, 1 / 200) for pr in projections]
     new = [svg.render(p, o) for o in options]
-    monkeypatch.setattr(svg, "_sorted_rows", _reference_sorted_rows)
+    monkeypatch.setattr(svg, "_sorted_rows", lambda q: (
+        [(f, e[col]) for f, e in _reference_sorted_rows(q)], svg._label_text))
     assert new == [svg.render(p, o) for o in options]
+
+
+# --- the renderer against reference_svg, the renderer it replaced --------
+
+ORACLE_OPTIONS = [
+    svg.RenderOptions(labels=labels, cutoff=cutoff, projection=projection,
+                      **canvas)
+    for labels in ("bend", "none") for cutoff in (1 / 800, 1 / 400, 1 / 200)
+    for projection in (svg.ORTHOGRAPHIC, svg.STEREOGRAPHIC)
+    for canvas in ({}, dict(width=640, height=480, stroke_width=2.5))]
+
+
+def _float_seed(geometry, bends):
+    seed = apollonian.realize_bends(geometry, bends)
+    return forms.ConfigMatrix.from_rows(
+        geometry, [r.entries for r in seed.rows], mode=FLOAT)
+
+
+def _assert_oracle_bytes(packing, options=ORACLE_OPTIONS):
+    """Every option set renders the bytes, and warns the warnings, of the
+    reference renderer; a packing held as scaled ints keeps its rows
+    unbuilt through the new renders."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new = [svg.render(packing, o) for o in options]
+        if getattr(packing, "scaled", None) is not None:
+            assert "rows" not in vars(packing)
+        old = [reference_svg.render(packing, o) for o in options]
+    assert new == old
+    messages = [str(w.message) for w in caught]
+    assert messages[:len(messages) // 2] == messages[len(messages) // 2:]
+
+
+@pytest.mark.parametrize("geometry,bends,bound", STREAM_INPUTS)
+@pytest.mark.parametrize("mode", ["exact", FLOAT])
+def test_render_matches_reference_renderer(geometry, bends, bound, mode):
+    if mode == "exact":
+        seed = apollonian.realize_bends(geometry, bends)
+    else:
+        seed, bound = _float_seed(geometry, bends), float(bound)
+    text = shell.dumps_packing(apollonian.generate(seed, bound))
+    _assert_oracle_bytes(shell.loads_packing(text))
+
+
+def test_labels_read_from_scaled_ints():
+    # halves of (-1,2,2,3): non-integral bends over a scale other than 1
+    seed = apollonian.realize_bends(forms.EUCLIDEAN, (F(-1, 2), 1, 1, F(3, 2)))
+    p = shell.loads_packing(shell.dumps_packing(apollonian.generate(seed, 30)))
+    ints, scale = p.scaled
+    assert scale != 1 and any(r[1] % scale for r in ints)
+    _assert_oracle_bytes(p)
+    assert "1.5" in _labels(svg.render(p).decode())
+
+
+def test_render_matches_reference_on_lines_and_caps():
+    strip = apollonian.realize_bends(forms.EUCLIDEAN, (0, 0, 1, 1))
+    lines = apollonian.generate(strip, 10, max_configs=200)
+    assert lines.truncated
+    assert "<line" in svg.render(lines).decode()
+    _assert_oracle_bytes(lines)
+    horocycles = apollonian.realize_bends(forms.HYPERBOLIC, (-1, 1, 1, 1))
+    capped = apollonian.generate(horocycles, 10, max_configs=200)
+    assert capped.truncated
+    _assert_oracle_bytes(capped)
+
+
+def test_render_matches_reference_on_repeated_float_bends():
+    # equal bends at different radii: the stereographic and disk images
+    # of equal cot and coth values
+    for geometry, bends, bound in STREAM_INPUTS:
+        p = apollonian.generate(_float_seed(geometry, bends), float(bound))
+        _assert_oracle_bytes(p)
+        assert len(set(p.bends)) < len(p.bends)
+
+
+def test_render_matches_reference_on_configurations():
+    virtual = Holder(forms.HYPERBOLIC, 2, list(
+        apollonian.standard_seed(forms.HYPERBOLIC).rows)
+        + [forms.CoordRow(forms.HYPERBOLIC, (F(0), F(0), F(1), F(0)))])
+    _assert_oracle_bytes(virtual)
+    for geometry in (forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC):
+        for mode in ("exact", FLOAT):
+            _assert_oracle_bytes(
+                apollonian.standard_seed(geometry, mode=mode))
+    _assert_oracle_bytes(
+        apollonian.realize_bends(forms.HYPERBOLIC, (F(-2), F(3), F(5), F(6))))
