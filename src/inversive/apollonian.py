@@ -26,7 +26,7 @@ caps and reports truncation instead of looping forever.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from operator import add
 
@@ -82,10 +82,7 @@ def reflect(w, i, validate=False, tol=DEFAULT_TOL):
                                        _reflect_entries(entry_rows, i, coeff),
                                        mode=w.mode)
     if validate:
-        q = forms.descartes_form(w.n, w.mode)
-        res = forms.check_identity(out, q,
-                                   forms.target_for(w.geometry, w.n, w.mode),
-                                   tol)
+        res = out.residual(tol)
         if not res.ok:
             raise ArithmeticError(
                 f"reflection broke the Gram identity by {res.max_abs_entry_error}")
@@ -169,9 +166,7 @@ def _check_seed(seed, tol):
     origin, the bend does not), so each entry is scaled by its own two
     columns.
     """
-    n, mode = seed.n, seed.mode
-    res = forms.check_identity(seed, forms.descartes_form(n, mode),
-                               forms.target_for(seed.geometry, n, mode), tol)
+    res = seed.residual(tol)
     if res.ok:
         return
     cols = tuple(zip(*(r.entries for r in seed.rows)))
@@ -375,11 +370,48 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
 
 @dataclass(frozen=True)
 class LoxodromicSequence:
-    """Bends recorded while always reflecting the largest sphere."""
+    """Bends recorded while always reflecting the largest sphere, and the
+    configurations of the walk, the seed first.
+
+    loxodromic() passes configs=None and the init-only walk=(seed, steps,
+    scale, quotient) instead: per step, the reflected index and the new row
+    in the frame of scalars.scaled_rows.  The configurations are built from
+    them when configs is first read, each sharing the unchanged rows of the
+    one before, and kept, as Packing.rows is.  walk is not a field, so
+    fields, equality and repr are those of geometry, bends and configs.
+    """
 
     geometry: str
     bends: tuple
     configs: tuple
+    walk: InitVar[tuple] = None
+
+    def __post_init__(self, walk):
+        if self.configs is not None:
+            return
+        if walk is None:
+            raise ValueError("a loxodromic sequence needs configs or its walk")
+        object.__setattr__(self, "_walk", walk)
+        object.__delattr__(self, "configs")  # built by __getattr__
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance does not hold: configs
+        # before it is first read
+        if name != "configs":
+            raise AttributeError(name)
+        seed, steps, scale, quotient = self._walk
+        geometry = seed.geometry
+        rows = tuple(forms.CoordRow(geometry, coerce_row(r.entries, seed.mode))
+                     for r in seed.rows)
+        configs = [seed]
+        for i, new in steps:
+            row = forms.CoordRow(geometry, tuple([quotient(x, scale) for x in new]))
+            rows = rows[:i] + (row,) + rows[i + 1:]
+            configs.append(forms.ConfigMatrix(geometry, rows))
+        configs = tuple(configs)
+        object.__setattr__(self, "configs", configs)
+        object.__delattr__(self, "_walk")
+        return configs
 
 
 def loxodromic(seed, k, tol=DEFAULT_TOL):
@@ -387,28 +419,30 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     index), appending each produced bend.
 
     The walk starts as generate's does, on the seed rows in the frame of
-    scalars.scaled_rows (ints in exact mode), and each step divides only its
-    new row back into entries, by the frame's quotient; each step builds
-    one new CoordRow and reuses the other rows.
+    scalars.scaled_rows (ints in exact mode).  Each step picks the index,
+    reflects the rows and divides back only the new bend, by the frame's
+    quotient; the configurations of the walk are built from the recorded
+    steps only when the sequence's configs is first read.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
     entry_rows, scale, coeff, quotient = _walk_frame(
         seed, tol, "the loxodromic sequence")
-    n, mode = seed.n, seed.mode
     col = forms.bend_column(seed.geometry)
     bends = [r.entries[col] for r in seed.rows]
-    rows = tuple(forms.CoordRow(seed.geometry, coerce_row(r.entries, mode))
-                 for r in seed.rows)
-    configs = [seed]
+    # the bend entry of each row of the walk; index() of the least finds
+    # the least index among the rows of least bend
+    scaled_bends = [r[col] for r in entry_rows]
+    steps = []
     for _ in range(k):
-        i = min(range(n + 2), key=lambda j: (entry_rows[j][col], j))
+        i = scaled_bends.index(min(scaled_bends))
         entry_rows = _reflect_entries(entry_rows, i, coeff)
-        new = tuple([quotient(x, scale) for x in entry_rows[i]])
-        bends.append(new[col])
-        rows = rows[:i] + (forms.CoordRow(seed.geometry, new),) + rows[i + 1:]
-        configs.append(forms.ConfigMatrix(seed.geometry, rows))
-    return LoxodromicSequence(seed.geometry, tuple(bends), tuple(configs))
+        new = entry_rows[i]
+        scaled_bends[i] = new[col]
+        bends.append(quotient(new[col], scale))
+        steps.append((i, new))
+    return LoxodromicSequence(seed.geometry, tuple(bends), None,
+                              walk=(seed, tuple(steps), scale, quotient))
 
 
 def recurrence_check(seq, tol=1e-6):

@@ -8,6 +8,9 @@ exactly when W^T Q_n W equals that target, where Q_n is the Descartes form
     Q_n = I - (1/n) * ones * ones^T
 
 on n+2 coordinates.  Everything here is generic over exact and float entries.
+check_identity compares W^T Q W with any target; ConfigMatrix.residual runs
+it against the configuration's own Descartes form and target, once per
+configuration and tolerance, since a configuration is immutable.
 
 Matrices are tuples of row tuples.  The Gram products and the tangency
 values of the realizer run on rows in the frame of scalars.scaled_rows: on
@@ -82,7 +85,12 @@ class CoordRow:
 
 @dataclass(frozen=True)
 class ConfigMatrix:
-    """n+2 mutually tangent spheres as a stack of coordinate rows."""
+    """n+2 mutually tangent spheres as a stack of coordinate rows.
+
+    A configuration is immutable, so what is worked out from its rows is
+    kept on the instance: its mode when first read, and its residual()
+    per tolerance.  Neither takes part in equality or repr.
+    """
 
     geometry: str
     rows: tuple
@@ -107,13 +115,29 @@ class ConfigMatrix:
     def n(self):
         return len(self.rows) - 2
 
-    @property
+    @functools.cached_property
     def mode(self):
         return EXACT if all(r.mode == EXACT for r in self.rows) else FLOAT
 
     @property
     def bends(self):
         return tuple(r.bend for r in self.rows)
+
+    def residual(self, tol=DEFAULT_TOL):
+        """check_identity of the configuration against the Descartes form
+        and the Gram target of its geometry, dimension and mode.
+
+        The result is kept per tol, so each configuration is checked once
+        at each tolerance it is asked about.
+        """
+        memo = self.__dict__.setdefault("_residuals", {})
+        res = memo.get(tol)
+        if res is None:
+            n, mode = self.n, self.mode
+            res = memo[tol] = check_identity(
+                self, descartes_form(n, mode), target_for(self.geometry, n, mode),
+                tol)
+        return res
 
     def matrix(self):
         mode = self.mode

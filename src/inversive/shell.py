@@ -86,11 +86,21 @@ def dumps_config(w):
 
 
 def parse_document(text, tol=DEFAULT_TOL):
-    """Parse a configuration document leniently; the valid flag records
-    whether the Gram identity holds at the given tolerance."""
+    """Parse a configuration document; the valid flag records whether the
+    Gram identity holds at the given tolerance.
+
+    Fields other than geometry, n, mode and rows are ignored.  A mode other
+    than "exact" or "float", an n that is not an int or not the dimension
+    of the rows, and rows that are not lists of scalars raise ValueError.
+    """
     raw = json.loads(text)
     try:
         geometry, n, mode = raw["geometry"], raw["n"], raw["mode"]
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"unknown configuration mode {mode!r}")
+        if type(n) is not int:
+            raise ValueError(f"configuration dimension n = {n!r} is not an "
+                             "integer")
         rows = [tuple(scalar_from_json(v, mode) for v in row) for row in raw["rows"]]
     except KeyError as e:
         raise ValueError(f"configuration document is missing field {e}")
@@ -100,9 +110,7 @@ def parse_document(text, tol=DEFAULT_TOL):
     w = forms.ConfigMatrix.from_rows(geometry, rows, mode=mode)
     if w.n != n:
         raise ValueError(f"declared n = {n} but rows have n = {w.n}")
-    residual = forms.check_identity(
-        w, forms.descartes_form(w.n, mode), forms.target_for(geometry, w.n, mode), tol
-    )
+    residual = w.residual(tol)
     return ConfigDocument(
         geometry, w.n, mode, tuple(rows), w, residual.ok, residual
     )

@@ -71,8 +71,7 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
         raise TypeError("convert_matrix expects a ConfigMatrix")
     n = w.n
     mode = w.mode
-    q = forms.descartes_form(n, mode)
-    res = forms.check_identity(w, q, forms.target_for(w.geometry, n, mode), tol)
+    res = w.residual(tol)
     if not res.ok:
         raise ValueError(
             f"input violates the {w.geometry} identity "

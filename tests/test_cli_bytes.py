@@ -1,13 +1,18 @@
 """End-to-end byte guard: `inversive gen ... | inversive render --in -` run as
-two processes, with the sha256 of the packing stream and of the SVG pinned.
+two processes, with the sha256 of the packing stream and of the SVG pinned,
+and the same for `lox` and for `solve ... | convert --to ... | verify`.
 
-The first four digests were recorded from the CLI before exact packings kept
-their rows as ints in the frame of scalars.scaled_rows, the last four before
-the renderer formatted each circle size once; any change to the stream or
-image bytes of these inputs shows up here.
+The first four gen/render digests were recorded from the CLI before exact
+packings kept their rows as ints in the frame of scalars.scaled_rows, the
+last four before the renderer formatted each circle size once.  The lox,
+solve, convert and verify digests were recorded before loxodromic() stopped
+building a configuration per step and before each configuration kept its
+Gram residual.  Any change to the output bytes of these inputs shows up
+here.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -76,3 +81,100 @@ def test_gen_render_bytes_are_pinned(args, render_args, gen_digest,
     assert hashlib.sha256(stream).hexdigest() == gen_digest
     image = _cli(["render", "--in", "-", *render_args], stdin=stream)
     assert hashlib.sha256(image).hexdigest() == svg_digest
+
+
+# (lox arguments, sha256 of the stdout): 60 steps from one seed per
+# geometry, in both modes
+LOX_CASES = (
+    (["--geometry", "euclidean", "--seed=-1,2,2,3"], "exact",
+     "7eed8332ba3994c83bda5f655162f49145e794dbcfe0fd24ba6110993b474283"),
+    (["--geometry", "euclidean", "--seed=-1,2,2,3"], "float",
+     "ef54f0af16dbe9bb0b12b6ce2c810351f209e36b2c8ed1783b1ded8e0f7288fa"),
+    (["--geometry", "spherical", "--seed=0,1,1,2"], "exact",
+     "2b2333d7b462e22b348996c55d79d394f76c692027c1d43d582631eec3983567"),
+    (["--geometry", "spherical", "--seed=0,1,1,2"], "float",
+     "a7b0548c373f44cccb147ed2c593dfae6bbeaedb8aa400e155dd4b2655f0af0a"),
+    (["--geometry", "hyperbolic", "--seed=-2,3,5,6"], "exact",
+     "24d97d790acf9216ae1c041222cc29900d7618e9a3f6f3ad6f4e6d4b1e5709f9"),
+    (["--geometry", "hyperbolic", "--seed=-2,3,5,6"], "float",
+     "2d954b9c6d3d629708819e970c0c10e616e226df539c27e2299ce905ca6b497e"),
+)
+
+
+@pytest.mark.parametrize("args, mode, digest", LOX_CASES,
+                         ids=[f"{a[1]}-{m}" for a, m, _ in LOX_CASES])
+def test_lox_bytes_are_pinned(args, mode, digest):
+    out = _cli(["lox", *args, "--steps", "60", "--mode", mode])
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+# (geometry, three bends, mode, sha256 of the solve stdout, {target:
+# (sha256 of the convert stdout, sha256 of the verify stdout)}); the
+# configuration of the larger completion is converted to each other
+# geometry, and the converted document is verified
+SOLVE_CASES = (
+    ("euclidean", "2,2,3", "exact",
+     "27c3d12386aec3b022adce8c57429103d48fe604bac145867f0f8329cbe6d12e",
+     {"spherical": (
+         "362b005407ff93c4aeca4db1611d939c192869953f7e142ecbaf2a6954d80479",
+         "0edd50d9410a298110a44da5b7d85417132a279ef2497daa46a99fa84bcc70f5"),
+      "hyperbolic": (
+         "a1ff02971c2f2a29e58f2f9f09825921a722b5d96bd83c305674a06b60611bff",
+         "feebbdae5e1c82674b93eb08909e39a55ba56a7badde1fe73efb013d60d8fe50")}),
+    ("euclidean", "2,2,3", "float",
+     "89d596fd57a6719f82fe339468db340cde180c4e367db757c1a5012d1bbe1db6",
+     {"spherical": (
+         "b9fb0139cb00759151820fe83d96f962de149223a2f7a1802caee2d5a89049b4",
+         "50abc35153a3c5b7a6e09081697959ce2d3c8989b66d4dcdef5dec6e927ac6c9"),
+      "hyperbolic": (
+         "851fbb55a64cffd7ade672e601d25e91ef3c0293b5101d84b83fd516ff76b9c3",
+         "f030e2ed56c5ed16d0ac3ff9417c5a5b469580bde5c1b1325947796e504e1b48")}),
+    ("spherical", "1,1,2", "exact",
+     "eae90eebf28ffd8e72561869d63fab29dac328da746e73874fc36a3bac8b8023",
+     {"euclidean": (
+         "1a697ce34b8875c93fbd9d56c4f13adef00fc92ac473b2e783778a16ede6bc03",
+         "d03fe79c6b74166f591aca62f50e7dbd73b80468266c296704cf6ec62f9ef098"),
+      "hyperbolic": (
+         "d1359eeabe3d4861e40c714c8c7d457fd4b64fc3fdf94901911b1a5ccea226e1",
+         "feebbdae5e1c82674b93eb08909e39a55ba56a7badde1fe73efb013d60d8fe50")}),
+    ("spherical", "1,1,2", "float",
+     "377ef249f65d950b60b188333b066e8b537f53b17993905c94b7000893aef372",
+     {"euclidean": (
+         "3ea297ddc467e91da8ffeb9f7ee6666bd291c236e6fcebd99998ad54337f615d",
+         "267b1a85cf3efd1016202add95a0947a28684e0c5a94c58dd1e93aba1094f402"),
+      "hyperbolic": (
+         "511ebab0760ca5a1dd88dcbdfc730a69c9b1abde4a0da581c5e8bc410d70459d",
+         "f0ce40076b3da4c206111906555aef9962a17c4d972368b1b5eb0b2de2c28158")}),
+    ("hyperbolic", "3,5,6", "exact",
+     "6e654d8d22b92293552c5c88f060f2c977df943bba56a0da8b7c8f6c3af4ce6a",
+     {"euclidean": (
+         "503e6a630048c19d7a3b46da60d91e3422207b575d9dfafd09ad7140e2e9ebcc",
+         "d03fe79c6b74166f591aca62f50e7dbd73b80468266c296704cf6ec62f9ef098"),
+      "spherical": (
+         "8fcd1cec308dfcdbe1569efe5ffbb98ef496be9f872d9f230152c879de920f94",
+         "0edd50d9410a298110a44da5b7d85417132a279ef2497daa46a99fa84bcc70f5")}),
+    ("hyperbolic", "3,5,6", "float",
+     "19edab836fa6df8c530777bbda73349b68c1a098598535e24b1d7a0d9c7a7377",
+     {"euclidean": (
+         "b773b9078931e64f7d5bf2048d9b8c9cce03cb65a22f019ca186d13a82403380",
+         "2fab71b0858d8fdd3a2f31719e5a4d2145b79518cbfaf4f9d8897fd7fbcf1e96"),
+      "spherical": (
+         "e0d39c3a578992eeff71ee4986e913cb985f9148a5d37c1bc6dcc1eba353625c",
+         "9dc1b500629c6e35834b181a6177bd503290d3b3f7cbd1c4594383fe997dc1ed")}),
+)
+
+
+@pytest.mark.parametrize("geometry, bends, mode, solve_digest, converted",
+                         SOLVE_CASES,
+                         ids=[f"{g}-{m}" for g, _, m, _, _ in SOLVE_CASES])
+def test_solve_convert_verify_bytes_are_pinned(geometry, bends, mode,
+                                               solve_digest, converted):
+    out = _cli(["solve", "--geometry", geometry, f"--seed={bends}",
+                "--mode", mode])
+    assert hashlib.sha256(out).hexdigest() == solve_digest
+    document = json.dumps(json.loads(out)["configurations"][-1]).encode()
+    for target, (convert_digest, verify_digest) in converted.items():
+        text = _cli(["convert", "--to", target], stdin=document)
+        assert hashlib.sha256(text).hexdigest() == convert_digest, target
+        report = _cli(["verify"], stdin=text)
+        assert hashlib.sha256(report).hexdigest() == verify_digest, target

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from inversive import apollonian, euclid, forms, linalg, transform
+from inversive import apollonian, euclid, forms, linalg, shell, transform
 from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
                                coerce, coerce_row, integer_rows, is_exact,
                                mode_of, near, sqrt_scalar)
@@ -359,6 +359,97 @@ def test_loxodromic_matches_reference(geometry, mode):
         assert len(new.configs) == len(ref.configs) == 11
         for a, b in zip(new.configs, ref.configs):
             assert _same_rows(a, b, exact), w
+
+
+def _int_entries(w):
+    """w with its integral Fraction entries given as ints, as a
+    ConfigMatrix built from CoordRows directly may hold them."""
+    return forms.ConfigMatrix(w.geometry, [
+        forms.CoordRow(w.geometry, [int(x) if x.denominator == 1 else x
+                                    for x in r.entries]) for r in w.rows])
+
+
+@pytest.mark.parametrize("geometry,mode", CASES)
+def test_loxodromic_configs_are_built_when_read(geometry, mode):
+    """The walk records its steps, and the configurations built from them
+    on first read are the reference's, entry types included."""
+    configs = _grid(geometry, mode)
+    if mode == EXACT:
+        configs += [_int_entries(w) for w in configs[:3]]
+    for w in configs:
+        for k in (0, 1, 24, 60):
+            seq = apollonian.loxodromic(w, k)
+            ref = _reference_loxodromic(w, k)
+            assert "configs" not in vars(seq)
+            assert seq.bends == ref.bends, (w, k)
+            configs = seq.configs
+            assert len(configs) == k + 1 and configs[0] is w
+            for a, b in zip(configs, ref.configs):
+                assert a.geometry == b.geometry == geometry
+                for ra, rb in zip(a.rows, b.rows):
+                    assert ra.entries == rb.entries, (w, k)
+                    assert list(map(type, ra.entries)) == \
+                        list(map(type, rb.entries))
+            assert seq.configs is configs
+            assert seq == ref and repr(seq) == repr(ref)
+
+
+def _count_checks(monkeypatch):
+    """The configurations passed to forms.check_identity from now on, and
+    the unpatched function."""
+    inner = forms.check_identity
+    calls = []
+
+    def counted(w, *args, **kwargs):
+        calls.append(w)
+        return inner(w, *args, **kwargs)
+
+    monkeypatch.setattr(forms, "check_identity", counted)
+    return calls, inner
+
+
+@pytest.mark.parametrize("geometry,mode", CASES)
+def test_each_configuration_is_checked_once(geometry, mode, monkeypatch,
+                                            tmp_path, capsys):
+    configs = _grid(geometry, mode)
+    calls, check = _count_checks(monkeypatch)
+    # one document read by the CLI is checked once, though convert and lox
+    # each check it twice: on reading it and before using it
+    path = tmp_path / "config.json"
+    path.write_text(shell.dumps_config(configs[0]))
+    to = next(g for g in GEOMS if g != geometry)
+    for argv in (["convert", "--in", str(path), "--to", to],
+                 ["lox", "--in", str(path), "--steps", "24"]):
+        del calls[:]
+        assert shell.run(argv) == 0, capsys.readouterr().err
+        assert len(calls) == 1, argv
+    capsys.readouterr()
+    # residual() is check_identity against the configuration's own target,
+    # kept per tolerance
+    for w in configs:
+        q = forms.descartes_form(w.n, mode)
+        t = forms.target_for(geometry, w.n, mode)
+        for tol in (DEFAULT_TOL, 1e-3):
+            res = w.residual(tol)
+            assert res == check(w, q, t, tol), w
+            assert w.residual(tol) is res
+    # a residual kept at one tolerance does not answer another
+    w = configs[0]
+    rows = [list(r.entries) for r in w.rows]
+    rows[1][2] += coerce(Fraction(1, 10 ** 6), mode)
+    off = forms.ConfigMatrix.from_rows(geometry, rows, mode=mode)
+    del calls[:]
+    assert not off.residual(1e-9).ok
+    assert off.residual(1e-3).ok == (mode == FLOAT)
+    assert not off.residual(1e-9).ok
+    assert len(calls) == 2
+    # a configuration that fails its identity is refused every time
+    for bad in [_corrupt(w) for w in configs[:6]]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="identity"):
+                transform.convert_matrix(bad, to)
+            with pytest.raises(ValueError, match="invalid seed"):
+                apollonian.generate(bad, 10)
 
 
 def _systems(mode):

@@ -78,6 +78,29 @@ def test_parse_document_field_errors(euclid_seed):
         shell.parse_document(json.dumps(raw))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("mode", "xyz", "unknown configuration mode 'xyz'"),
+    ("mode", None, "unknown configuration mode None"),
+    ("n", "2", "n = '2' is not an integer"),
+    ("n", 2.0, "n = 2.0 is not an integer"),
+    ("n", True, "n = True is not an integer"),
+], ids=["mode-xyz", "mode-null", "n-string", "n-float", "n-bool"])
+def test_malformed_mode_or_n_is_an_error(field, value, message, tmp_path,
+                                         capsys, euclid_seed):
+    raw = json.loads(shell.dumps_config(euclid_seed))
+    raw[field] = value
+    text = json.dumps(raw)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        shell.parse_document(text)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    for argv in (["verify"], ["convert", "--to", "spherical"],
+                 ["lox", "--steps", "2"]):
+        code, out, err = run([*argv, "--in", str(path)], capsys)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and message in err, argv
+
+
 def test_packing_roundtrip(euclid_seed):
     p = apollonian.generate(euclid_seed, 20)
     text = shell.dumps_packing(p)
