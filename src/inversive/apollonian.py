@@ -33,7 +33,7 @@ from operator import add
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
                       integer_rows, mode_of, near, negligible, scaled_rows,
-                      sqrt_scalar)
+                      sqrt_scalar, unscaled_rows)
 
 
 def reflection_matrix(n, i, mode=EXACT):
@@ -94,14 +94,14 @@ class Packing:
     """Closure of a seed under reflections, within a bound: the distinct
     circles of the configurations reached.
 
-    rows is a tuple of CoordRows.  generate() and shell.loads_packing()
-    pass rows=None and scaled=(rows, scale) instead: the rows in the frame
-    of scalars.scaled_rows, which in exact mode are int tuples over the
-    least common multiple scale of their denominators (float tuples and
-    1.0 in float mode).  The CoordRows are then built when rows is first
-    read, with Fraction entries in exact mode, and kept.  Rows given to the
-    constructor win: scaled is dropped, so dataclasses.replace(p, rows=...)
-    is a packing of exactly those rows.  scaled takes no part in equality.
+    scaled=(rows, scale), the rows in the frame of scalars.scaled_rows (int
+    tuples over the LCM of their denominators, or float tuples and 1.0), is
+    what the stream writer and the renderer read.  generate() and
+    shell.loads_packing() pass rows=None and scaled; the CoordRows of rows
+    are built from it when rows is first read, and kept.  Rows given to the
+    constructor, as by dataclasses.replace(p, rows=...), are kept and
+    framed once, in the mode of their entries.  scaled takes no part in
+    equality.
     """
 
     geometry: str
@@ -117,7 +117,9 @@ class Packing:
 
     def __post_init__(self):
         if self.rows is not None:
-            object.__setattr__(self, "scaled", None)
+            entries = [r.entries for r in self.rows]
+            mode = mode_of([x for row in entries for x in row])
+            object.__setattr__(self, "scaled", scaled_rows(entries, mode)[:2])
         elif self.scaled is None:
             raise ValueError("a packing needs rows or scaled rows")
         else:
@@ -128,14 +130,8 @@ class Packing:
         # before it is first read
         if name != "rows":
             raise AttributeError(name)
-        rows, scale = self.scaled
-        if self.seed.mode == EXACT:
-            # a packing repeats its entries (equal bends, mirrored
-            # centers), and equal entries share one Fraction
-            unscaled = {x: Fraction(x) if scale == 1 else Fraction(x, scale)
-                        for x in {x for row in rows for x in row}}.__getitem__
-            rows = (tuple(map(unscaled, row)) for row in rows)
-        built = tuple(forms.CoordRow(self.geometry, row) for row in rows)
+        built = tuple(forms.CoordRow(self.geometry, row)
+                      for row in unscaled_rows(*self.scaled, self.seed.mode))
         object.__setattr__(self, "rows", built)
         return built
 
@@ -259,7 +255,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     scaling by a positive number keeps the sorted order of rows and keys.
     The returned Packing holds the sorted rows as they are, with their
     scale, in its scaled field, and builds its Fraction rows from them only
-    when they are read; only kept configurations are divided back here.
+    when they are read; only kept configurations are divided back here, by
+    scalars.unscaled_rows.
     The column sums are formed once per configuration, and a child row is
     built only when its bend is within the bound.
 
@@ -271,7 +268,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     """
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
-    seed_rows, scale, coeff, quotient = _walk_frame(seed, tol, "generation")
+    seed_rows, scale, coeff, _ = _walk_frame(seed, tol, "generation")
     n, mode = seed.n, seed.mode
     exact = mode == EXACT
     col = forms.bend_column(seed.geometry)
@@ -357,8 +354,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     if keep_configs:
         configs = tuple(
             forms.ConfigMatrix.from_rows(
-                seed.geometry,
-                [[quotient(x, scale) for x in row] for row in kept_configs[k]],
+                seed.geometry, unscaled_rows(kept_configs[k], scale, mode),
                 mode=mode)
             for k in sorted(kept_configs))
     if exact and type(coeff) is not int:
@@ -374,10 +370,10 @@ class LoxodromicSequence:
     configurations of the walk, the seed first.
 
     loxodromic() passes configs=None and the init-only walk=(seed, steps,
-    scale, quotient) instead: per step, the reflected index and the new row
-    in the frame of scalars.scaled_rows.  The configurations are built from
-    them when configs is first read, each sharing the unchanged rows of the
-    one before, and kept, as Packing.rows is.  walk is not a field, so
+    scale) instead: per step, the reflected index and the new row in the
+    frame of scalars.scaled_rows.  The configurations are built from them
+    when configs is first read, each sharing the unchanged rows of the one
+    before, and kept, as Packing.rows is.  walk is not a field, so
     fields, equality and repr are those of geometry, bends and configs.
     """
 
@@ -399,14 +395,14 @@ class LoxodromicSequence:
         # before it is first read
         if name != "configs":
             raise AttributeError(name)
-        seed, steps, scale, quotient = self._walk
+        seed, steps, scale = self._walk
         geometry = seed.geometry
         rows = tuple(forms.CoordRow(geometry, coerce_row(r.entries, seed.mode))
                      for r in seed.rows)
         configs = [seed]
-        for i, new in steps:
-            row = forms.CoordRow(geometry, tuple([quotient(x, scale) for x in new]))
-            rows = rows[:i] + (row,) + rows[i + 1:]
+        new_rows = unscaled_rows([new for _, new in steps], scale, seed.mode)
+        for (i, _), new in zip(steps, new_rows):
+            rows = rows[:i] + (forms.CoordRow(geometry, new),) + rows[i + 1:]
             configs.append(forms.ConfigMatrix(geometry, rows))
         configs = tuple(configs)
         object.__setattr__(self, "configs", configs)
@@ -442,7 +438,7 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
         bends.append(quotient(new[col], scale))
         steps.append((i, new))
     return LoxodromicSequence(seed.geometry, tuple(bends), None,
-                              walk=(seed, tuple(steps), scale, quotient))
+                              walk=(seed, tuple(steps), scale))
 
 
 def recurrence_check(seq, tol=1e-6):

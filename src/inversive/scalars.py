@@ -85,6 +85,18 @@ def scaled_rows(rows, mode):
     return tuple([tuple(map(float, row)) for row in rows]), 1.0, truediv
 
 
+def unscaled_rows(rows, scale, mode):
+    """The rows of the scaled_rows frame back in the mode: each x / scale as
+    a Fraction in exact mode, one Fraction per distinct x, and the float
+    rows as they are."""
+    if mode != EXACT:
+        return rows
+    # a packing repeats its entries (equal bends, mirrored centers)
+    fraction = {x: Fraction(x) if scale == 1 else Fraction(x, scale)
+                for x in {x for row in rows for x in row}}.__getitem__
+    return tuple([tuple(map(fraction, row)) for row in rows])
+
+
 def div(a, b):
     """a / b, a Fraction when both operands are exact (so 1/3 stays 1/3)."""
     if is_exact(a) and is_exact(b):

@@ -6,13 +6,12 @@ streamed.  Exact scalars serialize as fraction strings in lowest terms
 (integers without the denominator), float scalars as JSON numbers.
 
 iter_packing_lines yields a packing stream one line at a time, each row
-formatted by hand, from the int rows and scale that generate() leaves on an
-exact Packing (or from numerator and denominator, or float repr); `gen`
-writes the lines as they come.  loads_packing takes the stream as text or
-as a text file object and reads it line by line; exact rows written as
-iter_packing_lines writes them are parsed by one regex straight into ints,
-and any other line goes through the json decoder and scalar_from_json.
-Malformed input raises ValueError.
+formatted by hand from Packing.scaled (int rows over one scale, or float
+rows); `gen` writes the lines as they come.  loads_packing takes the
+stream as text or as a text file object and reads it line by line; exact
+rows written as iter_packing_lines writes them are parsed by one regex
+straight into ints, and any other line goes through the json decoder and
+scalar_from_json.  Malformed input raises ValueError.
 
 The CLI runs as `inversive` or `python -m inversive`.  Exit codes: 0
 success, 1 validation failure or malformed input, 2 usage error.
@@ -49,6 +48,8 @@ def _fraction(v):
 
 
 def scalar_from_json(v, mode):
+    if isinstance(v, bool):  # an int to Python, but no JSON number
+        raise ValueError(f"boolean entry {json.dumps(v)} is not a scalar")
     if mode == EXACT:
         if isinstance(v, float):
             raise ValueError(f"float entry {v!r} in an exact document")
@@ -126,12 +127,9 @@ def loads_config(text, strict=True, tol=DEFAULT_TOL):
     return doc.config
 
 
-def _json_scalar(x):
-    """One scalar as JSON text, as json.dumps(scalar_to_json(x)) writes it."""
-    if isinstance(x, float):
-        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-    n, d = x.numerator, x.denominator
-    return f'"{n}"' if d == 1 else f'"{n}/{d}"'
+def _json_float(x):
+    """One float as JSON text, as json.dumps(scalar_to_json(x)) writes it."""
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
 
 
 def _ratio_texts(scale):
@@ -151,14 +149,12 @@ def _ratio_texts(scale):
 
 
 def _row_texts(p):
-    """The JSON texts of the entries of each row of p: formatted from the
-    rows in the frame of scalars.scaled_rows when p holds them, else from
-    the entries of p.rows."""
-    if p.scaled is None:
-        return ([_json_scalar(x) for x in r.entries] for r in p.rows)
+    """The JSON texts of the entries of each row of p, formatted from its
+    rows in the frame of scalars.scaled_rows; a float scale (1.0) marks
+    float rows."""
     rows, scale = p.scaled
-    if p.seed.mode == FLOAT:
-        text = _json_scalar
+    if isinstance(scale, float):
+        text = _json_float
     elif scale == 1:
         text = '"%d"'.__mod__
     else:
@@ -170,11 +166,9 @@ def iter_packing_lines(p):
     """The packing stream of p line by line: the header record, then one
     {"bend", "row"} record per row, each line ending in a newline.
 
-    The rows of a packing from generate() or loads_packing() are written
-    from its int rows and their scale: x / scale is the int itself at scale
-    1, and is otherwise reduced by a gcd, once per distinct x.  A packing
-    built from CoordRows is written from their entries, with the same
-    bytes for the same values."""
+    The rows are written from Packing.scaled: an exact x / scale is the
+    int itself at scale 1, and is otherwise reduced by a gcd, once per
+    distinct x; a float is written by repr."""
     bend_col = forms.bend_column(p.geometry)
     head = {
         "kind": "packing",
@@ -292,7 +286,7 @@ def loads_packing(source):
             seed=seed,
             rows=None,
             bound=bound,
-            configs=(),
+            configs=None,
             explored=head["explored"],
             depth=head["depth"],
             truncated=head["truncated"],
@@ -359,7 +353,6 @@ def _build_parser():
 
     sp = sub.add_parser("solve", help="complete n+1 bends to a full bend vector")
     _seed_args(sp)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _io_args(sp, infile=False)
 
     sp = sub.add_parser("gen", help="generate a packing out to a bend bound")

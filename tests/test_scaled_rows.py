@@ -5,12 +5,19 @@ Fraction decoder."""
 
 import dataclasses
 import json
+import math
+import types
+import warnings
 from fractions import Fraction as F
 
 import pytest
 
 from inversive import apollonian, forms, shell, svg
-from inversive.scalars import EXACT, FLOAT
+from inversive.scalars import EXACT, FLOAT, coerce_row, mode_of, scaled_rows, \
+    unscaled_rows
+
+import reference_svg
+from test_shell import _reference_dumps_packing
 
 # (geometry, bends, bound, scale of the realized exact seed)
 INPUTS = (
@@ -30,7 +37,8 @@ def _packing(geometry, bends, bound, mode):
 
 def _explicit(p, rows=None):
     """p with its rows given as CoordRows, rebuilt entry by entry from
-    p.scaled (or the given rows), so nothing of the scaled frame is left."""
+    p.scaled (or the given rows); the packing keeps them as given and
+    frames them anew."""
     if rows is None:
         ints, scale = p.scaled
         divide = (lambda x: F(x, scale)) if p.seed.mode == EXACT else float
@@ -38,7 +46,7 @@ def _explicit(p, rows=None):
                      for r in ints)
     q = apollonian.Packing(p.geometry, p.n, p.seed, rows, p.bound, p.configs,
                            p.explored, p.depth, p.truncated)
-    assert q.scaled is None
+    assert q.rows is rows
     return q
 
 
@@ -55,6 +63,9 @@ def test_walk_rows_dump_and_render_as_explicit_rows(geometry, bends, bound,
         assert got_scale == 1.0
     oracle = _explicit(p)
     assert oracle == p and oracle.rows == p.rows
+    # framing the CoordRows gives back the frame of the walk
+    assert oracle.scaled == p.scaled
+    assert type(oracle.scaled[1]) is type(got_scale)
     assert all(type(x) is (F if mode == EXACT else float)
                for r in p.rows for x in r.entries)
     assert shell.dumps_packing(p) == shell.dumps_packing(oracle)
@@ -114,7 +125,7 @@ def _oracle_loads(text):
         rows.append(forms.CoordRow(head["geometry"], tuple(
             shell.scalar_from_json(v, mode) for v in row)))
     return apollonian.Packing(head["geometry"], seed.n, seed, tuple(rows),
-                              shell.scalar_from_json(head["bound"], mode), (),
+                              shell.scalar_from_json(head["bound"], mode), None,
                               head["explored"], head["depth"],
                               head["truncated"])
 
@@ -166,7 +177,8 @@ def test_replaced_rows_win_over_scaled():
     p = _packing(forms.EUCLIDEAN, (-15, 24, 40, 49), 900, EXACT)
     subset = p.rows[::3]
     q = dataclasses.replace(p, rows=subset)
-    assert q.scaled is None and q.rows == subset
+    assert q.rows is subset
+    assert q.scaled == scaled_rows([r.entries for r in subset], EXACT)[:2]
     oracle = _explicit(p, subset)
     assert shell.dumps_packing(q) == shell.dumps_packing(oracle)
     assert len(shell.dumps_packing(q).splitlines()) == len(subset) + 1
@@ -184,3 +196,67 @@ def test_packing_needs_rows_or_scaled_rows():
     assert p.rows is p.rows and "rows" in vars(p)
     with pytest.raises(AttributeError):
         p.no_such_field
+
+
+# --- the single frame against the CoordRow oracles ------------------------
+
+def _oracle_packings():
+    """(id, packing): the walk packings of INPUTS in both modes and one of
+    bends that are not integral, and packings given CoordRows: subsets over
+    a smaller scale than the walk's, int and Fraction entries mixed,
+    non-finite and signed-zero floats, no rows."""
+    for (geometry, bends, bound, _), name in zip(INPUTS, IDS):
+        for mode in (EXACT, FLOAT):
+            yield f"{name}-{mode}", _packing(geometry, bends, bound, mode)
+    yield "halves", _packing(forms.EUCLIDEAN, (F(-1, 2), 1, 1, F(3, 2)), 30,
+                             EXACT)
+    for geometry, bends, bound, scale in INPUTS[:2]:
+        p = _packing(geometry, bends, bound, EXACT)
+        integral = tuple(r for r in p.rows
+                         if all(x.denominator == 1 for x in r.entries))
+        q = dataclasses.replace(p, rows=integral)
+        assert q.scaled[1] == 1 < scale
+        yield f"integral-subset-{scale}", q
+        yield f"mixed-{scale}", dataclasses.replace(p, rows=tuple(
+            forms.CoordRow(geometry, tuple(
+                int(x) if x.denominator == 1 else x for x in r.entries))
+            for r in p.rows))
+    p = apollonian.generate(
+        apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT), 6.0)
+    odd = forms.CoordRow(forms.EUCLIDEAN, (math.nan, math.inf, -math.inf, -0.0))
+    yield "non-finite", dataclasses.replace(p, rows=p.rows + (odd,))
+    yield "empty", dataclasses.replace(p, rows=())
+
+
+ORACLE_PACKINGS = dict(_oracle_packings())
+
+
+def _render_outcome(render, packing, options):
+    try:
+        return render(packing, options)
+    except (ArithmeticError, ValueError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("name", ORACLE_PACKINGS)
+def test_one_frame_matches_the_coordrow_oracles(name):
+    p = ORACLE_PACKINGS[name]
+    entries = [r.entries for r in p.rows]
+    mode = mode_of([x for row in entries for x in row])
+    # the frame divides back to the entries of p.rows, in their mode; repr
+    # tells the types apart, and nan and -0.0 from other floats
+    assert repr(unscaled_rows(*p.scaled, mode)) \
+        == repr(tuple(coerce_row(e, mode) for e in entries))
+    assert shell.dumps_packing(p) == _reference_dumps_packing(p)
+    # the reference renderer on the CoordRows alone, with no frame to read
+    rows_only = types.SimpleNamespace(geometry=p.geometry, n=p.n, rows=p.rows)
+    projections = (svg.ORTHOGRAPHIC, svg.STEREOGRAPHIC) \
+        if p.geometry == forms.SPHERICAL else (svg.ORTHOGRAPHIC,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for labels in ("bend", "none"):
+            for projection in projections:
+                o = svg.RenderOptions(labels=labels, projection=projection)
+                new = _render_outcome(svg.render, p, o)
+                assert new == _render_outcome(reference_svg.render, p, o)
+                assert new == _render_outcome(reference_svg.render, rows_only, o)

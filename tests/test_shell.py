@@ -163,7 +163,7 @@ def _reference_loads_packing(text):
             seed=seed,
             rows=tuple(rows),
             bound=bound,
-            configs=(),
+            configs=None,
             explored=head["explored"],
             depth=head["depth"],
             truncated=head["truncated"],
@@ -193,6 +193,8 @@ def test_packing_codec_matches_reference(geometry, bends, bound, mode):
     ref = _reference_loads_packing(text)
     for back in (shell.loads_packing(text), shell.loads_packing(io.StringIO(text))):
         assert back == ref
+        # a packing equals its round trip, configs (None) included
+        assert back == p
         assert back.rows == p.rows
         assert all(type(x) is scalar for r in back.rows for x in r.entries)
 
@@ -229,6 +231,36 @@ def test_packing_rows_keep_their_input_errors():
         shell.loads_packing(_one_row_stream(["x", "1", "0", "0"]))
     with pytest.raises(ValueError):
         shell.loads_packing(_one_row_stream(["3/4", "1/0", "0", "0"], mode=FLOAT))
+
+
+BOOLEAN_DOCUMENT = {
+    "geometry": "euclidean", "n": 2,
+    "rows": [[True, -1, 0, 0], [0, 2, True, 0], [0, 2, -1, False],
+             [1, 3, 0, 2]]}
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_booleans_are_no_scalars(mode, capsys, monkeypatch):
+    for v in (True, False):
+        with pytest.raises(ValueError, match="boolean entry"):
+            shell.scalar_from_json(v, mode)
+    # as 1 and 0 these rows would be the standard seed, and valid
+    text = json.dumps({**BOOLEAN_DOCUMENT, "mode": mode})
+    with pytest.raises(ValueError, match="boolean entry true"):
+        shell.parse_document(text)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run(["verify"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "boolean entry" in err
+    head = _one_row_stream(["0", "2", "-1", "0"], mode).splitlines()[0]
+    stream = head + '\n{"bend":true,"row":[true,2,-1,0]}\n'
+    with pytest.raises(ValueError, match="boolean entry true"):
+        shell.loads_packing(stream)
+    head = json.loads(head)
+    for field, value in (("bound", True), ("seed", [[True, -1, 0, 0]])):
+        text = json.dumps({**head, field: value}) + "\n"
+        with pytest.raises(ValueError, match="boolean entry true"):
+            shell.loads_packing(text)
 
 
 def test_complete_bend():
@@ -294,6 +326,13 @@ def test_solve_irrational_needs_float(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["completions"]) == 2
+
+
+def test_solve_has_no_tol_flag(capsys):
+    code, out, err = run(["solve", "--geometry", "euclidean", "--seed",
+                          "2,2,3", "--tol", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --tol 5" in err
 
 
 def test_gen_command(tmp_path, capsys):

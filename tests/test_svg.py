@@ -164,7 +164,7 @@ def test_render_bytes_match_float_conversion(monkeypatch, geometry, bends,
     # conversion of the entries of p.rows
     assert [f for f, _ in rows] == [f for f, _ in reference]
     assert [text(v) for _, v in rows] \
-        == [svg._label_text(e[col]) for _, e in reference]
+        == [reference_svg._label_text(e[col]) for _, e in reference]
     projections = (svg.ORTHOGRAPHIC, svg.STEREOGRAPHIC) \
         if geometry == forms.SPHERICAL else (svg.ORTHOGRAPHIC,)
     options = [svg.RenderOptions(labels=labels, cutoff=cutoff, projection=pr)
@@ -172,7 +172,8 @@ def test_render_bytes_match_float_conversion(monkeypatch, geometry, bends,
                for cutoff in (1 / 800, 1 / 400, 1 / 200) for pr in projections]
     new = [svg.render(p, o) for o in options]
     monkeypatch.setattr(svg, "_sorted_rows", lambda q: (
-        [(f, e[col]) for f, e in _reference_sorted_rows(q)], svg._label_text))
+        [(f, e[col]) for f, e in _reference_sorted_rows(q)],
+        reference_svg._label_text))
     assert new == [svg.render(p, o) for o in options]
 
 
