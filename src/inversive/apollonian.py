@@ -520,8 +520,6 @@ def standard_seed(geometry, n=2, mode=EXACT):
     """
     if n == 2:
         w = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, _SEED_ROWS, mode=mode)
-        if geometry == forms.EUCLIDEAN:
-            return w
         return transform.convert_matrix(w, geometry)
     if n < 2:
         raise ValueError("use the interval configurations for n = 1")
@@ -531,17 +529,16 @@ def standard_seed(geometry, n=2, mode=EXACT):
             "the Gram identity forces an irrational determinant")
     c = sqrt_scalar(n / (n + 2))
     wp = spherical.realize_cap_config((c,) * (n + 2))
-    if geometry == forms.SPHERICAL:
-        return wp
     return transform.convert_matrix(wp, geometry)
+
+
+# realizers by module and name, so that a wrapper set on one later is called
+_REALIZERS = {forms.EUCLIDEAN: (euclid, "realize_curvature_vector"),
+              forms.SPHERICAL: (spherical, "realize_cap_config"),
+              forms.HYPERBOLIC: (hyperbolic, "realize_sphere_config")}
 
 
 def realize_bends(geometry, bends):
     """Configuration with the given bend vector in the given geometry."""
-    if geometry == forms.EUCLIDEAN:
-        return euclid.realize_curvature_vector(bends)
-    if geometry == forms.SPHERICAL:
-        return spherical.realize_cap_config(bends)
-    if geometry == forms.HYPERBOLIC:
-        return hyperbolic.realize_sphere_config(bends)
-    raise ValueError(f"unknown geometry {geometry!r}")
+    module, name = forms._by_geometry(_REALIZERS, geometry)
+    return getattr(module, name)(bends)

@@ -8,6 +8,13 @@ exactly when W^T Q_n W equals that target, where Q_n is the Descartes form
     Q_n = I - (1/n) * ones * ones^T
 
 on n+2 coordinates.  Everything here is generic over exact and float entries.
+
+The targets differ only in a 2x2 head T on the first two coordinates (the
+rest is 2I), so one table keyed by the geometry tags holds what sets a
+geometry apart: its bend column c, T, and the head of the map carrying its
+rows to Euclidean rows.  bend_column, CURVATURE_SIGN (k = -T[c][c]/2),
+target_for, pair_product (2 T^{-1} on the head) and transform read it.
+
 check_identity compares W^T Q W with any target; ConfigMatrix.residual runs
 it against the configuration's own Descartes form and target, once per
 configuration and tolerance, since a configuration is immutable.
@@ -21,6 +28,7 @@ turns a result back into an entry.
 """
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -33,27 +41,33 @@ from .scalars import (DEFAULT_TOL, EXACT, FLOAT, all_exact, coerce,
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 HYPERBOLIC = "hyperbolic"
-GEOMETRIES = (EUCLIDEAN, SPHERICAL, HYPERBOLIC)
 
-# Curvature sign k of each geometry in the unified Descartes relation
-# sum b^2 - (sum b)^2 / n + 2k = 0 (Lagarias, Mallows, Wilks).
-CURVATURE_SIGN = {EUCLIDEAN: 0, SPHERICAL: 1, HYPERBOLIC: -1}
+_Geometry = namedtuple("_Geometry", "bend_column target_head to_euclidean")
+_GEOMETRY = {
+    EUCLIDEAN: _Geometry(1, ((0, -4), (-4, 0)), ((1, 0), (0, 1))),
+    SPHERICAL: _Geometry(0, ((-2, 0), (0, 2)), ((1, 1), (-1, 1))),
+    HYPERBOLIC: _Geometry(0, ((2, 0), (0, -2)), ((-1, 1), (1, 1))),
+}
+GEOMETRIES = tuple(_GEOMETRY)
+
+# k of the Descartes relation sum b^2 - (sum b)^2 / n + 2k = 0 (LMW)
+CURVATURE_SIGN = {tag: -g.target_head[g.bend_column][g.bend_column] // 2
+                  for tag, g in _GEOMETRY.items()}
 
 _ZERO = Fraction(0)
 
 
-def bend_column(geometry):
-    """Column index of the natural bend entry for the geometry.
+def _by_geometry(table, geometry):
+    """table[geometry], or the ValueError of an unknown geometry."""
+    try:
+        return table[geometry]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise ValueError(f"unknown geometry {geometry!r}") from None
 
-    Euclidean rows are (inverted curvature, curvature, curvature*center),
-    so the bend sits in column 1; spherical and hyperbolic rows lead with
-    cot/coth of the radius.
-    """
-    if geometry == EUCLIDEAN:
-        return 1
-    if geometry in (SPHERICAL, HYPERBOLIC):
-        return 0
-    raise ValueError(f"unknown geometry {geometry!r}")
+
+def bend_column(geometry):
+    """Column of the bend: 1 in Euclidean rows, 0 in cot and coth rows."""
+    return _by_geometry(_GEOMETRY, geometry).bend_column
 
 
 @dataclass(frozen=True)
@@ -64,8 +78,7 @@ class CoordRow:
     entries: tuple
 
     def __post_init__(self):
-        if self.kind not in GEOMETRIES:
-            raise ValueError(f"unknown row kind {self.kind!r}")
+        _by_geometry(_GEOMETRY, self.kind)  # or raise
         if len(self.entries) < 3:
             raise ValueError("a coordinate row needs at least 3 entries")
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -98,8 +111,7 @@ class ConfigMatrix:
     def __post_init__(self):
         rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
-        if self.geometry not in GEOMETRIES:
-            raise ValueError(f"unknown geometry {self.geometry!r}")
+        _by_geometry(_GEOMETRY, self.geometry)  # or raise
         if not rows:
             raise ValueError("empty configuration")
         width = len(rows[0].entries)
@@ -226,46 +238,39 @@ def centers_gram_target(n, mode=EXACT):
     return linalg.block_diag((), (0,) + (2,) * n, mode)
 
 
-def augmented_gram_target(n, mode=EXACT):
-    """Target for Euclidean augmented matrices: antidiagonal -4 block, then 2I."""
-    return linalg.block_diag(((0, -4), (-4, 0)), (2,) * n, mode)
-
-
-def spherical_gram_target(n, mode=EXACT):
-    return linalg.block_diag((), (-2,) + (2,) * (n + 1), mode)
-
-
-def hyperbolic_gram_target(n, mode=EXACT):
-    return linalg.block_diag((), (2, -2) + (2,) * n, mode)
-
-
 @functools.lru_cache(maxsize=None)
 def target_for(geometry, n, mode=EXACT):
-    if geometry == EUCLIDEAN:
-        return augmented_gram_target(n, mode)
-    if geometry == SPHERICAL:
-        return spherical_gram_target(n, mode)
-    if geometry == HYPERBOLIC:
-        return hyperbolic_gram_target(n, mode)
-    raise ValueError(f"unknown geometry {geometry!r}")
+    """The geometry's Gram target: the head of its table entry, then 2I."""
+    head = _by_geometry(_GEOMETRY, geometry).target_head
+    return linalg.block_diag(head, (2,) * n, mode)
+
+
+augmented_gram_target = functools.partial(target_for, EUCLIDEAN)
+spherical_gram_target = functools.partial(target_for, SPHERICAL)
+hyperbolic_gram_target = functools.partial(target_for, HYPERBOLIC)
+
+# 2 T^{-1} for the target head T of each geometry, coerced to each mode
+_FORM_HEAD = {tag: {mode: linalg.block_diag(
+    [[2 * x for x in row] for row in linalg.mat_inv(g.target_head)], (), mode)
+    for mode in (EXACT, FLOAT)} for tag, g in _GEOMETRY.items()}
 
 
 def pair_product(geometry, row_a, row_b):
-    """Evaluate the geometry's tangency form on two entry tuples."""
+    """Evaluate the geometry's tangency form on two entry tuples: the head
+    2 T^{-1} of _FORM_HEAD on the first two entries, T the head of its Gram
+    target, and the plain product on the rest.  Each shape of head keeps
+    its float summation order, signed zeros included."""
     a = row_a.entries if isinstance(row_a, CoordRow) else tuple(row_a)
     b = row_b.entries if isinstance(row_b, CoordRow) else tuple(row_b)
     if len(a) != len(b):
         raise ValueError("row length mismatch")
-    if geometry == EUCLIDEAN:
-        half = coerce(1, mode_of(a + b)) / 2
-        tail = sum((x * y for x, y in zip(a[2:], b[2:])), start=a[0] * 0)
-        return -half * (a[0] * b[1] + a[1] * b[0]) + tail
-    if geometry == SPHERICAL:
-        return -a[0] * b[0] + sum(x * y for x, y in zip(a[1:], b[1:]))
-    if geometry == HYPERBOLIC:
-        rest = sum(x * y for x, y in zip(a[2:], b[2:]))
-        return a[0] * b[0] - a[1] * b[1] + rest
-    raise ValueError(f"unknown geometry {geometry!r}")
+    (p, q), (_, s) = _by_geometry(_FORM_HEAD, geometry)[mode_of(a + b)]
+    if q:  # an antidiagonal head; its tail sum starts from a_0 * 0
+        return (q * (a[0] * b[1] + a[1] * b[0])
+                + sum(map(mul, a[2:], b[2:]), start=a[0] * 0))
+    if s == 1:  # the plain product reaches back to column 1
+        return p * a[0] * b[0] + sum(map(mul, a[1:], b[1:]))
+    return p * a[0] * b[0] + s * a[1] * b[1] + sum(map(mul, a[2:], b[2:]))
 
 
 def _scaled_gram(w, q):
@@ -376,9 +381,9 @@ def bend_residual(geometry, bends):
     return square_sum - total * total / float(n) + 2 * k
 
 
-def _realize_tangent_rows(geometry, bends, n, first_tails):
+def _realize_tangent_rows(geometry, bends, name, first_tails):
     """One configuration of pairwise tangent rows (c_i, t_i) with the given
-    spherical cot or hyperbolic coth values c_i.
+    spherical cot or hyperbolic coth values c_i, which errors call name.
 
     With k the geometry's curvature sign the tails carry the form
     diag(k, 1, ..., 1), and tangency asks <t_i, t_i> = 1 + k c_i^2 and
@@ -390,11 +395,7 @@ def _realize_tangent_rows(geometry, bends, n, first_tails):
     or up to the rounding of float values as large as theirs.
     """
     bends = tuple(bends)
-    if n is None:
-        n = len(bends) - 2
-    name = "cot" if geometry == SPHERICAL else "coth"
-    if len(bends) != n + 2:
-        raise ValueError(f"need n+2 {name} values")
+    n = len(bends) - 2
     mode = mode_of(bends)
     c = coerce_row(bends, mode)
     residual = bend_residual(geometry, c)

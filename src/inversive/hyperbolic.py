@@ -207,7 +207,7 @@ def hyp_soddy_check(coths):
     return forms.bend_residual(forms.HYPERBOLIC, coths)
 
 
-def realize_sphere_config(coths, n=None):
+def realize_sphere_config(coths):
     """One configuration of pairwise tangent rows with the given coth values.
 
     Works like the spherical realizer but under the Lorentz tail form
@@ -216,7 +216,6 @@ def realize_sphere_config(coths, n=None):
     itself), which is tried first.  Exact input yields an exact matrix or a
     ValueError.
     """
-    def first_tails(c0, one):
-        return ([()] if abs(c0) == 1 else []) + [(c0, one)]
-
-    return forms._realize_tangent_rows(forms.HYPERBOLIC, coths, n, first_tails)
+    return forms._realize_tangent_rows(
+        forms.HYPERBOLIC, coths, "coth",
+        lambda c0, one: ([()] if abs(c0) == 1 else []) + [(c0, one)])

@@ -86,15 +86,23 @@ def dumps_config(w):
     return json.dumps(document_from_config(w), separators=(",", ":")) + "\n"
 
 
+def _is_rows(v):
+    """Whether a JSON value is a list of lists."""
+    return isinstance(v, list) and all(isinstance(row, list) for row in v)
+
+
 def parse_document(text, tol=DEFAULT_TOL):
     """Parse a configuration document; the valid flag records whether the
     Gram identity holds at the given tolerance.
 
     Fields other than geometry, n, mode and rows are ignored.  A mode other
     than "exact" or "float", an n that is not an int or not the dimension
-    of the rows, and rows that are not lists of scalars raise ValueError.
+    of the rows, and rows not a list of lists of scalars raise ValueError.
     """
     raw = json.loads(text)
+    if not (isinstance(raw, dict) and _is_rows(raw.get("rows", []))):
+        raise ValueError("configuration document is not an object with "
+                         "rows of scalars")
     try:
         geometry, n, mode = raw["geometry"], raw["n"], raw["mode"]
         if mode not in (EXACT, FLOAT):
@@ -105,9 +113,6 @@ def parse_document(text, tol=DEFAULT_TOL):
         rows = [tuple(scalar_from_json(v, mode) for v in row) for row in raw["rows"]]
     except KeyError as e:
         raise ValueError(f"configuration document is missing field {e}")
-    except TypeError:
-        raise ValueError("configuration document is not an object with "
-                         "rows of scalars") from None
     w = forms.ConfigMatrix.from_rows(geometry, rows, mode=mode)
     if w.n != n:
         raise ValueError(f"declared n = {n} but rows have n = {w.n}")
@@ -241,7 +246,8 @@ def loads_packing(source):
     matched by one anchored regex, and its entries go straight to ints; the
     rows are returned over the least common multiple of the denominators
     seen.  Any other line is decoded by json, so it is accepted or rejected
-    as any JSON row record is.  Float rows are float tuples at scale 1.0."""
+    as any JSON row record is.  Float rows are float tuples at scale 1.0.
+    The header's n, explored, depth and truncated are checked too."""
     lines = source.splitlines() if isinstance(source, str) else source
     lines = (ln for ln in lines if ln.strip())
     first = next(lines, None)
@@ -254,14 +260,21 @@ def loads_packing(source):
         geometry, mode, seed_field = head["geometry"], head["mode"], head["seed"]
         if mode not in (EXACT, FLOAT):
             raise ValueError(f"unknown packing mode {mode!r}")
-        if not (isinstance(seed_field, list)
-                and all(isinstance(row, list) for row in seed_field)):
+        if not _is_rows(seed_field):
             raise ValueError("packing seed is not a list of rows")
         seed_rows = [
             tuple(scalar_from_json(v, mode) for v in row) for row in seed_field
         ]
         bound = scalar_from_json(head["bound"], mode)
         seed = forms.ConfigMatrix.from_rows(geometry, seed_rows, mode=mode)
+        n, explored, depth, truncated = (
+            head[key] for key in ("n", "explored", "depth", "truncated"))
+        if not (n == seed.n and type(truncated) is bool and all(
+                type(v) is int and v >= 0 for v in (n, explored, depth))):
+            raise ValueError(
+                f"packing header n, explored, depth, truncated = {n!r}, "
+                f"{explored!r}, {depth!r}, {truncated!r}: not the seed's "
+                f"n = {seed.n}, two non-negative ints and a boolean")
         decode = json.JSONDecoder().decode
         width = seed.n + 2
 
@@ -287,9 +300,9 @@ def loads_packing(source):
             rows=None,
             bound=bound,
             configs=None,
-            explored=head["explored"],
-            depth=head["depth"],
-            truncated=head["truncated"],
+            explored=explored,
+            depth=depth,
+            truncated=truncated,
             scaled=scaled,
         )
     except KeyError as e:
@@ -332,8 +345,7 @@ def _io_args(sp, infile=True):
 
 
 def _seed_args(sp):
-    sp.add_argument("--geometry",
-                    choices=(forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC))
+    sp.add_argument("--geometry", choices=forms.GEOMETRIES)
     sp.add_argument("--seed", metavar="BENDS",
                     help="comma-separated bend values, e.g. '-1,2,2,3'")
     sp.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
@@ -366,7 +378,7 @@ def _build_parser():
 
     sp = sub.add_parser("convert", help="convert a configuration between geometries")
     sp.add_argument("--to", required=True, dest="target",
-                    choices=(forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC))
+                    choices=forms.GEOMETRIES)
     sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
     _io_args(sp)
 

@@ -122,7 +122,7 @@ def spherical_soddy_check(cots):
     return forms.bend_residual(forms.SPHERICAL, cots)
 
 
-def realize_cap_config(cots, n=None):
+def realize_cap_config(cots):
     """One configuration of pairwise tangent caps with the given cot values.
 
     Rows are found sequentially: the first tail is (1, c_1, 0, ..., 0) and
@@ -131,5 +131,5 @@ def realize_cap_config(cots, n=None):
     the search sticks to rational tails and raises if none of its candidate
     branches closes, so a returned matrix is exact whenever the input is.
     """
-    return forms._realize_tangent_rows(forms.SPHERICAL, cots, n,
+    return forms._realize_tangent_rows(forms.SPHERICAL, cots, "cot",
                                        lambda c0, one: [(one, c0)])

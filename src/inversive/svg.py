@@ -4,7 +4,9 @@ Euclidean packings render directly.  Hyperbolic packings render as the
 Euclidean loci of their circles in the unit-disk model, with the absolute as
 the boundary circle.  Spherical packings render under an orthographic
 projection viewed down the first center axis (back-facing caps dashed), or
-optionally under stereographic projection through that pole.
+optionally under stereographic projection through that pole.  The disk-model
+and stereographic loci are the images of the rows under the conversion of
+transform.conversion_matrix to Euclidean rows.
 
 Output is SVG 1.1 text assembled from canonically sorted rows with a fixed
 number format, so identical inputs produce identical bytes.  Rows are read
@@ -22,8 +24,8 @@ import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 
-from . import forms
-from .scalars import mode_of, scaled_rows
+from . import forms, transform
+from .scalars import FLOAT, mode_of, scaled_rows
 
 ORTHOGRAPHIC = "orthographic"
 STEREOGRAPHIC = "stereographic"
@@ -205,7 +207,7 @@ def _clip_line(h, d, box):
     return (px + t0 * tx, py + t0 * ty), (px + t1 * tx, py + t1 * ty)
 
 
-def _world_box(circles, lines, pad=0.04):
+def _world_box(circles, lines):
     # bounding (negative) circles frame the picture on their own
     frame = [c for c in circles if c[2] < 0] or circles
     boxes = [
@@ -220,7 +222,7 @@ def _world_box(circles, lines, pad=0.04):
     y0 = min(b[1] for b in boxes)
     x1 = max(b[2] for b in boxes)
     y1 = max(b[3] for b in boxes)
-    m = pad * max(x1 - x0, y1 - y0, 1e-9)
+    m = 0.04 * max(x1 - x0, y1 - y0, 1e-9)  # a margin of 4 %
     return (x0 - m, y0 - m, x1 + m, y1 + m)
 
 
@@ -273,9 +275,16 @@ def _draw_plane(circles, lines, box, options, text, comment=None):
     return _document(options, elements, labels, comment)
 
 
-def _plane_shapes(rows):
-    """Circles and lines of augmented Euclidean-style rows, given as
-    ((bbar, b, mx, my) floats, label value) pairs."""
+def _plane_shapes(rows, geometry=None):
+    """Circles and lines of augmented Euclidean rows, given as ((bbar, b,
+    mx, my) floats, label value) pairs.  Rows of another geometry are first
+    carried to them by the float head ((p, q), (r, s)) of its conversion to
+    Euclidean rows: (x, y, m) -> (p x + r y, q x + s y, m)."""
+    if geometry is not None:
+        (p, q), (r, s) = transform.conversion_matrix(
+            geometry, forms.EUCLIDEAN, 0, FLOAT)
+        rows = (((x * p + y * r, x * q + y * s, mx, my), value)
+                for (x, y, mx, my), value in rows)
     circles, lines = [], []
     for (bbar, b, mx, my), value in rows:
         if abs(b) <= _ZERO:
@@ -285,35 +294,36 @@ def _plane_shapes(rows):
     return circles, lines
 
 
+def _prologue(packing, options, geometry, need):
+    """The options or their defaults, and the rows and label text of
+    _sorted_rows; need is the error for a packing of another geometry."""
+    if packing.geometry != geometry:
+        raise ValueError(need)
+    if packing.n != 2:
+        raise ValueError("rendering is implemented for n = 2 only")
+    return (options or RenderOptions(), *_sorted_rows(packing))
+
+
 def render_euclidean(packing, options=None):
     """SVG for a planar packing: one circle per row above the size cutoff,
     bend labels centered and scaled to the radius."""
-    options = options or RenderOptions()
-    if packing.geometry != forms.EUCLIDEAN:
-        raise ValueError("render_euclidean needs a Euclidean packing")
-    if packing.n != 2:
-        raise ValueError("rendering is implemented for n = 2 only")
-    rows, text = _sorted_rows(packing)
+    options, rows, text = _prologue(packing, options, forms.EUCLIDEAN,
+                                    "render_euclidean needs a Euclidean packing")
     circles, lines = _plane_shapes(rows)
     box = _world_box(circles, lines)
     return _draw_plane(circles, lines, box, options, text)
 
 
-# Right multiplication by the hyperbolic-to-Euclidean block sends a disk-model
-# row (c, q0, m) to the augmented coordinates (q0 - c, q0 + c, m) of its
-# Euclidean locus; virtual rows (|c| < 1) have no real locus and are skipped.
 def render_hyperbolic_disk(packing, options=None):
     """SVG of a hyperbolic packing in the unit-disk model: boundary circle
     plus the Euclidean locus of every row, labeled by coth value."""
-    options = options or RenderOptions()
-    if packing.geometry != forms.HYPERBOLIC:
-        raise ValueError("render_hyperbolic_disk needs a hyperbolic packing")
-    if packing.n != 2:
-        raise ValueError("rendering is implemented for n = 2 only")
-    rows, text = _sorted_rows(packing)
+    options, rows, text = _prologue(
+        packing, options, forms.HYPERBOLIC,
+        "render_hyperbolic_disk needs a hyperbolic packing")
+    # virtual rows (|c| < 1) have no Euclidean locus and are skipped
     circles, lines = _plane_shapes(
-        ((q0 - c, q0 + c, mx, my), value)
-        for (c, q0, mx, my), value in rows if not abs(c) < 1 - _ZERO)
+        [row for row in rows if not abs(row[0][0]) < 1 - _ZERO],
+        forms.HYPERBOLIC)
     skipped = len(rows) - len(circles) - len(lines)
     if not any(
         abs(cx) <= _ZERO and abs(cy) <= _ZERO and abs(abs(r) - 1) <= _ZERO
@@ -380,27 +390,22 @@ def render_spherical(packing, options=None):
     """SVG of a spherical packing: orthographic view down the first center
     axis by default (back-facing caps dashed), stereographic on request;
     labels are cot values either way."""
-    options = options or RenderOptions()
-    if packing.geometry != forms.SPHERICAL:
-        raise ValueError("render_spherical needs a spherical packing")
-    if packing.n != 2:
-        raise ValueError("rendering is implemented for n = 2 only")
-    rows, text = _sorted_rows(packing)
+    options, rows, text = _prologue(
+        packing, options, forms.SPHERICAL,
+        "render_spherical needs a spherical packing")
     if options.projection == ORTHOGRAPHIC:
         return _orthographic(rows, options, text)
     # stereographic: (c, q0, m) -> Euclidean (c - q0, c + q0, m), pole at q0 axis
-    circles, lines = _plane_shapes(
-        ((c - q0, c + q0, mx, my), value) for (c, q0, mx, my), value in rows)
+    circles, lines = _plane_shapes(rows, forms.SPHERICAL)
     box = _world_box(circles, lines)
     return _draw_plane(circles, lines, box, options, text)
 
 
+_RENDERERS = {forms.EUCLIDEAN: render_euclidean,
+              forms.SPHERICAL: render_spherical,
+              forms.HYPERBOLIC: render_hyperbolic_disk}
+
+
 def render(packing, options=None):
     """Dispatch on the packing's geometry tag."""
-    if packing.geometry == forms.EUCLIDEAN:
-        return render_euclidean(packing, options)
-    if packing.geometry == forms.SPHERICAL:
-        return render_spherical(packing, options)
-    if packing.geometry == forms.HYPERBOLIC:
-        return render_hyperbolic_disk(packing, options)
-    raise ValueError(f"unknown geometry {packing.geometry!r}")
+    return forms._by_geometry(_RENDERERS, packing.geometry)(packing, options)

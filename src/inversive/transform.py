@@ -15,6 +15,11 @@ and hyperbolic spheres with
 
 whence cot alpha + coth s = b for every circle of corresponding packings.
 
+The geometry table of forms holds the 2x2 head of each geometry's map to
+Euclidean rows (G for caps).  The src-to-dst matrix is head_src
+head_dst^{-1} on the first two columns and the identity on the rest,
+worked out in exact arithmetic once per pair and coerced to the mode.
+
 cap_to_plane and plane_to_cap are deliberately not written as G products;
 they apply the projection formulas directly so the matrix route can be
 tested against an independently computed answer.
@@ -24,61 +29,41 @@ import functools
 import math
 
 from . import euclid, forms, linalg, spherical
-from .scalars import (DEFAULT_TOL, EXACT, coerce, coerce_row, div, mode_of,
-                      near, scaled_rows)
-
-_ORDER = (forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC)
-
-
-def _block(first_two_rows, n, mode):
-    return linalg.block_diag(first_two_rows, (1,) * n, mode)
+from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, mode_of, near,
+                      scaled_rows)
 
 
 @functools.lru_cache(maxsize=None)
 def conversion_matrix(src, dst, n, mode=EXACT):
-    """Right-multiplication matrix sending src-kind rows to dst-kind rows."""
-    for tag in (src, dst):
-        if tag not in _ORDER:
-            raise ValueError(f"unknown geometry {tag!r}")
-    half = coerce(1, mode) / 2
-    if src == dst:
-        return _block([(1, 0), (0, 1)], n, mode)
-    if (src, dst) == (forms.SPHERICAL, forms.EUCLIDEAN):
-        return _block([(1, 1), (-1, 1)], n, mode)
-    if (src, dst) == (forms.EUCLIDEAN, forms.SPHERICAL):
-        return _block([(half, -half), (half, half)], n, mode)
-    if (src, dst) == (forms.SPHERICAL, forms.HYPERBOLIC) or \
-       (src, dst) == (forms.HYPERBOLIC, forms.SPHERICAL):
-        return _block([(0, 1), (1, 0)], n, mode)
-    if (src, dst) == (forms.HYPERBOLIC, forms.EUCLIDEAN):
-        return _block([(-1, 1), (1, 1)], n, mode)
-    if (src, dst) == (forms.EUCLIDEAN, forms.HYPERBOLIC):
-        return _block([(-half, half), (half, half)], n, mode)
-    raise ValueError(f"no conversion from {src} to {dst}")
+    """Right-multiplication matrix sending src-kind rows to dst-kind rows:
+    the head to_euclidean_src to_euclidean_dst^{-1}, then I on n more
+    coordinates (n = 0 gives the head alone)."""
+    to_src, to_dst = (forms._by_geometry(forms._GEOMETRY, tag).to_euclidean
+                      for tag in (src, dst))
+    head = linalg.matmul(to_src, linalg.mat_inv(to_dst))
+    return linalg.block_diag(head, (1,) * n, mode)
 
 
 def convert_matrix(w, to, tol=DEFAULT_TOL):
     """Convert a configuration to another geometry's coordinates.
 
     The input must satisfy its own Gram identity; the output satisfies the
-    target's.  Conversion back is the inverse matrix, so round trips are
-    exact in rational mode.  The matrix is the identity outside its top-left
-    2x2 block, so each row keeps its tail and only its first two entries are
-    mixed, on the block and the heads in the frame of scalars.scaled_rows
-    (as ints over the LCMs of their denominators in exact mode).
+    target's, and the round trip is exact in rational mode.  Each row keeps
+    its tail, and its first two entries are mixed by the conversion head,
+    in the frame of scalars.scaled_rows (ints over the LCM of their
+    denominators in exact mode).
     """
     if not isinstance(w, forms.ConfigMatrix):
         raise TypeError("convert_matrix expects a ConfigMatrix")
-    n = w.n
     mode = w.mode
     res = w.residual(tol)
     if not res.ok:
         raise ValueError(
             f"input violates the {w.geometry} identity "
             f"(max residual {res.max_abs_entry_error})")
-    block = [row[:2] for row in conversion_matrix(w.geometry, to, n, mode)[:2]]
+    ((a, b), (c, d)), h, _ = scaled_rows(
+        conversion_matrix(w.geometry, to, 0, mode), mode)
     rows = w.matrix()
-    ((a, b), (c, d)), h, _ = scaled_rows(block, mode)
     heads, s, quotient = scaled_rows([row[:2] for row in rows], mode)
     heads = [(quotient(x * a + y * c, s * h), quotient(x * b + y * d, s * h))
              for x, y in heads]

@@ -572,6 +572,56 @@ def test_malformed_packing_header_is_reported(tmp_path, capsys, euclid_seed,
     assert out == "" and err == f"error: {message}\n"
 
 
+_NOT_A_DOCUMENT = "configuration document is not an object with rows of scalars"
+
+
+@pytest.mark.parametrize("rows", [
+    ["1234", "5678", "9012", "3456"],
+    [{"a": 1, "b": 2, "c": 3, "d": 4}] * 4,
+    [1, 2, 3, 4],
+    "abcd",
+    {"rows": [[1, 2, 3, 4]]},
+], ids=["string-rows", "object-rows", "number-rows", "string", "object"])
+def test_document_rows_must_be_lists(rows, tmp_path, capsys):
+    text = json.dumps({"geometry": "euclidean", "n": 2, "mode": "exact",
+                       "rows": rows})
+    with pytest.raises(ValueError) as info:
+        shell.parse_document(text)
+    assert str(info.value) == _NOT_A_DOCUMENT
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run(["verify", "--in", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"error: {_NOT_A_DOCUMENT}\n")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 5), ("n", 3), ("n", 2.0), ("n", True), ("n", "2"), ("n", None),
+    ("explored", "many"), ("explored", -1), ("explored", 3.0),
+    ("explored", True), ("depth", -4), ("depth", None), ("depth", False),
+    ("truncated", "no"), ("truncated", 0), ("truncated", None),
+])
+def test_packing_header_fields_are_checked(field, value, tmp_path, capsys,
+                                           euclid_seed):
+    p = apollonian.generate(euclid_seed, 6)
+    lines = shell.dumps_packing(p).splitlines()
+    assert shell.loads_packing("\n".join(lines)) == p
+    head = json.loads(lines[0])
+    head[field] = value
+    text = "\n".join([json.dumps(head)] + lines[1:]) + "\n"
+    with pytest.raises(ValueError, match="packing header") as info:
+        shell.loads_packing(text)
+    assert repr(value) in str(info.value)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    code, out, err = run(["render", "--in", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {info.value}\n"
+    del head[field]
+    text = "\n".join([json.dumps(head)] + lines[1:]) + "\n"
+    with pytest.raises(ValueError, match=f"missing field '{field}'"):
+        shell.loads_packing(text)
+
+
 def test_render_streams_packing_from_stdin(monkeypatch, capsys, tmp_path):
     p = apollonian.generate(apollonian.standard_seed(forms.SPHERICAL), 20)
     # leading blank lines do not hide the packing header
