@@ -81,7 +81,8 @@ class CoordRow:
         _by_geometry(_GEOMETRY, self.kind)  # or raise
         if len(self.entries) < 3:
             raise ValueError("a coordinate row needs at least 3 entries")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        if self.entries.__class__ is not tuple:
+            object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def n(self):
@@ -157,10 +158,16 @@ class ConfigMatrix:
 
     @classmethod
     def from_rows(cls, geometry, entry_rows, mode=None):
+        """Configuration of entry rows coerced to mode (by default the mode
+        of their entries); scalars.coerce_row returns a row already of the
+        mode's type as it is.  Every entry then has the mode's type, so the
+        mode is kept on the configuration without a second look."""
         if mode is None:
             mode = mode_of([x for row in entry_rows for x in row])
-        rows = tuple(CoordRow(geometry, coerce_row(r, mode)) for r in entry_rows)
-        return cls(geometry, rows)
+        w = cls(geometry, tuple([CoordRow(geometry, coerce_row(r, mode))
+                                 for r in entry_rows]))
+        w.__dict__["mode"] = EXACT if mode == EXACT else FLOAT
+        return w
 
 
 @dataclass(frozen=True)
@@ -390,9 +397,14 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     <t_j, t_i> = k c_i c_j - 1.  first_tails(c_0, one) lists the leading
     entries of the first-tail candidates, zero-padded to full length; later
     tails come from linalg.realize_tails, which backtracks out of tail
-    choices that strand a later row.  Exact bends give an exact matrix or a
-    ValueError.  Float bends must meet the bend relation up to DEFAULT_TOL
-    or up to the rounding of float values as large as theirs.
+    choices that strand a later row.  The tangency values are handed to it
+    on the bends v = s c of the frame of scalars.scaled_rows, times s^2: in
+    exact mode as ints over the one denominator s^2, so no Fraction is
+    built for them.  The tails are not scaled by s, which would move the
+    rational points the search picks.  Exact bends give an exact matrix,
+    whose tails come back as Fractions in one conversion, or a ValueError.
+    Float bends must meet the bend relation up to DEFAULT_TOL or up to the
+    rounding of float values as large as theirs.
     """
     bends = tuple(bends)
     n = len(bends) - 2
@@ -406,16 +418,16 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     zero = one - one
     first_options = [head + (zero,) * (n + 1 - len(head))
                      for head in first_tails(c[0], one)]
-    # the tangency values on the bends v = s c of the frame, one quotient
-    # each
-    (v,), s, quotient = scaled_rows([c], mode)
+    # the tangency values times s^2, on the bends v = s c of the frame
+    (v,), s, _ = scaled_rows([c], mode)
     s2 = s * s
     tails = linalg.realize_tails(
         first_options, (k,) + (1,) * n,
-        pair_value=lambda j, i: quotient(k * v[i] * v[j] - s2, s2),
-        self_value=lambda i: quotient(s2 + k * v[i] * v[i], s2),
-        count=n + 2)
+        pair_value=lambda j, i: k * v[i] * v[j] - s2,
+        self_value=lambda i: s2 + k * v[i] * v[i],
+        count=n + 2, scale=s2)
     if tails is None:
         raise ValueError(f"no realization found for these {name} values")
+    # rows of the mode's type already, so from_rows coerces none of them
     entry_rows = [(c[i],) + tuple(tails[i]) for i in range(n + 2)]
     return ConfigMatrix.from_rows(geometry, entry_rows, mode=mode)

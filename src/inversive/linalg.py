@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
 from operator import mul
 
-from .scalars import EXACT, coerce, coerce_row, integer_rows, mode_of, near
+from .scalars import (EXACT, FLOAT, coerce, coerce_row, integer_rows, mode_of,
+                      near, of_mode_type, unscaled_rows)
 
 
 def block_diag(head, diagonal, mode):
@@ -52,7 +53,12 @@ def max_abs(a):
 
 
 def _coerced_rows(rows):
+    """The rows as lists of one mode's scalars, and that mode.  Float rows,
+    which the float tail search passes, are copied without a mode test or
+    a coerce call per entry."""
     flat = [x for row in rows for x in row]
+    if flat and of_mode_type(flat, FLOAT):
+        return [list(row) for row in rows], FLOAT
     mode = mode_of(flat)
     return [list(coerce_row(row, mode)) for row in rows], mode
 
@@ -73,12 +79,15 @@ def _integer_rref(out, cols):
         r = len(pivots)
         if r == m:
             break
-        pivot = next((i for i in range(r, m) if out[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, m):
+            if out[pivot][c]:
+                break
+        else:
             continue
         prow = out[pivot]
         g = gcd(*prow)
-        prow = [x // g for x in prow]
+        if g > 1:
+            prow = [x // g for x in prow]
         out[pivot] = out[r]
         out[r] = prow
         p = prow[c]
@@ -104,8 +113,12 @@ def _float_rref(out, cols, zero_tol):
         r = len(pivots)
         if r == m:
             break
-        pivot = max(range(r, m), key=lambda i: abs(out[i][c]))
-        if abs(out[pivot][c]) <= zero_tol:
+        pivot, top = r, abs(out[r][c])
+        for i in range(r + 1, m):
+            x = abs(out[i][c])
+            if x > top:  # as max() compares, so the first row wins ties
+                pivot, top = i, x
+        if top <= zero_tol:
             continue
         out[r], out[pivot] = out[pivot], out[r]
         p = out[r][c]
@@ -146,7 +159,8 @@ def _integer_solve(aug):
     if any(row[cols] for row in rows[len(pivots):]):
         raise ValueError("inconsistent linear system")
     d = lcm(*[row[c] for row, c in zip(rows, pivots)])
-    rows = [[x * (d // row[c]) for x in row] for row, c in zip(rows, pivots)]
+    rows = [row if row[c] == d else [x * (d // row[c]) for x in row]
+            for row, c in zip(rows, pivots)]
     return (*_solution(rows, pivots, cols, 0, d), d)
 
 
@@ -247,25 +261,34 @@ def _axpy(base, u, v):
     return tuple(b + u * x for b, x in zip(base, v))
 
 
+def _int_ratio(v):
+    """An int pair (numerator, denominator) as it is, or the ratio of a
+    number with as_integer_ratio()."""
+    return v if v.__class__ is tuple else v.as_integer_ratio()
+
+
 def _exact_tail_candidates(prev_tails, signs, pair_values, self_value):
     """Tails t with diag-form products <t_j, t> = pair_values[j] against
     prev_tails and <t, t> = self_value, on ints.
 
-    A tail is an int tuple (x_1, ..., x_m, e) in lowest terms with e > 0,
-    standing for (x_1, ..., x_m) / e.  The linear conditions give the
-    solutions (p + sum_k u_k kernel[k]) / d.  For each kernel assignment the
-    quadratic in the one free u_j is scaled by d^2 times the denominator of
-    self_value, so its coefficients are ints and a rational root is an
-    isqrt perfect square.  Raises ValueError when the linear conditions are
+    Each value is an int pair (numerator, denominator > 0), not necessarily
+    in lowest terms, or an exact number such as a Fraction.  A tail is an
+    int tuple (x_1, ..., x_m, e) in lowest terms with e > 0, standing for
+    (x_1, ..., x_m) / e.  The linear conditions give the solutions (p +
+    sum_k u_k kernel[k]) / d.  For each kernel assignment the quadratic in
+    the one free u_j is scaled by d^2 times the denominator of self_value,
+    so its coefficients are ints and a rational root is an isqrt perfect
+    square.  A common factor of a value's pair scales its equation and so
+    changes no tail.  Raises ValueError when the linear conditions are
     inconsistent.
     """
     m = len(signs)
     aug = []
     for t, v in zip(prev_tails, pair_values):
-        vn, vd = v.as_integer_ratio()
+        vn, vd = _int_ratio(v)
         aug.append([vd * s * x for s, x in zip(signs, t)] + [t[m] * vn])
     p, kernel, d = _integer_solve(aug)
-    sn, sd = self_value.as_integer_ratio()
+    sn, sd = _int_ratio(self_value)
     target = d * d * sn
 
     def form(u, v):
@@ -316,8 +339,7 @@ def _exact_tail_candidates(prev_tails, signs, pair_values, self_value):
 def _float_tail_candidates(prev_tails, signs, pair_values, self_value):
     """Float twin of _exact_tail_candidates on float tails; a root is
     accepted up to rounding, and tails are told apart to 9 decimals."""
-    m = len(signs)
-    a = [[t[i] * signs[i] for i in range(m)] for t in prev_tails]
+    a = [list(map(mul, t, signs)) for t in prev_tails]
     p, kernel = solve_affine(a, pair_values)
     if not kernel:
         residual = diag_dot(signs, p, p) - self_value
@@ -351,20 +373,24 @@ def _float_tail_candidates(prev_tails, signs, pair_values, self_value):
 BRANCH_LIMIT = 24
 
 
-def realize_tails(first_options, signs, pair_value, self_value, count):
+def realize_tails(first_options, signs, pair_value, self_value, count, scale):
     """Depth-first search for count tails with prescribed diag-form products.
 
-    pair_value(j, i) and self_value(i) prescribe <t_j, t_i> and <t_i, t_i>.
-    The first tail is drawn from first_options; each later tail solves the
-    linear conditions against the earlier ones and walks a deterministic
-    list of kernel assignments for a root of its quadratic, branching over
+    pair_value(j, i) and self_value(i) prescribe <t_j, t_i> and <t_i, t_i>
+    times scale.  Exact mode hands each value to the candidates as the int
+    pair (value, scale), so no Fraction is built for it, and float mode
+    divides it by scale.  The first tail is drawn from first_options; each
+    later tail solves the linear conditions against the earlier ones and
+    walks a deterministic list of kernel assignments for a root of its
+    quadratic, branching over
     at most BRANCH_LIMIT distinct candidates per row.  A greedy first choice
     can strand a later row (picking a degenerate tail whose linear
     conditions become unsatisfiable), so failed branches are abandoned and
     the next candidate tried.  The first options are coerced to one mode,
-    which is the mode of the search.  Exact mode searches on ints and builds
-    Fractions only for the tails it returns.  Returns a list of tuples or
-    None.
+    which is the mode of the search.  Exact mode searches on ints, and the
+    tails it returns become Fractions in one conversion: over the least
+    common multiple of their denominators, through scalars.unscaled_rows,
+    one Fraction per distinct int.  Returns a sequence of tuples or None.
     """
     if mode_of(first_options[0]) == EXACT:
         candidates = _exact_tail_candidates
@@ -372,19 +398,27 @@ def realize_tails(first_options, signs, pair_value, self_value, count):
         first_options = [ints + (e,) for (ints,), e in
                          (integer_rows([t]) for t in first_options)]
 
+        def value(x):
+            return x, scale
+
         def finish(tails):
-            return [tuple(Fraction(x, t[-1]) for x in t[:-1]) for t in tails]
+            e = lcm(*[t[-1] for t in tails])
+            return unscaled_rows([[x * (e // t[-1]) for x in t[:-1]]
+                                  for t in tails], e, EXACT)
     else:
         candidates, finish = _float_tail_candidates, list
+
+        def value(x):
+            return x / scale
 
     def search(tails):
         i = len(tails)
         if i == count:
             return tails
-        targets = [pair_value(j, i) for j in range(i)]
+        targets = [value(pair_value(j, i)) for j in range(i)]
         try:
             for k, t in enumerate(candidates(tails, signs, targets,
-                                             self_value(i))):
+                                             value(self_value(i)))):
                 if k >= BRANCH_LIMIT:
                     break
                 result = search(tails + [t])

@@ -59,8 +59,25 @@ def coerce(x, mode):
     return float(x)
 
 
+# the one type coerce gives every scalar of a mode
+_FRACTIONS = frozenset((Fraction,))
+_FLOATS = frozenset((float,))
+
+
+def of_mode_type(values, mode):
+    """Whether every value is exactly of the type coerce gives in mode, so
+    that coercing would return each value as it is."""
+    types = _FRACTIONS if mode == EXACT else _FLOATS
+    return types.issuperset(map(type, values))
+
+
 def coerce_row(values, mode):
-    return tuple(coerce(x, mode) for x in values)
+    """The values coerced to mode, as a tuple; a row already of the mode's
+    type is returned without a coerce call per entry."""
+    values = tuple(values)
+    if of_mode_type(values, mode):
+        return values
+    return tuple([coerce(x, mode) for x in values])
 
 
 def integer_rows(rows):

@@ -5,13 +5,22 @@ one header record followed by one row per line, so large generations can be
 streamed.  Exact scalars serialize as fraction strings in lowest terms
 (integers without the denominator), float scalars as JSON numbers.
 
+parse_document (and loads_config on it) reads an exact entry written that
+way, text that _EXACT_SCALAR fullmatches, by int() and the one gcd of
+Fraction(int, int), once per distinct text of the document; any other
+entry goes through scalar_from_json, so what it accepts and rejects, and
+its error, do not depend on the path.  JSON floats in a float document are
+kept as they are.
+
 iter_packing_lines yields a packing stream one line at a time, each row
 formatted by hand from Packing.scaled (int rows over one scale, or float
 rows); `gen` writes the lines as they come.  loads_packing takes the
 stream as text or as a text file object and reads it line by line; exact
 rows written as iter_packing_lines writes them are parsed by one regex
 straight into ints, and any other line goes through the json decoder and
-scalar_from_json.  Malformed input raises ValueError.
+scalar_from_json.  A row's "bend" must be its bend-column entry: on the
+regex path the entry text must repeat the bend text, and any other line
+compares the decoded values.  Malformed input raises ValueError.
 
 The CLI runs as `inversive` or `python -m inversive`.  Exit codes: 0
 success, 1 validation failure or malformed input, 2 usage error.
@@ -35,7 +44,8 @@ from .scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce, sqrt_sca
 def scalar_to_json(x):
     if isinstance(x, float):
         return x
-    return str(Fraction(x))
+    # a Fraction is written as it is; an int first becomes one
+    return str(x if x.__class__ is Fraction else Fraction(x))
 
 
 def _fraction(v):
@@ -58,6 +68,38 @@ def scalar_from_json(v, mode):
         return float(_fraction(v)) if isinstance(v, str) else float(v)
     except (TypeError, OverflowError):
         raise ValueError(f"not a float scalar: {v!r}") from None
+
+
+# An exact scalar as the encoder writes it: an integer, or n/d with d > 0.
+_EXACT_SCALAR = r"-?[0-9]+(?:/[1-9][0-9]*)?"
+_exact_text = re.compile(_EXACT_SCALAR).fullmatch
+
+
+def _exact_entry_reader():
+    """A reader of the entries of one exact document: a text that
+    _EXACT_SCALAR fullmatches is read by int() and the one gcd of
+    Fraction(int, int) into one Fraction per distinct text; any other entry
+    goes through scalar_from_json, so it is accepted or rejected, with the
+    same error, as there."""
+    fractions = {}
+
+    def entry(v):
+        if v.__class__ is str:
+            x = fractions.get(v)
+            if x is not None:
+                return x
+            if _exact_text(v):
+                a, _, b = v.partition("/")
+                x = Fraction(int(a), int(b)) if b else Fraction(int(a))
+                fractions[v] = x
+                return x
+        return scalar_from_json(v, EXACT)
+
+    return entry
+
+
+def _float_from_json(v):
+    return v if v.__class__ is float else scalar_from_json(v, FLOAT)
 
 
 @dataclass(frozen=True)
@@ -98,6 +140,9 @@ def parse_document(text, tol=DEFAULT_TOL):
     Fields other than geometry, n, mode and rows are ignored.  A mode other
     than "exact" or "float", an n that is not an int or not the dimension
     of the rows, and rows not a list of lists of scalars raise ValueError.
+    Exact entries are read by _exact_entry_reader, float entries that are
+    JSON floats are kept as they are, and any other entry goes through
+    scalar_from_json.
     """
     raw = json.loads(text)
     if not (isinstance(raw, dict) and _is_rows(raw.get("rows", []))):
@@ -110,7 +155,8 @@ def parse_document(text, tol=DEFAULT_TOL):
         if type(n) is not int:
             raise ValueError(f"configuration dimension n = {n!r} is not an "
                              "integer")
-        rows = [tuple(scalar_from_json(v, mode) for v in row) for row in raw["rows"]]
+        scalar = _exact_entry_reader() if mode == EXACT else _float_from_json
+        rows = [tuple(map(scalar, row)) for row in raw["rows"]]
     except KeyError as e:
         raise ValueError(f"configuration document is missing field {e}")
     w = forms.ConfigMatrix.from_rows(geometry, rows, mode=mode)
@@ -195,17 +241,18 @@ def dumps_packing(p):
     return "".join(iter_packing_lines(p))
 
 
-# An exact scalar as the encoder writes it: an integer, or n/d with d > 0.
-_EXACT_SCALAR = r"-?[0-9]+(?:/[1-9][0-9]*)?"
-
-
-def _exact_row_match(width):
+def _exact_row_match(width, bend_col):
     """fullmatch of a row line of an exact stream exactly as
     iter_packing_lines writes it, for rows of the given width, with the
-    text of each entry as a group."""
+    text of the bend and then of each entry as a group.  The entry in
+    column bend_col must repeat the bend text (a backreference), so a
+    line whose bend is not its row's, or is written otherwise, such as
+    "2/4" for "1/2", does not match."""
     entry = f'"({_EXACT_SCALAR})"'
-    return re.compile(r'\{"bend":"%s","row":\[%s\]\}\n?' % (
-        _EXACT_SCALAR, ",".join([entry] * width))).fullmatch
+    entries = [entry] * width
+    entries[bend_col] = r'"(\1)"'
+    return re.compile(r'\{"bend":%s,"row":\[%s\]\}\n?' % (
+        entry, ",".join(entries))).fullmatch
 
 
 def _ratio(v):
@@ -232,10 +279,6 @@ def _exact_rows(row_texts):
     return tuple([tuple(map(ints, row)) for row in row_texts]), scale
 
 
-def _float_from_json(v):
-    return v if v.__class__ is float else scalar_from_json(v, FLOAT)
-
-
 def loads_packing(source):
     """Packing from a packing stream, given as text or as a text file
     object (any iterable of lines), which is read line by line.
@@ -247,7 +290,9 @@ def loads_packing(source):
     rows are returned over the least common multiple of the denominators
     seen.  Any other line is decoded by json, so it is accepted or rejected
     as any JSON row record is.  Float rows are float tuples at scale 1.0.
-    The header's n, explored, depth and truncated are checked too."""
+    The header's n, explored, depth and truncated are checked too, a
+    negative bound is rejected, and each row's "bend" must be the entry in
+    its bend column."""
     lines = source.splitlines() if isinstance(source, str) else source
     lines = (ln for ln in lines if ln.strip())
     first = next(lines, None)
@@ -267,6 +312,8 @@ def loads_packing(source):
         ]
         bound = scalar_from_json(head["bound"], mode)
         seed = forms.ConfigMatrix.from_rows(geometry, seed_rows, mode=mode)
+        if bound < 0:  # as generate() rejects it
+            raise ValueError(f"packing bound {bound} is negative")
         n, explored, depth, truncated = (
             head[key] for key in ("n", "explored", "depth", "truncated"))
         if not (n == seed.n and type(truncated) is bool and all(
@@ -277,18 +324,27 @@ def loads_packing(source):
                 f"n = {seed.n}, two non-negative ints and a boolean")
         decode = json.JSONDecoder().decode
         width = seed.n + 2
+        bend_col = forms.bend_column(geometry)
 
         def decoded(ln, scalar):
             rec = decode(ln)
             row = rec["row"] if isinstance(rec, dict) else None
             if not isinstance(row, list) or len(row) != width:
                 raise ValueError(f"malformed packing row {ln.strip()[:80]!r}")
-            return tuple(map(scalar, row))
+            row = tuple(map(scalar, row))
+            bend, entry = scalar(rec["bend"]), row[bend_col]
+            # the encoder writes a NaN bend column as a NaN bend
+            if bend != entry and not (bend != bend and entry != entry):
+                raise ValueError(f"packing row bend {bend} is not the bend "
+                                 f"{entry} of its row")
+            return row
 
         if mode == EXACT:
-            match = _exact_row_match(width)
+            # group 1 is the bend; a line the regex does not match, its
+            # bend among them, is checked on the json path
+            match = _exact_row_match(width, bend_col)
             scaled = _exact_rows([
-                m.groups() if (m := match(ln))
+                m.groups()[1:] if (m := match(ln))
                 else decoded(ln, lambda v: scalar_from_json(v, EXACT))
                 for ln in lines])
         else:

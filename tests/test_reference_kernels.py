@@ -34,7 +34,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from inversive import apollonian, euclid, forms, linalg, shell, transform
+from inversive import (apollonian, euclid, forms, linalg, scalars, shell,
+                       transform)
 from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
                                coerce, coerce_row, integer_rows, is_exact,
                                mode_of, near, sqrt_scalar)
@@ -1023,6 +1024,59 @@ def test_exact_tail_candidates_match_reference(geometry):
         assert [tuple(Fraction(x, t[-1]) for x in t[:-1])
                 for t in new] == ref
     assert len(searches) >= 100
+
+
+@pytest.mark.parametrize("geometry,mode", [(g, m) for g in (S, H)
+                                           for m in (EXACT, FLOAT)])
+def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
+    """On cot and coth values that are already Fractions or floats, exact
+    tangency values reach the candidates as int pairs, the tails of each
+    exact realization become rows in one unscaled_rows call, and no entry
+    is coerced on the way, neither by float solve_affine nor by from_rows;
+    the rows are those of the reference tail search."""
+    exact = mode == EXACT
+    inputs = [tuple(map(Fraction if exact else float, v))
+              for v in _bend_vectors(geometry)]
+    refs = []
+    for bends in inputs:
+        ref = _outcome_bytes(REFERENCE_REALIZERS[geometry], bends)
+        if _violates(ref):  # rounding that the new bend check accepts
+            ref = (ref, _outcome_bytes(REFERENCE_REALIZERS[geometry], bends,
+                                       None, math.inf))
+        refs.append(ref)
+    values, conversions, coerced, searches = [], [], [], []
+    candidates, unscaled = linalg._exact_tail_candidates, linalg.unscaled_rows
+    realize_tails, coerce = linalg.realize_tails, scalars.coerce
+
+    def recording(prev_tails, signs, pair_values, self_value):
+        values.extend([*pair_values, self_value])
+        return candidates(prev_tails, signs, pair_values, self_value)
+
+    def counted(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_exact_tail_candidates", recording)
+    monkeypatch.setattr(linalg, "unscaled_rows",
+                        counted(unscaled, conversions))
+    monkeypatch.setattr(linalg, "realize_tails", counted(realize_tails,
+                                                         searches))
+    monkeypatch.setattr(scalars, "coerce", counted(coerce, coerced))
+    realized = 0
+    for bends, ref in zip(inputs, refs):
+        new = _outcome_bytes(apollonian.realize_bends, geometry, bends)
+        assert new == ref or (isinstance(ref[0], tuple) and new in ref), bends
+        realized += not isinstance(new[0], type)
+    assert coerced == [], coerced[:3]
+    if exact:
+        assert values and all(type(v) is tuple and len(v) == 2 and
+                              all(type(x) is int for x in v) for v in values)
+        assert len(conversions) == realized
+    else:
+        assert values == [] and conversions == []
+    assert realized >= 60 and len(searches) >= realized, realized
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))

@@ -88,7 +88,7 @@ def _loads_through_json(monkeypatch, text):
     """loads_packing with its row regex matching nothing, so that every row
     line goes through json."""
     with monkeypatch.context() as m:
-        m.setattr(shell, "_exact_row_match", lambda width: lambda ln: None)
+        m.setattr(shell, "_exact_row_match", lambda *args: lambda ln: None)
         return shell.loads_packing(text)
 
 

@@ -224,6 +224,33 @@ def test_exact_scalar_grid_matches_fraction_strings(v):
     assert row.entries[0] == F(v) and type(row.entries[0]) is F
 
 
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_packing_row_bend_and_bound_are_checked(mode, tmp_path, capsys):
+    """A row whose bend field is not its bend-column entry, and a negative
+    bound, are rejected on the regex path, on the json path and by CLI
+    render --in; a bend that is only written otherwise loads."""
+    p = apollonian.generate(
+        apollonian.standard_seed(forms.EUCLIDEAN, mode=mode), 6)
+    head, first, *rest = shell.dumps_packing(p).splitlines(keepends=True)
+    assert first.startswith('{"bend":' + ('"2"' if mode == EXACT else "2.0"))
+    wrong = first.replace("2", "9992", 1)
+    spaced = json.dumps(json.loads(wrong)) + "\n"
+    negative = json.dumps({**json.loads(head), "bound": scalar_to_json(
+        -5 if mode == EXACT else -5.0)}) + "\n"
+    bad = {"bend.jsonl": head + wrong, "spaced-bend.jsonl": head + spaced,
+           "bound.jsonl": negative + first}
+    for name, text in bad.items():
+        with pytest.raises(ValueError, match="is not the bend|is negative"):
+            shell.loads_packing(text + "".join(rest))
+        (tmp_path / name).write_text(text + "".join(rest))
+        code, out, err = run(["render", "--in", str(tmp_path / name)], capsys)
+        assert (code, out) == (1, ""), name
+        assert err.startswith("error: packing "), err
+    if mode == EXACT:  # the same bend, written otherwise, goes through json
+        other = first.replace('"bend":"2"', '"bend":"4/2"')
+        assert shell.loads_packing(head + other + "".join(rest)) == p
+
+
 def test_packing_rows_keep_their_input_errors():
     with pytest.raises(ValueError, match="float entry"):
         shell.loads_packing(_one_row_stream([1.5, "1", "0", "0"]))
