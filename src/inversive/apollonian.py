@@ -101,7 +101,8 @@ class Packing:
     are built from it when rows is first read, and kept.  Rows given to the
     constructor, as by dataclasses.replace(p, rows=...), are kept and
     framed once, in the mode of their entries.  scaled takes no part in
-    equality.
+    equality.  dataclasses.replace(p, rows=None, truncated=True) replaces a
+    field and keeps p.scaled; without rows=None, replace reads p.rows.
     """
 
     geometry: str
@@ -268,7 +269,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     """
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
-    seed_rows, scale, coeff, _ = _walk_frame(seed, tol, "generation")
+    seed_rows, scale, coeff, quotient = _walk_frame(seed, tol, "generation")
     n, mode = seed.n, seed.mode
     exact = mode == EXACT
     col = forms.bend_column(seed.geometry)
@@ -285,7 +286,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         raise ValueError("bound must be nonnegative")
     if max_depth is None and max_configs is None:
         # the bound the walk applies, in the units of the seed
-        _check_finite(seed, bound_value if exact else limit)
+        _check_finite(seed, quotient(limit, scale))
 
     def reflected(t, x):
         return coeff * (t - x) - x

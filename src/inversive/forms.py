@@ -322,19 +322,16 @@ def gram(w, q):
 def check_identity(w, q, target, tol=DEFAULT_TOL):
     """Residual of W^T Q W against a target Gram matrix.
 
-    Exact inputs are compared exactly and tol is ignored; float inputs pass
-    when the largest entry deviation is within tol.  Exact mode compares
-    the int matrix G = m W^T Q W of _scaled_gram with m times the target
-    and builds a Fraction only for an entry that differs.
+    Exact W, Q and target are compared exactly and tol is ignored; other
+    inputs pass when the largest entry deviation is within tol.  Exact mode
+    compares the int matrix G = m W^T Q W of _scaled_gram with m times the
+    target and builds a Fraction only for an entry that differs.
     """
     g, m, quotient = _scaled_gram(w, q)
-    exact = quotient is Fraction
     t = _rows(target)
     if len(t) != len(g) or any(len(row) != len(g) for row in t):
         raise ValueError("target shape does not match the Gram matrix")
-    if exact and not all_exact([x for row in t for x in row]):
-        g = [[x / m for x in row] for row in g]
-        m, exact = 1, False
+    exact = quotient is Fraction and all_exact([x for row in t for x in row])
     if exact:
         diff = []
         err = _ZERO
@@ -397,12 +394,13 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     <t_j, t_i> = k c_i c_j - 1.  first_tails(c_0, one) lists the leading
     entries of the first-tail candidates, zero-padded to full length; later
     tails come from linalg.realize_tails, which backtracks out of tail
-    choices that strand a later row.  The tangency values are handed to it
-    on the bends v = s c of the frame of scalars.scaled_rows, times s^2: in
-    exact mode as ints over the one denominator s^2, so no Fraction is
-    built for them.  The tails are not scaled by s, which would move the
-    rational points the search picks.  Exact bends give an exact matrix,
-    whose tails come back as Fractions in one conversion, or a ValueError.
+    choices that strand a later row.  It takes the tangency values as one
+    table of targets on the bends v = s c of the frame of scalars.scaled_rows,
+    times s^2: in exact mode ints over the one denominator s^2, so no
+    Fraction is built for them.  The tails are not scaled by s, which would
+    move the rational points the search picks.  Exact bends give an exact
+    matrix, whose tails come back as Fractions in one conversion, or a
+    ValueError.
     Float bends must meet the bend relation up to DEFAULT_TOL or up to the
     rounding of float values as large as theirs.
     """
@@ -421,11 +419,9 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     # the tangency values times s^2, on the bends v = s c of the frame
     (v,), s, _ = scaled_rows([c], mode)
     s2 = s * s
-    tails = linalg.realize_tails(
-        first_options, (k,) + (1,) * n,
-        pair_value=lambda j, i: k * v[i] * v[j] - s2,
-        self_value=lambda i: s2 + k * v[i] * v[i],
-        count=n + 2, scale=s2)
+    targets = [[k * vi * vj - s2 for vj in v[:i]] + [s2 + k * vi * vi]
+               for i, vi in enumerate(v)]
+    tails = linalg.realize_tails(first_options, (k,) + (1,) * n, targets, s2)
     if tails is None:
         raise ValueError(f"no realization found for these {name} values")
     # rows of the mode's type already, so from_rows coerces none of them

@@ -10,7 +10,8 @@ multiplication and divided by their gcd, and only the results become
 Fractions.  The reduced row echelon form is unique, so exact results do not
 depend on the pivot order.  Float mode pivots on the largest absolute entry,
 first row on ties.  Both modes read the affine solution off the reduced rows
-the same way.
+the same way.  The tail search reads its conditions from a table of targets
+over one denominator.
 """
 
 from fractions import Fraction
@@ -261,38 +262,31 @@ def _axpy(base, u, v):
     return tuple(b + u * x for b, x in zip(base, v))
 
 
-def _int_ratio(v):
-    """An int pair (numerator, denominator) as it is, or the ratio of a
-    number with as_integer_ratio()."""
-    return v if v.__class__ is tuple else v.as_integer_ratio()
+def _exact_tail_candidates(prev_tails, signs, values, scale):
+    """Tails t with diag-form products <t_j, t> = values[j] / scale against
+    prev_tails and <t, t> = values[-1] / scale, on ints.
 
-
-def _exact_tail_candidates(prev_tails, signs, pair_values, self_value):
-    """Tails t with diag-form products <t_j, t> = pair_values[j] against
-    prev_tails and <t, t> = self_value, on ints.
-
-    Each value is an int pair (numerator, denominator > 0), not necessarily
-    in lowest terms, or an exact number such as a Fraction.  A tail is an
-    int tuple (x_1, ..., x_m, e) in lowest terms with e > 0, standing for
-    (x_1, ..., x_m) / e.  The linear conditions give the solutions (p +
-    sum_k u_k kernel[k]) / d.  For each kernel assignment the quadratic in
-    the one free u_j is scaled by d^2 times the denominator of self_value,
+    values is one row of the table of targets that realize_tails takes:
+    ints over the one denominator scale > 0, not necessarily in lowest
+    terms.  A tail is an int tuple (x_1, ..., x_m, e) in lowest terms with
+    e > 0, standing for (x_1, ..., x_m) / e.  The linear conditions give
+    the solutions (p + sum_k u_k kernel[k]) / d.  For each kernel
+    assignment the quadratic in the one free u_j is scaled by d^2 scale,
     so its coefficients are ints and a rational root is an isqrt perfect
-    square.  A common factor of a value's pair scales its equation and so
-    changes no tail.  Raises ValueError when the linear conditions are
-    inconsistent.
+    square.  A factor common to scale and the values scales every equation
+    and so changes no tail.  Raises ValueError when the linear conditions
+    are inconsistent.
     """
     m = len(signs)
-    aug = []
-    for t, v in zip(prev_tails, pair_values):
-        vn, vd = _int_ratio(v)
-        aug.append([vd * s * x for s, x in zip(signs, t)] + [t[m] * vn])
+    scaled_signs = [scale * s for s in signs]
+    # zip stops at the last earlier tail, before the self value
+    aug = [list(map(mul, scaled_signs, t)) + [t[m] * v]
+           for t, v in zip(prev_tails, values)]
     p, kernel, d = _integer_solve(aug)
-    sn, sd = _int_ratio(self_value)
-    target = d * d * sn
+    target = d * d * values[-1]
 
     def form(u, v):
-        return sd * sum(map(mul, map(mul, signs, u), v))
+        return sum(map(mul, map(mul, scaled_signs, u), v))
 
     def tail(vec, e):
         g = gcd(e, *vec) if e > 0 else -gcd(e, *vec)
@@ -336,11 +330,13 @@ def _exact_tail_candidates(prev_tails, signs, pair_values, self_value):
                 yield t
 
 
-def _float_tail_candidates(prev_tails, signs, pair_values, self_value):
-    """Float twin of _exact_tail_candidates on float tails; a root is
-    accepted up to rounding, and tails are told apart to 9 decimals."""
+def _float_tail_candidates(prev_tails, signs, values):
+    """Float twin of _exact_tail_candidates on float tails and one float
+    row of targets, already divided by its denominator; a root is accepted
+    up to rounding, and tails are told apart to 9 decimals."""
     a = [list(map(mul, t, signs)) for t in prev_tails]
-    p, kernel = solve_affine(a, pair_values)
+    self_value = values[-1]
+    p, kernel = solve_affine(a, values[:-1])
     if not kernel:
         residual = diag_dot(signs, p, p) - self_value
         if near(residual, 0, 1e-8 * max(1.0, abs(float(self_value)))):
@@ -373,52 +369,46 @@ def _float_tail_candidates(prev_tails, signs, pair_values, self_value):
 BRANCH_LIMIT = 24
 
 
-def realize_tails(first_options, signs, pair_value, self_value, count, scale):
-    """Depth-first search for count tails with prescribed diag-form products.
+def realize_tails(first_options, signs, targets, scale):
+    """Depth-first search for one tail per row of the table targets.
 
-    pair_value(j, i) and self_value(i) prescribe <t_j, t_i> and <t_i, t_i>
-    times scale.  Exact mode hands each value to the candidates as the int
-    pair (value, scale), so no Fraction is built for it, and float mode
-    divides it by scale.  The first tail is drawn from first_options; each
-    later tail solves the linear conditions against the earlier ones and
-    walks a deterministic list of kernel assignments for a root of its
-    quadratic, branching over
-    at most BRANCH_LIMIT distinct candidates per row.  A greedy first choice
-    can strand a later row (picking a degenerate tail whose linear
-    conditions become unsatisfiable), so failed branches are abandoned and
-    the next candidate tried.  The first options are coerced to one mode,
-    which is the mode of the search.  Exact mode searches on ints, and the
-    tails it returns become Fractions in one conversion: over the least
-    common multiple of their denominators, through scalars.unscaled_rows,
-    one Fraction per distinct int.  Returns a sequence of tuples or None.
+    targets[i] prescribes <t_j, t_i> for j < i, then <t_i, t_i>, times
+    scale.  Exact mode hands each row to the candidates as ints over the
+    one denominator scale, so no Fraction is built for it, and float mode
+    divides the table by scale once.  The first tail is drawn from
+    first_options; each later tail solves the linear conditions against
+    the earlier ones and walks a deterministic list of kernel assignments
+    for a root of its quadratic, branching over at most BRANCH_LIMIT
+    distinct candidates per row.  A greedy first choice can strand a later
+    row (picking a degenerate tail whose linear conditions become
+    unsatisfiable), so failed branches are abandoned and the next
+    candidate tried.  The first options are coerced to one mode, which is
+    the mode of the search.  Exact mode searches on ints, and the tails it
+    returns become Fractions in one conversion: over the least common
+    multiple of their denominators, through scalars.unscaled_rows, one
+    Fraction per distinct int.  Returns a sequence of tuples or None.
     """
+    # the arguments after a row of targets: its denominator, in exact mode
     if mode_of(first_options[0]) == EXACT:
-        candidates = _exact_tail_candidates
+        candidates, extra = _exact_tail_candidates, (scale,)
         # a tail (x_1, ..., x_m) / e is searched as the ints (x_1, ..., x_m, e)
         first_options = [ints + (e,) for (ints,), e in
                          (integer_rows([t]) for t in first_options)]
-
-        def value(x):
-            return x, scale
 
         def finish(tails):
             e = lcm(*[t[-1] for t in tails])
             return unscaled_rows([[x * (e // t[-1]) for x in t[:-1]]
                                   for t in tails], e, EXACT)
     else:
-        candidates, finish = _float_tail_candidates, list
-
-        def value(x):
-            return x / scale
+        candidates, extra, finish = _float_tail_candidates, (), list
+        targets = [[x / scale for x in row] for row in targets]
 
     def search(tails):
         i = len(tails)
-        if i == count:
+        if i == len(targets):
             return tails
-        targets = [value(pair_value(j, i)) for j in range(i)]
         try:
-            for k, t in enumerate(candidates(tails, signs, targets,
-                                             value(self_value(i)))):
+            for k, t in enumerate(candidates(tails, signs, targets[i], *extra)):
                 if k >= BRANCH_LIMIT:
                     break
                 result = search(tails + [t])

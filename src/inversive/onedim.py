@@ -68,8 +68,6 @@ class OneDimConfig:
             raise ValueError("finite intervals must share exactly one endpoint")
         if inf[0].a != lo or inf[0].b != hi:
             raise ValueError("infinite interval must complement the union")
-        if sum(i.r for i in self.intervals) != 0:
-            raise ValueError("oriented radii must sum to zero")
 
     @property
     def mode(self):

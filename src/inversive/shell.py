@@ -35,6 +35,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
@@ -292,7 +293,9 @@ def loads_packing(source):
     as any JSON row record is.  Float rows are float tuples at scale 1.0.
     The header's n, explored, depth and truncated are checked too, a
     negative bound is rejected, and each row's "bend" must be the entry in
-    its bend column."""
+    its bend column.  An exact row whose |bend| is above the bound is
+    rejected unless it is a seed row; float rows are not checked against
+    the bound, which generate() widens by a tol the header does not record."""
     lines = source.splitlines() if isinstance(source, str) else source
     lines = (ln for ln in lines if ln.strip())
     first = next(lines, None)
@@ -347,6 +350,15 @@ def loads_packing(source):
                 m.groups()[1:] if (m := match(ln))
                 else decoded(ln, lambda v: scalar_from_json(v, EXACT))
                 for ln in lines])
+            rows, scale = scaled
+            limit = bound * scale
+            if max(map(abs, map(itemgetter(bend_col), rows)), default=0) > limit:
+                # generate() keeps the seed's rows at any bound
+                seeds = {tuple(x * scale for x in row) for row in seed_rows}
+                for row in rows:
+                    if abs(row[bend_col]) > limit and row not in seeds:
+                        raise ValueError(f"packing row bend {Fraction(row[bend_col], scale)}"
+                                         f" is outside the bound {bound}")
         else:
             scaled = tuple([decoded(ln, _float_from_json) for ln in lines]), 1.0
         return apollonian.Packing(

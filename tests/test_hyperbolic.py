@@ -37,10 +37,12 @@ def test_cosh_distance_two_routes_agree(rng):
         b = hyperbolic.BallPoint((F(rng.randrange(-70, 71), 100),
                                   F(rng.randrange(-70, 71), 100)))
         lhs = hyperbolic.cosh_distance_ball(a, b)
-        rhs = hyperbolic.cosh_distance_hyperboloid(
-            hyperbolic.ball_to_hyperboloid(a), hyperbolic.ball_to_hyperboloid(b)
-        )
+        ua = hyperbolic.ball_to_hyperboloid(a)
+        ub = hyperbolic.ball_to_hyperboloid(b)
+        rhs = hyperbolic.cosh_distance_hyperboloid(ua, ub)
         assert lhs == rhs
+        assert hyperbolic.distance_hyperboloid(ua, ub) == pytest.approx(
+            hyperbolic.distance_ball(a, b))
 
 
 def test_cosh_distance_oracle():

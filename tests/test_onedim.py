@@ -1,5 +1,6 @@
 """Interval configurations on the line, the n = 1 degeneration."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -52,6 +53,28 @@ def test_random_touching_pairs_satisfy_gram(rng):
         res = _gram_residual(cfg)
         assert res.ok and res.max_abs_entry_error == 0
         assert onedim.descartes_1d_check([iv.curvature for iv in cfg.intervals]) == 0
+
+
+def test_float_intervals_are_not_rejected_for_rounding():
+    """The oriented radii of a covering configuration sum to zero by its
+    construction; in float mode their sum misses zero by rounding only, so
+    it is no reason to reject the intervals."""
+    cfg = onedim.complete_line(
+        onedim.OrientedInterval(-2.0, -1.9), onedim.OrientedInterval(-1.9, 0.7)
+    )
+    assert sum(iv.r for iv in cfg.intervals) != 0
+    assert onedim.augmented_1d(cfg).residual().ok
+    # every one-decimal triple a < b < c in [-2, 2]
+    points = [round(-2 + 0.1 * i, 1) for i in range(41)]
+    count = 0
+    for a, b, c in itertools.combinations(points, 3):
+        cfg = onedim.complete_line(
+            onedim.OrientedInterval(a, b), onedim.OrientedInterval(b, c)
+        )
+        res = onedim.augmented_1d(cfg).residual()
+        assert res.ok, (a, b, c, res.max_abs_entry_error)
+        count += 1
+    assert count == 10660
 
 
 def test_interval_validation():

@@ -321,6 +321,15 @@ def test_check_identity_matches_reference(geometry, mode):
                      scale), w
         assert _same(new.entrywise, ref.entrywise, exact, scale), w
         assert _same(forms.gram(w, q), _ref_gram(w, q), exact, scale), w
+        if exact:  # exact W and Q against a float target compare in float
+            t = forms.target_for(geometry, w.n, FLOAT)
+            new = forms.check_identity(w, q, t)
+            ref = _reference_check_identity(w, q, t)
+            assert all(type(x) is float for row in new.entrywise for x in row)
+            assert new.ok == ref.ok, w
+            assert _same(new.max_abs_entry_error, ref.max_abs_entry_error,
+                         False, scale), w
+            assert _same(new.entrywise, ref.entrywise, False, scale), w
         checked += 1
     assert checked == 2 * len(configs)
 
@@ -1015,8 +1024,9 @@ def test_exact_tail_candidates_match_reference(geometry):
     for prev, signs, pair_values, self_value in searches:
         int_prev = [ints + (e,) for (ints,), e in
                     (integer_rows([t]) for t in prev)]
+        (values,), den = integer_rows([[*pair_values, self_value]])
         new = list(linalg._exact_tail_candidates(int_prev, signs,
-                                                 pair_values, self_value))
+                                                 list(values), den))
         ref = list(_reference_tail_candidates(prev, signs, pair_values,
                                               self_value, True))
         for t in new:
@@ -1030,10 +1040,11 @@ def test_exact_tail_candidates_match_reference(geometry):
                                            for m in (EXACT, FLOAT)])
 def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
     """On cot and coth values that are already Fractions or floats, exact
-    tangency values reach the candidates as int pairs, the tails of each
-    exact realization become rows in one unscaled_rows call, and no entry
-    is coerced on the way, neither by float solve_affine nor by from_rows;
-    the rows are those of the reference tail search."""
+    tangency values reach the candidates as ints over one positive int
+    denominator, the tails of each exact realization become rows in one
+    unscaled_rows call, and no entry is coerced on the way, neither by
+    float solve_affine nor by from_rows; the rows are those of the
+    reference tail search."""
     exact = mode == EXACT
     inputs = [tuple(map(Fraction if exact else float, v))
               for v in _bend_vectors(geometry)]
@@ -1048,9 +1059,9 @@ def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
     candidates, unscaled = linalg._exact_tail_candidates, linalg.unscaled_rows
     realize_tails, coerce = linalg.realize_tails, scalars.coerce
 
-    def recording(prev_tails, signs, pair_values, self_value):
-        values.extend([*pair_values, self_value])
-        return candidates(prev_tails, signs, pair_values, self_value)
+    def recording(prev_tails, signs, row, den):
+        values.append((row, den))
+        return candidates(prev_tails, signs, row, den)
 
     def counted(fn, calls):
         def wrapper(*args, **kwargs):
@@ -1071,8 +1082,9 @@ def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
         realized += not isinstance(new[0], type)
     assert coerced == [], coerced[:3]
     if exact:
-        assert values and all(type(v) is tuple and len(v) == 2 and
-                              all(type(x) is int for x in v) for v in values)
+        assert values and all(type(den) is int and den > 0 and
+                              all(type(x) is int for x in row)
+                              for row, den in values)
         assert len(conversions) == realized
     else:
         assert values == [] and conversions == []

@@ -186,6 +186,15 @@ def test_replaced_rows_win_over_scaled():
     assert svg.render(q) != svg.render(p)
 
 
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_replacing_a_field_with_rows_none_builds_no_rows(mode):
+    p = _packing(forms.EUCLIDEAN, (-15, 24, 40, 49), 900, mode)
+    q = dataclasses.replace(p, rows=None, truncated=True)
+    assert "rows" not in vars(p) and "rows" not in vars(q)
+    assert q.scaled is p.scaled and q.truncated and not p.truncated
+    assert q == dataclasses.replace(p, truncated=True)
+
+
 def test_packing_needs_rows_or_scaled_rows():
     p = _packing(forms.SPHERICAL, (0, 1, 1, 2), 20, EXACT)
     with pytest.raises(ValueError):

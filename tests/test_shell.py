@@ -251,6 +251,29 @@ def test_packing_row_bend_and_bound_are_checked(mode, tmp_path, capsys):
         assert shell.loads_packing(head + other + "".join(rest)) == p
 
 
+def test_exact_packing_rows_are_checked_against_the_bound(tmp_path, capsys):
+    """An exact row whose |bend| is above the header bound is rejected on
+    the regex path, on the json path and by CLI render --in, unless it is
+    one of the seed's rows, which generate keeps at any bound."""
+    p = apollonian.generate(apollonian.standard_seed(forms.EUCLIDEAN), 2)
+    text = shell.dumps_packing(p)
+    assert '{"bend":"3","row":["1","3","0","2"]}' in text  # a seed row
+    assert shell.loads_packing(text) == p
+    above = '{"bend":"9999","row":["0","9999","-1","0"]}\n'
+    not_seed = '{"bend":"-3","row":["1","-3","0","-2"]}\n'
+    bad = {"regex.jsonl": (text + above, 9999),
+           "json.jsonl": (text + json.dumps(json.loads(above)) + "\n", 9999),
+           "not-seed.jsonl": (text + not_seed, -3)}
+    for name, (stream, bend) in bad.items():
+        message = f"packing row bend {bend} is outside the bound 2"
+        with pytest.raises(ValueError, match=message):
+            shell.loads_packing(stream)
+        (tmp_path / name).write_text(stream)
+        code, out, err = run(["render", "--in", str(tmp_path / name)], capsys)
+        assert (code, out) == (1, ""), name
+        assert err == f"error: {message}\n", err
+
+
 def test_packing_rows_keep_their_input_errors():
     with pytest.raises(ValueError, match="float entry"):
         shell.loads_packing(_one_row_stream([1.5, "1", "0", "0"]))
@@ -480,6 +503,17 @@ def test_onedim_command(capsys):
     code, _, err = run(["onedim", "--intervals=0,1,2,3"], capsys)
     assert code == 1
     assert "touch" in err
+
+
+def test_float_onedim_output_verifies(monkeypatch, capsys):
+    # the float radii of these intervals sum to about 1e-16, not zero
+    code, out, err = run(["onedim", "--intervals=-2.0,-1.9,-1.9,0.7",
+                          "--mode", "float"], capsys)
+    assert code == 0, err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, err = run(["verify"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["valid"] is True
 
 
 def test_lox_on_an_interval_configuration_is_an_error(monkeypatch, capsys):
