@@ -28,6 +28,7 @@ caps and reports truncation instead of looping forever.
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from operator import add
 
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
@@ -142,10 +143,21 @@ class Packing:
         return tuple(r.entries[col] for r in self.rows)
 
 
+# float rows are keyed, deduplicated and sorted by their entries rounded to
+# this many decimals
+_KEY_DIGITS = 6
+
+
 def _row_key(entries, exact):
     if exact:
         return entries
-    return tuple([round(x, 6) for x in entries])
+    return tuple(map(round, entries, repeat(_KEY_DIGITS)))
+
+
+def _float_row_keys(rows):
+    """The float _row_key of each row, rounded a column at a time."""
+    return zip(*[map(round, column, repeat(_KEY_DIGITS))
+                 for column in zip(*rows)])
 
 
 def _config_key(entry_rows, exact):
@@ -203,22 +215,27 @@ class InfiniteClosure(ValueError):
     given."""
 
 
-def _check_finite(seed, bound):
+def _check_finite(seed, rows, scale, quotient, limit):
     """Raise InfiniteClosure if the uncapped walk of generate() from a
     Euclidean n = 2 seed reaches a strip.
 
-    The walk reaches the configuration that root_quadruple(bends, bound)
-    returns.  When that is a root (0, 0, c, c) with c <= bound, the circles
-    of bend c between its two parallel lines repeat forever.  A float bend
-    counts as zero when scalars.negligible says so next to the other bends
-    of the root.  The horocycle chains of hyperbolic packings are not
-    checked.
+    rows, scale and quotient are the seed's walk frame, from _walk_frame,
+    and limit the bound the walk applies to its bends.  The walk reaches
+    the configuration that root_quadruple(bends, limit) returns on the
+    frame's bends; reflection commutes with scaling, so that is the root of
+    the seed's bends times scale.  When it is a root (0, 0, c, c) with c <=
+    limit, the circles of bend c between its two parallel lines repeat
+    forever.  A float bend counts as zero when scalars.negligible says so
+    next to the other bends of the root.  The horocycle chains of
+    hyperbolic packings are not checked.
     """
     if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
         return
-    root = root_quadruple(seed.bends, bound)
+    col = forms.bend_column(seed.geometry)
+    root = root_quadruple([r[col] for r in rows], limit)
     zeros = sum(negligible(b, root) for b in root)
-    if zeros >= 2 and max(root) <= bound:
+    if zeros >= 2 and max(root) <= limit:
+        root = [quotient(b, scale) for b in root]
         raise InfiniteClosure(
             f"the packing of this seed is infinite at any bound of at least "
             f"{max(root)}: its root quadruple {','.join(map(str, root))} is "
@@ -243,9 +260,14 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     word without repeated letters, and the walk is a tree.  Each kept child
     then adds exactly one new circle, and the rows are the seed rows plus
     one per child.  For n >= 3 the group has further relations and the same
-    configuration is reached by different words, so configurations are
-    deduplicated by their sorted row keys (exact rows, or rows rounded to
-    1e-6 in float mode), and rows by their keys.
+    configuration is reached by different words, so rows are deduplicated
+    by their keys (exact rows, or rows rounded to 1e-6 in float mode) and
+    configurations by the sorted int ids of their rows.  A row's key is
+    made once, when the walk meets it, and the row gets the next id once it
+    is kept, after the max_configs test; since every row of a configuration
+    met has an id, a child with a row of no id is a new configuration.  The
+    final sort reads the keys made during the walk; float n = 2 rows are
+    keyed a column at a time.
 
     The walk runs on the seed rows in the frame of scalars.scaled_rows.  In
     exact mode these are the rows times the least common multiple of their
@@ -285,22 +307,25 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
     if max_depth is None and max_configs is None:
-        # the bound the walk applies, in the units of the seed
-        _check_finite(seed, quotient(limit, scale))
+        _check_finite(seed, seed_rows, scale, quotient, limit)
 
     def reflected(t, x):
         return coeff * (t - x) - x
 
     dedup = n > 2
-    seed_keys = tuple(_row_key(r, exact) for r in seed_rows) if dedup else None
-    seen_configs = {tuple(sorted(seed_keys))} if dedup else None
-    seen_rows = set(seed_keys) if dedup else None
+    # n >= 3: the key of each row of rows, an int id per distinct key, and
+    # the configurations met, each as the sorted ids of its rows
+    row_keys = [_row_key(r, exact) for r in seed_rows] if dedup else None
+    ids = {}
+    seed_ids = (tuple([ids.setdefault(k, len(ids)) for k in row_keys])
+                if dedup else None)
+    seen_configs = {tuple(sorted(seed_ids))} if dedup else None
     kept_configs = ({_config_key(seed_rows, exact): seed_rows}
                     if keep_configs else None)
     rows = list(seed_rows)
 
-    # (rows, row keys for n >= 3, index that produced it; -1 for the seed)
-    frontier = [(seed_rows, seed_keys, -1)]
+    # (rows, row ids for n >= 3, index that produced it; -1 for the seed)
+    frontier = [(seed_rows, seed_ids, -1)]
     found = 1  # configurations, the seed included
     explored = 0
     depth = 0
@@ -311,7 +336,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
             break
         explored += len(frontier)
         next_frontier = []
-        for entry_rows, entry_keys, parent in frontier:
+        for entry_rows, entry_ids, parent in frontier:
             total = _column_sums(entry_rows)
             total_bend = total[col]
             for i in range(n + 2):
@@ -321,13 +346,17 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                 if abs(coeff * (total_bend - old[col]) - old[col]) > limit:
                     continue
                 new = tuple(map(reflected, total, old))
-                child_keys = key = None
+                child_ids = None
                 if dedup:
                     new_key = _row_key(new, exact)
-                    child_keys = entry_keys[:i] + (new_key,) + entry_keys[i + 1:]
-                    key = tuple(sorted(child_keys))
-                    if key in seen_configs:
-                        continue
+                    new_id = ids.get(new_key)
+                    # every row of a configuration met has an id, so a row
+                    # without one makes a new configuration
+                    if new_id is not None:
+                        child_ids = entry_ids[:i] + (new_id,) + entry_ids[i + 1:]
+                        key = tuple(sorted(child_ids))
+                        if key in seen_configs:
+                            continue
                 if max_configs is not None and found >= max_configs:
                     truncated = True
                     break
@@ -336,13 +365,16 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                 if not dedup:
                     rows.append(new)
                 else:
-                    seen_configs.add(key)
-                    if new_key not in seen_rows:
-                        seen_rows.add(new_key)
+                    if new_id is None:  # an id only for a row kept
+                        new_id = ids[new_key] = len(ids)
+                        row_keys.append(new_key)
                         rows.append(new)
+                        child_ids = entry_ids[:i] + (new_id,) + entry_ids[i + 1:]
+                        key = tuple(sorted(child_ids))
+                    seen_configs.add(key)
                 if keep_configs:
-                    kept_configs[key if dedup else _config_key(child, exact)] = child
-                next_frontier.append((child, child_keys, i))
+                    kept_configs[_config_key(child, exact)] = child
+                next_frontier.append((child, child_ids, i))
             if truncated:
                 break
         depth += 1
@@ -350,7 +382,13 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
             break
         frontier = next_frontier
 
-    rows.sort(key=None if exact else lambda r: _row_key(r, False))
+    if exact:
+        rows.sort()
+    else:
+        # a stable sort by _row_key, on the keys made during the walk for
+        # n >= 3
+        keys = row_keys if dedup else list(_float_row_keys(rows))
+        rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
     configs = None
     if keep_configs:
         configs = tuple(

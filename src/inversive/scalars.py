@@ -163,12 +163,16 @@ def negligible(residual, values, tol=DEFAULT_TOL, others=None):
     bilinear in values and others the second division is by max(1,
     max|others|) instead.
 
-    Dividing neither overflows nor rounds an exact residual, so exact
-    residuals must be zero, and a nan residual is never negligible.  The
-    values are only read when the residual is not within tol.
+    When the residual, the values and others are all exact, the residual
+    must be zero: no rounding made it, and dividing ints would round.
+    A nan residual is never negligible.  The values are only read when the
+    residual is not within tol.
     """
     if near(residual, 0, tol):
         return True
+    if is_exact(residual) and all_exact(values) and \
+            (others is None or all_exact(others)):
+        return False
     m = max(1, max(map(abs, values)))
     k = m if others is None else max(1, max(map(abs, others)))
     return near(residual / m / k, 0, ROUNDING)

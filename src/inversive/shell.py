@@ -13,14 +13,17 @@ its error, do not depend on the path.  JSON floats in a float document are
 kept as they are.
 
 iter_packing_lines yields a packing stream one line at a time, each row
-formatted by hand from Packing.scaled (int rows over one scale, or float
-rows); `gen` writes the lines as they come.  loads_packing takes the
-stream as text or as a text file object and reads it line by line; exact
-rows written as iter_packing_lines writes them are parsed by one regex
-straight into ints, and any other line goes through the json decoder and
-scalar_from_json.  A row's "bend" must be its bend-column entry: on the
-regex path the entry text must repeat the bend text, and any other line
-compares the decoded values.  Malformed input raises ValueError.
+formatted by one format from Packing.scaled (int rows over one scale, or
+float rows, written by repr); `gen` writes the lines as they come.
+loads_packing takes the stream as text or as a text file object and reads
+it line by line.  Rows written as iter_packing_lines writes them are
+parsed by one regex: exact entries straight into ints, float entries, the
+repr of a finite float, by float(), which reads number text as json does.
+Any other line, a NaN or an Infinity among them, goes through the json
+decoder and scalar_from_json.  A row's "bend" must be its bend-column
+entry: on the regex path the entry text must repeat the bend text, and
+any other line compares the decoded values.  Malformed input raises
+ValueError.
 
 The CLI runs as `inversive` or `python -m inversive`.  Exit codes: 0
 success, 1 validation failure or malformed input, 2 usage error.
@@ -200,27 +203,15 @@ def _ratio_texts(scale):
     return text
 
 
-def _row_texts(p):
-    """The JSON texts of the entries of each row of p, formatted from its
-    rows in the frame of scalars.scaled_rows; a float scale (1.0) marks
-    float rows."""
-    rows, scale = p.scaled
-    if isinstance(scale, float):
-        text = _json_float
-    elif scale == 1:
-        text = '"%d"'.__mod__
-    else:
-        text = _ratio_texts(scale)
-    return (list(map(text, row)) for row in rows)
-
-
 def iter_packing_lines(p):
     """The packing stream of p line by line: the header record, then one
     {"bend", "row"} record per row, each line ending in a newline.
 
-    The rows are written from Packing.scaled: an exact x / scale is the
-    int itself at scale 1, and is otherwise reduced by a gcd, once per
-    distinct x; a float is written by repr."""
+    The rows are written from Packing.scaled, each by one format.  A float
+    is written by repr, a NaN or an Infinity as json writes it; finite
+    float rows and int rows at scale 1 go to the format as they are.  An
+    exact x / scale is the int itself at scale 1, and is otherwise reduced
+    by a gcd, once per distinct x."""
     bend_col = forms.bend_column(p.geometry)
     head = {
         "kind": "packing",
@@ -234,24 +225,41 @@ def iter_packing_lines(p):
         "seed": [[scalar_to_json(x) for x in r.entries] for r in p.seed.rows],
     }
     yield json.dumps(head, separators=(",", ":")) + "\n"
-    for row in _row_texts(p):
-        yield '{"bend":%s,"row":[%s]}\n' % (row[bend_col], ",".join(row))
+    rows, scale = p.scaled
+    # the scale's type tells the modes apart, as 1.0 == 1 too
+    is_float = scale.__class__ is float
+    if is_float and all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+        field = "%r"
+    elif not is_float and scale == 1:
+        field = '"%d"'
+    else:
+        field = "%s"
+        text = _json_float if is_float else _ratio_texts(scale)
+        rows = (list(map(text, row)) for row in rows)
+    line = '{"bend":%s,"row":[%s]}\n' % (field, ",".join([field] * (p.n + 2)))
+    for row in rows:
+        yield line % (row[bend_col], *row)
 
 
 def dumps_packing(p):
     return "".join(iter_packing_lines(p))
 
 
-def _exact_row_match(width, bend_col):
-    """fullmatch of a row line of an exact stream exactly as
-    iter_packing_lines writes it, for rows of the given width, with the
-    text of the bend and then of each entry as a group.  The entry in
-    column bend_col must repeat the bend text (a backreference), so a
-    line whose bend is not its row's, or is written otherwise, such as
-    "2/4" for "1/2", does not match."""
-    entry = f'"({_EXACT_SCALAR})"'
+# A float as the encoder writes it, the repr of a finite float: JSON number
+# text with a fraction or an exponent, so that json reads it as a float too.
+_FLOAT_SCALAR = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)"
+
+
+def _row_match(width, bend_col, scalar, quote=""):
+    """fullmatch of a row line of a stream exactly as iter_packing_lines
+    writes it, for rows of the given width whose entries are scalar texts
+    between quotes, with the text of the bend and then of each entry as a
+    group.  The entry in column bend_col must repeat the bend text (a
+    backreference), so a line whose bend is not its row's, or is written
+    otherwise, such as "2/4" for "1/2" or 2.00 for 2.0, does not match."""
+    entry = f"{quote}({scalar}){quote}"
     entries = [entry] * width
-    entries[bend_col] = r'"(\1)"'
+    entries[bend_col] = rf"{quote}(\1){quote}"
     return re.compile(r'\{"bend":%s,"row":\[%s\]\}\n?' % (
         entry, ",".join(entries))).fullmatch
 
@@ -285,12 +293,13 @@ def loads_packing(source):
     object (any iterable of lines), which is read line by line.
 
     The packing holds its rows as scaled=(rows, scale), as generate()
-    leaves them, and builds its CoordRows when they are read.  In an exact
-    stream, a row line written exactly as iter_packing_lines writes it is
-    matched by one anchored regex, and its entries go straight to ints; the
-    rows are returned over the least common multiple of the denominators
-    seen.  Any other line is decoded by json, so it is accepted or rejected
-    as any JSON row record is.  Float rows are float tuples at scale 1.0.
+    leaves them, and builds its CoordRows when they are read.  A row line
+    written exactly as iter_packing_lines writes it is matched by one
+    anchored regex.  In an exact stream its entries go straight to ints,
+    and the rows are returned over the least common multiple of the
+    denominators seen; in a float stream each entry is read by float(), and
+    the rows are float tuples at scale 1.0.  Any other line is decoded by
+    json, so it is accepted or rejected as any JSON row record is.
     The header's n, explored, depth and truncated are checked too, a
     negative bound is rejected, and each row's "bend" must be the entry in
     its bend column.  An exact row whose |bend| is above the bound is
@@ -342,10 +351,10 @@ def loads_packing(source):
                                  f"{entry} of its row")
             return row
 
+        # group 1 is the bend; a line the regex does not match, its bend
+        # among them, is checked on the json path
         if mode == EXACT:
-            # group 1 is the bend; a line the regex does not match, its
-            # bend among them, is checked on the json path
-            match = _exact_row_match(width, bend_col)
+            match = _row_match(width, bend_col, _EXACT_SCALAR, '"')
             scaled = _exact_rows([
                 m.groups()[1:] if (m := match(ln))
                 else decoded(ln, lambda v: scalar_from_json(v, EXACT))
@@ -360,7 +369,12 @@ def loads_packing(source):
                         raise ValueError(f"packing row bend {Fraction(row[bend_col], scale)}"
                                          f" is outside the bound {bound}")
         else:
-            scaled = tuple([decoded(ln, _float_from_json) for ln in lines]), 1.0
+            # float() reads number text as json does
+            match = _row_match(width, bend_col, _FLOAT_SCALAR)
+            scaled = tuple([
+                tuple(map(float, m.groups()[1:])) if (m := match(ln))
+                else decoded(ln, _float_from_json)
+                for ln in lines]), 1.0
         return apollonian.Packing(
             geometry=geometry,
             n=seed.n,

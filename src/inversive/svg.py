@@ -94,8 +94,9 @@ def _sorted_rows(packing):
 
     A Packing is read from Packing.scaled, and its rows are not built; other
     rows are put in the frame of scalars.scaled_rows first, in the mode of
-    their entries.  Each int is divided once in float, x / scale, which is
-    correctly rounded and so the same float as float(Fraction(x, scale)).
+    their entries.  Float rows are used as they are.  Each int is divided
+    once in float, x / scale, which is correctly rounded and so the same
+    float as float(Fraction(x, scale)).
     """
     col = forms.bend_column(packing.geometry)
     scaled = getattr(packing, "scaled", None)
@@ -104,7 +105,9 @@ def _sorted_rows(packing):
         scaled = scaled_rows(entries, mode_of([x for e in entries for x in e]))
     ints, scale = scaled[:2]
     text = _label_text
-    if scale == 1:
+    if scale.__class__ is float:  # float rows, at scale 1.0
+        rows = [(r, r[col]) for r in ints]
+    elif scale == 1:
         rows = [(tuple(map(float, r)), r[col]) for r in ints]
     else:
         rows = [(tuple([x / scale for x in r]), r[col]) for r in ints]

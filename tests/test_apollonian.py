@@ -277,6 +277,41 @@ def test_generate_n3_float_matches_reference():
         ref.explored, ref.depth, ref.truncated)
 
 
+# (n, bound, truncation caps): each cap stops the walk among configurations
+# whose rows are partly new, where row ids are given
+_CAPPED_FLOAT_SEEDS = {
+    "n3-configs-50": (3, 4.0, {"max_configs": 50}),
+    "n3-configs-137": (3, 4.0, {"max_configs": 137}),
+    "n3-depth-2": (3, 4.0, {"max_depth": 2}),
+    "n3-depth-3": (3, 4.0, {"max_depth": 3}),
+    "n4-configs-300": (4, 6.0, {"max_configs": 300}),
+}
+
+
+@pytest.mark.parametrize("name", _CAPPED_FLOAT_SEEDS)
+def test_capped_higher_dimensional_walks_match_reference(name):
+    n, bound, caps = _CAPPED_FLOAT_SEEDS[name]
+    seed = apollonian.standard_seed(forms.EUCLIDEAN, n=n, mode=FLOAT)
+    ref = _reference_generate(seed, bound, keep_configs=True, **caps)
+    got = apollonian.generate(seed, bound, **caps)
+    kept = apollonian.generate(seed, bound, keep_configs=True, **caps)
+    assert ref.truncated
+    assert shell.dumps_packing(got) == shell.dumps_packing(kept) \
+        == shell.dumps_packing(ref)
+    assert kept.configs == ref.configs
+    for p in (got, kept):
+        assert (p.explored, p.depth, p.truncated) == (
+            ref.explored, ref.depth, ref.truncated)
+
+
+def test_float_row_keys_are_the_row_keys():
+    rows = [r.entries for r in apollonian.generate(
+        apollonian.standard_seed(forms.SPHERICAL, mode=FLOAT), 30.0).rows]
+    rows.append((0.5e-6, -0.5e-6, 1.0000005, -2.4999995))
+    assert list(apollonian._float_row_keys(rows)) == \
+        [apollonian._row_key(r, False) for r in rows]
+
+
 @pytest.mark.parametrize("s", (F(1, 10**7), F(10**7)), ids=("1e-7", "1e7"))
 def test_float_dedup_at_extreme_scales(s):
     # float rows of a far dilated seed must dedup as their exact twins do
@@ -565,6 +600,38 @@ def test_generate_without_a_cap_refuses_a_float_strip(bends):
         apollonian.generate(deep, 81.0)
 
 
+# (bends, bound, the InfiniteClosure message in exact mode, in float mode)
+_STRIP_MESSAGES = (
+    ((0, 0, 1, 1), 1, "1: its root quadruple 0,0,1,1",
+     "1.0: its root quadruple 0.0,0.0,1.0,1.0"),
+    ((4, 0, 1, 1), 1, "1: its root quadruple 0,0,1,1",
+     "1.0: its root quadruple 0.0,0.0,1.0,1.0"),
+    ((F(-1, 2), F(-1, 2), 0, 0), F(7, 2), "1/2: its root quadruple 1/2,1/2,0,0",
+     "0.5: its root quadruple 0.5,0.5,-0.0,-0.0"),
+    ((F(2, 3), 0, 0, F(2, 3)), 5, "2/3: its root quadruple 2/3,0,0,2/3",
+     "0.6666666666666666: its root quadruple "
+     "0.6666666666666666,0.0,0.0,0.6666666666666666"),
+    ((0, 1, 100, 121), 81, "1: its root quadruple 0,1,0,1",
+     "1.0: its root quadruple 0.0,1.0,0.0,1.0"),
+)
+
+
+@pytest.mark.parametrize("bends, bound, exact_text, float_text",
+                         _STRIP_MESSAGES)
+def test_strip_refusal_messages_are_pinned(bends, bound, exact_text,
+                                           float_text):
+    # the root is found on the walk's scaled rows and divided back only for
+    # the message, which must read as it did when it was found on Fractions
+    seed = apollonian.realize_bends(forms.EUCLIDEAN, tuple(map(F, bends)))
+    for w, b, text in ((seed, F(bound), exact_text),
+                       (_float_twin(seed), float(bound), float_text)):
+        with pytest.raises(apollonian.InfiniteClosure) as e:
+            apollonian.generate(w, b)
+        assert str(e.value) == ("the packing of this seed is infinite at any "
+                                f"bound of at least {text} is a strip between "
+                                "two parallel lines")
+
+
 # The Euclidean seeds of the float benchmark: the standard seed at 100, the
 # primitive integral root quadruples (-a, b, c, d) with a <= 15 at 60a, and
 # (-8, 16, 16, 24) at 600.
@@ -584,6 +651,7 @@ def test_float_root_quadruples_are_not_refused(bends, bound):
     seed = _float_twin(exact)
     assert apollonian.root_quadruple(seed.bends) == \
         apollonian.root_quadruple(exact.bends)
-    apollonian._check_finite(seed, float(bound))
+    rows, scale, _, quotient = apollonian._walk_frame(seed, 1e-9, "walk")
+    apollonian._check_finite(seed, rows, scale, quotient, float(bound))
     p = apollonian.generate(seed, float(bound))
     assert not p.truncated and len(p.rows) > 4

@@ -4,7 +4,10 @@ and the same for `lox` and for `solve ... | convert --to ... | verify`.
 
 The first four gen/render digests were recorded from the CLI before exact
 packings kept their rows as ints in the frame of scalars.scaled_rows, the
-last four before the renderer formatted each circle size once.  The lox,
+next four before the renderer formatted each circle size once, and the two
+float spherical and hyperbolic cases and the float n = 3 stream before
+float generate() keyed its rows by int ids and the float stream rows were
+written and read by one format and one regex.  The lox,
 solve, convert and verify digests were recorded before loxodromic() stopped
 building a configuration per step and before each configuration kept its
 Gram residual.  Any change to the output bytes of these inputs shows up
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import inversive
+from inversive import apollonian, shell
 
 # (gen arguments, render arguments, sha256 of the gen stdout, sha256 of the
 # SVG)
@@ -54,6 +58,14 @@ CASES = (
      ["--width", "640", "--height", "480"],
      "d722330519f9da335a8149cc4fcdd2a8ef8af56dc5a807f72477a4b1c9b16c41",
      "14df65b5bcd45b13a3d3ebf7863fb70ffa44ca8ee1d04b4eb8ee561429881a86"),
+    (["--geometry", "spherical", "--seed=0,1,1,2", "--max-bend", "80",
+      "--mode", "float"], [],
+     "1f61b63b8f64418e5f5c779987292c11b9535ccb71e34bcc8d534d8a21f49b0b",
+     "3403b71710bf7ab6af30c697b355f5f0a10fbda740a3bb87903c7448a8c56e3a"),
+    (["--geometry", "hyperbolic", "--seed=-2,3,5,6", "--max-bend", "150",
+      "--mode", "float"], [],
+     "25b803d5ad082eb11b5828bb8dbf0920a2047118cfcd8189be26b7be29bee42f",
+     "e44c4140b3d852756726f365504ec71d9709d81a4cb22df83e27170170c1763e"),
 )
 
 
@@ -74,13 +86,24 @@ def _cli(args, stdin=None):
                               "spherical", "hyperbolic",
                               "spherical-stereographic",
                               "euclidean-unlabelled-cutoff", "capped-strip",
-                              "hyperbolic-640x480"])
+                              "hyperbolic-640x480", "spherical-float",
+                              "hyperbolic-float"])
 def test_gen_render_bytes_are_pinned(args, render_args, gen_digest,
                                      svg_digest):
     stream = _cli(["gen", *args])
     assert hashlib.sha256(stream).hexdigest() == gen_digest
     image = _cli(["render", "--in", "-", *render_args], stdin=stream)
     assert hashlib.sha256(image).hexdigest() == svg_digest
+
+
+def test_gen_n3_float_stream_is_pinned():
+    # float n = 3 walks deduplicate configurations and rows; the seed
+    # document goes in on stdin
+    document = shell.dumps_config(
+        apollonian.standard_seed("euclidean", 3, "float")).encode()
+    stream = _cli(["gen", "--in", "-", "--max-bend", "4"], stdin=document)
+    assert hashlib.sha256(stream).hexdigest() == \
+        "38a110cf1ddb53b656aadc74e9cc4c1e6753ce1bf1807d633d5fc5948c921a2f"
 
 
 # (lox arguments, sha256 of the stdout): 60 steps from one seed per

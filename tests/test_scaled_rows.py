@@ -88,7 +88,7 @@ def _loads_through_json(monkeypatch, text):
     """loads_packing with its row regex matching nothing, so that every row
     line goes through json."""
     with monkeypatch.context() as m:
-        m.setattr(shell, "_exact_row_match", lambda *args: lambda ln: None)
+        m.setattr(shell, "_row_match", lambda *args: lambda ln: None)
         return shell.loads_packing(text)
 
 
@@ -171,6 +171,114 @@ def test_non_canonical_rows_load_as_through_json(monkeypatch, line):
         assert isinstance(fast, str)
     else:
         assert fast == expected and fast.scaled == slow.scaled
+
+
+# The float row decode of loads_packing before float rows had a regex,
+# kept verbatim as an oracle: every row line through json.
+def _float_from_json(v):
+    return v if v.__class__ is float else shell.scalar_from_json(v, FLOAT)
+
+
+def _reference_float_rows(text):
+    head, *lines = [ln for ln in text.splitlines() if ln.strip()]
+    head = json.loads(head)
+    decode = json.JSONDecoder().decode
+    width = len(head["seed"][0])
+    bend_col = forms.bend_column(head["geometry"])
+
+    def decoded(ln, scalar):
+        rec = decode(ln)
+        row = rec["row"] if isinstance(rec, dict) else None
+        if not isinstance(row, list) or len(row) != width:
+            raise ValueError(f"malformed packing row {ln.strip()[:80]!r}")
+        row = tuple(map(scalar, row))
+        bend, entry = scalar(rec["bend"]), row[bend_col]
+        # the encoder writes a NaN bend column as a NaN bend
+        if bend != entry and not (bend != bend and entry != entry):
+            raise ValueError(f"packing row bend {bend} is not the bend "
+                             f"{entry} of its row")
+        return row
+
+    try:
+        return tuple([decoded(ln, _float_from_json) for ln in lines])
+    except KeyError as e:
+        raise ValueError(f"packing stream is missing field {e}")
+
+
+def _float_rows_outcome(load, text):
+    # repr tells -0.0 from 0.0 and shows nan
+    try:
+        return repr(load(text))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def _loaded_float_rows(text):
+    rows, scale = shell.loads_packing(text).scaled
+    assert scale.__class__ is float and scale == 1.0
+    return rows
+
+
+def _float_streams():
+    for (geometry, bends, bound, _), name in zip(INPUTS, IDS):
+        yield name, shell.dumps_packing(_packing(geometry, bends, bound, FLOAT))
+    yield "n3", shell.dumps_packing(apollonian.generate(
+        apollonian.standard_seed(forms.EUCLIDEAN, n=3, mode=FLOAT), 4.0))
+
+
+FLOAT_STREAMS = dict(_float_streams())
+
+
+@pytest.mark.parametrize("name", FLOAT_STREAMS)
+def test_float_row_regex_matches_the_json_decoder(name):
+    text = FLOAT_STREAMS[name]
+    head, *lines = text.splitlines(keepends=True)
+    head = json.loads(head)
+    # every row line the encoder writes is read on the regex path
+    match = shell._row_match(head["n"] + 2, forms.bend_column(head["geometry"]),
+                             shell._FLOAT_SCALAR)
+    assert all(map(match, lines))
+    got = _float_rows_outcome(_loaded_float_rows, text)
+    assert got == _float_rows_outcome(_reference_float_rows, text)
+    assert got == _float_rows_outcome(_loaded_float_rows, _json_path(text))
+
+
+# row lines of a float Euclidean stream (bend column 1) as an editor might
+# leave them; each loads as the json decoder read it, or fails with its error
+FLOAT_LINES = {
+    "repr": '{"bend":2.0,"row":[0.0,2.0,-1.0,0.0]}\n',
+    "int-entry": '{"bend":2.0,"row":[0.0,2.0,-1.0,2]}\n',
+    "int-bend": '{"bend":2,"row":[0.0,2,-1.0,0.0]}\n',
+    "upper-exponent": '{"bend":1E5,"row":[0.0,1E5,-1.0,0.0]}\n',
+    "minus-zero": '{"bend":-0.0,"row":[-0.0,-0.0,-1.0,0.0]}\n',
+    "minus-zero-bend": '{"bend":-0.0,"row":[0.0,0.0,-1.0,0.0]}\n',
+    "exponent": '{"bend":1e+16,"row":[1e+16,1e+16,-1e-07,0.0]}\n',
+    "subnormal": '{"bend":5e-324,"row":[0.0,5e-324,-5e-324,0.0]}\n',
+    "overflow": '{"bend":1e400,"row":[0.0,1e400,-1.0,0.0]}\n',
+    "nan": '{"bend":NaN,"row":[0.0,NaN,-1.0,0.0]}\n',
+    "nan-bend-only": '{"bend":NaN,"row":[0.0,2.0,-1.0,0.0]}\n',
+    "infinity": '{"bend":Infinity,"row":[-Infinity,Infinity,-1.0,0.0]}\n',
+    "spaces": '{"bend":2.0,"row":[0.0, 2.0, -1.0, 0.0]}\n',
+    "long-bend": '{"bend":2.00,"row":[0.0,2.0,-1.0,0.0]}\n',
+    "long-entry": '{"bend":2.0,"row":[0.0,2.00,-1.0,0.0]}\n',
+    "not-its-bend": '{"bend":3.0,"row":[0.0,2.0,-1.0,0.0]}\n',
+    "leading-zero": '{"bend":2.0,"row":[00.5,2.0,-1.0,0.0]}\n',
+    "bare-point": '{"bend":2.0,"row":[0.0,2.0,-1.,0.0]}\n',
+    "plus-sign": '{"bend":2.0,"row":[+0.5,2.0,-1.0,0.0]}\n',
+    "string-entry": '{"bend":2.0,"row":["1/2",2.0,-1.0,0.0]}\n',
+    "big-int": '{"bend":2.0,"row":[1%s,2.0,-1.0,0.0]}\n' % ("0" * 400),
+    "narrow": '{"bend":2.0,"row":[0.0,2.0,-1.0]}\n',
+    "no-bend": '{"row":[0.0,2.0,-1.0,0.0]}\n',
+    "crlf": '{"bend":2.0,"row":[0.0,2.0,-1.0,0.0]}\r\n',
+}
+
+
+@pytest.mark.parametrize("line", FLOAT_LINES.values(), ids=FLOAT_LINES)
+def test_edited_float_rows_load_as_through_json(line):
+    head, first, *rest = FLOAT_STREAMS["euclidean"].splitlines(keepends=True)
+    text = head + line + "".join(rest)
+    assert _float_rows_outcome(_loaded_float_rows, text) == \
+        _float_rows_outcome(_reference_float_rows, text)
 
 
 def test_replaced_rows_win_over_scaled():
