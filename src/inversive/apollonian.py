@@ -143,21 +143,10 @@ class Packing:
         return tuple(r.entries[col] for r in self.rows)
 
 
-# float rows are keyed, deduplicated and sorted by their entries rounded to
-# this many decimals
-_KEY_DIGITS = 6
-
-
 def _row_key(entries, exact):
     if exact:
         return entries
-    return tuple(map(round, entries, repeat(_KEY_DIGITS)))
-
-
-def _float_row_keys(rows):
-    """The float _row_key of each row, rounded a column at a time."""
-    return zip(*[map(round, column, repeat(_KEY_DIGITS))
-                 for column in zip(*rows)])
+    return tuple(map(round, entries, repeat(6)))
 
 
 def _config_key(entry_rows, exact):
@@ -215,27 +204,22 @@ class InfiniteClosure(ValueError):
     given."""
 
 
-def _check_finite(seed, rows, scale, quotient, limit):
+def _check_finite(seed, bound):
     """Raise InfiniteClosure if the uncapped walk of generate() from a
     Euclidean n = 2 seed reaches a strip.
 
-    rows, scale and quotient are the seed's walk frame, from _walk_frame,
-    and limit the bound the walk applies to its bends.  The walk reaches
-    the configuration that root_quadruple(bends, limit) returns on the
-    frame's bends; reflection commutes with scaling, so that is the root of
-    the seed's bends times scale.  When it is a root (0, 0, c, c) with c <=
-    limit, the circles of bend c between its two parallel lines repeat
-    forever.  A float bend counts as zero when scalars.negligible says so
-    next to the other bends of the root.  The horocycle chains of
-    hyperbolic packings are not checked.
+    The walk reaches the configuration that root_quadruple(bends, bound)
+    returns.  When that is a root (0, 0, c, c) with c <= bound, the circles
+    of bend c between its two parallel lines repeat forever.  A float bend
+    counts as zero when scalars.negligible says so next to the other bends
+    of the root.  The horocycle chains of hyperbolic packings are not
+    checked.
     """
     if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
         return
-    col = forms.bend_column(seed.geometry)
-    root = root_quadruple([r[col] for r in rows], limit)
+    root = root_quadruple(seed.bends, bound)
     zeros = sum(negligible(b, root) for b in root)
-    if zeros >= 2 and max(root) <= limit:
-        root = [quotient(b, scale) for b in root]
+    if zeros >= 2 and max(root) <= bound:
         raise InfiniteClosure(
             f"the packing of this seed is infinite at any bound of at least "
             f"{max(root)}: its root quadruple {','.join(map(str, root))} is "
@@ -262,12 +246,11 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     one per child.  For n >= 3 the group has further relations and the same
     configuration is reached by different words, so rows are deduplicated
     by their keys (exact rows, or rows rounded to 1e-6 in float mode) and
-    configurations by the sorted int ids of their rows.  A row's key is
-    made once, when the walk meets it, and the row gets the next id once it
-    is kept, after the max_configs test; since every row of a configuration
-    met has an id, a child with a row of no id is a new configuration.  The
-    final sort reads the keys made during the walk; float n = 2 rows are
-    keyed a column at a time.
+    configurations by the sorted int ids of their rows.  The walk keys each
+    child row it builds, once per child, and a new row gets the next id once
+    it is kept, after the max_configs test; since every row of a
+    configuration met has an id, a child with a row of no id is a new
+    configuration.  The final sort reuses the keys of the kept rows.
 
     The walk runs on the seed rows in the frame of scalars.scaled_rows.  In
     exact mode these are the rows times the least common multiple of their
@@ -307,7 +290,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
     if max_depth is None and max_configs is None:
-        _check_finite(seed, seed_rows, scale, quotient, limit)
+        # the bound the walk applies, in the units of the seed
+        _check_finite(seed, quotient(limit, scale))
 
     def reflected(t, x):
         return coeff * (t - x) - x
@@ -387,7 +371,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     else:
         # a stable sort by _row_key, on the keys made during the walk for
         # n >= 3
-        keys = row_keys if dedup else list(_float_row_keys(rows))
+        keys = row_keys if dedup else [_row_key(r, False) for r in rows]
         rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
     configs = None
     if keep_configs:

@@ -304,14 +304,6 @@ def test_capped_higher_dimensional_walks_match_reference(name):
             ref.explored, ref.depth, ref.truncated)
 
 
-def test_float_row_keys_are_the_row_keys():
-    rows = [r.entries for r in apollonian.generate(
-        apollonian.standard_seed(forms.SPHERICAL, mode=FLOAT), 30.0).rows]
-    rows.append((0.5e-6, -0.5e-6, 1.0000005, -2.4999995))
-    assert list(apollonian._float_row_keys(rows)) == \
-        [apollonian._row_key(r, False) for r in rows]
-
-
 @pytest.mark.parametrize("s", (F(1, 10**7), F(10**7)), ids=("1e-7", "1e7"))
 def test_float_dedup_at_extreme_scales(s):
     # float rows of a far dilated seed must dedup as their exact twins do
@@ -651,7 +643,6 @@ def test_float_root_quadruples_are_not_refused(bends, bound):
     seed = _float_twin(exact)
     assert apollonian.root_quadruple(seed.bends) == \
         apollonian.root_quadruple(exact.bends)
-    rows, scale, _, quotient = apollonian._walk_frame(seed, 1e-9, "walk")
-    apollonian._check_finite(seed, rows, scale, quotient, float(bound))
+    apollonian._check_finite(seed, float(bound))
     p = apollonian.generate(seed, float(bound))
     assert not p.truncated and len(p.rows) > 4
