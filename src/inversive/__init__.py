@@ -4,94 +4,6 @@ the three geometries, and Apollonian packings with SVG rendering.
 
 Everything runs in exact rational arithmetic or floats, chosen per value;
 exact inputs are never silently approximated.
+
+Import each name from its module: ``from inversive import apollonian``.
 """
-
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError
-from .forms import (
-    EUCLIDEAN,
-    SPHERICAL,
-    HYPERBOLIC,
-    ConfigMatrix,
-    CoordRow,
-    Residual,
-    augmented_gram_target,
-    bend_column,
-    centers_gram_target,
-    check_identity,
-    descartes_form,
-    descartes_form_inverse,
-    gram,
-    hyperbolic_gram_target,
-    inverse_conjugation_check,
-    pair_product,
-    spherical_gram_target,
-    target_for,
-)
-from .euclid import (
-    OrientedHyperplane,
-    OrientedSphere,
-    augmented_coords,
-    complete_to_descartes,
-    complex_descartes_check,
-    descartes_check,
-    invert_unit_sphere,
-    object_from_augmented,
-    realize_curvature_vector,
-)
-from .spherical import (
-    SphericalCap,
-    cap_coords,
-    cap_from_coords,
-    complementary_cap,
-    realize_cap_config,
-    spherical_soddy_check,
-)
-from .hyperbolic import (
-    BallPoint,
-    HyperbolicSphere,
-    HyperboloidPoint,
-    ball_to_hyperboloid,
-    classify_row,
-    hyp_coords,
-    hyp_soddy_check,
-    hyperboloid_to_ball,
-    realize_sphere_config,
-)
-from .transform import (
-    bend_triple,
-    cap_to_plane,
-    conversion_matrix,
-    convert_matrix,
-    plane_to_cap,
-)
-from .apollonian import (
-    IntegralityReport,
-    LoxodromicSequence,
-    Packing,
-    generate,
-    integrality_report,
-    loxodromic,
-    realize_bends,
-    recurrence_check,
-    reflect,
-    reflection_matrix,
-    standard_seed,
-)
-from .onedim import (
-    OneDimConfig,
-    OrientedInterval,
-    augmented_1d,
-    complete_line,
-    descartes_1d_check,
-    solve_third_curvature,
-)
-from .svg import (
-    RenderOptions,
-    render,
-    render_euclidean,
-    render_hyperbolic_disk,
-    render_spherical,
-)
-from .shell import dumps_config, dumps_packing, loads_config, loads_packing
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -292,6 +292,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     if max_depth is None and max_configs is None:
         # the bound the walk applies, in the units of the seed
         _check_finite(seed, quotient(limit, scale))
+    elif (max_depth or 0) < 0 or (max_configs or 0) < 0:
+        raise ValueError("max_depth and max_configs must be nonnegative")
 
     def reflected(t, x):
         return coeff * (t - x) - x
@@ -539,7 +541,9 @@ def standard_seed(geometry, n=2, mode=EXACT):
     Exact seeds exist only for n = 2 among small dimensions: the Gram
     identity forces det(W)^2 = n*2^(n+3) (n*2^(n+1) for the other two
     geometries), which is not a rational square for n in {3, 4, 5}, so those
-    dimensions are float-only.
+    dimensions are float-only.  For n = 8 it is a square, and exact
+    configurations exist: realize_bends builds one from the cot values
+    (-3,-3,-3,-3,-2,-2,-1,-1,-1,-1).
     """
     if n == 2:
         w = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, _SEED_ROWS, mode=mode)

@@ -92,10 +92,7 @@ def pair_product(w1, w2):
 
 def object_from_augmented(row, tol=DEFAULT_TOL):
     """Rebuild the sphere or hyperplane encoded by an augmented row."""
-    entries = row.entries if isinstance(row, forms.CoordRow) else tuple(row)
-    self_product = forms.pair_product(forms.EUCLIDEAN, entries, entries)
-    if not near(self_product, 1, tol):
-        raise ValueError(f"not a valid augmented row, self product {self_product}")
+    entries = forms.unit_row_entries(forms.EUCLIDEAN, row, "augmented row", tol)
     bbar, b = entries[0], entries[1]
     tail = entries[2:]
     if near(b, 0, tol):

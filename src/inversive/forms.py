@@ -280,6 +280,16 @@ def pair_product(geometry, row_a, row_b):
     return p * a[0] * b[0] + s * a[1] * b[1] + sum(map(mul, a[2:], b[2:]))
 
 
+def unit_row_entries(geometry, row, noun, tol=DEFAULT_TOL):
+    """The entries of a row whose pair_product with itself is 1 within tol;
+    otherwise ValueError "not a valid <noun>, self product <product>"."""
+    entries = row.entries if isinstance(row, CoordRow) else tuple(row)
+    self_product = pair_product(geometry, entries, entries)
+    if not near(self_product, 1, tol):
+        raise ValueError(f"not a valid {noun}, self product {self_product}")
+    return entries
+
+
 def _scaled_gram(w, q):
     """(G, m, quotient) with G = m W^T Q W, so that quotient(G_ij, m) is an
     entry of W^T Q W; G is an int matrix in exact mode.

@@ -115,10 +115,7 @@ def hyp_coords(sphere):
 def classify_row(row, tol=DEFAULT_TOL):
     """Classify a valid row by its coth entry: real sphere beyond 1 in
     absolute value, horocycle at 1, virtual below."""
-    entries = row.entries if isinstance(row, forms.CoordRow) else tuple(row)
-    self_product = forms.pair_product(forms.HYPERBOLIC, entries, entries)
-    if not near(self_product, 1, tol):
-        raise ValueError(f"not a valid row, self product {self_product}")
+    entries = forms.unit_row_entries(forms.HYPERBOLIC, row, "row", tol)
     c = entries[0]
     coord = forms.CoordRow(forms.HYPERBOLIC, coerce_row(entries, mode_of(entries)))
     if near(abs(c), 1, tol):

@@ -83,10 +83,7 @@ def cap_from_coords(row, tol=DEFAULT_TOL):
     determines a unique alpha in (0, pi) and a unit center.  Exact rows are
     kept as the cap's backing so cot alpha stays rational.
     """
-    entries = row.entries if isinstance(row, forms.CoordRow) else tuple(row)
-    self_product = forms.pair_product(forms.SPHERICAL, entries, entries)
-    if not near(self_product, 1, tol):
-        raise ValueError(f"not a valid cap row, self product {self_product}")
+    entries = forms.unit_row_entries(forms.SPHERICAL, row, "cap row", tol)
     c = float(entries[0])
     alpha = math.atan2(1.0, c)
     s = math.sin(alpha)

@@ -277,21 +277,38 @@ def test_generate_n3_float_matches_reference():
         ref.explored, ref.depth, ref.truncated)
 
 
-# (n, bound, truncation caps): each cap stops the walk among configurations
-# whose rows are partly new, where row ids are given
-_CAPPED_FLOAT_SEEDS = {
-    "n3-configs-50": (3, 4.0, {"max_configs": 50}),
-    "n3-configs-137": (3, 4.0, {"max_configs": 137}),
-    "n3-depth-2": (3, 4.0, {"max_depth": 2}),
-    "n3-depth-3": (3, 4.0, {"max_depth": 3}),
-    "n4-configs-300": (4, 6.0, {"max_configs": 300}),
+def _float_standard(n):
+    return lambda: apollonian.standard_seed(forms.EUCLIDEAN, n=n, mode=FLOAT)
+
+
+# n = 8 has exact configurations, det(W)^2 = 8 * 2^11 being a square; the
+# walk coefficient 2/(n-1) = 2/7 is a Fraction, so the exact walk runs on
+# Fractions and puts its rows back on ints at the end.  These walks do not
+# end uncapped.
+_N8_SPHERICAL = _realized(forms.SPHERICAL,
+                          (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1))
+_N8_HYPERBOLIC = _realized(forms.HYPERBOLIC,
+                           (-3, -3, -2, -2, -2, -1, -1, -1, -1, 0))
+
+# (seed builder, bound, truncation caps): each cap stops the walk among
+# configurations whose rows are partly new, where row ids are given
+_CAPPED_SEEDS = {
+    "n3-configs-50": (_float_standard(3), 4.0, {"max_configs": 50}),
+    "n3-configs-137": (_float_standard(3), 4.0, {"max_configs": 137}),
+    "n3-depth-2": (_float_standard(3), 4.0, {"max_depth": 2}),
+    "n3-depth-3": (_float_standard(3), 4.0, {"max_depth": 3}),
+    "n4-configs-300": (_float_standard(4), 6.0, {"max_configs": 300}),
+    "n8-spherical-configs-300": (_N8_SPHERICAL, 3, {"max_configs": 300}),
+    "n8-spherical-depth-2": (_N8_SPHERICAL, 3, {"max_depth": 2}),
+    "n8-hyperbolic-configs-300": (_N8_HYPERBOLIC, 3, {"max_configs": 300}),
+    "n8-hyperbolic-depth-2": (_N8_HYPERBOLIC, 3, {"max_depth": 2}),
 }
 
 
-@pytest.mark.parametrize("name", _CAPPED_FLOAT_SEEDS)
+@pytest.mark.parametrize("name", _CAPPED_SEEDS)
 def test_capped_higher_dimensional_walks_match_reference(name):
-    n, bound, caps = _CAPPED_FLOAT_SEEDS[name]
-    seed = apollonian.standard_seed(forms.EUCLIDEAN, n=n, mode=FLOAT)
+    build, bound, caps = _CAPPED_SEEDS[name]
+    seed = build()
     ref = _reference_generate(seed, bound, keep_configs=True, **caps)
     got = apollonian.generate(seed, bound, **caps)
     kept = apollonian.generate(seed, bound, keep_configs=True, **caps)
@@ -302,6 +319,8 @@ def test_capped_higher_dimensional_walks_match_reference(name):
     for p in (got, kept):
         assert (p.explored, p.depth, p.truncated) == (
             ref.explored, ref.depth, ref.truncated)
+    if seed.mode == EXACT:  # the frame of scalars.scaled_rows: int rows
+        assert all(type(x) is int for r in got.scaled[0] for x in r)
 
 
 @pytest.mark.parametrize("s", (F(1, 10**7), F(10**7)), ids=("1e-7", "1e7"))
@@ -338,6 +357,27 @@ def test_generate_max_depth_truncates(euclid_seed):
     assert p.depth == 2
     assert p.truncated
     assert len(p.rows) == 20
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("caps", ({"max_configs": -1}, {"max_depth": -3},
+                                  {"max_configs": 5, "max_depth": -1}),
+                         ids=("configs", "depth", "both"))
+def test_generate_refuses_negative_caps(euclid_seed, caps, mode):
+    seed = euclid_seed if mode == EXACT else _float_twin(euclid_seed)
+    message = "^max_depth and max_configs must be nonnegative$"
+    with pytest.raises(ValueError, match=message):
+        apollonian.generate(seed, 10, **caps)
+
+
+@pytest.mark.parametrize("cap,explored",
+                         (("max_configs", 1), ("max_depth", 0)))
+def test_generate_takes_zero_caps(euclid_seed, cap, explored):
+    # a zero cap keeps the seed alone
+    p = apollonian.generate(euclid_seed, 10, **{cap: 0})
+    assert (p.truncated, p.explored) == (True, explored)
+    assert sorted(r.entries for r in p.rows) == sorted(
+        r.entries for r in euclid_seed.rows)
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
@@ -509,6 +549,57 @@ def test_integrality_report(euclid_seed):
     assert dict(rep.bend_counts) == {
         -1: 1, 2: 2, 3: 2, 6: 4, 11: 4, 14: 4, 15: 2, 18: 4,
     }
+
+
+def _bend_residues(bends, m=24):
+    """The residues mod m of the bends in the orbit of a quadruple under the
+    four reflections v_i -> 2 (sum v - v_i) - v_i, walked over (Z/m)^4, and
+    the number of quadruples in that orbit (Graham, Lagarias, Mallows,
+    Wilks, Yan, number theory; by Fuchs, 24 is the full modulus)."""
+    start = tuple(b % m for b in bends)
+    seen, todo = {start}, [start]
+    while todo:
+        v = todo.pop()
+        total = sum(v)
+        for i, b in enumerate(v):
+            w = v[:i] + ((2 * (total - b) - b) % m,) + v[i + 1:]
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return {b for v in seen for b in v}, len(seen)
+
+
+def test_bend_residues_walk_the_mod_24_orbit():
+    assert _bend_residues((-1, 2, 2, 3)) == ({2, 3, 6, 11, 14, 15, 18, 23}, 40)
+    assert _bend_residues((-2, 3, 6, 7)) == ({3, 6, 7, 10, 15, 18, 19, 22}, 40)
+    assert _bend_residues((0, 0, 1, 1)) == ({0, 1, 4, 9, 12, 16}, 40)
+
+
+# (geometry, integral bends of the seed, bound, truncation caps); the strip
+# and the horocycle packing are infinite at these bounds
+_RESIDUE_PACKINGS = {
+    "euclidean-1,2,2,3": (forms.EUCLIDEAN, (-1, 2, 2, 3), 3000, {}),
+    "euclidean-2,3,6,7": (forms.EUCLIDEAN, (-2, 3, 6, 7), 3000, {}),
+    "euclidean-3,5,8,8": (forms.EUCLIDEAN, (-3, 5, 8, 8), 3000, {}),
+    "euclidean-4,8,9,9": (forms.EUCLIDEAN, (-4, 8, 9, 9), 3000, {}),
+    "strip": (forms.EUCLIDEAN, (0, 0, 1, 1), 3000, {"max_configs": 20000}),
+    "spherical-0,1,1,2": (forms.SPHERICAL, (0, 1, 1, 2), 200, {}),
+    "hyperbolic-1,1,1,1": (forms.HYPERBOLIC, (-1, 1, 1, 1), 200,
+                           {"max_configs": 5000}),
+}
+
+
+@pytest.mark.parametrize("name", _RESIDUE_PACKINGS)
+def test_exact_bends_meet_every_residue_mod_24_and_no_other(name):
+    # the reflections act alike on bend, cot and coth columns, so the bends
+    # of every integral packing lie in the residues of its seed's orbit, and
+    # a packing this large meets all of them
+    geometry, bends, bound, caps = _RESIDUE_PACKINGS[name]
+    seed = apollonian.realize_bends(geometry, tuple(map(F, bends)))
+    report = apollonian.integrality_report(
+        apollonian.generate(seed, bound, **caps))
+    assert report.all_integral
+    assert {b % 24 for b, _ in report.bend_counts} == _bend_residues(bends)[0]
 
 
 def test_integrality_report_non_integral_bends():

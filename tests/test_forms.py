@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from inversive import apollonian, forms, linalg, shell, transform
+from inversive import (apollonian, euclid, forms, hyperbolic, linalg, shell,
+                       spherical, transform)
 from inversive.scalars import EXACT, FLOAT
 
 
@@ -139,6 +140,30 @@ def test_pair_products_on_seed(geometry):
         for j, b in enumerate(rows):
             expect = 1 if i == j else -1
             assert forms.pair_product(geometry, a, b) == expect
+
+
+@pytest.mark.parametrize("read,row,message", (
+    (euclid.object_from_augmented, (1, 1, 0, 0),
+     "not a valid augmented row, self product -1"),
+    (euclid.object_from_augmented, (0.5, 1.0, 0.0, 0.0),
+     "not a valid augmented row, self product -0.5"),
+    (spherical.cap_from_coords, (F(1, 2), 1, 0, 0),
+     "not a valid cap row, self product 3/4"),
+    (spherical.cap_from_coords,
+     forms.CoordRow(forms.SPHERICAL, (2.0, 1.0, 0.0)),
+     "not a valid cap row, self product -3.0"),
+    (hyperbolic.classify_row, (F(1, 3), 1, 0, 0),
+     "not a valid row, self product -8/9"),
+    (hyperbolic.classify_row,
+     forms.CoordRow(forms.HYPERBOLIC, (2.0, 1.0, 0.0)),
+     "not a valid row, self product 3.0"),
+))
+def test_rows_off_the_unit_self_product_are_refused(read, row, message):
+    # the readers of single rows share forms.unit_row_entries; each keeps
+    # the wording of its own message
+    with pytest.raises(ValueError) as err:
+        read(row)
+    assert str(err.value) == message
 
 
 def test_bend_column():

@@ -1,7 +1,11 @@
 """Code hygiene: every name a module of the package imports is used there,
-and every module-level function of the package is used."""
+every module-level function of the package is used, and importing the
+package loads none of its modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,8 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "inversive"
 TESTS = Path(__file__).resolve().parent
-# __init__ imports names to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source):
@@ -71,3 +74,14 @@ def test_every_function_is_used():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unused_functions(sources, tests) == []
+
+
+def test_importing_the_package_loads_no_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    code = ("import sys, inversive; print(sorted(m for m in sys.modules "
+            "if m.startswith('inversive.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

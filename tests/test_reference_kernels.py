@@ -1036,6 +1036,46 @@ def test_exact_tail_candidates_match_reference(geometry):
     assert len(searches) >= 100
 
 
+def test_tail_candidates_along_an_isotropic_kernel_vector_match_reference():
+    """The earlier tail t = (1, 1, 0) is isotropic for diag(-1, 1, 1), and
+    <t, x> = 0 puts t into the kernel, so along it the quadratic has a = 0
+    and b = 0: every u solves it when its constant is 0 (u = 0 is taken),
+    none when it is not.  Both modes yield the reference's tails."""
+    signs, prev, values = (-1, 1, 1), (1, 1, 0), [0, 1]
+    exact = list(linalg._exact_tail_candidates([prev + (1,)], signs, values,
+                                               1))
+    ref = list(_reference_tail_candidates([tuple(map(Fraction, prev))], signs,
+                                          [Fraction(0)], Fraction(1), True))
+    assert [tuple(Fraction(x, t[-1]) for x in t[:-1]) for t in exact] == ref
+    assert len(ref) == 7
+    floats = list(linalg._float_tail_candidates(
+        [tuple(map(float, prev))], signs, list(map(float, values))))
+    assert repr(floats) == repr(list(_reference_tail_candidates(
+        [tuple(map(float, prev))], signs, [0.0], 1.0, False)))
+
+
+def test_tail_search_stops_at_the_branch_limit(monkeypatch):
+    """The second tail has 31 candidates, and only the last one leaves the
+    third a rational tail.  The search gives up after BRANCH_LIMIT = 24
+    candidates, as the reference does, and finds the tails when the limit
+    lets it reach the 31st."""
+    signs = (-1, 1, 1, 1)
+    first = [tuple(map(Fraction, (2, 0, -2, -2)))]
+    targets = [[4], [-2, 1], [2, -1, -3]]
+
+    def search(limit):
+        return _reference_realize_tails(
+            first, signs, lambda j, i: Fraction(targets[i][j]),
+            lambda i: Fraction(targets[i][-1]), len(targets), True, limit)
+
+    assert linalg.BRANCH_LIMIT == 24
+    assert linalg.realize_tails(first, signs, targets, 1) is None
+    assert search(24) is None
+    monkeypatch.setattr(linalg, "BRANCH_LIMIT", 31)
+    found = linalg.realize_tails(first, signs, targets, 1)
+    assert found is not None and list(found) == search(31)
+
+
 @pytest.mark.parametrize("geometry,mode", [(g, m) for g in (S, H)
                                            for m in (EXACT, FLOAT)])
 def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):

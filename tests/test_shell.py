@@ -611,6 +611,18 @@ def test_malformed_input_is_reported(tmp_path, capsys, euclid_seed):
         assert out == "" and err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("command", ("gen", "render"))
+@pytest.mark.parametrize("cap", ("--max-configs", "--max-depth"))
+def test_negative_caps_are_an_error(command, cap, capsys):
+    argv = [command, "--geometry", "euclidean", "--seed=-1,2,2,3",
+            "--max-bend", "10"]
+    code, out, err = run([*argv, cap, "-1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: max_depth and max_configs must be nonnegative\n"
+    code, out, err = run([*argv, cap, "0"], capsys)
+    assert (code, err) == (0, "") and out
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("seed", 5, "packing seed is not a list of rows"),
     ("seed", [5, 6, 7, 8], "packing seed is not a list of rows"),
