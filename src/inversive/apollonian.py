@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from math import isqrt
 from operator import add
 
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
@@ -155,22 +156,11 @@ def _config_key(entry_rows, exact):
 
 def _check_seed(seed, tol):
     """Raise ValueError unless the seed meets its Gram identity within tol,
-    or entry by entry within the rounding of float entries as large as
-    its own.
-
-    Entry (i, j) of W^T Q W is bilinear in columns i and j of W, and the
-    columns of a seed can differ in size by orders of magnitude (the
-    Euclidean bar-bend grows with the square of the distance from the
-    origin, the bend does not), so each entry is scaled by its own two
-    columns.
-    """
+    or entry by entry within the rounding of its columns
+    (forms.Residual.within_rounding): the Euclidean bar-bend grows with the
+    square of the distance from the origin, the bend does not."""
     res = seed.residual(tol)
-    if res.ok:
-        return
-    cols = tuple(zip(*(r.entries for r in seed.rows)))
-    if not all(negligible(d, cols[i], tol, cols[j])
-               for i, row in enumerate(res.entrywise)
-               for j, d in enumerate(row)):
+    if not res.within_rounding(seed, tol):
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
 
 
@@ -538,12 +528,12 @@ def standard_seed(geometry, n=2, mode=EXACT):
     bends (-1, 2, 2, 3) (cot values (0,1,1,2), coth values (-1,1,1,1)); for
     higher n a float configuration of equal caps.
 
-    Exact seeds exist only for n = 2 among small dimensions: the Gram
-    identity forces det(W)^2 = n*2^(n+3) (n*2^(n+1) for the other two
-    geometries), which is not a rational square for n in {3, 4, 5}, so those
-    dimensions are float-only.  For n = 8 it is a square, and exact
-    configurations exist: realize_bends builds one from the cot values
-    (-3,-3,-3,-3,-2,-2,-1,-1,-1,-1).
+    The Gram identity forces det(W)^2 = n*2^(n+1) (four times that in the
+    plane), a rational square exactly when n is an odd square or twice a
+    square.  For other n, such as 3, 4 and 5, no rational configuration
+    exists.  No exact seed is built above n = 2, and the ExactnessError
+    says which case holds; for n = 8, realize_bends builds one from the cot
+    values (-3,-3,-3,-3,-2,-2,-1,-1,-1,-1).
     """
     if n == 2:
         w = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, _SEED_ROWS, mode=mode)
@@ -551,9 +541,13 @@ def standard_seed(geometry, n=2, mode=EXACT):
     if n < 2:
         raise ValueError("use the interval configurations for n = 1")
     if mode == EXACT:
+        m = n if n % 2 else n // 2  # a square for the n above
         raise ExactnessError(
-            f"no rational Descartes configuration exists for n = {n}; "
-            "the Gram identity forces an irrational determinant")
+            f"no rational Descartes configuration exists for n = {n}; the "
+            "Gram identity forces an irrational determinant"
+            if isqrt(m) ** 2 != m else
+            f"no exact standard seed is built for n = {n}; apollonian."
+            "realize_bends builds exact configurations from bend vectors")
     c = sqrt_scalar(n / (n + 2))
     wp = spherical.realize_cap_config((c,) * (n + 2))
     return transform.convert_matrix(wp, geometry)

@@ -8,9 +8,9 @@ coordinate row
 where bbar is the oriented curvature of the image of S under inversion in the
 unit sphere.  A hyperplane {x : h.x = d} with unit normal h pointing into its
 interior gets w(H) = (2d, 0, h).  In these coordinates inversion in the unit
-sphere is simply the swap of the first two entries, and a family of n+2
-mutually tangent spheres is characterized by the augmented Gram identity (see
-forms.augmented_gram_target).
+sphere is simply the swap of the first two entries (transform.inversion), and
+a family of n+2 mutually tangent spheres is characterized by the augmented
+Gram identity (see forms.target_for).
 """
 
 from dataclasses import dataclass
@@ -84,12 +84,6 @@ def augmented_coords(obj):
     return forms.CoordRow(forms.EUCLIDEAN, coerce_row(entries, mode))
 
 
-def pair_product(w1, w2):
-    """Tangency form on two augmented rows: 1 on a row with itself, -1 for
-    externally tangent pairs (disjoint interiors, one common point)."""
-    return forms.pair_product(forms.EUCLIDEAN, w1, w2)
-
-
 def object_from_augmented(row, tol=DEFAULT_TOL):
     """Rebuild the sphere or hyperplane encoded by an augmented row."""
     entries = forms.unit_row_entries(forms.EUCLIDEAN, row, "augmented row", tol)
@@ -98,26 +92,6 @@ def object_from_augmented(row, tol=DEFAULT_TOL):
     if near(b, 0, tol):
         return OrientedHyperplane(tail, div(bbar, 2))
     return OrientedSphere(b, tuple(m / b for m in tail))
-
-
-def invert_unit_sphere(obj):
-    """Image of a sphere or hyperplane under inversion in the unit sphere.
-
-    In augmented coordinates this is the swap of the first two entries.  The
-    result may change species: spheres through the origin become hyperplanes
-    and hyperplanes off the origin become spheres.  Points (curvature-free
-    degenerate objects) are not representable and are rejected up front by
-    the constructors.
-    """
-    w = augmented_coords(obj).entries
-    swapped = (w[1], w[0]) + w[2:]
-    return object_from_augmented(swapped)
-
-
-def descartes_check(bends):
-    """Value of the Descartes form on a bend vector; 0 for every family of
-    n+2 mutually tangent spheres."""
-    return forms.bend_residual(forms.EUCLIDEAN, bends)
 
 
 def _as_complex_pair(z):
@@ -173,25 +147,6 @@ def objects_from_config(config, tol=DEFAULT_TOL):
     return tuple(object_from_augmented(r, tol) for r in config.rows)
 
 
-def translate(obj, v):
-    """Translate a sphere or hyperplane by the vector v."""
-    if isinstance(obj, OrientedSphere):
-        return OrientedSphere(obj.curvature,
-                              tuple(x + d for x, d in zip(obj.center, v)))
-    shift = sum(h * d for h, d in zip(obj.normal, v))
-    return OrientedHyperplane(obj.normal, obj.offset + shift)
-
-
-def scale(obj, s):
-    """Scale a sphere or hyperplane about the origin by s > 0."""
-    if s <= 0:
-        raise ValueError("scale factor must be positive")
-    if isinstance(obj, OrientedSphere):
-        b = div(obj.curvature, s)
-        return OrientedSphere(b, tuple(x * s for x in obj.center))
-    return OrientedHyperplane(obj.normal, obj.offset * s)
-
-
 def _complete_rows(w1, w2, w3, mode):
     """Both augmented rows tangent to three mutually tangent rows."""
     half = coerce(1, mode) / 2
@@ -201,9 +156,9 @@ def _complete_rows(w1, w2, w3, mode):
     if len(kernel) != 1:
         raise ValueError("degenerate input rows")
     kv = kernel[0]
-    a = pair_product(kv, kv)
-    b = 2 * pair_product(particular, kv)
-    c = pair_product(particular, particular) - 1
+    a, b, c = (forms.pair_product(forms.EUCLIDEAN, x, y) for x, y in
+               ((kv, kv), (particular, kv), (particular, particular)))
+    b, c = 2 * b, c - 1
     if a == 0:
         raise ValueError("degenerate tangency arrangement")
     disc = b * b - 4 * a * c
@@ -232,7 +187,7 @@ def complete_to_descartes(s1, s2, s3, tol=DEFAULT_TOL):
         raise ValueError("completion is implemented for circles in the plane")
     for i in range(3):
         for j in range(i + 1, 3):
-            p = pair_product(ws[i], ws[j])
+            p = forms.pair_product(forms.EUCLIDEAN, ws[i], ws[j])
             if not near(p, -1, tol):
                 raise ValueError(
                     f"objects {i} and {j} are not externally tangent "
@@ -286,7 +241,7 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
         raise ValueError("realization is implemented for the plane (4 bends)")
     mode = mode_of(bends)
     bends = coerce_row(bends, mode)
-    residual = descartes_check(bends)
+    residual = forms.bend_residual(forms.EUCLIDEAN, bends)
     if not negligible(residual, bends, tol):
         raise ValueError(f"bends violate the Descartes relation by {residual}")
     if all(b == 0 for b in bends):

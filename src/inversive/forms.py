@@ -201,6 +201,18 @@ class Residual:
     entrywise: tuple
     ok: bool
 
+    def within_rounding(self, w, tol=DEFAULT_TOL):
+        """Whether this residual of W^T Q W is ok, or each entry (i, j) is
+        negligible next to columns i and j of W, in which it is bilinear
+        (scalars.negligible): columns can differ in size by orders of
+        magnitude, so each entry is scaled by its own two."""
+        if self.ok:
+            return True
+        cols = tuple(zip(*_rows(w)))
+        return all(negligible(d, cols[i], tol, cols[j])
+                   for i, row in enumerate(self.entrywise)
+                   for j, d in enumerate(row))
+
 
 def _rows(m):
     """Entries of a configuration, a form or a nested sequence of rows, as a
@@ -252,10 +264,6 @@ def target_for(geometry, n, mode=EXACT):
     return linalg.block_diag(head, (2,) * n, mode)
 
 
-augmented_gram_target = functools.partial(target_for, EUCLIDEAN)
-spherical_gram_target = functools.partial(target_for, SPHERICAL)
-hyperbolic_gram_target = functools.partial(target_for, HYPERBOLIC)
-
 # 2 T^{-1} for the target head T of each geometry, coerced to each mode
 _FORM_HEAD = {tag: {mode: linalg.block_diag(
     [[2 * x for x in row] for row in linalg.mat_inv(g.target_head)], (), mode)
@@ -263,15 +271,19 @@ _FORM_HEAD = {tag: {mode: linalg.block_diag(
 
 
 def pair_product(geometry, row_a, row_b):
-    """Evaluate the geometry's tangency form on two entry tuples: the head
-    2 T^{-1} of _FORM_HEAD on the first two entries, T the head of its Gram
-    target, and the plain product on the rest.  Each shape of head keeps
-    its float summation order, signed zeros included."""
+    """Evaluate the geometry's tangency form on two rows (-1 on externally
+    tangent pairs): the head 2 T^{-1} of _FORM_HEAD on the first two
+    entries, T the head of its Gram target, and the plain product on the
+    rest.  Each shape of head keeps its float summation order."""
+    head = _by_geometry(_FORM_HEAD, geometry)
+    for row in (row_a, row_b):
+        if isinstance(row, CoordRow) and row.kind != geometry:
+            raise ValueError(f"expected {geometry} rows, got {row.kind}")
     a = row_a.entries if isinstance(row_a, CoordRow) else tuple(row_a)
     b = row_b.entries if isinstance(row_b, CoordRow) else tuple(row_b)
     if len(a) != len(b):
         raise ValueError("row length mismatch")
-    (p, q), (_, s) = _by_geometry(_FORM_HEAD, geometry)[mode_of(a + b)]
+    (p, q), (_, s) = head[mode_of(a + b)]
     if q:  # an antidiagonal head; its tail sum starts from a_0 * 0
         return (q * (a[0] * b[1] + a[1] * b[0])
                 + sum(map(mul, a[2:], b[2:]), start=a[0] * 0))
@@ -284,7 +296,7 @@ def unit_row_entries(geometry, row, noun, tol=DEFAULT_TOL):
     """The entries of a row whose pair_product with itself is 1 within tol;
     otherwise ValueError "not a valid <noun>, self product <product>"."""
     entries = row.entries if isinstance(row, CoordRow) else tuple(row)
-    self_product = pair_product(geometry, entries, entries)
+    self_product = pair_product(geometry, row, row)
     if not near(self_product, 1, tol):
         raise ValueError(f"not a valid {noun}, self product {self_product}")
     return entries
@@ -378,11 +390,11 @@ def bend_residual(geometry, bends):
     """Residual sum b^2 - (sum b)^2 / n + 2k of the Descartes relation on
     n+2 bends, k the geometry's curvature sign; zero for n+2 pairwise
     tangent spheres, exact on exact bends."""
+    k = _by_geometry(CURVATURE_SIGN, geometry)
     bends = tuple(bends)
     n = len(bends) - 2
     if n < 1:
         raise ValueError("need at least 3 bends")
-    k = CURVATURE_SIGN[geometry]
     if all_exact(bends):
         # on the bends times s, the LCM of their denominators
         (ints,), s = integer_rows([bends])
@@ -421,7 +433,7 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     residual = bend_residual(geometry, c)
     if not negligible(residual, c):
         raise ValueError(f"{name} values violate the bend relation by {residual}")
-    k = CURVATURE_SIGN[geometry]
+    k = _by_geometry(CURVATURE_SIGN, geometry)
     one = coerce(1, mode)
     zero = one - one
     first_options = [head + (zero,) * (n + 1 - len(head))

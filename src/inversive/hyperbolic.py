@@ -198,12 +198,6 @@ def distance_ball(p, q):
     return math.acosh(max(1.0, float(cosh_distance_ball(p, q))))
 
 
-def hyp_soddy_check(coths):
-    """Residual of the bend relation on a vector of coth(s) values; zero for
-    n+2 pairwise tangent hyperbolic spheres."""
-    return forms.bend_residual(forms.HYPERBOLIC, coths)
-
-
 def realize_sphere_config(coths):
     """One configuration of pairwise tangent rows with the given coth values.
 

@@ -42,7 +42,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce, sqrt_scalar
+from .scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, sqrt_scalar
 
 
 def scalar_to_json(x):
@@ -398,10 +398,10 @@ def complete_bend(geometry, values):
     """Both completions of n+1 bend values to a full Descartes bend vector,
     from the quadratic (n-1)x^2 - 2*s1*x + (n*s2 - s1^2 + 2*n*k) = 0 with
     k the geometry's curvature sign; ascending order."""
+    k = forms._by_geometry(forms.CURVATURE_SIGN, geometry)
     n = len(values) - 1
     if n < 2:
         raise ValueError("bend completion needs at least three values")
-    k = forms.CURVATURE_SIGN[geometry]
     s1 = sum(values)
     s2 = sum(v * v for v in values)
     a = n - 1
@@ -535,7 +535,7 @@ def _parse_scalars(text, mode):
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValueError("empty value list")
-    return tuple(coerce(_fraction(t), mode) for t in tokens)
+    return tuple(scalar_from_json(t, mode) for t in tokens)
 
 
 def _seed_config(args, tol):
@@ -550,7 +550,7 @@ def _seed_config(args, tol):
 
 
 def _parse_bound(text, mode):
-    return coerce(_fraction(text), mode)
+    return scalar_from_json(text, mode)
 
 
 def _cmd_verify(args):

@@ -92,14 +92,6 @@ def cap_from_coords(row, tol=DEFAULT_TOL):
     return SphericalCap(center, alpha, row=backing)
 
 
-def cap_pair_product(row1, row2):
-    """J-product of two spherical rows; -1 on externally tangent pairs."""
-    for r in (row1, row2):
-        if isinstance(r, forms.CoordRow) and r.kind != forms.SPHERICAL:
-            raise ValueError(f"expected spherical rows, got {r.kind}")
-    return forms.pair_product(forms.SPHERICAL, row1, row2)
-
-
 def cap_from_linear_form(form):
     """Cap {y : f_vec . y >= f}: center f_vec, angular radius arccos(f)."""
     alpha = math.acos(float(form.f))
@@ -111,12 +103,6 @@ def complementary_cap(cap):
     center = tuple(-y for y in cap.center)
     backing = None if cap.row is None else tuple(-x for x in cap.row)
     return SphericalCap(center, math.pi - cap.angular_radius, row=backing)
-
-
-def spherical_soddy_check(cots):
-    """Residual of the bend relation on a vector of cot(alpha) values;
-    zero for n+2 pairwise tangent caps."""
-    return forms.bend_residual(forms.SPHERICAL, cots)
 
 
 def realize_cap_config(cots):

@@ -20,6 +20,12 @@ Euclidean rows (G for caps).  The src-to-dst matrix is head_src
 head_dst^{-1} on the first two columns and the identity on the rest,
 worked out in exact arithmetic once per pair and coerced to the mode.
 
+A Moebius map acts on configurations from the right too, W -> W G with
+G^T T G = T for the Euclidean Gram target T, while the Apollonian
+reflections act from the left (Lagarias, Mallows, Wilks), so the two
+commute.  translation, dilation and inversion build G on Euclidean rows
+(bbar, b, b x), and moved applies it in any geometry.
+
 cap_to_plane and plane_to_cap are deliberately not written as G products;
 they apply the projection formulas directly so the matrix route can be
 tested against an independently computed answer.
@@ -69,6 +75,53 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
              for x, y in heads]
     return forms.ConfigMatrix(to, [forms.CoordRow(to, head + row[2:])
                                    for head, row in zip(heads, rows)])
+
+
+def translation(v):
+    """G of the translation x -> x + v on Euclidean augmented rows: bbar
+    gains 2 (b x).v + b |v|^2 and b x gains b v; exact for exact v."""
+    mode = mode_of(v)
+    v = coerce_row(v, mode)
+    eye = linalg.block_diag((), (1,) * (len(v) + 2), mode)
+    return ((eye[0], (sum(x * x for x in v), eye[1][1]) + v)
+            + tuple((2 * x,) + row[1:] for x, row in zip(v, eye[2:])))
+
+
+def dilation(s, n):
+    """G of the dilation x -> s x, s > 0, on Euclidean augmented rows in
+    n-space: diag(s, 1/s, I), as bbar scales by s and b by 1/s."""
+    if not s > 0:
+        raise ValueError("dilation factor must be positive")
+    return linalg.block_diag((), (s, div(1, s)) + (1,) * n, mode_of((s,)))
+
+
+def inversion(n):
+    """G of the inversion in the unit sphere of n-space on Euclidean
+    augmented rows: the swap of the first two columns."""
+    return linalg.block_diag(((0, 1), (1, 0)), (1,) * n, EXACT)
+
+
+def moved(w, g):
+    """The configuration w moved by the Moebius map whose matrix on
+    Euclidean augmented rows is g: W C g C^{-1} in w's geometry and mode,
+    C = conversion_matrix(w.geometry, EUCLIDEAN, n).
+
+    g must keep the Euclidean Gram target T, g^T T g = T (float g up to
+    forms.Residual.within_rounding), or ValueError is raised.  A float g
+    moves a float configuration only; on an exact one it raises
+    ExactnessError.
+    """
+    n, mode = w.n, w.mode
+    g = tuple(coerce_row(row, mode) for row in g)
+    target = forms.target_for(forms.EUCLIDEAN, n, mode)
+    if not forms.check_identity(g, target, target).within_rounding(g):
+        raise ValueError("the matrix does not keep the Euclidean Gram target")
+    m = linalg.matmul(
+        linalg.matmul(conversion_matrix(w.geometry, forms.EUCLIDEAN, n, mode),
+                      g),
+        conversion_matrix(forms.EUCLIDEAN, w.geometry, n, mode))
+    return forms.ConfigMatrix.from_rows(w.geometry,
+                                        linalg.matmul(w.matrix(), m), mode=mode)
 
 
 def bend_triple(b, bbar):

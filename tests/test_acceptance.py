@@ -59,7 +59,7 @@ def exact_fuzz():
 
 def test_criterion_01_seed_identity(capsys, euclid_seed):
     t0 = time.perf_counter()
-    q_value = euclid.descartes_check((F(-1), F(2), F(2), F(3)))
+    q_value = forms.bend_residual(forms.EUCLIDEAN, (F(-1), F(2), F(2), F(3)))
     first = sorted(int(apollonian.reflect(euclid_seed, i).bends[i])
                    for i in range(4))
     dt = time.perf_counter() - t0
@@ -130,10 +130,8 @@ def test_criterion_03_gram_identity_fuzz(capsys, exact_fuzz):
         realized = euclid.realize_curvature_vector(w.bends)
         v = (F(rng.randrange(-30, 31), 7), F(rng.randrange(-30, 31), 7))
         s = F(rng.randrange(1, 12), rng.randrange(1, 12))
-        placed = euclid.config_from_objects(
-            [euclid.scale(euclid.translate(o, v), s)
-             for o in euclid.objects_from_config(realized)]
-        )
+        placed = transform.moved(realized, linalg.matmul(
+            transform.translation(v), transform.dilation(s, 2)))
         res = forms.check_identity(
             placed, forms.descartes_form(2), forms.target_for(forms.EUCLIDEAN, 2)
         )
@@ -173,12 +171,12 @@ def test_criterion_04_soddy_relations(
     failures = 0
     checked_sph = 0
     for w in spherical_packing_1000.value.configs:
-        failures += spherical.spherical_soddy_check(w.bends) != 0
+        failures += forms.bend_residual(forms.SPHERICAL, w.bends) != 0
         checked_sph += 1
     checked_hyp = 0
     for timed in (hyperbolic_packing_1000, horocycle_packing):
         for w in timed.value.configs:
-            failures += hyperbolic.hyp_soddy_check(w.bends) != 0
+            failures += forms.bend_residual(forms.HYPERBOLIC, w.bends) != 0
             checked_hyp += 1
     dt = (time.perf_counter() - t0 + spherical_packing_1000.seconds
           + hyperbolic_packing_1000.seconds + horocycle_packing.seconds)
@@ -351,27 +349,47 @@ def test_criterion_06_round_trips(capsys, exact_fuzz, rng):
     assert dt < 10.0
 
 
+def _inverted_circle(circle):
+    """The image of a circle under inversion in the unit circle, from its
+    center c and oriented radius r: the circle of center c/(|c|^2 - r^2)
+    and radius r/(|c|^2 - r^2), or, through the origin, the line
+    {x : (c/r).x = 1/(2r)}."""
+    c, r = circle.center, circle.radius
+    d = sum(x * x for x in c) - r * r
+    if d == 0:
+        return euclid.OrientedHyperplane(tuple(x / r for x in c), 1 / (2 * r))
+    return euclid.OrientedSphere(d / r, tuple(x / d for x in c))
+
+
 def test_criterion_07_inversion_laws(capsys, exact_fuzz):
     pools, _ = exact_fuzz
     t0 = time.perf_counter()
     double_failures = 0
     swap_failures = 0
+    lines = 0
+    g = transform.inversion(2)
     for w in pools[forms.EUCLIDEAN][:200]:
-        objs = euclid.objects_from_config(w)
-        inverted = [euclid.invert_unit_sphere(o) for o in objs]
-        back = tuple(euclid.invert_unit_sphere(o) for o in inverted)
-        double_failures += back != objs
-        # object-level route against the column-swap route
-        object_route = np.array(euclid.config_from_objects(inverted).matrix())
+        inverted = transform.moved(w, g)
+        double_failures += transform.moved(inverted, g) != w
+        # circles inverted from their centers and radii, the matrix route
+        # and the first-two-column swap agree entrywise
+        images = [_inverted_circle(o) for o in euclid.objects_from_config(w)]
+        lines += sum(isinstance(o, euclid.OrientedHyperplane) for o in images)
+        circle_route = np.array(euclid.config_from_objects(images).matrix())
         column_route = np.array(w.matrix())[:, [1, 0, 2, 3]]
-        swap_failures += not (object_route == column_route).all()
+        swap_failures += not ((circle_route == column_route).all()
+                              and (np.array(inverted.matrix())
+                                   == column_route).all())
     dt = time.perf_counter() - t0
-    ok = double_failures == 0 and swap_failures == 0
+    ok = double_failures == 0 and swap_failures == 0 and lines > 0
     _line(capsys, "07", ok,
-          "double inversion is the identity and unit-sphere inversion equals "
-          "the first-two-column swap entrywise on 200 configurations", dt)
+          "double inversion is the identity, and unit-sphere inversion of "
+          "circles from their centers and radii equals the first-two-column "
+          f"swap entrywise on 200 configurations ({lines} images are lines)",
+          dt)
     assert double_failures == 0
     assert swap_failures == 0
+    assert lines > 0
 
 
 def test_criterion_08_inverse_conjugation(capsys, exact_fuzz):

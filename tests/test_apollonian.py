@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from inversive import apollonian, euclid, forms, onedim, shell
+from inversive import apollonian, forms, linalg, onedim, shell, transform
 from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
 
 
@@ -403,9 +403,8 @@ def test_generate_n2_is_a_tree(geometry, bends, bound, mode):
 
 def _moved(seed, s, t):
     """seed dilated by s about the origin, then translated by t."""
-    objs = euclid.objects_from_config(seed)
-    return euclid.config_from_objects(
-        [euclid.translate(euclid.scale(o, s), t) for o in objs])
+    return transform.moved(seed, linalg.matmul(transform.dilation(s, 2),
+                                               transform.translation(t)))
 
 
 _MOVES = {"t=(12345/7,-3/11)": (F(1), (F(12345, 7), F(-3, 11))),
@@ -622,6 +621,26 @@ def test_standard_seed_exact_obstruction():
     for n in (3, 4, 5):
         with pytest.raises(ExactnessError):
             apollonian.standard_seed(forms.EUCLIDEAN, n=n)
+
+
+@pytest.mark.parametrize("geometry", forms.GEOMETRIES)
+def test_standard_seed_exact_messages_tell_the_dimensions_apart(geometry):
+    # det(W)^2 = n 2^(n+1), times 4 in the plane, is a rational square
+    # exactly when n is an odd square or twice a square
+    with pytest.raises(ExactnessError, match="no rational Descartes "
+                       "configuration exists for n = 3; the Gram identity "
+                       "forces an irrational determinant"):
+        apollonian.standard_seed(geometry, n=3)
+    for n in (8, 9):
+        with pytest.raises(ExactnessError) as info:
+            apollonian.standard_seed(geometry, n=n)
+        message = str(info.value)
+        assert f"no exact standard seed is built for n = {n}" in message
+        assert "realize_bends" in message and "no rational" not in message
+    # and one exists for n = 8, as the message says
+    w = apollonian.realize_bends(
+        forms.SPHERICAL, (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1))
+    assert w.mode == EXACT and w.residual().max_abs_entry_error == 0
 
 
 def test_standard_seed_float_high_dimensions():

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from inversive import euclid, forms
+from inversive import apollonian, euclid, forms, linalg, transform
 from inversive.scalars import EXACT, FLOAT
 
 
@@ -32,18 +32,28 @@ def test_curvature_center():
 
 
 def test_invert_unit_sphere():
+    # transform.inversion, the swap of the first two columns, on objects
+    # inverted by hand: (x - 3)^2 + y^2 = 1 meets the x axis at 2 and 4,
+    # whose images 1/2 and 1/4 span the image circle
+    g = transform.inversion(2)
+
+    def inverted(obj):
+        row = euclid.augmented_coords(obj).entries
+        return euclid.object_from_augmented(linalg.matmul([row], g)[0])
+
     s = euclid.OrientedSphere(F(1), (F(3), F(0)))
-    image = euclid.invert_unit_sphere(s)
+    image = inverted(s)
     assert image == euclid.OrientedSphere(F(8), (F(3, 8), F(0)))
-    assert euclid.invert_unit_sphere(image) == s
-    # a hyperplane off the origin inverts to a sphere through it
+    assert inverted(image) == s
+    # a hyperplane off the origin inverts to a sphere through it: y = 2 to
+    # the circle through 0 and 1/2 i
     h = euclid.OrientedHyperplane((F(0), F(1)), F(2))
-    circle = euclid.invert_unit_sphere(h)
+    circle = inverted(h)
     assert circle == euclid.OrientedSphere(F(4), (F(0), F(1, 4)))
-    # a sphere through the origin inverts to a hyperplane
+    # a sphere through the origin inverts to a hyperplane: x = 1/2
     through = euclid.OrientedSphere(F(1), (F(1), F(0)))
-    back = euclid.invert_unit_sphere(through)
-    assert isinstance(back, euclid.OrientedHyperplane)
+    back = inverted(through)
+    assert back == euclid.OrientedHyperplane((F(1), F(0)), F(1, 2))
 
 
 def test_sphere_validation():
@@ -67,14 +77,18 @@ def test_pair_product_tangency():
         euclid.augmented_coords(euclid.OrientedSphere(F(1), (F(0), F(0)))),
         euclid.augmented_coords(euclid.OrientedSphere(F(1), (F(2), F(0)))),
     ]
-    assert euclid.pair_product(rows[0].entries, rows[0].entries) == 1
-    assert euclid.pair_product(rows[0].entries, rows[1].entries) == -1
+    assert forms.pair_product(forms.EUCLIDEAN, rows[0], rows[0]) == 1
+    assert forms.pair_product(forms.EUCLIDEAN, rows[0].entries,
+                              rows[1].entries) == -1
 
 
 def test_descartes_check():
-    assert euclid.descartes_check((F(-1), F(2), F(2), F(3))) == 0
-    assert euclid.descartes_check((F(1), F(1), F(1), F(1))) == -4
-    assert abs(euclid.descartes_check((-1.0, 2.0, 2.0, 3.0))) < 1e-12
+    def residual(bends):
+        return forms.bend_residual(forms.EUCLIDEAN, bends)
+
+    assert residual((F(-1), F(2), F(2), F(3))) == 0
+    assert residual((F(1), F(1), F(1), F(1))) == -4
+    assert abs(residual((-1.0, 2.0, 2.0, 3.0))) < 1e-12
 
 
 def test_complex_descartes_check(euclid_seed):
@@ -112,7 +126,7 @@ def test_complete_to_descartes():
     assert {fourth_a, fourth_b} == {(1, 3, 0, 2), (1, 3, 0, -2)}
     for w in (a, b):
         res = forms.check_identity(
-            w, forms.descartes_form(2), forms.augmented_gram_target(2)
+            w, forms.descartes_form(2), forms.target_for(forms.EUCLIDEAN, 2)
         )
         assert res.ok
 
@@ -131,7 +145,7 @@ def _gram_ok(w, tol=0.0):
     res = forms.check_identity(
         w,
         forms.descartes_form(w.n, mode),
-        forms.augmented_gram_target(w.n, mode),
+        forms.target_for(forms.EUCLIDEAN, w.n, mode),
         tol=tol or 1e-9,
     )
     return res.ok
@@ -217,23 +231,49 @@ def test_realize_random_gasket_bends(euclid_packing_1000, rng):
         assert _gram_ok(again)
 
 
-def test_translate_scale_roundtrip(euclid_seed, rng):
-    objs = euclid.objects_from_config(euclid_seed)
-    v = (F(3, 7), F(-2, 5))
-    s = F(5, 3)
-    moved = [euclid.scale(euclid.translate(o, v), s) for o in objs]
-    w = euclid.config_from_objects(moved)
-    assert _gram_ok(w)
-    back = [
-        euclid.translate(euclid.scale(o, 1 / s), tuple(-x for x in v))
-        for o in moved
-    ]
-    assert back == list(objs)
+def _translated(obj, v):
+    """A sphere or hyperplane translated by v, by hand."""
+    if isinstance(obj, euclid.OrientedSphere):
+        return euclid.OrientedSphere(
+            obj.curvature, tuple(x + d for x, d in zip(obj.center, v)))
+    shift = sum(h * d for h, d in zip(obj.normal, v))
+    return euclid.OrientedHyperplane(obj.normal, obj.offset + shift)
+
+
+def _dilated(obj, s):
+    """A sphere or hyperplane dilated by s > 0 about the origin, by hand."""
+    if isinstance(obj, euclid.OrientedSphere):
+        return euclid.OrientedSphere(obj.curvature / s,
+                                     tuple(x * s for x in obj.center))
+    return euclid.OrientedHyperplane(obj.normal, obj.offset * s)
+
+
+def test_translate_scale_roundtrip(euclid_seed):
+    # transform.translation and dilation on the seed, a reflected seed and
+    # the strip, whose rows include hyperplanes, against objects moved by
+    # hand; the moves back restore each configuration
+    reflected = apollonian.reflect(apollonian.reflect(euclid_seed, 0), 3)
+    strip = apollonian.realize_bends(forms.EUCLIDEAN, (0, 0, 1, 1))
+    for w in (euclid_seed, reflected, strip):
+        objs = euclid.objects_from_config(w)
+        for v in ((F(3, 7), F(-2, 5)), (F(-12345, 7), F(0))):
+            moved = transform.moved(w, transform.translation(v))
+            assert moved == euclid.config_from_objects(
+                [_translated(o, v) for o in objs])
+            back = transform.translation(tuple(-x for x in v))
+            assert transform.moved(moved, back) == w
+        for s in (F(5, 3), F(1, 10**7)):
+            moved = transform.moved(w, transform.dilation(s, 2))
+            assert moved == euclid.config_from_objects(
+                [_dilated(o, s) for o in objs])
+            assert _gram_ok(moved)
+            assert transform.moved(moved, transform.dilation(1 / s, 2)) == w
 
 
 def test_scale_requires_positive():
-    with pytest.raises(ValueError):
-        euclid.scale(euclid.OrientedSphere(F(1), (F(0), F(0))), F(-1))
+    for s in (0, F(-1)):
+        with pytest.raises(ValueError, match="positive"):
+            transform.dilation(s, 2)
 
 
 def test_objects_config_roundtrip(euclid_seed):

@@ -43,28 +43,18 @@ def test_bend_vector_in_kernel_of_form():
 
 
 def test_gram_targets():
-    t = np.array(forms._rows(forms.augmented_gram_target(2)))
+    t = np.array(forms._rows(forms.target_for(forms.EUCLIDEAN, 2)))
     assert t.tolist() == [[0, -4, 0, 0], [-4, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
-    t = np.array(forms._rows(forms.spherical_gram_target(2)))
+    t = np.array(forms._rows(forms.target_for(forms.SPHERICAL, 2)))
     assert t.tolist() == [[-2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
-    t = np.array(forms._rows(forms.hyperbolic_gram_target(2)))
+    t = np.array(forms._rows(forms.target_for(forms.HYPERBOLIC, 2)))
     assert t.tolist() == [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
     t = np.array(forms._rows(forms.centers_gram_target(3)))
     assert t.tolist() == [[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
-    # target_for dispatch matches the named targets
-    for geom, named in [
-        (forms.EUCLIDEAN, forms.augmented_gram_target),
-        (forms.SPHERICAL, forms.spherical_gram_target),
-        (forms.HYPERBOLIC, forms.hyperbolic_gram_target),
-    ]:
-        assert (
-            np.array(forms._rows(forms.target_for(geom, 4)))
-            == np.array(forms._rows(named(4)))
-        ).all()
 
 
 def test_onedim_target_is_n1_slice():
-    t = np.array(forms._rows(forms.augmented_gram_target(1)))
+    t = np.array(forms._rows(forms.target_for(forms.EUCLIDEAN, 1)))
     assert t.tolist() == [[0, -4, 0], [-4, 0, 0], [0, 0, 2]]
 
 
@@ -115,7 +105,7 @@ def test_check_identity_flags_corruption(euclid_seed):
     rows[2] = rows[2][:1] + (rows[2][1] + 1,) + rows[2][2:]
     w = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows, mode=EXACT)
     res = forms.check_identity(
-        w, forms.descartes_form(2), forms.augmented_gram_target(2)
+        w, forms.descartes_form(2), forms.target_for(forms.EUCLIDEAN, 2)
     )
     assert not res.ok and res.max_abs_entry_error > 0
 
@@ -125,7 +115,7 @@ def test_check_identity_float_tolerance(euclid_seed):
     rows[0] = (rows[0][0] + 5e-8,) + rows[0][1:]
     w = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows, mode=FLOAT)
     q = forms.descartes_form(2, FLOAT)
-    t = forms.augmented_gram_target(2, FLOAT)
+    t = forms.target_for(forms.EUCLIDEAN, 2, FLOAT)
     assert not forms.check_identity(w, q, t, tol=1e-9).ok
     assert forms.check_identity(w, q, t, tol=1e-5).ok
 
@@ -218,7 +208,7 @@ def test_inverse_conjugation_random_words(word_fuzz, rng):
         res = forms.inverse_conjugation_check(
             linalg.transpose(w.matrix()),
             forms.descartes_form(2),
-            forms.spherical_gram_target(2),
+            forms.target_for(forms.SPHERICAL, 2),
         )
         assert res.ok and res.max_abs_entry_error == 0
 

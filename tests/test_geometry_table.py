@@ -9,9 +9,12 @@ functions must give the same values in exact mode and the same repr in
 float mode, so that signed zeros and the last bit count.
 """
 
+import importlib
+import inspect
 import random
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -178,12 +181,6 @@ def test_targets_and_conversions_match_reference(mode):
                 assert _same(
                     transform.conversion_matrix(geometry, dst, n, mode),
                     _reference_conversion_matrix(geometry, dst, n, mode), mode)
-        for named, ref in (
-                (forms.augmented_gram_target, _reference_augmented_gram_target),
-                (forms.spherical_gram_target, _reference_spherical_gram_target),
-                (forms.hyperbolic_gram_target,
-                 _reference_hyperbolic_gram_target)):
-            assert _same(named(n, mode), ref(n, mode), mode)
     for geometry in GEOMS:
         assert forms.bend_column(geometry) == _reference_bend_column(geometry)
 
@@ -223,6 +220,59 @@ def test_unknown_geometry_is_one_error(tag, tmp_path, capsys):
     assert shell.run(["verify", "--in", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+_ROW = (1, 0, 0, 0)
+
+# a call with otherwise valid arguments of every public function that takes
+# a geometry tag, and of the realizer behind the curved ones
+_GEOMETRY_CALLS = {
+    "forms.bend_column": lambda tag: forms.bend_column(tag),
+    "forms.target_for": lambda tag: forms.target_for(tag, 2),
+    "forms.pair_product": lambda tag: forms.pair_product(tag, _ROW, _ROW),
+    "forms.unit_row_entries":
+        lambda tag: forms.unit_row_entries(tag, _ROW, "row"),
+    "forms.bend_residual": lambda tag: forms.bend_residual(tag, (0, 1, 1, 2)),
+    "forms._realize_tangent_rows": lambda tag: forms._realize_tangent_rows(
+        tag, (0, 1, 1, 2), "cot", lambda c0, one: [(one, c0)]),
+    "apollonian.standard_seed": lambda tag: apollonian.standard_seed(tag),
+    "apollonian.realize_bends":
+        lambda tag: apollonian.realize_bends(tag, (0, 1, 1, 2)),
+    "shell.complete_bend": lambda tag: shell.complete_bend(tag, (1, 1, 2)),
+    "transform.conversion_matrix":
+        lambda tag: transform.conversion_matrix(tag, forms.EUCLIDEAN, 2),
+    "transform.convert_matrix": lambda tag: transform.convert_matrix(
+        apollonian.standard_seed(forms.SPHERICAL), tag),
+}
+
+
+def _functions_taking_a_geometry():
+    """module.name of every public module-level function of the package
+    with a parameter for a geometry tag."""
+    found = set()
+    for path in sorted(Path(forms.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"inversive.{path.stem}")
+        for name, f in vars(module).items():
+            f = inspect.unwrap(f)  # through the caches of lru_cache
+            if (inspect.isfunction(f) and f.__module__ == module.__name__
+                    and not name.startswith("_")
+                    and {"geometry", "src", "dst", "to"}
+                    & set(inspect.signature(f).parameters)):
+                found.add(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_function_taking_a_geometry_is_called_below():
+    assert _functions_taking_a_geometry() <= set(_GEOMETRY_CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(_GEOMETRY_CALLS))
+def test_an_unknown_geometry_is_named_by_every_function(name):
+    # each reads the geometry table through forms._by_geometry, so none
+    # raises a bare KeyError
+    with pytest.raises(ValueError) as info:
+        _GEOMETRY_CALLS[name]("elliptic")
+    assert str(info.value) == "unknown geometry 'elliptic'"
 
 
 def test_cli_geometry_choices_are_the_table():

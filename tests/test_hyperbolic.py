@@ -99,16 +99,19 @@ def test_sphere_from_linear_form_branches():
 
 
 def test_soddy_check():
-    assert hyperbolic.hyp_soddy_check((F(-1), F(1), F(1), F(1))) == 0
-    assert hyperbolic.hyp_soddy_check((F(-2), F(3), F(5), F(6))) == 0
-    assert hyperbolic.hyp_soddy_check((F(1), F(1), F(1), F(1))) == -6
-    assert abs(hyperbolic.hyp_soddy_check((-1.0, 1.0, 1.0, 1.0))) < 1e-12
+    def residual(coths):
+        return forms.bend_residual(forms.HYPERBOLIC, coths)
+
+    assert residual((F(-1), F(1), F(1), F(1))) == 0
+    assert residual((F(-2), F(3), F(5), F(6))) == 0
+    assert residual((F(1), F(1), F(1), F(1))) == -6
+    assert abs(residual((-1.0, 1.0, 1.0, 1.0))) < 1e-12
 
 
 def _hyp_gram_ok(w):
     res = forms.check_identity(
         w, forms.descartes_form(w.n, w.mode),
-        forms.hyperbolic_gram_target(w.n, w.mode),
+        forms.target_for(forms.HYPERBOLIC, w.n, w.mode),
         tol=1e-9,
     )
     return res.ok

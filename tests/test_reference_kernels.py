@@ -222,11 +222,10 @@ def _reference_loxodromic(seed, k, tol=DEFAULT_TOL):
 def _placed(w):
     """w moved by a Mobius map: a rational translation, a dilation and the
     inversion in the unit circle."""
-    v = (Fraction(3, 7), Fraction(-2, 5))
-    objs = [euclid.invert_unit_sphere(euclid.scale(euclid.translate(o, v),
-                                                   Fraction(5, 3)))
-            for o in euclid.objects_from_config(w)]
-    return euclid.config_from_objects(objs)
+    g = transform.translation((Fraction(3, 7), Fraction(-2, 5)))
+    for step in (transform.dilation(Fraction(5, 3), 2), transform.inversion(2)):
+        g = linalg.matmul(g, step)
+    return transform.moved(w, g)
 
 
 def _euclidean_grid():
@@ -766,9 +765,9 @@ def _reference_complete_rows(w1, w2, w3, mode):
     if len(kernel) != 1:
         raise ValueError("degenerate input rows")
     kv = kernel[0]
-    a = euclid.pair_product(kv, kv)
-    b = 2 * euclid.pair_product(particular, kv)
-    c = euclid.pair_product(particular, particular) - 1
+    a = forms.pair_product(forms.EUCLIDEAN, kv, kv)
+    b = 2 * forms.pair_product(forms.EUCLIDEAN, particular, kv)
+    c = forms.pair_product(forms.EUCLIDEAN, particular, particular) - 1
     if a == 0:
         raise ValueError("degenerate tangency arrangement")
     disc = b * b - 4 * a * c

@@ -804,3 +804,24 @@ def test_onedim_output_pipes_into_verify():
     proc = _cli(["verify"], stdin=out.stdout)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["valid"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["gen", "--mode", "float", "--geometry", "euclidean", "--seed=-1,2,2,3",
+     "--max-bend", "1e400"],
+    ["solve", "--mode", "float", "--geometry", "euclidean", "--seed=1e400,2,2"],
+    ["onedim", "--mode", "float", "--curvatures", "1e400,1"],
+], ids=["gen-bound", "solve-seed", "onedim-curvatures"])
+def test_float_values_past_the_float_range_are_an_error(args):
+    proc = _cli(args)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "1e400" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_command_line_values_parse_as_document_entries():
+    assert shell._parse_scalars("1.5, -2,1/3", FLOAT) == (1.5, -2.0, 1 / 3)
+    assert shell._parse_scalars("1.5,-2,1/3", EXACT) == (
+        F(3, 2), -2, F(1, 3))
+    assert shell._parse_bound("1e3", FLOAT) == 1000.0
+    assert shell._parse_bound("1e400", EXACT) == 10 ** 400

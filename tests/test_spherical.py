@@ -44,7 +44,17 @@ def test_cap_pair_product_on_seed():
     for i, a in enumerate(SEED_ROWS):
         for j, b in enumerate(SEED_ROWS):
             expect = 1 if i == j else -1
-            assert spherical.cap_pair_product(a, b) == expect
+            assert forms.pair_product(forms.SPHERICAL, a, b) == expect
+
+
+def test_pair_product_rejects_rows_of_another_geometry():
+    cap = forms.CoordRow(forms.SPHERICAL, SEED_ROWS[0])
+    plane = forms.CoordRow(forms.EUCLIDEAN, SEED_ROWS[0])
+    assert forms.pair_product(forms.SPHERICAL, cap, SEED_ROWS[0]) == 1
+    for a, b in ((plane, cap), (cap, plane)):
+        with pytest.raises(ValueError, match="expected spherical rows, got "
+                           "euclidean"):
+            forms.pair_product(forms.SPHERICAL, a, b)
 
 
 def test_cap_from_linear_form():
@@ -65,20 +75,23 @@ def test_complementary_cap():
     assert comp.angular_radius == pytest.approx(math.pi - cap.angular_radius)
     assert spherical.complementary_cap(comp).row == cap.row
     # complement keeps self-tangency normalization
-    assert spherical.cap_pair_product(comp.row, comp.row) == 1
+    assert forms.pair_product(forms.SPHERICAL, comp.row, comp.row) == 1
 
 
 def test_soddy_check():
-    assert spherical.spherical_soddy_check((F(0), F(1), F(1), F(2))) == 0
-    assert spherical.spherical_soddy_check((F(1), F(1), F(1), F(1))) == -2
-    assert abs(spherical.spherical_soddy_check((0.0, 1.0, 1.0, 2.0))) < 1e-12
+    def residual(cots):
+        return forms.bend_residual(forms.SPHERICAL, cots)
+
+    assert residual((F(0), F(1), F(1), F(2))) == 0
+    assert residual((F(1), F(1), F(1), F(1))) == -2
+    assert abs(residual((0.0, 1.0, 1.0, 2.0))) < 1e-12
 
 
 def test_realize_cap_config_exact():
     w = spherical.realize_cap_config((F(0), F(1), F(1), F(2)))
     assert tuple(r.entries for r in w.rows) == SEED_ROWS
     res = forms.check_identity(
-        w, forms.descartes_form(2), forms.spherical_gram_target(2)
+        w, forms.descartes_form(2), forms.target_for(forms.SPHERICAL, 2)
     )
     assert res.ok and res.max_abs_entry_error == 0
 
@@ -95,7 +108,7 @@ def test_realize_cap_config_higher_dimension_float():
     res = forms.check_identity(
         w,
         forms.descartes_form(n, "float"),
-        forms.spherical_gram_target(n, "float"),
+        forms.target_for(forms.SPHERICAL, n, "float"),
         tol=1e-9,
     )
     assert res.ok
