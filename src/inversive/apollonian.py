@@ -23,18 +23,21 @@ configuration in the plane, or a hyperbolic packing containing horocycle
 chains along the ideal boundary, contains infinitely many congruent copies
 of the same bend pattern, so generate() also accepts max_depth/max_configs
 caps and reports truncation instead of looping forever.
+
+Both modes run one walk: every finite float is a dyadic rational, so a
+float packing or loxodromic sequence is the exact one of its float seed,
+each entry rounded once.
 """
 
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from itertools import repeat
-from math import isqrt
+from math import floor, isfinite, isqrt
 from operator import add
 
 from . import euclid, forms, hyperbolic, linalg, spherical, transform
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
-                      integer_rows, mode_of, near, negligible, scaled_rows,
+                      frame_quotient, integer_rows, mode_of, near, scaled_rows,
                       sqrt_scalar, unscaled_rows)
 
 
@@ -144,16 +147,6 @@ class Packing:
         return tuple(r.entries[col] for r in self.rows)
 
 
-def _row_key(entries, exact):
-    if exact:
-        return entries
-    return tuple(map(round, entries, repeat(6)))
-
-
-def _config_key(entry_rows, exact):
-    return tuple(sorted(_row_key(r, exact) for r in entry_rows))
-
-
 def _check_seed(seed, tol):
     """Raise ValueError unless the seed meets its Gram identity within tol,
     or entry by entry within the rounding of its columns
@@ -168,25 +161,20 @@ def _walk_frame(seed, tol, task):
     """(rows, scale, coeff, quotient): what the walks of generate() and
     loxodromic() start from, after checking the seed.
 
-    The rows are the seed rows in the frame of scalars.scaled_rows, with
-    their scale and the frame's quotient, so that quotient(x, scale) turns
-    an entry of the walk back into an entry of the seed's mode, and coeff
-    is the reflection coefficient 2/(n-1).  In exact mode coeff is an int
-    for n = 2 and n = 3, so that reflections of int rows stay ints.  In
-    float mode coeff is a float, which multiplies floats faster than an int
-    does.
+    The rows are the seed rows of either mode on ints, over the least
+    common multiple scale of their denominators (scalars.integer_rows; a
+    power of two for floats), and quotient(x, scale) turns an entry of the
+    walk back into the seed's mode (scalars.frame_quotient).  coeff is the
+    reflection coefficient 2/(n-1): an int for n = 2 and n = 3, so that
+    reflections of int rows stay ints, and a Fraction above.
     """
     n = seed.n
     if n < 2:
         raise ValueError(f"{task} needs n >= 2")
     _check_seed(seed, tol)
-    rows, scale, quotient = scaled_rows([r.entries for r in seed.rows],
-                                        seed.mode)
-    if seed.mode == EXACT and n <= 3:
-        coeff = 2 // (n - 1)
-    else:
-        coeff = quotient(2, n - 1)
-    return rows, scale, coeff, quotient
+    rows, scale = integer_rows([r.entries for r in seed.rows])
+    coeff = 2 // (n - 1) if n <= 3 else Fraction(2, n - 1)
+    return rows, scale, coeff, frame_quotient(seed.mode)
 
 
 class InfiniteClosure(ValueError):
@@ -201,14 +189,14 @@ def _check_finite(seed, bound):
     The walk reaches the configuration that root_quadruple(bends, bound)
     returns.  When that is a root (0, 0, c, c) with c <= bound, the circles
     of bend c between its two parallel lines repeat forever.  A float bend
-    counts as zero when scalars.negligible says so next to the other bends
-    of the root.  The horocycle chains of hyperbolic packings are not
-    checked.
+    counts as zero within tol of the root's largest |bend|, at any scale.
+    The horocycle chains of hyperbolic packings are not checked.
     """
     if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
         return
     root = root_quadruple(seed.bends, bound)
-    zeros = sum(negligible(b, root) for b in root)
+    tol = DEFAULT_TOL * max(map(abs, root))
+    zeros = sum(near(b, 0, tol) for b in root)
     if zeros >= 2 and max(root) <= bound:
         raise InfiniteClosure(
             f"the packing of this seed is infinite at any bound of at least "
@@ -221,10 +209,20 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     """Level-order closure of a seed under all reflections.
 
     New rows are kept while the absolute value of their bend entry is at
-    most bound; in float mode a bend within tol * max(1, bound) above the
-    bound counts as on it, so rounding does not drop circles that exact mode
-    keeps.  Levels are expanded in order, so the result is deterministic;
-    rows are returned sorted (float rows by their entries rounded to 1e-6).
+    most bound; in float mode a bend within tol * max(bound, max |seed
+    bend|) above the bound counts as on it, so that rounding of the seed
+    does not drop circles that its exact twin keeps, at any scale.  Levels
+    are expanded in order, so the result is deterministic; rows are
+    returned sorted.
+
+    Both modes walk the seed rows on the ints of _walk_frame, a float seed
+    exactly on its own values, and the bound is scaled alike.  For n = 2
+    and n = 3 every row of the walk is an int vector (for higher n the same
+    loop runs on Fractions, and the sorted rows are put back on ints at the
+    end).  An exact Packing keeps the sorted int rows and their scale in its
+    scaled field, and builds its Fraction rows only when they are read; in
+    a float Packing each entry is the int one divided once, rounded, over
+    1.0.  Kept configurations are divided back by scalars.unscaled_rows.
 
     Each configuration remembers the index whose reflection produced it and
     is not reflected at that index again, since that only rebuilds its
@@ -234,27 +232,14 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     word without repeated letters, and the walk is a tree.  Each kept child
     then adds exactly one new circle, and the rows are the seed rows plus
     one per child.  For n >= 3 the group has further relations and the same
-    configuration is reached by different words, so rows are deduplicated
-    by their keys (exact rows, or rows rounded to 1e-6 in float mode) and
-    configurations by the sorted int ids of their rows.  The walk keys each
-    child row it builds, once per child, and a new row gets the next id once
-    it is kept, after the max_configs test; since every row of a
-    configuration met has an id, a child with a row of no id is a new
-    configuration.  The final sort reuses the keys of the kept rows.
-
-    The walk runs on the seed rows in the frame of scalars.scaled_rows.  In
-    exact mode these are the rows times the least common multiple of their
-    denominators, and since the reflection coefficient 2/(n-1) is an
-    integer for n = 2 and n = 3, every row of the packing is then an int
-    vector (for higher n the same loop runs on Fractions, and the sorted
-    rows are put back on ints at the end).  The bound is scaled alike, and
-    scaling by a positive number keeps the sorted order of rows and keys.
-    The returned Packing holds the sorted rows as they are, with their
-    scale, in its scaled field, and builds its Fraction rows from them only
-    when they are read; only kept configurations are divided back here, by
-    scalars.unscaled_rows.
-    The column sums are formed once per configuration, and a child row is
-    built only when its bend is within the bound.
+    configuration is reached by different words.  W is invertible, so two
+    words reach the same sphere exactly when they give equal rows: rows are
+    deduplicated by equality, and configurations by the sorted int ids of
+    their rows.  A new row gets the next id once it is kept, after the
+    max_configs test; since every row of a configuration met has an id, a
+    child with a row of no id is a new configuration.  The column sums are
+    formed once per configuration, and a child row is built only when its
+    bend is within the bound.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
@@ -264,40 +249,40 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     """
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
-    seed_rows, scale, coeff, quotient = _walk_frame(seed, tol, "generation")
+    seed_rows, scale, coeff, _ = _walk_frame(seed, tol, "generation")
     n, mode = seed.n, seed.mode
-    exact = mode == EXACT
     col = forms.bend_column(seed.geometry)
-    if exact:
-        bound_value = Fraction(bound)
-        limit = bound_value * scale
-        # an int limit keeps the bound test on int rows in int arithmetic
-        if limit.denominator == 1:
-            limit = limit.numerator
+    if mode == EXACT:
+        bound_value = limit = Fraction(bound)
     else:
         bound_value = float(bound)
-        limit = bound_value + tol * max(1.0, bound_value)
+        limit = bound_value + tol * max(bound_value, *map(abs, seed.bends))
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
     if max_depth is None and max_configs is None:
-        # the bound the walk applies, in the units of the seed
-        _check_finite(seed, quotient(limit, scale))
+        _check_finite(seed, limit)
     elif (max_depth or 0) < 0 or (max_configs or 0) < 0:
         raise ValueError("max_depth and max_configs must be nonnegative")
+    # an int is within the bound when within its floor: the bound test on
+    # int rows stays in int arithmetic.  An infinite float bound prunes
+    # nothing as it is.
+    if isfinite(limit):
+        limit = Fraction(limit) * scale
+        if type(coeff) is int:
+            limit = floor(limit)
 
     def reflected(t, x):
         return coeff * (t - x) - x
 
     dedup = n > 2
-    # n >= 3: the key of each row of rows, an int id per distinct key, and
-    # the configurations met, each as the sorted ids of its rows
-    row_keys = [_row_key(r, exact) for r in seed_rows] if dedup else None
+    # n >= 3: an int id per distinct row, and the configurations met, each
+    # as the sorted ids of its rows
     ids = {}
-    seed_ids = (tuple([ids.setdefault(k, len(ids)) for k in row_keys])
+    seed_ids = (tuple([ids.setdefault(r, len(ids)) for r in seed_rows])
                 if dedup else None)
     seen_configs = {tuple(sorted(seed_ids))} if dedup else None
-    kept_configs = ({_config_key(seed_rows, exact): seed_rows}
-                    if keep_configs else None)
+    kept_configs = ({tuple(sorted(seed_rows)): seed_rows} if keep_configs
+                    else None)
     rows = list(seed_rows)
 
     # (rows, row ids for n >= 3, index that produced it; -1 for the seed)
@@ -324,8 +309,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                 new = tuple(map(reflected, total, old))
                 child_ids = None
                 if dedup:
-                    new_key = _row_key(new, exact)
-                    new_id = ids.get(new_key)
+                    new_id = ids.get(new)
                     # every row of a configuration met has an id, so a row
                     # without one makes a new configuration
                     if new_id is not None:
@@ -342,14 +326,13 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                     rows.append(new)
                 else:
                     if new_id is None:  # an id only for a row kept
-                        new_id = ids[new_key] = len(ids)
-                        row_keys.append(new_key)
+                        new_id = ids[new] = len(ids)
                         rows.append(new)
                         child_ids = entry_ids[:i] + (new_id,) + entry_ids[i + 1:]
                         key = tuple(sorted(child_ids))
                     seen_configs.add(key)
                 if keep_configs:
-                    kept_configs[_config_key(child, exact)] = child
+                    kept_configs[tuple(sorted(child))] = child
                 next_frontier.append((child, child_ids, i))
             if truncated:
                 break
@@ -358,13 +341,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
             break
         frontier = next_frontier
 
-    if exact:
-        rows.sort()
-    else:
-        # a stable sort by _row_key, on the keys made during the walk for
-        # n >= 3
-        keys = row_keys if dedup else [_row_key(r, False) for r in rows]
-        rows = [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)]
+    rows.sort()
     configs = None
     if keep_configs:
         configs = tuple(
@@ -372,9 +349,11 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                 seed.geometry, unscaled_rows(kept_configs[k], scale, mode),
                 mode=mode)
             for k in sorted(kept_configs))
-    if exact and type(coeff) is not int:
+    if type(coeff) is not int:
         rows, denominator = integer_rows(rows)
         scale *= denominator
+    if mode != EXACT:  # each entry leaves the frame once, rounded
+        rows, scale = unscaled_rows(rows, scale, mode), 1.0
     return Packing(seed.geometry, n, seed, None, bound_value, configs,
                    explored, depth, truncated, scaled=(tuple(rows), scale))
 
@@ -386,7 +365,7 @@ class LoxodromicSequence:
 
     loxodromic() passes configs=None and the init-only walk=(seed, steps,
     scale) instead: per step, the reflected index and the new row in the
-    frame of scalars.scaled_rows.  The configurations are built from them
+    int frame of the walk.  The configurations are built from them
     when configs is first read, each sharing the unchanged rows of the one
     before, and kept, as Packing.rows is.  walk is not a field, so
     fields, equality and repr are those of geometry, bends and configs.
@@ -429,11 +408,11 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     """Reflect k times at the row of minimal bend entry (ties to the least
     index), appending each produced bend.
 
-    The walk starts as generate's does, on the seed rows in the frame of
-    scalars.scaled_rows (ints in exact mode).  Each step picks the index,
-    reflects the rows and divides back only the new bend, by the frame's
-    quotient; the configurations of the walk are built from the recorded
-    steps only when the sequence's configs is first read.
+    The walk starts as generate's does, on the ints of _walk_frame in both
+    modes.  Each step picks the index, reflects the rows and divides back
+    only the new bend, by the frame's quotient; the configurations of the
+    walk are built from the recorded steps only when the sequence's configs
+    is first read.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
@@ -484,6 +463,9 @@ def root_quadruple(bends, bound=None):
     reduction takes at most as many steps as generate() walks
     configurations; a seed deep in a chain of circles tangent to two fixed
     ones takes one step per circle of the chain.
+    A float step that lowers the largest bend by at most tol of it is not
+    taken: on a strip whose zeros are off by rounding, such steps would go
+    down a chain of circles, one circle a step.
     """
     v = list(bends)
     if sum(v) < 0:
@@ -491,7 +473,8 @@ def root_quadruple(bends, bound=None):
     while True:
         i = max(range(len(v)), key=v.__getitem__)
         new = 2 * (sum(v) - v[i]) - v[i]
-        if new >= v[i] or (bound is not None and abs(new) > bound):
+        if new >= v[i] or near(new, v[i], DEFAULT_TOL * v[i]) or (
+                bound is not None and abs(new) > bound):
             return tuple(v)
         v[i] = new
 

@@ -102,16 +102,30 @@ def scaled_rows(rows, mode):
     return tuple([tuple(map(float, row)) for row in rows]), 1.0, truediv
 
 
+def frame_quotient(mode):
+    """The quotient(x, scale) that takes an int or Fraction entry x of an
+    int frame back to mode: Fraction, or the float x / scale rounds to (int
+    true division rounds correctly, and so does float() of a Fraction)."""
+    return Fraction if mode == EXACT else _rounded_quotient
+
+
+def _rounded_quotient(x, scale):
+    return float(x / scale)
+
+
 def unscaled_rows(rows, scale, mode):
-    """The rows of the scaled_rows frame back in the mode: each x / scale as
-    a Fraction in exact mode, one Fraction per distinct x, and the float
-    rows as they are."""
-    if mode != EXACT:
+    """Rows of an int frame back in the mode by frame_quotient, once per
+    distinct entry; the float rows of a float frame (scaled_rows, over 1.0)
+    as they are."""
+    if scale.__class__ is float:
         return rows
-    # a packing repeats its entries (equal bends, mirrored centers)
-    fraction = {x: Fraction(x) if scale == 1 else Fraction(x, scale)
+    quotient = frame_quotient(mode)
+    # a packing repeats its entries (equal bends, mirrored centers), and
+    # Fraction(x) is quicker than Fraction(x, 1)
+    unscaled = {x: Fraction(x) if scale == 1 and quotient is Fraction
+                else quotient(x, scale)
                 for x in {x for row in rows for x in row}}.__getitem__
-    return tuple([tuple(map(fraction, row)) for row in rows])
+    return tuple([tuple(map(unscaled, row)) for row in rows])
 
 
 def div(a, b):

@@ -134,7 +134,7 @@ def _reference_row_key(entries, exact):
 
 
 def _reference_generate(seed, bound, keep_configs=False, max_depth=None,
-                        max_configs=None, tol=DEFAULT_TOL):
+                        max_configs=None, tol=DEFAULT_TOL, check=True):
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
     n = seed.n
@@ -145,7 +145,7 @@ def _reference_generate(seed, bound, keep_configs=False, max_depth=None,
     q = forms.descartes_form(n, mode)
     res = forms.check_identity(seed, q, forms.target_for(seed.geometry, n, mode),
                                tol)
-    if not res.ok:
+    if check and not res.ok:
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
     coeff = coerce(2, mode) / (n - 1)
     col = forms.bend_column(seed.geometry)
@@ -210,6 +210,38 @@ def _reference_generate(seed, bound, keep_configs=False, max_depth=None,
                               configs, explored, depth, truncated)
 
 
+def _fraction_twin(seed):
+    """The exact configuration of a float seed's own values: every finite
+    float is a dyadic rational."""
+    rows = [[F(x) for x in r.entries] for r in seed.rows]
+    return forms.ConfigMatrix.from_rows(seed.geometry, rows)
+
+
+def _rounded_reference(seed, bound, keep_configs=False, tol=DEFAULT_TOL,
+                       **caps):
+    """The packing of a float seed under the contract of float generate():
+    the float seed passes the float check; its Fraction twin is walked by
+    _reference_generate, exactly, to the bound widened by tol * max(bound,
+    max |seed bend|); and each entry is rounded once.  The twin meets its
+    Gram identity only up to the seed's rounding, so its check is the float
+    one made first."""
+    n = seed.n
+    res = forms.check_identity(seed, forms.descartes_form(n, FLOAT),
+                               forms.target_for(seed.geometry, n, FLOAT), tol)
+    if not res.ok:
+        raise ValueError(
+            f"invalid seed, Gram residual {res.max_abs_entry_error}")
+    bound = float(bound)
+    limit = bound + tol * max(bound, *map(abs, seed.bends))
+    ref = _reference_generate(_fraction_twin(seed), F(limit), keep_configs,
+                              check=False, **caps)
+    rows = tuple(forms.CoordRow(seed.geometry, tuple(map(float, r.entries)))
+                 for r in ref.rows)
+    configs = ref.configs and tuple(map(_float_twin, ref.configs))
+    return apollonian.Packing(seed.geometry, n, seed, rows, bound, configs,
+                              ref.explored, ref.depth, ref.truncated)
+
+
 def _dilated(seed, s):
     """A Euclidean configuration scaled by s about the origin: each row
     (bbar, b, m1, m2) becomes (bbar * s, b / s, m1, m2)."""
@@ -251,9 +283,11 @@ _ORACLE_INPUTS = {
 def test_generate_matches_reference(name, mode):
     build, bound, caps = _ORACLE_INPUTS[name]
     seed = build()
+    reference = _reference_generate
     if mode == FLOAT:
         seed, bound = _float_twin(seed), float(bound)
-    ref = _reference_generate(seed, bound, keep_configs=True, **caps)
+        reference = _rounded_reference
+    ref = reference(seed, bound, keep_configs=True, **caps)
     got = apollonian.generate(seed, bound, **caps)
     kept = apollonian.generate(seed, bound, keep_configs=True, **caps)
     assert shell.dumps_packing(got) == shell.dumps_packing(ref)
@@ -269,7 +303,7 @@ def test_generate_matches_reference(name, mode):
 
 def test_generate_n3_float_matches_reference():
     seed = apollonian.standard_seed(forms.EUCLIDEAN, n=3, mode=FLOAT)
-    ref = _reference_generate(seed, 4.0, keep_configs=True)
+    ref = _rounded_reference(seed, 4.0, keep_configs=True)
     got = apollonian.generate(seed, 4.0, keep_configs=True)
     assert shell.dumps_packing(got) == shell.dumps_packing(ref)
     assert got.configs == ref.configs
@@ -309,7 +343,9 @@ _CAPPED_SEEDS = {
 def test_capped_higher_dimensional_walks_match_reference(name):
     build, bound, caps = _CAPPED_SEEDS[name]
     seed = build()
-    ref = _reference_generate(seed, bound, keep_configs=True, **caps)
+    reference = (_reference_generate if seed.mode == EXACT
+                 else _rounded_reference)
+    ref = reference(seed, bound, keep_configs=True, **caps)
     got = apollonian.generate(seed, bound, **caps)
     kept = apollonian.generate(seed, bound, keep_configs=True, **caps)
     assert ref.truncated
@@ -321,6 +357,52 @@ def test_capped_higher_dimensional_walks_match_reference(name):
             ref.explored, ref.depth, ref.truncated)
     if seed.mode == EXACT:  # the frame of scalars.scaled_rows: int rows
         assert all(type(x) is int for r in got.scaled[0] for x in r)
+
+
+def _bits(rows):
+    """The repr of each entry: equal for floats equal to the bit, the sign
+    of a zero included."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+# (exact seed builder, bound, truncation caps): seeds whose entries are
+# dyadic, so that their float twins hold the same values
+_DYADIC_SEEDS = {
+    "euclidean-standard": (lambda: apollonian.standard_seed(forms.EUCLIDEAN),
+                           200, {}),
+    "spherical-standard": (lambda: apollonian.standard_seed(forms.SPHERICAL),
+                           200, {}),
+    "hyperbolic-standard": (lambda: apollonian.standard_seed(forms.HYPERBOLIC),
+                            200, {"max_configs": 300}),
+    "spherical-0,1,1,2": (_realized(forms.SPHERICAL, (0, 1, 1, 2)), 200, {}),
+    "hyperbolic-2,3,5,6": (_realized(forms.HYPERBOLIC, (-2, 3, 5, 6)), 200,
+                           {}),
+}
+
+
+@pytest.mark.parametrize("name", _DYADIC_SEEDS)
+def test_float_walks_of_dyadic_seeds_are_the_exact_walks_rounded(name):
+    # a float packing is the exact walk of its float seed, rounded once:
+    # for a seed of dyadic entries that is the exact packing, each entry
+    # passed through float(), in the same order, to the bit.  Seeds of
+    # other entries are checked against _rounded_reference above
+    build, bound, caps = _DYADIC_SEEDS[name]
+    exact = build()
+    seed = _float_twin(exact)
+    assert _fraction_twin(seed) == exact
+    ex = apollonian.generate(exact, bound, keep_configs=True, **caps)
+    fl = apollonian.generate(seed, float(bound), keep_configs=True, **caps)
+    assert len(fl.rows) > 100
+    assert (fl.explored, fl.depth, fl.truncated) == (
+        ex.explored, ex.depth, ex.truncated)
+    assert _bits(r.entries for r in fl.rows) == _bits(
+        map(float, r.entries) for r in ex.rows)
+    assert [_bits(r.entries for r in w.rows) for w in fl.configs] == [
+        _bits(map(float, r.entries) for r in w.rows) for w in ex.configs]
+    ex_lox, fl_lox = (apollonian.loxodromic(w, 60) for w in (exact, seed))
+    assert _bits([fl_lox.bends]) == _bits([map(float, ex_lox.bends)])
+    assert [_bits(r.entries for r in w.rows) for w in fl_lox.configs] == [
+        _bits(map(float, r.entries) for r in w.rows) for w in ex_lox.configs]
 
 
 @pytest.mark.parametrize("s", (F(1, 10**7), F(10**7)), ids=("1e-7", "1e7"))
@@ -357,6 +439,13 @@ def test_generate_max_depth_truncates(euclid_seed):
     assert p.depth == 2
     assert p.truncated
     assert len(p.rows) == 20
+
+
+def test_float_generate_takes_an_infinite_bound_with_a_cap():
+    seed = apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT)
+    p = apollonian.generate(seed, float("inf"), max_depth=3)
+    assert p.truncated and p.bound == float("inf")
+    assert p.rows == apollonian.generate(seed, 1e9, max_depth=3).rows
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
@@ -397,8 +486,9 @@ def test_generate_n2_is_a_tree(geometry, bends, bound, mode):
     assert not p.truncated
     assert len(p.rows) == p.explored + 3
     assert len({r.entries for r in p.rows}) == len(p.rows)
-    assert len({apollonian._row_key(r.entries, False)
-                for r in p.rows}) == len(p.rows)
+    # and the rows are sorted, each above the one before
+    rows = [r.entries for r in p.rows]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def _moved(seed, s, t):
@@ -680,11 +770,20 @@ def test_walk_frame_returns_quotient():
     assert scale == 5
     assert [[quotient(x, scale) for x in row] for row in rows] == \
         [list(r.entries) for r in seed.rows]
-    float_seed = apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT)
+    # a float seed is framed exactly, on ints over a power of two, and
+    # the quotient gives its floats back
+    float_seed = apollonian.standard_seed(forms.EUCLIDEAN, n=3, mode=FLOAT)
     rows, scale, coeff, quotient = apollonian._walk_frame(float_seed, 1e-9,
                                                           "walk")
-    assert (scale, coeff) == (1.0, 2.0) and type(coeff) is float
-    assert quotient(rows[0][0], scale) == rows[0][0]
+    assert coeff == 1 and type(coeff) is int
+    assert type(scale) is int and scale > 1 and scale & (scale - 1) == 0
+    assert all(type(x) is int for row in rows for x in row)
+    back = [[quotient(x, scale) for x in row] for row in rows]
+    assert back == [list(r.entries) for r in float_seed.rows]
+    assert all(type(x) is float for row in back for x in row)
+    # above n = 3 the coefficient 2/(n-1) is a Fraction in both modes
+    n4 = apollonian.standard_seed(forms.EUCLIDEAN, n=4, mode=FLOAT)
+    assert apollonian._walk_frame(n4, 1e-9, "walk")[2] == F(2, 3)
 
 
 @pytest.mark.parametrize("bends", ((0, 0, 1, 1), (4, 0, 1, 1),
@@ -732,6 +831,36 @@ def test_strip_refusal_messages_are_pinned(bends, bound, exact_text,
         assert str(e.value) == ("the packing of this seed is infinite at any "
                                 f"bound of at least {text} is a strip between "
                                 "two parallel lines")
+
+
+@pytest.mark.parametrize("bends", ((1e-17, -1e-17, 1.0, 1.0),
+                                   (4.0, 1e-17, 1.0, 1.0)))
+@pytest.mark.parametrize("s", (1.0, 3.0, 1e10, 1e-10))
+def test_float_strips_off_by_rounding_are_refused(bends, s):
+    # bends of 1e-17 where a strip has zeros, at any scale: the walk of
+    # these float values would not end, and the reduction to the root must
+    # not go down the chain of circles that rounding makes of the strip
+    seed = transform.moved(apollonian.realize_bends(forms.EUCLIDEAN, bends),
+                           transform.dilation(s, 2))
+    t0 = time.perf_counter()
+    with pytest.raises(apollonian.InfiniteClosure, match="is a strip"):
+        apollonian.generate(seed, 1.0 / s)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("s", (1e10, 2.0 ** 500, 2.0 ** -500),
+                         ids=("1e10", "2^500", "2^-500"))
+def test_far_dilated_float_seeds_are_not_taken_for_strips(s):
+    # a root bend counts as zero relative to the root's largest |bend|: an
+    # absolute 1e-9 took the whole root (-1e-10, 2e-10, 2e-10, 3e-10) of
+    # the seed dilated by 1e10 for zeros, and refused it as a strip
+    seed = transform.moved(
+        apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT),
+        transform.dilation(s, 2))
+    t0 = time.perf_counter()
+    p = apollonian.generate(seed, 1000 / s)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(p.rows) == 3329 and not p.truncated
 
 
 # The Euclidean seeds of the float benchmark: the standard seed at 100, the

@@ -10,8 +10,11 @@ float generate() keyed its rows by int ids and the float stream rows were
 written and read by one format and one regex.  The lox,
 solve, convert and verify digests were recorded before loxodromic() stopped
 building a configuration per step and before each configuration kept its
-Gram residual.  Any change to the output bytes of these inputs shows up
-here.
+Gram residual.  The float gen, render and lox digests were recorded when
+float walks became the exact walks of their float seeds, each entry rounded
+once, and each float stream and sequence is also checked against that
+contract: the reference walk of the float seed's Fraction twin, rounded.
+Any change to the output bytes of these inputs shows up here.
 """
 
 import hashlib
@@ -25,6 +28,8 @@ import pytest
 
 import inversive
 from inversive import apollonian, shell
+from test_apollonian import _rounded_reference
+from test_reference_kernels import _rounded_reference_loxodromic
 
 # (gen arguments, render arguments, sha256 of the gen stdout, sha256 of the
 # SVG)
@@ -34,8 +39,8 @@ CASES = (
      "a5a722a1b7f960dbcaf4a01249373fe22d762f7f1c61e3f0b5c1a03d2264fbeb"),
     (["--geometry", "euclidean", "--seed=-1,2,2,3", "--max-bend", "1000",
       "--mode", "float"], [],
-     "0abe5fa21eb017b17c655d21b99427d766a2f6e04e9ff6abbee4d7302d34a5cb",
-     "0771c2178a67e801338af4337e99ed3cd826a2f46b6b32884ecf084e7bd0a7dc"),
+     "60ba7231f93cae74c45c18afe1566fcb0c7aabbe3c6919dda7eaee2fec905fbd",
+     "a5a722a1b7f960dbcaf4a01249373fe22d762f7f1c61e3f0b5c1a03d2264fbeb"),
     (["--geometry", "spherical", "--seed=0,1,1,2", "--max-bend", "80"], [],
      "fb8b0400fc174223cff52e66342198a8ec5186bace443b2b2eabc5baa0d6b1d5",
      "3403b71710bf7ab6af30c697b355f5f0a10fbda740a3bb87903c7448a8c56e3a"),
@@ -64,8 +69,8 @@ CASES = (
      "3403b71710bf7ab6af30c697b355f5f0a10fbda740a3bb87903c7448a8c56e3a"),
     (["--geometry", "hyperbolic", "--seed=-2,3,5,6", "--max-bend", "150",
       "--mode", "float"], [],
-     "25b803d5ad082eb11b5828bb8dbf0920a2047118cfcd8189be26b7be29bee42f",
-     "e44c4140b3d852756726f365504ec71d9709d81a4cb22df83e27170170c1763e"),
+     "dbb1314254712570aa684153166c6c0fc61c17c1ae0ebad18748c05517c14fbd",
+     "38a6ac8ec521c3f26a5baa0b9b04868fa0dcb6223cf9c42c596cc5fb24ff8837"),
 )
 
 
@@ -81,6 +86,14 @@ def _cli(args, stdin=None):
     return proc.stdout
 
 
+def _rounded_stream(stream, bound):
+    """The packing stream that the contract of float generate() gives for
+    the seed in a float stream's header: the reference walk of its Fraction
+    twin, each entry rounded once."""
+    seed = shell.loads_packing(stream.decode()).seed
+    return shell.dumps_packing(_rounded_reference(seed, bound)).encode()
+
+
 @pytest.mark.parametrize("args, render_args, gen_digest, svg_digest", CASES,
                          ids=["euclidean-exact", "euclidean-float",
                               "spherical", "hyperbolic",
@@ -92,6 +105,9 @@ def test_gen_render_bytes_are_pinned(args, render_args, gen_digest,
                                      svg_digest):
     stream = _cli(["gen", *args])
     assert hashlib.sha256(stream).hexdigest() == gen_digest
+    if "float" in args:
+        bound = float(args[args.index("--max-bend") + 1])
+        assert stream == _rounded_stream(stream, bound)
     image = _cli(["render", "--in", "-", *render_args], stdin=stream)
     assert hashlib.sha256(image).hexdigest() == svg_digest
 
@@ -102,8 +118,9 @@ def test_gen_n3_float_stream_is_pinned():
     document = shell.dumps_config(
         apollonian.standard_seed("euclidean", 3, "float")).encode()
     stream = _cli(["gen", "--in", "-", "--max-bend", "4"], stdin=document)
+    assert stream == _rounded_stream(stream, 4.0)
     assert hashlib.sha256(stream).hexdigest() == \
-        "38a110cf1ddb53b656aadc74e9cc4c1e6753ce1bf1807d633d5fc5948c921a2f"
+        "ddd53f219610f0559fc5b630f6d94aa94de7a8c7628761fbe478dcd512f966cc"
 
 
 # (lox arguments, sha256 of the stdout): 60 steps from one seed per
@@ -112,15 +129,15 @@ LOX_CASES = (
     (["--geometry", "euclidean", "--seed=-1,2,2,3"], "exact",
      "7eed8332ba3994c83bda5f655162f49145e794dbcfe0fd24ba6110993b474283"),
     (["--geometry", "euclidean", "--seed=-1,2,2,3"], "float",
-     "ef54f0af16dbe9bb0b12b6ce2c810351f209e36b2c8ed1783b1ded8e0f7288fa"),
+     "134d1ae6ae2bd93f037d30a6b9ada5f2e502d21315ece695e4bbef2d2540e101"),
     (["--geometry", "spherical", "--seed=0,1,1,2"], "exact",
      "2b2333d7b462e22b348996c55d79d394f76c692027c1d43d582631eec3983567"),
     (["--geometry", "spherical", "--seed=0,1,1,2"], "float",
-     "a7b0548c373f44cccb147ed2c593dfae6bbeaedb8aa400e155dd4b2655f0af0a"),
+     "236663bad227d2c8d914b7eb224ef59a5eb098ebb1b79e5b2fccce0dd7004657"),
     (["--geometry", "hyperbolic", "--seed=-2,3,5,6"], "exact",
      "24d97d790acf9216ae1c041222cc29900d7618e9a3f6f3ad6f4e6d4b1e5709f9"),
     (["--geometry", "hyperbolic", "--seed=-2,3,5,6"], "float",
-     "2d954b9c6d3d629708819e970c0c10e616e226df539c27e2299ce905ca6b497e"),
+     "fe244187c366da7abe8e0507d0949b8769fc6514a045c6548ebf003fae414341"),
 )
 
 
@@ -129,6 +146,11 @@ LOX_CASES = (
 def test_lox_bytes_are_pinned(args, mode, digest):
     out = _cli(["lox", *args, "--steps", "60", "--mode", mode])
     assert hashlib.sha256(out).hexdigest() == digest
+    if mode == "float":
+        geometry, bends = args[1], args[2].partition("=")[2].split(",")
+        seed = apollonian.realize_bends(geometry, tuple(map(float, bends)))
+        assert json.loads(out)["bends"] == list(
+            _rounded_reference_loxodromic(seed, 60).bends)
 
 
 # (geometry, three bends, mode, sha256 of the solve stdout, {target:

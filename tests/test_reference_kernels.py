@@ -190,7 +190,7 @@ def _ref_reflect_entries(entry_rows, i, coeff):
     return entry_rows[:i] + (new,) + entry_rows[i + 1:]
 
 
-def _reference_loxodromic(seed, k, tol=DEFAULT_TOL):
+def _reference_loxodromic(seed, k, tol=DEFAULT_TOL, check=True):
     """Reflect k times at the row of minimal bend entry (ties to the least
     index), appending each produced bend."""
     if k < 0:
@@ -200,7 +200,7 @@ def _reference_loxodromic(seed, k, tol=DEFAULT_TOL):
     q = forms.descartes_form(n, mode)
     res = _reference_check_identity(
         seed, q, forms.target_for(seed.geometry, n, mode), tol)
-    if not res.ok:
+    if check and not res.ok:
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
     coeff = coerce(2, mode) / (n - 1)
     col = forms.bend_column(seed.geometry)
@@ -215,6 +215,22 @@ def _reference_loxodromic(seed, k, tol=DEFAULT_TOL):
                                                     mode=mode))
     return apollonian.LoxodromicSequence(seed.geometry, tuple(bends),
                                          tuple(configs))
+
+
+def _rounded_reference_loxodromic(seed, k, tol=DEFAULT_TOL):
+    """The loxodromic sequence of a float seed under the contract of float
+    loxodromic(): the float seed passes the reference's float check, its
+    Fraction twin (every finite float is a dyadic rational) is walked
+    exactly, and each entry after the seed is rounded once.  The twin meets
+    its Gram identity only up to the seed's rounding, so its check is the
+    float one made first."""
+    _reference_loxodromic(seed, 0, tol)
+    twin = forms.ConfigMatrix.from_rows(
+        seed.geometry, [[Fraction(x) for x in r.entries] for r in seed.rows])
+    ref = _reference_loxodromic(twin, k, tol, check=False)
+    configs = (seed,) + tuple(map(_to_float, ref.configs[1:]))
+    return apollonian.LoxodromicSequence(
+        seed.geometry, tuple(map(float, ref.bends)), configs)
 
 
 # --- the grid ----------------------------------------------------------
@@ -381,14 +397,17 @@ def _int_entries(w):
 @pytest.mark.parametrize("geometry,mode", CASES)
 def test_loxodromic_configs_are_built_when_read(geometry, mode):
     """The walk records its steps, and the configurations built from them
-    on first read are the reference's, entry types included."""
+    on first read are the reference's, entry types included; in float mode
+    the reference is the exact walk of the float seed, rounded once."""
     configs = _grid(geometry, mode)
     if mode == EXACT:
         configs += [_int_entries(w) for w in configs[:3]]
+    reference = (_reference_loxodromic if mode == EXACT
+                 else _rounded_reference_loxodromic)
     for w in configs:
         for k in (0, 1, 24, 60):
             seq = apollonian.loxodromic(w, k)
-            ref = _reference_loxodromic(w, k)
+            ref = reference(w, k)
             assert "configs" not in vars(seq)
             assert seq.bends == ref.bends, (w, k)
             configs = seq.configs

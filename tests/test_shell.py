@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import inversive
-from inversive import apollonian, forms, shell
+from inversive import apollonian, forms, shell, transform
 from inversive.scalars import EXACT, FLOAT
 from inversive.shell import scalar_from_json, scalar_to_json
 
@@ -446,6 +446,21 @@ def test_gen_without_a_cap_refuses_a_strip(command, seed, capsys):
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
     assert "is a strip" in err and "--max-configs or --max-depth" in err
+
+
+def test_gen_of_a_far_dilated_float_seed_is_not_taken_for_a_strip(
+        tmp_path, capsys):
+    # the standard seed dilated by 1e10 has the root (-1e-10, 2e-10, 2e-10,
+    # 3e-10), all four bends below an absolute 1e-9; its exact twin gives
+    # 3,329 rows at bound 1000 / 1e10
+    seed = transform.moved(apollonian.standard_seed("euclidean", 2, FLOAT),
+                           transform.dilation(1e10, 2))
+    path = tmp_path / "seed.json"
+    path.write_text(shell.dumps_config(seed))
+    code, out, err = run(["gen", "--in", str(path), "--max-bend", "1e-7"],
+                         capsys)
+    assert code == 0, err
+    assert len(out.splitlines()) == 1 + 3329
 
 
 def test_gen_without_a_cap_keeps_a_strip_below_its_bends(capsys):
