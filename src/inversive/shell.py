@@ -5,8 +5,9 @@ one header record followed by one row per line, so large generations can be
 streamed.  Exact scalars serialize as fraction strings in lowest terms
 (integers without the denominator), float scalars as JSON numbers.
 
-parse_document (and loads_config on it) reads an exact entry written that
-way, text that _EXACT_SCALAR fullmatches, by int() and the one gcd of
+parse_document (and loads_config on it), and loads_packing for the seed
+and bound of an exact header, read an exact entry written that way, text
+that _EXACT_SCALAR fullmatches, by int() and the one gcd of
 Fraction(int, int), once per distinct text of the document; any other
 entry goes through scalar_from_json, so what it accepts and rejects, and
 its error, do not depend on the path.  JSON floats in a float document are
@@ -319,10 +320,9 @@ def loads_packing(source):
             raise ValueError(f"unknown packing mode {mode!r}")
         if not _is_rows(seed_field):
             raise ValueError("packing seed is not a list of rows")
-        seed_rows = [
-            tuple(scalar_from_json(v, mode) for v in row) for row in seed_field
-        ]
-        bound = scalar_from_json(head["bound"], mode)
+        scalar = _exact_entry_reader() if mode == EXACT else _float_from_json
+        seed_rows = [tuple(map(scalar, row)) for row in seed_field]
+        bound = scalar(head["bound"])
         seed = forms.ConfigMatrix.from_rows(geometry, seed_rows, mode=mode)
         if bound < 0:  # as generate() rejects it
             raise ValueError(f"packing bound {bound} is negative")

@@ -13,18 +13,29 @@ number format, so identical inputs produce identical bytes.  Rows are read
 in the frame of scalars.scaled_rows, a packing's from Packing.scaled, so
 its Fraction rows are never built, and each row is converted to float
 once.  Exact labels are read from the ints too.
-Each drawn circle is formatted in one pass, with its pixel center formatted
-once.  The bends of a packing repeat, so its size, whether its label is
-drawn and the label's text are worked out once per distinct (signed radius,
-label value) pair of a render.
+
+A render builds a scene and draws it.  The scene is what no option
+changes: the sorted float rows with the text of their labels, then the
+circles, lines and world box of the plane or the disk, or the caps of the
+orthographic view, in world coordinates.  A Packing or ConfigMatrix is
+immutable, so its scene is built once per packing and projection and kept
+with it, O(rows) memory for the packing's lifetime; any other row holder
+gets a scene per render.  The draw applies the canvas transform, the
+cutoff and the labels option, and formats.  The bends of a packing repeat,
+so a circle's size, whether its label is drawn and the label's text are
+worked out once per distinct (signed radius, label value) pair of a render,
+and each drawn circle is formatted in one pass, with its pixel center
+formatted once.
 """
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
-from . import forms, transform
+from . import apollonian, forms, transform
 from .scalars import FLOAT, mode_of, scaled_rows
 
 ORTHOGRAPHIC = "orthographic"
@@ -73,16 +84,12 @@ def _label_text(value):
     return str(int(value)) if value == int(value) else f"{value:.6g}"
 
 
-def _scaled_label(scale):
+def _scaled_label(scale, x):
     """_label_text of Fraction(x, scale), read from the int x: x // scale
     when scale divides x, else x / scale, which is correctly rounded and so
     the float of that Fraction."""
-
-    def text(x):
-        q, rem = divmod(x, scale)
-        return f"{x / scale:.6g}" if rem else str(q)
-
-    return text
+    q, rem = divmod(x, scale)
+    return f"{x / scale:.6g}" if rem else str(q)
 
 
 def _sorted_rows(packing):
@@ -111,7 +118,9 @@ def _sorted_rows(packing):
         rows = [(tuple(map(float, r)), r[col]) for r in ints]
     else:
         rows = [(tuple([x / scale for x in r]), r[col]) for r in ints]
-        text = _scaled_label(scale)
+        # a partial, not a closure, so that a packing with a kept scene
+        # still pickles
+        text = partial(_scaled_label, scale)
     rows.sort(key=itemgetter(0))
     return rows, text
 
@@ -229,22 +238,129 @@ def _world_box(circles, lines):
     return (x0 - m, y0 - m, x1 + m, y1 + m)
 
 
-def _draw_plane(circles, lines, box, options, text, comment=None):
-    """Shared planar pipeline: circles (cx, cy, signed r, label value or None)
-    and lines (hx, hy, offset, label value), world coordinates; text gives a
-    label value its text."""
+# The drawing of a packing before any option is applied: circles (cx, cy,
+# k) and lines (hx, hy, offset, label value) in world coordinates, the world
+# box, the text of a label value, and the number of virtual rows left out of
+# the disk.  keys[k] is the (signed r, label value or None) of a circle,
+# which fixes all it draws but its center, so a render sizes each key once.
+# The radius alone does not fix the label: in the disk and under
+# stereographic projection it is no function of the bend, and two exact
+# bends can share a float.
+_Plane = namedtuple("_Plane", "circles keys lines box text skipped")
+
+# The orthographic view: the sorted rows and the text of a label value; per
+# row the major semi-axis of its ellipse, sin a for a cap of angular radius
+# a; and per row its _cap, worked out when a render first draws it, since
+# most caps of a large packing are under every cutoff.
+_Caps = namedtuple("_Caps", "rows text majors caps")
+
+_DISK_BOX = (-1.06, -1.06, 1.06, 1.06)
+
+
+def _scene(packing, build):
+    """build(packing), the scene of a packing under one projection.  A
+    Packing or a ConfigMatrix is immutable, so its scene is built once and
+    kept in its __dict__ per builder, as ConfigMatrix.residual keeps its
+    residuals; any other object, whose rows may change, gets a scene built
+    on each call."""
+    if not isinstance(packing, (apollonian.Packing, forms.ConfigMatrix)):
+        return build(packing)
+    scenes = packing.__dict__.setdefault("_scenes", {})
+    scene = scenes.get(build)
+    if scene is None:
+        scene = scenes[build] = build(packing)
+    return scene
+
+
+def _plane_shapes(rows, geometry):
+    """Circles and lines of augmented Euclidean rows, given as ((bbar, b,
+    mx, my) floats, label value) pairs.  Rows of another geometry are first
+    carried to them by the float head ((p, q), (r, s)) of its conversion to
+    Euclidean rows: (x, y, m) -> (p x + r y, q x + s y, m)."""
+    if geometry != forms.EUCLIDEAN:
+        (p, q), (r, s) = transform.conversion_matrix(
+            geometry, forms.EUCLIDEAN, 0, FLOAT)
+        rows = (((x * p + y * r, x * q + y * s, mx, my), value)
+                for (x, y, mx, my), value in rows)
+    circles, lines = [], []
+    for (bbar, b, mx, my), value in rows:
+        if abs(b) <= _ZERO:
+            lines.append((mx, my, bbar / 2, value))
+        else:
+            circles.append((mx / b, my / b, 1 / b, value))
+    return circles, lines
+
+
+def _plane(circles, lines, box, text, skipped=0):
+    """The _Plane of circles (cx, cy, signed r, label value or None)."""
+    keys = {}
+    keyed = [(cx, cy, keys.setdefault((r, value), len(keys)))
+             for cx, cy, r, value in circles]
+    return _Plane(keyed, list(keys), lines, box, text, skipped)
+
+
+def _plane_scene(packing):
+    """A Euclidean packing as it is, or a spherical one under stereographic
+    projection: (c, q0, m) -> Euclidean (c - q0, c + q0, m), pole at the q0
+    axis."""
+    rows, text = _sorted_rows(packing)
+    circles, lines = _plane_shapes(rows, packing.geometry)
+    return _plane(circles, lines, _world_box(circles, lines), text)
+
+
+def _disk_scene(packing):
+    """A hyperbolic packing in the unit-disk model, with the absolute."""
+    rows, text = _sorted_rows(packing)
+    # virtual rows (|c| < 1) have no Euclidean locus and are skipped
+    circles, lines = _plane_shapes(
+        [row for row in rows if not abs(row[0][0]) < 1 - _ZERO],
+        forms.HYPERBOLIC)
+    skipped = len(rows) - len(circles) - len(lines)
+    if not any(
+        abs(cx) <= _ZERO and abs(cy) <= _ZERO and abs(abs(r) - 1) <= _ZERO
+        for cx, cy, r, _ in circles
+    ):
+        circles.insert(0, (0.0, 0.0, 1.0, None))  # absolute not among the rows
+    return _plane(circles, lines, _DISK_BOX, text, skipped)
+
+
+def _cap_scene(packing):
+    """A spherical packing viewed down the first center axis."""
+    rows, text = _sorted_rows(packing)
+    majors = [1 / math.sqrt(1 + f[0] * f[0]) for f, _ in rows]
+    return _Caps(rows, text, majors, [None] * len(rows))
+
+
+def _cap(row, sin_a):
+    """(minor semi-axis, world center x, y, rotation text in degrees, dash,
+    label value) of the ellipse of a cap of angular radius a, given its
+    sorted row; the rotation is None for a cap centered on the view axis,
+    which projects to a circle, and back-facing caps are dashed."""
+    f, value = row
+    cos_a = f[0] * sin_a
+    axis, u, v = [q * sin_a for q in f[1:]]  # unit center on the sphere
+    # the minor axis lies along the projected center direction
+    angle = (None if math.hypot(u, v) <= _ZERO
+             else _fmt(-math.degrees(math.atan2(v, u))))
+    return (sin_a * abs(axis), cos_a * u, cos_a * v, angle,
+            ' stroke-dasharray="4 3"' if axis < 0 else "", value)
+
+
+def _draw_plane(scene, options, comment=None):
+    """Shared planar pipeline: the circles and lines of a _Plane scene
+    scaled to the canvas, cut off and labelled."""
+    box, text = scene.box, scene.text
     s, to_px = _transform(box, options)
     min_r = options.cutoff * min(options.width, options.height)
     labelled = options.labels == "bend"
     elements, labels = [], []
-    sizes = {}  # (signed r, label value) -> _circle_size(...)
-    for cx, cy, r, value in circles:
-        # the radius alone does not fix the label: in the disk and under
-        # stereographic projection it is no function of the bend, and two
-        # exact bends can share a float
-        size = sizes.get((r, value))
+    keys = scene.keys
+    sizes = [None] * len(keys)  # _circle_size(...) per key
+    for cx, cy, k in scene.circles:
+        size = sizes[k]
         if size is None:
-            size = sizes[r, value] = _circle_size(
+            r, value = keys[k]
+            size = sizes[k] = _circle_size(
                 abs(r) * s, r < 0, value if labelled else None, min_r, text)
         if not size:
             continue
@@ -255,7 +371,7 @@ def _draw_plane(circles, lines, box, options, text, comment=None):
         if label:
             lift, dy, font_tail = label
             labels.append(f'<text x="{x}" y="{_fmt(py - lift + dy)}"{font_tail}')
-    for hx, hy, d, value in lines:
+    for hx, hy, d, value in scene.lines:
         seg = _clip_line((hx, hy), d, box)
         if seg is None:
             continue
@@ -278,107 +394,39 @@ def _draw_plane(circles, lines, box, options, text, comment=None):
     return _document(options, elements, labels, comment)
 
 
-def _plane_shapes(rows, geometry=None):
-    """Circles and lines of augmented Euclidean rows, given as ((bbar, b,
-    mx, my) floats, label value) pairs.  Rows of another geometry are first
-    carried to them by the float head ((p, q), (r, s)) of its conversion to
-    Euclidean rows: (x, y, m) -> (p x + r y, q x + s y, m)."""
-    if geometry is not None:
-        (p, q), (r, s) = transform.conversion_matrix(
-            geometry, forms.EUCLIDEAN, 0, FLOAT)
-        rows = (((x * p + y * r, x * q + y * s, mx, my), value)
-                for (x, y, mx, my), value in rows)
-    circles, lines = [], []
-    for (bbar, b, mx, my), value in rows:
-        if abs(b) <= _ZERO:
-            lines.append((mx, my, bbar / 2, value))
-        else:
-            circles.append((mx / b, my / b, 1 / b, value))
-    return circles, lines
-
-
-def _prologue(packing, options, geometry, need):
-    """The options or their defaults, and the rows and label text of
-    _sorted_rows; need is the error for a packing of another geometry."""
-    if packing.geometry != geometry:
-        raise ValueError(need)
-    if packing.n != 2:
-        raise ValueError("rendering is implemented for n = 2 only")
-    return (options or RenderOptions(), *_sorted_rows(packing))
-
-
-def render_euclidean(packing, options=None):
-    """SVG for a planar packing: one circle per row above the size cutoff,
-    bend labels centered and scaled to the radius."""
-    options, rows, text = _prologue(packing, options, forms.EUCLIDEAN,
-                                    "render_euclidean needs a Euclidean packing")
-    circles, lines = _plane_shapes(rows)
-    box = _world_box(circles, lines)
-    return _draw_plane(circles, lines, box, options, text)
-
-
-def render_hyperbolic_disk(packing, options=None):
-    """SVG of a hyperbolic packing in the unit-disk model: boundary circle
-    plus the Euclidean locus of every row, labeled by coth value."""
-    options, rows, text = _prologue(
-        packing, options, forms.HYPERBOLIC,
-        "render_hyperbolic_disk needs a hyperbolic packing")
-    # virtual rows (|c| < 1) have no Euclidean locus and are skipped
-    circles, lines = _plane_shapes(
-        [row for row in rows if not abs(row[0][0]) < 1 - _ZERO],
-        forms.HYPERBOLIC)
-    skipped = len(rows) - len(circles) - len(lines)
-    if not any(
-        abs(cx) <= _ZERO and abs(cy) <= _ZERO and abs(abs(r) - 1) <= _ZERO
-        for cx, cy, r, _ in circles
-    ):
-        circles.insert(0, (0.0, 0.0, 1.0, None))  # absolute not among the rows
-    box = (-1.06, -1.06, 1.06, 1.06)
-    comment = None
-    if skipped:
-        warnings.warn(f"skipped {skipped} virtual rows with no disk locus")
-        comment = f"skipped {skipped} virtual rows"
-    return _draw_plane(circles, lines, box, options, text, comment)
-
-
-def _orthographic(rows, options, text):
-    s, to_px = _transform((-1.06, -1.06, 1.06, 1.06), options)
+def _draw_caps(scene, options):
+    """The orthographic pipeline: the outline and the caps of a _Caps scene
+    scaled to the canvas, cut off and labelled."""
+    s, to_px = _transform(_DISK_BOX, options)
     min_r = options.cutoff * min(options.width, options.height)
-    labelled = options.labels == "bend"
+    text = scene.text if options.labels == "bend" else None
     elements, labels = [], []
     ox, oy = to_px(0.0, 0.0)
     elements.append(f'<circle cx="{_fmt(ox)}" cy="{_fmt(oy)}" r="{_fmt(s)}"/>')
-    caps = {}  # cot value -> (ry, label text or None)
-    for f, value in rows:
-        c = f[0]
-        sin_a = 1 / math.sqrt(1 + c * c)
-        major = sin_a
+    rows, caps = scene.rows, scene.caps
+    sizes = {}  # label value -> (ry, label text or None)
+    for i, major in enumerate(scene.majors):
         if major * s < min_r:
             continue
-        # c is the float of the cot value, so the cap's size is fixed by it
-        cap = caps.get(value)
+        cap = caps[i]
         if cap is None:
-            cap = caps[value] = (_fmt(major * s),
-                                 text(value) if labelled else None)
-        ry, label = cap
-        cos_a = c * sin_a
-        unit = [q * sin_a for q in f[1:]]  # unit center on the sphere
-        axis, plane = unit[0], (unit[1], unit[2])
-        rho = math.hypot(*plane)
-        minor = sin_a * abs(axis)
-        px, py = to_px(cos_a * plane[0], cos_a * plane[1])
+            cap = caps[i] = _cap(rows[i], major)
+        minor, wx, wy, angle, dash, value = cap
+        # major is fixed by the float of the label value
+        size = sizes.get(value)
+        if size is None:
+            size = sizes[value] = (_fmt(major * s),
+                                   text(value) if text else None)
+        ry, label = size
+        px, py = to_px(wx, wy)
         x, y = _fmt(px), _fmt(py)
-        dash = ' stroke-dasharray="4 3"' if axis < 0 else ""
-        if rho <= _ZERO:
-            # cap centered on the view axis projects to a circle
+        if angle is None:
             elements.append(f'<circle cx="{x}" cy="{y}" r="{ry}"{dash}/>')
             fit = major * s
         else:
-            # minor axis lies along the projected center direction
-            angle = -math.degrees(math.atan2(plane[1], plane[0]))
             elements.append(
                 f'<ellipse cx="{x}" cy="{y}" rx="{_fmt(minor * s)}" ry="{ry}" '
-                f'transform="rotate({_fmt(angle)} {x} {y})"{dash}/>'
+                f'transform="rotate({angle} {x} {y})"{dash}/>'
             )
             fit = min(max(minor * s, 0.3 * major * s), major * s)
         if label is not None:
@@ -389,19 +437,46 @@ def _orthographic(rows, options, text):
     return _document(options, elements, labels)
 
 
+def _options(packing, options, geometry, need):
+    """The options or their defaults; need is the error for a packing of
+    another geometry."""
+    if packing.geometry != geometry:
+        raise ValueError(need)
+    if packing.n != 2:
+        raise ValueError("rendering is implemented for n = 2 only")
+    return options or RenderOptions()
+
+
+def render_euclidean(packing, options=None):
+    """SVG for a planar packing: one circle per row above the size cutoff,
+    bend labels centered and scaled to the radius."""
+    options = _options(packing, options, forms.EUCLIDEAN,
+                       "render_euclidean needs a Euclidean packing")
+    return _draw_plane(_scene(packing, _plane_scene), options)
+
+
+def render_hyperbolic_disk(packing, options=None):
+    """SVG of a hyperbolic packing in the unit-disk model: boundary circle
+    plus the Euclidean locus of every row, labeled by coth value."""
+    options = _options(packing, options, forms.HYPERBOLIC,
+                       "render_hyperbolic_disk needs a hyperbolic packing")
+    scene = _scene(packing, _disk_scene)
+    comment = None
+    if scene.skipped:
+        warnings.warn(f"skipped {scene.skipped} virtual rows with no disk locus")
+        comment = f"skipped {scene.skipped} virtual rows"
+    return _draw_plane(scene, options, comment)
+
+
 def render_spherical(packing, options=None):
     """SVG of a spherical packing: orthographic view down the first center
     axis by default (back-facing caps dashed), stereographic on request;
     labels are cot values either way."""
-    options, rows, text = _prologue(
-        packing, options, forms.SPHERICAL,
-        "render_spherical needs a spherical packing")
+    options = _options(packing, options, forms.SPHERICAL,
+                       "render_spherical needs a spherical packing")
     if options.projection == ORTHOGRAPHIC:
-        return _orthographic(rows, options, text)
-    # stereographic: (c, q0, m) -> Euclidean (c - q0, c + q0, m), pole at q0 axis
-    circles, lines = _plane_shapes(rows, forms.SPHERICAL)
-    box = _world_box(circles, lines)
-    return _draw_plane(circles, lines, box, options, text)
+        return _draw_caps(_scene(packing, _cap_scene), options)
+    return _draw_plane(_scene(packing, _plane_scene), options)
 
 
 _RENDERERS = {forms.EUCLIDEAN: render_euclidean,

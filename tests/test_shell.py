@@ -660,6 +660,32 @@ def test_malformed_packing_header_is_reported(tmp_path, capsys, euclid_seed,
     assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value,message", [
+    ("1/0", "not a rational number: '1/0'"),
+    ("x", "Invalid literal for Fraction: 'x'"),
+    (1.5, "float entry 1.5 in an exact document"),
+    (True, "boolean entry true is not a scalar"),
+], ids=["zero-denominator", "not-a-number", "float", "boolean"])
+@pytest.mark.parametrize("field", ["seed", "bound"])
+def test_malformed_exact_header_entry_is_reported(tmp_path, capsys,
+                                                  euclid_seed, field, value,
+                                                  message):
+    lines = shell.dumps_packing(apollonian.generate(euclid_seed, 6)).splitlines()
+    head = json.loads(lines[0])
+    if field == "seed":
+        head["seed"][1][2] = value
+    else:
+        head["bound"] = value
+    text = "\n".join([json.dumps(head)] + lines[1:]) + "\n"
+    with pytest.raises(ValueError) as info:
+        shell.loads_packing(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    code, out, err = run(["render", "--in", str(path)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 _NOT_A_DOCUMENT = "configuration document is not an object with rows of scalars"
 
 

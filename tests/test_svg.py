@@ -1,5 +1,6 @@
 """Deterministic SVG rendering of packings in all three geometries."""
 
+import pickle
 import re
 import warnings
 from fractions import Fraction as F
@@ -174,7 +175,10 @@ def test_render_bytes_match_float_conversion(monkeypatch, geometry, bends,
     monkeypatch.setattr(svg, "_sorted_rows", lambda q: (
         [(f, e[col]) for f, e in _reference_sorted_rows(q)],
         reference_svg._label_text))
-    assert new == [svg.render(p, o) for o in options]
+    # p keeps the scenes of its renders, so the patched rows are drawn
+    # from a fresh packing of the same seed and bound
+    fresh = apollonian.generate(seed, bound)
+    assert new == [svg.render(fresh, o) for o in options]
 
 
 # --- the renderer against reference_svg, the renderer it replaced --------
@@ -261,3 +265,69 @@ def test_render_matches_reference_on_configurations():
                 apollonian.standard_seed(geometry, mode=mode))
     _assert_oracle_bytes(
         apollonian.realize_bends(forms.HYPERBOLIC, (F(-2), F(3), F(5), F(6))))
+
+
+# --- kept scenes against reference_svg -----------------------------------
+
+def _render_warned(render, packing, options):
+    """render(packing, options) and the messages of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = render(packing, options)
+    return out, [str(w.message) for w in caught]
+
+
+def _assert_scene_reuse(make):
+    """Every ORACLE_OPTIONS set, forward and then in reverse, renders the
+    bytes and warns the warnings of the reference renderer, both on one
+    packing per order, which keeps its scenes, and on a fresh packing from
+    make() per call.  A scene that kept what the first options of an order
+    cut off or left unlabelled, or pixels of its canvas, fails here."""
+    expected = [_render_warned(reference_svg.render, make(), o)
+                for o in ORACLE_OPTIONS]
+    order = list(range(len(ORACLE_OPTIONS)))
+    for indices in (order, order[::-1]):
+        shared = make()
+        for i in indices:
+            o = ORACLE_OPTIONS[i]
+            assert _render_warned(svg.render, shared, o) == expected[i]
+            assert _render_warned(svg.render, make(), o) == expected[i]
+        assert "_scenes" in vars(shared)
+        if getattr(shared, "scaled", None) is not None:
+            assert "rows" not in vars(shared)
+        # a kept scene does not stop a packing from pickling
+        copy = pickle.loads(pickle.dumps(shared))
+        assert _render_warned(svg.render, copy, o) == expected[i]
+    return expected
+
+
+@pytest.mark.parametrize("geometry,bends,bound", STREAM_INPUTS)
+@pytest.mark.parametrize("mode", ["exact", FLOAT])
+def test_kept_scene_renders_every_option_in_either_order(geometry, bends,
+                                                         bound, mode):
+    if mode == "exact":
+        seed = apollonian.realize_bends(geometry, bends)
+    else:
+        seed, bound = _float_seed(geometry, bends), float(bound)
+    text = shell.dumps_packing(apollonian.generate(seed, bound))
+    _assert_scene_reuse(lambda: shell.loads_packing(text))
+
+
+def test_kept_scene_of_a_configuration_warns_on_every_render():
+    rows = apollonian.standard_seed(forms.HYPERBOLIC).rows
+    virtual = forms.CoordRow(forms.HYPERBOLIC, (F(0), F(0), F(1), F(0)))
+    expected = _assert_scene_reuse(lambda: forms.ConfigMatrix(
+        forms.HYPERBOLIC, rows[:-1] + (virtual,)))
+    assert all(warned == ["skipped 1 virtual rows with no disk locus"]
+               for _, warned in expected)
+    _assert_scene_reuse(lambda: apollonian.standard_seed(forms.SPHERICAL))
+
+
+def test_row_holder_draws_its_current_rows(euclid_seed):
+    holder = Holder(forms.EUCLIDEAN, 2, list(euclid_seed.rows))
+    assert svg.render(holder) == reference_svg.render(holder)
+    holder.rows = list(apollonian.generate(euclid_seed, 20).rows)
+    assert svg.render(holder) == reference_svg.render(holder)
+    holder.rows.pop()
+    assert svg.render(holder) == reference_svg.render(holder)
+    assert "_scenes" not in vars(holder)
