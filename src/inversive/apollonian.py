@@ -157,24 +157,28 @@ def _check_seed(seed, tol):
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
 
 
-def _walk_frame(seed, tol, task):
-    """(rows, scale, coeff, quotient): what the walks of generate() and
-    loxodromic() start from, after checking the seed.
-
-    The rows are the seed rows of either mode on ints, over the least
-    common multiple scale of their denominators (scalars.integer_rows; a
-    power of two for floats), and quotient(x, scale) turns an entry of the
-    walk back into the seed's mode (scalars.frame_quotient).  coeff is the
-    reflection coefficient 2/(n-1): an int for n = 2 and n = 3, so that
-    reflections of int rows stay ints, and a Fraction above.
-    """
+def _int_frame(seed, bends_only=False):
+    """(rows, scale, coeff): the seed rows of either mode, or with
+    bends_only the one row of its bends, on ints over the least common
+    multiple scale of their denominators (scalars.integer_rows; a power of
+    two for floats), and the reflection coefficient 2/(n-1): an int for
+    n = 2 and n = 3, so that reflections of int rows stay ints, and a
+    Fraction above."""
     n = seed.n
-    if n < 2:
+    rows, scale = integer_rows(
+        [seed.bends] if bends_only else [r.entries for r in seed.rows])
+    return rows, scale, 2 // (n - 1) if n <= 3 else Fraction(2, n - 1)
+
+
+def _walk_frame(seed, tol, task, bends_only=False):
+    """(rows, scale, coeff, quotient): the _int_frame that the walks of
+    generate() and loxodromic() start from, after checking the seed, and
+    the quotient(x, scale) that turns an entry of the walk back into the
+    seed's mode (scalars.frame_quotient)."""
+    if seed.n < 2:
         raise ValueError(f"{task} needs n >= 2")
     _check_seed(seed, tol)
-    rows, scale = integer_rows([r.entries for r in seed.rows])
-    coeff = 2 // (n - 1) if n <= 3 else Fraction(2, n - 1)
-    return rows, scale, coeff, frame_quotient(seed.mode)
+    return (*_int_frame(seed, bends_only), frame_quotient(seed.mode))
 
 
 class InfiniteClosure(ValueError):
@@ -363,12 +367,13 @@ class LoxodromicSequence:
     """Bends recorded while always reflecting the largest sphere, and the
     configurations of the walk, the seed first.
 
-    loxodromic() passes configs=None and the init-only walk=(seed, steps,
-    scale) instead: per step, the reflected index and the new row in the
-    int frame of the walk.  The configurations are built from them
-    when configs is first read, each sharing the unchanged rows of the one
-    before, and kept, as Packing.rows is.  walk is not a field, so
-    fields, equality and repr are those of geometry, bends and configs.
+    loxodromic() passes configs=None and the init-only walk=(seed,
+    indices) instead: the index reflected at each step.  When configs is
+    first read, the indices are replayed on the int frame of the seed rows
+    (_int_frame), each configuration
+    sharing the unchanged rows of the one before, and the configurations
+    are kept, as Packing.rows is.  walk is not a field, so fields, equality
+    and repr are those of geometry, bends and configs.
     """
 
     geometry: str
@@ -389,13 +394,17 @@ class LoxodromicSequence:
         # before it is first read
         if name != "configs":
             raise AttributeError(name)
-        seed, steps, scale = self._walk
-        geometry = seed.geometry
-        rows = tuple(forms.CoordRow(geometry, coerce_row(r.entries, seed.mode))
+        seed, indices = self._walk
+        geometry, mode = seed.geometry, seed.mode
+        entry_rows, scale, coeff = _int_frame(seed)
+        new_rows = []
+        for i in indices:
+            entry_rows = _reflect_entries(entry_rows, i, coeff)
+            new_rows.append(entry_rows[i])
+        rows = tuple(forms.CoordRow(geometry, coerce_row(r.entries, mode))
                      for r in seed.rows)
         configs = [seed]
-        new_rows = unscaled_rows([new for _, new in steps], scale, seed.mode)
-        for (i, _), new in zip(steps, new_rows):
+        for i, new in zip(indices, unscaled_rows(new_rows, scale, mode)):
             rows = rows[:i] + (forms.CoordRow(geometry, new),) + rows[i + 1:]
             configs.append(forms.ConfigMatrix(geometry, rows))
         configs = tuple(configs)
@@ -408,41 +417,67 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     """Reflect k times at the row of minimal bend entry (ties to the least
     index), appending each produced bend.
 
-    The walk starts as generate's does, on the ints of _walk_frame in both
-    modes.  Each step picks the index, reflects the rows and divides back
-    only the new bend, by the frame's quotient; the configurations of the
-    walk are built from the recorded steps only when the sequence's configs
-    is first read.
+    Reflections act on W from the left, so they mix rows and never columns:
+    the bend column evolves on its own, and the walk reads nothing else.
+    It runs on the bend column alone, on the ints of _walk_frame over the
+    column's own scale (1 for integral bends, in either mode), keeping the
+    column sum; positive scaling keeps the least index of the least bend.
+    Each new bend leaves the frame once by the frame's quotient, so a float
+    bend is its exact twin correctly rounded.  Only the reflected indices
+    are recorded; the configurations are replayed from them when the
+    sequence's configs is first read.
+
+    A float bend beyond the float range raises ValueError naming its step.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
-    entry_rows, scale, coeff, quotient = _walk_frame(
-        seed, tol, "the loxodromic sequence")
-    col = forms.bend_column(seed.geometry)
-    bends = [r.entries[col] for r in seed.rows]
-    # the bend entry of each row of the walk; index() of the least finds
-    # the least index among the rows of least bend
-    scaled_bends = [r[col] for r in entry_rows]
-    steps = []
-    for _ in range(k):
-        i = scaled_bends.index(min(scaled_bends))
-        entry_rows = _reflect_entries(entry_rows, i, coeff)
-        new = entry_rows[i]
-        scaled_bends[i] = new[col]
-        bends.append(quotient(new[col], scale))
-        steps.append((i, new))
+    (scaled,), scale, coeff, quotient = _walk_frame(
+        seed, tol, "the loxodromic sequence", bends_only=True)
+    # index() of the least finds the least index among the least bends
+    scaled = list(scaled)
+    total = sum(scaled)
+    bends = list(seed.bends)
+    indices = []
+    try:
+        for _ in range(k):
+            x = min(scaled)
+            i = scaled.index(x)
+            new = coeff * (total - x) - x
+            scaled[i] = new
+            total += new - x
+            bends.append(quotient(new, scale))
+            indices.append(i)
+    except OverflowError:
+        raise ValueError(
+            f"the bend of step {len(indices) + 1} of the loxodromic sequence "
+            "is beyond the float range") from None
     return LoxodromicSequence(seed.geometry, tuple(bends), None,
-                              walk=(seed, tuple(steps), scale))
+                              walk=(seed, tuple(indices)))
 
 
 def recurrence_check(seq, tol=1e-6):
-    """Whether bends obey x_{k+1} = 2x_k + 2x_{k-1} + 2x_{k-2} - x_{k-3}."""
-    bends = seq.bends if isinstance(seq, LoxodromicSequence) else tuple(seq)
+    """Whether bends obey x_{k+1} = 2x_k + 2x_{k-1} + 2x_{k-2} - x_{k-3}, the
+    recurrence of the loxodromic walk in the plane.
+
+    The recurrence holds when each step replaces the oldest of the last
+    four bends.  From a seed with at most one negative bend the walk
+    replaces the seed bends least first, so the four seed bends of a
+    LoxodromicSequence are taken in ascending order, not in row order; a
+    plain sequence is taken as it is.  Exact bends are
+    compared with ==, float ones within tol times the largest |term| of
+    each relation (at least 1), so that terms past 2^53 round without
+    failing the check.
+    """
+    if isinstance(seq, LoxodromicSequence):
+        bends = tuple(sorted(seq.bends[:4])) + seq.bends[4:]
+    else:
+        bends = tuple(seq)
     if len(bends) < 5:
         raise ValueError("need at least 5 terms")
     for j in range(4, len(bends)):
+        terms = bends[j - 4:j + 1]
         predicted = 2 * (bends[j - 1] + bends[j - 2] + bends[j - 3]) - bends[j - 4]
-        if not near(bends[j], predicted, tol):
+        if not near(bends[j], predicted, tol * max(1, *map(abs, terms))):
             return False
     return True
 

@@ -341,29 +341,50 @@ def gram(w, q):
     return tuple(tuple(quotient(x, m) for x in row) for row in g)
 
 
+# (target, its int rows and scale, or None) by id(target): a target of
+# target_for() is one cached tuple, met at every check.  Each entry holds
+# its target, so an id is not reused while it is kept.
+_INT_TARGETS = {}
+
+
+def _int_target(t):
+    """(T, d) with T = d t the int rows of an exact target t over the LCM d
+    of its denominators (scalars.integer_rows), or None when t has a float
+    entry; worked out once per target object."""
+    hit = _INT_TARGETS.get(id(t))
+    if hit is None or hit[0] is not t:
+        if len(_INT_TARGETS) >= 64:  # only targets built per call get here
+            _INT_TARGETS.clear()
+        exact = all_exact([x for row in t for x in row])
+        hit = _INT_TARGETS[id(t)] = (t, integer_rows(t) if exact else None)
+    return hit[1]
+
+
 def check_identity(w, q, target, tol=DEFAULT_TOL):
     """Residual of W^T Q W against a target Gram matrix.
 
     Exact W, Q and target are compared exactly and tol is ignored; other
     inputs pass when the largest entry deviation is within tol.  Exact mode
-    compares the int matrix G = m W^T Q W of _scaled_gram with m times the
-    target and builds a Fraction only for an entry that differs.
+    compares the int matrix G = m W^T Q W of _scaled_gram with the int
+    target T = d t of _int_target, as d G = m T, and builds a Fraction only
+    for an entry that differs.
     """
     g, m, quotient = _scaled_gram(w, q)
     t = _rows(target)
     if len(t) != len(g) or any(len(row) != len(g) for row in t):
         raise ValueError("target shape does not match the Gram matrix")
-    exact = quotient is Fraction and all_exact([x for row in t for x in row])
-    if exact:
+    int_target = _int_target(t) if quotient is Fraction else None
+    if int_target is not None:
+        t, d = int_target
+        md = m * d
         diff = []
         err = _ZERO
         for grow, trow in zip(g, t):
             out = []
             for x, y in zip(grow, trow):
-                num, den = y.as_integer_ratio()
-                delta = x * den - num * m
+                delta = x * d - y * m
                 if delta:
-                    entry = Fraction(delta, m * den)
+                    entry = Fraction(delta, md)
                     err = max(err, abs(entry))
                 else:
                     entry = _ZERO

@@ -8,6 +8,9 @@ import pytest
 
 from inversive import apollonian, forms, linalg, onedim, shell, transform
 from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
+from test_reference_kernels import (_ref_reflect_entries,
+                                    _reference_loxodromic,
+                                    _rounded_reference_loxodromic)
 
 
 SEED_ROWS = ((1, -1, 0, 0), (0, 2, 1, 0), (0, 2, -1, 0), (1, 3, 0, 2))
@@ -628,6 +631,109 @@ def test_loxodromic_long_run_satisfies_recurrence(euclid_seed):
         forms.EUCLIDEAN, (F(-1), F(2), F(2), F(3), F(15), F(38), F(111)), ()
     )
     assert not apollonian.recurrence_check(fake)
+
+
+def _tie_to_greatest(seed, k):
+    """(bends, configs) of the loxodromic walk with ties going to the
+    greatest index: a mutant of the walk, which the tie test below must
+    tell from the reference."""
+    col = forms.bend_column(seed.geometry)
+    coeff = coerce(2, seed.mode) / (seed.n - 1)
+    rows = tuple(r.entries for r in seed.rows)
+    bends = list(seed.bends)
+    configs = [seed]
+    for _ in range(k):
+        column = [r[col] for r in rows]
+        i = max(j for j, b in enumerate(column) if b == min(column))
+        rows = _ref_reflect_entries(rows, i, coeff)
+        bends.append(rows[i][col])
+        configs.append(forms.ConfigMatrix.from_rows(seed.geometry, rows))
+    return tuple(bends), configs
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_loxodromic_bend_tie_on_a_bend_frame_of_its_own(mode, monkeypatch):
+    # realized (-1,2,2,3): the bends are ints, the other columns fifths, so
+    # the bend column is walked over scale 1 and replayed over scale 5 (a
+    # power of two above 2^50 for the float twin).  The second step meets the
+    # bend tie (15,2,2,3) and replaces row 1, the least index
+    seed = apollonian.realize_bends(forms.EUCLIDEAN, (F(-1), F(2), F(2), F(3)))
+    if mode == FLOAT:
+        seed = _float_twin(seed)
+    assert apollonian._int_frame(seed, bends_only=True)[1] == 1
+    full_scale = apollonian._int_frame(seed)[1]
+    if mode == EXACT:
+        assert full_scale == 5
+    else:
+        assert full_scale > 2 ** 50
+    replayed = []
+    inner = apollonian._reflect_entries
+    monkeypatch.setattr(apollonian, "_reflect_entries",
+                        lambda rows, i, coeff: replayed.append(i)
+                        or inner(rows, i, coeff))
+    lox = apollonian.loxodromic(seed, 8)
+    reference = (_reference_loxodromic if mode == EXACT
+                 else _rounded_reference_loxodromic)(seed, 8)
+    assert lox.bends == reference.bends
+    assert lox.bends[:6] == (-1, 2, 2, 3, 15, 38)
+    assert replayed == []
+    assert lox.configs == reference.configs
+    assert replayed == [0, 1, 2, 3, 0, 1, 2, 3]
+    assert lox.configs[2].rows[1].bend == 38
+    assert lox.configs[2].rows[2] is lox.configs[1].rows[2]
+    # ties to the greatest index give the same bends here, and other
+    # configurations, which the comparison above catches
+    bends, configs = _tie_to_greatest(_fraction_twin(seed), 8)
+    assert bends == tuple(map(F, reference.bends))
+    assert configs[2] != _fraction_twin(reference.configs[2])
+
+
+def test_float_loxodromic_past_the_float_range_names_the_step():
+    # the Euclidean walk passes 1e300 near step 650; the exact walk goes on
+    seed = apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT)
+    last = apollonian.loxodromic(seed, 667).bends[-1]
+    assert 1e307 < last < float("inf")
+    with pytest.raises(ValueError, match=r"^the bend of step 668 of the "
+                       r"loxodromic sequence is beyond the float range$"):
+        apollonian.loxodromic(seed, 700)
+    exact = apollonian.loxodromic(apollonian.standard_seed(forms.EUCLIDEAN),
+                                  700)
+    assert float(exact.bends[667 + 3]) == last and exact.bends[-1] > 2 ** 1024
+
+
+@pytest.mark.parametrize("geometry", forms.GEOMETRIES)
+def test_recurrence_check_scales_the_float_tolerance(geometry):
+    # float bends pass 2^53 within 40 steps, where an absolute 1e-6 is below
+    # their rounding; a term off by 1e-5 of itself still fails
+    seq = apollonian.loxodromic(
+        apollonian.standard_seed(geometry, mode=FLOAT), 40)
+    assert seq.bends[-1] > 2 ** 60
+    assert apollonian.recurrence_check(seq)
+    assert apollonian.recurrence_check(seq.bends)
+    for j in (6, 20, 43):
+        off = list(seq.bends)
+        off[j] *= 1 + 1e-5
+        assert not apollonian.recurrence_check(off), j
+    exact = apollonian.loxodromic(apollonian.standard_seed(geometry), 40)
+    assert apollonian.recurrence_check(exact)
+    off = list(exact.bends)
+    off[-1] += 1
+    assert not apollonian.recurrence_check(off)
+
+
+def test_recurrence_check_takes_the_seed_bends_in_walk_order():
+    # the walk replaces the seed bends least first, not in row order: the
+    # row order fails the recurrence, the walk order and bends[4:] pass
+    seed = apollonian.realize_bends(forms.EUCLIDEAN,
+                                    (F(19), F(15), F(10), F(-6)))
+    lox = apollonian.loxodromic(seed, 12)
+    assert lox.bends[4:6] == (94, 246)
+    assert apollonian.recurrence_check(lox)
+    assert apollonian.recurrence_check(lox.bends[4:])
+    assert not apollonian.recurrence_check(lox.bends)
+    off = lox.bends[:10] + (lox.bends[10] + 1,) + lox.bends[11:]
+    assert not apollonian.recurrence_check(
+        apollonian.LoxodromicSequence(lox.geometry, off, ()))
 
 
 def test_integrality_report(euclid_seed):

@@ -349,6 +349,103 @@ def test_check_identity_matches_reference(geometry, mode):
     assert checked == 2 * len(configs)
 
 
+def _exact_residual_parts(res):
+    """The residual's maximum and entries as plain nested lists, with the
+    type of each."""
+    entries = res.entrywise
+    if isinstance(entries, np.ndarray):
+        entries = entries.tolist()
+    flat = [x for row in entries for x in row]
+    return ([res.max_abs_entry_error] + flat,
+            [type(x) for x in [res.max_abs_entry_error] + flat], res.ok)
+
+
+@pytest.mark.parametrize("geometry", GEOMS)
+def test_exact_check_identity_frames_each_target_once(geometry, monkeypatch):
+    """Exact checks compare against the int rows of the target, framed once
+    per target object; the residuals are the reference's, entry types
+    included, also on a target of another denominator and on one given as
+    lists, which is a new tuple at every call."""
+    configs = _grid(geometry, EXACT)
+    configs += [_corrupt(w) for w in configs]
+    q = forms.descartes_form(2)
+    cached = forms.target_for(geometry, 2)
+    thirds = tuple(tuple(x / 3 for x in row) for row in cached)
+    frames = []
+    inner = forms.integer_rows
+    monkeypatch.setattr(forms, "integer_rows",
+                        lambda rows: frames.append(rows) or inner(rows))
+    monkeypatch.setattr(forms, "_INT_TARGETS", {})
+    for t in (cached, thirds):
+        for w in configs:
+            new = forms.check_identity(w, q, t)
+            assert _exact_residual_parts(new) == _exact_residual_parts(
+                _reference_check_identity(w, q, t)), w
+    assert frames == [cached, thirds]
+    for w in configs[::7]:
+        t = [list(row) for row in thirds]
+        assert _exact_residual_parts(forms.check_identity(w, q, t)) == \
+            _exact_residual_parts(_reference_check_identity(w, q, t)), w
+    assert not any(forms.check_identity(w, q, thirds).ok for w in configs)
+
+
+# seeds of the bends-only walk: float n = 3 and n = 4, an exact n = 8 seed
+# (coefficient 2/7), the float hyperbolic (-2,3,5,6) seed, whose entries
+# are not short dyadics, and (-1,2,2,3) realized, whose bends are ints and
+# whose other columns are fifths, with its float twin
+_LOX_SEEDS = {
+    "float-n3": lambda: apollonian.standard_seed(E, 3, FLOAT),
+    "float-n4": lambda: apollonian.standard_seed(E, 4, FLOAT),
+    "exact-n8-spherical": lambda: apollonian.realize_bends(
+        S, (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1)),
+    "float-hyperbolic-2,3,5,6": lambda: apollonian.realize_bends(
+        H, (-2.0, 3.0, 5.0, 6.0)),
+    "exact-euclidean-fifths": lambda: apollonian.realize_bends(
+        E, tuple(map(Fraction, (-1, 2, 2, 3)))),
+    "float-euclidean-fifths": lambda: _to_float(apollonian.realize_bends(
+        E, tuple(map(Fraction, (-1, 2, 2, 3))))),
+}
+
+
+def _typed_bits(values):
+    return [(type(x), repr(x)) for x in values]
+
+
+@pytest.mark.parametrize("name", _LOX_SEEDS)
+def test_bends_only_walk_matches_reference(name, monkeypatch):
+    """The walk reflects the bend column alone and records indices; its
+    bends, and the configurations replayed from the indices when configs
+    is first read, are the reference's to the bit and the entry type.
+    Nothing is replayed before configs is read."""
+    seed = _LOX_SEEDS[name]()
+    reference = (_reference_loxodromic if seed.mode == EXACT
+                 else _rounded_reference_loxodromic)
+    replayed = []
+    inner = apollonian._reflect_entries
+
+    def counted(entry_rows, i, coeff):
+        replayed.append(i)
+        return inner(entry_rows, i, coeff)
+
+    monkeypatch.setattr(apollonian, "_reflect_entries", counted)
+    for k in (0, 1, 24, 60):
+        replayed.clear()
+        seq = apollonian.loxodromic(seed, k)
+        ref = reference(seed, k)
+        assert _typed_bits(seq.bends) == _typed_bits(ref.bends), k
+        assert replayed == []
+        configs = seq.configs
+        assert len(replayed) == k and configs[0] is seed
+        assert len(configs) == len(ref.configs) == k + 1
+        for a, b in zip(configs, ref.configs):
+            assert [_typed_bits(r.entries) for r in a.rows] == \
+                [_typed_bits(r.entries) for r in b.rows], k
+        assert seq == ref
+    # the bend column has a frame of its own, at most the full one
+    bend_scale = apollonian._int_frame(seed, bends_only=True)[1]
+    assert apollonian._int_frame(seed)[1] % bend_scale == 0
+
+
 @pytest.mark.parametrize("geometry,mode", CASES)
 def test_convert_matrix_matches_reference(geometry, mode):
     exact = mode == EXACT

@@ -504,6 +504,17 @@ def test_lox_command(capsys):
         assert json.loads(out)["bends"] == expect
 
 
+def test_float_lox_past_the_float_range_is_an_error(capsys):
+    argv = ["lox", "--mode", "float", "--geometry", "euclidean",
+            "--seed=-1,2,2,3", "--steps"]
+    code, out, err = run(argv + ["700"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: the bend of step 668 of the loxodromic sequence "
+                   "is beyond the float range\n")
+    code, out, _ = run(argv + ["667"], capsys)
+    assert code == 0 and len(json.loads(out)["bends"]) == 671
+
+
 def test_onedim_command(capsys):
     code, out, _ = run(["onedim", "--intervals=0,1,1,3"], capsys)
     assert code == 0
