@@ -41,16 +41,16 @@ from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
                       sqrt_scalar, unscaled_rows)
 
 
-def reflection_matrix(n, i, mode=EXACT):
-    """Matrix R with R W = W after replacing row i; R^T Q R = Q, R^2 = I."""
+def reflection_matrix(n, i):
+    """Exact R with R W = W after replacing row i; R^T Q R = Q, R^2 = I."""
     if n < 2:
         raise ValueError("reflection degenerates for n = 1, see the interval "
                          "configurations instead")
     if not 0 <= i < n + 2:
         raise ValueError(f"row index {i} out of range")
-    eye = linalg.block_diag((), (1,) * (n + 2), mode)
-    c = coerce(2, mode) / (n - 1)
-    row = (c,) * i + (-coerce(1, mode),) + (c,) * (n + 1 - i)
+    eye = linalg.block_diag((), (1,) * (n + 2), EXACT)
+    c = Fraction(2, n - 1)
+    row = (c,) * i + (-Fraction(1),) + (c,) * (n + 1 - i)
     return eye[:i] + (row,) + eye[i + 1:]
 
 
@@ -70,11 +70,13 @@ def _reflect_entries(entry_rows, i, coeff):
     return entry_rows[:i] + (new,) + entry_rows[i + 1:]
 
 
-def reflect(w, i, validate=False, tol=DEFAULT_TOL):
+def reflect(w, i):
     """Replace row i of a configuration by its reflection.
 
     The new row is (2/(n-1)) times the sum of the other rows minus the old
-    one; reflecting twice at the same index restores the input exactly.
+    one; in exact mode reflecting twice at the same index restores the
+    input exactly.  The result is not checked: its residual() tells whether
+    it keeps the Gram identity.
     """
     if w.n < 2:
         raise ValueError("reflection degenerates for n = 1, see the interval "
@@ -83,15 +85,9 @@ def reflect(w, i, validate=False, tol=DEFAULT_TOL):
         raise ValueError(f"row index {i} out of range")
     coeff = coerce(2, w.mode) / (w.n - 1)
     entry_rows = tuple(r.entries for r in w.rows)
-    out = forms.ConfigMatrix.from_rows(w.geometry,
-                                       _reflect_entries(entry_rows, i, coeff),
-                                       mode=w.mode)
-    if validate:
-        res = out.residual(tol)
-        if not res.ok:
-            raise ArithmeticError(
-                f"reflection broke the Gram identity by {res.max_abs_entry_error}")
-    return out
+    return forms.ConfigMatrix.from_rows(w.geometry,
+                                        _reflect_entries(entry_rows, i, coeff),
+                                        mode=w.mode)
 
 
 @dataclass(frozen=True)
@@ -125,7 +121,7 @@ class Packing:
         if self.rows is not None:
             entries = [r.entries for r in self.rows]
             mode = mode_of([x for row in entries for x in row])
-            object.__setattr__(self, "scaled", scaled_rows(entries, mode)[:2])
+            object.__setattr__(self, "scaled", scaled_rows(entries, mode))
         elif self.scaled is None:
             raise ValueError("a packing needs rows or scaled rows")
         else:
@@ -401,16 +397,33 @@ class LoxodromicSequence:
         for i in indices:
             entry_rows = _reflect_entries(entry_rows, i, coeff)
             new_rows.append(entry_rows[i])
+        try:
+            unscaled = unscaled_rows(new_rows, scale, mode)
+        except OverflowError:
+            raise ValueError(
+                f"the row of step {_first_overflow(new_rows, scale, mode)} "
+                "of the loxodromic sequence is beyond the float range"
+            ) from None
         rows = tuple(forms.CoordRow(geometry, coerce_row(r.entries, mode))
                      for r in seed.rows)
         configs = [seed]
-        for i, new in zip(indices, unscaled_rows(new_rows, scale, mode)):
+        for i, new in zip(indices, unscaled):
             rows = rows[:i] + (forms.CoordRow(geometry, new),) + rows[i + 1:]
             configs.append(forms.ConfigMatrix(geometry, rows))
         configs = tuple(configs)
         object.__setattr__(self, "configs", configs)
         object.__delattr__(self, "_walk")
         return configs
+
+
+def _first_overflow(rows, scale, mode):
+    """The 1-based index of the first int row of a frame with an entry
+    beyond the float range, the step of a replayed walk that overflowed."""
+    for step, row in enumerate(rows, 1):
+        try:
+            unscaled_rows([row], scale, mode)
+        except OverflowError:
+            return step
 
 
 def loxodromic(seed, k, tol=DEFAULT_TOL):
@@ -427,7 +440,9 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     are recorded; the configurations are replayed from them when the
     sequence's configs is first read.
 
-    A float bend beyond the float range raises ValueError naming its step.
+    A float bend beyond the float range raises ValueError naming its step,
+    and so does reading configs when a row of the walk leaves the float
+    range before its bend does.
     """
     if k < 0:
         raise ValueError("step count must be nonnegative")
@@ -455,7 +470,7 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
                               walk=(seed, tuple(indices)))
 
 
-def recurrence_check(seq, tol=1e-6):
+def recurrence_check(seq):
     """Whether bends obey x_{k+1} = 2x_k + 2x_{k-1} + 2x_{k-2} - x_{k-3}, the
     recurrence of the loxodromic walk in the plane.
 
@@ -464,7 +479,7 @@ def recurrence_check(seq, tol=1e-6):
     replaces the seed bends least first, so the four seed bends of a
     LoxodromicSequence are taken in ascending order, not in row order; a
     plain sequence is taken as it is.  Exact bends are
-    compared with ==, float ones within tol times the largest |term| of
+    compared with ==, float ones within 1e-6 times the largest |term| of
     each relation (at least 1), so that terms past 2^53 round without
     failing the check.
     """
@@ -477,7 +492,7 @@ def recurrence_check(seq, tol=1e-6):
     for j in range(4, len(bends)):
         terms = bends[j - 4:j + 1]
         predicted = 2 * (bends[j - 1] + bends[j - 2] + bends[j - 3]) - bends[j - 4]
-        if not near(bends[j], predicted, tol * max(1, *map(abs, terms))):
+        if not near(bends[j], predicted, 1e-6 * max(1, *map(abs, terms))):
             return False
     return True
 

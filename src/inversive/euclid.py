@@ -16,7 +16,7 @@ Gram identity (see forms.target_for).
 from dataclasses import dataclass
 
 from . import forms, linalg
-from .scalars import (DEFAULT_TOL, coerce, coerce_row, div, mode_of, near,
+from .scalars import (coerce, coerce_row, div, frame_quotient, mode_of, near,
                       negligible, scaled_rows, sqrt_scalar)
 
 
@@ -84,12 +84,13 @@ def augmented_coords(obj):
     return forms.CoordRow(forms.EUCLIDEAN, coerce_row(entries, mode))
 
 
-def object_from_augmented(row, tol=DEFAULT_TOL):
-    """Rebuild the sphere or hyperplane encoded by an augmented row."""
-    entries = forms.unit_row_entries(forms.EUCLIDEAN, row, "augmented row", tol)
+def object_from_augmented(row):
+    """Rebuild the sphere or hyperplane encoded by an augmented row; a float
+    bend within scalars.DEFAULT_TOL of 0 gives a hyperplane."""
+    entries = forms.unit_row_entries(forms.EUCLIDEAN, row, "augmented row")
     bbar, b = entries[0], entries[1]
     tail = entries[2:]
-    if near(b, 0, tol):
+    if near(b, 0):
         return OrientedHyperplane(tail, div(bbar, 2))
     return OrientedSphere(b, tuple(m / b for m in tail))
 
@@ -143,8 +144,8 @@ def config_from_objects(objs):
     return forms.ConfigMatrix(forms.EUCLIDEAN, rows)
 
 
-def objects_from_config(config, tol=DEFAULT_TOL):
-    return tuple(object_from_augmented(r, tol) for r in config.rows)
+def objects_from_config(config):
+    return tuple(object_from_augmented(r) for r in config.rows)
 
 
 def _complete_rows(w1, w2, w3, mode):
@@ -174,7 +175,7 @@ def _complete_rows(w1, w2, w3, mode):
     return sol1, sol2
 
 
-def complete_to_descartes(s1, s2, s3, tol=DEFAULT_TOL):
+def complete_to_descartes(s1, s2, s3):
     """The two ways to extend three mutually tangent circles to four.
 
     Input objects must be pairwise externally tangent with distinct tangency
@@ -188,7 +189,7 @@ def complete_to_descartes(s1, s2, s3, tol=DEFAULT_TOL):
     for i in range(3):
         for j in range(i + 1, 3):
             p = forms.pair_product(forms.EUCLIDEAN, ws[i], ws[j])
-            if not near(p, -1, tol):
+            if not near(p, -1):
                 raise ValueError(
                     f"objects {i} and {j} are not externally tangent "
                     f"(pair product {p})")
@@ -216,16 +217,16 @@ def _realize_strip(bends, mode):
     return config_from_objects(objs)
 
 
-def realize_curvature_vector(bends, tol=DEFAULT_TOL):
+def realize_curvature_vector(bends):
     """Construct one planar configuration with the prescribed bend vector.
 
-    The bends must satisfy the Descartes relation; float bends up to tol,
-    or up to scalars.ROUNDING times the square of their largest magnitude
-    (at least 1), the rounding error of bends that large.  Placement is
-    canonical: the two largest bends b_a >= b_b become circles tangent at
-    the origin with centers on the x axis, the third circle b_c sits in the
-    upper half plane, and the remaining row is the one with bend b_d.  A
-    vector with two zero bends yields the two-line strip arrangement
+    The bends must satisfy the Descartes relation; float bends up to
+    scalars.DEFAULT_TOL, or up to scalars.ROUNDING times the square of their
+    largest magnitude (at least 1), the rounding error of bends that large.
+    Placement is canonical: the two largest bends b_a >= b_b become circles
+    tangent at the origin with centers on the x axis, the third circle b_c
+    sits in the upper half plane, and the remaining row is the one with bend
+    b_d.  A vector with two zero bends yields the two-line strip arrangement
     instead.  Vectors whose majority orientation is outward are realized by
     reversing all orientations of the mirror input.
 
@@ -242,13 +243,13 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
     mode = mode_of(bends)
     bends = coerce_row(bends, mode)
     residual = forms.bend_residual(forms.EUCLIDEAN, bends)
-    if not negligible(residual, bends, tol):
+    if not negligible(residual, bends):
         raise ValueError(f"bends violate the Descartes relation by {residual}")
     if all(b == 0 for b in bends):
         raise ValueError("the zero vector is not a bend vector")
     positives = sum(1 for b in bends if b > 0)
     if positives < 2:
-        flipped = realize_curvature_vector(tuple(-b for b in bends), tol)
+        flipped = realize_curvature_vector(tuple(-b for b in bends))
         rows = tuple(
             forms.CoordRow(forms.EUCLIDEAN, tuple(-x for x in r.entries))
             for r in flipped.rows)
@@ -268,15 +269,16 @@ def realize_curvature_vector(bends, tol=DEFAULT_TOL):
 def _place(ba, bb, bc, bd, mode):
     """The canonical rows for Descartes bends ba >= bb >= bc >= bd with
     ba, bb > 0, evaluated on the bends in the frame of scalars.scaled_rows:
-    times their scale l, divided by its quotient (into Fractions in exact
-    mode, l = 1.0 and true division in float mode).
+    times their scale l, divided by scalars.frame_quotient (into Fractions
+    in exact mode, l = 1.0 and true division in float mode).
 
     For exact bends bc > 0 too (bc <= 0 would force a second zero bend), so
     circle c, centered at (b_a - b_b, q) / (s b_c) with s = b_a + b_b and
     q = |b_d - b_a - b_b - b_c|, lies above the x axis, and
     q^2 = 4 (b_a b_b + b_c s) > 0: the two completions never coincide here,
     and none of the degenerate cases of _complete_rows can arise."""
-    ((ia, ib, ic, id_),), l, quotient = scaled_rows([(ba, bb, bc, bd)], mode)
+    ((ia, ib, ic, id_),), l = scaled_rows([(ba, bb, bc, bd)], mode)
+    quotient = frame_quotient(mode)
     s = ia + ib
     q = abs(id_ - s - ic)
     zero, one = quotient(0, 1), quotient(1, 1)

@@ -35,8 +35,8 @@ from operator import mul
 
 from . import linalg
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, all_exact, coerce,
-                      coerce_row, integer_rows, mode_of, near, negligible,
-                      scaled_rows)
+                      coerce_row, frame_quotient, integer_rows, mode_of, near,
+                      negligible, scaled_rows)
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
@@ -234,9 +234,9 @@ def descartes_form(n, mode=EXACT):
     return QuadForm(n, _identity_minus(n + 2, coerce(1, mode) / n))
 
 
-def descartes_form_inverse(n, mode=EXACT):
-    """Q_n^{-1} = I - (1/2) ones ones^T, independent of n."""
-    return _identity_minus(n + 2, coerce(1, mode) / 2)
+def descartes_form_inverse(n):
+    """Q_n^{-1} = I - (1/2) ones ones^T, independent of n, exact."""
+    return _identity_minus(n + 2, Fraction(1, 2))
 
 
 def _identity_minus(k, c):
@@ -247,14 +247,14 @@ def _identity_minus(k, c):
                  for i in range(k))
 
 
-def lorentz_like_form(n, mode=EXACT):
-    """diag(-1, 1, ..., 1) on n+2 coordinates."""
-    return linalg.block_diag((), (-1,) + (1,) * (n + 1), mode)
+def lorentz_like_form(n):
+    """diag(-1, 1, ..., 1) on n+2 coordinates, exact."""
+    return linalg.block_diag((), (-1,) + (1,) * (n + 1), EXACT)
 
 
-def centers_gram_target(n, mode=EXACT):
-    """Target for curvature-center matrices: diag(0, 2, ..., 2) on n+1."""
-    return linalg.block_diag((), (0,) + (2,) * n, mode)
+def centers_gram_target(n):
+    """Exact curvature-center target: diag(0, 2, ..., 2) on n+1."""
+    return linalg.block_diag((), (0,) + (2,) * n, EXACT)
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,12 +292,13 @@ def pair_product(geometry, row_a, row_b):
     return p * a[0] * b[0] + s * a[1] * b[1] + sum(map(mul, a[2:], b[2:]))
 
 
-def unit_row_entries(geometry, row, noun, tol=DEFAULT_TOL):
-    """The entries of a row whose pair_product with itself is 1 within tol;
-    otherwise ValueError "not a valid <noun>, self product <product>"."""
+def unit_row_entries(geometry, row, noun):
+    """The entries of a row whose pair_product with itself is 1 within
+    DEFAULT_TOL; otherwise ValueError "not a valid <noun>, self product
+    <product>"."""
     entries = row.entries if isinstance(row, CoordRow) else tuple(row)
     self_product = pair_product(geometry, row, row)
-    if not near(self_product, 1, tol):
+    if not near(self_product, 1):
         raise ValueError(f"not a valid {noun}, self product {self_product}")
     return entries
 
@@ -320,7 +321,7 @@ def _scaled_gram(w, q):
         raise ValueError(f"form of size {len(qrows)} does not fit "
                          f"{len(rows)} rows")
     mode = mode_of([x for m in (rows, qrows) for row in m for x in row])
-    v, s, quotient = scaled_rows(rows, mode)
+    v, s = scaled_rows(rows, mode)
     if form is not None:
         n = form.n
         sigma = tuple(map(sum, zip(*v)))
@@ -328,11 +329,11 @@ def _scaled_gram(w, q):
                     (1, [t / n for t in sigma]))
         pv = [[d * x - t for x, t in zip(row, shift)] for row in v]
     else:
-        p, d, _ = scaled_rows(qrows, mode)
+        p, d = scaled_rows(qrows, mode)
         pv = linalg.matmul(p, v)
     pv_cols = tuple(zip(*pv))
     g = [[sum(map(mul, ca, cb)) for cb in pv_cols] for ca in zip(*v)]
-    return g, s * s * d, quotient
+    return g, s * s * d, frame_quotient(mode)
 
 
 def gram(w, q):
@@ -397,14 +398,14 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
     return Residual(err, tuple(diff), bool(near(err, 0, tol)))
 
 
-def inverse_conjugation_check(w, a, b, tol=DEFAULT_TOL):
-    """Residual of W^T B^{-1} W - A^{-1}.
+def inverse_conjugation_check(w, a, b):
+    """Residual of W^T B^{-1} W - A^{-1}, within DEFAULT_TOL.
 
     Whenever W A W^T = B holds for square W, the transposed relation with the
     inverses holds as well; this check exercises that on concrete data.
     """
     return check_identity(w, linalg.mat_inv(_rows(b)),
-                          linalg.mat_inv(_rows(a)), tol)
+                          linalg.mat_inv(_rows(a)))
 
 
 def bend_residual(geometry, bends):
@@ -460,7 +461,7 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     first_options = [head + (zero,) * (n + 1 - len(head))
                      for head in first_tails(c[0], one)]
     # the tangency values times s^2, on the bends v = s c of the frame
-    (v,), s, _ = scaled_rows([c], mode)
+    (v,), s = scaled_rows([c], mode)
     s2 = s * s
     targets = [[k * vi * vj - s2 for vj in v[:i]] + [s2 + k * vi * vi]
                for i, vi in enumerate(v)]

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from . import forms
-from .scalars import (DEFAULT_TOL, ExactnessError, coerce_row, div, mode_of,
-                      near, sqrt_scalar)
+from .scalars import (ExactnessError, coerce_row, div, mode_of, near,
+                      sqrt_scalar)
 
 REAL_SPHERE = "real-sphere"
 HOROCYCLE = "horocycle"
@@ -112,13 +112,14 @@ def hyp_coords(sphere):
     return forms.CoordRow(forms.HYPERBOLIC, entries)
 
 
-def classify_row(row, tol=DEFAULT_TOL):
+def classify_row(row):
     """Classify a valid row by its coth entry: real sphere beyond 1 in
-    absolute value, horocycle at 1, virtual below."""
-    entries = forms.unit_row_entries(forms.HYPERBOLIC, row, "row", tol)
+    absolute value, horocycle at 1 (a float within scalars.DEFAULT_TOL),
+    virtual below."""
+    entries = forms.unit_row_entries(forms.HYPERBOLIC, row, "row")
     c = entries[0]
     coord = forms.CoordRow(forms.HYPERBOLIC, coerce_row(entries, mode_of(entries)))
-    if near(abs(c), 1, tol):
+    if near(abs(c), 1):
         kind = HOROCYCLE
     elif abs(c) > 1:
         kind = REAL_SPHERE
@@ -152,7 +153,7 @@ def sphere_from_linear_form(g_vec, g):
         entries = row if row is not None else (g,) + center.u
         return HypRowClass(REAL_SPHERE,
                            forms.CoordRow(forms.HYPERBOLIC, entries))
-    kind = HOROCYCLE if near(abs(g), 1, DEFAULT_TOL) else VIRTUAL
+    kind = HOROCYCLE if near(abs(g), 1) else VIRTUAL
     raw = forms.CoordRow(forms.HYPERBOLIC, coerce_row((g,) + center.u, mode))
     return HypRowClass(kind, raw)
 

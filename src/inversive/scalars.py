@@ -7,7 +7,6 @@ mode; the helpers here are the only place the two modes are told apart.
 
 import math
 from fractions import Fraction
-from operator import truediv
 from sys import float_info
 
 DEFAULT_TOL = 1e-9
@@ -89,17 +88,17 @@ def integer_rows(rows):
 
 
 def scaled_rows(rows, mode):
-    """(rows, scale, quotient): the frame in which a kernel runs one body
-    for both modes.
+    """(rows, scale): the frame in which a kernel runs one body for both
+    modes.
 
-    Exact mode gives the int rows and the LCM scale of integer_rows and
-    Fraction as the quotient, so that quotient(x, scale) is an entry of the
-    input again and only results become Fractions.  Float mode gives the
-    rows as floats, 1.0 and true division.
+    Exact mode gives the int rows and the LCM scale of integer_rows, so
+    that frame_quotient(EXACT)(x, scale) is an entry of the input again and
+    only results become Fractions.  Float mode gives the rows as floats and
+    1.0, over which frame_quotient(FLOAT) is true division.
     """
     if mode == EXACT:
-        return (*integer_rows(rows), Fraction)
-    return tuple([tuple(map(float, row)) for row in rows]), 1.0, truediv
+        return integer_rows(rows)
+    return tuple([tuple(map(float, row)) for row in rows]), 1.0
 
 
 def frame_quotient(mode):

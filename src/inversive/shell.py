@@ -173,9 +173,12 @@ def parse_document(text, tol=DEFAULT_TOL):
     )
 
 
-def loads_config(text, strict=True, tol=DEFAULT_TOL):
+def loads_config(text, tol=DEFAULT_TOL):
+    """The configuration of a document whose Gram identity holds at the
+    given tolerance, else ValueError; parse_document(text).config reads one
+    that fails it."""
     doc = parse_document(text, tol=tol)
-    if strict and not doc.valid:
+    if not doc.valid:
         raise ValueError(
             "configuration fails its Gram identity "
             f"(max residual {float(doc.residual.max_abs_entry_error):.3g})"
@@ -549,10 +552,6 @@ def _seed_config(args, tol):
     raise ValueError("need either --in or both --geometry and --seed")
 
 
-def _parse_bound(text, mode):
-    return scalar_from_json(text, mode)
-
-
 def _cmd_verify(args):
     doc = parse_document(_read_in(args), tol=args.tol)
     report = {
@@ -594,7 +593,7 @@ def _generate(args):
     seed = _seed_config(args, args.tol)
     if args.max_bend is None:
         raise ValueError("need --max-bend")
-    bound = _parse_bound(args.max_bend, seed.mode)
+    bound = scalar_from_json(args.max_bend, seed.mode)
     return apollonian.generate(
         seed,
         bound,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from . import forms
-from .scalars import DEFAULT_TOL, EXACT, mode_of, near
+from .scalars import EXACT, mode_of, near
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,14 @@ def cap_coords(cap):
     return forms.CoordRow(forms.SPHERICAL, entries)
 
 
-def cap_from_coords(row, tol=DEFAULT_TOL):
+def cap_from_coords(row):
     """Cap encoded by a coordinate row.
 
     The validity product row J row = 1 pins down sin alpha, so the row
     determines a unique alpha in (0, pi) and a unit center.  Exact rows are
     kept as the cap's backing so cot alpha stays rational.
     """
-    entries = forms.unit_row_entries(forms.SPHERICAL, row, "cap row", tol)
+    entries = forms.unit_row_entries(forms.SPHERICAL, row, "cap row")
     c = float(entries[0])
     alpha = math.atan2(1.0, c)
     s = math.sin(alpha)

@@ -1,10 +1,11 @@
 """Deterministic SVG rendering of two-dimensional packings.
 
-Euclidean packings render directly.  Hyperbolic packings render as the
-Euclidean loci of their circles in the unit-disk model, with the absolute as
-the boundary circle.  Spherical packings render under an orthographic
-projection viewed down the first center axis (back-facing caps dashed), or
-optionally under stereographic projection through that pole.  The disk-model
+render is the one entry point for all three geometries.  Euclidean
+packings render directly.  Hyperbolic packings render as the Euclidean loci
+of their circles in the unit-disk model, with the absolute as the boundary
+circle.  Spherical packings render under an orthographic projection viewed
+down the first center axis (back-facing caps dashed), or optionally under
+stereographic projection through that pole.  The disk-model
 and stereographic loci are the images of the rows under the conversion of
 transform.conversion_matrix to Euclidean rows.
 
@@ -14,7 +15,8 @@ in the frame of scalars.scaled_rows, a packing's from Packing.scaled, so
 its Fraction rows are never built, and each row is converted to float
 once.  Exact labels are read from the ints too.
 
-A render builds a scene and draws it.  The scene is what no option
+A render builds a scene and draws it, by the builder and drawer that
+one table holds for the packing's geometry.  The scene is what no option
 changes: the sorted float rows with the text of their labels, then the
 circles, lines and world box of the plane or the disk, or the caps of the
 orthographic view, in world coordinates.  A Packing or ConfigMatrix is
@@ -47,7 +49,7 @@ _ZERO = 1e-9
 
 @dataclass(frozen=True)
 class RenderOptions:
-    """Knobs shared by all three renderers; defaults are deterministic."""
+    """Knobs of render for all three geometries; defaults are deterministic."""
 
     width: int = 800
     height: int = 800
@@ -110,7 +112,7 @@ def _sorted_rows(packing):
     if scaled is None:
         entries = [r.entries for r in packing.rows]
         scaled = scaled_rows(entries, mode_of([x for e in entries for x in e]))
-    ints, scale = scaled[:2]
+    ints, scale = scaled
     text = _label_text
     if scale.__class__ is float:  # float rows, at scale 1.0
         rows = [(r, r[col]) for r in ints]
@@ -346,9 +348,14 @@ def _cap(row, sin_a):
             ' stroke-dasharray="4 3"' if axis < 0 else "", value)
 
 
-def _draw_plane(scene, options, comment=None):
+def _draw_plane(scene, options):
     """Shared planar pipeline: the circles and lines of a _Plane scene
-    scaled to the canvas, cut off and labelled."""
+    scaled to the canvas, cut off and labelled, with a warning and a
+    comment for the virtual rows a disk scene left out."""
+    comment = None
+    if scene.skipped:
+        warnings.warn(f"skipped {scene.skipped} virtual rows with no disk locus")
+        comment = f"skipped {scene.skipped} virtual rows"
     box, text = scene.box, scene.text
     s, to_px = _transform(box, options)
     min_r = options.cutoff * min(options.width, options.height)
@@ -437,53 +444,21 @@ def _draw_caps(scene, options):
     return _document(options, elements, labels)
 
 
-def _options(packing, options, geometry, need):
-    """The options or their defaults; need is the error for a packing of
-    another geometry."""
-    if packing.geometry != geometry:
-        raise ValueError(need)
-    if packing.n != 2:
-        raise ValueError("rendering is implemented for n = 2 only")
-    return options or RenderOptions()
-
-
-def render_euclidean(packing, options=None):
-    """SVG for a planar packing: one circle per row above the size cutoff,
-    bend labels centered and scaled to the radius."""
-    options = _options(packing, options, forms.EUCLIDEAN,
-                       "render_euclidean needs a Euclidean packing")
-    return _draw_plane(_scene(packing, _plane_scene), options)
-
-
-def render_hyperbolic_disk(packing, options=None):
-    """SVG of a hyperbolic packing in the unit-disk model: boundary circle
-    plus the Euclidean locus of every row, labeled by coth value."""
-    options = _options(packing, options, forms.HYPERBOLIC,
-                       "render_hyperbolic_disk needs a hyperbolic packing")
-    scene = _scene(packing, _disk_scene)
-    comment = None
-    if scene.skipped:
-        warnings.warn(f"skipped {scene.skipped} virtual rows with no disk locus")
-        comment = f"skipped {scene.skipped} virtual rows"
-    return _draw_plane(scene, options, comment)
-
-
-def render_spherical(packing, options=None):
-    """SVG of a spherical packing: orthographic view down the first center
-    axis by default (back-facing caps dashed), stereographic on request;
-    labels are cot values either way."""
-    options = _options(packing, options, forms.SPHERICAL,
-                       "render_spherical needs a spherical packing")
-    if options.projection == ORTHOGRAPHIC:
-        return _draw_caps(_scene(packing, _cap_scene), options)
-    return _draw_plane(_scene(packing, _plane_scene), options)
-
-
-_RENDERERS = {forms.EUCLIDEAN: render_euclidean,
-              forms.SPHERICAL: render_spherical,
-              forms.HYPERBOLIC: render_hyperbolic_disk}
+# the scene builder and drawer of each geometry; a spherical packing is
+# drawn on the plane under STEREOGRAPHIC
+_VIEWS = {forms.EUCLIDEAN: (_plane_scene, _draw_plane),
+          forms.SPHERICAL: (_cap_scene, _draw_caps),
+          forms.HYPERBOLIC: (_disk_scene, _draw_plane)}
 
 
 def render(packing, options=None):
-    """Dispatch on the packing's geometry tag."""
-    return forms._by_geometry(_RENDERERS, packing.geometry)(packing, options)
+    """SVG of a packing in the plane, of a spherical packing under its
+    projection, or of a hyperbolic packing in the unit-disk model, labelled
+    by bend, cot or coth value; n = 2 only."""
+    build, draw = forms._by_geometry(_VIEWS, packing.geometry)
+    if packing.n != 2:
+        raise ValueError("rendering is implemented for n = 2 only")
+    options = options or RenderOptions()
+    if build is _cap_scene and options.projection == STEREOGRAPHIC:
+        build, draw = _plane_scene, _draw_plane
+    return draw(_scene(packing, build), options)

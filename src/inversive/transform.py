@@ -35,8 +35,8 @@ import functools
 import math
 
 from . import euclid, forms, linalg, spherical
-from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, mode_of, near,
-                      scaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, frame_quotient,
+                      mode_of, near, scaled_rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -67,10 +67,11 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
         raise ValueError(
             f"input violates the {w.geometry} identity "
             f"(max residual {res.max_abs_entry_error})")
-    ((a, b), (c, d)), h, _ = scaled_rows(
+    ((a, b), (c, d)), h = scaled_rows(
         conversion_matrix(w.geometry, to, 0, mode), mode)
     rows = w.matrix()
-    heads, s, quotient = scaled_rows([row[:2] for row in rows], mode)
+    heads, s = scaled_rows([row[:2] for row in rows], mode)
+    quotient = frame_quotient(mode)
     heads = [(quotient(x * a + y * c, s * h), quotient(x * b + y * d, s * h))
              for x, y in heads]
     return forms.ConfigMatrix(to, [forms.CoordRow(to, head + row[2:])
@@ -130,28 +131,29 @@ def bend_triple(b, bbar):
     return (div(b + bbar, 2), div(b - bbar, 2))
 
 
-def cap_to_plane(cap, tol=DEFAULT_TOL):
+def cap_to_plane(cap):
     """Stereographic image of a cap: a sphere, or a hyperplane when the
     cap's boundary passes through the projection pole.
 
     With cap center p and angular radius alpha, the image sphere has center
     x_j = p_j/(p_0 + cos alpha) and oriented radius sin alpha/(p_0 + cos
     alpha); when p_0 + cos alpha = 0 the image is the hyperplane with unit
-    normal p_j/sin alpha at offset cot alpha.  Row-backed caps divide row
-    entries instead, which keeps rational rows rational.
+    normal p_j/sin alpha at offset cot alpha, for a float p_0 + cos alpha
+    within DEFAULT_TOL of 0.  Row-backed caps divide row entries instead,
+    which keeps rational rows rational.
     """
     if cap.row is not None:
         c = cap.row[0]
         q0 = cap.row[1]
         q = cap.row[2:]
         b = q0 + c
-        if near(b, 0, tol):
+        if near(b, 0):
             return euclid.OrientedHyperplane(q, c)
         return euclid.OrientedSphere(b, tuple(div(x, b) for x in q))
     ca = math.cos(cap.angular_radius)
     sa = math.sin(cap.angular_radius)
     denom = float(cap.center[0]) + ca
-    if near(denom, 0, tol):
+    if near(denom, 0):
         return euclid.OrientedHyperplane(
             tuple(float(p) / sa for p in cap.center[1:]), ca / sa)
     return euclid.OrientedSphere(denom / sa,

@@ -53,10 +53,8 @@ def test_reflect_validate_flags_broken_input(euclid_seed):
     rows = [list(x.entries) for x in euclid_seed.rows]
     rows[0][0] += 1
     bad = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows)
-    with pytest.raises(ArithmeticError):
-        apollonian.reflect(bad, 0, validate=True)
-    # without the flag the reflection is applied blindly
-    apollonian.reflect(bad, 0)
+    # the reflection is applied blindly; its residual flags the input
+    assert not apollonian.reflect(bad, 0).residual().ok
 
 
 def test_generate_bound_twenty(euclid_seed):
@@ -699,6 +697,27 @@ def test_float_loxodromic_past_the_float_range_names_the_step():
     exact = apollonian.loxodromic(apollonian.standard_seed(forms.EUCLIDEAN),
                                   700)
     assert float(exact.bends[667 + 3]) == last and exact.bends[-1] > 2 ** 1024
+
+
+def test_float_loxodromic_configs_past_the_float_range_name_the_step():
+    # the hyperbolic walk's bends stay finite through step 668, up to about
+    # 1.58e308, while a row of that step leaves the float range
+    seed = apollonian.standard_seed(forms.HYPERBOLIC, mode=FLOAT)
+    seq = apollonian.loxodromic(seed, 668)
+    assert 1e308 < max(seq.bends) < float("inf")
+    with pytest.raises(ValueError, match=r"^the row of step 668 of the "
+                       r"loxodromic sequence is beyond the float range$"):
+        seq.configs
+    assert len(apollonian.loxodromic(seed, 667).configs) == 668
+
+
+def test_out_of_range_arguments_are_errors(euclid_seed):
+    with pytest.raises(ValueError, match="^bound must be nonnegative$"):
+        apollonian.generate(euclid_seed, -1)
+    with pytest.raises(ValueError, match="^step count must be nonnegative$"):
+        apollonian.loxodromic(euclid_seed, -1)
+    with pytest.raises(ValueError, match="^need at least 5 terms$"):
+        apollonian.recurrence_check(euclid_seed.bends)
 
 
 @pytest.mark.parametrize("geometry", forms.GEOMETRIES)

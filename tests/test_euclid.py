@@ -66,7 +66,7 @@ def test_sphere_validation():
 
 def test_object_from_augmented_tolerance():
     row = (2.0, 1e-12, 0.0, 1.0)
-    obj = euclid.object_from_augmented(row, tol=1e-9)
+    obj = euclid.object_from_augmented(row)
     assert isinstance(obj, euclid.OrientedHyperplane)
     with pytest.raises(ValueError):
         euclid.object_from_augmented((1.0, 2.0, 3.0, 4.0))  # self-product != 1

@@ -85,6 +85,19 @@ def test_hyp_coords_row_backing():
     assert forms.pair_product(forms.HYPERBOLIC, sphere.row, sphere.row) == 1
 
 
+def test_float_hyp_coords():
+    # a sphere without a row backing gets float (coth s, u / sinh s)
+    sphere = hyperbolic.HyperbolicSphere(
+        hyperbolic.HyperboloidPoint((1.0, 0.0, 0.0)), 1.0)
+    row = hyperbolic.hyp_coords(sphere)
+    sh, ch = math.sinh(1.0), math.cosh(1.0)
+    assert row.entries == (ch / sh, 1 / sh, 0.0, 0.0)
+    assert forms.pair_product(forms.HYPERBOLIC, row, row) == pytest.approx(1)
+    kind = hyperbolic.classify_row(row)
+    assert kind.classification == hyperbolic.REAL_SPHERE
+    assert kind.row == row
+
+
 def test_sphere_from_linear_form_branches():
     real = hyperbolic.sphere_from_linear_form((F(1), F(0), F(0)), F(2))
     assert isinstance(real, hyperbolic.HyperbolicSphere)

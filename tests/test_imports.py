@@ -1,18 +1,21 @@
 """Code hygiene: every name a module of the package imports is used there,
-every module-level function of the package is used, and importing the
-package loads none of its modules."""
+every module-level function of the package is used, every option of a
+public function is set by some call, and importing the package loads none
+of its modules."""
 
 import ast
+import itertools
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "inversive"
 TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -74,6 +77,75 @@ def test_every_function_is_used():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
     assert unused_functions(sources, tests) == []
+
+
+def _public_functions(tree):
+    """(qualified name, definition, whether a method) of each public
+    module-level function and each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    yield f"{node.name}.{f.name}", f, True
+
+
+def _defaulted(function, method):
+    """(position or None, name) of each defaulted parameter; a method's
+    positions leave out its self or cls, a keyword-only one has none."""
+    args = function.args
+    positional = args.posonlyargs + args.args
+    if method and not any(getattr(d, "id", None) == "staticmethod"
+                          for d in function.decorator_list):
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    return ([(i, p.arg) for i, p in enumerate(positional) if i >= first]
+            + [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def unused_options(sources, other_sources):
+    """The defaulted parameters of the public functions and methods of the
+    package sources that no call in them or in the other sources passes, by
+    keyword or by position, as "function(parameter)".  A call is matched by
+    the name it calls; arguments from *args or **kwargs pass nothing, as
+    their length and keys are not known."""
+    calls = defaultdict(list)  # name -> (positional count, keywords) per call
+    for source in itertools.chain(sources, other_sources):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                count = sum(1 for _ in itertools.takewhile(
+                    lambda a: not isinstance(a, ast.Starred), node.args))
+                calls[name].append((count, {k.arg for k in node.keywords}))
+    return sorted(
+        f"{qualified}({name})"
+        for source in sources
+        for qualified, function, method in _public_functions(ast.parse(source))
+        for position, name in _defaulted(function, method)
+        if not any(name in keywords or (position is not None and position < count)
+                   for count, keywords in calls[function.name]))
+
+
+def test_unused_options_are_found():
+    source = ("def f(a, b=1, c=2, *, d=3): pass\n"
+              "def _private(x=1): pass\n"
+              "class C:\n"
+              "    def m(self, x, y=0, z=0): pass\n"
+              "    @staticmethod\n"
+              "    def s(x=0): pass\n"
+              "f(1, 2)\n"
+              "C().m(1, 2)\n")
+    calls = ["f(0, d=4)", "C.s(*args)", "C().m(0, **kw)"]
+    assert unused_options([source], calls) == ["C.m(z)", "C.s(x)", "f(c)"]
+
+
+def test_every_option_is_used():
+    sources = [p.read_text() for p in MODULES]
+    others = [p.read_text() for p in sorted(TESTS.glob("*.py"))
+              + sorted(BENCH.rglob("*.py"))]
+    assert unused_options(sources, others) == []
 
 
 def test_importing_the_package_loads_no_module():

@@ -73,18 +73,34 @@ def test_exact_residuals_must_be_zero(residual, values, others):
 
 def test_scaled_rows():
     rows = ((F(1, 2), F(-1, 3), F(0), F(1)), (F(5, 6), F(2), F(1, 4), F(0)))
-    scaled, scale, quotient = scalars.scaled_rows(rows, EXACT)
-    assert scale == 12 and quotient is F
+    scaled, scale = scalars.scaled_rows(rows, EXACT)
+    assert scale == 12
     assert scaled == ((6, -4, 0, 12), (10, 24, 3, 0))
     assert all(type(x) is int for r in scaled for x in r)
-    back = tuple(tuple(quotient(x, scale) for x in r) for r in scaled)
-    assert back == rows and all(type(x) is F for r in back for x in r)
-    integral, one, _ = scalars.scaled_rows(((F(3), F(-1)),), EXACT)
+    integral, one = scalars.scaled_rows(((F(3), F(-1)),), EXACT)
     assert one == 1 and integral == ((3, -1),)
 
-    floats, scale, quotient = scalars.scaled_rows(((0.5, -0.0), (F(1, 4), 3)),
-                                                  FLOAT)
-    assert scale == 1.0 and quotient is truediv
+    floats, scale = scalars.scaled_rows(((0.5, -0.0), (F(1, 4), 3)), FLOAT)
+    assert scale == 1.0
     assert floats == ((0.5, 0.0), (0.25, 3.0))
     assert all(type(x) is float for r in floats for x in r)
     assert math.copysign(1.0, floats[0][1]) == -1.0
+
+
+def test_frame_quotient():
+    rows = ((F(1, 2), F(-1, 3), F(0), F(1)), (F(5, 6), F(2), F(1, 4), F(0)))
+    scaled, scale = scalars.scaled_rows(rows, EXACT)
+    quotient = scalars.frame_quotient(EXACT)
+    assert quotient is F
+    back = tuple(tuple(quotient(x, scale) for x in r) for r in scaled)
+    assert back == rows and all(type(x) is F for r in back for x in r)
+
+    # over the 1.0 of a float frame the float quotient is true division,
+    # to the bit
+    floats, one = scalars.scaled_rows(((0.5, -0.0), (F(1, 3), 3)), FLOAT)
+    quotient = scalars.frame_quotient(FLOAT)
+    for x in (x for r in floats for x in r):
+        q = quotient(x, one)
+        assert type(q) is float and repr(q) == repr(truediv(x, one))
+    # an int frame's entry is rounded once
+    assert quotient(1, 3) == 1 / 3 and quotient(10 ** 400, 10 ** 399) == 10.0

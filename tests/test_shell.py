@@ -61,7 +61,7 @@ def test_loads_config_strict_and_lenient(euclid_seed):
     bad = json.dumps(raw)
     with pytest.raises(ValueError, match="Gram identity"):
         shell.loads_config(bad)
-    w = shell.loads_config(bad, strict=False)
+    w = shell.parse_document(bad).config
     assert w.rows[0].entries[0] == 2
     doc = shell.parse_document(bad)
     assert not doc.valid
@@ -515,6 +515,27 @@ def test_float_lox_past_the_float_range_is_an_error(capsys):
     assert code == 0 and len(json.loads(out)["bends"]) == 671
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["gen", "--max-bend=-1"], "bound must be nonnegative"),
+    (["lox", "--steps=-1"], "step count must be nonnegative"),
+], ids=["gen", "lox"])
+def test_negative_bound_or_step_count_is_an_error(argv, error, capsys):
+    seed = ["--geometry", "euclidean", "--seed=-1,2,2,3"]
+    code, out, err = run(argv[:1] + seed + argv[1:], capsys)
+    assert (code, out, err) == (1, "", f"error: {error}\n")
+
+
+def test_solve_prints_completions_it_cannot_realize(capsys):
+    # (-1, 1, 2) has the double root 2, and no configuration of the coth
+    # values (-1, 1, 2, 2) is found
+    code, out, _ = run(["solve", "--geometry", "hyperbolic", "--seed=-1,1,2"],
+                       capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["completions"] == ["2", "2"]
+    assert doc["configurations"] == [None, None]
+
+
 def test_onedim_command(capsys):
     code, out, _ = run(["onedim", "--intervals=0,1,1,3"], capsys)
     assert code == 0
@@ -875,5 +896,5 @@ def test_command_line_values_parse_as_document_entries():
     assert shell._parse_scalars("1.5, -2,1/3", FLOAT) == (1.5, -2.0, 1 / 3)
     assert shell._parse_scalars("1.5,-2,1/3", EXACT) == (
         F(3, 2), -2, F(1, 3))
-    assert shell._parse_bound("1e3", FLOAT) == 1000.0
-    assert shell._parse_bound("1e400", EXACT) == 10 ** 400
+    assert scalar_from_json("1e3", FLOAT) == 1000.0
+    assert scalar_from_json("1e400", EXACT) == 10 ** 400

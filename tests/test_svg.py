@@ -130,12 +130,13 @@ def test_float_integral_bends_label_as_integers():
 
 
 def test_geometry_dispatch_is_checked():
-    hs = apollonian.standard_seed(forms.HYPERBOLIC)
-    with pytest.raises(ValueError):
-        svg.render_euclidean(hs, svg.RenderOptions())
     n3 = apollonian.standard_seed(forms.EUCLIDEAN, n=3, mode=FLOAT)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^rendering is implemented for n = 2 only$"):
         svg.render(n3)
+    # the geometry is checked first
+    with pytest.raises(ValueError, match="^unknown geometry 'elliptic'$"):
+        svg.render(Holder("elliptic", 3, n3.rows))
 
 
 def _reference_sorted_rows(packing):
