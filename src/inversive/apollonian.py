@@ -35,23 +35,10 @@ from fractions import Fraction
 from math import floor, isfinite, isqrt
 from operator import add
 
-from . import euclid, forms, hyperbolic, linalg, spherical, transform
+from . import euclid, forms, hyperbolic, spherical, transform
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
                       frame_quotient, integer_rows, mode_of, near, scaled_rows,
                       sqrt_scalar, unscaled_rows)
-
-
-def reflection_matrix(n, i):
-    """Exact R with R W = W after replacing row i; R^T Q R = Q, R^2 = I."""
-    if n < 2:
-        raise ValueError("reflection degenerates for n = 1, see the interval "
-                         "configurations instead")
-    if not 0 <= i < n + 2:
-        raise ValueError(f"row index {i} out of range")
-    eye = linalg.block_diag((), (1,) * (n + 2), EXACT)
-    c = Fraction(2, n - 1)
-    row = (c,) * i + (-Fraction(1),) + (c,) * (n + 1 - i)
-    return eye[:i] + (row,) + eye[i + 1:]
 
 
 def _column_sums(entry_rows):

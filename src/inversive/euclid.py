@@ -15,9 +15,9 @@ Gram identity (see forms.target_for).
 
 from dataclasses import dataclass
 
-from . import forms, linalg
+from . import forms
 from .scalars import (coerce, coerce_row, div, frame_quotient, mode_of, near,
-                      negligible, scaled_rows, sqrt_scalar)
+                      negligible, scaled_rows)
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,6 @@ class OrientedHyperplane:
         return len(self.normal)
 
 
-def curvature_center(obj):
-    """The curvature-center vector (b, b*x) of a sphere, or (0, h) of a
-    hyperplane.  Hyperplane offsets are not recoverable from this vector;
-    the augmented row keeps them."""
-    if isinstance(obj, OrientedSphere):
-        b = obj.curvature
-        return (b,) + tuple(b * x for x in obj.center)
-    return (0 * obj.offset,) + obj.normal
-
-
 def augmented_coords(obj):
     """Augmented coordinate row of a sphere or hyperplane."""
     if isinstance(obj, OrientedSphere):
@@ -84,122 +74,10 @@ def augmented_coords(obj):
     return forms.CoordRow(forms.EUCLIDEAN, coerce_row(entries, mode))
 
 
-def object_from_augmented(row):
-    """Rebuild the sphere or hyperplane encoded by an augmented row; a float
-    bend within scalars.DEFAULT_TOL of 0 gives a hyperplane."""
-    entries = forms.unit_row_entries(forms.EUCLIDEAN, row, "augmented row")
-    bbar, b = entries[0], entries[1]
-    tail = entries[2:]
-    if near(b, 0):
-        return OrientedHyperplane(tail, div(bbar, 2))
-    return OrientedSphere(b, tuple(m / b for m in tail))
-
-
-def _as_complex_pair(z):
-    if isinstance(z, complex):
-        return (z.real, z.imag)
-    x, y = z
-    return (x, y)
-
-
-def _cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def complex_descartes_check(bends, centers):
-    """Residuals of the two planar center relations.
-
-    For four mutually tangent circles with bends b and centers z (as complex
-    numbers or (x, y) pairs):
-
-        sum (b z)^2 = (1/2) (sum b z)^2
-        sum b (b z) = (1/2) (sum b) (sum b z)
-
-    Returns the two residuals as (re, im) pairs, exact when the input is.
-    """
-    bends = tuple(bends)
-    if len(bends) != 4:
-        raise ValueError("planar relation, need exactly 4 circles")
-    zs = [_as_complex_pair(z) for z in centers]
-    if len(zs) != 4:
-        raise ValueError("need exactly 4 centers")
-    bz = [(b * z[0], b * z[1]) for b, z in zip(bends, zs)]
-    sum_b = sum(bends)
-    sum_bz = (sum(v[0] for v in bz), sum(v[1] for v in bz))
-    half = coerce(1, mode_of(bends + sum(zs, ()))) / 2
-    sq = [_cmul(v, v) for v in bz]
-    lhs1 = (sum(v[0] for v in sq), sum(v[1] for v in sq))
-    rhs1 = _cmul(sum_bz, sum_bz)
-    res1 = (lhs1[0] - half * rhs1[0], lhs1[1] - half * rhs1[1])
-    lhs2 = (sum(b * v[0] for b, v in zip(bends, bz)),
-            sum(b * v[1] for b, v in zip(bends, bz)))
-    res2 = (lhs2[0] - half * sum_b * sum_bz[0],
-            lhs2[1] - half * sum_b * sum_bz[1])
-    return res1, res2
-
-
 def config_from_objects(objs):
     """Stack augmented rows of n+2 objects into a configuration matrix."""
     rows = tuple(augmented_coords(o) for o in objs)
     return forms.ConfigMatrix(forms.EUCLIDEAN, rows)
-
-
-def objects_from_config(config):
-    return tuple(object_from_augmented(r) for r in config.rows)
-
-
-def _complete_rows(w1, w2, w3, mode):
-    """Both augmented rows tangent to three mutually tangent rows."""
-    half = coerce(1, mode) / 2
-    # row w times the matrix K of pair_product is (-w_1/2, -w_0/2, w_2, ...)
-    system = [(-half * w[1], -half * w[0]) + tuple(w[2:]) for w in (w1, w2, w3)]
-    particular, kernel = linalg.solve_affine(system, [-1, -1, -1])
-    if len(kernel) != 1:
-        raise ValueError("degenerate input rows")
-    kv = kernel[0]
-    a, b, c = (forms.pair_product(forms.EUCLIDEAN, x, y) for x, y in
-               ((kv, kv), (particular, kv), (particular, particular)))
-    b, c = 2 * b, c - 1
-    if a == 0:
-        raise ValueError("degenerate tangency arrangement")
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        raise ValueError("no real completion; tangency points may coincide")
-    root = sqrt_scalar(disc)
-    if root == 0:
-        raise ValueError("completions coincide; tangency points are not distinct")
-    u1 = (-b + root) / (2 * a)
-    u2 = (-b - root) / (2 * a)
-    sol1 = tuple(p + u1 * x for p, x in zip(particular, kv))
-    sol2 = tuple(p + u2 * x for p, x in zip(particular, kv))
-    return sol1, sol2
-
-
-def complete_to_descartes(s1, s2, s3):
-    """The two ways to extend three mutually tangent circles to four.
-
-    Input objects must be pairwise externally tangent with distinct tangency
-    points.  Returns two planar configurations sharing the first three rows,
-    ordered by the completed row.
-    """
-    objs = (s1, s2, s3)
-    ws = [augmented_coords(o) for o in objs]
-    if any(len(w.entries) != 4 for w in ws):
-        raise ValueError("completion is implemented for circles in the plane")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            p = forms.pair_product(forms.EUCLIDEAN, ws[i], ws[j])
-            if not near(p, -1):
-                raise ValueError(
-                    f"objects {i} and {j} are not externally tangent "
-                    f"(pair product {p})")
-    mode = mode_of([x for w in ws for x in w.entries])
-    sol1, sol2 = _complete_rows(ws[0].entries, ws[1].entries, ws[2].entries, mode)
-    first, second = sorted([sol1, sol2])
-    def build(w4):
-        rows = tuple(ws) + (forms.CoordRow(forms.EUCLIDEAN, coerce_row(w4, mode)),)
-        return forms.ConfigMatrix(forms.EUCLIDEAN, rows)
-    return build(first), build(second)
 
 
 def _realize_strip(bends, mode):
@@ -275,8 +153,8 @@ def _place(ba, bb, bc, bd, mode):
     For exact bends bc > 0 too (bc <= 0 would force a second zero bend), so
     circle c, centered at (b_a - b_b, q) / (s b_c) with s = b_a + b_b and
     q = |b_d - b_a - b_b - b_c|, lies above the x axis, and
-    q^2 = 4 (b_a b_b + b_c s) > 0: the two completions never coincide here,
-    and none of the degenerate cases of _complete_rows can arise."""
+    q^2 = 4 (b_a b_b + b_c s) > 0: the two completions of circles a, b and
+    c never coincide here."""
     ((ia, ib, ic, id_),), l = scaled_rows([(ba, bb, bc, bd)], mode)
     quotient = frame_quotient(mode)
     s = ia + ib

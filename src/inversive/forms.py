@@ -234,27 +234,12 @@ def descartes_form(n, mode=EXACT):
     return QuadForm(n, _identity_minus(n + 2, coerce(1, mode) / n))
 
 
-def descartes_form_inverse(n):
-    """Q_n^{-1} = I - (1/2) ones ones^T, independent of n, exact."""
-    return _identity_minus(n + 2, Fraction(1, 2))
-
-
 def _identity_minus(k, c):
     """I - c ones ones^T on k coordinates, entries of c's type."""
     off = -c
     diag = off + 1
     return tuple(tuple(diag if i == j else off for j in range(k))
                  for i in range(k))
-
-
-def lorentz_like_form(n):
-    """diag(-1, 1, ..., 1) on n+2 coordinates, exact."""
-    return linalg.block_diag((), (-1,) + (1,) * (n + 1), EXACT)
-
-
-def centers_gram_target(n):
-    """Exact curvature-center target: diag(0, 2, ..., 2) on n+1."""
-    return linalg.block_diag((), (0,) + (2,) * n, EXACT)
 
 
 @functools.lru_cache(maxsize=None)
@@ -292,17 +277,6 @@ def pair_product(geometry, row_a, row_b):
     return p * a[0] * b[0] + s * a[1] * b[1] + sum(map(mul, a[2:], b[2:]))
 
 
-def unit_row_entries(geometry, row, noun):
-    """The entries of a row whose pair_product with itself is 1 within
-    DEFAULT_TOL; otherwise ValueError "not a valid <noun>, self product
-    <product>"."""
-    entries = row.entries if isinstance(row, CoordRow) else tuple(row)
-    self_product = pair_product(geometry, row, row)
-    if not near(self_product, 1):
-        raise ValueError(f"not a valid {noun}, self product {self_product}")
-    return entries
-
-
 def _scaled_gram(w, q):
     """(G, m, quotient) with G = m W^T Q W, so that quotient(G_ij, m) is an
     entry of W^T Q W; G is an int matrix in exact mode.
@@ -334,12 +308,6 @@ def _scaled_gram(w, q):
     pv_cols = tuple(zip(*pv))
     g = [[sum(map(mul, ca, cb)) for cb in pv_cols] for ca in zip(*v)]
     return g, s * s * d, frame_quotient(mode)
-
-
-def gram(w, q):
-    """W^T Q W for a row matrix and a quadratic form."""
-    g, m, quotient = _scaled_gram(w, q)
-    return tuple(tuple(quotient(x, m) for x in row) for row in g)
 
 
 # (target, its int rows and scale, or None) by id(target): a target of
@@ -396,16 +364,6 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
                 for grow, trow in zip(g, t)]
         err = linalg.max_abs(diff)
     return Residual(err, tuple(diff), bool(near(err, 0, tol)))
-
-
-def inverse_conjugation_check(w, a, b):
-    """Residual of W^T B^{-1} W - A^{-1}, within DEFAULT_TOL.
-
-    Whenever W A W^T = B holds for square W, the transposed relation with the
-    inverses holds as well; this check exercises that on concrete data.
-    """
-    return check_identity(w, linalg.mat_inv(_rows(b)),
-                          linalg.mat_inv(_rows(a)))
 
 
 def bend_residual(geometry, bends):

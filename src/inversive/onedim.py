@@ -88,15 +88,6 @@ def complete_line(i1, i2):
     return OneDimConfig((i1, i2, OrientedInterval(lo, hi, infinite=True)))
 
 
-def descartes_1d_check(curvatures):
-    """Q_1 on three curvatures: sum of squares minus the squared sum; zero
-    for every covering configuration."""
-    curvatures = tuple(curvatures)
-    if len(curvatures) != 3:
-        raise ValueError("need exactly 3 curvatures")
-    return forms.bend_residual(forms.EUCLIDEAN, curvatures)
-
-
 def _finite_row(interval):
     a, b = interval.a, interval.b
     length = b - a

@@ -535,9 +535,13 @@ def _write_bytes(args, data):
 
 
 def _parse_scalars(text, mode):
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("empty value list")
+    """The scalars of a comma list; an empty value, as in "1,,2" or a
+    trailing comma, is an error that names its 1-based position."""
+    tokens = [t.strip() for t in text.split(",")]
+    for position, token in enumerate(tokens, 1):
+        if not token:
+            raise ValueError(f"empty value at position {position} of the "
+                             f"list {text!r}")
     return tuple(scalar_from_json(t, mode) for t in tokens)
 
 

@@ -25,18 +25,13 @@ G^T T G = T for the Euclidean Gram target T, while the Apollonian
 reflections act from the left (Lagarias, Mallows, Wilks), so the two
 commute.  translation, dilation and inversion build G on Euclidean rows
 (bbar, b, b x), and moved applies it in any geometry.
-
-cap_to_plane and plane_to_cap are deliberately not written as G products;
-they apply the projection formulas directly so the matrix route can be
-tested against an independently computed answer.
 """
 
 import functools
-import math
 
-from . import euclid, forms, linalg, spherical
+from . import forms, linalg
 from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, frame_quotient,
-                      mode_of, near, scaled_rows)
+                      mode_of, scaled_rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,59 +119,3 @@ def moved(w, g):
     return forms.ConfigMatrix.from_rows(w.geometry,
                                         linalg.matmul(w.matrix(), m), mode=mode)
 
-
-def bend_triple(b, bbar):
-    """(cot alpha, coth s) of the cap and hyperbolic sphere matching a
-    Euclidean row with bend b and inverted bend bbar; their sum is b."""
-    return (div(b + bbar, 2), div(b - bbar, 2))
-
-
-def cap_to_plane(cap):
-    """Stereographic image of a cap: a sphere, or a hyperplane when the
-    cap's boundary passes through the projection pole.
-
-    With cap center p and angular radius alpha, the image sphere has center
-    x_j = p_j/(p_0 + cos alpha) and oriented radius sin alpha/(p_0 + cos
-    alpha); when p_0 + cos alpha = 0 the image is the hyperplane with unit
-    normal p_j/sin alpha at offset cot alpha, for a float p_0 + cos alpha
-    within DEFAULT_TOL of 0.  Row-backed caps divide row entries instead,
-    which keeps rational rows rational.
-    """
-    if cap.row is not None:
-        c = cap.row[0]
-        q0 = cap.row[1]
-        q = cap.row[2:]
-        b = q0 + c
-        if near(b, 0):
-            return euclid.OrientedHyperplane(q, c)
-        return euclid.OrientedSphere(b, tuple(div(x, b) for x in q))
-    ca = math.cos(cap.angular_radius)
-    sa = math.sin(cap.angular_radius)
-    denom = float(cap.center[0]) + ca
-    if near(denom, 0):
-        return euclid.OrientedHyperplane(
-            tuple(float(p) / sa for p in cap.center[1:]), ca / sa)
-    return euclid.OrientedSphere(denom / sa,
-                                 tuple(float(p) / denom for p in cap.center[1:]))
-
-
-def plane_to_cap(obj):
-    """Cap whose stereographic image is the given sphere or hyperplane.
-
-    Builds the cap row directly: a sphere with curvature b and center x
-    lifts to (cot alpha, q_0, b x) with cot alpha = (b (1 + |x|^2) - 1/b)/2
-    and q_0 = (b (1 - |x|^2) + 1/b)/2; a hyperplane at offset d with unit
-    normal h lifts to (d, -d, h).
-    """
-    if isinstance(obj, euclid.OrientedHyperplane):
-        d = obj.offset
-        entries = (d, -d) + obj.normal
-    else:
-        b = obj.curvature
-        inv = div(1, b)
-        norm2 = sum(x * x for x in obj.center)
-        entries = (div(b * (1 + norm2) - inv, 2),
-                   div(b * (1 - norm2) + inv, 2)) + \
-            tuple(b * x for x in obj.center)
-    entries = coerce_row(entries, mode_of(entries))
-    return spherical.cap_from_coords(entries)

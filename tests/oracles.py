@@ -1,0 +1,248 @@
+"""Independent routes and the paper's theorem checks that the tests compare
+the library against.
+
+None of this is used by the package, the CLI or the benchmark; it checks
+them from outside, as tests/reference_svg.py checks the renderer.
+
+- The literal forms of the paper: Q_n^{-1}, the Lorentz-like form and the
+  curvature-center target.
+- Theorem checks: the transposed-inverse conjugation, the reflection
+  matrix R with R W the reflected configuration, the complex Descartes
+  relations and the one-dimensional Descartes relation.
+- The object routes: planar spheres and hyperplanes read back from
+  augmented rows, and spherical caps with their stereographic images.
+
+cap_to_plane and plane_to_cap are deliberately not written as G products;
+they apply the projection formulas directly, so that the matrix route of
+transform.convert_matrix can be tested against an independently computed
+answer.
+"""
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from inversive import euclid, forms, linalg
+from inversive.scalars import (EXACT, coerce, coerce_row, div, mode_of,
+                               near)
+
+
+def descartes_form_inverse(n):
+    """Q_n^{-1} = I - (1/2) ones ones^T, independent of n, exact."""
+    return forms._identity_minus(n + 2, Fraction(1, 2))
+
+
+def lorentz_like_form(n):
+    """diag(-1, 1, ..., 1) on n+2 coordinates, exact."""
+    return linalg.block_diag((), (-1,) + (1,) * (n + 1), EXACT)
+
+
+def centers_gram_target(n):
+    """Exact curvature-center target: diag(0, 2, ..., 2) on n+1."""
+    return linalg.block_diag((), (0,) + (2,) * n, EXACT)
+
+
+def inverse_conjugation_check(w, a, b):
+    """Residual of W^T B^{-1} W - A^{-1}, within DEFAULT_TOL.
+
+    Whenever W A W^T = B holds for square W, the transposed relation with the
+    inverses holds as well; this check exercises that on concrete data.
+    """
+    return forms.check_identity(w, linalg.mat_inv(forms._rows(b)),
+                                linalg.mat_inv(forms._rows(a)))
+
+
+def reflection_matrix(n, i):
+    """Exact R with R W = W after replacing row i; R^T Q R = Q, R^2 = I."""
+    if n < 2:
+        raise ValueError("reflection degenerates for n = 1, see the interval "
+                         "configurations instead")
+    if not 0 <= i < n + 2:
+        raise ValueError(f"row index {i} out of range")
+    eye = linalg.block_diag((), (1,) * (n + 2), EXACT)
+    c = Fraction(2, n - 1)
+    row = (c,) * i + (-Fraction(1),) + (c,) * (n + 1 - i)
+    return eye[:i] + (row,) + eye[i + 1:]
+
+
+def descartes_1d_check(curvatures):
+    """Q_1 on three curvatures: sum of squares minus the squared sum; zero
+    for every covering configuration."""
+    curvatures = tuple(curvatures)
+    if len(curvatures) != 3:
+        raise ValueError("need exactly 3 curvatures")
+    return forms.bend_residual(forms.EUCLIDEAN, curvatures)
+
+
+def _as_complex_pair(z):
+    if isinstance(z, complex):
+        return (z.real, z.imag)
+    x, y = z
+    return (x, y)
+
+
+def _cmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def complex_descartes_check(bends, centers):
+    """Residuals of the two planar center relations.
+
+    For four mutually tangent circles with bends b and centers z (as complex
+    numbers or (x, y) pairs):
+
+        sum (b z)^2 = (1/2) (sum b z)^2
+        sum b (b z) = (1/2) (sum b) (sum b z)
+
+    Returns the two residuals as (re, im) pairs, exact when the input is.
+    """
+    bends = tuple(bends)
+    if len(bends) != 4:
+        raise ValueError("planar relation, need exactly 4 circles")
+    zs = [_as_complex_pair(z) for z in centers]
+    if len(zs) != 4:
+        raise ValueError("need exactly 4 centers")
+    bz = [(b * z[0], b * z[1]) for b, z in zip(bends, zs)]
+    sum_b = sum(bends)
+    sum_bz = (sum(v[0] for v in bz), sum(v[1] for v in bz))
+    half = coerce(1, mode_of(bends + sum(zs, ()))) / 2
+    sq = [_cmul(v, v) for v in bz]
+    lhs1 = (sum(v[0] for v in sq), sum(v[1] for v in sq))
+    rhs1 = _cmul(sum_bz, sum_bz)
+    res1 = (lhs1[0] - half * rhs1[0], lhs1[1] - half * rhs1[1])
+    lhs2 = (sum(b * v[0] for b, v in zip(bends, bz)),
+            sum(b * v[1] for b, v in zip(bends, bz)))
+    res2 = (lhs2[0] - half * sum_b * sum_bz[0],
+            lhs2[1] - half * sum_b * sum_bz[1])
+    return res1, res2
+
+
+def _unit_row_entries(geometry, row, noun):
+    """The entries of a row whose pair_product with itself is 1 within
+    DEFAULT_TOL; otherwise ValueError "not a valid <noun>, self product
+    <product>"."""
+    entries = row.entries if isinstance(row, forms.CoordRow) else tuple(row)
+    self_product = forms.pair_product(geometry, row, row)
+    if not near(self_product, 1):
+        raise ValueError(f"not a valid {noun}, self product {self_product}")
+    return entries
+
+
+def object_from_augmented(row):
+    """Rebuild the sphere or hyperplane encoded by an augmented row; a float
+    bend within scalars.DEFAULT_TOL of 0 gives a hyperplane."""
+    entries = _unit_row_entries(forms.EUCLIDEAN, row, "augmented row")
+    bbar, b = entries[0], entries[1]
+    tail = entries[2:]
+    if near(b, 0):
+        return euclid.OrientedHyperplane(tail, div(bbar, 2))
+    return euclid.OrientedSphere(b, tuple(m / b for m in tail))
+
+
+def objects_from_config(config):
+    return tuple(object_from_augmented(r) for r in config.rows)
+
+
+@dataclass(frozen=True)
+class SphericalCap:
+    """Cap on the unit sphere; row is the optional exact coordinate backing."""
+
+    center: tuple
+    angular_radius: float
+    row: tuple = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(self.center))
+        if not 0 < self.angular_radius < math.pi:
+            raise ValueError("angular radius must lie in (0, pi)")
+        norm2 = sum(float(y) * float(y) for y in self.center)
+        if not near(norm2, 1, 1e-9):
+            raise ValueError("cap center must be a unit vector")
+
+    @property
+    def n(self):
+        return len(self.center) - 1
+
+    @property
+    def cot(self):
+        """Exact when row-backed, float otherwise."""
+        if self.row is not None:
+            return self.row[0]
+        return math.cos(self.angular_radius) / math.sin(self.angular_radius)
+
+
+def cap_coords(cap):
+    """Coordinate row (cot alpha, y/sin alpha) of a cap."""
+    if cap.row is not None:
+        return forms.CoordRow(forms.SPHERICAL, cap.row)
+    s = math.sin(cap.angular_radius)
+    c = math.cos(cap.angular_radius)
+    entries = (c / s,) + tuple(float(y) / s for y in cap.center)
+    return forms.CoordRow(forms.SPHERICAL, entries)
+
+
+def cap_from_coords(row):
+    """Cap encoded by a coordinate row.
+
+    The validity product row J row = 1 pins down sin alpha, so the row
+    determines a unique alpha in (0, pi) and a unit center.  Exact rows are
+    kept as the cap's backing so cot alpha stays rational.
+    """
+    entries = _unit_row_entries(forms.SPHERICAL, row, "cap row")
+    c = float(entries[0])
+    alpha = math.atan2(1.0, c)
+    s = math.sin(alpha)
+    center = tuple(float(q) * s for q in entries[1:])
+    backing = entries if mode_of(entries) == EXACT else None
+    return SphericalCap(center, alpha, row=backing)
+
+
+def cap_to_plane(cap):
+    """Stereographic image of a cap: a sphere, or a hyperplane when the
+    cap's boundary passes through the projection pole.
+
+    With cap center p and angular radius alpha, the image sphere has center
+    x_j = p_j/(p_0 + cos alpha) and oriented radius sin alpha/(p_0 + cos
+    alpha); when p_0 + cos alpha = 0 the image is the hyperplane with unit
+    normal p_j/sin alpha at offset cot alpha, for a float p_0 + cos alpha
+    within DEFAULT_TOL of 0.  Row-backed caps divide row entries instead,
+    which keeps rational rows rational.
+    """
+    if cap.row is not None:
+        c = cap.row[0]
+        q0 = cap.row[1]
+        q = cap.row[2:]
+        b = q0 + c
+        if near(b, 0):
+            return euclid.OrientedHyperplane(q, c)
+        return euclid.OrientedSphere(b, tuple(div(x, b) for x in q))
+    ca = math.cos(cap.angular_radius)
+    sa = math.sin(cap.angular_radius)
+    denom = float(cap.center[0]) + ca
+    if near(denom, 0):
+        return euclid.OrientedHyperplane(
+            tuple(float(p) / sa for p in cap.center[1:]), ca / sa)
+    return euclid.OrientedSphere(denom / sa,
+                                 tuple(float(p) / denom for p in cap.center[1:]))
+
+
+def plane_to_cap(obj):
+    """Cap whose stereographic image is the given sphere or hyperplane.
+
+    Builds the cap row directly: a sphere with curvature b and center x
+    lifts to (cot alpha, q_0, b x) with cot alpha = (b (1 + |x|^2) - 1/b)/2
+    and q_0 = (b (1 - |x|^2) + 1/b)/2; a hyperplane at offset d with unit
+    normal h lifts to (d, -d, h).
+    """
+    if isinstance(obj, euclid.OrientedHyperplane):
+        d = obj.offset
+        entries = (d, -d) + obj.normal
+    else:
+        b = obj.curvature
+        inv = div(1, b)
+        norm2 = sum(x * x for x in obj.center)
+        entries = (div(b * (1 + norm2) - inv, 2),
+                   div(b * (1 - norm2) + inv, 2)) + \
+            tuple(b * x for x in obj.center)
+    entries = coerce_row(entries, mode_of(entries))
+    return cap_from_coords(entries)

@@ -12,6 +12,8 @@ from test_reference_kernels import (_ref_reflect_entries,
                                     _reference_loxodromic,
                                     _rounded_reference_loxodromic)
 
+import oracles
+
 
 SEED_ROWS = ((1, -1, 0, 0), (0, 2, 1, 0), (0, 2, -1, 0), (1, 3, 0, 2))
 
@@ -28,14 +30,34 @@ def test_reflection_matrix_involution_preserves_form():
     for n in (2, 3, 5):
         q = np.array(forms.descartes_form(n).matrix)
         for i in range(n + 2):
-            r = np.array(apollonian.reflection_matrix(n, i))
+            r = np.array(oracles.reflection_matrix(n, i))
             assert (r @ r == _eye(n + 2)).all()
             assert (r.T @ q @ r == q).all()
 
 
 def test_reflection_matrix_rejects_dimension_one():
     with pytest.raises(ValueError):
-        apollonian.reflection_matrix(1, 0)
+        oracles.reflection_matrix(1, 0)
+
+
+def test_reflect_is_the_reflection_matrix_on_the_left(word_fuzz, rng):
+    # reflect(w, i) against R W with the exact R of the paper, computed
+    # apart from the reflection kernel: equal on exact configurations of
+    # each geometry, within rounding on the float n = 3 seeds
+    for geometry in (forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC):
+        for w in word_fuzz(geometry, 2, EXACT, 40, 8, rng):
+            m = np.array(w.matrix())
+            for i in range(4):
+                r = np.array(oracles.reflection_matrix(2, i))
+                assert (np.array(apollonian.reflect(w, i).matrix())
+                        == r @ m).all(), (geometry, i)
+        w = apollonian.standard_seed(geometry, 3, mode=FLOAT)
+        m = np.array(w.matrix())
+        for i in range(5):
+            r = np.array(oracles.reflection_matrix(3, i))
+            got = np.array(apollonian.reflect(w, i).matrix())
+            assert np.allclose(got, (r @ m).astype(float), rtol=1e-12,
+                               atol=1e-12), (geometry, i)
 
 
 def test_reflect_first_generation(euclid_seed):

@@ -1,12 +1,13 @@
 """Euclidean oriented spheres, hyperplanes, inversion, and realization."""
 
-import random
 from fractions import Fraction as F
 
 import pytest
 
 from inversive import apollonian, euclid, forms, linalg, transform
-from inversive.scalars import EXACT, FLOAT
+from inversive.scalars import FLOAT
+
+import oracles
 
 
 def test_augmented_coords_sphere():
@@ -14,21 +15,14 @@ def test_augmented_coords_sphere():
     row = euclid.augmented_coords(s)
     # inverted bend |x|^2 b - 1/b = 9 - 1
     assert row.entries == (8, 1, 3, 0)
-    assert euclid.object_from_augmented(row) == s
+    assert oracles.object_from_augmented(row) == s
 
 
 def test_augmented_coords_hyperplane():
     h = euclid.OrientedHyperplane((F(0), F(1)), F(2))
     row = euclid.augmented_coords(h)
     assert row.entries == (4, 0, 0, 1)
-    assert euclid.object_from_augmented(row) == h
-
-
-def test_curvature_center():
-    s = euclid.OrientedSphere(F(2), (F(1, 2), F(-1)))
-    assert euclid.curvature_center(s) == (2, 1, -2)
-    h = euclid.OrientedHyperplane((F(1), F(0)), F(5))
-    assert euclid.curvature_center(h) == (0, 1, 0)
+    assert oracles.object_from_augmented(row) == h
 
 
 def test_invert_unit_sphere():
@@ -39,7 +33,7 @@ def test_invert_unit_sphere():
 
     def inverted(obj):
         row = euclid.augmented_coords(obj).entries
-        return euclid.object_from_augmented(linalg.matmul([row], g)[0])
+        return oracles.object_from_augmented(linalg.matmul([row], g)[0])
 
     s = euclid.OrientedSphere(F(1), (F(3), F(0)))
     image = inverted(s)
@@ -66,10 +60,10 @@ def test_sphere_validation():
 
 def test_object_from_augmented_tolerance():
     row = (2.0, 1e-12, 0.0, 1.0)
-    obj = euclid.object_from_augmented(row)
+    obj = oracles.object_from_augmented(row)
     assert isinstance(obj, euclid.OrientedHyperplane)
     with pytest.raises(ValueError):
-        euclid.object_from_augmented((1.0, 2.0, 3.0, 4.0))  # self-product != 1
+        oracles.object_from_augmented((1.0, 2.0, 3.0, 4.0))  # self-product != 1
 
 
 def test_pair_product_tangency():
@@ -97,47 +91,21 @@ def test_complex_descartes_check(euclid_seed):
     for r in euclid_seed.rows:
         b = r.entries[1]
         centers.append((r.entries[2] / b, r.entries[3] / b))
-    res = euclid.complex_descartes_check(bends, centers)
+    res = oracles.complex_descartes_check(bends, centers)
     assert res == ((0, 0), (0, 0))
     moved = centers[:3] + [(centers[3][0] + 1, centers[3][1])]
-    bad = euclid.complex_descartes_check(bends, moved)
+    bad = oracles.complex_descartes_check(bends, moved)
     assert bad != ((0, 0), (0, 0))
 
 
 def test_complex_descartes_accepts_complex():
-    res = euclid.complex_descartes_check(
+    res = oracles.complex_descartes_check(
         (-1.0, 2.0, 2.0, 3.0),
         (0j, complex(0.5, 0), complex(-0.5, 0), complex(0, 2 / 3)),
     )
     for pair in res:
         for x in pair:
             assert abs(x) < 1e-12
-
-
-def test_complete_to_descartes():
-    spheres = [
-        euclid.OrientedSphere(F(-1), (F(0), F(0))),
-        euclid.OrientedSphere(F(2), (F(1, 2), F(0))),
-        euclid.OrientedSphere(F(2), (F(-1, 2), F(0))),
-    ]
-    a, b = euclid.complete_to_descartes(*spheres)
-    fourth_a = a.rows[3].entries
-    fourth_b = b.rows[3].entries
-    assert {fourth_a, fourth_b} == {(1, 3, 0, 2), (1, 3, 0, -2)}
-    for w in (a, b):
-        res = forms.check_identity(
-            w, forms.descartes_form(2), forms.target_for(forms.EUCLIDEAN, 2)
-        )
-        assert res.ok
-
-
-def test_complete_to_descartes_rejects_non_tangent():
-    with pytest.raises(ValueError):
-        euclid.complete_to_descartes(
-            euclid.OrientedSphere(F(1), (F(0), F(0))),
-            euclid.OrientedSphere(F(1), (F(5), F(0))),
-            euclid.OrientedSphere(F(1), (F(0), F(5))),
-        )
 
 
 def _gram_ok(w, tol=0.0):
@@ -161,7 +129,7 @@ def test_realize_strip():
     w = euclid.realize_curvature_vector((F(0), F(0), F(1), F(1)))
     assert w.bends == (0, 0, 1, 1)
     assert _gram_ok(w)
-    kinds = [euclid.object_from_augmented(r) for r in w.rows]
+    kinds = [oracles.object_from_augmented(r) for r in w.rows]
     assert sum(isinstance(o, euclid.OrientedHyperplane) for o in kinds) == 2
 
 
@@ -255,7 +223,7 @@ def test_translate_scale_roundtrip(euclid_seed):
     reflected = apollonian.reflect(apollonian.reflect(euclid_seed, 0), 3)
     strip = apollonian.realize_bends(forms.EUCLIDEAN, (0, 0, 1, 1))
     for w in (euclid_seed, reflected, strip):
-        objs = euclid.objects_from_config(w)
+        objs = oracles.objects_from_config(w)
         for v in ((F(3, 7), F(-2, 5)), (F(-12345, 7), F(0))):
             moved = transform.moved(w, transform.translation(v))
             assert moved == euclid.config_from_objects(
@@ -277,6 +245,6 @@ def test_scale_requires_positive():
 
 
 def test_objects_config_roundtrip(euclid_seed):
-    objs = euclid.objects_from_config(euclid_seed)
+    objs = oracles.objects_from_config(euclid_seed)
     w = euclid.config_from_objects(objs)
     assert w.rows == euclid_seed.rows

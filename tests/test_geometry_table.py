@@ -230,8 +230,6 @@ _GEOMETRY_CALLS = {
     "forms.bend_column": lambda tag: forms.bend_column(tag),
     "forms.target_for": lambda tag: forms.target_for(tag, 2),
     "forms.pair_product": lambda tag: forms.pair_product(tag, _ROW, _ROW),
-    "forms.unit_row_entries":
-        lambda tag: forms.unit_row_entries(tag, _ROW, "row"),
     "forms.bend_residual": lambda tag: forms.bend_residual(tag, (0, 1, 1, 2)),
     "forms._realize_tangent_rows": lambda tag: forms._realize_tangent_rows(
         tag, (0, 1, 1, 2), "cot", lambda c0, one: [(one, c0)]),

@@ -1,11 +1,12 @@
 """Code hygiene: every name a module of the package imports is used there,
-every module-level function of the package is used, every option of a
-public function is set by some call, and importing the package loads none
-of its modules."""
+every module-level function and class of the package is used by the
+package, the benchmark or the README, every option of a public function is
+set by some call, and importing the package loads none of its modules."""
 
 import ast
 import itertools
 import os
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -16,6 +17,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "inversive"
 TESTS = Path(__file__).resolve().parent
 BENCH = TESTS.parent / "bench"
+README = TESTS.parent / "README.md"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -45,38 +47,53 @@ def test_every_import_is_used(path):
 
 
 def _references(node):
-    """How often each name is read under node, as a name or an attribute."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+    """How often each name is read under node: as a name, as an attribute,
+    or as a string constant equal to it, as a table may name a function."""
+    return Counter(n.id if isinstance(n, ast.Name) else
+                   n.attr if isinstance(n, ast.Attribute) else n.value
                    for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   or isinstance(n, ast.Constant) and isinstance(n.value, str))
 
 
-def unused_functions(sources, test_sources):
-    """Module-level functions of the package sources that are read nowhere
-    in them outside their own definition, nor anywhere in the tests."""
+def unused_functions(sources, bench_sources, readme):
+    """Module-level functions and classes of the package sources that are
+    read nowhere in them outside their own definition, nowhere in the bench
+    sources, and are no word of the README text.  A call from the tests is
+    no use: what only tests call belongs with them."""
     trees = [ast.parse(source) for source in sources]
     used = sum(map(_references, trees), Counter())
-    tested = sum((_references(ast.parse(s)) for s in test_sources), Counter())
+    benched = sum((_references(ast.parse(s)) for s in bench_sources),
+                  Counter())
+    words = set(re.findall(r"\w+", readme))
     return sorted(
         node.name for tree in trees for node in tree.body
-        if isinstance(node, ast.FunctionDef)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and used[node.name] == _references(node)[node.name]
-        and not tested[node.name])
+        and not benched[node.name] and node.name not in words)
 
 
 def test_unused_functions_are_found():
     source = ("def called(): return recursive(1)\n"
               "def recursive(n): return recursive(n - 1) if n else 0\n"
               "def alone(n): return alone(n - 1) if n else 0\n"
+              "def named(): pass\n"
+              "def benched(): pass\n"
+              "def documented(): pass\n"
               "def tested(): pass\n"
-              "TABLE = {'f': called}\n")
-    assert unused_functions([source], ["m.tested()"]) == ["alone"]
+              "class Alone:\n    def m(self): return Alone()\n"
+              "class Kept: pass\n"
+              "TABLE = {'f': called, 'g': 'named', 'k': Kept}\n")
+    # a test calls tested(), which the guard does not read
+    assert unused_functions([source], ["m.benched()"],
+                            "Call `m.documented()`.") == [
+        "Alone", "alone", "tested"]
 
 
 def test_every_function_is_used():
-    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
-    tests = [p.read_text() for p in sorted(TESTS.glob("*.py"))]
-    assert unused_functions(sources, tests) == []
+    sources = [p.read_text() for p in MODULES]
+    bench = [p.read_text() for p in sorted(BENCH.rglob("*.py"))]
+    assert unused_functions(sources, bench, README.read_text()) == []
 
 
 def _public_functions(tree):

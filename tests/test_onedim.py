@@ -7,6 +7,8 @@ import pytest
 
 from inversive import forms, onedim
 
+import oracles
+
 
 def _gram_residual(cfg):
     w = onedim.augmented_1d(cfg)
@@ -52,7 +54,7 @@ def test_random_touching_pairs_satisfy_gram(rng):
         )
         res = _gram_residual(cfg)
         assert res.ok and res.max_abs_entry_error == 0
-        assert onedim.descartes_1d_check([iv.curvature for iv in cfg.intervals]) == 0
+        assert oracles.descartes_1d_check([iv.curvature for iv in cfg.intervals]) == 0
 
 
 def test_float_intervals_are_not_rejected_for_rounding():
@@ -107,11 +109,11 @@ def test_infinite_interval_orientation():
 
 
 def test_descartes_1d_check_values():
-    assert onedim.descartes_1d_check((F(2), F(1), F(-2, 3))) == 0
-    assert onedim.descartes_1d_check((F(1), F(1), F(1))) == -6
+    assert oracles.descartes_1d_check((F(2), F(1), F(-2, 3))) == 0
+    assert oracles.descartes_1d_check((F(1), F(1), F(1))) == -6
     # the relation is quadratic, so it survives a global sign flip
-    assert onedim.descartes_1d_check((F(-2), F(-1), F(2, 3))) == 0
-    assert abs(onedim.descartes_1d_check((2.0, 1.0, -2 / 3))) < 1e-12
+    assert oracles.descartes_1d_check((F(-2), F(-1), F(2, 3))) == 0
+    assert abs(oracles.descartes_1d_check((2.0, 1.0, -2 / 3))) < 1e-12
 
 
 def test_solve_third_curvature_paths():
@@ -122,6 +124,6 @@ def test_solve_third_curvature_paths():
     with pytest.raises(ValueError, match="cancel"):
         onedim.solve_third_curvature(F(1), F(-1))
     # completing with the solved curvature closes the relation
-    assert onedim.descartes_1d_check(
+    assert oracles.descartes_1d_check(
         (F(2), F(1), onedim.solve_third_curvature(F(2), F(1)))
     ) == 0

@@ -335,7 +335,11 @@ def test_check_identity_matches_reference(geometry, mode):
         assert _same(new.max_abs_entry_error, ref.max_abs_entry_error, exact,
                      scale), w
         assert _same(new.entrywise, ref.entrywise, exact, scale), w
-        assert _same(forms.gram(w, q), _ref_gram(w, q), exact, scale), w
+        # the general-form path of _scaled_gram, which transform.moved
+        # takes: Q as plain rows, against a zero target
+        zeros = ((0,) * (w.n + 2),) * (w.n + 2)
+        assert _same(forms.check_identity(w, q.matrix, zeros).entrywise,
+                     _ref_gram(w, q), exact, scale), w
         if exact:  # exact W and Q against a float target compare in float
             t = forms.target_for(geometry, w.n, FLOAT)
             new = forms.check_identity(w, q, t)

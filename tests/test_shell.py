@@ -892,9 +892,25 @@ def test_float_values_past_the_float_range_are_an_error(args):
     assert "Traceback" not in proc.stderr
 
 
-def test_command_line_values_parse_as_document_entries():
+def test_command_line_values_parse_as_document_entries(capsys):
     assert shell._parse_scalars("1.5, -2,1/3", FLOAT) == (1.5, -2.0, 1 / 3)
     assert shell._parse_scalars("1.5,-2,1/3", EXACT) == (
         F(3, 2), -2, F(1, 3))
+    # an empty value is an error that names its place, not a value dropped
+    for text, position in (("-1,2,,2", 3), ("0,1,1,2,", 5), (",1", 1),
+                           (" , 1", 1), ("", 1)):
+        for mode in (EXACT, FLOAT):
+            with pytest.raises(ValueError, match=f"empty value at position "
+                               f"{position} of the list"):
+                shell._parse_scalars(text, mode)
+    for args, text, position in (
+            (["solve", "--geometry", "euclidean", "--seed=-1,2,,2"],
+             "-1,2,,2", 3),
+            (["lox", "--geometry", "spherical", "--seed=0,1,1,2,",
+              "--steps", "2"], "0,1,1,2,", 5),
+            (["onedim", "--intervals", "0,1,1,3,"], "0,1,1,3,", 5)):
+        assert shell.run(args) == 1
+        assert capsys.readouterr() == ("", f"error: empty value at position "
+                                       f"{position} of the list {text!r}\n")
     assert scalar_from_json("1e3", FLOAT) == 1000.0
     assert scalar_from_json("1e400", EXACT) == 10 ** 400

@@ -1,4 +1,5 @@
-"""Conversions between the three geometries, at matrix and object level."""
+"""Conversions between the three geometries, at matrix level and against
+the object routes of tests/oracles.py."""
 
 import math
 from fractions import Fraction as F
@@ -6,8 +7,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from inversive import apollonian, euclid, forms, spherical, transform
+from inversive import apollonian, euclid, forms, transform
 from inversive.scalars import EXACT, FLOAT
+
+import oracles
 
 
 GEOMS = (forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC)
@@ -84,24 +87,21 @@ def test_convert_rejects_invalid_input():
         transform.convert_matrix(bad, forms.SPHERICAL)
 
 
-def test_bend_triple_oracles():
-    assert transform.bend_triple(F(0), F(-1)) == (F(-1, 2), F(1, 2))
-    assert transform.bend_triple(F(1), F(1)) == (F(1), F(0))
-    assert transform.bend_triple(F(2), F(1)) == (F(3, 2), F(1, 2))
-
-
-def test_bend_triple_linear_relations(rng):
-    for _ in range(50):
-        b = F(rng.randrange(-30, 31), rng.randrange(1, 9))
-        bbar = F(rng.randrange(-30, 31), rng.randrange(1, 9))
-        cot, coth = transform.bend_triple(b, bbar)
-        assert cot + coth == b
-        assert cot - coth == bbar
+def test_bend_triple_linear_relations(word_fuzz, rng):
+    # the scalar shadow of the conversion: a Euclidean row (bbar, b, ...)
+    # goes to the cap with cot alpha = (b + bbar)/2 and the hyperbolic
+    # sphere with coth s = (b - bbar)/2
+    for w in word_fuzz(forms.EUCLIDEAN, 2, EXACT, 50, 8, rng):
+        caps = transform.convert_matrix(w, forms.SPHERICAL)
+        spheres = transform.convert_matrix(w, forms.HYPERBOLIC)
+        for row, cot, coth in zip(w.rows, caps.bends, spheres.bends):
+            bbar, b = row.entries[:2]
+            assert (cot + coth, cot - coth) == (b, bbar)
 
 
 def test_cap_to_plane_tilted_cap():
-    cap = spherical.SphericalCap((0.0, 1.0, 0.0), math.pi / 4)
-    obj = transform.cap_to_plane(cap)
+    cap = oracles.SphericalCap((0.0, 1.0, 0.0), math.pi / 4)
+    obj = oracles.cap_to_plane(cap)
     assert isinstance(obj, euclid.OrientedSphere)
     assert obj.curvature == pytest.approx(1.0)
     assert obj.center[0] == pytest.approx(math.sqrt(2))
@@ -110,16 +110,16 @@ def test_cap_to_plane_tilted_cap():
 
 def test_cap_to_plane_polar_cap():
     for alpha in (0.3, 0.6, 1.2):
-        cap = spherical.SphericalCap((1.0, 0.0, 0.0), alpha)
-        obj = transform.cap_to_plane(cap)
+        cap = oracles.SphericalCap((1.0, 0.0, 0.0), alpha)
+        obj = oracles.cap_to_plane(cap)
         assert obj.center[0] == pytest.approx(0.0)
         assert obj.center[1] == pytest.approx(0.0)
         assert obj.radius == pytest.approx(math.tan(alpha / 2))
 
 
 def test_cap_to_plane_through_pole_gives_hyperplane():
-    cap = spherical.SphericalCap((0.0, 0.0, 1.0), math.pi / 2)
-    obj = transform.cap_to_plane(cap)
+    cap = oracles.SphericalCap((0.0, 0.0, 1.0), math.pi / 2)
+    obj = oracles.cap_to_plane(cap)
     assert isinstance(obj, euclid.OrientedHyperplane)
     assert abs(obj.offset) < 1e-12
     assert obj.normal[0] == pytest.approx(0.0)
@@ -128,24 +128,24 @@ def test_cap_to_plane_through_pole_gives_hyperplane():
 
 def test_plane_to_cap_exact_lifts():
     s = euclid.OrientedSphere(F(2), (F(1, 2), F(0)))
-    cap = transform.plane_to_cap(s)
+    cap = oracles.plane_to_cap(s)
     assert cap.row == (F(1), F(1), F(1), F(0))
     assert cap.cot == F(1)
 
-    unit = transform.plane_to_cap(euclid.OrientedSphere(F(1), (F(0), F(0))))
+    unit = oracles.plane_to_cap(euclid.OrientedSphere(F(1), (F(0), F(0))))
     assert unit.row == (F(0), F(1), F(0), F(0))
 
-    h = transform.plane_to_cap(euclid.OrientedHyperplane((F(0), F(1)), F(0)))
+    h = oracles.plane_to_cap(euclid.OrientedHyperplane((F(0), F(1)), F(0)))
     assert h.row == (F(0), F(0), F(0), F(1))
 
-    back = transform.cap_to_plane(cap)
+    back = oracles.cap_to_plane(cap)
     assert back.curvature == F(2) and tuple(back.center) == (F(1, 2), F(0))
 
 
 def _object_route(row):
     # cap object -> plane object -> augmented coordinates
-    cap = spherical.cap_from_coords(row)
-    obj = transform.cap_to_plane(cap)
+    cap = oracles.cap_from_coords(row)
+    obj = oracles.cap_to_plane(cap)
     return euclid.augmented_coords(obj).entries
 
 
