@@ -11,18 +11,20 @@ on n+2 coordinates.  Everything here is generic over exact and float entries.
 
 The targets differ only in a 2x2 head T on the first two coordinates (the
 rest is 2I), so one table keyed by the geometry tags holds what sets a
-geometry apart: its bend column c, T, and the head of the map carrying its
-rows to Euclidean rows.  bend_column, CURVATURE_SIGN (k = -T[c][c]/2),
-target_for, pair_product (2 T^{-1} on the head) and transform read it.
+geometry apart: its bend column c, T, the head of the map carrying its
+rows to Euclidean rows, and for the spherical and hyperbolic geometries the
+integral base configuration that their plane bends are realized from.
+bend_column, CURVATURE_SIGN (k = -T[c][c]/2), target_for, pair_product
+(2 T^{-1} on the head), transform and the realizer read it.
 
 check_identity compares W^T Q W with any target; ConfigMatrix.residual runs
 it against the configuration's own Descartes form and target, once per
 configuration and tolerance, since a configuration is immutable.
 
-Matrices are tuples of row tuples.  The Gram products and the tangency
-values of the realizer run on rows in the frame of scalars.scaled_rows: on
-integers in exact mode, so with V = sW the rows scaled by the LCM s of
-their denominators and sigma the column sums of V,
+Matrices are tuples of row tuples.  The Gram products, the base reflection
+and the tangency values of the tail search run on rows in the frame of
+scalars.scaled_rows: on integers in exact mode, so with V = sW the rows
+scaled by the LCM s of their denominators and sigma the column sums of V,
 n s^2 W^T Q_n W = n V^T V - sigma sigma^T, and one quotient by the scale
 turns a result back into an entry.
 """
@@ -34,19 +36,26 @@ from fractions import Fraction
 from operator import mul
 
 from . import linalg
-from .scalars import (DEFAULT_TOL, EXACT, FLOAT, all_exact, coerce,
+from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ROUNDING, all_exact, coerce,
                       coerce_row, frame_quotient, integer_rows, mode_of, near,
-                      negligible, scaled_rows)
+                      negligible, scaled_rows, unscaled_rows)
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
 HYPERBOLIC = "hyperbolic"
 
-_Geometry = namedtuple("_Geometry", "bend_column target_head to_euclidean")
+_Geometry = namedtuple("_Geometry",
+                       "bend_column target_head to_euclidean base")
 _GEOMETRY = {
-    EUCLIDEAN: _Geometry(1, ((0, -4), (-4, 0)), ((1, 0), (0, 1))),
-    SPHERICAL: _Geometry(0, ((-2, 0), (0, 2)), ((1, 1), (-1, 1))),
-    HYPERBOLIC: _Geometry(0, ((2, 0), (0, -2)), ((-1, 1), (1, 1))),
+    EUCLIDEAN: _Geometry(1, ((0, -4), (-4, 0)), ((1, 0), (0, 1)), None),
+    # the bases: the rows of cot values (0, 1, 1, 2) and coth values
+    # (-2, 3, 5, 6)
+    SPHERICAL: _Geometry(0, ((-2, 0), (0, 2)), ((1, 1), (-1, 1)),
+                         ((0, 1, 0, 0), (1, -1, 1, 0), (1, -1, -1, 0),
+                          (2, -1, 0, 2))),
+    HYPERBOLIC: _Geometry(0, ((2, 0), (0, -2)), ((-1, 1), (1, 1)),
+                          ((-2, -2, 1, 0), (3, 3, -1, 0), (5, 7, -5, 0),
+                           (6, 8, -5, 2))),
 }
 GEOMETRIES = tuple(_GEOMETRY)
 
@@ -249,6 +258,12 @@ def target_for(geometry, n, mode=EXACT):
     return linalg.block_diag(head, (2,) * n, mode)
 
 
+# (W0, d W0^{-1} as int rows, d, the diagonal of T) for the base W0 and
+# the n = 2 Gram target T of each geometry with a base (_reflected_base)
+_BASES = {tag: (g.base, *integer_rows(linalg.mat_inv(g.base)),
+                (g.target_head[0][0], g.target_head[1][1], 2, 2))
+          for tag, g in _GEOMETRY.items() if g.base}
+
 # 2 T^{-1} for the target head T of each geometry, coerced to each mode
 _FORM_HEAD = {tag: {mode: linalg.block_diag(
     [[2 * x for x in row] for row in linalg.mat_inv(g.target_head)], (), mode)
@@ -387,9 +402,41 @@ def bend_residual(geometry, bends):
     return square_sum - total * total / float(n) + 2 * k
 
 
+def _tangent_values(geometry, bends, name):
+    """(c, mode): spherical cot or hyperbolic coth values as one row of
+    their mode, or the ValueError, which calls them name, of values that
+    miss the bend relation.  Float values may miss it by DEFAULT_TOL or by
+    the rounding of float values as large as theirs."""
+    bends = tuple(bends)
+    mode = mode_of(bends)
+    c = coerce_row(bends, mode)
+    residual = bend_residual(geometry, c)
+    if not negligible(residual, c):
+        raise ValueError(f"{name} values violate the bend relation by {residual}")
+    return c, mode
+
+
 def _realize_tangent_rows(geometry, bends, name, first_tails):
     """One configuration of pairwise tangent rows (c_i, t_i) with the given
     spherical cot or hyperbolic coth values c_i, which errors call name.
+
+    In the plane the rows are the geometry's base rows W0 moved from the
+    right by an isometry of the Gram target (_reflected_base), which every
+    vector meeting the bend relation admits; above it they come from the
+    tail search of _search_tangent_rows, which first_tails starts.  Exact
+    bends give an exact matrix, float bends the rows of their dyadic values
+    rounded once with the bends as given, or a ValueError.
+    """
+    c, mode = _tangent_values(geometry, bends, name)
+    if len(c) != 4:
+        return _search_tangent_rows(geometry, c, mode, name, first_tails)
+    return ConfigMatrix.from_rows(geometry, _reflected_base(geometry, c, mode),
+                                  mode=mode)
+
+
+def _search_tangent_rows(geometry, c, mode, name, first_tails):
+    """The configuration of _realize_tangent_rows found by a tail search,
+    for values c of one mode that meet the bend relation, on any n.
 
     With k the geometry's curvature sign the tails carry the form
     diag(k, 1, ..., 1), and tangency asks <t_i, t_i> = 1 + k c_i^2 and
@@ -403,16 +450,8 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     move the rational points the search picks.  Exact bends give an exact
     matrix, whose tails come back as Fractions in one conversion, or a
     ValueError.
-    Float bends must meet the bend relation up to DEFAULT_TOL or up to the
-    rounding of float values as large as theirs.
     """
-    bends = tuple(bends)
-    n = len(bends) - 2
-    mode = mode_of(bends)
-    c = coerce_row(bends, mode)
-    residual = bend_residual(geometry, c)
-    if not negligible(residual, c):
-        raise ValueError(f"{name} values violate the bend relation by {residual}")
+    n = len(c) - 2
     k = _by_geometry(CURVATURE_SIGN, geometry)
     one = coerce(1, mode)
     zero = one - one
@@ -429,3 +468,73 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     # rows of the mode's type already, so from_rows coerces none of them
     entry_rows = [(c[i],) + tuple(tails[i]) for i in range(n + 2)]
     return ConfigMatrix.from_rows(geometry, entry_rows, mode=mode)
+
+
+def _carried(rows, a, b, t):
+    """(V, m): int rows R times the map G: x -> x - 2 (x^T t v) / m v of
+    column vectors, v = a - b and m = 2 a^T t v != 0, as V = m R G, that
+    is r -> m r - 2 (r.v) (t v)^T on each row.  G carries a to b whatever
+    their norms; when a and b have one norm of the diagonal form t,
+    m = v^T t v and G is the reflection of t in v, an isometry."""
+    v = [x - y for x, y in zip(a, b)]
+    tv = [x * y for x, y in zip(t, v)]
+    m = 2 * sum(map(mul, tv, a))
+    return [[m * x - f * y for x, y in zip(r, tv)]
+            for r, f in zip(rows, [2 * sum(map(mul, r, v)) for r in rows])], m
+
+
+def _reflected_base(geometry, c, mode):
+    """Entry rows W = W0 G of a plane configuration with bends c, in mode.
+
+    W0 is the geometry's base, T its Gram target and e the unit vector of
+    the bend column.  Rows times an isometry G of T stay a configuration
+    (W^T Q W = G^T T G = T), with bends W0 G e, so G must carry e to
+    g = W0^{-1} c.  When c meets the bend relation, W0^{-T} T W0^{-1} = Q
+    gives g^T T g = c^T Q c = T_00, the norm of e, so the reflection in
+    v = e - g does, or, when v is isotropic (then v^T T v = 2 T_00 v_0 is
+    zero), the reflection in e + g followed by the one in g (Witt's
+    theorem).  Each is a rank-one update of int rows (_carried): the bends
+    over their LCM s and W0^{-1} over its d, so that g = g'/(d s).
+
+    Float bends run the same computation on their dyadic values, which meet
+    the relation only up to rounding.  Each map carries its vector exactly,
+    so the bends come out as given and the rows within rounding of an
+    isometry's, and a v_0 within the rounding of its terms counts as zero,
+    where one reflection would divide by it.  Every entry is rounded once.
+
+    A hyperbolic W whose first row with |c_i| >= 1 and a nonzero q_0 has
+    q_0 of the other sign than c_i lies on the lower sheet, and gets its
+    q_0 column negated, which keeps T.
+    """
+    w0, inverse, d, t = _BASES[geometry]
+    (ints,), s = integer_rows([c])
+    e = (d * s, 0, 0, 0)
+    terms = list(map(mul, inverse[0], ints))
+    g = [sum(terms)] + [sum(map(mul, row, ints)) for row in inverse[1:]]
+    v0 = e[0] - g[0]
+    if mode == EXACT:
+        isotropic = not v0
+    else:
+        isotropic = abs(v0) <= ROUNDING * sum(map(abs, terms))
+    if g == list(e):
+        rows, m = w0, 1
+    elif not isotropic:
+        rows, m = _carried(w0, e, g, t)
+    else:
+        # G carries e to -g and then -g to g, so W0 G = (W0 G_2) G_1
+        minus_g = [-x for x in g]
+        rows, m = _carried(w0, minus_g, g, t)
+        rows, m2 = _carried(rows, e, minus_g, t)
+        m *= m2
+    if m < 0:  # over a positive m, so that a zero entry is not -0.0
+        rows, m = [[-x for x in r] for r in rows], -m
+    if geometry == HYPERBOLIC:
+        # the first row of |c_i| = |r_0 / m| >= 1 with a nonzero q_0 = r_1 / m
+        for r in rows:
+            if r[1] and abs(r[0]) >= m:
+                if (r[0] > 0) != (r[1] > 0):
+                    rows = [(r[0], -r[1], *r[2:]) for r in rows]
+                break
+    # the bend column is c, so only the others are divided by m
+    rows = unscaled_rows([r[1:] for r in rows], m, mode)
+    return [(x,) + row for x, row in zip(c, rows)]

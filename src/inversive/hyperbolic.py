@@ -20,15 +20,23 @@ rows and never need a center and radius.
 from . import forms
 
 
+def _first_tails(c0, one):
+    # a coth of absolute value 1 admits the zero tail, the row of the ideal
+    # boundary itself, which is tried first
+    return ([()] if abs(c0) == 1 else []) + [(c0, one)]
+
+
 def realize_sphere_config(coths):
     """One configuration of pairwise tangent rows with the given coth values.
 
-    Works like the spherical realizer but under the Lorentz tail form
-    diag(-1, 1, ..., 1), with first tail (c_1, 1, 0, ..., 0).  A coth entry
-    of absolute value 1 admits the zero tail (the row of the ideal boundary
-    itself), which is tried first.  Exact input yields an exact matrix or a
-    ValueError.
+    In the plane the rows are those of the base coth values (-2, 3, 5, 6),
+    moved by one or two reflections of the Gram target onto the given
+    values and put on the upper sheet (forms._reflected_base), so every
+    coth vector that meets the Soddy relation is realized, in exact rows
+    when its values are exact.  For n >= 3 the tails are searched as by the
+    spherical realizer, under the Lorentz tail form diag(-1, 1, ..., 1) and
+    from the first tail (c_1, 1, 0, ..., 0), or the zero tail first when
+    |c_1| = 1.  Exact input yields an exact matrix or a ValueError.
     """
-    return forms._realize_tangent_rows(
-        forms.HYPERBOLIC, coths, "coth",
-        lambda c0, one: ([()] if abs(c0) == 1 else []) + [(c0, one)])
+    return forms._realize_tangent_rows(forms.HYPERBOLIC, coths, "coth",
+                                       _first_tails)

@@ -11,6 +11,8 @@ them from outside, as tests/reference_svg.py checks the renderer.
   relations and the one-dimensional Descartes relation.
 - The object routes: planar spheres and hyperplanes read back from
   augmented rows, and spherical caps with their stereographic images.
+- The curved plane realization: a base configuration moved onto a bend
+  vector by reflections of the Gram target, on Fraction matrices.
 
 cap_to_plane and plane_to_cap are deliberately not written as G products;
 they apply the projection formulas directly, so that the matrix route of
@@ -246,3 +248,84 @@ def plane_to_cap(obj):
             tuple(b * x for x in obj.center)
     entries = coerce_row(entries, mode_of(entries))
     return cap_from_coords(entries)
+
+
+# --- the curved plane realization ------------------------------------------
+
+# the rows of cot values (0, 1, 1, 2) and of coth values (-2, 3, 5, 6), and
+# the diagonal Gram targets of the two geometries in the plane
+BASE_ROWS = {
+    "spherical": ((0, 1, 0, 0), (1, -1, 1, 0), (1, -1, -1, 0), (2, -1, 0, 2)),
+    "hyperbolic": ((-2, -2, 1, 0), (3, 3, -1, 0), (5, 7, -5, 0), (6, 8, -5, 2)),
+}
+_TARGET_DIAGONAL = {"spherical": (-2, 2, 2, 2), "hyperbolic": (2, -2, 2, 2)}
+
+
+def _fraction_solve(a, b):
+    """x with a x = b for an invertible square matrix a, by Gauss-Jordan
+    elimination on Fractions."""
+    k = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
+    for col in range(k):
+        p = next(i for i in range(col, k) if m[i][col])
+        m[col], m[p] = m[p], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for i in range(k):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [row[k] for row in m]
+
+
+def _fraction_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def isotropic_reflection(geometry, bends):
+    """Whether v = e - W0^{-1} c is a nonzero isotropic vector of the Gram
+    target T, where one reflection cannot carry e to W0^{-1} c."""
+    t = _TARGET_DIAGONAL[geometry]
+    g = _fraction_solve(BASE_ROWS[geometry], bends)
+    v = [int(i == 0) - x for i, x in enumerate(g)]
+    return any(v) and sum(ti * x * x for ti, x in zip(t, v)) == 0
+
+
+def reflected_base(geometry, bends, factor=2):
+    """Fraction rows W0 G of a spherical or hyperbolic plane configuration
+    with the Descartes bends c, taken at their exact values (a float at its
+    dyadic one).
+
+    W0 is the base of BASE_ROWS, T the Gram target and e = (1, 0, 0, 0), so
+    that W0 e holds the base bends, and g = W0^{-1} c.  The map that
+    carries a to b is x -> x - factor (x^T T v) / (2 a^T T v) v with
+    v = a - b: the reflection of T in v when a and b have one norm and
+    factor is 2, and no isometry of T for another factor.  G carries e to
+    g, or, when v = e - g is isotropic (v_0 = 0), e to -g and then -g to g.
+    A hyperbolic W whose first row with |c| >= 1 and a nonzero q_0 has q_0
+    of the other sign than c gets its q_0 column negated.
+    """
+    t = _TARGET_DIAGONAL[geometry]
+    w0 = [[Fraction(x) for x in row] for row in BASE_ROWS[geometry]]
+    g = _fraction_solve(w0, bends)
+    e = [1, 0, 0, 0]
+
+    def carrying(a, b):
+        v = [x - y for x, y in zip(a, b)]
+        m = 2 * sum(ti * x * y for ti, x, y in zip(t, a, v))
+        return [[int(i == j) - factor * v[i] * t[j] * v[j] / m
+                 for j in range(4)] for i in range(4)]
+
+    if g == e:
+        w = w0
+    elif g[0] != 1:
+        w = _fraction_matmul(w0, carrying(e, g))
+    else:
+        minus_g = [-x for x in g]
+        w = _fraction_matmul(w0, _fraction_matmul(carrying(minus_g, g),
+                                                  carrying(e, minus_g)))
+    if geometry == "hyperbolic":
+        sheet = [r for r in w if abs(r[0]) >= 1 and r[1]]
+        if sheet and (sheet[0][0] > 0) != (sheet[0][1] > 0):
+            w = [[r[0], -r[1], *r[2:]] for r in w]
+    return tuple(tuple(r) for r in w)

@@ -14,6 +14,11 @@ Gram residual.  The float gen, render and lox digests were recorded when
 float walks became the exact walks of their float seeds, each entry rounded
 once, and each float stream and sequence is also checked against that
 contract: the reference walk of the float seed's Fraction twin, rounded.
+The float hyperbolic gen and render digests (the image is now that of the
+exact seed) and the spherical and hyperbolic solve,
+convert and verify digests were recorded when curved plane bends came to be
+realized by reflecting a base configuration, after each new configuration
+was checked against tests/oracles.reflected_base and passed verify.
 Any change to the output bytes of these inputs shows up here.
 """
 
@@ -69,8 +74,8 @@ CASES = (
      "3403b71710bf7ab6af30c697b355f5f0a10fbda740a3bb87903c7448a8c56e3a"),
     (["--geometry", "hyperbolic", "--seed=-2,3,5,6", "--max-bend", "150",
       "--mode", "float"], [],
-     "dbb1314254712570aa684153166c6c0fc61c17c1ae0ebad18748c05517c14fbd",
-     "38a6ac8ec521c3f26a5baa0b9b04868fa0dcb6223cf9c42c596cc5fb24ff8837"),
+     "d0992eba25623ebf8243aa12abcae70736f70c3ba8c05658ae16a986ac36fc35",
+     "6ee25e8a5f5fe799e783990e5854213d1ad363eea9c1641ceb2fb492ef5f6a30"),
 )
 
 
@@ -175,37 +180,37 @@ SOLVE_CASES = (
          "851fbb55a64cffd7ade672e601d25e91ef3c0293b5101d84b83fd516ff76b9c3",
          "f030e2ed56c5ed16d0ac3ff9417c5a5b469580bde5c1b1325947796e504e1b48")}),
     ("spherical", "1,1,2", "exact",
-     "eae90eebf28ffd8e72561869d63fab29dac328da746e73874fc36a3bac8b8023",
+     "f9524992f569fb50396e69b6adc665f13f3e9a770ccf6f90207eee45f2b47928",
      {"euclidean": (
-         "1a697ce34b8875c93fbd9d56c4f13adef00fc92ac473b2e783778a16ede6bc03",
+         "2095f8411785c919be3d24998d242fd056704887e639ed7912b10ba24311c93e",
          "d03fe79c6b74166f591aca62f50e7dbd73b80468266c296704cf6ec62f9ef098"),
       "hyperbolic": (
-         "d1359eeabe3d4861e40c714c8c7d457fd4b64fc3fdf94901911b1a5ccea226e1",
+         "16efe854d844099ab3a478159081be4cbb0f98a89b31bdc244afa2cea5300f0d",
          "feebbdae5e1c82674b93eb08909e39a55ba56a7badde1fe73efb013d60d8fe50")}),
     ("spherical", "1,1,2", "float",
-     "377ef249f65d950b60b188333b066e8b537f53b17993905c94b7000893aef372",
+     "37befbc2c623bead42051cba76bee01784af54752683db9942b6c0c6ce18dbdf",
      {"euclidean": (
-         "3ea297ddc467e91da8ffeb9f7ee6666bd291c236e6fcebd99998ad54337f615d",
-         "267b1a85cf3efd1016202add95a0947a28684e0c5a94c58dd1e93aba1094f402"),
+         "41e68fe25fa011434584c96bce236f33e6b9cf4446ffb6a9d35e07f323664151",
+         "56095413db5d059dbf4c94c96718ffe2894913dbbfd4e77f6236277716cadbc2"),
       "hyperbolic": (
-         "511ebab0760ca5a1dd88dcbdfc730a69c9b1abde4a0da581c5e8bc410d70459d",
-         "f0ce40076b3da4c206111906555aef9962a17c4d972368b1b5eb0b2de2c28158")}),
+         "583367665947263bf8148faa9323d90758e57e4b51f68e8979488555826273a0",
+         "8fa282e9164e9c378c470bd22f4410e6d946cd14b3e15ad1f9644035a90f4276")}),
     ("hyperbolic", "3,5,6", "exact",
-     "6e654d8d22b92293552c5c88f060f2c977df943bba56a0da8b7c8f6c3af4ce6a",
+     "5f1bde7a4aa7168da2456a380bc1ab706bd026ca3c2b130ff35137b8ca22cf47",
      {"euclidean": (
-         "503e6a630048c19d7a3b46da60d91e3422207b575d9dfafd09ad7140e2e9ebcc",
+         "536bbb26e94857d5083b7b44a101bed91354a37492828619f08e54a7336852bd",
          "d03fe79c6b74166f591aca62f50e7dbd73b80468266c296704cf6ec62f9ef098"),
       "spherical": (
-         "8fcd1cec308dfcdbe1569efe5ffbb98ef496be9f872d9f230152c879de920f94",
+         "bd691ca251beebea6ad736d3c119566c44a61c58e27262678e1ab8df7871a71e",
          "0edd50d9410a298110a44da5b7d85417132a279ef2497daa46a99fa84bcc70f5")}),
     ("hyperbolic", "3,5,6", "float",
-     "19edab836fa6df8c530777bbda73349b68c1a098598535e24b1d7a0d9c7a7377",
+     "436cb0fda8e1115381f5ab7ac527c1d0a4e7f8375642270cecc12851b32aaa55",
      {"euclidean": (
-         "b773b9078931e64f7d5bf2048d9b8c9cce03cb65a22f019ca186d13a82403380",
+         "00f80ecd4082e9baf2ae66a07087df7c6850e696973bcd3c335546b1bd89f31b",
          "2fab71b0858d8fdd3a2f31719e5a4d2145b79518cbfaf4f9d8897fd7fbcf1e96"),
       "spherical": (
-         "e0d39c3a578992eeff71ee4986e913cb985f9148a5d37c1bc6dcc1eba353625c",
-         "9dc1b500629c6e35834b181a6177bd503290d3b3f7cbd1c4594383fe997dc1ed")}),
+         "67df09f267bda4a5cd7ba14c8f95c217858cc76b8abd7cafdf2357b14ddd157f",
+         "940509cd453ff052503483fbe5ac0ced9292cae047852fa538ddd1d578e23171")}),
 )
 
 

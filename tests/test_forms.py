@@ -9,6 +9,7 @@ from inversive import apollonian, forms, linalg, shell
 from inversive.scalars import EXACT, FLOAT
 
 import oracles
+from test_reference_kernels import _bend_vectors
 
 
 def test_descartes_form_matrix():
@@ -218,25 +219,141 @@ def test_lorentz_like_form():
     ]
 
 
-@pytest.mark.parametrize("geometry,bends,realized", (
-    (forms.SPHERICAL, (0, 1, 1, 2), 45),
-    (forms.HYPERBOLIC, (-2, 3, 5, 6), 46)))
-def test_float_tangent_rows_accept_rounded_walk_vectors(geometry, bends,
-                                                        realized):
-    # the loxodromic walk passes 10^12 within 60 steps; every bend vector on
-    # it meets the relation, so float mode may not reject one for its
-    # residual, which is float rounding that grows with the square of the
-    # bends (the tail search may still find no realization)
+@pytest.mark.parametrize("geometry,bends", (
+    (forms.SPHERICAL, (0, 1, 1, 2)),
+    (forms.HYPERBOLIC, (-2, 3, 5, 6))))
+def test_float_tangent_rows_accept_rounded_walk_vectors(geometry, bends):
+    # the loxodromic walk passes 10^12 within 60 steps and its bends reach
+    # about 10^28, past the ints that floats hold; every bend vector on it
+    # meets the relation, so float mode realizes each with the bends as
+    # given, its Gram identity within the rounding of its columns and its
+    # rows within rounding of the exact realization's
     seed = apollonian.realize_bends(geometry, tuple(map(F, bends)))
-    count = 0
-    for w in apollonian.loxodromic(seed, 60).configs:
-        try:
-            apollonian.realize_bends(geometry, tuple(map(float, w.bends)))
-        except ValueError as e:
-            assert "violate" not in str(e), w.bends
-        else:
-            count += 1
-    assert count == realized
+    configs = apollonian.loxodromic(seed, 60).configs
+    assert len(configs) == 61
+    for w in configs:
+        values = tuple(map(float, w.bends))
+        got = apollonian.realize_bends(geometry, values)
+        assert got.bends == values and got.residual().within_rounding(got), \
+            w.bends
+        exact = apollonian.realize_bends(geometry, w.bends)
+        assert _max_rel_diff(got, exact) <= 1e-15, w.bends
+
+
+def _max_rel_diff(w, exact):
+    """Largest entry difference of w from the exact configuration, over
+    the largest absolute entry of the exact one."""
+    rows = [tuple(map(float, r.entries)) for r in exact.rows]
+    scale = max(abs(x) for row in rows for x in row)
+    return max(abs(a - b) for r, row in zip(w.rows, rows)
+               for a, b in zip(r.entries, row)) / scale
+
+
+@pytest.mark.parametrize("scale", (F(1, 3), F(2, 7), F(1, 10)))
+def test_float_coths_within_rounding_of_the_isotropic_case(scale):
+    # W0 (1, 5, 3, 4) scale has e - W0^{-1} c isotropic; its float values
+    # miss that by rounding, where one reflection would divide by the
+    # rounding, so they take the two reflections of the exact vector
+    g = (1, 5 * scale, 3 * scale, 4 * scale)
+    coths = tuple(sum(x * y for x, y in zip(row, g))
+                  for row in oracles.BASE_ROWS["hyperbolic"])
+    assert oracles.isotropic_reflection("hyperbolic", coths)
+    values = tuple(map(float, coths))
+    assert not oracles.isotropic_reflection("hyperbolic", values)
+    w = apollonian.realize_bends(forms.HYPERBOLIC, values)
+    assert w.bends == values and w.residual().within_rounding(w)
+    exact = apollonian.realize_bends(forms.HYPERBOLIC, coths)
+    assert _max_rel_diff(w, exact) <= 1e-14
+
+
+# the coth vectors near 10^12 of test_reference_kernels._bend_vectors that
+# the float tail search found no realization for
+FLOAT_COTHS_NEAR_10_12 = (
+    (45082821006, 130291770859, 376550206413, 1088250294038),
+    (F(7447083396327, 10), F(445804466481, 5), F(10761235232017, 5),
+     F(2576797640623, 10)))
+
+
+@pytest.mark.parametrize("coths", FLOAT_COTHS_NEAR_10_12
+                         + tuple(tuple(-x for x in v)
+                                 for v in FLOAT_COTHS_NEAR_10_12))
+def test_float_coth_vectors_near_10_12_realize(coths):
+    assert forms.bend_residual(forms.HYPERBOLIC, coths) == 0
+    values = tuple(map(float, coths))
+    w = apollonian.realize_bends(forms.HYPERBOLIC, values)
+    assert w.bends == values and w.residual().within_rounding(w)
+    if all(type(x) is int for x in coths):  # the float values are exact
+        twin = apollonian.realize_bends(forms.HYPERBOLIC, coths)
+        assert repr([r.entries for r in w.rows]) == repr(
+            [tuple(map(float, r.entries)) for r in twin.rows])
+
+
+# the rows of the bases that curved plane bends are reflected from
+BASES = {forms.SPHERICAL: ((0, 1, 1, 2), oracles.BASE_ROWS["spherical"]),
+         forms.HYPERBOLIC: ((-2, 3, 5, 6), oracles.BASE_ROWS["hyperbolic"])}
+
+
+@pytest.mark.parametrize("geometry", sorted(BASES))
+def test_base_bends_give_the_base_rows_in_both_modes(geometry):
+    # float base bends realize as their exact twins, bit for bit, so float
+    # walks of these seeds run on small ints
+    bends, rows = BASES[geometry]
+    exact = apollonian.realize_bends(geometry, bends)
+    assert tuple(r.entries for r in exact.rows) == rows
+    assert all(type(x) is F for r in exact.rows for x in r.entries)
+    fl = apollonian.realize_bends(geometry, tuple(map(float, bends)))
+    assert repr([r.entries for r in fl.rows]) == repr(
+        [tuple(map(float, r)) for r in rows])
+
+
+def test_an_isotropic_reflection_is_made_of_two():
+    # for (-3, 5, 7, 9) the vector e - W0^{-1} c is isotropic, so the
+    # realizer reflects twice
+    coths = (-3, 5, 7, 9)
+    assert oracles.isotropic_reflection("hyperbolic", coths)
+    for mode in (EXACT, FLOAT):
+        values = tuple(map(F if mode == EXACT else float, coths))
+        w = apollonian.realize_bends(forms.HYPERBOLIC, values)
+        assert w.bends == values and w.mode == mode
+        res = w.residual()
+        assert res.ok and res.max_abs_entry_error == 0
+        assert [r.entries for r in w.rows] == [
+            (c,) + tuple(row[1:]) for c, row in
+            zip(values, oracles.reflected_base("hyperbolic", coths))]
+
+
+def _sheet_breaks(w):
+    """Rows of |coth| >= 1 with a nonzero tail whose q_0 has the other sign
+    than their coth: points of the lower sheet."""
+    return [r.entries for r in w.rows
+            if abs(r.entries[0]) >= 1 and any(r.entries[1:])
+            and (r.entries[0] > 0) != (r.entries[1] > 0)]
+
+
+def test_hyperbolic_rows_lie_on_the_upper_sheet():
+    realized = 0
+    for v in _bend_vectors(forms.HYPERBOLIC) + [(-1, 1, 2, 2), (-3, 5, 7, 9)]:
+        for values in (v, tuple(map(float, v))):
+            try:
+                w = apollonian.realize_bends(forms.HYPERBOLIC, values)
+            except ValueError:
+                continue
+            assert _sheet_breaks(w) == [], values
+            realized += 1
+    assert realized >= 2 * 70, realized
+
+
+def test_a_reflection_with_another_factor_fails_the_exact_gate():
+    # the check that realize_bends passes tells the reflection from one
+    # with its 2 turned into 1, which is no isometry of the Gram target
+    for geometry, coths in ((forms.SPHERICAL, (8, 1, 1, 2)),
+                            (forms.HYPERBOLIC, (-1, 1, 2, 2)),
+                            (forms.HYPERBOLIC, (-3, 5, 7, 9))):
+        for factor, ok in ((2, True), (1, False)):
+            rows = oracles.reflected_base(geometry, coths, factor)
+            w = forms.ConfigMatrix.from_rows(geometry, rows)
+            assert (w.residual().ok and w.bends == coths) is ok, \
+                (geometry, coths, factor)
 
 
 @pytest.mark.parametrize("geometry,bends,moved", (

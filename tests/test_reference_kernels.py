@@ -14,8 +14,12 @@ BLAS.
 The second set is the realize path as it was on Fractions, before exact
 realization moved onto integers: solve_affine on lists, the tail search,
 bend_residual, the tangent-row realizer and the Euclidean realizer with its
-completion, again verbatim but for names.  There every output must be the
-same to the byte, in both modes, except for two float cases.  Float
+completion, again verbatim but for names.  Spherical and hyperbolic bends in
+the plane are now realized by reflecting a base configuration, so the tail
+search is checked where the package still runs it, through
+forms._search_tangent_rows on the same bend vectors, and the reflection
+against oracles.reflected_base.  There every output must be the same to the
+byte, in both modes, except for two float cases.  Float
 Euclidean rows now come from the closed form of exact mode, and are checked
 against the exact rows and held within 1e-15 relative of the old ones.  Float
 cot and coth values whose bend residual is float rounding, which the old
@@ -34,11 +38,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from inversive import (apollonian, euclid, forms, linalg, scalars, shell,
-                       transform)
+from inversive import (apollonian, euclid, forms, hyperbolic, linalg, scalars,
+                       shell, spherical, transform)
 from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
                                coerce, coerce_row, integer_rows, is_exact,
                                mode_of, near, sqrt_scalar)
+
+import oracles
 
 E, S, H = forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC
 GEOMS = (E, S, H)
@@ -981,6 +987,23 @@ REFERENCE_REALIZERS = {E: _reference_realize_curvature_vector,
                        H: _reference_realize_sphere_config}
 
 
+def _searched(geometry, bends):
+    """The configuration of the package's tail search for cot or coth values
+    of any n, after the realizer's bend check: what realize_bends gave for
+    n = 2 before curved plane bends were reflected from a base, and what it
+    gives above the plane."""
+    name, first_tails = {S: ("cot", spherical._first_tails),
+                         H: ("coth", hyperbolic._first_tails)}[geometry]
+    c, mode = forms._tangent_values(geometry, bends, name)
+    return forms._search_tangent_rows(geometry, c, mode, name, first_tails)
+
+
+# the package realizer that runs the code each reference realizer had
+SEARCH_REALIZERS = {E: lambda bends: apollonian.realize_bends(E, bends),
+                    S: lambda bends: _searched(S, bends),
+                    H: lambda bends: _searched(H, bends)}
+
+
 # --- bend vectors --------------------------------------------------------
 
 REALIZE_WORDS = ((), (0,), (2, 1), (3, 0, 2), (1, 3, 0, 2), (0, 2, 1, 3, 0))
@@ -1090,7 +1113,7 @@ def test_realize_bends_matches_reference(geometry, mode):
     realized = failed = rounding = 0
     for v in _bend_vectors(geometry):
         bends = v if exact else tuple(float(x) for x in v)
-        new = _outcome_bytes(apollonian.realize_bends, geometry, bends)
+        new = _outcome_bytes(SEARCH_REALIZERS[geometry], bends)
         ref = _outcome_bytes(REFERENCE_REALIZERS[geometry], bends)
         if (geometry, mode) == (E, FLOAT):
             _check_float_euclidean(v, bends, ref)
@@ -1115,14 +1138,50 @@ def test_realize_bends_matches_reference(geometry, mode):
         assert rounding >= 4, rounding
 
 
+@pytest.mark.parametrize("geometry", (S, H))
+def test_curved_plane_realize_bends_matches_the_base_reflection(geometry):
+    """realize_bends of n = 2 cot and coth vectors against
+    oracles.reflected_base: exact rows equal to the oracle's, with the
+    bends as given and an exactly zero Gram residual; float rows equal to
+    the oracle's on the dyadic values of the float bends, each entry
+    rounded once, with the float bends as the bend column; and the
+    reference's error, in both modes, for a vector that is no bend vector.
+    """
+    realized = refused = 0
+    for v in _bend_vectors(geometry):
+        if len(v) != 4:
+            continue
+        for bends in (tuple(map(Fraction, v)), tuple(map(float, v))):
+            new = _outcome_bytes(apollonian.realize_bends, geometry, bends)
+            if forms.bend_residual(geometry, tuple(map(Fraction, v))):
+                assert new == _outcome_bytes(REFERENCE_REALIZERS[geometry],
+                                             bends), bends
+                refused += 1
+                continue
+            w = apollonian.realize_bends(geometry, bends)
+            oracle = oracles.reflected_base(geometry, bends)
+            if is_exact(bends[0]):
+                assert tuple(r.entries for r in w.rows) == oracle, v
+                assert w.bends == bends and w.mode == EXACT
+                res = w.residual()
+                assert res.ok and res.max_abs_entry_error == 0, v
+            else:
+                rounded = [(b,) + tuple(map(float, row[1:]))
+                           for b, row in zip(bends, oracle)]
+                assert repr([r.entries for r in w.rows]) == repr(rounded), v
+                assert w.residual().within_rounding(w), v
+            realized += 1
+    assert realized >= 2 * 60 and refused == 2 * 4, (realized, refused)
+
+
 def _tail_searches(geometry):
     """(prev_tails, signs, pair_values, self_value) for every row of the
-    exact tail search along each realized configuration of the geometry."""
+    exact tail search along each configuration it finds for the geometry."""
     k = forms.CURVATURE_SIGN[geometry]
     out = []
     for v in _bend_vectors(geometry):
         try:
-            w = apollonian.realize_bends(geometry, v)
+            w = _searched(geometry, v)
         except ValueError:
             continue
         c = [r.entries[0] for r in w.rows]
@@ -1203,7 +1262,8 @@ def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
     denominator, the tails of each exact realization become rows in one
     unscaled_rows call, and no entry is coerced on the way, neither by
     float solve_affine nor by from_rows; the rows are those of the
-    reference tail search."""
+    reference tail search.  The package runs the search above the plane,
+    and here on the n = 2 vectors of _bend_vectors."""
     exact = mode == EXACT
     inputs = [tuple(map(Fraction if exact else float, v))
               for v in _bend_vectors(geometry)]
@@ -1236,7 +1296,7 @@ def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
     monkeypatch.setattr(scalars, "coerce", counted(coerce, coerced))
     realized = 0
     for bends, ref in zip(inputs, refs):
-        new = _outcome_bytes(apollonian.realize_bends, geometry, bends)
+        new = _outcome_bytes(_searched, geometry, bends)
         assert new == ref or (isinstance(ref[0], tuple) and new in ref), bends
         realized += not isinstance(new[0], type)
     assert coerced == [], coerced[:3]
@@ -1401,8 +1461,8 @@ def _random_square_matrices():
 
 
 def _tail_search_systems(geometry, monkeypatch):
-    """Every system the float tail search hands to solve_affine while
-    realizing the float bend vectors of the geometry."""
+    """Every system the float tail search hands to solve_affine on the
+    float bend vectors of the geometry."""
     seen = []
     solve = linalg.solve_affine
 
@@ -1413,8 +1473,7 @@ def _tail_search_systems(geometry, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(linalg, "solve_affine", recording)
         for v in _bend_vectors(geometry):
-            _outcome_bytes(apollonian.realize_bends, geometry,
-                           tuple(float(x) for x in v))
+            _outcome_bytes(_searched, geometry, tuple(float(x) for x in v))
     return seen
 
 

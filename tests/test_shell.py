@@ -525,15 +525,26 @@ def test_negative_bound_or_step_count_is_an_error(argv, error, capsys):
     assert (code, out, err) == (1, "", f"error: {error}\n")
 
 
-def test_solve_prints_completions_it_cannot_realize(capsys):
-    # (-1, 1, 2) has the double root 2, and no configuration of the coth
-    # values (-1, 1, 2, 2) is found
-    code, out, _ = run(["solve", "--geometry", "hyperbolic", "--seed=-1,1,2"],
-                       capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["completions"] == ["2", "2"]
-    assert doc["configurations"] == [None, None]
+def test_solve_realizes_both_completions_of_a_double_root(monkeypatch,
+                                                          capsys):
+    # (-1, 1, 2) has the double root 2; the coth values (-1, 1, 2, 2) have
+    # two |coth| = 1 rows, whose null tails a row-by-row tail search could
+    # not place, and both configurations verify in both modes
+    for mode, root in ((EXACT, "2"), (FLOAT, 2.0)):
+        code, out, err = run(["solve", "--geometry", "hyperbolic",
+                              "--seed=-1,1,2", "--mode", mode], capsys)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["completions"] == [root, root]
+        assert len(doc["configurations"]) == 2
+        for config in doc["configurations"]:
+            text = json.dumps(config)
+            w = shell.loads_config(text)
+            assert w.mode == mode and w.bends == (-1, 1, 2, 2)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code, out, err = run(["verify"], capsys)
+            assert code == 0, err
+            assert json.loads(out)["valid"] is True
 
 
 def test_onedim_command(capsys):
