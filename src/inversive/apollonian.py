@@ -36,9 +36,9 @@ from math import floor, isfinite, isqrt
 from operator import add
 
 from . import euclid, forms, hyperbolic, spherical, transform
-from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce, coerce_row,
-                      frame_quotient, integer_rows, mode_of, near, scaled_rows,
-                      sqrt_scalar, unscaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce_row,
+                      frame_quotient, integer_rows, mode_of, near,
+                      reduced_rows, scaled_rows, sqrt_scalar, unscaled_rows)
 
 
 def _column_sums(entry_rows):
@@ -63,18 +63,22 @@ def reflect(w, i):
     The new row is (2/(n-1)) times the sum of the other rows minus the old
     one; in exact mode reflecting twice at the same index restores the
     input exactly.  The result is not checked: its residual() tells whether
-    it keeps the Gram identity.
+    it keeps the Gram identity.  An exact configuration is reflected on
+    its frame (_int_frame, _walk_config), a float one on its float rows.
     """
-    if w.n < 2:
+    n = w.n
+    if n < 2:
         raise ValueError("reflection degenerates for n = 1, see the interval "
                          "configurations instead")
-    if not 0 <= i < w.n + 2:
+    if not 0 <= i < n + 2:
         raise ValueError(f"row index {i} out of range")
-    coeff = coerce(2, w.mode) / (w.n - 1)
-    entry_rows = tuple(r.entries for r in w.rows)
-    return forms.ConfigMatrix.from_rows(w.geometry,
-                                        _reflect_entries(entry_rows, i, coeff),
-                                        mode=w.mode)
+    if w.mode == EXACT:
+        rows, scale, coeff = _int_frame(w)
+        return _walk_config(w.geometry, _reflect_entries(rows, i, coeff),
+                            scale, coeff, EXACT)
+    rows, scale = w.scaled
+    return forms.ConfigMatrix(w.geometry, None, scaled=(
+        _reflect_entries(rows, i, 2.0 / (n - 1)), scale))
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,16 @@ def _int_frame(seed, bends_only=False):
     multiple scale of their denominators (scalars.integer_rows; a power of
     two for floats), and the reflection coefficient 2/(n-1): an int for
     n = 2 and n = 3, so that reflections of int rows stay ints, and a
-    Fraction above."""
+    Fraction above.  An exact seed's frame is its ConfigMatrix.scaled, a
+    float seed's the integer_rows of its float rows, and the bend row is
+    the bend column of that frame reduced by one gcd."""
     n = seed.n
-    rows, scale = integer_rows(
-        [seed.bends] if bends_only else [r.entries for r in seed.rows])
+    rows, scale = seed.scaled
+    if seed.mode != EXACT:
+        rows, scale = integer_rows(rows)
+    if bends_only:
+        col = forms.bend_column(seed.geometry)
+        rows, scale = reduced_rows((tuple([row[col] for row in rows]),), scale)
     return rows, scale, 2 // (n - 1) if n <= 3 else Fraction(2, n - 1)
 
 
@@ -164,6 +174,21 @@ def _walk_frame(seed, tol, task, bends_only=False):
     return (*_int_frame(seed, bends_only), frame_quotient(seed.mode))
 
 
+def _walk_config(geometry, rows, scale, coeff, mode):
+    """The configuration of rows of a walk over its scale, held as its frame
+    (ConfigMatrix.scaled): exact rows, Fractions when the walk's coeff is
+    no int (n > 3), over the LCM of their denominators, and float rows each
+    divided once, rounded, over 1.0."""
+    if mode != EXACT:
+        frame = unscaled_rows(rows, scale, mode), 1.0
+    else:
+        if type(coeff) is not int:
+            rows, denominator = integer_rows(rows)
+            scale *= denominator
+        frame = reduced_rows(rows, scale)
+    return forms.ConfigMatrix(geometry, None, scaled=frame)
+
+
 class InfiniteClosure(ValueError):
     """The closure of a seed within a bound is infinite, and no cap was
     given."""
@@ -175,13 +200,21 @@ def _check_finite(seed, bound):
 
     The walk reaches the configuration that root_quadruple(bends, bound)
     returns.  When that is a root (0, 0, c, c) with c <= bound, the circles
-    of bend c between its two parallel lines repeat forever.  A float bend
-    counts as zero within tol of the root's largest |bend|, at any scale.
-    The horocycle chains of hyperbolic packings are not checked.
+    of bend c between its two parallel lines repeat forever.  An exact
+    seed is reduced on the int bends of _int_frame, over their scale s,
+    with the bound times s; each step and test is unchanged by the positive
+    scale.  A float bend counts as zero within tol of the root's largest
+    |bend|, at any scale.  The horocycle chains of hyperbolic packings are
+    not checked.
     """
     if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
         return
-    root = root_quadruple(seed.bends, bound)
+    if seed.mode == EXACT:
+        (bends,), scale, _ = _int_frame(seed, bends_only=True)
+        root = tuple([Fraction(b, scale) for b in
+                      root_quadruple(bends, floor(bound * scale))])
+    else:
+        root = root_quadruple(seed.bends, bound)
     tol = DEFAULT_TOL * max(map(abs, root))
     zeros = sum(near(b, 0, tol) for b in root)
     if zeros >= 2 and max(root) <= bound:
@@ -209,7 +242,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     end).  An exact Packing keeps the sorted int rows and their scale in its
     scaled field, and builds its Fraction rows only when they are read; in
     a float Packing each entry is the int one divided once, rounded, over
-    1.0.  Kept configurations are divided back by scalars.unscaled_rows.
+    1.0.  Kept configurations hold their frames (_walk_config).
 
     Each configuration remembers the index whose reflection produced it and
     is not reflected at that index again, since that only rebuilds its
@@ -332,9 +365,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     configs = None
     if keep_configs:
         configs = tuple(
-            forms.ConfigMatrix.from_rows(
-                seed.geometry, unscaled_rows(kept_configs[k], scale, mode),
-                mode=mode)
+            _walk_config(seed.geometry, kept_configs[k], scale, coeff, mode)
             for k in sorted(kept_configs))
     if type(coeff) is not int:
         rows, denominator = integer_rows(rows)

@@ -16,8 +16,8 @@ Gram identity (see forms.target_for).
 from dataclasses import dataclass
 
 from . import forms
-from .scalars import (coerce, coerce_row, div, frame_quotient, mode_of, near,
-                      negligible, scaled_rows)
+from .scalars import (EXACT, coerce, coerce_row, div, mode_of, near,
+                      negligible, reduced_rows, scaled_rows)
 
 
 @dataclass(frozen=True)
@@ -127,28 +127,31 @@ def realize_curvature_vector(bends):
         raise ValueError("the zero vector is not a bend vector")
     positives = sum(1 for b in bends if b > 0)
     if positives < 2:
-        flipped = realize_curvature_vector(tuple(-b for b in bends))
-        rows = tuple(
-            forms.CoordRow(forms.EUCLIDEAN, tuple(-x for x in r.entries))
-            for r in flipped.rows)
-        return forms.ConfigMatrix(forms.EUCLIDEAN, rows)
+        rows, scale = realize_curvature_vector(tuple(-b for b in bends)).scaled
+        return forms.ConfigMatrix(forms.EUCLIDEAN, None, scaled=(
+            tuple([tuple([-x for x in r]) for r in rows]), scale))
     zeros = sum(1 for b in bends if b == 0)
     if zeros == 2:
         return _realize_strip(bends, mode)
     # largest first; the stable sort keeps ties in index order
     order = sorted(range(4), key=bends.__getitem__, reverse=True)
-    placed = _place(*(bends[i] for i in order), mode)
+    placed, scale = _place(*(bends[i] for i in order), mode)
     ordered = [None] * 4
     for slot, original_index in enumerate(order):
         ordered[original_index] = placed[slot]
-    return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, ordered, mode=mode)
+    return forms.ConfigMatrix(forms.EUCLIDEAN, None,
+                              scaled=(tuple(ordered), scale))
 
 
 def _place(ba, bb, bc, bd, mode):
-    """The canonical rows for Descartes bends ba >= bb >= bc >= bd with
-    ba, bb > 0, evaluated on the bends in the frame of scalars.scaled_rows:
-    times their scale l, divided by scalars.frame_quotient (into Fractions
-    in exact mode, l = 1.0 and true division in float mode).
+    """The frame (scalars.scaled_rows) of the canonical rows for Descartes
+    bends ba >= bb >= bc >= bd with ba, bb > 0, worked out on the bends in
+    that frame, l times their values, so that s and q below are l times
+    theirs.  The rows are (0, b_a, 1, 0), (0, b_b, -1, 0), (4l/s, b_c, x, y)
+    and (4l/s, b_d, x, y_d), with x and y the center of circle c: exact
+    rows as ints times l s over l s, reduced by one gcd
+    (scalars.reduced_rows), and float rows (l = 1.0) as float quotients,
+    over 1.0.
 
     For exact bends bc > 0 too (bc <= 0 would force a second zero bend), so
     circle c, centered at (b_a - b_b, q) / (s b_c) with s = b_a + b_b and
@@ -156,16 +159,18 @@ def _place(ba, bb, bc, bd, mode):
     q^2 = 4 (b_a b_b + b_c s) > 0: the two completions of circles a, b and
     c never coincide here."""
     ((ia, ib, ic, id_),), l = scaled_rows([(ba, bb, bc, bd)], mode)
-    quotient = frame_quotient(mode)
     s = ia + ib
     q = abs(id_ - s - ic)
-    zero, one = quotient(0, 1), quotient(1, 1)
-    bbar = quotient(4 * l, s)  # both other circles touch a and b at 0
-    x = quotient(ia - ib, s)
     # rows a and b fix bbar_d and x_d, and row c then gives y_d = y - 2 or
     # y + 2 as b_d is the smaller or the larger root of the Descartes
     # quadratic in b_d
-    y = quotient(q, s)
-    y_d = quotient(q - 2 * s if id_ < s + ic else q + 2 * s, s)
-    return [(zero, ba, one, zero), (zero, bb, -one, zero), (bbar, bc, x, y),
-            (bbar, bd, x, y_d)]
+    q_d = q - 2 * s if id_ < s + ic else q + 2 * s
+    if mode == EXACT:
+        # both other circles touch a and b at 0: bbar = 4 l / s
+        return reduced_rows(
+            [(0, ia * s, l * s, 0), (0, ib * s, -l * s, 0),
+             (4 * l * l, ic * s, (ia - ib) * l, q * l),
+             (4 * l * l, id_ * s, (ia - ib) * l, q_d * l)], l * s)
+    bbar, x = 4 / s, (ia - ib) / s
+    return ((0.0, ba, 1.0, 0.0), (0.0, bb, -1.0, 0.0), (bbar, bc, x, q / s),
+            (bbar, bd, x, q_d / s)), 1.0

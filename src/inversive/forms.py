@@ -26,7 +26,11 @@ and the tangency values of the tail search run on rows in the frame of
 scalars.scaled_rows: on integers in exact mode, so with V = sW the rows
 scaled by the LCM s of their denominators and sigma the column sums of V,
 n s^2 W^T Q_n W = n V^T V - sigma sigma^T, and one quotient by the scale
-turns a result back into an entry.
+turns a result back into an entry.  A ConfigMatrix holds that frame as
+its scaled field, as an apollonian.Packing does, and its producers hand
+it over: the realizers, conversions, Moebius moves, reflections, walks
+and the document reader fill it directly, and its Fraction CoordRows are
+built only when rows is read.
 """
 
 import functools
@@ -38,7 +42,7 @@ from operator import mul
 from . import linalg
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ROUNDING, all_exact, coerce,
                       coerce_row, frame_quotient, integer_rows, mode_of, near,
-                      negligible, scaled_rows, unscaled_rows)
+                      negligible, reduced_rows, scaled_rows, unscaled_rows)
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
@@ -110,32 +114,68 @@ class CoordRow:
 class ConfigMatrix:
     """n+2 mutually tangent spheres as a stack of coordinate rows.
 
-    A configuration is immutable, so what is worked out from its rows is
-    kept on the instance: its mode when first read, and its residual()
-    per tolerance.  Neither takes part in equality or repr.
+    scaled=(rows, scale) is the configuration's frame, scalars.scaled_rows
+    of its rows: int tuples over the LCM of their reduced denominators in
+    exact mode, float tuples over 1.0 in float mode.  The producers of the
+    package, from_rows among them, pass rows=None and scaled, whose shape is
+    checked; the CoordRows of rows are built from it when rows is first
+    read, and kept, as Packing's are.  Rows given to the constructor, as by
+    dataclasses.replace, are kept, and framed in the mode of their entries
+    when scaled is first read.  The Gram check, the bends, conversions, the
+    JSON writer and the walks read the frame, so a configuration whose rows
+    nothing reads builds none.
+
+    A configuration is immutable, so what is worked out from it is kept on
+    the instance: n, its mode, and its residual() per tolerance.  None of
+    them, nor scaled, takes part in equality or repr.
     """
 
     geometry: str
     rows: tuple
+    scaled: tuple = field(default=None, compare=False, repr=False)
+    n: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
         _by_geometry(_GEOMETRY, self.geometry)  # or raise
-        if not rows:
+        attrs = self.__dict__
+        if self.rows is not None:
+            rows = attrs["rows"] = tuple(self.rows)
+            del attrs["scaled"]  # built by __getattr__
+            entry_rows = [row.entries for row in rows]
+            widths = set(map(len, entry_rows))
+        elif self.scaled is not None:
+            entry_rows, scale = self.scaled
+            widths = set(map(len, entry_rows))
+            if widths and min(widths) < 3:
+                raise ValueError("a coordinate row needs at least 3 entries")
+            del attrs["rows"]  # built by __getattr__
+            attrs["mode"] = FLOAT if scale.__class__ is float else EXACT
+        else:
+            raise ValueError("a configuration needs rows or scaled rows")
+        if not entry_rows:
             raise ValueError("empty configuration")
-        width = len(rows[0].entries)
-        if len(rows) != width:
+        width = len(entry_rows[0])
+        if len(entry_rows) != width:
             raise ValueError("configuration matrix must be square")
-        for row in rows:
-            if row.kind != self.geometry:
-                raise ValueError("row kind does not match configuration geometry")
-            if len(row.entries) != width:
-                raise ValueError("ragged configuration rows")
+        if "rows" in attrs and {r.kind for r in rows} != {self.geometry}:
+            raise ValueError("row kind does not match configuration geometry")
+        if len(widths) > 1:
+            raise ValueError("ragged configuration rows")
+        attrs["n"] = width - 2
 
-    @property
-    def n(self):
-        return len(self.rows) - 2
+    def __getattr__(self, name):
+        # reached only for attributes the instance does not hold: rows
+        # before it is first read, and scaled of rows given
+        attrs = self.__dict__
+        if name == "rows" and "scaled" in attrs:
+            built = tuple([CoordRow(self.geometry, row) for row in
+                           unscaled_rows(*attrs["scaled"], attrs["mode"])])
+        elif name == "scaled" and "rows" in attrs:
+            built = scaled_rows([r.entries for r in attrs["rows"]], self.mode)
+        else:
+            raise AttributeError(name)
+        attrs[name] = built
+        return built
 
     @functools.cached_property
     def mode(self):
@@ -143,7 +183,14 @@ class ConfigMatrix:
 
     @property
     def bends(self):
-        return tuple(r.bend for r in self.rows)
+        """The bend column: the entries of rows once they are held, else
+        read from the frame."""
+        col = bend_column(self.geometry)
+        if "rows" in self.__dict__:
+            return tuple([r.entries[col] for r in self.rows])
+        rows, scale = self.scaled
+        return unscaled_rows((tuple([row[col] for row in rows]),), scale,
+                             self.mode)[0]
 
     def residual(self, tol=DEFAULT_TOL):
         """check_identity of the configuration against the Descartes form
@@ -168,15 +215,18 @@ class ConfigMatrix:
     @classmethod
     def from_rows(cls, geometry, entry_rows, mode=None):
         """Configuration of entry rows coerced to mode (by default the mode
-        of their entries); scalars.coerce_row returns a row already of the
-        mode's type as it is.  Every entry then has the mode's type, so the
-        mode is kept on the configuration without a second look."""
+        of their entries), held as its frame; scalars.coerce_row returns a
+        row already of the mode's type as it is."""
         if mode is None:
             mode = mode_of([x for row in entry_rows for x in row])
-        w = cls(geometry, tuple([CoordRow(geometry, coerce_row(r, mode))
-                                 for r in entry_rows]))
-        w.__dict__["mode"] = EXACT if mode == EXACT else FLOAT
-        return w
+        mode = EXACT if mode == EXACT else FLOAT
+        return cls(geometry, None, scaled=scaled_rows(
+            [coerce_row(r, mode) for r in entry_rows], mode))
+
+
+# the default of scaled lives in __init__ alone: with no class attribute, a
+# configuration given rows reaches __getattr__ when its frame is read
+del ConfigMatrix.scaled
 
 
 @dataclass(frozen=True)
@@ -297,20 +347,29 @@ def _scaled_gram(w, q):
     entry of W^T Q W; G is an int matrix in exact mode.
 
     W and Q are taken into the frame of scalars.scaled_rows, V = sW and
-    P = dQ with their scales s and d, so that G = V^T (P V) and m = s^2 d.
-    For the Descartes form exact mode takes d = n and P V = n V - ones
-    sigma^T, sigma holding the column sums of V, so G = n V^T V - sigma
-    sigma^T and P is never formed; float mode takes d = 1 and P V = V -
-    ones sigma^T / n.
+    P = dQ with their scales s and d, so that G = V^T (P V) and m = s^2 d;
+    a configuration of the mode of the product is in it already
+    (ConfigMatrix.scaled).  For the Descartes form exact mode takes d = n
+    and P V = n V - ones sigma^T, sigma holding the column sums of V, so
+    G = n V^T V - sigma sigma^T and P is never formed; float mode takes
+    d = 1 and P V = V - ones sigma^T / n.
     """
-    rows = _rows(w)
-    form = q if isinstance(q, QuadForm) else None
-    qrows = _rows(q)
-    if len(qrows) != len(rows):
+    if isinstance(q, QuadForm):
+        form, qrows, q_mode = q, q.matrix, q.mode
+    else:
+        form, qrows = None, _rows(q)
+        q_mode = mode_of([x for row in qrows for x in row])
+    if isinstance(w, ConfigMatrix):
+        mode = EXACT if w.mode == q_mode == EXACT else FLOAT
+        v, s = w.scaled if w.mode == mode else scaled_rows(_rows(w), mode)
+    else:
+        rows = _rows(w)
+        mode = EXACT if q_mode == EXACT and all_exact(
+            [x for row in rows for x in row]) else FLOAT
+        v, s = scaled_rows(rows, mode)
+    if len(qrows) != len(v):
         raise ValueError(f"form of size {len(qrows)} does not fit "
-                         f"{len(rows)} rows")
-    mode = mode_of([x for m in (rows, qrows) for row in m for x in row])
-    v, s = scaled_rows(rows, mode)
+                         f"{len(v)} rows")
     if form is not None:
         n = form.n
         sigma = tuple(map(sum, zip(*v)))
@@ -430,8 +489,8 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     c, mode = _tangent_values(geometry, bends, name)
     if len(c) != 4:
         return _search_tangent_rows(geometry, c, mode, name, first_tails)
-    return ConfigMatrix.from_rows(geometry, _reflected_base(geometry, c, mode),
-                                  mode=mode)
+    return ConfigMatrix(geometry, None,
+                        scaled=_reflected_base(geometry, c, mode))
 
 
 def _search_tangent_rows(geometry, c, mode, name, first_tails):
@@ -484,7 +543,8 @@ def _carried(rows, a, b, t):
 
 
 def _reflected_base(geometry, c, mode):
-    """Entry rows W = W0 G of a plane configuration with bends c, in mode.
+    """The frame (scalars.scaled_rows) of the rows W = W0 G of a plane
+    configuration with bends c, in mode.
 
     W0 is the geometry's base, T its Gram target and e the unit vector of
     the bend column.  Rows times an isometry G of T stay a configuration
@@ -501,6 +561,10 @@ def _reflected_base(geometry, c, mode):
     so the bends come out as given and the rows within rounding of an
     isometry's, and a v_0 within the rounding of its terms counts as zero,
     where one reflection would divide by it.  Every entry is rounded once.
+
+    Exact rows are the int rows m W0 G over m, bend column included (its
+    entries are m c), reduced by their one gcd; float rows keep the bends
+    as given, over 1.0.
 
     A hyperbolic W whose first row with |c_i| >= 1 and a nonzero q_0 has
     q_0 of the other sign than c_i lies on the lower sheet, and gets its
@@ -535,6 +599,8 @@ def _reflected_base(geometry, c, mode):
                 if (r[0] > 0) != (r[1] > 0):
                     rows = [(r[0], -r[1], *r[2:]) for r in rows]
                 break
+    if mode == EXACT:
+        return reduced_rows(rows, m)
     # the bend column is c, so only the others are divided by m
     rows = unscaled_rows([r[1:] for r in rows], m, mode)
-    return [(x,) + row for x, row in zip(c, rows)]
+    return tuple([(x,) + row for x, row in zip(c, rows)]), 1.0

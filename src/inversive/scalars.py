@@ -87,6 +87,19 @@ def integer_rows(rows):
     return tuple([tuple([a * (s // d) for a, d in row]) for row in ratios]), s
 
 
+def reduced_rows(rows, scale):
+    """The frame of scaled_rows of the values x / scale, as tuples: int rows
+    over a positive int scale divided with it by their one gcd, so that the
+    scale is the LCM of the reduced denominators, and float rows over 1.0
+    as they are."""
+    if scale.__class__ is float:
+        return tuple(map(tuple, rows)), scale
+    g = math.gcd(scale, *[x for row in rows for x in row])
+    if g == 1:
+        return tuple(map(tuple, rows)), scale
+    return tuple([tuple([x // g for x in row]) for row in rows]), scale // g
+
+
 def scaled_rows(rows, mode):
     """(rows, scale): the frame in which a kernel runs one body for both
     modes.

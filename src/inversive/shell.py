@@ -5,13 +5,16 @@ one header record followed by one row per line, so large generations can be
 streamed.  Exact scalars serialize as fraction strings in lowest terms
 (integers without the denominator), float scalars as JSON numbers.
 
-parse_document (and loads_config on it), and loads_packing for the seed
-and bound of an exact header, read an exact entry written that way, text
-that _EXACT_SCALAR fullmatches, by int() and the one gcd of
-Fraction(int, int), once per distinct text of the document; any other
-entry goes through scalar_from_json, so what it accepts and rejects, and
-its error, do not depend on the path.  JSON floats in a float document are
-kept as they are.
+A configuration travels as its frame, ConfigMatrix.scaled.  parse_document
+(and loads_config on it), and loads_packing for the seed of an exact
+header, read an exact entry written that way, text that _EXACT_SCALAR
+fullmatches, straight into the int rows of the frame (_exact_rows), once
+per distinct text of the document; any other entry goes through
+scalar_from_json, so what it accepts and rejects, and its error, do not
+depend on the path.  JSON floats in a float document are kept as they
+are, and are the frame.  dumps_config and document_from_config write the
+entries from the frame as iter_packing_lines writes rows, so neither
+reading, checking nor writing a document builds a CoordRow.
 
 iter_packing_lines yields a packing stream one line at a time, each row
 formatted by one format from Packing.scaled (int rows over one scale, or
@@ -80,53 +83,58 @@ _EXACT_SCALAR = r"-?[0-9]+(?:/[1-9][0-9]*)?"
 _exact_text = re.compile(_EXACT_SCALAR).fullmatch
 
 
-def _exact_entry_reader():
-    """A reader of the entries of one exact document: a text that
-    _EXACT_SCALAR fullmatches is read by int() and the one gcd of
-    Fraction(int, int) into one Fraction per distinct text; any other entry
-    goes through scalar_from_json, so it is accepted or rejected, with the
-    same error, as there."""
-    fractions = {}
-
-    def entry(v):
-        if v.__class__ is str:
-            x = fractions.get(v)
-            if x is not None:
-                return x
-            if _exact_text(v):
-                a, _, b = v.partition("/")
-                x = Fraction(int(a), int(b)) if b else Fraction(int(a))
-                fractions[v] = x
-                return x
-        return scalar_from_json(v, EXACT)
-
-    return entry
+def _exact_entry(v):
+    """An entry of an exact document as _exact_rows takes it: a text that
+    _EXACT_SCALAR fullmatches as it is, and any other entry as the Fraction
+    of scalar_from_json, so that it is accepted or rejected, with the same
+    error, as there."""
+    if v.__class__ is str and _exact_text(v):
+        return v
+    return scalar_from_json(v, EXACT)
 
 
 def _float_from_json(v):
     return v if v.__class__ is float else scalar_from_json(v, FLOAT)
 
 
+def _scaled_entries(rows, mode):
+    """The frame (scalars.scaled_rows) of the JSON rows of a document or of
+    a packing header's seed: exact entries by _exact_entry and _exact_rows,
+    float entries that are JSON floats as they are, any other float entry
+    through scalar_from_json."""
+    if mode == EXACT:
+        return _exact_rows([tuple(map(_exact_entry, row)) for row in rows])
+    return tuple([tuple(map(_float_from_json, row)) for row in rows]), 1.0
+
+
 @dataclass(frozen=True)
 class ConfigDocument:
-    """Parsed configuration document plus its Gram-identity verdict."""
+    """Parsed configuration document plus its Gram-identity verdict; its
+    rows are the entry rows of its configuration, read from it."""
 
     geometry: str
     n: int
     mode: str
-    rows: tuple
     config: forms.ConfigMatrix
     valid: bool
     residual: forms.Residual
 
+    @property
+    def rows(self):
+        return tuple([r.entries for r in self.config.rows])
+
 
 def document_from_config(w):
-    return {
-        "geometry": w.geometry,
-        "n": w.n,
-        "mode": w.mode,
-        "rows": [[scalar_to_json(x) for x in r.entries] for r in w.rows],
-    }
+    """The configuration document of w as a JSON value, its rows written
+    from ConfigMatrix.scaled: floats as they are, an exact x / scale as its
+    text in lowest terms, as iter_packing_lines writes it."""
+    rows, scale = w.scaled
+    if scale.__class__ is float:
+        rows = [list(row) for row in rows]
+    else:
+        text = _ratio_texts(scale)
+        rows = [list(map(text, row)) for row in rows]
+    return {"geometry": w.geometry, "n": w.n, "mode": w.mode, "rows": rows}
 
 
 def dumps_config(w):
@@ -145,9 +153,8 @@ def parse_document(text, tol=DEFAULT_TOL):
     Fields other than geometry, n, mode and rows are ignored.  A mode other
     than "exact" or "float", an n that is not an int or not the dimension
     of the rows, and rows not a list of lists of scalars raise ValueError.
-    Exact entries are read by _exact_entry_reader, float entries that are
-    JSON floats are kept as they are, and any other entry goes through
-    scalar_from_json.
+    The rows are read into the configuration's frame by _scaled_entries,
+    and no CoordRow is built.
     """
     raw = json.loads(text)
     if not (isinstance(raw, dict) and _is_rows(raw.get("rows", []))):
@@ -160,17 +167,14 @@ def parse_document(text, tol=DEFAULT_TOL):
         if type(n) is not int:
             raise ValueError(f"configuration dimension n = {n!r} is not an "
                              "integer")
-        scalar = _exact_entry_reader() if mode == EXACT else _float_from_json
-        rows = [tuple(map(scalar, row)) for row in raw["rows"]]
+        scaled = _scaled_entries(raw["rows"], mode)
     except KeyError as e:
         raise ValueError(f"configuration document is missing field {e}")
-    w = forms.ConfigMatrix.from_rows(geometry, rows, mode=mode)
+    w = forms.ConfigMatrix(geometry, None, scaled=scaled)
     if w.n != n:
         raise ValueError(f"declared n = {n} but rows have n = {w.n}")
     residual = w.residual(tol)
-    return ConfigDocument(
-        geometry, w.n, mode, tuple(rows), w, residual.ok, residual
-    )
+    return ConfigDocument(geometry, w.n, mode, w, residual.ok, residual)
 
 
 def loads_config(text, tol=DEFAULT_TOL):
@@ -192,16 +196,16 @@ def _json_float(x):
 
 
 def _ratio_texts(scale):
-    """x -> the JSON text of x / scale in lowest terms, for ints x; each
-    distinct x is reduced by a gcd once."""
+    """x -> the text of x / scale in lowest terms, as str() of its Fraction,
+    for ints x; each distinct x is reduced by a gcd once."""
     memo = {}
 
     def text(x):
         t = memo.get(x)
         if t is None:
             g = math.gcd(x, scale)
-            t = memo[x] = (f'"{x // g}"' if g == scale
-                           else f'"{x // g}/{scale // g}"')
+            t = memo[x] = (f"{x // g}" if g == scale
+                           else f"{x // g}/{scale // g}")
         return t
 
     return text
@@ -226,7 +230,7 @@ def iter_packing_lines(p):
         "explored": p.explored,
         "depth": p.depth,
         "truncated": p.truncated,
-        "seed": [[scalar_to_json(x) for x in r.entries] for r in p.seed.rows],
+        "seed": document_from_config(p.seed)["rows"],
     }
     yield json.dumps(head, separators=(",", ":")) + "\n"
     rows, scale = p.scaled
@@ -237,7 +241,7 @@ def iter_packing_lines(p):
     elif not is_float and scale == 1:
         field = '"%d"'
     else:
-        field = "%s"
+        field = "%s" if is_float else '"%s"'
         text = _json_float if is_float else _ratio_texts(scale)
         rows = (list(map(text, row)) for row in rows)
     line = '{"bend":%s,"row":[%s]}\n' % (field, ",".join([field] * (p.n + 2)))
@@ -323,10 +327,9 @@ def loads_packing(source):
             raise ValueError(f"unknown packing mode {mode!r}")
         if not _is_rows(seed_field):
             raise ValueError("packing seed is not a list of rows")
-        scalar = _exact_entry_reader() if mode == EXACT else _float_from_json
-        seed_rows = [tuple(map(scalar, row)) for row in seed_field]
-        bound = scalar(head["bound"])
-        seed = forms.ConfigMatrix.from_rows(geometry, seed_rows, mode=mode)
+        seed_scaled = _scaled_entries(seed_field, mode)
+        bound = scalar_from_json(head["bound"], mode)
+        seed = forms.ConfigMatrix(geometry, None, scaled=seed_scaled)
         if bound < 0:  # as generate() rejects it
             raise ValueError(f"packing bound {bound} is negative")
         n, explored, depth, truncated = (
@@ -365,10 +368,14 @@ def loads_packing(source):
             rows, scale = scaled
             limit = bound * scale
             if max(map(abs, map(itemgetter(bend_col), rows)), default=0) > limit:
-                # generate() keeps the seed's rows at any bound
+                # generate() keeps the seed's rows at any bound; a row r
+                # over scale is a seed row s over seed_scale when
+                # r seed_scale = s scale
+                seed_rows, seed_scale = seed_scaled
                 seeds = {tuple(x * scale for x in row) for row in seed_rows}
                 for row in rows:
-                    if abs(row[bend_col]) > limit and row not in seeds:
+                    if abs(row[bend_col]) > limit and tuple(
+                            x * seed_scale for x in row) not in seeds:
                         raise ValueError(f"packing row bend {Fraction(row[bend_col], scale)}"
                                          f" is outside the bound {bound}")
         else:

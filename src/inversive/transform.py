@@ -30,8 +30,8 @@ commute.  translation, dilation and inversion build G on Euclidean rows
 import functools
 
 from . import forms, linalg
-from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, frame_quotient,
-                      mode_of, scaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, mode_of,
+                      reduced_rows, scaled_rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -51,8 +51,8 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
     The input must satisfy its own Gram identity; the output satisfies the
     target's, and the round trip is exact in rational mode.  Each row keeps
     its tail, and its first two entries are mixed by the conversion head,
-    in the frame of scalars.scaled_rows (ints over the LCM of their
-    denominators in exact mode).
+    on the frame of the configuration (ConfigMatrix.scaled) and the head's
+    own, H = hC: the rows over s h, reduced by one gcd in exact mode.
     """
     if not isinstance(w, forms.ConfigMatrix):
         raise TypeError("convert_matrix expects a ConfigMatrix")
@@ -64,13 +64,10 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
             f"(max residual {res.max_abs_entry_error})")
     ((a, b), (c, d)), h = scaled_rows(
         conversion_matrix(w.geometry, to, 0, mode), mode)
-    rows = w.matrix()
-    heads, s = scaled_rows([row[:2] for row in rows], mode)
-    quotient = frame_quotient(mode)
-    heads = [(quotient(x * a + y * c, s * h), quotient(x * b + y * d, s * h))
-             for x, y in heads]
-    return forms.ConfigMatrix(to, [forms.CoordRow(to, head + row[2:])
-                                   for head, row in zip(heads, rows)])
+    rows, s = w.scaled
+    rows = [(x * a + y * c, x * b + y * d, *[t * h for t in tail])
+            for x, y, *tail in rows]
+    return forms.ConfigMatrix(to, None, scaled=reduced_rows(rows, s * h))
 
 
 def translation(v):
@@ -116,6 +113,8 @@ def moved(w, g):
         linalg.matmul(conversion_matrix(w.geometry, forms.EUCLIDEAN, n, mode),
                       g),
         conversion_matrix(forms.EUCLIDEAN, w.geometry, n, mode))
-    return forms.ConfigMatrix.from_rows(w.geometry,
-                                        linalg.matmul(w.matrix(), m), mode=mode)
+    p, d = scaled_rows(m, mode)
+    rows, s = w.scaled
+    return forms.ConfigMatrix(w.geometry, None, scaled=reduced_rows(
+        linalg.matmul(rows, p), s * d))
 

@@ -1,0 +1,421 @@
+"""Configurations held as their frames (ConfigMatrix.scaled) against rows
+computed entry by entry: every producer that hands a frame over gives the
+rows, entry types included, that a Fraction or float computation of the
+same configuration gives, the frame is scalars.scaled_rows of those rows,
+and the Gram check, the document writers, pickling, equality and hashing
+agree with the configuration built from the rows themselves.  The CLI
+commands that read, check and write configurations build no CoordRow at
+all."""
+
+import hashlib
+import json
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+import oracles
+from inversive import apollonian, forms, linalg, shell, transform
+from inversive.scalars import EXACT, FLOAT, coerce, scaled_rows
+from test_apollonian import _reference_generate, _rounded_reference
+from test_cli_bytes import CASES, LOX_CASES, SOLVE_CASES
+from test_document_reader import DOCUMENTS, _reference_scalar_from_json
+from test_reference_kernels import (_ref_reflect_entries,
+                                    _reference_loxodromic,
+                                    _rounded_reference_loxodromic)
+
+E, S, H = forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC
+GEOMETRIES = (E, S, H)
+BASES = {E: (-1, 2, 2, 3), S: (0, 1, 1, 2), H: (-2, 3, 5, 6)}
+WORDS = ((), (0,), (3, 0), (1, 3, 2))
+
+
+def _reflected_bends(bends, word):
+    v = list(bends)
+    for i in word:
+        v[i] = 2 * (sum(v) - v[i]) - v[i]
+    return tuple(v)
+
+
+def _vectors():
+    """Descartes vectors per geometry: the base reflected by each word, its
+    negative, and the bends of the base moved by a rational Moebius map,
+    which are no integers."""
+    g = linalg.matmul(transform.translation((F(3, 7), F(-2, 5))),
+                      transform.dilation(F(5, 3), 2))
+    out = {}
+    for geometry, base in BASES.items():
+        vectors = [_reflected_bends(base, word) for word in WORDS]
+        vectors.append(tuple(-b for b in vectors[1]))
+        w = apollonian.realize_bends(geometry, tuple(map(F, base)))
+        vectors.append(transform.moved(w, g).bends)
+        out[geometry] = tuple(vectors)
+    out[H] += ((-1, 1, 1, 1), (30, 215, 73, 630))
+    return out
+
+
+VECTORS = _vectors()
+# cot values of an exact configuration in n = 8 (forms._search_tangent_rows)
+COTS_8 = (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1)
+
+
+def _typed(rows):
+    """Entries with their types; repr tells -0.0 from 0.0."""
+    return [[(type(x), repr(x)) for x in row] for row in rows]
+
+
+def _rows_document(w):
+    """The configuration document of w written entry by entry from its
+    rows."""
+    return {"geometry": w.geometry, "n": w.n, "mode": w.mode,
+            "rows": [[shell.scalar_to_json(x) for x in r.entries]
+                     for r in w.rows]}
+
+
+def _in_mode(bends, mode):
+    return tuple(coerce(F(b), EXACT) if mode == EXACT else float(F(b))
+                 for b in bends)
+
+
+def _check(make, ref_rows, lazy=True):
+    """make(), called once, gives a configuration from a producer, ref_rows
+    the rows of the same configuration computed on Fractions or floats.  A lazy
+    producer builds no rows for the frame, the checks, the writers, the
+    bends or a pickle."""
+    w = make()
+    geometry, mode = w.geometry, w.mode
+    ref_rows = [tuple(r) for r in ref_rows]
+    eager = forms.ConfigMatrix(
+        geometry, tuple(forms.CoordRow(geometry, r) for r in ref_rows))
+    assert mode == eager.mode and w.n == eager.n == len(ref_rows) - 2
+    if lazy:
+        assert "rows" not in vars(w)
+    rows, scale = w.scaled
+    want_rows, want_scale = scaled_rows(ref_rows, mode)
+    assert (rows, scale) == (want_rows, want_scale)
+    assert _typed(rows) == _typed(want_rows)
+    assert type(scale) is type(want_scale)
+    n = w.n
+    q, target = forms.descartes_form(n, mode), forms.target_for(geometry, n, mode)
+    assert repr(w.residual()) == repr(forms.check_identity(eager, q, target))
+    assert repr(forms.check_identity(w, q, target)) == repr(w.residual())
+    document = _rows_document(eager)
+    assert shell.dumps_config(w) == json.dumps(
+        document, separators=(",", ":")) + "\n"
+    assert json.dumps(shell.document_from_config(w)) == json.dumps(document)
+    assert _typed([w.bends]) == _typed([eager.bends])
+    copy = pickle.loads(pickle.dumps(w))
+    if lazy:
+        assert "rows" not in vars(w) and "rows" not in vars(copy)
+    assert copy.scaled == w.scaled and copy.mode == mode
+    assert copy == eager and hash(copy) == hash(eager)
+    assert w == eager and hash(w) == hash(eager)
+    assert _typed(r.entries for r in w.rows) == _typed(ref_rows)
+    assert _typed(r.entries for r in copy.rows) == _typed(ref_rows)
+
+
+def _realized(geometry, bends, mode):
+    return apollonian.realize_bends(geometry, _in_mode(bends, mode))
+
+
+def _sources(mode):
+    """Configurations of every geometry: realized vectors, and an exact
+    n = 8 one in exact mode."""
+    out = [_realized(g, v, mode) for g in GEOMETRIES for v in VECTORS[g]]
+    if mode == EXACT:
+        out.append(_realized(S, COTS_8, EXACT))
+    return out
+
+
+# --- parse_document --------------------------------------------------------
+
+def _accepted_documents():
+    out = []
+    for name, text in DOCUMENTS:
+        try:
+            config = shell.parse_document(text).config
+        except (ValueError, ArithmeticError):
+            continue
+        raw = json.loads(text)
+        rows = [[_reference_scalar_from_json(v, raw["mode"]) for v in row]
+                for row in raw["rows"]]
+        out.append((name, text, config.mode, rows))
+    return out
+
+
+def test_parse_document_frames_match_the_entry_reader():
+    accepted = _accepted_documents()
+    assert len(accepted) >= 400
+    names = {name for name, *_ in accepted}
+    # JSON ints and non-canonical texts are read into the frame too
+    assert any(name.endswith("-ints") for name in names)
+    assert any(name.endswith("exact-6-00") for name in names)  # "2/4"
+    for name, text, mode, rows in accepted:
+        _check(lambda: shell.parse_document(text).config, rows)
+        doc = shell.parse_document(text)
+        assert _typed(doc.rows) == _typed(rows), name
+
+
+# --- convert_matrix ------------------------------------------------------
+
+def _rows_converted(w, to):
+    """The rows of convert_matrix computed on entries: the first two
+    entries mixed by the conversion head, the rest kept."""
+    (a, b), (c, d) = transform.conversion_matrix(w.geometry, to, 0, w.mode)
+    return [(x * a + y * c, x * b + y * d) + tuple(tail)
+            for x, y, *tail in (r.entries for r in w.rows)]
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_convert_matrix_frames_match_rows(mode):
+    for w in _sources(mode):
+        for to in GEOMETRIES:
+            _check(lambda: transform.convert_matrix(w, to),
+                   _rows_converted(w, to))
+
+
+# --- realize_bends -------------------------------------------------------
+
+def _placed_rows(ba, bb, bc, bd, mode):
+    """The canonical plane rows computed on entries: on the bends in
+    the frame of scalars.scaled_rows, each entry one quotient."""
+    ((ia, ib, ic, id_),), l = scaled_rows([(ba, bb, bc, bd)], mode)
+    quotient = F if mode == EXACT else (lambda x, y: float(x / y))
+    s = ia + ib
+    q = abs(id_ - s - ic)
+    zero, one = quotient(0, 1), quotient(1, 1)
+    bbar = quotient(4 * l, s)
+    x = quotient(ia - ib, s)
+    y = quotient(q, s)
+    y_d = quotient(q - 2 * s if id_ < s + ic else q + 2 * s, s)
+    return [(zero, ba, one, zero), (zero, bb, -one, zero), (bbar, bc, x, y),
+            (bbar, bd, x, y_d)]
+
+
+def _rows_plane_rows(bends, mode):
+    if sum(1 for b in bends if b > 0) < 2:
+        return [tuple(-x for x in r)
+                for r in _rows_plane_rows(tuple(-b for b in bends), mode)]
+    order = sorted(range(4), key=bends.__getitem__, reverse=True)
+    placed = _placed_rows(*(bends[i] for i in order), mode)
+    rows = [None] * 4
+    for slot, index in enumerate(order):
+        rows[index] = placed[slot]
+    return rows
+
+
+def _rows_curved_rows(geometry, bends, mode):
+    rows = oracles.reflected_base(geometry, bends)
+    if mode == EXACT:
+        return rows
+    return [(c,) + tuple(map(float, r[1:])) for c, r in zip(bends, rows)]
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_realize_bends_frames_match_rows(geometry, mode):
+    for v in VECTORS[geometry]:
+        bends = _in_mode(v, mode)
+        rows = (_rows_plane_rows(bends, mode) if geometry == E
+                else _rows_curved_rows(geometry, bends, mode))
+        _check(lambda: apollonian.realize_bends(geometry, bends), rows)
+
+
+def test_realized_frames_above_the_plane_are_the_searched_rows():
+    _check(lambda: _realized(S, COTS_8, EXACT),
+           [r.entries for r in _realized(S, COTS_8, EXACT).rows])
+    seed = apollonian.standard_seed(E, 3, FLOAT)
+    _check(lambda: apollonian.standard_seed(E, 3, FLOAT),
+           [r.entries for r in seed.rows])
+
+
+# --- reflect, moved, loxodromic, generate ----------------------------------
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_reflect_frames_match_rows(mode):
+    sources = _sources(mode)
+    if mode == FLOAT:
+        sources.append(apollonian.standard_seed(E, 3, FLOAT))
+    for w in sources:
+        coeff = coerce(2, mode) / (w.n - 1)
+        entries = tuple(r.entries for r in w.rows)
+        for i in range(w.n + 2):
+            _check(lambda: apollonian.reflect(w, i),
+                   _ref_reflect_entries(entries, i, coeff))
+        twice = apollonian.reflect(apollonian.reflect(w, 1), 1)
+        if mode == EXACT:
+            assert twice.scaled == w.scaled
+
+
+def _rows_moved(w, g):
+    n, mode = w.n, w.mode
+    g = tuple(tuple(coerce(x, mode) for x in row) for row in g)
+    m = linalg.matmul(
+        linalg.matmul(transform.conversion_matrix(w.geometry, E, n, mode), g),
+        transform.conversion_matrix(E, w.geometry, n, mode))
+    return linalg.matmul(w.matrix(), m)
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_moved_frames_match_rows(mode):
+    moves = [transform.translation((F(3, 7), F(-2, 5))),
+             transform.dilation(F(5, 3), 2), transform.inversion(2)]
+    moves.append(linalg.matmul(linalg.matmul(moves[0], moves[1]), moves[2]))
+    for w in _sources(mode):
+        if w.n != 2:
+            continue
+        for g in moves:
+            _check(lambda: transform.moved(w, g), _rows_moved(w, g))
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_loxodromic_configs_match_rows(mode):
+    """Each configuration of the walk holds the seed rows not yet reflected
+    as they are, and the reference's row at each index it reflected."""
+    reference = (_reference_loxodromic if mode == EXACT
+                 else _rounded_reference_loxodromic)
+    for w in _sources(mode):
+        configs = apollonian.loxodromic(w, 12).configs
+        ref = reference(w, 12).configs
+        assert configs[0] is w
+        rows = [r.entries for r in w.rows]
+        for k in range(1, 13):
+            # the least bend, ties to the least index, is reflected
+            bends = ref[k - 1].bends
+            i = min(range(len(bends)), key=lambda j: (bends[j], j))
+            rows[i] = ref[k].rows[i].entries
+            # the configurations of a replayed walk share their unchanged
+            # rows, so they are built from rows
+            _check(lambda: configs[k], rows, lazy=False)
+        assert configs == ref
+
+
+_GENERATED = ((E, (-1, 2, 2, 3), 40), (E, (F(-1, 2), 1, 1, F(3, 2)), 20),
+              (S, (0, 1, 1, 2), 20), (H, (-2, 3, 5, 6), 30))
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_generate_kept_configs_match_rows(mode):
+    cases = [(_realized(g, v, mode), bound, {}) for g, v, bound in _GENERATED]
+    if mode == EXACT:
+        cases.append((_realized(S, COTS_8, EXACT), 3, {"max_configs": 12}))
+    else:
+        cases.append((apollonian.standard_seed(E, 3, FLOAT), 4, {}))
+    reference = _reference_generate if mode == EXACT else _rounded_reference
+    for seed, bound, caps in cases:
+        bound = F(bound) if mode == EXACT else float(bound)
+        configs = apollonian.generate(seed, bound, keep_configs=True,
+                                      **caps).configs
+        ref = reference(seed, bound, keep_configs=True, **caps).configs
+        assert len(configs) == len(ref) > 1
+        for k in range(len(ref)):
+            _check(lambda: configs[k], [r.entries for r in ref[k].rows])
+
+
+def test_a_walk_from_a_frame_backed_seed_keeps_its_packing_frame():
+    seed = _realized(E, (-6, 10, 15, 19), EXACT)
+    eager = forms.ConfigMatrix(E, tuple(seed.rows))
+    a = apollonian.generate(_realized(E, (-6, 10, 15, 19), EXACT), F(200))
+    b = apollonian.generate(eager, F(200))
+    assert a.scaled == b.scaled
+    assert shell.dumps_packing(a) == shell.dumps_packing(b)
+
+
+# --- strips, and the CLI without rows -------------------------------------
+
+STRIPS = (
+    ((0, 0, 1, 1), EXACT, "1: its root quadruple 0,0,1,1"),
+    ((0, 0, 1, 1), FLOAT, "1.0: its root quadruple 0.0,0.0,1.0,1.0"),
+    ((F(4, 3), 0, F(1, 3), F(1, 3)), EXACT,
+     "1/3: its root quadruple 0,0,1/3,1/3"),
+    ((F(4, 3), 0, F(1, 3), F(1, 3)), FLOAT,
+     "0.3333333333333333: its root quadruple -2.220446049250313e-16,0.0,"
+     "0.3333333333333333,0.3333333333333333"),
+    ((0, -1, 0, -1), EXACT, "1: its root quadruple 0,1,0,1"),
+)
+
+
+@pytest.mark.parametrize("bends, mode, tail", STRIPS)
+def test_infinite_closure_message_of_a_strip_seed_is_pinned(bends, mode, tail):
+    seed = _realized(E, bends, mode)
+    with pytest.raises(apollonian.InfiniteClosure) as caught:
+        apollonian.generate(seed, F(10) if mode == EXACT else 10.0)
+    assert str(caught.value) == (
+        f"the packing of this seed is infinite at any bound of at least {tail}"
+        " is a strip between two parallel lines")
+
+
+def test_exact_strip_check_reduces_the_int_bends(monkeypatch):
+    """An exact seed is reduced on the ints of its frame, not on Fractions."""
+    seen = []
+    inner = apollonian.root_quadruple
+
+    def recording(bends, bound=None):
+        seen.append((tuple(map(type, bends)), type(bound)))
+        return inner(bends, bound)
+
+    monkeypatch.setattr(apollonian, "root_quadruple", recording)
+    apollonian.generate(_realized(E, (F(-1, 2), 1, 1, F(3, 2)), EXACT), F(20))
+    apollonian.generate(_realized(E, (-1, 2, 2, 3), FLOAT), 20.0)
+    assert seen == [((int,) * 4, int), ((float,) * 4, float)]
+
+
+def _counted_rows(monkeypatch):
+    """A list that grows by one for each CoordRow built from now on."""
+    built = []
+    inner = forms.CoordRow.__post_init__
+
+    def counting(self):
+        built.append(self)
+        inner(self)
+
+    monkeypatch.setattr(forms.CoordRow, "__post_init__", counting)
+    return built
+
+
+def _run(capsys, args):
+    assert shell.run(args) == 0
+    return capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("geometry, bends, mode, solve_digest, converted",
+                         SOLVE_CASES,
+                         ids=[f"{g}-{m}" for g, _, m, _, _ in SOLVE_CASES])
+def test_solve_convert_verify_build_no_rows(geometry, bends, mode,
+                                            solve_digest, converted,
+                                            monkeypatch, capsys, tmp_path):
+    """The pinned stdout of solve | convert | verify, in process, with a
+    count of the CoordRows built on the way: none."""
+    built = _counted_rows(monkeypatch)
+    out = _run(capsys, ["solve", "--geometry", geometry, f"--seed={bends}",
+                        "--mode", mode])
+    assert hashlib.sha256(out).hexdigest() == solve_digest
+    document = tmp_path / "document.json"
+    document.write_text(json.dumps(json.loads(out)["configurations"][-1]))
+    for target, (convert_digest, verify_digest) in converted.items():
+        text = _run(capsys, ["convert", "--to", target, "--in", str(document)])
+        assert hashlib.sha256(text).hexdigest() == convert_digest, target
+        converted_doc = tmp_path / f"{target}.json"
+        converted_doc.write_bytes(text)
+        report = _run(capsys, ["verify", "--in", str(converted_doc)])
+        assert hashlib.sha256(report).hexdigest() == verify_digest, target
+        assert json.loads(report)["valid"]
+    assert built == []
+
+
+@pytest.mark.parametrize("case", (2, 9), ids=("spherical", "hyperbolic-float"))
+def test_gen_render_lox_build_no_rows(case, monkeypatch, capsys, tmp_path):
+    """gen | render and lox of realized seeds, in process, give their pinned
+    stdout and build no CoordRow, of the seed or of the packing."""
+    args, render_args, gen_digest, svg_digest = CASES[case]
+    built = _counted_rows(monkeypatch)
+    stream = _run(capsys, ["gen", *args])
+    assert hashlib.sha256(stream).hexdigest() == gen_digest
+    path = tmp_path / "stream.jsonl"
+    path.write_bytes(stream)
+    image = _run(capsys, ["render", "--in", str(path), *render_args])
+    assert hashlib.sha256(image).hexdigest() == svg_digest
+    for lox_args, mode, digest in LOX_CASES:
+        out = _run(capsys, ["lox", *lox_args, "--steps", "60", "--mode", mode])
+        assert hashlib.sha256(out).hexdigest() == digest
+    assert built == []

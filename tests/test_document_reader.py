@@ -68,7 +68,7 @@ def _reference_parse_document(text, tol=DEFAULT_TOL):
         raise ValueError(f"declared n = {n} but rows have n = {w.n}")
     residual = w.residual(tol)
     return shell.ConfigDocument(
-        geometry, w.n, mode, tuple(rows), w, residual.ok, residual
+        geometry, w.n, mode, w, residual.ok, residual
     )
 
 
