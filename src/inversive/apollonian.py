@@ -27,13 +27,18 @@ caps and reports truncation instead of looping forever.
 Both modes run one walk: every finite float is a dyadic rational, so a
 float packing or loxodromic sequence is the exact one of its float seed,
 each entry rounded once.
+
+The arithmetic of a reflection, the column sums of a configuration and the
+new row, is generated once per row width as two unrolled expressions
+(_row_kernels), so that generate(), reflect() and the replayed loxodromic
+configurations make no Python call per entry, for every n alike.
 """
 
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import floor, isfinite, isqrt
-from operator import add
 
 from . import euclid, forms, hyperbolic, spherical, transform
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce_row,
@@ -41,19 +46,28 @@ from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce_row,
                       reduced_rows, scaled_rows, sqrt_scalar, unscaled_rows)
 
 
-def _column_sums(entry_rows):
-    # chained map(add) adds each column left to right, as sum() would not
-    # for floats, and builds one tuple
-    total = entry_rows[0]
-    for row in entry_rows[1:]:
-        total = map(add, total, row)
-    return tuple(total)
+@cache
+def _row_kernels(width):
+    """(sums, reflected) on rows of width entries, unrolled from source
+    text of ints only.  sums(rows) is the tuple of column sums of width
+    rows, each column added left to right, as a loop over the rows in order
+    adds floats and -0.0.  reflected(t, x, c) is the row c * (t - x) - x
+    of column sums t, old row x and coefficient c."""
+    cols = range(width)
+    sums = eval("lambda r: (" + ", ".join(
+        " + ".join(f"r[{i}][{j}]" for i in range(width)) for j in cols)
+        + ",)")
+    reflected = eval("lambda t, x, c: (" + ", ".join(
+        f"c * (t[{j}] - x[{j}]) - x[{j}]" for j in cols) + ",)")
+    return sums, reflected
 
 
 def _reflect_entries(entry_rows, i, coeff):
-    total = _column_sums(entry_rows)
-    old = entry_rows[i]
-    new = tuple(coeff * (t - x) - x for t, x in zip(total, old))
+    """The rows with row i replaced by its reflection, by the kernels of
+    _row_kernels: the one entry point of reflect() and of the replayed
+    loxodromic configurations."""
+    sums, reflected = _row_kernels(len(entry_rows))
+    new = reflected(sums(entry_rows), entry_rows[i], coeff)
     return entry_rows[:i] + (new,) + entry_rows[i + 1:]
 
 
@@ -259,7 +273,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     max_configs test; since every row of a configuration met has an id, a
     child with a row of no id is a new configuration.  The column sums are
     formed once per configuration, and a child row is built only when its
-    bend is within the bound.
+    bend is within the bound, both by the unrolled kernels of _row_kernels
+    for the width n + 2.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
@@ -291,9 +306,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         if type(coeff) is int:
             limit = floor(limit)
 
-    def reflected(t, x):
-        return coeff * (t - x) - x
-
+    sums, reflected = _row_kernels(n + 2)
     dedup = n > 2
     # n >= 3: an int id per distinct row, and the configurations met, each
     # as the sorted ids of its rows
@@ -318,7 +331,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         explored += len(frontier)
         next_frontier = []
         for entry_rows, entry_ids, parent in frontier:
-            total = _column_sums(entry_rows)
+            total = sums(entry_rows)
             total_bend = total[col]
             for i in range(n + 2):
                 if i == parent:
@@ -326,7 +339,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                 old = entry_rows[i]
                 if abs(coeff * (total_bend - old[col]) - old[col]) > limit:
                     continue
-                new = tuple(map(reflected, total, old))
+                new = reflected(total, old, coeff)
                 child_ids = None
                 if dedup:
                     new_id = ids.get(new)

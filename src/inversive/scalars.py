@@ -126,16 +126,25 @@ def _rounded_quotient(x, scale):
 
 
 def unscaled_rows(rows, scale, mode):
-    """Rows of an int frame back in the mode by frame_quotient, once per
-    distinct entry; the float rows of a float frame (scaled_rows, over 1.0)
-    as they are."""
+    """Rows of an int frame back in the mode, each entry x the
+    frame_quotient(mode)(x, scale); the float rows of a float frame
+    (scaled_rows, over 1.0) as they are.
+
+    Float mode makes one correctly rounded true division per entry: x /
+    scale for an int entry, and float(x / scale) for a Fraction entry (the
+    frames of walks with n >= 4), since a Fraction over an int is a
+    Fraction.  Exact mode makes one Fraction per distinct entry: building
+    them is the cost there, and a packing repeats its entries (equal bends,
+    mirrored centers).
+    """
     if scale.__class__ is float:
         return rows
-    quotient = frame_quotient(mode)
-    # a packing repeats its entries (equal bends, mirrored centers), and
+    if mode != EXACT:
+        return tuple([tuple([x / scale if x.__class__ is int
+                             else float(x / scale) for x in row])
+                      for row in rows])
     # Fraction(x) is quicker than Fraction(x, 1)
-    unscaled = {x: Fraction(x) if scale == 1 and quotient is Fraction
-                else quotient(x, scale)
+    unscaled = {x: Fraction(x) if scale == 1 else Fraction(x, scale)
                 for x in {x for row in rows for x in row}}.__getitem__
     return tuple([tuple(map(unscaled, row)) for row in rows])
 

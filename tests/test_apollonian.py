@@ -8,7 +8,7 @@ import pytest
 
 from inversive import apollonian, forms, linalg, onedim, shell, transform
 from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
-from test_reference_kernels import (_ref_reflect_entries,
+from test_reference_kernels import (_ref_column_sums, _ref_reflect_entries,
                                     _reference_loxodromic,
                                     _rounded_reference_loxodromic)
 
@@ -77,6 +77,62 @@ def test_reflect_validate_flags_broken_input(euclid_seed):
     bad = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows)
     # the reflection is applied blindly; its residual flags the input
     assert not apollonian.reflect(bad, 0).residual().ok
+
+
+def _kernel_rows(width, kind, rng):
+    """width rows of width random entries of one kind: ints past 2^64,
+    Fractions, or floats over 40 orders of magnitude.  Float rows also
+    hold a column whose sum depends on the order of addition, 1.0 added
+    left to right and 0.0 right to left, and a column of -0.0."""
+    if kind == "int":
+        def draw():
+            return rng.randrange(-10 ** 20, 10 ** 20)
+    elif kind == "fraction":
+        def draw():
+            return F(rng.randrange(-10 ** 6, 10 ** 6),
+                     rng.randrange(1, 10 ** 4))
+    else:
+        def draw():
+            return rng.uniform(-1, 1) * 10.0 ** rng.randrange(-20, 20)
+    rows = [[draw() for _ in range(width)] for _ in range(width)]
+    if kind == "float":
+        cancelling = (1e16, 1.0, -1e16, 1.0) + (0.0,) * (width - 4)
+        for row, x in zip(rows, cancelling):
+            row[0], row[1] = x, -0.0
+    return tuple(map(tuple, rows))
+
+
+def _kernel_coefficient(width, kind):
+    """The coefficient 2/(n-1) of a walk of width n + 2: on int rows an int
+    for n = 2 and 3 and a Fraction above (_int_frame), a Fraction on
+    Fraction rows, a float on float rows."""
+    n = width - 2
+    if kind == "float":
+        return 2.0 / (n - 1)
+    return 2 // (n - 1) if kind == "int" and n <= 3 else F(2, n - 1)
+
+
+@pytest.mark.parametrize("kind", ("int", "fraction", "float"))
+@pytest.mark.parametrize("width", range(4, 11))
+def test_row_kernels_match_reference(width, kind, rng):
+    # the unrolled kernels against the loops of the reference, to the bit
+    # and the entry type (repr tells int, Fraction and float apart), -0.0
+    # and the order of float addition included
+    sums, reflected = apollonian._row_kernels(width)
+    assert apollonian._row_kernels(width) == (sums, reflected)
+    coeff = _kernel_coefficient(width, kind)
+    for _ in range(5):
+        rows = _kernel_rows(width, kind, rng)
+        total = sums(rows)
+        assert _bits([total]) == _bits([_ref_column_sums(rows)])
+        if kind == "float":
+            assert repr(total[:2]) == "(1.0, -0.0)"
+        for i in range(width):
+            expected = _ref_reflect_entries(rows, i, coeff)
+            assert _bits([reflected(total, rows[i], coeff)]) \
+                == _bits(expected[i:i + 1])
+            assert _bits(apollonian._reflect_entries(rows, i, coeff)) \
+                == _bits(expected)
 
 
 def test_generate_bound_twenty(euclid_seed):
@@ -731,6 +787,21 @@ def test_float_loxodromic_configs_past_the_float_range_name_the_step():
                        r"loxodromic sequence is beyond the float range$"):
         seq.configs
     assert len(apollonian.loxodromic(seed, 667).configs) == 668
+
+
+def test_float_loxodromic_on_fractions_past_the_float_range_names_the_step():
+    # for n = 4 the walks run on Fractions (coefficient 2/3), which leave
+    # the frame by float() of a Fraction: the hyperbolic bends stay finite
+    # through step 1611, while a row of that step leaves the float range
+    seed = apollonian.standard_seed(forms.HYPERBOLIC, 4, mode=FLOAT)
+    with pytest.raises(ValueError, match=r"^the bend of step 1612 of the "
+                       r"loxodromic sequence is beyond the float range$"):
+        apollonian.loxodromic(seed, 1612)
+    seq = apollonian.loxodromic(seed, 1611)
+    assert 1e307 < max(seq.bends) < float("inf")
+    with pytest.raises(ValueError, match=r"^the row of step 1611 of the "
+                       r"loxodromic sequence is beyond the float range$"):
+        seq.configs
 
 
 def test_out_of_range_arguments_are_errors(euclid_seed):

@@ -1,7 +1,8 @@
 """Code hygiene: every name a module of the package imports is used there,
 every module-level function and class of the package is used by the
 package, the benchmark or the README, every option of a public function is
-set by some call, and importing the package loads none of its modules."""
+set by some call, importing the package loads none of its modules, and
+only apollonian._row_kernels builds code at run time."""
 
 import ast
 import itertools
@@ -174,3 +175,42 @@ def test_importing_the_package_loads_no_module():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env=env)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def code_builders(source):
+    """The name of the innermost function around each use of eval or exec
+    in a module's source, in source order, or "<module>" outside any
+    function.  A use is a call, a reference, or a string constant naming
+    one, as getattr may."""
+    sites = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.value if isinstance(node, ast.Constant) else None)
+        if name in ("eval", "exec"):
+            sites.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_code_builders_are_found():
+    source = ("def kernels():\n    return eval('lambda: 0')\n"
+              "def outer():\n    def inner():\n        exec('x = 1')\n"
+              "    return inner\n"
+              "run = getattr(__builtins__, 'exec')\n"
+              "doc = 'eval and exec are named here, not called'\n")
+    assert code_builders(source) == ["kernels", "inner", "<module>"]
+
+
+def test_generated_code_comes_from_the_row_kernels_alone():
+    # the only code the package builds at run time is the unrolled
+    # reflection arithmetic of apollonian._row_kernels, from ints
+    sites = {(path.name, function) for path in MODULES
+             for function in code_builders(path.read_text())}
+    assert sites == {("apollonian.py", "_row_kernels")}

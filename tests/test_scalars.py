@@ -104,3 +104,26 @@ def test_frame_quotient():
         assert type(q) is float and repr(q) == repr(truediv(x, one))
     # an int frame's entry is rounded once
     assert quotient(1, 3) == 1 / 3 and quotient(10 ** 400, 10 ** 399) == 10.0
+
+
+def test_float_frames_leave_by_one_rounded_division():
+    # every entry x of an int frame over scale leaves in float mode as
+    # float(Fraction(x, scale)), a float, for int and Fraction entries
+    # alike: float(x) / scale would round twice, and a Fraction over an
+    # int stays a Fraction until float() of it
+    scale = 3 * 2 ** 70
+    rows = (((2 ** 53 + 1) << 70, -(2 ** 53 + 1), 0, 10 ** 320),
+            (F(2 ** 123 + 1, 7), F(-(2 ** 53 + 1), 5), F(0), F(10 ** 320, 7)))
+    out = scalars.unscaled_rows(rows, scale, FLOAT)
+    assert [[(type(x), x) for x in r] for r in out] == [
+        [(float, float(F(x, scale))) for x in r] for r in rows]
+    # (2^53 + 1) / 3 is an int, and float(2^53 + 1) is 2^53
+    assert out[0][0] == 3002399751580331.0 != float(rows[0][0]) / scale
+    # an entry past the float range raises, as the loxodromic replay needs
+    for x in (10 ** 400, F(10 ** 400, 7)):
+        with pytest.raises(OverflowError):
+            scalars.unscaled_rows(((1, x),), 3, FLOAT)
+    # exact mode keeps its Fractions
+    exact = scalars.unscaled_rows(rows[:1], scale, EXACT)
+    assert exact == (tuple(F(x, scale) for x in rows[0]),)
+    assert {type(x) for x in exact[0]} == {F}
