@@ -25,8 +25,8 @@ of the same bend pattern, so generate() also accepts max_depth/max_configs
 caps and reports truncation instead of looping forever.
 
 Both modes run one walk: every finite float is a dyadic rational, so a
-float packing or loxodromic sequence is the exact one of its float seed,
-each entry rounded once.
+float packing, reflection or loxodromic sequence, configurations included,
+is the exact one of its float seed, each entry rounded once.
 
 The arithmetic of a reflection, the column sums of a configuration and the
 new row, is generated once per row width as two unrolled expressions
@@ -38,12 +38,12 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import floor, isfinite, isqrt
+from math import floor, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
-from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, coerce_row,
-                      frame_quotient, integer_rows, mode_of, near,
-                      reduced_rows, scaled_rows, sqrt_scalar, unscaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, frame_quotient,
+                      integer_rows, mode_of, near, reduced_rows, scaled_rows,
+                      sqrt_scalar, unscaled_rows)
 
 
 @cache
@@ -77,8 +77,10 @@ def reflect(w, i):
     The new row is (2/(n-1)) times the sum of the other rows minus the old
     one; in exact mode reflecting twice at the same index restores the
     input exactly.  The result is not checked: its residual() tells whether
-    it keeps the Gram identity.  An exact configuration is reflected on
-    its frame (_int_frame, _walk_config), a float one on its float rows.
+    it keeps the Gram identity.  Both modes reflect the int frame of the
+    configuration (_int_frame) and build the result as the walks build
+    theirs (_walk_config), so a float result is the exact reflection of the
+    float rows' own values, each entry rounded once.
     """
     n = w.n
     if n < 2:
@@ -86,13 +88,9 @@ def reflect(w, i):
                          "configurations instead")
     if not 0 <= i < n + 2:
         raise ValueError(f"row index {i} out of range")
-    if w.mode == EXACT:
-        rows, scale, coeff = _int_frame(w)
-        return _walk_config(w.geometry, _reflect_entries(rows, i, coeff),
-                            scale, coeff, EXACT)
-    rows, scale = w.scaled
-    return forms.ConfigMatrix(w.geometry, None, scaled=(
-        _reflect_entries(rows, i, 2.0 / (n - 1)), scale))
+    rows, scale, coeff = _int_frame(w)
+    return _walk_config(w.geometry, _reflect_entries(rows, i, coeff), scale,
+                        coeff, w.mode)
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,7 @@ def _walk_config(geometry, rows, scale, coeff, mode):
             rows, denominator = integer_rows(rows)
             scale *= denominator
         frame = reduced_rows(rows, scale)
-    return forms.ConfigMatrix(geometry, None, scaled=frame)
+    return forms.ConfigMatrix(geometry, frame)
 
 
 class InfiniteClosure(ValueError):
@@ -397,10 +395,10 @@ class LoxodromicSequence:
     loxodromic() passes configs=None and the init-only walk=(seed,
     indices) instead: the index reflected at each step.  When configs is
     first read, the indices are replayed on the int frame of the seed rows
-    (_int_frame), each configuration
-    sharing the unchanged rows of the one before, and the configurations
-    are kept, as Packing.rows is.  walk is not a field, so fields, equality
-    and repr are those of geometry, bends and configs.
+    (_int_frame), and each configuration after the seed is built from the
+    frame of its step as generate() builds its kept ones (_walk_config);
+    the configurations are kept, as Packing.rows is.  walk is not a field,
+    so fields, equality and repr are those of geometry, bends and configs.
     """
 
     geometry: str
@@ -424,37 +422,20 @@ class LoxodromicSequence:
         seed, indices = self._walk
         geometry, mode = seed.geometry, seed.mode
         entry_rows, scale, coeff = _int_frame(seed)
-        new_rows = []
-        for i in indices:
-            entry_rows = _reflect_entries(entry_rows, i, coeff)
-            new_rows.append(entry_rows[i])
+        configs = [seed]
         try:
-            unscaled = unscaled_rows(new_rows, scale, mode)
+            for i in indices:
+                entry_rows = _reflect_entries(entry_rows, i, coeff)
+                configs.append(
+                    _walk_config(geometry, entry_rows, scale, coeff, mode))
         except OverflowError:
             raise ValueError(
-                f"the row of step {_first_overflow(new_rows, scale, mode)} "
-                "of the loxodromic sequence is beyond the float range"
-            ) from None
-        rows = tuple(forms.CoordRow(geometry, coerce_row(r.entries, mode))
-                     for r in seed.rows)
-        configs = [seed]
-        for i, new in zip(indices, unscaled):
-            rows = rows[:i] + (forms.CoordRow(geometry, new),) + rows[i + 1:]
-            configs.append(forms.ConfigMatrix(geometry, rows))
+                f"the row of step {len(configs)} of the loxodromic sequence "
+                "is beyond the float range") from None
         configs = tuple(configs)
         object.__setattr__(self, "configs", configs)
         object.__delattr__(self, "_walk")
         return configs
-
-
-def _first_overflow(rows, scale, mode):
-    """The 1-based index of the first int row of a frame with an entry
-    beyond the float range, the step of a replayed walk that overflowed."""
-    for step, row in enumerate(rows, 1):
-        try:
-            unscaled_rows([row], scale, mode)
-        except OverflowError:
-            return step
 
 
 def loxodromic(seed, k, tol=DEFAULT_TOL):
@@ -592,12 +573,10 @@ def standard_seed(geometry, n=2, mode=EXACT):
     bends (-1, 2, 2, 3) (cot values (0,1,1,2), coth values (-1,1,1,1)); for
     higher n a float configuration of equal caps.
 
-    The Gram identity forces det(W)^2 = n*2^(n+1) (four times that in the
-    plane), a rational square exactly when n is an odd square or twice a
-    square.  For other n, such as 3, 4 and 5, no rational configuration
-    exists.  No exact seed is built above n = 2, and the ExactnessError
-    says which case holds; for n = 8, realize_bends builds one from the cot
-    values (-3,-3,-3,-3,-2,-2,-1,-1,-1,-1).
+    For n such as 3, 4 and 5 no rational configuration exists
+    (forms._refuse_irrational).  No exact seed is built above n = 2, and
+    the ExactnessError says which case holds; for n = 8, realize_bends
+    builds one from the cot values (-3,-3,-3,-3,-2,-2,-1,-1,-1,-1).
     """
     if n == 2:
         w = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, _SEED_ROWS, mode=mode)
@@ -605,11 +584,8 @@ def standard_seed(geometry, n=2, mode=EXACT):
     if n < 2:
         raise ValueError("use the interval configurations for n = 1")
     if mode == EXACT:
-        m = n if n % 2 else n // 2  # a square for the n above
+        forms._refuse_irrational(n)
         raise ExactnessError(
-            f"no rational Descartes configuration exists for n = {n}; the "
-            "Gram identity forces an irrational determinant"
-            if isqrt(m) ** 2 != m else
             f"no exact standard seed is built for n = {n}; apollonian."
             "realize_bends builds exact configurations from bend vectors")
     c = sqrt_scalar(n / (n + 2))

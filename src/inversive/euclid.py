@@ -1,4 +1,4 @@
-"""Oriented spheres and hyperplanes in Euclidean n-space.
+"""The planar realizer of Euclidean bend vectors.
 
 A sphere with center x and oriented radius r = 1/b carries the augmented
 coordinate row
@@ -10,89 +10,46 @@ unit sphere.  A hyperplane {x : h.x = d} with unit normal h pointing into its
 interior gets w(H) = (2d, 0, h).  In these coordinates inversion in the unit
 sphere is simply the swap of the first two entries (transform.inversion), and
 a family of n+2 mutually tangent spheres is characterized by the augmented
-Gram identity (see forms.target_for).
+Gram identity (see forms.target_for).  The realizer writes these rows in
+closed form, straight into the frame of a ConfigMatrix.
 """
 
-from dataclasses import dataclass
-
 from . import forms
-from .scalars import (EXACT, coerce, coerce_row, div, mode_of, near,
-                      negligible, reduced_rows, scaled_rows)
-
-
-@dataclass(frozen=True)
-class OrientedSphere:
-    """Sphere with nonzero oriented curvature; b > 0 means the interior is
-    the bounded side."""
-
-    curvature: object
-    center: tuple
-
-    def __post_init__(self):
-        if self.curvature == 0:
-            raise ValueError("curvature must be nonzero; use OrientedHyperplane")
-        object.__setattr__(self, "center", tuple(self.center))
-
-    @property
-    def n(self):
-        return len(self.center)
-
-    @property
-    def radius(self):
-        return div(1, self.curvature)
-
-
-@dataclass(frozen=True)
-class OrientedHyperplane:
-    """Hyperplane {x : normal.x = offset}; the unit normal points into the
-    interior side."""
-
-    normal: tuple
-    offset: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", tuple(self.normal))
-        norm2 = sum(h * h for h in self.normal)
-        if not near(norm2, 1, 1e-9):
-            raise ValueError("hyperplane normal must be a unit vector")
-
-    @property
-    def n(self):
-        return len(self.normal)
-
-
-def augmented_coords(obj):
-    """Augmented coordinate row of a sphere or hyperplane."""
-    if isinstance(obj, OrientedSphere):
-        b = obj.curvature
-        norm2 = sum(x * x for x in obj.center)
-        bbar = norm2 * b - div(1, b)
-        entries = (bbar, b) + tuple(b * x for x in obj.center)
-    else:
-        entries = (2 * obj.offset, 0 * obj.offset) + obj.normal
-    mode = mode_of(entries)
-    return forms.CoordRow(forms.EUCLIDEAN, coerce_row(entries, mode))
-
-
-def config_from_objects(objs):
-    """Stack augmented rows of n+2 objects into a configuration matrix."""
-    rows = tuple(augmented_coords(o) for o in objs)
-    return forms.ConfigMatrix(forms.EUCLIDEAN, rows)
+from .scalars import (EXACT, coerce_row, mode_of, negligible, reduced_rows,
+                      scaled_rows)
 
 
 def _realize_strip(bends, mode):
-    """Two parallel lines and two equal circles, matching bend positions."""
+    """The frame (scalars.scaled_rows) of two parallel lines and two equal
+    circles of bend s > 0, at the positions of the zero and the nonzero
+    bends: the lines y = 0 and y = 2/s facing each other, (0, 0, 0, -1) and
+    (4/s, 0, 0, 1), and the circles centered at (0, 1/s) and (2/s, 1/s),
+    (0, s, 0, 1) and (4/s, s, 2, 1).
+
+    Exact rows are ints over l sigma, sigma = l s the bend in the frame of
+    its LCM scale l, reduced by one gcd.  Float rows (over 1.0) are the
+    augmented rows of those lines and circles worked out from r = 1/s, the
+    expressions of w(S) and w(H) above, so bbar = |x|^2 s - r and the
+    entries s x come out as rounded there.
+    """
     zero_pos = [i for i, b in enumerate(bends) if b == 0]
     circle_pos = [i for i, b in enumerate(bends) if b != 0]
     s = bends[circle_pos[0]]
-    r = div(1, s)
-    one = coerce(1, mode)
-    objs = [None] * 4
-    objs[zero_pos[0]] = OrientedHyperplane((0 * one, -one), 0 * one)
-    objs[zero_pos[1]] = OrientedHyperplane((0 * one, one), 2 * r)
-    objs[circle_pos[0]] = OrientedSphere(s, (0 * one, r))
-    objs[circle_pos[1]] = OrientedSphere(s, (2 * r, r))
-    return config_from_objects(objs)
+    if mode == EXACT:
+        ((sigma,),), l = scaled_rows([(s,)], mode)
+        scale = l * sigma
+        lines = (0, 0, 0, -scale), (4 * l * l, 0, 0, scale)
+        circles = ((0, sigma * sigma, 0, scale),
+                   (4 * l * l, sigma * sigma, 2 * scale, scale))
+    else:
+        r, scale = 1 / s, 1.0
+        lines = (0.0, 0.0, 0.0, -1.0), (4 * r, 0.0, 0.0, 1.0)
+        circles = ((r * r * s - r, s, 0.0, s * r),
+                   (5 * (r * r) * s - r, s, s * (2 * r), s * r))
+    rows = [None] * 4
+    for i, row in zip(zero_pos + circle_pos, lines + circles):
+        rows[i] = row
+    return reduced_rows(rows, scale)
 
 
 def realize_curvature_vector(bends):
@@ -128,19 +85,18 @@ def realize_curvature_vector(bends):
     positives = sum(1 for b in bends if b > 0)
     if positives < 2:
         rows, scale = realize_curvature_vector(tuple(-b for b in bends)).scaled
-        return forms.ConfigMatrix(forms.EUCLIDEAN, None, scaled=(
+        return forms.ConfigMatrix(forms.EUCLIDEAN, (
             tuple([tuple([-x for x in r]) for r in rows]), scale))
     zeros = sum(1 for b in bends if b == 0)
     if zeros == 2:
-        return _realize_strip(bends, mode)
+        return forms.ConfigMatrix(forms.EUCLIDEAN, _realize_strip(bends, mode))
     # largest first; the stable sort keeps ties in index order
     order = sorted(range(4), key=bends.__getitem__, reverse=True)
     placed, scale = _place(*(bends[i] for i in order), mode)
     ordered = [None] * 4
     for slot, original_index in enumerate(order):
         ordered[original_index] = placed[slot]
-    return forms.ConfigMatrix(forms.EUCLIDEAN, None,
-                              scaled=(tuple(ordered), scale))
+    return forms.ConfigMatrix(forms.EUCLIDEAN, (tuple(ordered), scale))
 
 
 def _place(ba, bb, bc, bd, mode):

@@ -26,23 +26,25 @@ and the tangency values of the tail search run on rows in the frame of
 scalars.scaled_rows: on integers in exact mode, so with V = sW the rows
 scaled by the LCM s of their denominators and sigma the column sums of V,
 n s^2 W^T Q_n W = n V^T V - sigma sigma^T, and one quotient by the scale
-turns a result back into an entry.  A ConfigMatrix holds that frame as
-its scaled field, as an apollonian.Packing does, and its producers hand
-it over: the realizers, conversions, Moebius moves, reflections, walks
-and the document reader fill it directly, and its Fraction CoordRows are
-built only when rows is read.
+turns a result back into an entry.  A ConfigMatrix is built from that
+frame alone, its scaled field, as an apollonian.Packing holds one: the
+realizers, conversions, Moebius moves, reflections, walks, the document
+reader and from_rows hand it over, and its CoordRows are built only when
+rows is read.
 """
 
 import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 from operator import mul
 
 from . import linalg
-from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ROUNDING, all_exact, coerce,
-                      coerce_row, frame_quotient, integer_rows, mode_of, near,
-                      negligible, reduced_rows, scaled_rows, unscaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ROUNDING, ExactnessError,
+                      all_exact, coerce, coerce_row, frame_quotient,
+                      integer_rows, mode_of, near, negligible, reduced_rows,
+                      scaled_rows, unscaled_rows)
 
 EUCLIDEAN = "euclidean"
 SPHERICAL = "spherical"
@@ -105,89 +107,62 @@ class CoordRow:
     def bend(self):
         return self.entries[bend_column(self.kind)]
 
-    @property
-    def mode(self):
-        return mode_of(self.entries)
-
 
 @dataclass(frozen=True)
 class ConfigMatrix:
-    """n+2 mutually tangent spheres as a stack of coordinate rows.
+    """n+2 mutually tangent spheres as a stack of coordinate rows, held as
+    their frame.
 
-    scaled=(rows, scale) is the configuration's frame, scalars.scaled_rows
-    of its rows: int tuples over the LCM of their reduced denominators in
-    exact mode, float tuples over 1.0 in float mode.  The producers of the
-    package, from_rows among them, pass rows=None and scaled, whose shape is
-    checked; the CoordRows of rows are built from it when rows is first
-    read, and kept, as Packing's are.  Rows given to the constructor, as by
-    dataclasses.replace, are kept, and framed in the mode of their entries
-    when scaled is first read.  The Gram check, the bends, conversions, the
-    JSON writer and the walks read the frame, so a configuration whose rows
-    nothing reads builds none.
+    scaled=(rows, scale) is scalars.scaled_rows of the rows: int tuples
+    over the LCM of their reduced denominators in exact mode, float tuples
+    over 1.0 in float mode.  Every producer of the package hands it over,
+    from_rows among them, and its shape is checked.  The Gram check, the
+    bends, conversions, the JSON writer and the walks read it; the
+    CoordRows of rows are built from it when rows is first read, and kept,
+    as Packing's are, so a configuration whose rows nothing reads builds
+    none.  Equality and repr are those of geometry and rows.
 
     A configuration is immutable, so what is worked out from it is kept on
-    the instance: n, its mode, and its residual() per tolerance.  None of
-    them, nor scaled, takes part in equality or repr.
+    the instance: n, its mode (of the scale's type), and its residual() per
+    tolerance.  None of them, nor scaled, takes part in equality or repr.
     """
 
     geometry: str
-    rows: tuple
-    scaled: tuple = field(default=None, compare=False, repr=False)
+    scaled: tuple = field(compare=False, repr=False)
+    rows: tuple = field(init=False)
     n: int = field(init=False, compare=False, repr=False)
+    mode: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _by_geometry(_GEOMETRY, self.geometry)  # or raise
-        attrs = self.__dict__
-        if self.rows is not None:
-            rows = attrs["rows"] = tuple(self.rows)
-            del attrs["scaled"]  # built by __getattr__
-            entry_rows = [row.entries for row in rows]
-            widths = set(map(len, entry_rows))
-        elif self.scaled is not None:
-            entry_rows, scale = self.scaled
-            widths = set(map(len, entry_rows))
-            if widths and min(widths) < 3:
-                raise ValueError("a coordinate row needs at least 3 entries")
-            del attrs["rows"]  # built by __getattr__
-            attrs["mode"] = FLOAT if scale.__class__ is float else EXACT
-        else:
-            raise ValueError("a configuration needs rows or scaled rows")
+        entry_rows, scale = self.scaled
+        widths = set(map(len, entry_rows))
+        if widths and min(widths) < 3:
+            raise ValueError("a coordinate row needs at least 3 entries")
         if not entry_rows:
             raise ValueError("empty configuration")
         width = len(entry_rows[0])
         if len(entry_rows) != width:
             raise ValueError("configuration matrix must be square")
-        if "rows" in attrs and {r.kind for r in rows} != {self.geometry}:
-            raise ValueError("row kind does not match configuration geometry")
         if len(widths) > 1:
             raise ValueError("ragged configuration rows")
+        attrs = self.__dict__
         attrs["n"] = width - 2
+        attrs["mode"] = FLOAT if scale.__class__ is float else EXACT
 
     def __getattr__(self, name):
         # reached only for attributes the instance does not hold: rows
-        # before it is first read, and scaled of rows given
-        attrs = self.__dict__
-        if name == "rows" and "scaled" in attrs:
-            built = tuple([CoordRow(self.geometry, row) for row in
-                           unscaled_rows(*attrs["scaled"], attrs["mode"])])
-        elif name == "scaled" and "rows" in attrs:
-            built = scaled_rows([r.entries for r in attrs["rows"]], self.mode)
-        else:
+        # before it is first read
+        if name != "rows":
             raise AttributeError(name)
-        attrs[name] = built
+        built = self.__dict__["rows"] = tuple(
+            [CoordRow(self.geometry, row) for row in self.matrix()])
         return built
-
-    @functools.cached_property
-    def mode(self):
-        return EXACT if all(r.mode == EXACT for r in self.rows) else FLOAT
 
     @property
     def bends(self):
-        """The bend column: the entries of rows once they are held, else
-        read from the frame."""
+        """The bend column, read from the frame."""
         col = bend_column(self.geometry)
-        if "rows" in self.__dict__:
-            return tuple([r.entries[col] for r in self.rows])
         rows, scale = self.scaled
         return unscaled_rows((tuple([row[col] for row in rows]),), scale,
                              self.mode)[0]
@@ -209,8 +184,8 @@ class ConfigMatrix:
         return res
 
     def matrix(self):
-        mode = self.mode
-        return tuple(coerce_row(r.entries, mode) for r in self.rows)
+        """The entry rows, Fractions or floats, read from the frame."""
+        return unscaled_rows(*self.scaled, self.mode)
 
     @classmethod
     def from_rows(cls, geometry, entry_rows, mode=None):
@@ -220,13 +195,8 @@ class ConfigMatrix:
         if mode is None:
             mode = mode_of([x for row in entry_rows for x in row])
         mode = EXACT if mode == EXACT else FLOAT
-        return cls(geometry, None, scaled=scaled_rows(
+        return cls(geometry, scaled_rows(
             [coerce_row(r, mode) for r in entry_rows], mode))
-
-
-# the default of scaled lives in __init__ alone: with no class attribute, a
-# configuration given rows reaches __getattr__ when its frame is read
-del ConfigMatrix.scaled
 
 
 @dataclass(frozen=True)
@@ -277,7 +247,7 @@ def _rows(m):
     """Entries of a configuration, a form or a nested sequence of rows, as a
     tuple of row tuples."""
     if isinstance(m, ConfigMatrix):
-        return tuple(r.entries for r in m.rows)
+        return m.matrix()
     if isinstance(m, QuadForm):
         return m.matrix
     if isinstance(m, tuple) and all(type(row) is tuple for row in m):
@@ -484,13 +454,29 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     vector meeting the bend relation admits; above it they come from the
     tail search of _search_tangent_rows, which first_tails starts.  Exact
     bends give an exact matrix, float bends the rows of their dyadic values
-    rounded once with the bends as given, or a ValueError.
+    rounded once with the bends as given, or a ValueError; exact bends in a
+    dimension with no rational configuration raise the ExactnessError of
+    _refuse_irrational before any search.
     """
     c, mode = _tangent_values(geometry, bends, name)
-    if len(c) != 4:
-        return _search_tangent_rows(geometry, c, mode, name, first_tails)
-    return ConfigMatrix(geometry, None,
-                        scaled=_reflected_base(geometry, c, mode))
+    if len(c) == 4:
+        return ConfigMatrix(geometry, _reflected_base(geometry, c, mode))
+    if mode == EXACT:
+        _refuse_irrational(len(c) - 2)
+    return _search_tangent_rows(geometry, c, mode, name, first_tails)
+
+
+def _refuse_irrational(n):
+    """Raise the ExactnessError of a dimension n that has no rational
+    configuration.  The Gram identity forces det(W)^2 = n 2^(n+1) in the
+    curved geometries (four times that in the plane), a rational square
+    exactly when n is an odd square or twice a square: n = 1, 2, 8, 9, 18,
+    25, 32, ...."""
+    m = n if n % 2 else n // 2
+    if isqrt(m) ** 2 != m:
+        raise ExactnessError(
+            f"no rational Descartes configuration exists for n = {n}; the "
+            "Gram identity forces an irrational determinant")
 
 
 def _search_tangent_rows(geometry, c, mode, name, first_tails):

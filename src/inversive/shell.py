@@ -121,7 +121,7 @@ class ConfigDocument:
 
     @property
     def rows(self):
-        return tuple([r.entries for r in self.config.rows])
+        return self.config.matrix()
 
 
 def document_from_config(w):
@@ -170,7 +170,7 @@ def parse_document(text, tol=DEFAULT_TOL):
         scaled = _scaled_entries(raw["rows"], mode)
     except KeyError as e:
         raise ValueError(f"configuration document is missing field {e}")
-    w = forms.ConfigMatrix(geometry, None, scaled=scaled)
+    w = forms.ConfigMatrix(geometry, scaled)
     if w.n != n:
         raise ValueError(f"declared n = {n} but rows have n = {w.n}")
     residual = w.residual(tol)
@@ -329,7 +329,7 @@ def loads_packing(source):
             raise ValueError("packing seed is not a list of rows")
         seed_scaled = _scaled_entries(seed_field, mode)
         bound = scalar_from_json(head["bound"], mode)
-        seed = forms.ConfigMatrix(geometry, None, scaled=seed_scaled)
+        seed = forms.ConfigMatrix(geometry, seed_scaled)
         if bound < 0:  # as generate() rejects it
             raise ValueError(f"packing bound {bound} is negative")
         n, explored, depth, truncated = (

@@ -96,16 +96,16 @@ def _scaled_label(scale, x):
 
 def _sorted_rows(packing):
     """(float tuple, label value) per row, in canonical float order, and the
-    function that gives a label value its text; accepts a Packing or any
-    other object with CoordRow-valued .rows, such as a ConfigMatrix.  The
+    function that gives a label value its text; accepts a Packing, a
+    ConfigMatrix or any other object with CoordRow-valued .rows.  The
     label value is the row's bend entry in the frame: the bend in the plane,
     the cot or coth value on the sphere and in the disk.
 
-    A Packing is read from Packing.scaled, and its rows are not built; other
-    rows are put in the frame of scalars.scaled_rows first, in the mode of
-    their entries.  Float rows are used as they are.  Each int is divided
-    once in float, x / scale, which is correctly rounded and so the same
-    float as float(Fraction(x, scale)).
+    A Packing or a ConfigMatrix is read from its scaled frame, and its rows
+    are not built; other rows are put in the frame of scalars.scaled_rows
+    first, in the mode of their entries.  Float rows are used as they are.
+    Each int is divided once in float, x / scale, which is correctly
+    rounded and so the same float as float(Fraction(x, scale)).
     """
     col = forms.bend_column(packing.geometry)
     scaled = getattr(packing, "scaled", None)

@@ -67,7 +67,7 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
     rows, s = w.scaled
     rows = [(x * a + y * c, x * b + y * d, *[t * h for t in tail])
             for x, y, *tail in rows]
-    return forms.ConfigMatrix(to, None, scaled=reduced_rows(rows, s * h))
+    return forms.ConfigMatrix(to, reduced_rows(rows, s * h))
 
 
 def translation(v):
@@ -115,6 +115,6 @@ def moved(w, g):
         conversion_matrix(forms.EUCLIDEAN, w.geometry, n, mode))
     p, d = scaled_rows(m, mode)
     rows, s = w.scaled
-    return forms.ConfigMatrix(w.geometry, None, scaled=reduced_rows(
+    return forms.ConfigMatrix(w.geometry, reduced_rows(
         linalg.matmul(rows, p), s * d))
 

@@ -9,8 +9,9 @@ them from outside, as tests/reference_svg.py checks the renderer.
 - Theorem checks: the transposed-inverse conjugation, the reflection
   matrix R with R W the reflected configuration, the complex Descartes
   relations and the one-dimensional Descartes relation.
-- The object routes: planar spheres and hyperplanes read back from
-  augmented rows, and spherical caps with their stereographic images.
+- The object routes: oriented planar spheres and hyperplanes, their
+  augmented rows and the rows read back as objects, and spherical caps
+  with their stereographic images.
 - The curved plane realization: a base configuration moved onto a bend
   vector by reflections of the Gram target, on Fraction matrices.
 
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from inversive import euclid, forms, linalg
+from inversive import forms, linalg
 from inversive.scalars import (EXACT, coerce, coerce_row, div, mode_of,
                                near)
 
@@ -130,6 +131,67 @@ def _unit_row_entries(geometry, row, noun):
     return entries
 
 
+@dataclass(frozen=True)
+class OrientedSphere:
+    """Sphere with nonzero oriented curvature; b > 0 means the interior is
+    the bounded side."""
+
+    curvature: object
+    center: tuple
+
+    def __post_init__(self):
+        if self.curvature == 0:
+            raise ValueError("curvature must be nonzero; use OrientedHyperplane")
+        object.__setattr__(self, "center", tuple(self.center))
+
+    @property
+    def n(self):
+        return len(self.center)
+
+    @property
+    def radius(self):
+        return div(1, self.curvature)
+
+
+@dataclass(frozen=True)
+class OrientedHyperplane:
+    """Hyperplane {x : normal.x = offset}; the unit normal points into the
+    interior side."""
+
+    normal: tuple
+    offset: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "normal", tuple(self.normal))
+        norm2 = sum(h * h for h in self.normal)
+        if not near(norm2, 1, 1e-9):
+            raise ValueError("hyperplane normal must be a unit vector")
+
+    @property
+    def n(self):
+        return len(self.normal)
+
+
+def augmented_coords(obj):
+    """Augmented coordinate row (bbar, b, b x) of a sphere, or (2d, 0, h)
+    of a hyperplane, as the euclid module writes them."""
+    if isinstance(obj, OrientedSphere):
+        b = obj.curvature
+        norm2 = sum(x * x for x in obj.center)
+        bbar = norm2 * b - div(1, b)
+        entries = (bbar, b) + tuple(b * x for x in obj.center)
+    else:
+        entries = (2 * obj.offset, 0 * obj.offset) + obj.normal
+    mode = mode_of(entries)
+    return forms.CoordRow(forms.EUCLIDEAN, coerce_row(entries, mode))
+
+
+def config_from_objects(objs):
+    """Stack augmented rows of n+2 objects into a configuration matrix."""
+    return forms.ConfigMatrix.from_rows(
+        forms.EUCLIDEAN, [augmented_coords(o).entries for o in objs])
+
+
 def object_from_augmented(row):
     """Rebuild the sphere or hyperplane encoded by an augmented row; a float
     bend within scalars.DEFAULT_TOL of 0 gives a hyperplane."""
@@ -137,8 +199,8 @@ def object_from_augmented(row):
     bbar, b = entries[0], entries[1]
     tail = entries[2:]
     if near(b, 0):
-        return euclid.OrientedHyperplane(tail, div(bbar, 2))
-    return euclid.OrientedSphere(b, tuple(m / b for m in tail))
+        return OrientedHyperplane(tail, div(bbar, 2))
+    return OrientedSphere(b, tuple(m / b for m in tail))
 
 
 def objects_from_config(config):
@@ -216,16 +278,16 @@ def cap_to_plane(cap):
         q = cap.row[2:]
         b = q0 + c
         if near(b, 0):
-            return euclid.OrientedHyperplane(q, c)
-        return euclid.OrientedSphere(b, tuple(div(x, b) for x in q))
+            return OrientedHyperplane(q, c)
+        return OrientedSphere(b, tuple(div(x, b) for x in q))
     ca = math.cos(cap.angular_radius)
     sa = math.sin(cap.angular_radius)
     denom = float(cap.center[0]) + ca
     if near(denom, 0):
-        return euclid.OrientedHyperplane(
+        return OrientedHyperplane(
             tuple(float(p) / sa for p in cap.center[1:]), ca / sa)
-    return euclid.OrientedSphere(denom / sa,
-                                 tuple(float(p) / denom for p in cap.center[1:]))
+    return OrientedSphere(denom / sa,
+                          tuple(float(p) / denom for p in cap.center[1:]))
 
 
 def plane_to_cap(obj):
@@ -236,7 +298,7 @@ def plane_to_cap(obj):
     and q_0 = (b (1 - |x|^2) + 1/b)/2; a hyperplane at offset d with unit
     normal h lifts to (d, -d, h).
     """
-    if isinstance(obj, euclid.OrientedHyperplane):
+    if isinstance(obj, OrientedHyperplane):
         d = obj.offset
         entries = (d, -d) + obj.normal
     else:

@@ -243,19 +243,20 @@ def test_criterion_06_round_trips(capsys, exact_fuzz, rng):
     for _ in range(500):
         if rng.random() < 0.5:
             curv = F(rng.choice([-1, 1]) * rng.randrange(1, 40), rng.randrange(1, 9))
-            obj = euclid.OrientedSphere(
+            obj = oracles.OrientedSphere(
                 curv, (F(rng.randrange(-40, 41), 8), F(rng.randrange(-40, 41), 8))
             )
         else:
-            obj = euclid.OrientedHyperplane(
+            obj = oracles.OrientedHyperplane(
                 pythagorean_normal(), F(rng.randrange(-40, 41), 8)
             )
-        back = oracles.object_from_augmented(euclid.augmented_coords(obj))
+        back = oracles.object_from_augmented(oracles.augmented_coords(obj))
         tally("augmented", back != obj)
     for _ in range(500):
         curv = rng.choice([-1, 1]) * rng.uniform(0.2, 5.0)
-        obj = euclid.OrientedSphere(curv, (rng.uniform(-3, 3), rng.uniform(-3, 3)))
-        back = oracles.object_from_augmented(euclid.augmented_coords(obj))
+        obj = oracles.OrientedSphere(
+            curv, (rng.uniform(-3, 3), rng.uniform(-3, 3)))
+        back = oracles.object_from_augmented(oracles.augmented_coords(obj))
         err = max(abs(back.curvature - obj.curvature),
                   abs(back.center[0] - obj.center[0]),
                   abs(back.center[1] - obj.center[1]))
@@ -337,8 +338,8 @@ def _inverted_circle(circle):
     c, r = circle.center, circle.radius
     d = sum(x * x for x in c) - r * r
     if d == 0:
-        return euclid.OrientedHyperplane(tuple(x / r for x in c), 1 / (2 * r))
-    return euclid.OrientedSphere(d / r, tuple(x / d for x in c))
+        return oracles.OrientedHyperplane(tuple(x / r for x in c), 1 / (2 * r))
+    return oracles.OrientedSphere(d / r, tuple(x / d for x in c))
 
 
 def test_criterion_07_inversion_laws(capsys, exact_fuzz):
@@ -354,8 +355,8 @@ def test_criterion_07_inversion_laws(capsys, exact_fuzz):
         # circles inverted from their centers and radii, the matrix route
         # and the first-two-column swap agree entrywise
         images = [_inverted_circle(o) for o in oracles.objects_from_config(w)]
-        lines += sum(isinstance(o, euclid.OrientedHyperplane) for o in images)
-        circle_route = np.array(euclid.config_from_objects(images).matrix())
+        lines += sum(isinstance(o, oracles.OrientedHyperplane) for o in images)
+        circle_route = np.array(oracles.config_from_objects(images).matrix())
         column_route = np.array(w.matrix())[:, [1, 0, 2, 3]]
         swap_failures += not ((circle_route == column_route).all()
                               and (np.array(inverted.matrix())

@@ -756,7 +756,7 @@ def test_loxodromic_bend_tie_on_a_bend_frame_of_its_own(mode, monkeypatch):
     assert lox.configs == reference.configs
     assert replayed == [0, 1, 2, 3, 0, 1, 2, 3]
     assert lox.configs[2].rows[1].bend == 38
-    assert lox.configs[2].rows[2] is lox.configs[1].rows[2]
+    assert lox.configs[2].rows[2] == lox.configs[1].rows[2]
     # ties to the greatest index give the same bends here, and other
     # configurations, which the comparison above catches
     bends, configs = _tie_to_greatest(_fraction_twin(seed), 8)
@@ -949,6 +949,45 @@ def test_standard_seed_exact_messages_tell_the_dimensions_apart(geometry):
     w = apollonian.realize_bends(
         forms.SPHERICAL, (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1))
     assert w.mode == EXACT and w.residual().max_abs_entry_error == 0
+
+
+# exact vectors meeting the bend relation for n = 3..7, where det(W)^2 is
+# no rational square, and for n = 8, where it is
+_IRRATIONAL_DIMENSION_BENDS = {
+    forms.SPHERICAL: ((-2, -2, -1, -1, 0), (-3, -1, -1, -1, -1, -1),
+                      (-3, -2, -1, -1, -1, -1, -1),
+                      (-3, -2, -2, -1, -1, -1, -1, -1),
+                      (-3, -2, -2, -2, -1, -1, -1, -1, -1)),
+    forms.HYPERBOLIC: tuple((-3,) * k + (-1, 1) for k in range(3, 8)),
+}
+_DIMENSION_8_BENDS = {
+    forms.SPHERICAL: (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1),
+    forms.HYPERBOLIC: (-3, -3, -2, -2, -2, -1, -1, -1, -1, 0),
+}
+
+
+@pytest.mark.parametrize("geometry", (forms.SPHERICAL, forms.HYPERBOLIC))
+def test_exact_dimensions_with_no_rational_configuration_refuse_at_once(
+        geometry, monkeypatch):
+    # the ExactnessError of the det(W)^2 rule, before any tail search; the
+    # float values of the same vectors are searched and realized
+    searches = []
+    inner = linalg.realize_tails
+    monkeypatch.setattr(linalg, "realize_tails",
+                        lambda *args: searches.append(args) or inner(*args))
+    for n, bends in enumerate(_IRRATIONAL_DIMENSION_BENDS[geometry], 3):
+        assert len(bends) == n + 2
+        assert forms.bend_residual(geometry, bends) == 0
+        with pytest.raises(ExactnessError, match=f"^no rational Descartes "
+                           f"configuration exists for n = {n}; the Gram "
+                           "identity forces an irrational determinant$"):
+            apollonian.realize_bends(geometry, bends)
+    assert searches == []
+    w = apollonian.realize_bends(geometry, tuple(map(float, bends)))
+    assert w.mode == FLOAT and w.residual().ok and len(searches) == 1
+    w = apollonian.realize_bends(geometry, _DIMENSION_8_BENDS[geometry])
+    assert w.mode == EXACT and w.residual().max_abs_entry_error == 0
+    assert len(searches) == 2
 
 
 def test_standard_seed_float_high_dimensions():

@@ -1,15 +1,18 @@
 """Configurations held as their frames (ConfigMatrix.scaled) against rows
-computed entry by entry: every producer that hands a frame over gives the
-rows, entry types included, that a Fraction or float computation of the
-same configuration gives, the frame is scalars.scaled_rows of those rows,
-and the Gram check, the document writers, pickling, equality and hashing
-agree with the configuration built from the rows themselves.  The CLI
-commands that read, check and write configurations build no CoordRow at
-all."""
+computed entry by entry: every producer gives the rows, entry types
+included, that a Fraction or float computation of the same configuration
+gives, the frame is scalars.scaled_rows of those rows, and the Gram check,
+the document writers, pickling, equality and hashing agree with the
+configuration built from the rows by ConfigMatrix.from_rows.  A float
+walk configuration, of reflect(), loxodromic() or generate(), is the one
+of the float rows' exact twin, each entry rounded once.  The CLI commands
+that read, check and write configurations, and the checks and writers of
+loxodromic configurations, build no CoordRow at all."""
 
 import hashlib
 import json
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -77,19 +80,17 @@ def _in_mode(bends, mode):
                  for b in bends)
 
 
-def _check(make, ref_rows, lazy=True):
+def _check(make, ref_rows):
     """make(), called once, gives a configuration from a producer, ref_rows
-    the rows of the same configuration computed on Fractions or floats.  A lazy
+    the rows of the same configuration computed on Fractions or floats.  The
     producer builds no rows for the frame, the checks, the writers, the
     bends or a pickle."""
     w = make()
     geometry, mode = w.geometry, w.mode
     ref_rows = [tuple(r) for r in ref_rows]
-    eager = forms.ConfigMatrix(
-        geometry, tuple(forms.CoordRow(geometry, r) for r in ref_rows))
+    eager = forms.ConfigMatrix.from_rows(geometry, ref_rows)
     assert mode == eager.mode and w.n == eager.n == len(ref_rows) - 2
-    if lazy:
-        assert "rows" not in vars(w)
+    assert "rows" not in vars(w)
     rows, scale = w.scaled
     want_rows, want_scale = scaled_rows(ref_rows, mode)
     assert (rows, scale) == (want_rows, want_scale)
@@ -105,8 +106,7 @@ def _check(make, ref_rows, lazy=True):
     assert json.dumps(shell.document_from_config(w)) == json.dumps(document)
     assert _typed([w.bends]) == _typed([eager.bends])
     copy = pickle.loads(pickle.dumps(w))
-    if lazy:
-        assert "rows" not in vars(w) and "rows" not in vars(copy)
+    assert "rows" not in vars(w) and "rows" not in vars(copy)
     assert copy.scaled == w.scaled and copy.mode == mode
     assert copy == eager and hash(copy) == hash(eager)
     assert w == eager and hash(w) == hash(eager)
@@ -231,17 +231,31 @@ def test_realized_frames_above_the_plane_are_the_searched_rows():
 
 # --- reflect, moved, loxodromic, generate ----------------------------------
 
+def _twin_reflection(w, i):
+    """The rows of reflect(w, i) worked out on the Fraction twin of w's
+    entries by the reference loop, each entry rounded once for a float w."""
+    rows = _ref_reflect_entries(_twin_rows(w), i, F(2, w.n - 1))
+    return rows if w.mode == EXACT else _rounded(rows)
+
+
+def _twin_rows(w):
+    """The entries of w as Fractions: every finite float is a dyadic
+    rational."""
+    return tuple(tuple(map(F, row)) for row in w.matrix())
+
+
+def _rounded(rows):
+    return [tuple(map(float, row)) for row in rows]
+
+
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 def test_reflect_frames_match_rows(mode):
     sources = _sources(mode)
     if mode == FLOAT:
         sources.append(apollonian.standard_seed(E, 3, FLOAT))
     for w in sources:
-        coeff = coerce(2, mode) / (w.n - 1)
-        entries = tuple(r.entries for r in w.rows)
         for i in range(w.n + 2):
-            _check(lambda: apollonian.reflect(w, i),
-                   _ref_reflect_entries(entries, i, coeff))
+            _check(lambda: apollonian.reflect(w, i), _twin_reflection(w, i))
         twice = apollonian.reflect(apollonian.reflect(w, 1), 1)
         if mode == EXACT:
             assert twice.scaled == w.scaled
@@ -270,23 +284,18 @@ def test_moved_frames_match_rows(mode):
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 def test_loxodromic_configs_match_rows(mode):
-    """Each configuration of the walk holds the seed rows not yet reflected
-    as they are, and the reference's row at each index it reflected."""
+    """Each configuration of the walk after the seed is built from the
+    frame of its step, as generate() builds its kept ones: the reference's
+    rows, which in float mode are those of the exact walk of the seed's
+    twin, each entry rounded once."""
     reference = (_reference_loxodromic if mode == EXACT
                  else _rounded_reference_loxodromic)
     for w in _sources(mode):
         configs = apollonian.loxodromic(w, 12).configs
         ref = reference(w, 12).configs
         assert configs[0] is w
-        rows = [r.entries for r in w.rows]
         for k in range(1, 13):
-            # the least bend, ties to the least index, is reflected
-            bends = ref[k - 1].bends
-            i = min(range(len(bends)), key=lambda j: (bends[j], j))
-            rows[i] = ref[k].rows[i].entries
-            # the configurations of a replayed walk share their unchanged
-            # rows, so they are built from rows
-            _check(lambda: configs[k], rows, lazy=False)
+            _check(lambda: configs[k], [r.entries for r in ref[k].rows])
         assert configs == ref
 
 
@@ -314,7 +323,7 @@ def test_generate_kept_configs_match_rows(mode):
 
 def test_a_walk_from_a_frame_backed_seed_keeps_its_packing_frame():
     seed = _realized(E, (-6, 10, 15, 19), EXACT)
-    eager = forms.ConfigMatrix(E, tuple(seed.rows))
+    eager = forms.ConfigMatrix.from_rows(E, [r.entries for r in seed.rows])
     a = apollonian.generate(_realized(E, (-6, 10, 15, 19), EXACT), F(200))
     b = apollonian.generate(eager, F(200))
     assert a.scaled == b.scaled
@@ -419,3 +428,102 @@ def test_gen_render_lox_build_no_rows(case, monkeypatch, capsys, tmp_path):
         out = _run(capsys, ["lox", *lox_args, "--steps", "60", "--mode", mode])
         assert hashlib.sha256(out).hexdigest() == digest
     assert built == []
+
+
+def test_solve_of_a_strip_and_the_checks_of_loxodromic_configs_build_no_rows(
+        monkeypatch, capsys):
+    """solve completes (0, 0, 1) to the strip (0, 0, 1, 1), realized as a
+    closed-form frame in both modes; the configurations of a loxodromic
+    walk are built from frames, and their Gram check and writer read
+    them."""
+    built = _counted_rows(monkeypatch)
+    for mode in (EXACT, FLOAT):
+        out = json.loads(_run(capsys, ["solve", "--geometry", E,
+                                       "--seed=0,0,1", "--mode", mode]))
+        assert len(out["configurations"]) == 2
+        assert all(doc is not None for doc in out["configurations"])
+    for w in _sources(EXACT) + _sources(FLOAT):
+        for c in apollonian.loxodromic(w, 24).configs:
+            assert c.residual().ok or w.mode == FLOAT
+            shell.dumps_config(c)
+    assert built == []
+
+
+# --- float walk configurations: the exact twin's, rounded once -------------
+
+def _moved_float_seeds(rng, count):
+    """count float seeds per geometry and n = 2, 3, 4: the standard float
+    seed moved by a random translation, so that its entries are floats of
+    every last bit; and the plane seed with a -0.0 entry in its row of
+    bend 3, which the loxodromic walk reflects fourth."""
+    seeds = []
+    for n in (2, 3, 4):
+        for geometry in GEOMETRIES:
+            base = apollonian.standard_seed(geometry, n, FLOAT)
+            for _ in range(count):
+                v = tuple(rng.uniform(-2, 2) for _ in range(n))
+                seeds.append(transform.moved(base, transform.translation(v)))
+    signed = [list(r) for r in apollonian.standard_seed(E, 2, FLOAT).matrix()]
+    signed[3][2] = -0.0
+    seeds.append(forms.ConfigMatrix.from_rows(E, signed))
+    return seeds
+
+
+def _bits(w):
+    return repr(_typed(w.matrix()))
+
+
+def test_float_walk_configurations_are_their_exact_twins_rounded_once():
+    """reflect(), loxodromic(...).configs and kept configurations of float
+    seeds equal the reference walk of the seeds' exact twins with each
+    entry rounded once, by repr, -0.0 included.  What the rule changes
+    shows: reflections in float arithmetic differ in their last bits, and
+    a seed's -0.0 leaves every later walk configuration as 0.0."""
+    seeds = _moved_float_seeds(random.Random(30), 34)
+    reflections = float_arithmetic_differs = 0
+    for w in seeds:
+        n = w.n
+        kept = apollonian.generate(w, float("inf"), keep_configs=True,
+                                   max_depth=1).configs
+        assert len(kept) == n + 3
+        kept_bits = {_bits(c) for c in kept}
+        for i in range(n + 2):
+            got = apollonian.reflect(w, i)
+            want = _twin_reflection(w, i)
+            assert _bits(got) == repr(_typed(want)), (w, i)
+            # bit for bit the depth-1 kept configuration of the same index
+            assert _bits(got) in kept_bits, (w, i)
+            reflections += 1
+            in_float = _ref_reflect_entries(w.matrix(), i, 2.0 / (n - 1))
+            float_arithmetic_differs += _typed(in_float) != _typed(want)
+        configs = apollonian.loxodromic(w, 6).configs
+        ref = _reference_loxodromic(
+            forms.ConfigMatrix.from_rows(w.geometry, _twin_rows(w)), 6,
+            check=False).configs
+        assert configs[0] is w
+        for a, b in zip(configs[1:], ref[1:]):
+            assert _bits(a) == repr(_typed(_rounded(b.matrix())))
+    assert len(seeds) == 307 and reflections == 1534
+    assert float_arithmetic_differs > reflections // 3
+    signed = seeds[-1]
+    assert repr(signed.matrix()[3][2]) == "-0.0"
+    later = apollonian.loxodromic(signed, 3).configs[1:]
+    kept = apollonian.generate(signed, 20.0, keep_configs=True).configs
+    assert [c.bends[3] for c in later] == [3.0] * 3
+    assert all(repr(c.matrix()[3][2]) == "0.0" for c in later)
+    assert {repr(c.matrix()[3][2]) for c in kept if c.bends[3] == 3} \
+        == {"0.0"}
+
+
+def test_kept_configurations_of_moved_seeds_match_the_twin_walk():
+    """Kept configurations of capped walks from moved float seeds are those
+    of the exact walk of their twins, each entry rounded once."""
+    for w in _moved_float_seeds(random.Random(31), 2):
+        bound = max(map(abs, w.bends)) * 4
+        configs = apollonian.generate(w, bound, keep_configs=True,
+                                      max_configs=10).configs
+        ref = _rounded_reference(w, bound, keep_configs=True,
+                                 max_configs=10).configs
+        assert len(configs) == len(ref) > 1
+        for a, b in zip(configs, ref):
+            assert _bits(a) == _bits(b)

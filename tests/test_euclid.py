@@ -11,16 +11,16 @@ import oracles
 
 
 def test_augmented_coords_sphere():
-    s = euclid.OrientedSphere(F(1), (F(3), F(0)))
-    row = euclid.augmented_coords(s)
+    s = oracles.OrientedSphere(F(1), (F(3), F(0)))
+    row = oracles.augmented_coords(s)
     # inverted bend |x|^2 b - 1/b = 9 - 1
     assert row.entries == (8, 1, 3, 0)
     assert oracles.object_from_augmented(row) == s
 
 
 def test_augmented_coords_hyperplane():
-    h = euclid.OrientedHyperplane((F(0), F(1)), F(2))
-    row = euclid.augmented_coords(h)
+    h = oracles.OrientedHyperplane((F(0), F(1)), F(2))
+    row = oracles.augmented_coords(h)
     assert row.entries == (4, 0, 0, 1)
     assert oracles.object_from_augmented(row) == h
 
@@ -32,44 +32,44 @@ def test_invert_unit_sphere():
     g = transform.inversion(2)
 
     def inverted(obj):
-        row = euclid.augmented_coords(obj).entries
+        row = oracles.augmented_coords(obj).entries
         return oracles.object_from_augmented(linalg.matmul([row], g)[0])
 
-    s = euclid.OrientedSphere(F(1), (F(3), F(0)))
+    s = oracles.OrientedSphere(F(1), (F(3), F(0)))
     image = inverted(s)
-    assert image == euclid.OrientedSphere(F(8), (F(3, 8), F(0)))
+    assert image == oracles.OrientedSphere(F(8), (F(3, 8), F(0)))
     assert inverted(image) == s
     # a hyperplane off the origin inverts to a sphere through it: y = 2 to
     # the circle through 0 and 1/2 i
-    h = euclid.OrientedHyperplane((F(0), F(1)), F(2))
+    h = oracles.OrientedHyperplane((F(0), F(1)), F(2))
     circle = inverted(h)
-    assert circle == euclid.OrientedSphere(F(4), (F(0), F(1, 4)))
+    assert circle == oracles.OrientedSphere(F(4), (F(0), F(1, 4)))
     # a sphere through the origin inverts to a hyperplane: x = 1/2
-    through = euclid.OrientedSphere(F(1), (F(1), F(0)))
+    through = oracles.OrientedSphere(F(1), (F(1), F(0)))
     back = inverted(through)
-    assert back == euclid.OrientedHyperplane((F(1), F(0)), F(1, 2))
+    assert back == oracles.OrientedHyperplane((F(1), F(0)), F(1, 2))
 
 
 def test_sphere_validation():
     with pytest.raises(ValueError):
-        euclid.OrientedSphere(F(0), (F(1), F(1)))
+        oracles.OrientedSphere(F(0), (F(1), F(1)))
     with pytest.raises(ValueError):
-        euclid.OrientedHyperplane((F(1), F(1)), F(0))  # not a unit normal
-    assert euclid.OrientedSphere(F(-2), (0, 0)).radius == F(-1, 2)
+        oracles.OrientedHyperplane((F(1), F(1)), F(0))  # not a unit normal
+    assert oracles.OrientedSphere(F(-2), (0, 0)).radius == F(-1, 2)
 
 
 def test_object_from_augmented_tolerance():
     row = (2.0, 1e-12, 0.0, 1.0)
     obj = oracles.object_from_augmented(row)
-    assert isinstance(obj, euclid.OrientedHyperplane)
+    assert isinstance(obj, oracles.OrientedHyperplane)
     with pytest.raises(ValueError):
         oracles.object_from_augmented((1.0, 2.0, 3.0, 4.0))  # self-product != 1
 
 
 def test_pair_product_tangency():
     rows = [
-        euclid.augmented_coords(euclid.OrientedSphere(F(1), (F(0), F(0)))),
-        euclid.augmented_coords(euclid.OrientedSphere(F(1), (F(2), F(0)))),
+        oracles.augmented_coords(oracles.OrientedSphere(F(1), (F(0), F(0)))),
+        oracles.augmented_coords(oracles.OrientedSphere(F(1), (F(2), F(0)))),
     ]
     assert forms.pair_product(forms.EUCLIDEAN, rows[0], rows[0]) == 1
     assert forms.pair_product(forms.EUCLIDEAN, rows[0].entries,
@@ -130,7 +130,7 @@ def test_realize_strip():
     assert w.bends == (0, 0, 1, 1)
     assert _gram_ok(w)
     kinds = [oracles.object_from_augmented(r) for r in w.rows]
-    assert sum(isinstance(o, euclid.OrientedHyperplane) for o in kinds) == 2
+    assert sum(isinstance(o, oracles.OrientedHyperplane) for o in kinds) == 2
 
 
 def test_realize_flip():
@@ -201,19 +201,19 @@ def test_realize_random_gasket_bends(euclid_packing_1000, rng):
 
 def _translated(obj, v):
     """A sphere or hyperplane translated by v, by hand."""
-    if isinstance(obj, euclid.OrientedSphere):
-        return euclid.OrientedSphere(
+    if isinstance(obj, oracles.OrientedSphere):
+        return oracles.OrientedSphere(
             obj.curvature, tuple(x + d for x, d in zip(obj.center, v)))
     shift = sum(h * d for h, d in zip(obj.normal, v))
-    return euclid.OrientedHyperplane(obj.normal, obj.offset + shift)
+    return oracles.OrientedHyperplane(obj.normal, obj.offset + shift)
 
 
 def _dilated(obj, s):
     """A sphere or hyperplane dilated by s > 0 about the origin, by hand."""
-    if isinstance(obj, euclid.OrientedSphere):
-        return euclid.OrientedSphere(obj.curvature / s,
+    if isinstance(obj, oracles.OrientedSphere):
+        return oracles.OrientedSphere(obj.curvature / s,
                                      tuple(x * s for x in obj.center))
-    return euclid.OrientedHyperplane(obj.normal, obj.offset * s)
+    return oracles.OrientedHyperplane(obj.normal, obj.offset * s)
 
 
 def test_translate_scale_roundtrip(euclid_seed):
@@ -226,13 +226,13 @@ def test_translate_scale_roundtrip(euclid_seed):
         objs = oracles.objects_from_config(w)
         for v in ((F(3, 7), F(-2, 5)), (F(-12345, 7), F(0))):
             moved = transform.moved(w, transform.translation(v))
-            assert moved == euclid.config_from_objects(
+            assert moved == oracles.config_from_objects(
                 [_translated(o, v) for o in objs])
             back = transform.translation(tuple(-x for x in v))
             assert transform.moved(moved, back) == w
         for s in (F(5, 3), F(1, 10**7)):
             moved = transform.moved(w, transform.dilation(s, 2))
-            assert moved == euclid.config_from_objects(
+            assert moved == oracles.config_from_objects(
                 [_dilated(o, s) for o in objs])
             assert _gram_ok(moved)
             assert transform.moved(moved, transform.dilation(1 / s, 2)) == w
@@ -246,5 +246,5 @@ def test_scale_requires_positive():
 
 def test_objects_config_roundtrip(euclid_seed):
     objs = oracles.objects_from_config(euclid_seed)
-    w = euclid.config_from_objects(objs)
+    w = oracles.config_from_objects(objs)
     assert w.rows == euclid_seed.rows

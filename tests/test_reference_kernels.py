@@ -38,11 +38,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from inversive import (apollonian, euclid, forms, hyperbolic, linalg, scalars,
-                       shell, spherical, transform)
+from inversive import (apollonian, forms, hyperbolic, linalg, scalars, shell,
+                       spherical, transform)
 from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
-                               coerce, coerce_row, integer_rows, is_exact,
-                               mode_of, near, sqrt_scalar)
+                               coerce, coerce_row, div, integer_rows,
+                               is_exact, mode_of, near, sqrt_scalar)
 
 import oracles
 
@@ -493,22 +493,12 @@ def test_loxodromic_matches_reference(geometry, mode):
             assert _same_rows(a, b, exact), w
 
 
-def _int_entries(w):
-    """w with its integral Fraction entries given as ints, as a
-    ConfigMatrix built from CoordRows directly may hold them."""
-    return forms.ConfigMatrix(w.geometry, [
-        forms.CoordRow(w.geometry, [int(x) if x.denominator == 1 else x
-                                    for x in r.entries]) for r in w.rows])
-
-
 @pytest.mark.parametrize("geometry,mode", CASES)
 def test_loxodromic_configs_are_built_when_read(geometry, mode):
     """The walk records its steps, and the configurations built from them
     on first read are the reference's, entry types included; in float mode
     the reference is the exact walk of the float seed, rounded once."""
     configs = _grid(geometry, mode)
-    if mode == EXACT:
-        configs += [_int_entries(w) for w in configs[:3]]
     reference = (_reference_loxodromic if mode == EXACT
                  else _rounded_reference_loxodromic)
     for w in configs:
@@ -909,6 +899,22 @@ def _reference_complete_rows(w1, w2, w3, mode):
     return sol1, sol2
 
 
+def _reference_realize_strip(bends, mode):
+    """Two parallel lines and two equal circles, matching bend positions,
+    as objects and their augmented rows."""
+    zero_pos = [i for i, b in enumerate(bends) if b == 0]
+    circle_pos = [i for i, b in enumerate(bends) if b != 0]
+    s = bends[circle_pos[0]]
+    r = div(1, s)
+    one = coerce(1, mode)
+    objs = [None] * 4
+    objs[zero_pos[0]] = oracles.OrientedHyperplane((0 * one, -one), 0 * one)
+    objs[zero_pos[1]] = oracles.OrientedHyperplane((0 * one, one), 2 * r)
+    objs[circle_pos[0]] = oracles.OrientedSphere(s, (0 * one, r))
+    objs[circle_pos[1]] = oracles.OrientedSphere(s, (2 * r, r))
+    return oracles.config_from_objects(objs)
+
+
 def _reference_realize_curvature_vector(bends, tol=DEFAULT_TOL):
     """Construct one planar configuration with the prescribed bend vector.
 
@@ -934,13 +940,11 @@ def _reference_realize_curvature_vector(bends, tol=DEFAULT_TOL):
     if positives < 2:
         flipped = _reference_realize_curvature_vector(
             tuple(-b for b in bends), tol)
-        rows = tuple(
-            forms.CoordRow(forms.EUCLIDEAN, tuple(-x for x in r.entries))
-            for r in flipped.rows)
-        return forms.ConfigMatrix(forms.EUCLIDEAN, rows)
+        return forms.ConfigMatrix.from_rows(
+            forms.EUCLIDEAN, [[-x for x in r.entries] for r in flipped.rows])
     zeros = sum(1 for b in bends if b == 0)
     if zeros == 2:
-        return euclid._realize_strip(bends, mode)
+        return _reference_realize_strip(bends, mode)
     order = sorted(range(4), key=lambda i: (-bends[i], i))
     ba, bb, bc, bd = (bends[i] for i in order)
     one = coerce(1, mode)
@@ -948,10 +952,10 @@ def _reference_realize_curvature_vector(bends, tol=DEFAULT_TOL):
     ax, bx = ra, -rb
     cx = rc * (rb - ra) / (ra + rb)
     cy = 2 * sqrt_scalar((ra + rb + rc) * ra * rb * rc) / (ra + rb)
-    circle_a = euclid.OrientedSphere(ba, (ax, 0 * one))
-    circle_b = euclid.OrientedSphere(bb, (bx, 0 * one))
-    circle_c = euclid.OrientedSphere(bc, (cx, cy))
-    rows3 = [euclid.augmented_coords(o).entries
+    circle_a = oracles.OrientedSphere(ba, (ax, 0 * one))
+    circle_b = oracles.OrientedSphere(bb, (bx, 0 * one))
+    circle_c = oracles.OrientedSphere(bc, (cx, cy))
+    rows3 = [oracles.augmented_coords(o).entries
              for o in (circle_a, circle_b, circle_c)]
     sol1, sol2 = _reference_complete_rows(rows3[0], rows3[1], rows3[2],
                                           mode)
@@ -1105,6 +1109,25 @@ def _check_float_euclidean(v, bends, ref):
 
 def _violates(outcome):
     return isinstance(outcome[0], type) and "violate" in outcome[1]
+
+
+def test_strip_frames_are_the_object_route_rows():
+    """The closed-form frame of a strip is the configuration of its lines
+    and circles built as objects, at every position of the zero bends, to
+    the bit and the entry type in float mode, where |x|^2 s - 1/s and s x
+    round."""
+    rng = random.Random(12)
+    sizes = [Fraction(1), Fraction(1, 3), Fraction(7, 5), Fraction(10 ** 9, 7)]
+    sizes += [rng.uniform(0.5, 2) * 10.0 ** rng.randrange(-8, 9)
+              for _ in range(60)]
+    for s in sizes:
+        zero = s * 0
+        for v in ((zero, zero, s, s), (s, zero, zero, s), (zero, s, zero, s),
+                  (-s, zero, -s, zero)):
+            new = apollonian.realize_bends(E, v)
+            ref = _reference_realize_curvature_vector(v)
+            assert [_typed_bits(row) for row in new.matrix()] == \
+                [_typed_bits(row) for row in ref.matrix()], v
 
 
 @pytest.mark.parametrize("geometry,mode", CASES)

@@ -316,9 +316,9 @@ def test_kept_scene_renders_every_option_in_either_order(geometry, bends,
 
 
 def test_kept_scene_of_a_configuration_warns_on_every_render():
-    rows = apollonian.standard_seed(forms.HYPERBOLIC).rows
-    virtual = forms.CoordRow(forms.HYPERBOLIC, (F(0), F(0), F(1), F(0)))
-    expected = _assert_scene_reuse(lambda: forms.ConfigMatrix(
+    rows = apollonian.standard_seed(forms.HYPERBOLIC).matrix()
+    virtual = (F(0), F(0), F(1), F(0))
+    expected = _assert_scene_reuse(lambda: forms.ConfigMatrix.from_rows(
         forms.HYPERBOLIC, rows[:-1] + (virtual,)))
     assert all(warned == ["skipped 1 virtual rows with no disk locus"]
                for _, warned in expected)
