@@ -146,16 +146,6 @@ class Packing:
         return tuple(r.entries[col] for r in self.rows)
 
 
-def _check_seed(seed, tol):
-    """Raise ValueError unless the seed meets its Gram identity within tol,
-    or entry by entry within the rounding of its columns
-    (forms.Residual.within_rounding): the Euclidean bar-bend grows with the
-    square of the distance from the origin, the bend does not."""
-    res = seed.residual(tol)
-    if not res.within_rounding(seed, tol):
-        raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
-
-
 def _int_frame(seed, bends_only=False):
     """(rows, scale, coeff): the seed rows of either mode, or with
     bends_only the one row of its bends, on ints over the least common
@@ -177,12 +167,15 @@ def _int_frame(seed, bends_only=False):
 
 def _walk_frame(seed, tol, task, bends_only=False):
     """(rows, scale, coeff, quotient): the _int_frame that the walks of
-    generate() and loxodromic() start from, after checking the seed, and
-    the quotient(x, scale) that turns an entry of the walk back into the
-    seed's mode (scalars.frame_quotient)."""
+    generate() and loxodromic() start from, and the quotient(x, scale) that
+    turns an entry of the walk back into the seed's mode
+    (scalars.frame_quotient).  A seed whose Gram identity fails at tol
+    (ConfigMatrix.residual) raises ValueError."""
     if seed.n < 2:
         raise ValueError(f"{task} needs n >= 2")
-    _check_seed(seed, tol)
+    res = seed.residual(tol)
+    if not res.ok:
+        raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
     return (*_int_frame(seed, bends_only), frame_quotient(seed.mode))
 
 
@@ -550,17 +543,20 @@ class IntegralityReport:
 
 def integrality_report(packing):
     """Whether every bend in an exact packing is an integer, with the bend
-    multiset up to the bound."""
-    if packing.rows and mode_of(packing.rows[0].entries) != EXACT:
+    multiset up to the bound.  It reads the bend column of the packing's
+    frame, whose scale's type gives its mode, and builds no CoordRow."""
+    rows, scale = packing.scaled
+    if scale.__class__ is float:
         raise ValueError("integrality is only meaningful in exact mode")
+    col = forms.bend_column(packing.geometry)
     counts = Counter()
     bad = []
-    for row in packing.rows:
-        b = Fraction(row.entries[forms.bend_column(packing.geometry)])
-        if b.denominator == 1:
-            counts[int(b)] += 1
+    for row in rows:
+        b, r = divmod(row[col], scale)
+        if r:
+            bad.append(Fraction(row[col], scale))
         else:
-            bad.append(b)
+            counts[b] += 1
     return IntegralityReport(not bad, tuple(sorted(counts.items())),
                              tuple(bad))
 

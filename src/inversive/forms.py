@@ -17,9 +17,11 @@ integral base configuration that their plane bends are realized from.
 bend_column, CURVATURE_SIGN (k = -T[c][c]/2), target_for, pair_product
 (2 T^{-1} on the head), transform and the realizer read it.
 
-check_identity compares W^T Q W with any target; ConfigMatrix.residual runs
-it against the configuration's own Descartes form and target, once per
-configuration and tolerance, since a configuration is immutable.
+check_identity compares W^T Q W with any target in one verdict: exact
+products must equal it, float ones be within tol of it or else, at any
+scale, within the rounding of their own terms there and in the transposed
+identity W T^{-1} W^T = Q^{-1}.  ConfigMatrix.residual runs it against the
+configuration's own form and target, once per configuration and tolerance.
 
 Matrices are tuples of row tuples.  The Gram products, the base reflection
 and the tangency values of the tail search run on rows in the frame of
@@ -37,7 +39,7 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isfinite, isqrt
 from operator import mul
 
 from . import linalg
@@ -224,23 +226,12 @@ class QuadForm:
 
 @dataclass(frozen=True)
 class Residual:
-    """Entrywise deviation of a Gram product from its target."""
+    """Entrywise deviation of a Gram product from its target, and its
+    verdict."""
 
     max_abs_entry_error: object
     entrywise: tuple
     ok: bool
-
-    def within_rounding(self, w, tol=DEFAULT_TOL):
-        """Whether this residual of W^T Q W is ok, or each entry (i, j) is
-        negligible next to columns i and j of W, in which it is bilinear
-        (scalars.negligible): columns can differ in size by orders of
-        magnitude, so each entry is scaled by its own two."""
-        if self.ok:
-            return True
-        cols = tuple(zip(*_rows(w)))
-        return all(negligible(d, cols[i], tol, cols[j])
-                   for i, row in enumerate(self.entrywise)
-                   for j, d in enumerate(row))
 
 
 def _rows(m):
@@ -354,39 +345,79 @@ def _scaled_gram(w, q):
     return g, s * s * d, frame_quotient(mode)
 
 
-# (target, its int rows and scale, or None) by id(target): a target of
-# target_for() is one cached tuple, met at every check.  Each entry holds
-# its target, so an id is not reused while it is kept.
-_INT_TARGETS = {}
+# (m, make(m)) by (id(m), make): a target's int rows, a target's or form's
+# float inverse.  target_for() and descartes_form() give cached objects, met
+# at every check; each entry holds its object, so its id is not reused.
+_DERIVED = {}
+
+
+def _derived(m, make):
+    """make(m), worked out once per object m."""
+    key = id(m), make
+    hit = _DERIVED.get(key)
+    if hit is None or hit[0] is not m:
+        if len(_DERIVED) >= 64:  # only objects built per call get here
+            _DERIVED.clear()
+        hit = _DERIVED[key] = (m, make(m))
+    return hit[1]
 
 
 def _int_target(t):
     """(T, d) with T = d t the int rows of an exact target t over the LCM d
     of its denominators (scalars.integer_rows), or None when t has a float
-    entry; worked out once per target object."""
-    hit = _INT_TARGETS.get(id(t))
-    if hit is None or hit[0] is not t:
-        if len(_INT_TARGETS) >= 64:  # only targets built per call get here
-            _INT_TARGETS.clear()
-        exact = all_exact([x for row in t for x in row])
-        hit = _INT_TARGETS[id(t)] = (t, integer_rows(t) if exact else None)
-    return hit[1]
+    entry."""
+    return integer_rows(t) if all_exact([x for row in t for x in row]) else None
+
+
+def _float_inv(m):
+    """linalg.mat_inv(m) rounded once to floats, within ROUNDING."""
+    return tuple(tuple(map(float, row)) for row in linalg.mat_inv(m))
+
+
+def _gram_bound(w, q):
+    """(W^T Q W, |W|^T |Q| |W|) of float rows w: the product, and on
+    absolute values the bound of the rounding of each entry's own terms."""
+    aw = [[abs(x) for x in row] for row in w]
+    aq = [[abs(x) for x in row] for row in q]
+    return (linalg.matmul(linalg.transpose(w), linalg.matmul(q, w)),
+            linalg.matmul(linalg.transpose(aw), linalg.matmul(aq, aw)))
+
+
+def _rounding_ok(w, q, t):
+    """Whether each entry of W^T Q W - T and of W T^{-1} W^T - Q^{-1}, W in
+    floats, is within ROUNDING times its finite bound of _gram_bound: each
+    entry scaled by its two columns, then by its two rows, which refuses
+    an ill-conditioned W whose columns alone pass, and inf or nan in W."""
+    w = [tuple(map(float, row)) for row in _rows(w)]
+    q = _rows(q)
+    try:
+        q_inv, t_inv = _derived(q, _float_inv), _derived(t, _float_inv)
+    except (ValueError, OverflowError):  # singular or not finite
+        return False
+    sides = ((_gram_bound(w, q), t),
+             (_gram_bound(linalg.transpose(w), t_inv), q_inv))
+    # inf <= inf says nothing of an entry whose bound overflows
+    return all(isfinite(b) and abs(x - y) <= ROUNDING * b
+               for (gram, bound), target in sides
+               for grow, trow, brow in zip(gram, target, bound)
+               for x, y, b in zip(grow, trow, brow))
 
 
 def check_identity(w, q, target, tol=DEFAULT_TOL):
     """Residual of W^T Q W against a target Gram matrix.
 
-    Exact W, Q and target are compared exactly and tol is ignored; other
-    inputs pass when the largest entry deviation is within tol.  Exact mode
-    compares the int matrix G = m W^T Q W of _scaled_gram with the int
-    target T = d t of _int_target, as d G = m T, and builds a Fraction only
-    for an entry that differs.
+    Exact W, Q and target are compared exactly and tol is ignored, as the
+    int matrix G = m W^T Q W of _scaled_gram against the int target
+    T = d t of _int_target, d G = m T, with a Fraction only for an entry
+    that differs.  Other inputs are ok when every entry deviates by at most
+    tol, or else by _rounding_ok.  max_abs_entry_error and entrywise are
+    those of W^T Q W - T either way.
     """
     g, m, quotient = _scaled_gram(w, q)
     t = _rows(target)
     if len(t) != len(g) or any(len(row) != len(g) for row in t):
         raise ValueError("target shape does not match the Gram matrix")
-    int_target = _int_target(t) if quotient is Fraction else None
+    int_target = _derived(t, _int_target) if quotient is Fraction else None
     if int_target is not None:
         t, d = int_target
         md = m * d
@@ -403,11 +434,13 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
                     entry = _ZERO
                 out.append(entry)
             diff.append(tuple(out))
+        ok = not err
     else:
         diff = [tuple([x / m - y for x, y in zip(grow, trow)])
                 for grow, trow in zip(g, t)]
         err = linalg.max_abs(diff)
-    return Residual(err, tuple(diff), bool(near(err, 0, tol)))
+        ok = near(err, 0, tol) or _rounding_ok(w, q, t)
+    return Residual(err, tuple(diff), ok)
 
 
 def bend_residual(geometry, bends):

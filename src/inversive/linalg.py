@@ -2,24 +2,25 @@
 
 Matrices are tuples of row tuples (the largest one in this package is 7x7),
 with Fraction entries in exact mode and floats in float mode.  The few
-solvers needed here (inverse, affine solve, the tail search) are written out
-by hand, on one Gauss-Jordan elimination per mode that the inverse and the
-affine solve share.  Exact mode eliminates on Python ints, fraction-free:
-the rows are scaled by the LCM of their denominators, combined by cross
-multiplication and divided by their gcd, and only the results become
-Fractions.  The reduced row echelon form is unique, so exact results do not
-depend on the pivot order.  Float mode pivots on the largest absolute entry,
-first row on ties.  Both modes read the affine solution off the reduced rows
-the same way.  The tail search reads its conditions from a table of targets
-over one denominator.
+solvers needed here are written out by hand.  The inverse, exact on the
+values of its entries in either mode, and the linear conditions of the
+exact tail search eliminate on Python ints, fraction-free: the rows are
+scaled by the LCM of their denominators, combined by cross multiplication
+and divided by their gcd, and only the results become Fractions.  The
+reduced row echelon form is unique, so exact results do not depend on the
+pivot order.
+The affine solve of the float tail search pivots on the largest absolute
+entry, first row on ties.  Both read the affine solution off the reduced
+rows the same way.  The tail search reads its conditions from a table of
+targets over one denominator.
 """
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm, sqrt
 from operator import mul
 
-from .scalars import (EXACT, FLOAT, coerce, coerce_row, integer_rows, mode_of,
-                      near, of_mode_type, unscaled_rows)
+from .scalars import (EXACT, coerce, coerce_row, integer_rows, mode_of, near,
+                      unscaled_rows)
 
 
 def block_diag(head, diagonal, mode):
@@ -51,17 +52,6 @@ def matmul(a, b):
 def max_abs(a):
     """Largest absolute entry of a matrix; exact scalar for exact input."""
     return max([abs(x) for row in a for x in row], default=0)
-
-
-def _coerced_rows(rows):
-    """The rows as lists of one mode's scalars, and that mode.  Float rows,
-    which the float tail search passes, are copied without a mode test or
-    a coerce call per entry."""
-    flat = [x for row in rows for x in row]
-    if flat and of_mode_type(flat, FLOAT):
-        return [list(row) for row in rows], FLOAT
-    mode = mode_of(flat)
-    return [list(coerce_row(row, mode)) for row in rows], mode
 
 
 def _integer_rref(out, cols):
@@ -166,46 +156,32 @@ def _integer_solve(aug):
 
 
 def mat_inv(a):
-    """Gauss-Jordan inverse: on integers for exact entries, with partial
-    pivoting for float ones."""
-    a, mode = _coerced_rows(a)
+    """Gauss-Jordan inverse on integers of the exact values of a square
+    matrix's entries: ints, Fractions, or floats as the dyadic rationals
+    they are.  The inverse is a tuple of Fraction rows."""
     k = len(a)
     if any(len(row) != k for row in a):
         raise ValueError("square matrix required")
-    if mode == EXACT:
-        rows, _ = integer_rows(
-            [row + [int(i == j) for j in range(k)] for i, row in enumerate(a)])
-        rows, pivots = _integer_rref(list(rows), k)
-        if len(pivots) == k:
-            return tuple(tuple(Fraction(x, row[i]) for x in row[k:])
-                         for i, row in enumerate(rows))
-    else:
-        rows, pivots = _float_rref(
-            [row + [float(i == j) for j in range(k)] for i, row in enumerate(a)],
-            k, 0.0)
-        if len(pivots) == k:
-            return tuple(tuple(row[k:]) for row in rows)
-    raise ValueError("singular matrix")
+    rows, _ = integer_rows(
+        [tuple(row) + tuple([int(i == j) for j in range(k)])
+         for i, row in enumerate(a)])
+    rows, pivots = _integer_rref(list(rows), k)
+    if len(pivots) != k:
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(x, row[i]) for x in row[k:])
+                 for i, row in enumerate(rows))
 
 
 def solve_affine(a, b):
-    """All solutions of a x = b as (particular, kernel basis vectors).
-
-    Exact systems are solved on integers and only the result becomes
-    Fractions; float pivoting is by magnitude with a small threshold for
-    rank decisions.  The particular solution and the kernel vectors are
-    tuples.
-    """
+    """All solutions of the float system a x = b as (particular, kernel
+    basis vectors), tuples.  Pivoting is by magnitude with a small
+    threshold for rank decisions."""
     rows = len(a)
     if len(b) != rows:
         raise ValueError("right-hand side does not match the rows")
     if not rows or any(len(row) != len(a[0]) for row in a):
         raise ValueError("need at least one row, all of the same length")
-    aug, mode = _coerced_rows([tuple(row) + (bi,) for row, bi in zip(a, b)])
-    if mode == EXACT:
-        particular, kernel, d = _integer_solve(list(integer_rows(aug)[0]))
-        return (tuple(Fraction(x, d) for x in particular),
-                [tuple(Fraction(x, d) for x in vec) for vec in kernel])
+    aug = [list(row) + [bi] for row, bi in zip(a, b)]
     cols = len(aug[0]) - 1
     zero_tol = 1e-12 * max(1.0, float(max_abs(a)))
     aug, pivots = _float_rref(aug, cols, zero_tol)

@@ -63,18 +63,11 @@ _FRACTIONS = frozenset((Fraction,))
 _FLOATS = frozenset((float,))
 
 
-def of_mode_type(values, mode):
-    """Whether every value is exactly of the type coerce gives in mode, so
-    that coercing would return each value as it is."""
-    types = _FRACTIONS if mode == EXACT else _FLOATS
-    return types.issuperset(map(type, values))
-
-
 def coerce_row(values, mode):
     """The values coerced to mode, as a tuple; a row already of the mode's
     type is returned without a coerce call per entry."""
     values = tuple(values)
-    if of_mode_type(values, mode):
+    if (_FRACTIONS if mode == EXACT else _FLOATS).issuperset(map(type, values)):
         return values
     return tuple([coerce(x, mode) for x in values])
 
@@ -191,23 +184,19 @@ def near(x, y, tol=DEFAULT_TOL):
     return abs(x - y) <= tol
 
 
-def negligible(residual, values, tol=DEFAULT_TOL, others=None):
+def negligible(residual, values):
     """Whether the residual of a relation quadratic in values is zero:
-    within tol, or within ROUNDING after dividing by m = max(1, max|values|)
-    twice, the rounding error of float values of size m.  For a relation
-    bilinear in values and others the second division is by max(1,
-    max|others|) instead.
+    within DEFAULT_TOL, or within ROUNDING after dividing by m = max(1, max|values|)
+    twice, the rounding error of float values of size m.
 
-    When the residual, the values and others are all exact, the residual
-    must be zero: no rounding made it, and dividing ints would round.
-    A nan residual is never negligible.  The values are only read when the
-    residual is not within tol.
+    When the residual and the values are all exact, the residual must be
+    zero: no rounding made it, and dividing ints would round.  A nan
+    residual is never negligible.  The values are only read when the
+    residual is not within DEFAULT_TOL.
     """
-    if near(residual, 0, tol):
+    if near(residual, 0):
         return True
-    if is_exact(residual) and all_exact(values) and \
-            (others is None or all_exact(others)):
+    if is_exact(residual) and all_exact(values):
         return False
     m = max(1, max(map(abs, values)))
-    k = m if others is None else max(1, max(map(abs, others)))
-    return near(residual / m / k, 0, ROUNDING)
+    return near(residual / m / m, 0, ROUNDING)

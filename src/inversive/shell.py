@@ -443,6 +443,11 @@ def _seed_args(sp):
     sp.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
 
 
+_TOL = dict(type=float, default=DEFAULT_TOL, help=(
+    "float slack of the Gram check; a float matrix within the rounding of "
+    "its own terms passes at any TOL, so TOL only widens what is accepted"))
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="inversive",
@@ -452,7 +457,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify", help="check a configuration's Gram identity")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", **_TOL)
     _io_args(sp)
 
     sp = sub.add_parser("solve", help="complete n+1 bends to a full bend vector")
@@ -465,13 +470,13 @@ def _build_parser():
                     help="keep rows with |bend| up to this value")
     sp.add_argument("--max-depth", type=int, default=None)
     sp.add_argument("--max-configs", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", **_TOL)
     _io_args(sp)
 
     sp = sub.add_parser("convert", help="convert a configuration between geometries")
     sp.add_argument("--to", required=True, dest="target",
                     choices=forms.GEOMETRIES)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", **_TOL)
     _io_args(sp)
 
     sp = sub.add_parser("lox", help="loxodromic bend sequence by repeated "
@@ -479,7 +484,7 @@ def _build_parser():
     _seed_args(sp)
     sp.add_argument("--steps", type=int, required=True,
                     help="number of bends to append after the seed")
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", **_TOL)
     _io_args(sp)
 
     sp = sub.add_parser("render", help="render a packing to SVG")
@@ -488,7 +493,7 @@ def _build_parser():
                     help="generate to this bound when no --in stream is given")
     sp.add_argument("--max-depth", type=int, default=None)
     sp.add_argument("--max-configs", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--tol", **_TOL)
     sp.add_argument("--width", type=int, default=800)
     sp.add_argument("--height", type=int, default=800)
     sp.add_argument("--cutoff", type=float, default=1.0 / 400.0)
@@ -586,7 +591,7 @@ def _cmd_solve(args):
         try:
             w = apollonian.realize_bends(args.geometry, values + (r,))
             documents.append(document_from_config(w))
-        except (ValueError, ExactnessError):
+        except ValueError:
             documents.append(None)  # completion exists but is not realized here
     out = {
         "geometry": args.geometry,

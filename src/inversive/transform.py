@@ -99,15 +99,15 @@ def moved(w, g):
     Euclidean augmented rows is g: W C g C^{-1} in w's geometry and mode,
     C = conversion_matrix(w.geometry, EUCLIDEAN, n).
 
-    g must keep the Euclidean Gram target T, g^T T g = T (float g up to
-    forms.Residual.within_rounding), or ValueError is raised.  A float g
+    g must keep the Euclidean Gram target T, g^T T g = T (as
+    forms.check_identity judges it), or ValueError is raised.  A float g
     moves a float configuration only; on an exact one it raises
     ExactnessError.
     """
     n, mode = w.n, w.mode
     g = tuple(coerce_row(row, mode) for row in g)
     target = forms.target_for(forms.EUCLIDEAN, n, mode)
-    if not forms.check_identity(g, target, target).within_rounding(g):
+    if not forms.check_identity(g, target, target).ok:
         raise ValueError("the matrix does not keep the Euclidean Gram target")
     m = linalg.matmul(
         linalg.matmul(conversion_matrix(w.geometry, forms.EUCLIDEAN, n, mode),

@@ -96,6 +96,7 @@ def test_criterion_03_gram_identity_fuzz(capsys, exact_fuzz):
     rng = random.Random(31337)
     worst_float = 0.0
     float_failures = 0
+    refused_within_tol = 0
     for geometry in GEOMS:
         for n in (2, 3, 4, 5):
             seed = apollonian.standard_seed(geometry, n=n, mode=FLOAT)
@@ -108,6 +109,8 @@ def test_criterion_03_gram_identity_fuzz(capsys, exact_fuzz):
                 res = forms.check_identity(w, q, target, tol=1e-9)
                 worst_float = max(worst_float, float(res.max_abs_entry_error))
                 float_failures += not res.ok
+                refused_within_tol += (
+                    not res.ok and res.max_abs_entry_error <= 1e-9)
 
     exact_failures = 0
     for geometry in GEOMS:
@@ -131,13 +134,15 @@ def test_criterion_03_gram_identity_fuzz(capsys, exact_fuzz):
         placement_failures += not (res.ok and res.max_abs_entry_error == 0)
 
     dt = time.perf_counter() - t0 + build_s
-    ok = (worst_float <= 1e-9 and float_failures == 0 and exact_failures == 0
+    ok = (worst_float <= 1e-9 and float_failures == 0
+          and refused_within_tol == 0 and exact_failures == 0
           and placement_failures == 0 and dt < 30.0)
     _line(capsys, "03", ok,
           f"Gram identity: 6000 float configurations (n in 2..5, three "
           f"geometries) worst residual {worst_float:.2e} <= 1e-9; 1500 exact "
           "configurations residual 0; 100 exact similarity placements", dt)
     assert float_failures == 0 and worst_float <= 1e-9
+    assert refused_within_tol == 0
     assert exact_failures == 0
     assert placement_failures == 0
     assert dt < 30.0

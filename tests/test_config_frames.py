@@ -449,6 +449,19 @@ def test_solve_of_a_strip_and_the_checks_of_loxodromic_configs_build_no_rows(
     assert built == []
 
 
+def test_integrality_report_builds_no_rows(monkeypatch):
+    """integrality_report reads the bend column of the packing's frame."""
+    built = _counted_rows(monkeypatch)
+    p = apollonian.generate(_realized(E, (F(-1, 2), 1, 1, F(3, 2)), EXACT),
+                            F(20))
+    report = apollonian.integrality_report(p)
+    assert not report.all_integral and F(3, 2) in report.non_integral
+    with pytest.raises(ValueError, match="exact mode"):
+        apollonian.integrality_report(apollonian.generate(
+            _realized(E, (-1, 2, 2, 3), FLOAT), 20.0))
+    assert built == []
+
+
 # --- float walk configurations: the exact twin's, rounded once -------------
 
 def _moved_float_seeds(rng, count):

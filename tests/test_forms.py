@@ -226,7 +226,7 @@ def test_float_tangent_rows_accept_rounded_walk_vectors(geometry, bends):
     # the loxodromic walk passes 10^12 within 60 steps and its bends reach
     # about 10^28, past the ints that floats hold; every bend vector on it
     # meets the relation, so float mode realizes each with the bends as
-    # given, its Gram identity within the rounding of its columns and its
+    # given, its Gram identity ok (forms.check_identity) and its
     # rows within rounding of the exact realization's
     seed = apollonian.realize_bends(geometry, tuple(map(F, bends)))
     configs = apollonian.loxodromic(seed, 60).configs
@@ -234,7 +234,7 @@ def test_float_tangent_rows_accept_rounded_walk_vectors(geometry, bends):
     for w in configs:
         values = tuple(map(float, w.bends))
         got = apollonian.realize_bends(geometry, values)
-        assert got.bends == values and got.residual().within_rounding(got), \
+        assert got.bends == values and got.residual().ok, \
             w.bends
         exact = apollonian.realize_bends(geometry, w.bends)
         assert _max_rel_diff(got, exact) <= 1e-15, w.bends
@@ -261,7 +261,7 @@ def test_float_coths_within_rounding_of_the_isotropic_case(scale):
     values = tuple(map(float, coths))
     assert not oracles.isotropic_reflection("hyperbolic", values)
     w = apollonian.realize_bends(forms.HYPERBOLIC, values)
-    assert w.bends == values and w.residual().within_rounding(w)
+    assert w.bends == values and w.residual().ok
     exact = apollonian.realize_bends(forms.HYPERBOLIC, coths)
     assert _max_rel_diff(w, exact) <= 1e-14
 
@@ -281,7 +281,7 @@ def test_float_coth_vectors_near_10_12_realize(coths):
     assert forms.bend_residual(forms.HYPERBOLIC, coths) == 0
     values = tuple(map(float, coths))
     w = apollonian.realize_bends(forms.HYPERBOLIC, values)
-    assert w.bends == values and w.residual().within_rounding(w)
+    assert w.bends == values and w.residual().ok
     if all(type(x) is int for x in coths):  # the float values are exact
         twin = apollonian.realize_bends(forms.HYPERBOLIC, coths)
         assert repr([r.entries for r in w.rows]) == repr(

@@ -377,3 +377,33 @@ def test_one_frame_matches_the_coordrow_oracles(name):
                 new = _render_outcome(svg.render, p, o)
                 assert new == _render_outcome(reference_svg.render, p, o)
                 assert new == _render_outcome(reference_svg.render, rows_only, o)
+
+
+def _reference_integrality_report(packing):
+    """integrality_report as it read the CoordRows of packing.rows."""
+    if packing.rows and mode_of(packing.rows[0].entries) != EXACT:
+        raise ValueError("integrality is only meaningful in exact mode")
+    counts = {}
+    bad = []
+    for row in packing.rows:
+        b = F(row.entries[forms.bend_column(packing.geometry)])
+        if b.denominator == 1:
+            counts[int(b)] = counts.get(int(b), 0) + 1
+        else:
+            bad.append(b)
+    return apollonian.IntegralityReport(not bad, tuple(sorted(counts.items())),
+                                        tuple(bad))
+
+
+def _report_outcome(report, packing):
+    try:
+        return repr(report(packing))
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+@pytest.mark.parametrize("name", ORACLE_PACKINGS)
+def test_integrality_report_matches_the_coordrow_oracle(name):
+    p = ORACLE_PACKINGS[name]
+    assert _report_outcome(apollonian.integrality_report, p) \
+        == _report_outcome(_reference_integrality_report, p)

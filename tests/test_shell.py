@@ -378,6 +378,25 @@ def test_solve_irrational_needs_float(capsys):
     assert len(doc["completions"]) == 2
 
 
+@pytest.mark.parametrize("geometry, bends", (
+    ("spherical", "0,1,1,2"), ("hyperbolic", "-2,-2,-2,1")))
+def test_solve_in_a_dimension_with_no_rational_configuration_fails(
+        geometry, bends, capsys):
+    # n = 3: the completions are rational, the configurations are not; solve
+    # exits 1 with the reason, as gen does on the completed bends
+    values = tuple(map(F, bends.split(",")))
+    completed = ",".join(map(str, values + (shell.complete_bend(
+        geometry, values)[0],)))
+    message = ("error: no rational Descartes configuration exists for n = 3; "
+               "the Gram identity forces an irrational determinant\n")
+    code, out, err = run(["solve", "--geometry", geometry, f"--seed={bends}"],
+                         capsys)
+    assert (code, out, err) == (1, "", message)
+    code, out, err = run(["gen", "--geometry", geometry, f"--seed={completed}",
+                          "--max-bend", "10"], capsys)
+    assert (code, out, err) == (1, "", message)
+
+
 def test_solve_has_no_tol_flag(capsys):
     code, out, err = run(["solve", "--geometry", "euclidean", "--seed",
                           "2,2,3", "--tol", "5"], capsys)
