@@ -567,7 +567,8 @@ _SEED_ROWS = ((1, -1, 0, 0), (0, 2, 1, 0), (0, 2, -1, 0), (1, 3, 0, 2))
 def standard_seed(geometry, n=2, mode=EXACT):
     """Canonical Descartes configuration: for n = 2 the integer seed with
     bends (-1, 2, 2, 3) (cot values (0,1,1,2), coth values (-1,1,1,1)); for
-    higher n a float configuration of equal caps.
+    higher n the float equal caps of a regular simplex, the base that float
+    curved bends of that n are realized from (forms._base).
 
     For n such as 3, 4 and 5 no rational configuration exists
     (forms._refuse_irrational).  No exact seed is built above n = 2, and

@@ -13,7 +13,8 @@ The targets differ only in a 2x2 head T on the first two coordinates (the
 rest is 2I), so one table keyed by the geometry tags holds what sets a
 geometry apart: its bend column c, T, the head of the map carrying its
 rows to Euclidean rows, and for the spherical and hyperbolic geometries the
-integral base configuration that their plane bends are realized from.
+integral base configuration that their plane bends are realized from (the
+float bases of other dimensions are written in closed form, _base).
 bend_column, CURVATURE_SIGN (k = -T[c][c]/2), target_for, pair_product
 (2 T^{-1} on the head), transform and the realizer read it.
 
@@ -39,7 +40,7 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, isqrt
+from math import isfinite, isqrt, sqrt
 from operator import mul
 
 from . import linalg
@@ -269,11 +270,36 @@ def target_for(geometry, n, mode=EXACT):
     return linalg.block_diag(head, (2,) * n, mode)
 
 
-# (W0, d W0^{-1} as int rows, d, the diagonal of T) for the base W0 and
-# the n = 2 Gram target T of each geometry with a base (_reflected_base)
-_BASES = {tag: (g.base, *integer_rows(linalg.mat_inv(g.base)),
-                (g.target_head[0][0], g.target_head[1][1], 2, 2))
-          for tag, g in _GEOMETRY.items() if g.base}
+@functools.lru_cache(maxsize=None)
+def _base(geometry, n):
+    """(R, sigma, D, d, t) of the base W0 = R / sigma that _reflected_base
+    moves, for a geometry with a base: int rows R over sigma, the exact
+    inverse W0^{-1} = D / d of W0's own dyadic values as int rows D over d,
+    and the diagonal t of the Gram target T.
+
+    In the plane W0 is the geometry's integral base, sigma = 1.  In other
+    dimensions it is the float configuration of n+2 equal caps centered at
+    the vertices of a regular simplex: cot a = sqrt(n/(n+2)), and cap i has
+    the tail sqrt(2) h_i, its unit center over sin a, with h_i the Helmert
+    coordinates of e_i - ones/(n+2).  The hyperbolic base is the spherical
+    one carried over by the conversion head.
+    """
+    if n == 2:
+        w0 = _by_geometry(_GEOMETRY, geometry).base
+    else:
+        from . import transform  # transform imports forms
+        cot = sqrt(n / (n + 2))
+        # Helmert row k is (1, ..., 1, -k, 0, ...) / sqrt(k (k+1)), k ones
+        ups = [sqrt(2) / sqrt(k * (k + 1)) for k in range(1, n + 2)]
+        caps = tuple([(cot, *[up if i < k else -k * up if i == k else 0.0
+                              for k, up in enumerate(ups, 1)])
+                      for i in range(n + 2)])
+        w0 = transform.convert_matrix(ConfigMatrix(SPHERICAL, (caps, 1.0)),
+                                      geometry).scaled[0]
+    head = _by_geometry(_GEOMETRY, geometry).target_head
+    return (*integer_rows(w0), *integer_rows(linalg.mat_inv(w0)),
+            (head[0][0], head[1][1]) + (2,) * n)
+
 
 # 2 T^{-1} for the target head T of each geometry, coerced to each mode
 _FORM_HEAD = {tag: {mode: linalg.block_diag(
@@ -482,21 +508,22 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     """One configuration of pairwise tangent rows (c_i, t_i) with the given
     spherical cot or hyperbolic coth values c_i, which errors call name.
 
-    In the plane the rows are the geometry's base rows W0 moved from the
-    right by an isometry of the Gram target (_reflected_base), which every
-    vector meeting the bend relation admits; above it they come from the
-    tail search of _search_tangent_rows, which first_tails starts.  Exact
-    bends give an exact matrix, float bends the rows of their dyadic values
-    rounded once with the bends as given, or a ValueError; exact bends in a
-    dimension with no rational configuration raise the ExactnessError of
-    _refuse_irrational before any search.
+    Float values in every dimension, and exact ones in the plane, give the
+    geometry's base rows W0 moved from the right by an isometry of the Gram
+    target (_reflected_base), which every vector meeting the bend relation
+    admits: an exact matrix for exact bends, and for float bends the rows
+    of their dyadic values rounded once with the bends as given.  Exact
+    values above the plane raise the ExactnessError of _refuse_irrational
+    in a dimension with no rational configuration, before any search, and
+    are otherwise realized by the exact tail search of _search_tangent_rows,
+    which first_tails starts, or refused with a ValueError.
     """
     c, mode = _tangent_values(geometry, bends, name)
-    if len(c) == 4:
-        return ConfigMatrix(geometry, _reflected_base(geometry, c, mode))
-    if mode == EXACT:
-        _refuse_irrational(len(c) - 2)
-    return _search_tangent_rows(geometry, c, mode, name, first_tails)
+    n = len(c) - 2
+    if mode == EXACT and n != 2:
+        _refuse_irrational(n)
+        return _search_tangent_rows(geometry, c, name, first_tails)
+    return ConfigMatrix(geometry, _reflected_base(geometry, c, mode))
 
 
 def _refuse_irrational(n):
@@ -512,9 +539,9 @@ def _refuse_irrational(n):
             "Gram identity forces an irrational determinant")
 
 
-def _search_tangent_rows(geometry, c, mode, name, first_tails):
+def _search_tangent_rows(geometry, c, name, first_tails):
     """The configuration of _realize_tangent_rows found by a tail search,
-    for values c of one mode that meet the bend relation, on any n.
+    for exact values c that meet the bend relation, on any n.
 
     With k the geometry's curvature sign the tails carry the form
     diag(k, 1, ..., 1), and tangency asks <t_i, t_i> = 1 + k c_i^2 and
@@ -522,30 +549,28 @@ def _search_tangent_rows(geometry, c, mode, name, first_tails):
     entries of the first-tail candidates, zero-padded to full length; later
     tails come from linalg.realize_tails, which backtracks out of tail
     choices that strand a later row.  It takes the tangency values as one
-    table of targets on the bends v = s c of the frame of scalars.scaled_rows,
-    times s^2: in exact mode ints over the one denominator s^2, so no
-    Fraction is built for them.  The tails are not scaled by s, which would
-    move the rational points the search picks.  Exact bends give an exact
-    matrix, whose tails come back as Fractions in one conversion, or a
-    ValueError.
+    table of targets on the bends v = s c of their int frame
+    (scalars.integer_rows), times s^2: ints over the one denominator s^2,
+    so no Fraction is built for them.  The tails are not scaled by s, which
+    would move the rational points the search picks.  The tails come back
+    as Fractions in one conversion; no tails give a ValueError.
     """
     n = len(c) - 2
     k = _by_geometry(CURVATURE_SIGN, geometry)
-    one = coerce(1, mode)
-    zero = one - one
-    first_options = [head + (zero,) * (n + 1 - len(head))
+    one = Fraction(1)
+    first_options = [head + (_ZERO,) * (n + 1 - len(head))
                      for head in first_tails(c[0], one)]
     # the tangency values times s^2, on the bends v = s c of the frame
-    (v,), s = scaled_rows([c], mode)
+    (v,), s = integer_rows([c])
     s2 = s * s
     targets = [[k * vi * vj - s2 for vj in v[:i]] + [s2 + k * vi * vi]
                for i, vi in enumerate(v)]
     tails = linalg.realize_tails(first_options, (k,) + (1,) * n, targets, s2)
     if tails is None:
         raise ValueError(f"no realization found for these {name} values")
-    # rows of the mode's type already, so from_rows coerces none of them
+    # Fraction rows already, so from_rows coerces none of them
     entry_rows = [(c[i],) + tuple(tails[i]) for i in range(n + 2)]
-    return ConfigMatrix.from_rows(geometry, entry_rows, mode=mode)
+    return ConfigMatrix.from_rows(geometry, entry_rows, mode=EXACT)
 
 
 def _carried(rows, a, b, t):
@@ -562,36 +587,38 @@ def _carried(rows, a, b, t):
 
 
 def _reflected_base(geometry, c, mode):
-    """The frame (scalars.scaled_rows) of the rows W = W0 G of a plane
+    """The frame (scalars.scaled_rows) of the rows W = W0 G of a
     configuration with bends c, in mode.
 
-    W0 is the geometry's base, T its Gram target and e the unit vector of
-    the bend column.  Rows times an isometry G of T stay a configuration
-    (W^T Q W = G^T T G = T), with bends W0 G e, so G must carry e to
-    g = W0^{-1} c.  When c meets the bend relation, W0^{-T} T W0^{-1} = Q
-    gives g^T T g = c^T Q c = T_00, the norm of e, so the reflection in
-    v = e - g does, or, when v is isotropic (then v^T T v = 2 T_00 v_0 is
-    zero), the reflection in e + g followed by the one in g (Witt's
-    theorem).  Each is a rank-one update of int rows (_carried): the bends
-    over their LCM s and W0^{-1} over its d, so that g = g'/(d s).
+    W0 = R / sigma is the geometry's base in the dimension of c (_base), T
+    its Gram target and e the unit vector of the bend column.  Rows times
+    an isometry G of T stay a configuration (W^T Q W = G^T T G = T), with
+    bends W0 G e, so G must carry e to g = W0^{-1} c.  When c meets the
+    bend relation, W0^{-T} T W0^{-1} = Q gives g^T T g = c^T Q c = T_00,
+    the norm of e, so the reflection in v = e - g does, or, when v is
+    isotropic (then v^T T v = 2 T_00 v_0 is zero), the reflection in e + g
+    followed by the one in g (Witt's theorem).  Each is a rank-one update
+    of int rows (_carried): the bends over their LCM s and W0^{-1} over its
+    d, so that g = g'/(d s), and R G = V / m, so that W = V / (m sigma).
 
     Float bends run the same computation on their dyadic values, which meet
-    the relation only up to rounding.  Each map carries its vector exactly,
-    so the bends come out as given and the rows within rounding of an
-    isometry's, and a v_0 within the rounding of its terms counts as zero,
-    where one reflection would divide by it.  Every entry is rounded once.
+    the relation only up to rounding, as do the float base's.  Each map
+    carries its vector exactly, so the bends come out as given and the rows
+    within rounding of an isometry's, and a v_0 within the rounding of its
+    terms counts as zero, where one reflection would divide by it.  Every
+    entry is rounded once.  Values equal to the base's give W0 itself.
 
-    Exact rows are the int rows m W0 G over m, bend column included (its
-    entries are m c), reduced by their one gcd; float rows keep the bends
-    as given, over 1.0.
+    Exact rows are the int rows V over m (sigma = 1), bend column included
+    (its entries are m c), reduced by their one gcd; float rows keep the
+    bends as given, over 1.0.
 
     A hyperbolic W whose first row with |c_i| >= 1 and a nonzero q_0 has
     q_0 of the other sign than c_i lies on the lower sheet, and gets its
     q_0 column negated, which keeps T.
     """
-    w0, inverse, d, t = _BASES[geometry]
+    w0, sigma, inverse, d, t = _base(geometry, len(c) - 2)
     (ints,), s = integer_rows([c])
-    e = (d * s, 0, 0, 0)
+    e = [d * s] + [0] * (len(c) - 1)
     terms = list(map(mul, inverse[0], ints))
     g = [sum(terms)] + [sum(map(mul, row, ints)) for row in inverse[1:]]
     v0 = e[0] - g[0]
@@ -599,7 +626,7 @@ def _reflected_base(geometry, c, mode):
         isotropic = not v0
     else:
         isotropic = abs(v0) <= ROUNDING * sum(map(abs, terms))
-    if g == list(e):
+    if g == e:
         rows, m = w0, 1
     elif not isotropic:
         rows, m = _carried(w0, e, g, t)
@@ -611,6 +638,7 @@ def _reflected_base(geometry, c, mode):
         m *= m2
     if m < 0:  # over a positive m, so that a zero entry is not -0.0
         rows, m = [[-x for x in r] for r in rows], -m
+    m *= sigma
     if geometry == HYPERBOLIC:
         # the first row of |c_i| = |r_0 / m| >= 1 with a nonzero q_0 = r_1 / m
         for r in rows:

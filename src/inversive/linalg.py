@@ -1,26 +1,23 @@
-"""Dense matrix helpers that work for exact and float entries alike.
+"""Dense matrix helpers that work for exact and float entries alike, and
+the exact tail search.
 
 Matrices are tuples of row tuples (the largest one in this package is 7x7),
 with Fraction entries in exact mode and floats in float mode.  The few
 solvers needed here are written out by hand.  The inverse, exact on the
 values of its entries in either mode, and the linear conditions of the
-exact tail search eliminate on Python ints, fraction-free: the rows are
-scaled by the LCM of their denominators, combined by cross multiplication
-and divided by their gcd, and only the results become Fractions.  The
-reduced row echelon form is unique, so exact results do not depend on the
-pivot order.
-The affine solve of the float tail search pivots on the largest absolute
-entry, first row on ties.  Both read the affine solution off the reduced
-rows the same way.  The tail search reads its conditions from a table of
-targets over one denominator.
+tail search eliminate on Python ints, fraction-free: the rows are scaled by
+the LCM of their denominators, combined by cross multiplication and divided
+by their gcd, and only the results become Fractions.  The reduced row
+echelon form is unique, so the results do not depend on the pivot order.
+The tail search, which realizes exact curved bends above the plane, reads
+its conditions from a table of targets over one denominator.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, sqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from .scalars import (EXACT, coerce, coerce_row, integer_rows, mode_of, near,
-                      unscaled_rows)
+from .scalars import EXACT, coerce, coerce_row, integer_rows, unscaled_rows
 
 
 def block_diag(head, diagonal, mode):
@@ -92,67 +89,31 @@ def _integer_rref(out, cols):
     return out, pivots
 
 
-def _float_rref(out, cols, zero_tol):
-    """Gauss-Jordan elimination of float rows (a list of lists, changed in
-    place), pivoting in the first cols columns on the largest absolute
-    entry, first row on ties; a column whose largest entry is within
-    zero_tol of zero gets no pivot.  Returns (rows, pivots) as
-    _integer_rref does, with every pivot entry 1."""
-    m = len(out)
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == m:
-            break
-        pivot, top = r, abs(out[r][c])
-        for i in range(r + 1, m):
-            x = abs(out[i][c])
-            if x > top:  # as max() compares, so the first row wins ties
-                pivot, top = i, x
-        if top <= zero_tol:
-            continue
-        out[r], out[pivot] = out[pivot], out[r]
-        p = out[r][c]
-        prow = out[r] = [x / p for x in out[r]]
-        for i in range(m):
-            f = out[i][c]
-            if i != r and f != 0:
-                out[i] = [x - f * y for x, y in zip(out[i], prow)]
-        pivots.append(c)
-    return out, pivots
-
-
-def _solution(rows, pivots, cols, zero, d):
-    """(particular, kernel) of the reduced augmented rows [a | b] of a x = b
-    whose pivot entries all equal d: the particular solution and the kernel
-    basis vectors of solve_affine times d, as lists."""
-    particular = [zero] * cols
+def _integer_solve(aug):
+    """(particular, kernel, d) for int augmented rows [a | b] of a x = b:
+    all solutions are (particular + sum_k u_k kernel[k]) / d, d > 0, and
+    the vectors are lists of ints."""
+    cols = len(aug[0]) - 1
+    rows, pivots = _integer_rref(aug, cols)
+    if any(row[cols] for row in rows[len(pivots):]):
+        raise ValueError("inconsistent linear system")
+    d = lcm(*[row[c] for row, c in zip(rows, pivots)])
+    # the reduced rows scaled to the pivot entry d
+    rows = [row if row[c] == d else [x * (d // row[c]) for x in row]
+            for row, c in zip(rows, pivots)]
+    particular = [0] * cols
     for row, c in zip(rows, pivots):
         particular[c] = row[cols]
     kernel = []
     for c in range(cols):
         if c in pivots:
             continue
-        vec = [zero] * cols
+        vec = [0] * cols
         vec[c] = d
         for row, pc in zip(rows, pivots):
             vec[pc] = -row[c]
         kernel.append(vec)
-    return particular, kernel
-
-
-def _integer_solve(aug):
-    """(particular, kernel, d) for int augmented rows [a | b] of a x = b:
-    the particular solution and the kernel basis vectors of solve_affine
-    times their common denominator d > 0, as lists of ints."""
-    cols = len(aug[0]) - 1
-    rows, pivots = _integer_rref(aug, cols)
-    if any(row[cols] for row in rows[len(pivots):]):
-        raise ValueError("inconsistent linear system")
-    d = lcm(*[row[c] for row, c in zip(rows, pivots)])
-    rows = [row if row[c] == d else [x * (d // row[c]) for x in row]
-            for row, c in zip(rows, pivots)]
-    return (*_solution(rows, pivots, cols, 0, d), d)
+    return particular, kernel, d
 
 
 def mat_inv(a):
@@ -172,25 +133,6 @@ def mat_inv(a):
                  for i, row in enumerate(rows))
 
 
-def solve_affine(a, b):
-    """All solutions of the float system a x = b as (particular, kernel
-    basis vectors), tuples.  Pivoting is by magnitude with a small
-    threshold for rank decisions."""
-    rows = len(a)
-    if len(b) != rows:
-        raise ValueError("right-hand side does not match the rows")
-    if not rows or any(len(row) != len(a[0]) for row in a):
-        raise ValueError("need at least one row, all of the same length")
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    cols = len(aug[0]) - 1
-    zero_tol = 1e-12 * max(1.0, float(max_abs(a)))
-    aug, pivots = _float_rref(aug, cols, zero_tol)
-    if any(abs(row[cols]) > zero_tol for row in aug[len(pivots):]):
-        raise ValueError("inconsistent linear system")
-    particular, kernel = _solution(aug, pivots, cols, 0.0, 1.0)
-    return tuple(particular), [tuple(vec) for vec in kernel]
-
-
 def _assignment_patterns(dim):
     """Deterministic small assignments for all-but-one free coordinate."""
     yield (0,) * dim
@@ -208,34 +150,6 @@ def _assignment_patterns(dim):
                         vec = [0] * dim
                         vec[j], vec[k] = vj, vk
                         yield tuple(vec)
-
-
-def _solve_univariate(a, b, c):
-    """A real root of a u^2 + b u + c = 0 in floats, or None."""
-    if a == 0:
-        if b == 0:
-            return None if c != 0 else c - c  # every u solves 0 = 0; take 0
-        return -c / b
-    disc = b * b - 4 * a * c
-    if abs(disc) <= 1e-12 * max(b * b, abs(4 * a * c), 1.0):
-        # a double root that rounding moved off zero; its square root would
-        # put an error of about 1e-8 into the tail and strand later rows
-        disc = 0.0
-    if disc < 0:
-        return None
-    return (-b + sqrt(disc)) / (2 * a)
-
-
-def diag_dot(signs, u, v):
-    total = 0
-    for s, x, y in zip(signs, u, v):
-        total = total + (x * y if s > 0 else -(x * y))
-    return total
-
-
-def _axpy(base, u, v):
-    """base + u * v entrywise."""
-    return tuple(b + u * x for b, x in zip(base, v))
 
 
 def _exact_tail_candidates(prev_tails, signs, values, scale):
@@ -306,85 +220,34 @@ def _exact_tail_candidates(prev_tails, signs, values, scale):
                 yield t
 
 
-def _float_tail_candidates(prev_tails, signs, values):
-    """Float twin of _exact_tail_candidates on float tails and one float
-    row of targets, already divided by its denominator; a root is accepted
-    up to rounding, and tails are told apart to 9 decimals."""
-    a = [list(map(mul, t, signs)) for t in prev_tails]
-    self_value = values[-1]
-    p, kernel = solve_affine(a, values[:-1])
-    if not kernel:
-        residual = diag_dot(signs, p, p) - self_value
-        if near(residual, 0, 1e-8 * max(1.0, abs(float(self_value)))):
-            yield p
-        return
-    dim = len(kernel)
-    seen = set()
-    for pattern in _assignment_patterns(dim):
-        for j in range(dim):
-            base = p
-            for k in range(dim):
-                # even a zero term can turn a -0.0 entry into 0.0
-                if k != j:
-                    base = _axpy(base, pattern[k], kernel[k])
-            kj = kernel[j]
-            a2 = diag_dot(signs, kj, kj)
-            b2 = 2 * diag_dot(signs, base, kj)
-            c2 = diag_dot(signs, base, base) - self_value
-            u = _solve_univariate(a2, b2, c2)
-            if u is None:
-                continue
-            t = _axpy(base, u, kj)
-            key = tuple(round(float(x), 9) for x in t)
-            if key not in seen:
-                seen.add(key)
-                yield t
-
-
 # distinct tail candidates tried per row before the search backs out
 BRANCH_LIMIT = 24
 
 
 def realize_tails(first_options, signs, targets, scale):
-    """Depth-first search for one tail per row of the table targets.
+    """Depth-first search for one exact tail per row of the table targets.
 
-    targets[i] prescribes <t_j, t_i> for j < i, then <t_i, t_i>, times
-    scale.  Exact mode hands each row to the candidates as ints over the
-    one denominator scale, so no Fraction is built for it, and float mode
-    divides the table by scale once.  The first tail is drawn from
-    first_options; each later tail solves the linear conditions against
-    the earlier ones and walks a deterministic list of kernel assignments
-    for a root of its quadratic, branching over at most BRANCH_LIMIT
-    distinct candidates per row.  A greedy first choice can strand a later
-    row (picking a degenerate tail whose linear conditions become
-    unsatisfiable), so failed branches are abandoned and the next
-    candidate tried.  The first options are coerced to one mode, which is
-    the mode of the search.  Exact mode searches on ints, and the tails it
-    returns become Fractions in one conversion: over the least common
-    multiple of their denominators, through scalars.unscaled_rows, one
-    Fraction per distinct int.  Returns a sequence of tuples or None.
+    targets[i] prescribes <t_j, t_i> for j < i, then <t_i, t_i>, as ints
+    over the one denominator scale, so no Fraction is built for them.  The
+    first tail is drawn from first_options, exact tuples; each later tail
+    solves the linear conditions against the earlier ones and walks a
+    deterministic list of kernel assignments for a rational root of its
+    quadratic, branching over at most BRANCH_LIMIT distinct candidates per
+    row.  A greedy first choice can strand a later row (picking a
+    degenerate tail whose linear conditions become unsatisfiable), so
+    failed branches are abandoned and the next candidate tried.  The search
+    runs on ints, and the tails it returns become Fractions in one
+    conversion: over the least common multiple of their denominators,
+    through scalars.unscaled_rows, one Fraction per distinct int.  Returns
+    a sequence of tuples or None.
     """
-    # the arguments after a row of targets: its denominator, in exact mode
-    if mode_of(first_options[0]) == EXACT:
-        candidates, extra = _exact_tail_candidates, (scale,)
-        # a tail (x_1, ..., x_m) / e is searched as the ints (x_1, ..., x_m, e)
-        first_options = [ints + (e,) for (ints,), e in
-                         (integer_rows([t]) for t in first_options)]
-
-        def finish(tails):
-            e = lcm(*[t[-1] for t in tails])
-            return unscaled_rows([[x * (e // t[-1]) for x in t[:-1]]
-                                  for t in tails], e, EXACT)
-    else:
-        candidates, extra, finish = _float_tail_candidates, (), list
-        targets = [[x / scale for x in row] for row in targets]
-
     def search(tails):
         i = len(tails)
         if i == len(targets):
             return tails
         try:
-            for k, t in enumerate(candidates(tails, signs, targets[i], *extra)):
+            for k, t in enumerate(_exact_tail_candidates(tails, signs,
+                                                         targets[i], scale)):
                 if k >= BRANCH_LIMIT:
                     break
                 result = search(tails + [t])
@@ -394,8 +257,11 @@ def realize_tails(first_options, signs, targets, scale):
             return None
         return None
 
-    for first in first_options:
-        result = search([tuple(first)])
-        if result is not None:
-            return finish(result)
+    # a tail (x_1, ..., x_m) / e is searched as the ints (x_1, ..., x_m, e)
+    for (ints,), e in (integer_rows([t]) for t in first_options):
+        tails = search([ints + (e,)])
+        if tails is not None:
+            e = lcm(*[t[-1] for t in tails])
+            return unscaled_rows([[x * (e // t[-1]) for x in t[:-1]]
+                                  for t in tails], e, EXACT)
     return None

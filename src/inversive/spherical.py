@@ -24,15 +24,17 @@ def _first_tails(c0, one):
 def realize_cap_config(cots):
     """One configuration of pairwise tangent caps with the given cot values.
 
-    In the plane the rows are those of the base cot values (0, 1, 1, 2),
-    moved by one or two reflections of the Gram target onto the given
-    values (forms._reflected_base), so every cot vector that meets the
-    Soddy relation is realized, in exact rows when its values are exact.
-    For n >= 3 the rows are found sequentially: the first tail is
-    (1, c_1, 0, ..., 0) and each later tail solves the linear tangency
-    conditions against the earlier rows plus its own quadratic norm
-    condition.  With rational cots the search sticks to rational tails and
-    raises if none of its candidate branches closes.
+    The rows are those of a base configuration, moved by one or two
+    reflections of the Gram target onto the given values
+    (forms._reflected_base), so every cot vector that meets the Soddy
+    relation is realized: in the plane from the base cot values
+    (0, 1, 1, 2), in exact rows when its values are exact, and for float
+    values in any other dimension from the equal caps of a regular simplex.
+    Exact values above the plane are searched for rational rows: the first
+    tail is (1, c_1, 0, ..., 0) and each later tail solves the linear
+    tangency conditions against the earlier rows plus its own quadratic
+    norm condition.  The search raises if none of its candidate branches
+    closes.
     """
     return forms._realize_tangent_rows(forms.SPHERICAL, cots, "cot",
                                        _first_tails)

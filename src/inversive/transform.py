@@ -30,8 +30,8 @@ commute.  translation, dilation and inversion build G on Euclidean rows
 import functools
 
 from . import forms, linalg
-from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, mode_of,
-                      reduced_rows, scaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, integer_rows,
+                      mode_of, reduced_rows, scaled_rows, unscaled_rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,19 +102,20 @@ def moved(w, g):
     g must keep the Euclidean Gram target T, g^T T g = T (as
     forms.check_identity judges it), or ValueError is raised.  A float g
     moves a float configuration only; on an exact one it raises
-    ExactnessError.
+    ExactnessError.  The product runs on the int frames of the exact values
+    of W and g, so that each float entry is rounded once, also where large
+    entries of C g C^{-1} cancel, as in the curved image of a dilation.
     """
     n, mode = w.n, w.mode
     g = tuple(coerce_row(row, mode) for row in g)
     target = forms.target_for(forms.EUCLIDEAN, n, mode)
     if not forms.check_identity(g, target, target).ok:
         raise ValueError("the matrix does not keep the Euclidean Gram target")
-    m = linalg.matmul(
-        linalg.matmul(conversion_matrix(w.geometry, forms.EUCLIDEAN, n, mode),
-                      g),
-        conversion_matrix(forms.EUCLIDEAN, w.geometry, n, mode))
-    p, d = scaled_rows(m, mode)
-    rows, s = w.scaled
-    return forms.ConfigMatrix(w.geometry, reduced_rows(
-        linalg.matmul(rows, p), s * d))
-
+    g, t = integer_rows(g)
+    p, d = integer_rows(linalg.matmul(
+        linalg.matmul(conversion_matrix(w.geometry, forms.EUCLIDEAN, n), g),
+        conversion_matrix(forms.EUCLIDEAN, w.geometry, n)))
+    rows, s = w.scaled if mode == EXACT else integer_rows(w.scaled[0])
+    rows, s = linalg.matmul(rows, p), s * t * d
+    return forms.ConfigMatrix(w.geometry, reduced_rows(rows, s) if mode == EXACT
+                              else (unscaled_rows(rows, s, mode), 1.0))

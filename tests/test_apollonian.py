@@ -1,14 +1,17 @@
 """Reflection group, packing generation, loxodromic sequences."""
 
+import json
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from inversive import apollonian, forms, linalg, onedim, shell, transform
 from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
-from test_reference_kernels import (_ref_column_sums, _ref_reflect_entries,
+from test_reference_kernels import (DIMENSION_8_BENDS, _ref_column_sums,
+                                    _ref_reflect_entries,
                                     _reference_loxodromic,
                                     _rounded_reference_loxodromic)
 
@@ -952,7 +955,7 @@ def test_standard_seed_exact_messages_tell_the_dimensions_apart(geometry):
 
 
 # exact vectors meeting the bend relation for n = 3..7, where det(W)^2 is
-# no rational square, and for n = 8, where it is
+# no rational square (DIMENSION_8_BENDS has them for n = 8, where it is)
 _IRRATIONAL_DIMENSION_BENDS = {
     forms.SPHERICAL: ((-2, -2, -1, -1, 0), (-3, -1, -1, -1, -1, -1),
                       (-3, -2, -1, -1, -1, -1, -1),
@@ -960,17 +963,14 @@ _IRRATIONAL_DIMENSION_BENDS = {
                       (-3, -2, -2, -2, -1, -1, -1, -1, -1)),
     forms.HYPERBOLIC: tuple((-3,) * k + (-1, 1) for k in range(3, 8)),
 }
-_DIMENSION_8_BENDS = {
-    forms.SPHERICAL: (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1),
-    forms.HYPERBOLIC: (-3, -3, -2, -2, -2, -1, -1, -1, -1, 0),
-}
 
 
 @pytest.mark.parametrize("geometry", (forms.SPHERICAL, forms.HYPERBOLIC))
 def test_exact_dimensions_with_no_rational_configuration_refuse_at_once(
         geometry, monkeypatch):
     # the ExactnessError of the det(W)^2 rule, before any tail search; the
-    # float values of the same vectors are searched and realized
+    # float values of the same vectors are realized by reflecting a base,
+    # and only the exact n = 8 vector is searched
     searches = []
     inner = linalg.realize_tails
     monkeypatch.setattr(linalg, "realize_tails",
@@ -984,10 +984,10 @@ def test_exact_dimensions_with_no_rational_configuration_refuse_at_once(
             apollonian.realize_bends(geometry, bends)
     assert searches == []
     w = apollonian.realize_bends(geometry, tuple(map(float, bends)))
-    assert w.mode == FLOAT and w.residual().ok and len(searches) == 1
-    w = apollonian.realize_bends(geometry, _DIMENSION_8_BENDS[geometry])
+    assert w.mode == FLOAT and w.residual().ok and len(searches) == 0
+    w = apollonian.realize_bends(geometry, DIMENSION_8_BENDS[geometry])
     assert w.mode == EXACT and w.residual().max_abs_entry_error == 0
-    assert len(searches) == 2
+    assert len(searches) == 1
 
 
 def test_standard_seed_float_high_dimensions():
@@ -999,6 +999,41 @@ def test_standard_seed_float_high_dimensions():
                 forms.target_for(geometry, n, FLOAT), tol=1e-9,
             )
             assert res.ok, (geometry, n, res.max_abs_entry_error)
+
+
+# the bends of the float n = 3 equal caps reflected at 0, 1, 2, 3, 4, 0, 1, 2
+_CAP_WORD_BENDS = (47.25039682373048, 89.07861696277058, 168.08747722540187,
+                   13.168143377105217, 25.56169008496895)
+
+
+def test_reflected_float_caps_are_realized_and_walked(capsys):
+    """Float values far from the equal caps are realized within rounding
+    of the Gram identity, so generate() and gen take them as a seed; a
+    tail search left them 1e-8 off, and both refused the seed."""
+    w = apollonian.standard_seed(forms.SPHERICAL, 3, FLOAT)
+    for i in (0, 1, 2, 3, 4, 0, 1, 2):
+        w = apollonian.reflect(w, i)
+    assert w.bends == _CAP_WORD_BENDS
+    seed = apollonian.realize_bends(forms.SPHERICAL, _CAP_WORD_BENDS)
+    assert seed.bends == _CAP_WORD_BENDS and seed.residual().ok
+    assert apollonian.generate(seed, 100.0).rows
+    code = shell.run(["gen", "--mode", "float", "--geometry", "spherical",
+                      "--seed=" + ",".join(map(repr, _CAP_WORD_BENDS)),
+                      "--max-bend", "200", "--max-configs", "50"])
+    assert code == 0, capsys.readouterr().err
+
+
+def test_bench_n3_reference_counts_the_float_seed_packing():
+    """The n = 3 row count that the benchmark's gen-float check reads from
+    bench/reference.json (271 at bound 4), read and left as it is, is the
+    row count of the float Euclidean n = 3 packing, so that a seed change
+    that would fail that check fails here first."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+    counts = json.loads(path.read_text())["n3"]
+    assert counts
+    seed = apollonian.standard_seed(forms.EUCLIDEAN, 3, FLOAT)
+    for bound, count in counts.items():
+        assert len(apollonian.generate(seed, float(bound)).rows) == count
 
 
 def test_realize_bends_dispatch():

@@ -262,12 +262,16 @@ def test_reflect_frames_match_rows(mode):
 
 
 def _rows_moved(w, g):
-    n, mode = w.n, w.mode
-    g = tuple(tuple(coerce(x, mode) for x in row) for row in g)
+    """W C g C^{-1} on the exact values of the entries of W and of g in w's
+    mode, each float entry rounded once."""
+    n = w.n
+    g = [[F(coerce(x, w.mode)) for x in row] for row in g]
     m = linalg.matmul(
-        linalg.matmul(transform.conversion_matrix(w.geometry, E, n, mode), g),
-        transform.conversion_matrix(E, w.geometry, n, mode))
-    return linalg.matmul(w.matrix(), m)
+        linalg.matmul(transform.conversion_matrix(w.geometry, E, n), g),
+        transform.conversion_matrix(E, w.geometry, n))
+    rows = linalg.matmul([[F(x) for x in row] for row in w.matrix()], m)
+    return rows if w.mode == EXACT else [[float(x) for x in row]
+                                         for row in rows]
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))

@@ -15,6 +15,7 @@ matrices against objects moved by hand, from their centers, radii,
 normals and offsets.
 """
 
+import sys
 from bisect import bisect_left
 from fractions import Fraction as F
 
@@ -221,6 +222,24 @@ def test_moved_keeps_the_mode():
     for v in ((12345 / 7, -3 / 11), (1e6, 1e6 / 3)):
         far = transform.moved(seed, transform.translation(v))
         assert len(apollonian.generate(far, 100.0).rows) == 169
+
+
+@pytest.mark.parametrize("geometry", (S, forms.HYPERBOLIC))
+@pytest.mark.parametrize("k", (4, 8))
+def test_float_curved_dilations_round_each_entry_once(geometry, k):
+    """A float curved seed dilated by 10^k is moved on the exact values of
+    its rows and of g, each entry rounded once: it passes its Gram check,
+    and each entry is within 4 ulp of the exact move of the exact seed.  A
+    float product C g C^{-1} has entries near 10^k / 2 that cancel in the
+    rows, which left the cot and coth entries near 10^-k off by half."""
+    w = transform.moved(apollonian.standard_seed(geometry, 2, FLOAT),
+                        transform.dilation(10.0 ** k, 2))
+    exact = transform.moved(apollonian.standard_seed(geometry, 2, EXACT),
+                            transform.dilation(10 ** k, 2))
+    assert w.mode == FLOAT and w.residual().ok
+    for row, ref in zip(w.matrix(), exact.matrix()):
+        for x, y in zip(row, ref):
+            assert abs(x - y) <= 4 * sys.float_info.epsilon * abs(y), (x, y)
 
 
 def test_moved_rejects_bad_moves():

@@ -2,9 +2,9 @@
 they replaced.
 
 The first _reference_* functions are the numpy implementations of
-check_identity, convert_matrix, loxodromic and solve_affine as the package
-had them, copied verbatim together with the helpers they called
-(_ref_as_matrix, _ref_identity, ...).  Only names changed: those calls point
+check_identity, convert_matrix and loxodromic as the package had them,
+copied verbatim together with the helpers they called (_ref_as_matrix,
+_ref_max_abs, ...).  Only names changed: those calls point
 at the copies here, and conversion_matrix, which now returns a tuple of
 rows, is wrapped in np.array.  numpy is a test-only dependency (the [test]
 extra).  Exact results must be equal; float results may differ by 1e-12
@@ -14,21 +14,18 @@ BLAS.
 The second set is the realize path as it was on Fractions, before exact
 realization moved onto integers: solve_affine on lists, the tail search,
 bend_residual, the tangent-row realizer and the Euclidean realizer with its
-completion, again verbatim but for names.  Spherical and hyperbolic bends in
-the plane are now realized by reflecting a base configuration, so the tail
-search is checked where the package still runs it, through
-forms._search_tangent_rows on the same bend vectors, and the reflection
-against oracles.reflected_base.  There every output must be the same to the
-byte, in both modes, except for two float cases.  Float
-Euclidean rows now come from the closed form of exact mode, and are checked
-against the exact rows and held within 1e-15 relative of the old ones.  Float
-cot and coth values whose bend residual is float rounding, which the old
-absolute 1e-9 check rejected, now go on to the tail search, and must give
-what the old realizer gives with its check switched off.
-
-The third set is the float solve_affine as it was before its elimination
-was shared with the exact solvers, verbatim but for names.  Its results and
-errors must be the same to the bit.
+completion, again verbatim but for names.  Spherical and hyperbolic bends
+are now realized by reflecting a base configuration, in the plane in both
+modes and in float mode in every dimension, so the tail search is checked
+where the package still runs it, through forms._search_tangent_rows on the
+same exact bend vectors, and the reflection against oracles.reflected_base.
+There every exact output must be the same to the byte.  Float Euclidean
+rows now come from the closed form of exact mode, and are checked against
+the exact rows and held within 1e-15 relative of the old ones.  Float cot
+and coth values must keep their bends and be congruent to the reference's
+rows wherever the reference finds rows that pass the Gram check (_congruent),
+those whose bend residual is float rounding, which the old absolute 1e-9
+check rejected, included.
 """
 
 import math
@@ -67,69 +64,12 @@ def _ref_as_matrix(rows, mode=None):
     return np.array([[float(x) for x in row] for row in rows], dtype=float)
 
 
-def _ref_identity(k, exact):
-    if exact:
-        eye = np.full((k, k), Fraction(0), dtype=object)
-        for i in range(k):
-            eye[i, i] = Fraction(1)
-        return eye
-    return np.eye(k)
-
-
-def _ref_is_exact_matrix(a):
-    return a.dtype == object
-
-
 def _ref_max_abs(a):
     """Largest absolute entry; exact scalar for exact input."""
     values = [abs(x) for x in np.asarray(a).flat]
     if not values:
         return 0
     return max(values)
-
-
-def _reference_solve_affine(a, b):
-    """All solutions of a x = b as (particular, kernel basis columns).
-
-    Works on exact and float matrices; float pivoting is by magnitude with a
-    small threshold for rank decisions.
-    """
-    a = np.array(a)
-    rows, cols = a.shape
-    exact = _ref_is_exact_matrix(a)
-    zero_tol = 0 if exact else 1e-12 * max(1.0, float(_ref_max_abs(a)))
-    aug = np.concatenate([a, np.array(b).reshape(rows, 1)], axis=1)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = max(range(r, rows), key=lambda i: abs(aug[i, c]), default=None)
-        if pivot is None or abs(aug[pivot, c]) <= zero_tol:
-            continue
-        if pivot != r:
-            aug[[r, pivot]] = aug[[pivot, r]]
-        aug[r] = aug[r] / aug[r, c]
-        for i in range(rows):
-            if i != r and aug[i, c] != 0:
-                aug[i] = aug[i] - aug[i, c] * aug[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if abs(aug[i, cols]) > zero_tol:
-            raise ValueError("inconsistent linear system")
-    eye = _ref_identity(cols, exact)
-    particular = 0 * eye[0]
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i, cols]
-    free = [c for c in range(cols) if c not in pivots]
-    kernel = []
-    for c in free:
-        vec = eye[c].copy()
-        for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i, c]
-        kernel.append(vec)
-    return particular, kernel
 
 
 def _ref_as_array(m):
@@ -577,42 +517,6 @@ def test_each_configuration_is_checked_once(geometry, mode, monkeypatch,
                 apollonian.generate(bad, 10)
 
 
-def _systems(mode):
-    """Linear systems like those of the tail search and of the Euclidean
-    completion: leading rows of grid configurations, one with a repeated
-    row (rank deficient) and one with a repeated row and another right-hand
-    side (inconsistent)."""
-    out = []
-    for w in _grid(E, mode)[:12] + _grid(S, mode)[:6] + _grid(H, mode)[:6]:
-        rows = [r.entries for r in w.rows]
-        one = coerce(1, w.mode)
-        for k in (1, 2, 3):
-            out.append((rows[:k], [-one] * k))
-        out.append((rows[:2] + rows[:1], [-one, one, -one]))
-        out.append((rows[:2] + rows[:1], [-one, one, one]))
-    return out
-
-
-# solve_affine is float only; the one mode keeps the test's id
-@pytest.mark.parametrize("mode", (FLOAT,))
-def test_solve_affine_matches_reference(mode):
-    inconsistent = 0
-    for a, b in _systems(mode):
-        new, new_err = _outcome(linalg.solve_affine, a, b)
-        ref_a = _ref_as_matrix(a, mode)
-        ref, ref_err = _outcome(_reference_solve_affine, ref_a, b)
-        if ref_err is not None:
-            assert new_err is not None and str(new_err) == str(ref_err)
-            inconsistent += 1
-            continue
-        assert new_err is None, new_err
-        scale = max(1.0, float(_ref_max_abs(ref_a)))
-        assert _same(new[0], ref[0], False, scale)
-        assert len(new[1]) == len(ref[1])
-        assert _same(new[1], [v.tolist() for v in ref[1]], False, scale)
-    assert inconsistent > 0
-
-
 # --- the Fraction realize path, verbatim ----------------------------------
 
 def _ref_list_max_abs(a):
@@ -992,17 +896,18 @@ REFERENCE_REALIZERS = {E: _reference_realize_curvature_vector,
 
 
 def _searched(geometry, bends):
-    """The configuration of the package's tail search for cot or coth values
-    of any n, after the realizer's bend check: what realize_bends gave for
-    n = 2 before curved plane bends were reflected from a base, and what it
-    gives above the plane."""
+    """The configuration of the package's tail search for exact cot or coth
+    values of any n, after the realizer's bend check: what realize_bends
+    gave for n = 2 before curved plane bends were reflected from a base,
+    and what it gives above the plane."""
     name, first_tails = {S: ("cot", spherical._first_tails),
                          H: ("coth", hyperbolic._first_tails)}[geometry]
-    c, mode = forms._tangent_values(geometry, bends, name)
-    return forms._search_tangent_rows(geometry, c, mode, name, first_tails)
+    c, _ = forms._tangent_values(geometry, bends, name)
+    return forms._search_tangent_rows(geometry, c, name, first_tails)
 
 
-# the package realizer that runs the code each reference realizer had
+# the package realizer that runs the code each reference realizer had on
+# exact values
 SEARCH_REALIZERS = {E: lambda bends: apollonian.realize_bends(E, bends),
                     S: lambda bends: _searched(S, bends),
                     H: lambda bends: _searched(H, bends)}
@@ -1111,6 +1016,49 @@ def _violates(outcome):
     return isinstance(outcome[0], type) and "violate" in outcome[1]
 
 
+def _congruent(w, ref):
+    """Whether the rows of w are those of ref times an isometry of their
+    Gram target T: G = W_ref^{-1} W, on the exact values of both, each entry
+    rounded once, passes check_identity(G, T, T)."""
+    g = linalg.matmul(linalg.mat_inv(ref.matrix()),
+                      [tuple(map(Fraction, row)) for row in w.matrix()])
+    t = forms.target_for(w.geometry, w.n, FLOAT)
+    return forms.check_identity([tuple(map(float, row)) for row in g],
+                                t, t).ok
+
+
+def _reference_rows(geometry, bends):
+    """The reference tail search's configuration for float values, with its
+    bend check switched off, or None where it finds none or none within
+    the rounding of its entries of the Gram identity (check_identity at
+    tol 0): an absolute 1e-9 passes rows too far off for G of _congruent
+    to be an isometry within rounding."""
+    try:
+        ref = REFERENCE_REALIZERS[geometry](bends, None, math.inf)
+    except ValueError:
+        return None
+    return ref if ref.residual(0.0).ok else None
+
+
+def _check_float_curved(geometry, v, bends, new, ref):
+    """Float cot and coth values are realized by reflecting a base in every
+    dimension.  They fail only where their exact twin v misses the bend
+    relation, with the reference's error, and otherwise come out with the
+    bends as given, pass the Gram check, and are congruent to the
+    reference's rows wherever it finds rows.  Returns (whether the
+    reference's absolute check refused rounding, whether rows were
+    compared)."""
+    if forms.bend_residual(geometry, v):
+        assert new == ref, bends
+        return False, False
+    w = apollonian.realize_bends(geometry, bends)
+    assert w.bends == bends and w.residual().ok, bends
+    w_ref = _reference_rows(geometry, bends)
+    if w_ref is not None:
+        assert _congruent(w, w_ref), bends
+    return _violates(ref), w_ref is not None
+
+
 def test_strip_frames_are_the_object_route_rows():
     """The closed-form frame of a strip is the configuration of its lines
     and circles built as objects, at every position of the zero bends, to
@@ -1133,21 +1081,19 @@ def test_strip_frames_are_the_object_route_rows():
 @pytest.mark.parametrize("geometry,mode", CASES)
 def test_realize_bends_matches_reference(geometry, mode):
     exact = mode == EXACT
-    realized = failed = rounding = 0
+    realized = failed = rounding = compared = 0
+    realize = SEARCH_REALIZERS[geometry] if exact else \
+        (lambda bends: apollonian.realize_bends(geometry, bends))
     for v in _bend_vectors(geometry):
         bends = v if exact else tuple(float(x) for x in v)
-        new = _outcome_bytes(SEARCH_REALIZERS[geometry], bends)
+        new = _outcome_bytes(realize, bends)
         ref = _outcome_bytes(REFERENCE_REALIZERS[geometry], bends)
         if (geometry, mode) == (E, FLOAT):
             _check_float_euclidean(v, bends, ref)
-        elif not exact and _violates(ref) and \
-                not _violates(_outcome_bytes(apollonian.realize_bends,
-                                             geometry, v)):
-            # the exact twin meets the relation, so the float residual is
-            # rounding: the old code rejected it, the new one searches on
-            assert new == _outcome_bytes(REFERENCE_REALIZERS[geometry],
-                                         bends, None, math.inf), bends
-            rounding += 1
+        elif not exact:
+            refused, found = _check_float_curved(geometry, v, bends, new, ref)
+            rounding += refused
+            compared += found
         else:
             assert new == ref, (geometry, bends)
         if isinstance(new[0], type):
@@ -1158,7 +1104,55 @@ def test_realize_bends_matches_reference(geometry, mode):
                 assert new[1] == EXACT
     assert realized >= 60 and failed >= len(NOT_DESCARTES), (realized, failed)
     if (geometry, mode) in ((S, FLOAT), (H, FLOAT)):
-        assert rounding >= 4, rounding
+        assert rounding >= 4 and compared >= 30, (rounding, compared)
+
+
+# exact vectors meeting the bend relation for n = 8, where a rational
+# configuration exists
+DIMENSION_8_BENDS = {
+    S: (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1),
+    H: (-3, -3, -2, -2, -2, -1, -1, -1, -1, 0),
+}
+
+
+def _cap_words(geometry, rng):
+    """(n, bends) for n = 3..6: the bends of the float equal caps
+    (standard_seed) moved by one reflection word of each length 0-12, no
+    letter twice in a row."""
+    out = []
+    for n in range(3, 7):
+        seed = apollonian.standard_seed(geometry, n, FLOAT)
+        for length in range(13):
+            w, last = seed, None
+            for _ in range(length):
+                last = rng.choice([i for i in range(n + 2) if i != last])
+                w = apollonian.reflect(w, last)
+            out.append((n, w.bends))
+    return out
+
+
+@pytest.mark.parametrize("geometry", (S, H))
+def test_float_realizations_are_congruent_to_the_reference(geometry):
+    """Float cot and coth values above the plane, the reflected bends of
+    the equal caps and the n = 8 vector of DIMENSION_8_BENDS, are realized
+    with the bends as given and a residual() that is ok, in rows congruent
+    (_congruent) to the reference tail search's wherever it finds rows
+    within rounding, and to the exact rows of the n = 8 vector."""
+    rng = random.Random(32)
+    compared = set()
+    for n, bends in _cap_words(geometry, rng):
+        w = apollonian.realize_bends(geometry, bends)
+        assert w.n == n and w.bends == bends and w.residual().ok, bends
+        ref = _reference_rows(geometry, bends)
+        if ref is not None:
+            assert _congruent(w, ref), bends
+            compared.add(n)
+    exact = DIMENSION_8_BENDS[geometry]
+    bends = tuple(map(float, exact))
+    w = apollonian.realize_bends(geometry, bends)
+    assert w.mode == FLOAT and w.bends == bends and w.residual().ok
+    assert _congruent(w, apollonian.realize_bends(geometry, exact))
+    assert compared == {3, 4, 5, 6}, compared
 
 
 @pytest.mark.parametrize("geometry", (S, H))
@@ -1241,7 +1235,7 @@ def test_tail_candidates_along_an_isotropic_kernel_vector_match_reference():
     """The earlier tail t = (1, 1, 0) is isotropic for diag(-1, 1, 1), and
     <t, x> = 0 puts t into the kernel, so along it the quadratic has a = 0
     and b = 0: every u solves it when its constant is 0 (u = 0 is taken),
-    none when it is not.  Both modes yield the reference's tails."""
+    none when it is not.  The search yields the reference's tails."""
     signs, prev, values = (-1, 1, 1), (1, 1, 0), [0, 1]
     exact = list(linalg._exact_tail_candidates([prev + (1,)], signs, values,
                                                1))
@@ -1249,10 +1243,6 @@ def test_tail_candidates_along_an_isotropic_kernel_vector_match_reference():
                                           [Fraction(0)], Fraction(1), True))
     assert [tuple(Fraction(x, t[-1]) for x in t[:-1]) for t in exact] == ref
     assert len(ref) == 7
-    floats = list(linalg._float_tail_candidates(
-        [tuple(map(float, prev))], signs, list(map(float, values))))
-    assert repr(floats) == repr(list(_reference_tail_candidates(
-        [tuple(map(float, prev))], signs, [0.0], 1.0, False)))
 
 
 def test_tail_search_stops_at_the_branch_limit(monkeypatch):
@@ -1277,26 +1267,18 @@ def test_tail_search_stops_at_the_branch_limit(monkeypatch):
     assert found is not None and list(found) == search(31)
 
 
-@pytest.mark.parametrize("geometry,mode", [(g, m) for g in (S, H)
-                                           for m in (EXACT, FLOAT)])
+# the search is exact only; the one mode keeps the tests' ids
+@pytest.mark.parametrize("geometry,mode", [(g, EXACT) for g in (S, H)])
 def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
-    """On cot and coth values that are already Fractions or floats, exact
-    tangency values reach the candidates as ints over one positive int
-    denominator, the tails of each exact realization become rows in one
-    unscaled_rows call, and no entry is coerced on the way, neither by
-    float solve_affine nor by from_rows; the rows are those of the
-    reference tail search.  The package runs the search above the plane,
-    and here on the n = 2 vectors of _bend_vectors."""
-    exact = mode == EXACT
-    inputs = [tuple(map(Fraction if exact else float, v))
-              for v in _bend_vectors(geometry)]
-    refs = []
-    for bends in inputs:
-        ref = _outcome_bytes(REFERENCE_REALIZERS[geometry], bends)
-        if _violates(ref):  # rounding that the new bend check accepts
-            ref = (ref, _outcome_bytes(REFERENCE_REALIZERS[geometry], bends,
-                                       None, math.inf))
-        refs.append(ref)
+    """On cot and coth values that are already Fractions, tangency values
+    reach the candidates as ints over one positive int denominator, the
+    tails of each realization become rows in one unscaled_rows call, and no
+    entry is coerced on the way, not by from_rows either; the rows are
+    those of the reference tail search.  The package runs the search above
+    the plane, and here on the n = 2 vectors of _bend_vectors."""
+    inputs = [tuple(map(Fraction, v)) for v in _bend_vectors(geometry)]
+    refs = [_outcome_bytes(REFERENCE_REALIZERS[geometry], bends)
+            for bends in inputs]
     values, conversions, coerced, searches = [], [], [], []
     candidates, unscaled = linalg._exact_tail_candidates, linalg.unscaled_rows
     realize_tails, coerce = linalg.realize_tails, scalars.coerce
@@ -1320,155 +1302,11 @@ def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
     realized = 0
     for bends, ref in zip(inputs, refs):
         new = _outcome_bytes(_searched, geometry, bends)
-        assert new == ref or (isinstance(ref[0], tuple) and new in ref), bends
+        assert new == ref, bends
         realized += not isinstance(new[0], type)
     assert coerced == [], coerced[:3]
-    if exact:
-        assert values and all(type(den) is int and den > 0 and
-                              all(type(x) is int for x in row)
-                              for row, den in values)
-        assert len(conversions) == realized
-    else:
-        assert values == [] and conversions == []
+    assert values and all(type(den) is int and den > 0 and
+                          all(type(x) is int for x in row)
+                          for row, den in values)
+    assert len(conversions) == realized
     assert realized >= 60 and len(searches) >= realized, realized
-
-
-# solve_affine is float only; the one mode keeps the test's id
-@pytest.mark.parametrize("mode", (FLOAT,))
-def test_solve_affine_rejects_malformed_systems(mode):
-    one = coerce(1, mode)
-    for a, b in (([], []), ([[one, 2 * one], [one]], [one, one])):
-        with pytest.raises(ValueError):
-            linalg.solve_affine(a, b)
-
-
-# --- the float elimination, verbatim -------------------------------------
-
-def _reference_float_solve_affine(a, b):
-    """All solutions of a x = b as (particular, kernel basis vectors), for
-    float systems; pivoting is by magnitude with a small threshold for rank
-    decisions.  The particular solution and the kernel vectors are tuples.
-    """
-    rows = len(a)
-    if len(b) != rows:
-        raise ValueError("right-hand side does not match the rows")
-    if not rows or any(len(row) != len(a[0]) for row in a):
-        raise ValueError("need at least one row, all of the same length")
-    aug, mode = _ref_coerced_rows([tuple(row) + (bi,)
-                                   for row, bi in zip(a, b)])
-    cols = len(aug[0]) - 1
-    zero_tol = 1e-12 * max(1.0, float(_ref_list_max_abs(a)))
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = max(range(r, rows), key=lambda i: abs(aug[i][c]), default=None)
-        if pivot is None or abs(aug[pivot][c]) <= zero_tol:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        p = aug[r][c]
-        prow = aug[r] = [x / p for x in aug[r]]
-        for i in range(rows):
-            f = aug[i][c]
-            if i != r and f != 0:
-                aug[i] = [x - f * y for x, y in zip(aug[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if abs(aug[i][cols]) > zero_tol:
-            raise ValueError("inconsistent linear system")
-    particular = [0.0] * cols
-    for i, c in enumerate(pivots):
-        particular[c] = aug[i][cols]
-    kernel = []
-    for c in range(cols):
-        if c in pivots:
-            continue
-        vec = [0.0] * cols
-        vec[c] = 1.0
-        for i, pc in enumerate(pivots):
-            vec[pc] = -aug[i][c]
-        kernel.append(tuple(vec))
-    return tuple(particular), kernel
-
-
-def _repr_outcome(fn, *args):
-    """repr of what fn returns, or the type and message of its error; equal
-    reprs mean bit-equal floats, signed zeros included."""
-    try:
-        return repr(fn(*args))
-    except ValueError as e:
-        return (type(e), str(e))
-
-
-def _random_float_rows(rng, m, k):
-    """m rows of k floats: small integers (so that eliminations cancel to
-    exact zeros), wide-range values, and +-0.0."""
-    def entry():
-        roll = rng.random()
-        if roll < 0.4:
-            return float(rng.randint(-3, 3))
-        if roll < 0.5:
-            return rng.choice((0.0, -0.0))
-        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-6, 6)
-    return [[entry() for _ in range(k)] for _ in range(m)]
-
-
-def _random_float_systems():
-    """(a, b) systems of a fixed seed: full rank, rank-deficient (a row
-    repeated or a combination of two others), inconsistent (a repeated row
-    with another right-hand side), square, under- and overdetermined."""
-    rng = random.Random(20011)
-    out = []
-    for _ in range(1200):
-        m, k = rng.randint(1, 6), rng.randint(1, 7)
-        a = _random_float_rows(rng, m, k)
-        b = _random_float_rows(rng, 1, m)[0]
-        roll = rng.random()
-        if m >= 2 and roll < 0.3:
-            i, j = rng.sample(range(m), 2)
-            a[i] = list(a[j])
-            b[i] = b[j] if rng.random() < 0.5 else b[j] + 1.0
-        elif m >= 3 and roll < 0.5:
-            i, j, l = rng.sample(range(m), 3)
-            f = float(rng.randint(-2, 2))
-            a[i] = [x + f * y for x, y in zip(a[j], a[l])]
-            b[i] = b[j] + f * b[l]
-        out.append((a, b))
-    return out
-
-
-def _tail_search_systems(geometry, monkeypatch):
-    """Every system the float tail search hands to solve_affine on the
-    float bend vectors of the geometry."""
-    seen = []
-    solve = linalg.solve_affine
-
-    def recording(a, b):
-        seen.append(([list(row) for row in a], list(b)))
-        return solve(a, b)
-
-    with monkeypatch.context() as m:
-        m.setattr(linalg, "solve_affine", recording)
-        for v in _bend_vectors(geometry):
-            _outcome_bytes(_searched, geometry, tuple(float(x) for x in v))
-    return seen
-
-
-def test_float_solve_affine_matches_reference(monkeypatch):
-    systems = _random_float_systems()
-    searched = _tail_search_systems(S, monkeypatch) + \
-        _tail_search_systems(H, monkeypatch)
-    assert len(searched) >= 400
-    inconsistent = deficient = 0
-    for a, b in systems + searched:
-        new = _repr_outcome(linalg.solve_affine, a, b)
-        assert new == _repr_outcome(_reference_float_solve_affine, a, b), \
-            (a, b)
-        if isinstance(new, tuple):
-            inconsistent += 1
-        elif "), [(" in new:
-            deficient += 1
-    assert inconsistent >= 50 and deficient >= 500, (inconsistent, deficient)
-
