@@ -42,7 +42,7 @@ from math import floor, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, frame_quotient,
-                      integer_rows, mode_of, near, reduced_rows, scaled_rows,
+                      integer_rows, mode_frame, mode_of, near, scaled_rows,
                       sqrt_scalar, unscaled_rows)
 
 
@@ -78,8 +78,8 @@ def reflect(w, i):
     one; in exact mode reflecting twice at the same index restores the
     input exactly.  The result is not checked: its residual() tells whether
     it keeps the Gram identity.  Both modes reflect the int frame of the
-    configuration (_int_frame) and build the result as the walks build
-    theirs (_walk_config), so a float result is the exact reflection of the
+    configuration (_int_frame), and the result leaves it by
+    scalars.mode_frame, so a float result is the exact reflection of the
     float rows' own values, each entry rounded once.
     """
     n = w.n
@@ -89,8 +89,8 @@ def reflect(w, i):
     if not 0 <= i < n + 2:
         raise ValueError(f"row index {i} out of range")
     rows, scale, coeff = _int_frame(w)
-    return _walk_config(w.geometry, _reflect_entries(rows, i, coeff), scale,
-                        coeff, w.mode)
+    return forms.ConfigMatrix(w.geometry, mode_frame(
+        _reflect_entries(rows, i, coeff), scale, w.mode))
 
 
 @dataclass(frozen=True)
@@ -149,19 +149,17 @@ class Packing:
 def _int_frame(seed, bends_only=False):
     """(rows, scale, coeff): the seed rows of either mode, or with
     bends_only the one row of its bends, on ints over the least common
-    multiple scale of their denominators (scalars.integer_rows; a power of
-    two for floats), and the reflection coefficient 2/(n-1): an int for
+    multiple scale of their denominators (ConfigMatrix.int_frame; a power
+    of two for floats), and the reflection coefficient 2/(n-1): an int for
     n = 2 and n = 3, so that reflections of int rows stay ints, and a
-    Fraction above.  An exact seed's frame is its ConfigMatrix.scaled, a
-    float seed's the integer_rows of its float rows, and the bend row is
-    the bend column of that frame reduced by one gcd."""
+    Fraction above.  The bend row is the bend column of that frame reduced
+    by one gcd."""
     n = seed.n
-    rows, scale = seed.scaled
-    if seed.mode != EXACT:
-        rows, scale = integer_rows(rows)
+    rows, scale = seed.int_frame
     if bends_only:
         col = forms.bend_column(seed.geometry)
-        rows, scale = reduced_rows((tuple([row[col] for row in rows]),), scale)
+        rows, scale = mode_frame((tuple([row[col] for row in rows]),), scale,
+                                 EXACT)
     return rows, scale, 2 // (n - 1) if n <= 3 else Fraction(2, n - 1)
 
 
@@ -177,21 +175,6 @@ def _walk_frame(seed, tol, task, bends_only=False):
     if not res.ok:
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
     return (*_int_frame(seed, bends_only), frame_quotient(seed.mode))
-
-
-def _walk_config(geometry, rows, scale, coeff, mode):
-    """The configuration of rows of a walk over its scale, held as its frame
-    (ConfigMatrix.scaled): exact rows, Fractions when the walk's coeff is
-    no int (n > 3), over the LCM of their denominators, and float rows each
-    divided once, rounded, over 1.0."""
-    if mode != EXACT:
-        frame = unscaled_rows(rows, scale, mode), 1.0
-    else:
-        if type(coeff) is not int:
-            rows, denominator = integer_rows(rows)
-            scale *= denominator
-        frame = reduced_rows(rows, scale)
-    return forms.ConfigMatrix(geometry, frame)
 
 
 class InfiniteClosure(ValueError):
@@ -247,7 +230,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     end).  An exact Packing keeps the sorted int rows and their scale in its
     scaled field, and builds its Fraction rows only when they are read; in
     a float Packing each entry is the int one divided once, rounded, over
-    1.0.  Kept configurations hold their frames (_walk_config).
+    1.0.  Kept configurations leave the walk's frame by scalars.mode_frame,
+    as reflect()'s do.
 
     Each configuration remembers the index whose reflection produced it and
     is not reflected at that index again, since that only rebuilds its
@@ -369,7 +353,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     configs = None
     if keep_configs:
         configs = tuple(
-            _walk_config(seed.geometry, kept_configs[k], scale, coeff, mode)
+            forms.ConfigMatrix(seed.geometry,
+                               mode_frame(kept_configs[k], scale, mode))
             for k in sorted(kept_configs))
     if type(coeff) is not int:
         rows, denominator = integer_rows(rows)
@@ -388,9 +373,9 @@ class LoxodromicSequence:
     loxodromic() passes configs=None and the init-only walk=(seed,
     indices) instead: the index reflected at each step.  When configs is
     first read, the indices are replayed on the int frame of the seed rows
-    (_int_frame), and each configuration after the seed is built from the
-    frame of its step as generate() builds its kept ones (_walk_config);
-    the configurations are kept, as Packing.rows is.  walk is not a field,
+    (_int_frame), and each configuration after the seed leaves the frame of
+    its step by scalars.mode_frame, as generate()'s kept ones do; the
+    configurations are kept, as Packing.rows is.  walk is not a field,
     so fields, equality and repr are those of geometry, bends and configs.
     """
 
@@ -419,8 +404,8 @@ class LoxodromicSequence:
         try:
             for i in indices:
                 entry_rows = _reflect_entries(entry_rows, i, coeff)
-                configs.append(
-                    _walk_config(geometry, entry_rows, scale, coeff, mode))
+                configs.append(forms.ConfigMatrix(
+                    geometry, mode_frame(entry_rows, scale, mode)))
         except OverflowError:
             raise ValueError(
                 f"the row of step {len(configs)} of the loxodromic sequence "

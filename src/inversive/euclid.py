@@ -11,45 +11,28 @@ interior gets w(H) = (2d, 0, h).  In these coordinates inversion in the unit
 sphere is simply the swap of the first two entries (transform.inversion), and
 a family of n+2 mutually tangent spheres is characterized by the augmented
 Gram identity (see forms.target_for).  The realizer writes these rows in
-closed form, straight into the frame of a ConfigMatrix.
+closed form on the int frame of the bends' exact values, in both modes, so
+float rows are the exact rows of the float bends rounded once.
 """
 
 from . import forms
-from .scalars import (EXACT, coerce_row, mode_of, negligible, reduced_rows,
-                      scaled_rows)
+from .scalars import coerce_row, integer_rows, mode_of, negligible
 
 
-def _realize_strip(bends, mode):
-    """The frame (scalars.scaled_rows) of two parallel lines and two equal
-    circles of bend s > 0, at the positions of the zero and the nonzero
-    bends: the lines y = 0 and y = 2/s facing each other, (0, 0, 0, -1) and
-    (4/s, 0, 0, 1), and the circles centered at (0, 1/s) and (2/s, 1/s),
-    (0, s, 0, 1) and (4/s, s, 2, 1).
-
-    Exact rows are ints over l sigma, sigma = l s the bend in the frame of
-    its LCM scale l, reduced by one gcd.  Float rows (over 1.0) are the
-    augmented rows of those lines and circles worked out from r = 1/s, the
-    expressions of w(S) and w(H) above, so bbar = |x|^2 s - r and the
-    entries s x come out as rounded there.
+def _realize_strip(s):
+    """(rows, scale): the two equal circles of bend s > 0 of a strip and its
+    two lines, as int rows over a positive int scale: the circles centered
+    at (0, 1/s) and (2/s, 1/s), (0, s, 0, 1) and (4/s, s, 2, 1), and the
+    lines y = 0 and y = 2/s facing each other, (0, 0, 0, -1) and
+    (4/s, 0, 0, 1).  The rows are ints over l sigma, sigma = l s the bend
+    in the frame of its LCM scale l (scalars.integer_rows; a float s is its
+    dyadic value).
     """
-    zero_pos = [i for i, b in enumerate(bends) if b == 0]
-    circle_pos = [i for i, b in enumerate(bends) if b != 0]
-    s = bends[circle_pos[0]]
-    if mode == EXACT:
-        ((sigma,),), l = scaled_rows([(s,)], mode)
-        scale = l * sigma
-        lines = (0, 0, 0, -scale), (4 * l * l, 0, 0, scale)
-        circles = ((0, sigma * sigma, 0, scale),
-                   (4 * l * l, sigma * sigma, 2 * scale, scale))
-    else:
-        r, scale = 1 / s, 1.0
-        lines = (0.0, 0.0, 0.0, -1.0), (4 * r, 0.0, 0.0, 1.0)
-        circles = ((r * r * s - r, s, 0.0, s * r),
-                   (5 * (r * r) * s - r, s, s * (2 * r), s * r))
-    rows = [None] * 4
-    for i, row in zip(zero_pos + circle_pos, lines + circles):
-        rows[i] = row
-    return reduced_rows(rows, scale)
+    ((sigma,),), l = integer_rows([(s,)])
+    scale = l * sigma
+    return [(0, sigma * sigma, 0, scale),
+            (4 * l * l, sigma * sigma, 2 * scale, scale),
+            (0, 0, 0, -scale), (4 * l * l, 0, 0, scale)], scale
 
 
 def realize_curvature_vector(bends):
@@ -63,7 +46,8 @@ def realize_curvature_vector(bends):
     sits in the upper half plane, and the remaining row is the one with bend
     b_d.  A vector with two zero bends yields the two-line strip arrangement
     instead.  Vectors whose majority orientation is outward are realized by
-    reversing all orientations of the mirror input.
+    reversing all orientations of the mirror input: its rows negated, so
+    that a float zero entry there is -0.0.
 
     Both modes place the rows by one closed form, with no square root and no
     solve: rows a and b are (0, b_a, 1, 0) and (0, b_b, -1, 0), and the
@@ -87,46 +71,39 @@ def realize_curvature_vector(bends):
         rows, scale = realize_curvature_vector(tuple(-b for b in bends)).scaled
         return forms.ConfigMatrix(forms.EUCLIDEAN, (
             tuple([tuple([-x for x in r]) for r in rows]), scale))
-    zeros = sum(1 for b in bends if b == 0)
-    if zeros == 2:
-        return forms.ConfigMatrix(forms.EUCLIDEAN, _realize_strip(bends, mode))
-    # largest first; the stable sort keeps ties in index order
+    # largest first; the stable sort keeps ties in index order, so a strip
+    # has its circles in the first two slots and its lines in the others
     order = sorted(range(4), key=bends.__getitem__, reverse=True)
-    placed, scale = _place(*(bends[i] for i in order), mode)
-    ordered = [None] * 4
+    ba, bb, bc, bd = (bends[i] for i in order)
+    placed, scale = (_realize_strip(ba) if bc == bd == 0
+                     else _place(ba, bb, bc, bd))
+    rows = [None] * 4
     for slot, original_index in enumerate(order):
-        ordered[original_index] = placed[slot]
-    return forms.ConfigMatrix(forms.EUCLIDEAN, (tuple(ordered), scale))
+        rows[original_index] = placed[slot]
+    return forms._realized(forms.EUCLIDEAN, rows, scale, bends, mode)
 
 
-def _place(ba, bb, bc, bd, mode):
-    """The frame (scalars.scaled_rows) of the canonical rows for Descartes
-    bends ba >= bb >= bc >= bd with ba, bb > 0, worked out on the bends in
-    that frame, l times their values, so that s and q below are l times
-    theirs.  The rows are (0, b_a, 1, 0), (0, b_b, -1, 0), (4l/s, b_c, x, y)
-    and (4l/s, b_d, x, y_d), with x and y the center of circle c: exact
-    rows as ints times l s over l s, reduced by one gcd
-    (scalars.reduced_rows), and float rows (l = 1.0) as float quotients,
-    over 1.0.
+def _place(ba, bb, bc, bd):
+    """(rows, scale): the canonical rows for Descartes bends
+    ba >= bb >= bc >= bd with ba, bb > 0, worked out on the bends in the
+    frame of their LCM scale l (scalars.integer_rows; a float bend is its
+    dyadic value), l times their values, so that s and q below are l times
+    theirs.  The rows (0, b_a, 1, 0), (0, b_b, -1, 0), (4l/s, b_c, x, y) and
+    (4l/s, b_d, x, y_d), x and y the center of circle c, are ints over l s.
 
     For exact bends bc > 0 too (bc <= 0 would force a second zero bend), so
     circle c, centered at (b_a - b_b, q) / (s b_c) with s = b_a + b_b and
     q = |b_d - b_a - b_b - b_c|, lies above the x axis, and
     q^2 = 4 (b_a b_b + b_c s) > 0: the two completions of circles a, b and
     c never coincide here."""
-    ((ia, ib, ic, id_),), l = scaled_rows([(ba, bb, bc, bd)], mode)
+    ((ia, ib, ic, id_),), l = integer_rows([(ba, bb, bc, bd)])
     s = ia + ib
     q = abs(id_ - s - ic)
     # rows a and b fix bbar_d and x_d, and row c then gives y_d = y - 2 or
     # y + 2 as b_d is the smaller or the larger root of the Descartes
     # quadratic in b_d
     q_d = q - 2 * s if id_ < s + ic else q + 2 * s
-    if mode == EXACT:
-        # both other circles touch a and b at 0: bbar = 4 l / s
-        return reduced_rows(
-            [(0, ia * s, l * s, 0), (0, ib * s, -l * s, 0),
-             (4 * l * l, ic * s, (ia - ib) * l, q * l),
-             (4 * l * l, id_ * s, (ia - ib) * l, q_d * l)], l * s)
-    bbar, x = 4 / s, (ia - ib) / s
-    return ((0.0, ba, 1.0, 0.0), (0.0, bb, -1.0, 0.0), (bbar, bc, x, q / s),
-            (bbar, bd, x, q_d / s)), 1.0
+    # both other circles touch a and b at 0: bbar = 4 l / s
+    return [(0, ia * s, l * s, 0), (0, ib * s, -l * s, 0),
+            (4 * l * l, ic * s, (ia - ib) * l, q * l),
+            (4 * l * l, id_ * s, (ia - ib) * l, q_d * l)], l * s

@@ -46,7 +46,7 @@ from operator import mul
 from . import linalg
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ROUNDING, ExactnessError,
                       all_exact, coerce, coerce_row, frame_quotient,
-                      integer_rows, mode_of, near, negligible, reduced_rows,
+                      integer_rows, mode_frame, mode_of, near, negligible,
                       scaled_rows, unscaled_rows)
 
 EUCLIDEAN = "euclidean"
@@ -169,6 +169,14 @@ class ConfigMatrix:
         rows, scale = self.scaled
         return unscaled_rows((tuple([row[col] for row in rows]),), scale,
                              self.mode)[0]
+
+    @property
+    def int_frame(self):
+        """(rows, scale): the int rows of the exact values of the entries
+        over the LCM of their denominators, scaled in exact mode and the
+        integer_rows of the float rows (over a power of two) in float mode."""
+        return (self.scaled if self.mode == EXACT
+                else integer_rows(self.scaled[0]))
 
     def residual(self, tol=DEFAULT_TOL):
         """check_identity of the configuration against the Descartes form
@@ -523,7 +531,25 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     if mode == EXACT and n != 2:
         _refuse_irrational(n)
         return _search_tangent_rows(geometry, c, name, first_tails)
-    return ConfigMatrix(geometry, _reflected_base(geometry, c, mode))
+    return _realized(geometry, *_reflected_base(geometry, c, mode), c, mode)
+
+
+def _realized(geometry, rows, scale, bends, mode):
+    """The configuration of a realizer's int rows over scale, by
+    scalars.mode_frame; float rows then carry the bends as given, which
+    their rounded exact values are but for the sign of a zero.  A float
+    entry beyond the float range (4/s of a subnormal plane bend s) raises
+    ValueError."""
+    try:
+        rows, scale = mode_frame(rows, scale, mode)
+    except OverflowError:
+        raise ValueError("an entry of the configuration of these bends is "
+                         "beyond the float range") from None
+    if mode != EXACT:
+        col = bend_column(geometry)
+        rows = tuple([(*row[:col], b, *row[col + 1:])
+                      for row, b in zip(rows, bends)])
+    return ConfigMatrix(geometry, (rows, scale))
 
 
 def _refuse_irrational(n):
@@ -587,8 +613,8 @@ def _carried(rows, a, b, t):
 
 
 def _reflected_base(geometry, c, mode):
-    """The frame (scalars.scaled_rows) of the rows W = W0 G of a
-    configuration with bends c, in mode.
+    """(V, m): the int rows V over the positive int m of the rows W = W0 G
+    of a configuration with bends c, the exact values of c in either mode.
 
     W0 = R / sigma is the geometry's base in the dimension of c (_base), T
     its Gram target and e the unit vector of the bend column.  Rows times
@@ -605,12 +631,8 @@ def _reflected_base(geometry, c, mode):
     the relation only up to rounding, as do the float base's.  Each map
     carries its vector exactly, so the bends come out as given and the rows
     within rounding of an isometry's, and a v_0 within the rounding of its
-    terms counts as zero, where one reflection would divide by it.  Every
-    entry is rounded once.  Values equal to the base's give W0 itself.
-
-    Exact rows are the int rows V over m (sigma = 1), bend column included
-    (its entries are m c), reduced by their one gcd; float rows keep the
-    bends as given, over 1.0.
+    terms counts as zero, where one reflection would divide by it.  Values
+    equal to the base's give W0 itself.  The bend column of V is m c.
 
     A hyperbolic W whose first row with |c_i| >= 1 and a nonzero q_0 has
     q_0 of the other sign than c_i lies on the lower sheet, and gets its
@@ -636,7 +658,7 @@ def _reflected_base(geometry, c, mode):
         rows, m = _carried(w0, minus_g, g, t)
         rows, m2 = _carried(rows, e, minus_g, t)
         m *= m2
-    if m < 0:  # over a positive m, so that a zero entry is not -0.0
+    if m < 0:  # a frame's scale is positive
         rows, m = [[-x for x in r] for r in rows], -m
     m *= sigma
     if geometry == HYPERBOLIC:
@@ -646,8 +668,4 @@ def _reflected_base(geometry, c, mode):
                 if (r[0] > 0) != (r[1] > 0):
                     rows = [(r[0], -r[1], *r[2:]) for r in rows]
                 break
-    if mode == EXACT:
-        return reduced_rows(rows, m)
-    # the bend column is c, so only the others are divided by m
-    rows = unscaled_rows([r[1:] for r in rows], m, mode)
-    return tuple([(x,) + row for x, row in zip(c, rows)]), 1.0
+    return rows, m

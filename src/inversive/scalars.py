@@ -80,14 +80,20 @@ def integer_rows(rows):
     return tuple([tuple([a * (s // d) for a, d in row]) for row in ratios]), s
 
 
-def reduced_rows(rows, scale):
-    """The frame of scaled_rows of the values x / scale, as tuples: int rows
-    over a positive int scale divided with it by their one gcd, so that the
-    scale is the LCM of the reduced denominators, and float rows over 1.0
-    as they are."""
-    if scale.__class__ is float:
-        return tuple(map(tuple, rows)), scale
-    g = math.gcd(scale, *[x for row in rows for x in row])
+def mode_frame(rows, scale, mode):
+    """The frame (scaled_rows) in mode of the values x / scale, x the int or
+    Fraction entries of rows and scale a positive int: the one way out of
+    an int frame.  Exact rows are put on ints (integer_rows) and divided
+    with the scale by their one gcd, so that the scale is the LCM of the
+    reduced denominators; float rows are each entry divided once, rounded
+    (unscaled_rows), over 1.0, and float rows over 1.0 are kept."""
+    if mode != EXACT:
+        return unscaled_rows(rows, scale, mode), 1.0
+    try:
+        g = math.gcd(scale, *[x for row in rows for x in row])
+    except TypeError:  # a Fraction entry, as of walks in n > 3
+        rows, denominator = integer_rows(rows)
+        return mode_frame(rows, scale * denominator, mode)
     if g == 1:
         return tuple(map(tuple, rows)), scale
     return tuple([tuple([x // g for x in row]) for row in rows]), scale // g

@@ -65,6 +65,11 @@ def _fraction(v):
         raise ValueError(f"not a rational number: {v!r}") from None
 
 
+# the texts float() reads as nan or an infinity, which Fraction() refuses
+_non_finite_text = re.compile(r"\s*[+-]?(?:nan|inf|infinity)\s*",
+                              re.IGNORECASE).fullmatch
+
+
 def scalar_from_json(v, mode):
     if isinstance(v, bool):  # an int to Python, but no JSON number
         raise ValueError(f"boolean entry {json.dumps(v)} is not a scalar")
@@ -72,6 +77,8 @@ def scalar_from_json(v, mode):
         if isinstance(v, float):
             raise ValueError(f"float entry {v!r} in an exact document")
         return _fraction(v)
+    if isinstance(v, str) and _non_finite_text(v):
+        raise ValueError(f"not a float scalar: {v!r}")
     try:
         return float(_fraction(v)) if isinstance(v, str) else float(v)
     except (TypeError, OverflowError):
@@ -591,8 +598,10 @@ def _cmd_solve(args):
         try:
             w = apollonian.realize_bends(args.geometry, values + (r,))
             documents.append(document_from_config(w))
-        except ValueError:
-            documents.append(None)  # completion exists but is not realized here
+        except ValueError as e:  # a completion that is not realized here
+            print(f"no configuration for the completion {r}: {e}",
+                  file=sys.stderr)
+            documents.append(None)
     out = {
         "geometry": args.geometry,
         "n": len(values) - 1,

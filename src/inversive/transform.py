@@ -31,7 +31,7 @@ import functools
 
 from . import forms, linalg
 from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, integer_rows,
-                      mode_of, reduced_rows, scaled_rows, unscaled_rows)
+                      mode_frame, mode_of, scaled_rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -52,7 +52,8 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
     target's, and the round trip is exact in rational mode.  Each row keeps
     its tail, and its first two entries are mixed by the conversion head,
     on the frame of the configuration (ConfigMatrix.scaled) and the head's
-    own, H = hC: the rows over s h, reduced by one gcd in exact mode.
+    own, H = hC: the rows over s h, in the frame of scalars.mode_frame.
+    Float rows are mixed in float arithmetic, which keeps a -0.0 entry.
     """
     if not isinstance(w, forms.ConfigMatrix):
         raise TypeError("convert_matrix expects a ConfigMatrix")
@@ -65,9 +66,9 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
     ((a, b), (c, d)), h = scaled_rows(
         conversion_matrix(w.geometry, to, 0, mode), mode)
     rows, s = w.scaled
-    rows = [(x * a + y * c, x * b + y * d, *[t * h for t in tail])
-            for x, y, *tail in rows]
-    return forms.ConfigMatrix(to, reduced_rows(rows, s * h))
+    rows = tuple([(x * a + y * c, x * b + y * d, *[t * h for t in tail])
+                  for x, y, *tail in rows])
+    return forms.ConfigMatrix(to, mode_frame(rows, s * h, mode))
 
 
 def translation(v):
@@ -103,8 +104,10 @@ def moved(w, g):
     forms.check_identity judges it), or ValueError is raised.  A float g
     moves a float configuration only; on an exact one it raises
     ExactnessError.  The product runs on the int frames of the exact values
-    of W and g, so that each float entry is rounded once, also where large
-    entries of C g C^{-1} cancel, as in the curved image of a dilation.
+    of W (ConfigMatrix.int_frame) and g, and leaves them by
+    scalars.mode_frame, so that each float entry is rounded once, also
+    where large entries of C g C^{-1} cancel, as in the curved image of a
+    dilation.
     """
     n, mode = w.n, w.mode
     g = tuple(coerce_row(row, mode) for row in g)
@@ -115,7 +118,6 @@ def moved(w, g):
     p, d = integer_rows(linalg.matmul(
         linalg.matmul(conversion_matrix(w.geometry, forms.EUCLIDEAN, n), g),
         conversion_matrix(forms.EUCLIDEAN, w.geometry, n)))
-    rows, s = w.scaled if mode == EXACT else integer_rows(w.scaled[0])
-    rows, s = linalg.matmul(rows, p), s * t * d
-    return forms.ConfigMatrix(w.geometry, reduced_rows(rows, s) if mode == EXACT
-                              else (unscaled_rows(rows, s, mode), 1.0))
+    rows, s = w.int_frame
+    return forms.ConfigMatrix(w.geometry, mode_frame(
+        linalg.matmul(rows, p), s * t * d, mode))

@@ -5,9 +5,11 @@ gives, the frame is scalars.scaled_rows of those rows, and the Gram check,
 the document writers, pickling, equality and hashing agree with the
 configuration built from the rows by ConfigMatrix.from_rows.  A float
 walk configuration, of reflect(), loxodromic() or generate(), is the one
-of the float rows' exact twin, each entry rounded once.  The CLI commands
-that read, check and write configurations, and the checks and writers of
-loxodromic configurations, build no CoordRow at all."""
+of the float rows' exact twin, each entry rounded once, and a float
+realized configuration the one of its bends' twin, with the bends as
+given.  The CLI commands that read, check and write configurations, and
+the checks and writers of loxodromic configurations, build no CoordRow at
+all."""
 
 import hashlib
 import json
@@ -23,9 +25,11 @@ from inversive.scalars import EXACT, FLOAT, coerce, scaled_rows
 from test_apollonian import _reference_generate, _rounded_reference
 from test_cli_bytes import CASES, LOX_CASES, SOLVE_CASES
 from test_document_reader import DOCUMENTS, _reference_scalar_from_json
+from test_euclid import ROOTS
 from test_reference_kernels import (_ref_reflect_entries,
                                     _reference_loxodromic,
-                                    _rounded_reference_loxodromic)
+                                    _rounded_reference_loxodromic,
+                                    _rounded_plane_rows)
 
 E, S, H = forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC
 GEOMETRIES = (E, S, H)
@@ -176,32 +180,44 @@ def test_convert_matrix_frames_match_rows(mode):
 
 # --- realize_bends -------------------------------------------------------
 
-def _placed_rows(ba, bb, bc, bd, mode):
-    """The canonical plane rows computed on entries: on the bends in
-    the frame of scalars.scaled_rows, each entry one quotient."""
-    ((ia, ib, ic, id_),), l = scaled_rows([(ba, bb, bc, bd)], mode)
-    quotient = F if mode == EXACT else (lambda x, y: float(x / y))
+def _placed_rows(ba, bb, bc, bd):
+    """The canonical plane rows of Fraction bends computed on entries: on
+    the bends in the frame of scalars.scaled_rows, each entry one
+    quotient."""
+    ((ia, ib, ic, id_),), l = scaled_rows([(ba, bb, bc, bd)], EXACT)
     s = ia + ib
     q = abs(id_ - s - ic)
-    zero, one = quotient(0, 1), quotient(1, 1)
-    bbar = quotient(4 * l, s)
-    x = quotient(ia - ib, s)
-    y = quotient(q, s)
-    y_d = quotient(q - 2 * s if id_ < s + ic else q + 2 * s, s)
+    zero, one = F(0), F(1)
+    bbar = F(4 * l, s)
+    x = F(ia - ib, s)
+    y = F(q, s)
+    y_d = F(q - 2 * s if id_ < s + ic else q + 2 * s, s)
     return [(zero, ba, one, zero), (zero, bb, -one, zero), (bbar, bc, x, y),
             (bbar, bd, x, y_d)]
 
 
 def _rows_plane_rows(bends, mode):
+    """The plane rows of bends computed on entries: float bends give the
+    rows of their Fraction twin rounded once (_rounded_plane_rows)."""
+    if mode == FLOAT:
+        return _rounded_plane_rows(bends,
+                                  lambda twin: _rows_plane_rows(twin, EXACT))
     if sum(1 for b in bends if b > 0) < 2:
         return [tuple(-x for x in r)
                 for r in _rows_plane_rows(tuple(-b for b in bends), mode)]
     order = sorted(range(4), key=bends.__getitem__, reverse=True)
-    placed = _placed_rows(*(bends[i] for i in order), mode)
+    placed = _placed_rows(*(bends[i] for i in order))
     rows = [None] * 4
     for slot, index in enumerate(order):
         rows[index] = placed[slot]
     return rows
+
+
+# plane vectors for the realizer alone: the roots of test_euclid and their
+# negations, scaled so that float bends are large, or no dyadic values
+PLANE_VECTORS = tuple(tuple(k * x for x in v) for root in ROOTS
+                      for v in (root, tuple(-x for x in root))
+                      for k in (1, 10 ** 12, F(1, 10), F(10 ** 9, 7)))
 
 
 def _rows_curved_rows(geometry, bends, mode):
@@ -214,7 +230,10 @@ def _rows_curved_rows(geometry, bends, mode):
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_realize_bends_frames_match_rows(geometry, mode):
-    for v in VECTORS[geometry]:
+    """Realized frames are the rows computed on entries; float plane rows
+    are those of the Fraction twin rounded once, at any scale."""
+    vectors = VECTORS[geometry] + (PLANE_VECTORS if geometry == E else ())
+    for v in vectors:
         bends = _in_mode(v, mode)
         rows = (_rows_plane_rows(bends, mode) if geometry == E
                 else _rows_curved_rows(geometry, bends, mode))

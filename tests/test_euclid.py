@@ -150,16 +150,41 @@ ROOTS = ((-1, 2, 2, 3), (-2, 3, 6, 7), (-3, 4, 12, 13), (-3, 5, 8, 8),
          (-4, 8, 9, 9), (-6, 10, 15, 19), (-10, 14, 35, 39), (-12, 21, 28, 37))
 
 
+def _float_vectors():
+    """(geometry, bends) of float vectors: the roots and their negations, at
+    10^12 too, where the float Descartes residual is rounded by far more
+    than 1e-9, curved vectors, and vectors with a -0.0 bend or a zero that
+    the plane mirror negates."""
+    out = [(forms.EUCLIDEAN, tuple(s * x for x in v)) for root in ROOTS
+           for v in (root, tuple(-x for x in root)) for s in (1.0, 1e12)]
+    out += [(forms.SPHERICAL, (0.0, 1.0, 1.0, 2.0)),
+            (forms.SPHERICAL, (-0.0, 1.0, 1.0, 2.0)),
+            (forms.SPHERICAL, (2.0, 5.0, -0.0, 1.0)),
+            (forms.HYPERBOLIC, (-2.0, 3.0, 5.0, 6.0)),
+            (forms.HYPERBOLIC, (-0.0, 1.0, -1.0, 0.0)),
+            (forms.HYPERBOLIC, (0.0, -0.0, 1.0, 3.0)),
+            (forms.EUCLIDEAN, (-0.0, 1.0, 1.0, 4.0)),
+            (forms.EUCLIDEAN, (0.0, -1.0, -1.0, -4.0)),
+            (forms.EUCLIDEAN, (-0.0, -1.0, -1.0, -4.0)),
+            (forms.EUCLIDEAN, (-0.0, 0.0, 1.0, 1.0)),
+            (forms.EUCLIDEAN, (0.0, -0.0, -1.0, -1.0))]
+    return out
+
+
 def test_realize_float_keeps_the_bends():
-    # the rows carry the requested bends unchanged, also at 10^12, where
-    # the float Descartes residual is rounded by far more than 1e-9
-    for root in ROOTS:
-        for v in (root, tuple(-x for x in root)):
-            for s in (1.0, 1e12):
-                bends = tuple(s * x for x in v)
-                w = euclid.realize_curvature_vector(bends)
-                assert w.bends == bends
-                assert s > 1 or _gram_ok(w)
+    # the rows carry the requested bends unchanged, -0.0 included (repr
+    # tells it from 0.0), and pass the Gram check
+    for geometry, bends in _float_vectors():
+        w = apollonian.realize_bends(geometry, bends)
+        assert repr(w.bends) == repr(bends), (geometry, bends)
+        assert w.residual().ok, (geometry, bends)
+        if geometry == forms.EUCLIDEAN and sum(b > 0 for b in bends) < 2:
+            # the mirror negates the float rows, so their zeros are -0.0
+            mirror = apollonian.realize_bends(geometry,
+                                              tuple(-b for b in bends))
+            assert repr(w.matrix()) == repr(tuple(
+                tuple(-x for x in row) for row in mirror.matrix())), bends
+            assert "-0.0" in repr(w.matrix()), bends
 
 
 def test_realize_float_rejects_bends_off_the_relation():
@@ -176,6 +201,11 @@ def test_realize_float_rejects_bends_off_the_relation():
     # squares past the float range: a nan residual, not an OverflowError
     with pytest.raises(ValueError, match="Descartes relation"):
         euclid.realize_curvature_vector((-1e200, 2e200, 2e200, 3e200))
+    # a row entry past the float range, bbar = 4/s of a subnormal bend s:
+    # a ValueError, not an OverflowError or an inf entry
+    for bends in ((0.0, 0.0, 1e-310, 1e-310), (-1e-310, 2e-310, 2e-310, 3e-310)):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            euclid.realize_curvature_vector(bends)
 
 
 def test_realize_exact_at_any_scale():

@@ -20,14 +20,16 @@ modes and in float mode in every dimension, so the tail search is checked
 where the package still runs it, through forms._search_tangent_rows on the
 same exact bend vectors, and the reflection against oracles.reflected_base.
 There every exact output must be the same to the byte.  Float Euclidean
-rows now come from the closed form of exact mode, and are checked against
-the exact rows and held within 1e-15 relative of the old ones.  Float cot
+rows now come from the closed form of exact mode on the bends' dyadic
+values, each entry rounded once, and are checked against the exact rows
+and held within 1e-15 relative of the old ones.  Float cot
 and coth values must keep their bends and be congruent to the reference's
 rows wherever the reference finds rows that pass the Gram check (_congruent),
 those whose bend residual is float rounding, which the old absolute 1e-9
 check rejected, included.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -1059,23 +1061,43 @@ def _check_float_curved(geometry, v, bends, new, ref):
     return _violates(ref), w_ref is not None
 
 
+def _rounded_plane_rows(bends, exact_rows):
+    """The plane rows of float bends as the realizer must give them: the
+    rows exact_rows gives their Fraction twin, each entry rounded once, with
+    the bends as given, -0.0 included.  Bends with fewer than two positive
+    entries give the rows of their negation negated, so that a zero entry
+    there is -0.0."""
+    if sum(1 for b in bends if b > 0) < 2:
+        return [tuple(-x for x in row) for row in _rounded_plane_rows(
+            tuple(-b for b in bends), exact_rows)]
+    rows = exact_rows(tuple(map(Fraction, bends)))
+    return [(float(r[0]), b, *map(float, r[2:])) for b, r in zip(bends, rows)]
+
+
 def test_strip_frames_are_the_object_route_rows():
     """The closed-form frame of a strip is the configuration of its lines
-    and circles built as objects, at every position of the zero bends, to
-    the bit and the entry type in float mode, where |x|^2 s - 1/s and s x
-    round."""
+    and circles built as objects, at every position of the zero bends and
+    in both orientations: to the entry in exact mode, and in float mode to
+    the bit and the entry type of the object route's rows of the Fraction
+    twin, each entry rounded once (_rounded_plane_rows)."""
     rng = random.Random(12)
     sizes = [Fraction(1), Fraction(1, 3), Fraction(7, 5), Fraction(10 ** 9, 7)]
-    sizes += [rng.uniform(0.5, 2) * 10.0 ** rng.randrange(-8, 9)
+    sizes += [rng.uniform(0.5, 2) * 10.0 ** rng.randrange(-8, 10)
               for _ in range(60)]
+    sizes += [1e-8, 1e9]
     for s in sizes:
         zero = s * 0
-        for v in ((zero, zero, s, s), (s, zero, zero, s), (zero, s, zero, s),
-                  (-s, zero, -s, zero)):
-            new = apollonian.realize_bends(E, v)
-            ref = _reference_realize_curvature_vector(v)
-            assert [_typed_bits(row) for row in new.matrix()] == \
-                [_typed_bits(row) for row in ref.matrix()], v
+        for zeros in itertools.combinations(range(4), 2):
+            strip = tuple(zero if i in zeros else s for i in range(4))
+            for v in (strip, tuple(-x for x in strip)):
+                new = apollonian.realize_bends(E, v)
+                if isinstance(s, float):
+                    ref = _rounded_plane_rows(v, lambda twin: (
+                        _reference_realize_curvature_vector(twin).matrix()))
+                else:
+                    ref = _reference_realize_curvature_vector(v).matrix()
+                assert [_typed_bits(row) for row in new.matrix()] == \
+                    [_typed_bits(row) for row in ref], v
 
 
 @pytest.mark.parametrize("geometry,mode", CASES)

@@ -397,6 +397,24 @@ def test_solve_in_a_dimension_with_no_rational_configuration_fails(
     assert (code, out, err) == (1, "", message)
 
 
+def test_solve_reports_why_a_completion_has_no_configuration(capsys):
+    # n = 3 in the plane: both completions exist, no realizer builds them;
+    # each null gets one stderr line with the realizer's error, and stdout
+    # and the exit code are as without them
+    code, out, err = run(["solve", "--geometry", "euclidean", "--mode",
+                          "float", "--seed=1,1,1,1"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["configurations"] == [None, None]
+    assert err == "".join(
+        f"no configuration for the completion {r}: realization is "
+        "implemented for the plane (4 bends)\n" for r in doc["completions"])
+    # a realized completion writes nothing to stderr
+    code, out, err = run(["solve", "--geometry", "euclidean", "--mode",
+                          "float", "--seed=2,2,3"], capsys)
+    assert code == 0 and None not in json.loads(out)["configurations"]
+    assert err == ""
+
+
 def test_solve_has_no_tol_flag(capsys):
     code, out, err = run(["solve", "--geometry", "euclidean", "--seed",
                           "2,2,3", "--tol", "5"], capsys)
@@ -920,6 +938,27 @@ def test_float_values_past_the_float_range_are_an_error(args):
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "1e400" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "-NaN"])
+def test_non_finite_float_texts_are_no_float_scalars(text, tmp_path, capsys):
+    message = f"error: not a float scalar: {text!r}\n"
+    with pytest.raises(ValueError) as info:
+        scalar_from_json(text, FLOAT)
+    assert f"error: {info.value}\n" == message
+    seed = ["gen", "--mode", "float", "--geometry", "euclidean"]
+    assert run(seed + [f"--seed={text},2,2,3", "--max-bend", "3"],
+               capsys) == (1, "", message)
+    assert run(seed + ["--seed=-1,2,2,3", f"--max-bend={text}"],
+               capsys) == (1, "", message)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "geometry": "euclidean", "n": 2, "mode": "float",
+        "rows": [[text, 1, 0, 0], [0, 2, 1, 0], [0, 2, -1, 0], [1, 3, 0, 2]]}))
+    assert run(["verify", "--in", str(path)], capsys) == (1, "", message)
+    # an exact text is parsed as a Fraction, whose error it keeps
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        scalar_from_json(text, EXACT)
 
 
 def test_command_line_values_parse_as_document_entries(capsys):
