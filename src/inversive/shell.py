@@ -46,7 +46,8 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
-from .scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, sqrt_scalar
+from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError, all_exact,
+                      sqrt_scalar)
 
 
 def scalar_to_json(x):
@@ -414,11 +415,20 @@ def loads_packing(source):
 def complete_bend(geometry, values):
     """Both completions of n+1 bend values to a full Descartes bend vector,
     from the quadratic (n-1)x^2 - 2*s1*x + (n*s2 - s1^2 + 2*n*k) = 0 with
-    k the geometry's curvature sign; ascending order."""
+    k the geometry's curvature sign; ascending order.  Float values of
+    magnitude m > 1 are first divided by the power of two 2**e of frexp(m),
+    which rounds as the values do, so that the squares stay in the float
+    range, and the roots are multiplied back; a root beyond the float range
+    raises ValueError."""
     k = forms._by_geometry(forms.CURVATURE_SIGN, geometry)
     n = len(values) - 1
     if n < 2:
         raise ValueError("bend completion needs at least three values")
+    e = 0
+    if not all_exact(values) and max(map(abs, values)) > 1:
+        e = math.frexp(max(map(abs, values)))[1]
+        values = [math.ldexp(v, -e) for v in values]
+        k = math.ldexp(k, -2 * e)
     s1 = sum(values)
     s2 = sum(v * v for v in values)
     a = n - 1
@@ -430,7 +440,13 @@ def complete_bend(geometry, values):
     root = sqrt_scalar(disc)
     lo = (-b - root) / (2 * a)
     hi = (-b + root) / (2 * a)
-    return (lo, hi)
+    if not e:
+        return lo, hi
+    try:
+        return math.ldexp(lo, e), math.ldexp(hi, e)
+    except OverflowError:
+        raise ValueError("a completion of these bends is beyond the float "
+                         "range") from None
 
 
 # ---------------------------------------------------------------------------

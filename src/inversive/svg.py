@@ -23,11 +23,13 @@ orthographic view, in world coordinates.  A Packing or ConfigMatrix is
 immutable, so its scene is built once per packing and projection and kept
 with it, O(rows) memory for the packing's lifetime; any other row holder
 gets a scene per render.  The draw applies the canvas transform, the
-cutoff and the labels option, and formats.  The bends of a packing repeat,
-so a circle's size, whether its label is drawn and the label's text are
-worked out once per distinct (signed radius, label value) pair of a render,
-and each drawn circle is formatted in one pass, with its pixel center
-formatted once.
+cutoff and the labels option.  A scene keeps what it drew on its last
+canvas (width, height): per (signed radius, label value) pair its pixel
+radius, r text and label size, and per circle, cap or line its element,
+label anchor and, once a labelled render drew it, label.  Only what a
+render draws is filled in, and another canvas replaces the memo, so a
+later render on one canvas, at any cutoff, labels option or stroke width,
+only culls by pixel radius and joins.
 """
 
 import math
@@ -152,16 +154,13 @@ def _document(options, elements, labels, comment=None):
 
 
 def _transform(box, options):
-    """Uniform world-to-pixel map centered on the canvas, y flipped."""
+    """Uniform world-to-pixel map centered on the canvas, y flipped: (s, x0,
+    y1, ox, oy), taking (x, y) to ((x - x0) * s + ox, (y1 - y) * s + oy)."""
     x0, y0, x1, y1 = box
     s = min(options.width / (x1 - x0), options.height / (y1 - y0))
     ox = (options.width - (x1 - x0) * s) / 2
     oy = (options.height - (y1 - y0) * s) / 2
-
-    def to_px(x, y):
-        return ((x - x0) * s + ox, (y1 - y) * s + oy)
-
-    return s, to_px
+    return s, x0, y1, ox, oy
 
 
 def _inner_font(rp, text):
@@ -175,28 +174,23 @@ def _font_tail(font, text):
     return f' font-size="{_fmt(font)}">{text}</text>'
 
 
-def _circle_size(rp, bounding, value, min_r, text):
-    """What a circle of pixel radius rp and label value (None: no label)
-    draws, the same for every circle of one signed radius and label value
-    in a render: () when it is below the cutoff, else its r="..."/> tail and
-    its label, None or (lift, dy, tail).  The label's y is py - lift + dy and
-    its tail is the font size and text."""
-    if rp < min_r:
-        return ()
-    tail = f'r="{_fmt(rp)}"/>'
+def _key_label(rp, bounding, value, text):
+    """(lift, dy, tail) of the label of each circle of one pixel radius rp
+    and label value (None: no label), or "" for none: the label's y is py -
+    lift + dy and its tail is the font size and text."""
     if value is None:
-        return tail, None
+        return ""
     label = text(value)
     if bounding:
         # Negative-bend circles enclose the picture; tuck the label inside
         # the top edge instead of burying it under the packing.
         font = max(9.0, 0.05 * rp)
-        return tail, (rp, 1.25 * font, _font_tail(font, label))
+        return rp, 1.25 * font, _font_tail(font, label)
     font = _inner_font(rp, label)
     if font is None:
-        return tail, None
+        return ""
     # py - 0.0 is py, so the label y is py + 0.35 * font to the bit
-    return tail, (0.0, 0.35 * font, _font_tail(font, label))
+    return 0.0, 0.35 * font, _font_tail(font, label)
 
 
 def _clip_line(h, d, box):
@@ -244,17 +238,17 @@ def _world_box(circles, lines):
 # k) and lines (hx, hy, offset, label value) in world coordinates, the world
 # box, the text of a label value, and the number of virtual rows left out of
 # the disk.  keys[k] is the (signed r, label value or None) of a circle,
-# which fixes all it draws but its center, so a render sizes each key once.
+# which fixes all it draws but its center, so a canvas sizes each key once.
 # The radius alone does not fix the label: in the disk and under
 # stereographic projection it is no function of the bend, and two exact
-# bends can share a float.
-_Plane = namedtuple("_Plane", "circles keys lines box text skipped")
+# bends can share a float.  drawn is the _canvas_memo.
+_Plane = namedtuple("_Plane", "circles keys lines box text skipped drawn")
 
 # The orthographic view: the sorted rows and the text of a label value; per
 # row the major semi-axis of its ellipse, sin a for a cap of angular radius
-# a; and per row its _cap, worked out when a render first draws it, since
-# most caps of a large packing are under every cutoff.
-_Caps = namedtuple("_Caps", "rows text majors caps")
+# a; per row its _cap, worked out when a render first draws it, since most
+# caps of a large packing are under every cutoff; and drawn, as in _Plane.
+_Caps = namedtuple("_Caps", "rows text majors caps drawn")
 
 _DISK_BOX = (-1.06, -1.06, 1.06, 1.06)
 
@@ -272,6 +266,17 @@ def _scene(packing, build):
     if scene is None:
         scene = scenes[build] = build(packing)
     return scene
+
+
+def _canvas_memo(scene, options, new):
+    """What renders of scene drew on the canvas of options, in scene.drawn;
+    new() replaces the memo of another canvas, so a scene holds one."""
+    canvas = options.width, options.height
+    memo = scene.drawn.get(canvas)
+    if memo is None:
+        scene.drawn.clear()
+        memo = scene.drawn[canvas] = new()
+    return memo
 
 
 def _plane_shapes(rows, geometry):
@@ -298,7 +303,7 @@ def _plane(circles, lines, box, text, skipped=0):
     keys = {}
     keyed = [(cx, cy, keys.setdefault((r, value), len(keys)))
              for cx, cy, r, value in circles]
-    return _Plane(keyed, list(keys), lines, box, text, skipped)
+    return _Plane(keyed, list(keys), lines, box, text, skipped, {})
 
 
 def _plane_scene(packing):
@@ -330,7 +335,7 @@ def _cap_scene(packing):
     """A spherical packing viewed down the first center axis."""
     rows, text = _sorted_rows(packing)
     majors = [1 / math.sqrt(1 + f[0] * f[0]) for f, _ in rows]
-    return _Caps(rows, text, majors, [None] * len(rows))
+    return _Caps(rows, text, majors, [None] * len(rows), {})
 
 
 def _cap(row, sin_a):
@@ -351,96 +356,132 @@ def _cap(row, sin_a):
 def _draw_plane(scene, options):
     """Shared planar pipeline: the circles and lines of a _Plane scene
     scaled to the canvas, cut off and labelled, with a warning and a
-    comment for the virtual rows a disk scene left out."""
+    comment for the virtual rows a disk scene left out.  The canvas memo
+    holds per key its pixel radius, r="..."/> tail and _key_label, and per
+    circle or line its (element, label anchor) and label element, "" for
+    none; all but the radii are made when a render first draws them."""
     comment = None
     if scene.skipped:
         warnings.warn(f"skipped {scene.skipped} virtual rows with no disk locus")
         comment = f"skipped {scene.skipped} virtual rows"
-    box, text = scene.box, scene.text
-    s, to_px = _transform(box, options)
+    box, text, keys = scene.box, scene.text, scene.keys
+    s, x0, y1, ox, oy = _transform(box, options)
     min_r = options.cutoff * min(options.width, options.height)
     labelled = options.labels == "bend"
     elements, labels = [], []
-    keys = scene.keys
-    sizes = [None] * len(keys)  # _circle_size(...) per key
-    for cx, cy, k in scene.circles:
-        size = sizes[k]
-        if size is None:
-            r, value = keys[k]
-            size = sizes[k] = _circle_size(
-                abs(r) * s, r < 0, value if labelled else None, min_r, text)
-        if not size:
+    shapes = len(scene.circles) + len(scene.lines)
+    rps, tails, fonts, drawn, captions = _canvas_memo(scene, options, lambda: (
+        [abs(r) * s for r, _ in keys], [None] * len(keys), [None] * len(keys),
+        [None] * shapes, [None] * shapes))
+    for i, (cx, cy, k) in enumerate(scene.circles):
+        rp = rps[k]
+        if rp < min_r:
             continue
-        tail, label = size
-        px, py = to_px(cx, cy)
-        x, y = _fmt(px), _fmt(py)
-        elements.append(f'<circle cx="{x}" cy="{y}" {tail}')
+        circle = drawn[i]
+        if circle is None:
+            tail = tails[k]
+            if tail is None:
+                tail = tails[k] = f'r="{_fmt(rp)}"/>'
+            x, py = _fmt((cx - x0) * s + ox), (y1 - cy) * s + oy
+            circle = drawn[i] = (f'<circle cx="{x}" cy="{_fmt(py)}" {tail}', x, py)
+        elements.append(circle[0])
+        if not labelled:
+            continue
+        label = captions[i]
+        if label is None:
+            font = fonts[k]
+            if font is None:
+                r, value = keys[k]
+                font = fonts[k] = _key_label(rp, r < 0, value, text)
+            label = ""
+            if font:
+                _, x, py = circle
+                lift, dy, tail = font
+                label = f'<text x="{x}" y="{_fmt(py - lift + dy)}"{tail}'
+            captions[i] = label
         if label:
-            lift, dy, font_tail = label
-            labels.append(f'<text x="{x}" y="{_fmt(py - lift + dy)}"{font_tail}')
-    for hx, hy, d, value in scene.lines:
-        seg = _clip_line((hx, hy), d, box)
-        if seg is None:
+            labels.append(label)
+    for j, (hx, hy, d, value) in enumerate(scene.lines, len(scene.circles)):
+        line = drawn[j]
+        if line is None:
+            line = drawn[j] = ()
+            seg = _clip_line((hx, hy), d, box)
+            if seg is not None:
+                (ax, ay), (bx, by) = seg
+                ax, ay = (ax - x0) * s + ox, (y1 - ay) * s + oy
+                bx, by = (bx - x0) * s + ox, (y1 - by) * s + oy
+                # the label's anchor, offset into the interior side
+                # (opposite the outward normal)
+                line = drawn[j] = (
+                    f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
+                    f'x2="{_fmt(bx)}" y2="{_fmt(by)}"/>',
+                    (ax + bx) / 2 - hx * 1.2 * 14.0,
+                    (ay + by) / 2 - (-hy) * 1.2 * 14.0)
+        if not line:
             continue
-        (ax, ay), (bx, by) = seg
-        pa, pb = to_px(ax, ay), to_px(bx, by)
-        elements.append(
-            f'<line x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" '
-            f'x2="{_fmt(pb[0])}" y2="{_fmt(pb[1])}"/>'
-        )
+        elements.append(line[0])
         if labelled and value is not None:
-            font = 14.0
-            mx, my = (pa[0] + pb[0]) / 2, (pa[1] + pb[1]) / 2
-            # offset into the interior side (opposite the outward normal)
-            my -= (-hy) * 1.2 * font
-            mx -= hx * 1.2 * font
-            labels.append(
-                f'<text x="{_fmt(mx)}" y="{_fmt(my + 0.35 * font)}"'
-                f'{_font_tail(font, text(value))}'
-            )
+            label = captions[j]
+            if label is None:
+                label = captions[j] = (
+                    f'<text x="{_fmt(line[1])}" y="{_fmt(line[2] + 0.35 * 14.0)}"'
+                    f'{_font_tail(14.0, text(value))}')
+            labels.append(label)
     return _document(options, elements, labels, comment)
 
 
 def _draw_caps(scene, options):
     """The orthographic pipeline: the outline and the caps of a _Caps scene
-    scaled to the canvas, cut off and labelled."""
-    s, to_px = _transform(_DISK_BOX, options)
+    scaled to the canvas, cut off and labelled.  The canvas memo holds the
+    outline, per label value its ry and label text, and per cap what
+    _draw_plane's holds per circle, made when a render first draws it."""
+    s, x0, y1, ox, oy = _transform(_DISK_BOX, options)
     min_r = options.cutoff * min(options.width, options.height)
-    text = scene.text if options.labels == "bend" else None
-    elements, labels = [], []
-    ox, oy = to_px(0.0, 0.0)
-    elements.append(f'<circle cx="{_fmt(ox)}" cy="{_fmt(oy)}" r="{_fmt(s)}"/>')
+    labelled = options.labels == "bend"
     rows, caps = scene.rows, scene.caps
-    sizes = {}  # label value -> (ry, label text or None)
+    outline, sizes, names, drawn, captions = _canvas_memo(scene, options, lambda: (
+        f'<circle cx="{_fmt(ox - x0 * s)}" cy="{_fmt(y1 * s + oy)}" '
+        f'r="{_fmt(s)}"/>', {}, {}, [None] * len(rows), [None] * len(rows)))
+    elements, labels = [outline], []
     for i, major in enumerate(scene.majors):
         if major * s < min_r:
             continue
-        cap = caps[i]
-        if cap is None:
-            cap = caps[i] = _cap(rows[i], major)
-        minor, wx, wy, angle, dash, value = cap
-        # major is fixed by the float of the label value
-        size = sizes.get(value)
-        if size is None:
-            size = sizes[value] = (_fmt(major * s),
-                                   text(value) if text else None)
-        ry, label = size
-        px, py = to_px(wx, wy)
-        x, y = _fmt(px), _fmt(py)
-        if angle is None:
-            elements.append(f'<circle cx="{x}" cy="{y}" r="{ry}"{dash}/>')
-            fit = major * s
-        else:
-            elements.append(
-                f'<ellipse cx="{x}" cy="{y}" rx="{_fmt(minor * s)}" ry="{ry}" '
-                f'transform="rotate({angle} {x} {y})"{dash}/>'
-            )
-            fit = min(max(minor * s, 0.3 * major * s), major * s)
-        if label is not None:
-            font = _inner_font(fit, label)
-            if font is not None:
-                labels.append(f'<text x="{x}" y="{_fmt(py + 0.35 * font)}"'
-                              f'{_font_tail(font, label)}')
+        circle = drawn[i]
+        if circle is None:
+            cap = caps[i]
+            if cap is None:
+                cap = caps[i] = _cap(rows[i], major)
+            minor, wx, wy, angle, dash, value = cap
+            # major is fixed by the float of the label value
+            ry = sizes.get(value)
+            if ry is None:
+                ry = sizes[value] = _fmt(major * s)
+            py = (y1 - wy) * s + oy
+            x, y = _fmt((wx - x0) * s + ox), _fmt(py)
+            if angle is None:
+                element = f'<circle cx="{x}" cy="{y}" r="{ry}"{dash}/>'
+                fit = major * s
+            else:
+                element = (
+                    f'<ellipse cx="{x}" cy="{y}" rx="{_fmt(minor * s)}" '
+                    f'ry="{ry}" transform="rotate({angle} {x} {y})"{dash}/>')
+                fit = min(max(minor * s, 0.3 * major * s), major * s)
+            circle = drawn[i] = (element, x, py, fit, value)
+        elements.append(circle[0])
+        if not labelled:
+            continue
+        label = captions[i]
+        if label is None:
+            _, x, py, fit, value = circle
+            name = names.get(value)
+            if name is None:
+                name = names[value] = scene.text(value)
+            font = _inner_font(fit, name)
+            label = captions[i] = "" if font is None else (
+                f'<text x="{x}" y="{_fmt(py + 0.35 * font)}"'
+                f'{_font_tail(font, name)}')
+        if label:
+            labels.append(label)
     return _document(options, elements, labels)
 
 

@@ -319,6 +319,47 @@ def test_complete_bend():
     assert shell.complete_bend(forms.HYPERBOLIC, (F(-1), F(1), F(1))) == (1, 1)
 
 
+def _unscaled_completions(geometry, values):
+    """complete_bend's quadratic on the float values as they are."""
+    k = forms.CURVATURE_SIGN[geometry]
+    n = len(values) - 1
+    s1, s2 = sum(values), sum(v * v for v in values)
+    c = n * s2 - s1 * s1 + 2 * n * k
+    root = math.sqrt(4 * s1 * s1 - 4 * (n - 1) * c)
+    return (2 * s1 - root) / (2 * (n - 1)), (2 * s1 + root) / (2 * (n - 1))
+
+
+def test_float_completion_rounds_as_unscaled_arithmetic():
+    # dividing by a power of two changes no rounding, so wherever the
+    # unscaled quadratic stays in the float range it gives the same floats
+    cases = [(forms.EUCLIDEAN, (2.0, 2.0, 3.0)),
+             (forms.EUCLIDEAN, (-1.5, 7.25, 9.0)),
+             (forms.EUCLIDEAN, (-0.1, 0.3, 0.7)),
+             (forms.EUCLIDEAN, (1e150, 1.3e150, 2.7e150)),
+             (forms.SPHERICAL, (5.0, 5.0, 5.0)),
+             (forms.SPHERICAL, (0.0, 1.0, 1.0, 2.0)),
+             (forms.HYPERBOLIC, (-2.0, 3.0, 5.0)),
+             (forms.HYPERBOLIC, (10.0 / 3, 7.0 / 3, 11.0, 13.0))]
+    for geometry, values in cases:
+        assert shell.complete_bend(geometry, values) \
+            == _unscaled_completions(geometry, values)
+
+
+def test_float_solve_past_the_square_range(capsys):
+    # the unscaled discriminant is inf - inf here, which printed NaN
+    code, out, _ = run(["solve", "--mode", "float", "--geometry", "euclidean",
+                        "--seed=-1e300,2e300,2e300"], capsys)
+    assert code == 0 and json.loads(out)["completions"] == [3e300, 3e300]
+    assert shell.complete_bend(forms.EUCLIDEAN, (-1e300, 2e300, 2e300)) \
+        == (3e300, 3e300)
+    # 3 + 2 sqrt(3) times 1e308 is past the float range
+    code, out, err = run(["solve", "--mode", "float", "--geometry",
+                          "euclidean", "--seed=1e308,1e308,1e308"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: a completion of these bends is beyond the float " \
+        "range\n"
+
+
 # command line
 
 

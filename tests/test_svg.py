@@ -1,5 +1,6 @@
 """Deterministic SVG rendering of packings in all three geometries."""
 
+import dataclasses
 import pickle
 import re
 import warnings
@@ -300,6 +301,15 @@ def _assert_scene_reuse(make):
         # a kept scene does not stop a packing from pickling
         copy = pickle.loads(pickle.dumps(shared))
         assert _render_warned(svg.render, copy, o) == expected[i]
+    # A, B, A on one packing, B differing from A only in an option that no
+    # canvas memo keys on: the stroke width, then the labels
+    for a in ORACLE_OPTIONS[:4]:
+        for b in (dataclasses.replace(a, stroke_width=0.5),
+                  dataclasses.replace(a, labels="none")):
+            shared = make()
+            for o in (a, b, a, b):
+                assert _render_warned(svg.render, shared, o) == \
+                    _render_warned(reference_svg.render, make(), o)
     return expected
 
 
@@ -333,3 +343,74 @@ def test_row_holder_draws_its_current_rows(euclid_seed):
     holder.rows.pop()
     assert svg.render(holder) == reference_svg.render(holder)
     assert "_scenes" not in vars(holder)
+
+
+# --- the canvas memo of a kept scene --------------------------------------
+
+def _loaded_stream(geometry, bends, bound):
+    seed = apollonian.realize_bends(geometry, bends)
+    return shell.loads_packing(
+        shell.dumps_packing(apollonian.generate(seed, bound)))
+
+
+def _counted_fmt(monkeypatch):
+    """A list that grows by one for each call of svg._fmt."""
+    calls = []
+    fmt = svg._fmt
+    monkeypatch.setattr(svg, "_fmt", lambda x: calls.append(x) or fmt(x))
+    return calls
+
+
+STREAM_VIEWS = [(geometry, bends, bound, projection)
+                for geometry, bends, bound in STREAM_INPUTS
+                for projection in (svg.ORTHOGRAPHIC, svg.STEREOGRAPHIC)
+                if projection == svg.ORTHOGRAPHIC
+                or geometry == forms.SPHERICAL]
+
+
+@pytest.mark.parametrize("geometry,bends,bound,projection", STREAM_VIEWS)
+@pytest.mark.parametrize("labels", ["bend", "none"])
+def test_repeat_render_on_one_canvas_formats_nothing(
+        monkeypatch, geometry, bends, bound, projection, labels):
+    p = _loaded_stream(geometry, bends, bound)
+    calls = _counted_fmt(monkeypatch)
+    options = [svg.RenderOptions(cutoff=cutoff, labels=labels,
+                                 projection=projection, stroke_width=width)
+               for cutoff, width in ((1 / 800, 1.0), (1 / 400, 2.5),
+                                     (1 / 200, 1.0))]
+    first = svg.render(p, options[0])
+    assert len(calls) > 1
+    # the same options again, then larger cutoffs, which draw fewer of
+    # the circles drawn first, at any stroke width, and without the labels
+    # drawn first: the head's stroke width is all formatted
+    if labels == "bend":
+        options.append(dataclasses.replace(options[0], labels="none"))
+    for o in options:
+        del calls[:]
+        image = svg.render(p, o)
+        assert calls == [o.stroke_width]
+        assert image == svg.render(_loaded_stream(geometry, bends, bound), o)
+    assert image != first
+
+
+def test_first_render_formats_only_drawn_circles(monkeypatch):
+    p = _loaded_stream(forms.EUCLIDEAN, (-1, 2, 2, 3), 3000)
+    calls = _counted_fmt(monkeypatch)
+    image = svg.render(p).decode()
+    circles, texts = image.count("<circle"), image.count("<text")
+    assert len(p.bends) == 13965 and 0 < circles < 400
+    # the stroke width; per drawn circle cx and cy, per drawn size its r
+    # and per label its y and font size, at most
+    assert 1 + 2 * circles <= len(calls) <= 1 + 3 * circles + 2 * texts
+
+
+@pytest.mark.parametrize("geometry,bends,bound,projection", STREAM_VIEWS)
+def test_a_kept_scene_holds_one_canvas(geometry, bends, bound, projection):
+    p = _loaded_stream(geometry, bends, bound)
+    for width, height in ((800, 800), (800, 600), (640, 480), (800, 800)):
+        o = svg.RenderOptions(width=width, height=height,
+                              projection=projection)
+        assert svg.render(p, o) == \
+            svg.render(_loaded_stream(geometry, bends, bound), o)
+        (scene,) = vars(p)["_scenes"].values()
+        assert list(scene.drawn) == [(width, height)]
