@@ -16,7 +16,7 @@ float rows are the exact rows of the float bends rounded once.
 """
 
 from . import forms
-from .scalars import coerce_row, integer_rows, mode_of, negligible
+from .scalars import coerce_row, integer_rows, mode_of
 
 
 def _realize_strip(s):
@@ -61,8 +61,8 @@ def realize_curvature_vector(bends):
         raise ValueError("realization is implemented for the plane (4 bends)")
     mode = mode_of(bends)
     bends = coerce_row(bends, mode)
-    residual = forms.bend_residual(forms.EUCLIDEAN, bends)
-    if not negligible(residual, bends):
+    residual, ok = forms._bend_check(forms.EUCLIDEAN, bends)
+    if not ok:
         raise ValueError(f"bends violate the Descartes relation by {residual}")
     if all(b == 0 for b in bends):
         raise ValueError("the zero vector is not a bend vector")

@@ -40,7 +40,7 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isfinite, isqrt, sqrt
+from math import frexp, isfinite, isinf, isqrt, ldexp, sqrt
 from operator import mul
 
 from . import linalg
@@ -421,12 +421,21 @@ def _rounding_ok(w, q, t):
     """Whether each entry of W^T Q W - T and of W T^{-1} W^T - Q^{-1}, W in
     floats, is within ROUNDING times its finite bound of _gram_bound: each
     entry scaled by its two columns, then by its two rows, which refuses
-    an ill-conditioned W whose columns alone pass, and inf or nan in W."""
+    an ill-conditioned W whose columns alone pass, and inf or nan in W.
+    Both are checked on W D against D T D, D the powers of two that take
+    each column's largest entry into [1/2, 1): they hold and round there as
+    on W, and no product leaves the float range, for columns of any size."""
     w = [tuple(map(float, row)) for row in _rows(w)]
     q = _rows(q)
+    e = [frexp(max(map(abs, col)))[1] for col in zip(*w)]
     try:
         q_inv, t_inv = _derived(q, _float_inv), _derived(t, _float_inv)
-    except (ValueError, OverflowError):  # singular or not finite
+        w = [[ldexp(x, -ej) for x, ej in zip(row, e)] for row in w]
+        t = [[ldexp(x, -ei - ej) for x, ej in zip(row, e)]
+             for row, ei in zip(t, e)]
+        t_inv = [[ldexp(x, ei + ej) for x, ej in zip(row, e)]
+                 for row, ei in zip(t_inv, e)]
+    except (ValueError, OverflowError):  # singular, or not finite scaled
         return False
     sides = ((_gram_bound(w, q), t),
              (_gram_bound(linalg.transpose(w), t_inv), q_inv))
@@ -480,7 +489,15 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
 def bend_residual(geometry, bends):
     """Residual sum b^2 - (sum b)^2 / n + 2k of the Descartes relation on
     n+2 bends, k the geometry's curvature sign; zero for n+2 pairwise
-    tangent spheres, exact on exact bends."""
+    tangent spheres, exact on exact bends.  Float bends of magnitude m > 1
+    are summed times f = 2**-e, e of frexp(m), as complete_bend takes them,
+    and the residual divided back by f^2, +-inf past the float range."""
+    return _bend_check(geometry, bends)[0]
+
+
+def _bend_check(geometry, bends):
+    """(bend_residual, whether scalars.negligible takes it); one past the
+    float range, r / f^2, when |r| <= ROUNDING (m f)^2."""
     k = _by_geometry(CURVATURE_SIGN, geometry)
     bends = tuple(bends)
     n = len(bends) - 2
@@ -491,11 +508,18 @@ def bend_residual(geometry, bends):
         (ints,), s = integer_rows([bends])
         total = sum(ints)
         ns2 = n * s * s
-        return Fraction(n * sum(map(mul, ints, ints)) - total * total
-                        + 2 * k * ns2, ns2)
-    total = sum(bends)
-    square_sum = sum(b * b for b in bends)
-    return square_sum - total * total / float(n) + 2 * k
+        residual = Fraction(n * sum(map(mul, ints, ints)) - total * total
+                            + 2 * k * ns2, ns2)
+        return residual, not residual
+    m = max(map(abs, bends))
+    f = ldexp(1.0, -frexp(m)[1]) if m > 1 else 1.0
+    scaled = [b * f for b in bends]
+    total = sum(scaled)
+    r = sum(map(mul, scaled, scaled)) - total * total / float(n) + 2 * k * f * f
+    residual = r / f / f
+    if isinf(residual):  # past the float range
+        return residual, abs(r) <= ROUNDING * (m * f) ** 2
+    return residual, negligible(residual, bends)
 
 
 def _tangent_values(geometry, bends, name):
@@ -506,8 +530,8 @@ def _tangent_values(geometry, bends, name):
     bends = tuple(bends)
     mode = mode_of(bends)
     c = coerce_row(bends, mode)
-    residual = bend_residual(geometry, c)
-    if not negligible(residual, c):
+    residual, ok = _bend_check(geometry, c)
+    if not ok:
         raise ValueError(f"{name} values violate the bend relation by {residual}")
     return c, mode
 

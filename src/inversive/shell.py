@@ -8,25 +8,24 @@ streamed.  Exact scalars serialize as fraction strings in lowest terms
 A configuration travels as its frame, ConfigMatrix.scaled.  parse_document
 (and loads_config on it), and loads_packing for the seed of an exact
 header, read an exact entry written that way, text that _EXACT_SCALAR
-fullmatches, straight into the int rows of the frame (_exact_rows), once
+fullmatches, straight into the int rows of the frame (_exact_values), once
 per distinct text of the document; any other entry goes through
 scalar_from_json, so what it accepts and rejects, and its error, do not
 depend on the path.  JSON floats in a float document are kept as they
 are, and are the frame.  dumps_config and document_from_config write the
-entries from the frame as iter_packing_lines writes rows, so neither
-reading, checking nor writing a document builds a CoordRow.
+entries from the frame as dumps_packing writes rows, so neither reading,
+checking nor writing a document builds a CoordRow.
 
-iter_packing_lines yields a packing stream one line at a time, each row
-formatted by one format from Packing.scaled (int rows over one scale, or
-float rows, written by repr); `gen` writes the lines as they come.
-loads_packing takes the stream as text or as a text file object and reads
-it line by line.  Rows written as iter_packing_lines writes them are
-parsed by one regex: exact entries straight into ints, float entries, the
-repr of a finite float, by float(), which reads number text as json does.
-Any other line, a NaN or an Infinity among them, goes through the json
-decoder and scalar_from_json.  A row's "bend" must be its bend-column
-entry: on the regex path the entry text must repeat the bend text, and
-any other line compares the decoded values.  Malformed input raises
+dumps_packing writes a packing stream from Packing.scaled (int rows over
+one scale, or float rows, written by repr) with one format of the whole
+body.  loads_packing reads the stream whole: one multiline findall of one
+regex reads a body of rows written that way, exact entries straight into
+ints, float entries, the repr of a finite float, by float(), which reads
+number text as json does; any other body is read line by line, by the
+same regex where it matches, else, a NaN or an Infinity among them, by
+json and scalar_from_json.  A row's "bend" must be its bend-column entry:
+on the regex paths the entry text must repeat the bend text, and any
+other line compares the decoded values.  Malformed input raises
 ValueError.
 
 The CLI runs as `inversive` or `python -m inversive`.  Exit codes: 0
@@ -34,7 +33,6 @@ success, 1 validation failure or malformed input, 2 usage error.
 """
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
@@ -42,7 +40,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import floordiv, itemgetter, mul
 from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
@@ -92,13 +90,13 @@ _exact_text = re.compile(_EXACT_SCALAR).fullmatch
 
 
 def _exact_entry(v):
-    """An entry of an exact document as _exact_rows takes it: a text that
-    _EXACT_SCALAR fullmatches as it is, and any other entry as the Fraction
-    of scalar_from_json, so that it is accepted or rejected, with the same
-    error, as there."""
+    """An entry of an exact document as _exact_values takes it: a text that
+    _EXACT_SCALAR fullmatches as it is, and any other entry as the text of
+    the Fraction of scalar_from_json, so that it is accepted or rejected,
+    with the same error, as there."""
     if v.__class__ is str and _exact_text(v):
         return v
-    return scalar_from_json(v, EXACT)
+    return str(scalar_from_json(v, EXACT))
 
 
 def _float_from_json(v):
@@ -107,11 +105,13 @@ def _float_from_json(v):
 
 def _scaled_entries(rows, mode):
     """The frame (scalars.scaled_rows) of the JSON rows of a document or of
-    a packing header's seed: exact entries by _exact_entry and _exact_rows,
-    float entries that are JSON floats as they are, any other float entry
-    through scalar_from_json."""
+    a packing header's seed: exact entries by _exact_entry and
+    _exact_values, float entries that are JSON floats as they are, any
+    other float entry through scalar_from_json."""
     if mode == EXACT:
-        return _exact_rows([tuple(map(_exact_entry, row)) for row in rows])
+        entries = [tuple(map(_exact_entry, row)) for row in rows]
+        ints, scale = _exact_values(itertools.chain.from_iterable(entries))
+        return tuple([tuple(map(ints.__getitem__, row)) for row in entries]), scale
     return tuple([tuple(map(_float_from_json, row)) for row in rows]), 1.0
 
 
@@ -135,7 +135,7 @@ class ConfigDocument:
 def document_from_config(w):
     """The configuration document of w as a JSON value, its rows written
     from ConfigMatrix.scaled: floats as they are, an exact x / scale as its
-    text in lowest terms, as iter_packing_lines writes it."""
+    text in lowest terms, as dumps_packing writes it."""
     rows, scale = w.scaled
     if scale.__class__ is float:
         rows = [list(row) for row in rows]
@@ -198,11 +198,6 @@ def loads_config(text, tol=DEFAULT_TOL):
     return doc.config
 
 
-def _json_float(x):
-    """One float as JSON text, as json.dumps(scalar_to_json(x)) writes it."""
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
-
-
 def _ratio_texts(scale):
     """x -> the text of x / scale in lowest terms, as str() of its Fraction,
     for ints x; each distinct x is reduced by a gcd once."""
@@ -219,16 +214,15 @@ def _ratio_texts(scale):
     return text
 
 
-def iter_packing_lines(p):
-    """The packing stream of p line by line: the header record, then one
-    {"bend", "row"} record per row, each line ending in a newline.
+def dumps_packing(p):
+    """The packing stream of p: the header record, then one {"bend", "row"}
+    record per row, each line ending in a newline.
 
-    The rows are written from Packing.scaled, each by one format.  A float
-    is written by repr, a NaN or an Infinity as json writes it; finite
-    float rows and int rows at scale 1 go to the format as they are.  An
-    exact x / scale is the int itself at scale 1, and is otherwise reduced
-    by a gcd, once per distinct x."""
-    bend_col = forms.bend_column(p.geometry)
+    The body is one format of all its lines, on the entries of
+    Packing.scaled with each row's bend put before it by slice assignment.
+    A float is written by repr, a NaN or an Infinity as json writes it; an
+    exact x / scale is the int x at scale 1, else the text of _ratio_texts,
+    made once per distinct x."""
     head = {
         "kind": "packing",
         "geometry": p.geometry,
@@ -240,25 +234,28 @@ def iter_packing_lines(p):
         "truncated": p.truncated,
         "seed": document_from_config(p.seed)["rows"],
     }
-    yield json.dumps(head, separators=(",", ":")) + "\n"
     rows, scale = p.scaled
+    width = p.n + 2
+    flat = list(itertools.chain.from_iterable(rows))
     # the scale's type tells the modes apart, as 1.0 == 1 too
     is_float = scale.__class__ is float
-    if is_float and all(map(math.isfinite, itertools.chain.from_iterable(rows))):
+    if is_float and all(map(math.isfinite, flat)):
         field = "%r"
     elif not is_float and scale == 1:
         field = '"%d"'
-    else:
-        field = "%s" if is_float else '"%s"'
-        text = _json_float if is_float else _ratio_texts(scale)
-        rows = (list(map(text, row)) for row in rows)
-    line = '{"bend":%s,"row":[%s]}\n' % (field, ",".join([field] * (p.n + 2)))
-    for row in rows:
-        yield line % (row[bend_col], *row)
-
-
-def dumps_packing(p):
-    return "".join(iter_packing_lines(p))
+    elif is_float:
+        field, flat = "%s", list(map(json.dumps, flat))
+    else:  # each distinct x written once, then looked up per entry
+        field, xs = '"%s"', set(flat)
+        texts = dict(zip(xs, map(_ratio_texts(scale), xs)))
+        flat = list(map(texts.__getitem__, flat))
+    values = [None] * (len(flat) + len(rows))
+    values[::width + 1] = flat[forms.bend_column(p.geometry)::width]
+    for j in range(width):
+        values[j + 1::width + 1] = flat[j::width]
+    line = '{"bend":%s,"row":[%s]}\n' % (field, ",".join([field] * width))
+    return (json.dumps(head, separators=(",", ":")) + "\n"
+            + (line * len(rows)) % tuple(values))
 
 
 # A float as the encoder writes it, the repr of a finite float: JSON number
@@ -266,66 +263,79 @@ def dumps_packing(p):
 _FLOAT_SCALAR = r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:e[+-][0-9]+)?|e[+-][0-9]+)"
 
 
-def _row_match(width, bend_col, scalar, quote=""):
-    """fullmatch of a row line of a stream exactly as iter_packing_lines
-    writes it, for rows of the given width whose entries are scalar texts
-    between quotes, with the text of the bend and then of each entry as a
-    group.  The entry in column bend_col must repeat the bend text (a
-    backreference), so a line whose bend is not its row's, or is written
-    otherwise, such as "2/4" for "1/2" or 2.00 for 2.0, does not match."""
+def _row_pattern(width, bend_col, mode):
+    """The regex of a row line as dumps_packing writes it, for rows of the
+    given width and mode, anchored at line ends (MULTILINE), with the text
+    of the bend and then of each entry as a group.  The entry in column
+    bend_col must repeat the bend text (a backreference), so a line whose
+    bend is not its row's, or is written otherwise, such as "2/4" for "1/2"
+    or 2.00 for 2.0, does not match."""
+    quote, scalar = ('"', _EXACT_SCALAR) if mode == EXACT else ("", _FLOAT_SCALAR)
     entry = f"{quote}({scalar}){quote}"
     entries = [entry] * width
     entries[bend_col] = rf"{quote}(\1){quote}"
-    return re.compile(r'\{"bend":%s,"row":\[%s\]\}\n?' % (
-        entry, ",".join(entries))).fullmatch
+    return re.compile(r'^\{"bend":%s,"row":\[%s\]\}$' % (
+        entry, ",".join(entries)), re.MULTILINE)
 
 
-def _ratio(v):
-    """(numerator, denominator) in lowest terms of an entry text that
-    _EXACT_SCALAR matches, or of a Fraction."""
-    if v.__class__ is not str:
-        return v.as_integer_ratio()
-    a, _, b = v.partition("/")
-    if not b:
-        return int(a), 1
-    a, b = int(a), int(b)
-    g = math.gcd(a, b)
-    return a // g, b // g
+def _body_entries(pattern, body, width):
+    """The entry texts of the rows of a stream body, row after row in one
+    list, when one findall of the row pattern matches every line of the
+    body, else None (the per-line path)."""
+    found = pattern.findall(body)
+    # a body that does not end in "\n" has one line more than line breaks
+    if len(found) != body.count("\n") + (body[-1:] not in ("", "\n")):
+        return None
+    entries = list(itertools.chain.from_iterable(found))
+    del entries[::width + 1]  # each row's bend, which its column repeats
+    return entries
 
 
-def _exact_rows(row_texts):
-    """(int rows, scale) from the entries of exact rows, given as entry
-    texts or Fractions: the rows times the least common multiple scale of
-    their denominators, the frame of scalars.scaled_rows.  Each distinct
-    entry is converted once."""
-    ratios = {v: _ratio(v) for v in set(itertools.chain.from_iterable(row_texts))}
-    scale = math.lcm(*[d for _, d in ratios.values()])
-    ints = {v: a * (scale // d) for v, (a, d) in ratios.items()}.__getitem__
-    return tuple([tuple(map(ints, row)) for row in row_texts]), scale
+def _exact_values(texts):
+    """({text: int}, scale) for exact entry texts that _EXACT_SCALAR
+    fullmatches: each distinct text's value times the scale, the LCM of the
+    reduced denominators (scalars.scaled_rows), by C-level maps."""
+    distinct = set(texts)
+    if "/" not in "".join(distinct):
+        return dict(zip(distinct, map(int, distinct))), 1
+    # each text as n/d, numerators and denominators taken by one split
+    nd = list(map(int, "/".join(
+        [t if "/" in t else t + "/1" for t in distinct]).split("/")))
+    dens = nd[1::2]
+    common = math.lcm(*set(dens))
+    ints = list(map(mul, nd[::2], map(floordiv, itertools.repeat(common), dens)))
+    # the values over common, in lowest terms over the scale common / g
+    g = math.gcd(common, *ints)
+    return dict(zip(distinct, map(floordiv, ints, itertools.repeat(g)))), common // g
 
 
 def loads_packing(source):
     """Packing from a packing stream, given as text or as a text file
-    object (any iterable of lines), which is read line by line.
+    object, which is read whole.
 
     The packing holds its rows as scaled=(rows, scale), as generate()
-    leaves them, and builds its CoordRows when they are read.  A row line
-    written exactly as iter_packing_lines writes it is matched by one
-    anchored regex.  In an exact stream its entries go straight to ints,
-    and the rows are returned over the least common multiple of the
-    denominators seen; in a float stream each entry is read by float(), and
-    the rows are float tuples at scale 1.0.  Any other line is decoded by
-    json, so it is accepted or rejected as any JSON row record is.
+    leaves them, and builds its CoordRows when they are read.  When every
+    line after the header (its first non-blank line) is a row written as
+    dumps_packing writes it, one findall of one anchored regex reads the
+    whole body (_body_entries); otherwise each non-blank line is read
+    alone, by the regex where it fullmatches, else by json, so that it is
+    accepted or rejected as any JSON row record is.  Exact entry texts go
+    to ints once per distinct text, over the least common multiple of the
+    denominators seen; float entries are read by float(), at scale 1.0.
     The header's n, explored, depth and truncated are checked too, a
     negative bound is rejected, and each row's "bend" must be the entry in
     its bend column.  An exact row whose |bend| is above the bound is
     rejected unless it is a seed row; float rows are not checked against
     the bound, which generate() widens by a tol the header does not record."""
-    lines = source.splitlines() if isinstance(source, str) else source
-    lines = (ln for ln in lines if ln.strip())
-    first = next(lines, None)
-    if first is None:
-        raise ValueError("empty packing stream")
+    text = source if isinstance(source, str) else "".join(source)
+    first, _, body = text.partition("\n")
+    if not first.strip() or first.splitlines() != [first]:
+        # blank lines or other line breaks before the header: the stream's
+        # non-blank lines, which the per-line path reads, joined by "\n"
+        first, _, body = "\n".join(
+            ln for ln in text.splitlines() if ln.strip()).partition("\n")
+        if not first:
+            raise ValueError("empty packing stream")
     head = json.loads(first)
     if not isinstance(head, dict) or head.get("kind") != "packing":
         raise ValueError("not a packing stream (missing packing header)")
@@ -352,28 +362,32 @@ def loads_packing(source):
         width = seed.n + 2
         bend_col = forms.bend_column(geometry)
 
-        def decoded(ln, scalar):
+        def decoded(ln):
             rec = decode(ln)
             row = rec["row"] if isinstance(rec, dict) else None
             if not isinstance(row, list) or len(row) != width:
                 raise ValueError(f"malformed packing row {ln.strip()[:80]!r}")
-            row = tuple(map(scalar, row))
-            bend, entry = scalar(rec["bend"]), row[bend_col]
+            row = tuple([scalar_from_json(v, mode) for v in row])
+            bend, entry = scalar_from_json(rec["bend"], mode), row[bend_col]
             # the encoder writes a NaN bend column as a NaN bend
             if bend != entry and not (bend != bend and entry != entry):
                 raise ValueError(f"packing row bend {bend} is not the bend "
                                  f"{entry} of its row")
-            return row
+            # as text, as the regex reads it: a Fraction in lowest terms,
+            # a float by repr, which float() reads back to the same float
+            return map(str, row)
 
-        # group 1 is the bend; a line the regex does not match, its bend
-        # among them, is checked on the json path
+        pattern = _row_pattern(width, bend_col, mode)
+        entries = _body_entries(pattern, body, width)
+        if entries is None:
+            # group 1 is the bend; a line the regex does not match, its
+            # bend among them, is checked on the json path
+            entries = list(itertools.chain.from_iterable(
+                m.groups()[1:] if (m := pattern.fullmatch(ln))
+                else decoded(ln) for ln in body.splitlines() if ln.strip()))
         if mode == EXACT:
-            match = _row_match(width, bend_col, _EXACT_SCALAR, '"')
-            scaled = _exact_rows([
-                m.groups()[1:] if (m := match(ln))
-                else decoded(ln, lambda v: scalar_from_json(v, EXACT))
-                for ln in lines])
-            rows, scale = scaled
+            ints, scale = _exact_values(entries)
+            rows = tuple(zip(*[map(ints.__getitem__, entries)] * width))
             limit = bound * scale
             if max(map(abs, map(itemgetter(bend_col), rows)), default=0) > limit:
                 # generate() keeps the seed's rows at any bound; a row r
@@ -387,12 +401,7 @@ def loads_packing(source):
                         raise ValueError(f"packing row bend {Fraction(row[bend_col], scale)}"
                                          f" is outside the bound {bound}")
         else:
-            # float() reads number text as json does
-            match = _row_match(width, bend_col, _FLOAT_SCALAR)
-            scaled = tuple([
-                tuple(map(float, m.groups()[1:])) if (m := match(ln))
-                else decoded(ln, _float_from_json)
-                for ln in lines]), 1.0
+            rows, scale = tuple(zip(*[map(float, entries)] * width)), 1.0
         return apollonian.Packing(
             geometry=geometry,
             n=seed.n,
@@ -403,7 +412,7 @@ def loads_packing(source):
             explored=explored,
             depth=depth,
             truncated=truncated,
-            scaled=scaled,
+            scaled=(rows, scale),
         )
     except KeyError as e:
         raise ValueError(f"packing stream is missing field {e}")
@@ -538,28 +547,20 @@ def _build_parser():
     return parser
 
 
-def _open_in(args):
-    """The input as a text file object: --in FILE, else stdin ('-' or none)."""
-    if getattr(args, "infile", None) in (None, "-"):
-        return contextlib.nullcontext(sys.stdin)
-    return open(args.infile)
-
-
 def _read_in(args):
-    with _open_in(args) as f:
+    """The input text: --in FILE, else stdin ('-' or none)."""
+    if getattr(args, "infile", None) in (None, "-"):
+        return sys.stdin.read()
+    with open(args.infile) as f:
         return f.read()
 
 
-def _write_lines(args, lines):
+def _write_text(args, text):
     if args.out:
         with open(args.out, "w") as f:
-            f.writelines(lines)
+            f.write(text)
     else:
-        sys.stdout.writelines(lines)
-
-
-def _write_text(args, text):
-    _write_lines(args, (text,))
+        sys.stdout.write(text)
 
 
 def _write_bytes(args, data):
@@ -645,7 +646,7 @@ def _generate(args):
 
 
 def _cmd_gen(args):
-    _write_lines(args, iter_packing_lines(_generate(args)))
+    _write_text(args, dumps_packing(_generate(args)))
     return 0
 
 
@@ -670,13 +671,12 @@ def _cmd_lox(args):
 
 def _cmd_render(args):
     if getattr(args, "infile", None):
-        with _open_in(args) as f:
-            # the first non-blank line tells a packing stream from a document
-            first = next((ln for ln in f if ln.strip()), "")
-            if '"kind"' in first.lstrip()[:200]:
-                packing = loads_packing(itertools.chain((first,), f))
-            else:
-                packing = loads_config(first + f.read(), tol=args.tol)
+        text = _read_in(args)
+        # the first non-blank line tells a packing stream from a document
+        if '"kind"' in text.lstrip()[:200].partition("\n")[0]:
+            packing = loads_packing(text)
+        else:
+            packing = loads_config(text, tol=args.tol)
     else:
         packing = _generate(args)
     options = svg.RenderOptions(

@@ -1,5 +1,6 @@
 """Euclidean oriented spheres, hyperplanes, inversion, and realization."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -198,14 +199,56 @@ def test_realize_float_rejects_bends_off_the_relation():
     # from an earlier computation may be
     bends = (-1.0, 2.0, 2.0, 3.00003)
     assert euclid.realize_curvature_vector(bends).bends == bends
-    # squares past the float range: a nan residual, not an OverflowError
-    with pytest.raises(ValueError, match="Descartes relation"):
-        euclid.realize_curvature_vector((-1e200, 2e200, 2e200, 3e200))
+    # squares past the float range, off the relation as at scale 1e3: a
+    # residual past the float range, judged over 4**e
+    with pytest.raises(ValueError, match="Descartes relation by inf"):
+        euclid.realize_curvature_vector((-1e200, 2e200, 2e200, 3.0001e200))
     # a row entry past the float range, bbar = 4/s of a subnormal bend s:
     # a ValueError, not an OverflowError or an inf entry
     for bends in ((0.0, 0.0, 1e-310, 1e-310), (-1e-310, 2e-310, 2e-310, 3e-310)):
         with pytest.raises(ValueError, match="beyond the float range"):
             euclid.realize_curvature_vector(bends)
+
+
+# float bends whose squares (1e155 and up), or whose rows' bbar entries
+# squared (1e-160 and down), are past the float range
+FAR_SCALES = (1e155, 1e200, 1e300, 1e-160, 1e-300)
+
+
+@pytest.mark.parametrize("s", FAR_SCALES)
+def test_realize_and_walk_float_bends_across_the_float_range(s):
+    bends = tuple(s * x for x in (-1.0, 2.0, 2.0, 3.0))
+    w = apollonian.realize_bends(forms.EUCLIDEAN, bends)
+    assert w.bends == bends and w.residual().ok
+    walk = apollonian.generate(w, 20 * s)
+    exact = apollonian.generate(apollonian.realize_bends(
+        forms.EUCLIDEAN, tuple(map(F, (-1, 2, 2, 3)))), F(20))
+    assert len(walk.rows) == len(exact.rows) == 23
+    # a row (bbar, b, b x, b y) is the exact row with bbar over s and b
+    # times s, to the rounding of a few float operations
+    for row, twin in zip(walk.rows, exact.rows):
+        for x, y, f in zip(row.entries, twin.entries, (1 / s, s, 1, 1)):
+            assert math.isclose(x, y * f, rel_tol=1e-13, abs_tol=1e-13 * f), \
+                (row, twin)
+
+
+def test_bend_residual_rounds_as_unscaled_arithmetic():
+    # dividing by a power of two changes no rounding, so wherever the
+    # unscaled sums stay in the float range they give the same float; past
+    # it the residual reads inf
+    for geometry, bends in _float_vectors() + [
+            (forms.EUCLIDEAN, (-1e150, 2.0e150, 2.0e150, 3.1e150)),
+            (forms.SPHERICAL, (0.1, 1.3, 1.7, 2.9))]:
+        n = len(bends) - 2
+        total = sum(bends)
+        assert forms.bend_residual(geometry, bends) == (
+            sum(b * b for b in bends) - total * total / n
+            + 2 * forms.CURVATURE_SIGN[geometry]), (geometry, bends)
+    # squares past the float range, a residual 0.005 (1e155)^2 within it
+    assert math.isclose(forms.bend_residual(
+        forms.EUCLIDEAN, (-1e155, 2e155, 2e155, 3.1e155)), 5e307, rel_tol=1e-9)
+    assert forms.bend_residual(forms.EUCLIDEAN,
+                               (-1e200, 2e200, 2e200, 3.0001e200)) == math.inf
 
 
 def test_realize_exact_at_any_scale():

@@ -6,6 +6,7 @@ Fraction decoder."""
 import dataclasses
 import json
 import math
+import re
 import types
 import warnings
 from fractions import Fraction as F
@@ -85,10 +86,10 @@ def _json_path(text):
 
 
 def _loads_through_json(monkeypatch, text):
-    """loads_packing with its row regex matching nothing, so that every row
-    line goes through json."""
+    """loads_packing with its row regex matching nothing, on the whole body
+    and on each line, so that every row line goes through json."""
     with monkeypatch.context() as m:
-        m.setattr(shell, "_row_match", lambda *args: lambda ln: None)
+        m.setattr(shell, "_row_pattern", lambda *args: re.compile("(?!)"))
         return shell.loads_packing(text)
 
 
@@ -232,11 +233,11 @@ FLOAT_STREAMS = dict(_float_streams())
 @pytest.mark.parametrize("name", FLOAT_STREAMS)
 def test_float_row_regex_matches_the_json_decoder(name):
     text = FLOAT_STREAMS[name]
-    head, *lines = text.splitlines(keepends=True)
+    head, *lines = text.splitlines()
     head = json.loads(head)
     # every row line the encoder writes is read on the regex path
-    match = shell._row_match(head["n"] + 2, forms.bend_column(head["geometry"]),
-                             shell._FLOAT_SCALAR)
+    match = shell._row_pattern(head["n"] + 2, forms.bend_column(head["geometry"]),
+                               FLOAT).fullmatch
     assert all(map(match, lines))
     got = _float_rows_outcome(_loaded_float_rows, text)
     assert got == _float_rows_outcome(_reference_float_rows, text)

@@ -1,6 +1,7 @@
 """Document serialization and the command line front end."""
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -181,15 +182,20 @@ _CODEC_INPUTS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _codec_packing(geometry, bends, bound, mode):
+    scalar = F if mode == EXACT else float
+    seed = apollonian.realize_bends(geometry, tuple(map(scalar, bends)))
+    return apollonian.generate(seed, scalar(bound))
+
+
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 @pytest.mark.parametrize("geometry, bends, bound", _CODEC_INPUTS)
 def test_packing_codec_matches_reference(geometry, bends, bound, mode):
     scalar = F if mode == EXACT else float
-    seed = apollonian.realize_bends(geometry, tuple(map(scalar, bends)))
-    p = apollonian.generate(seed, scalar(bound))
+    p = _codec_packing(geometry, bends, bound, mode)
     text = shell.dumps_packing(p)
     assert text == _reference_dumps_packing(p)
-    assert "".join(shell.iter_packing_lines(p)) == text
     ref = _reference_loads_packing(text)
     for back in (shell.loads_packing(text), shell.loads_packing(io.StringIO(text))):
         assert back == ref
@@ -197,6 +203,90 @@ def test_packing_codec_matches_reference(geometry, bends, bound, mode):
         assert back == p
         assert back.rows == p.rows
         assert all(type(x) is scalar for r in back.rows for x in r.entries)
+
+
+def _ratio_text(v, k):
+    """An entry's value as the text of its ratio with both terms times k."""
+    a, b = F(v).as_integer_ratio()
+    return f"{k * a}/{k * b}"
+
+
+def _edited_record(edit):
+    """An edit of a row line through its decoded record, written back as
+    the encoder writes records."""
+    def line(ln):
+        rec = json.loads(ln)
+        edit(rec)
+        return json.dumps(rec, separators=(",", ":")) + "\n"
+    return line
+
+
+def _nan_row(rec):
+    rec["bend"], rec["row"] = math.nan, [math.nan] * len(rec["row"])
+
+
+# edits of a stream's last row line, each read on the per-line path, or
+# (zero-padded and tripled entries in an exact stream) on either
+_ROW_EDITS = {
+    "trailing-space": lambda ln: ln[:-1] + " \n",
+    "spaced": lambda ln: json.dumps(json.loads(ln)) + "\n",
+    "doubled-bend": _edited_record(
+        lambda rec: rec.update(bend=_ratio_text(rec["bend"], 2))),
+    "zero-padded-entry": _edited_record(lambda rec: rec["row"].__setitem__(
+        -1, re.sub("[0-9]", r"00\g<0>", str(rec["row"][-1]), count=1))),
+    "tripled-entry": _edited_record(lambda rec: rec["row"].__setitem__(
+        -1, _ratio_text(rec["row"][-1], 3))),
+    "nan-row": _edited_record(_nan_row),
+    "extra-entry": _edited_record(lambda rec: rec["row"].append(rec["row"][-1])),
+}
+
+
+def _last_row_edited(edit):
+    def text_edit(text):
+        *lines, last = text.splitlines(keepends=True)
+        return "".join(lines) + edit(last)
+    return text_edit
+
+
+_TEXT_EDITS = {
+    "as-written": lambda text: text,
+    "leading-blank-lines": lambda text: "\n \n" + text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text[:-1],
+    "blank-line": lambda text: text.replace("}\n{", "}\n\n{", 1),
+    **{name: _last_row_edited(edit) for name, edit in _ROW_EDITS.items()},
+}
+
+
+def _decoded(text):
+    """What loads_packing makes of a stream: its error, or every field of
+    the packing, its rows as the repr of scaled, which tells nan, -0.0 and
+    the entry types apart and from which the rows are built."""
+    try:
+        p = shell.loads_packing(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+    return (repr(p.scaled), p.geometry, p.n, p.seed, p.bound, p.explored,
+            p.depth, p.truncated)
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("geometry, bends, bound", _CODEC_INPUTS)
+def test_whole_body_decode_matches_the_per_line_path(monkeypatch, geometry,
+                                                     bends, bound, mode):
+    """loads_packing gives the packing, or the error, of its per-line path
+    on every codec stream and on each edit of it."""
+    text = shell.dumps_packing(_codec_packing(geometry, bends, bound, mode))
+    found = []
+    whole_body = shell._body_entries
+    monkeypatch.setattr(shell, "_body_entries",
+                        lambda *args: found.append(whole_body(*args)) or found[-1])
+    fast = {name: _decoded(edit(text)) for name, edit in _TEXT_EDITS.items()}
+    # the stream as written is read on the whole-body path
+    assert found[0] is not None
+    monkeypatch.setattr(shell, "_body_entries", lambda *args: None)
+    for name, edit in _TEXT_EDITS.items():
+        assert fast[name] == _decoded(edit(text)), name
 
 
 def test_packing_codec_non_finite_floats():
@@ -211,7 +301,8 @@ def test_packing_codec_non_finite_floats():
 
 def _one_row_stream(values, mode=EXACT):
     seed = apollonian.standard_seed(forms.EUCLIDEAN, mode=mode)
-    head = next(shell.iter_packing_lines(apollonian.generate(seed, 6)))
+    head = shell.dumps_packing(apollonian.generate(seed, 6)).splitlines(
+        keepends=True)[0]
     return head + json.dumps({"bend": values[1], "row": values}) + "\n"
 
 
@@ -488,13 +579,36 @@ def test_gen_rejects_non_descartes_seed(capsys):
 
 
 def test_gen_rejects_a_float_seed_past_the_float_range(capsys):
+    # bbar = 4/s of the subnormal bends s is past the float range
     code, _, err = run(
         ["gen", "--mode", "float", "--geometry", "euclidean",
-         "--seed=-1e200,2e200,2e200,3e200", "--max-bend", "1"],
+         "--seed=-1e-310,2e-310,2e-310,3e-310", "--max-bend", "1"],
         capsys,
     )
     assert code == 1
-    assert "error: bends violate the Descartes relation" in err
+    assert "error: an entry of the configuration of these bends is beyond " \
+        "the float range" in err
+
+
+@pytest.mark.parametrize("s", ("e200", "e-160"))
+def test_gen_float_seeds_whose_squares_leave_the_float_range(s, capsys):
+    # the squares of 1e200 bends, or of the bbar entries of 1e-160 bends,
+    # are past the float range; their packing to 20 times the scale is the
+    # 23 circles of (-1, 2, 2, 3) to bound 20
+    code, out, _ = run(["gen", "--mode", "float", "--geometry", "euclidean",
+                        f"--seed=-1{s},2{s},2{s},3{s}", f"--max-bend=20{s}"],
+                       capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 23
+
+
+@pytest.mark.parametrize("s", ("e200", "e300"))
+def test_float_solve_realizes_completions_past_the_square_range(s, capsys):
+    code, out, _ = run(["solve", "--mode", "float", "--geometry", "euclidean",
+                        f"--seed=-1{s},2{s},2{s}"], capsys)
+    documents = json.loads(out)["configurations"]
+    assert code == 0 and len(documents) == 2 and None not in documents
+    for document in documents:
+        assert shell.parse_document(json.dumps(document)).valid
 
 
 def test_gen_requires_a_seed_source(capsys):
