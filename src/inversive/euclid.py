@@ -16,7 +16,7 @@ float rows are the exact rows of the float bends rounded once.
 """
 
 from . import forms
-from .scalars import coerce_row, integer_rows, mode_of
+from .scalars import integer_rows
 
 
 def _realize_strip(s):
@@ -59,11 +59,8 @@ def realize_curvature_vector(bends):
     bends = tuple(bends)
     if len(bends) != 4:
         raise ValueError("realization is implemented for the plane (4 bends)")
-    mode = mode_of(bends)
-    bends = coerce_row(bends, mode)
-    residual, ok = forms._bend_check(forms.EUCLIDEAN, bends)
-    if not ok:
-        raise ValueError(f"bends violate the Descartes relation by {residual}")
+    bends, mode = forms._bend_values(forms.EUCLIDEAN, bends,
+                                     "bends violate the Descartes relation")
     if all(b == 0 for b in bends):
         raise ValueError("the zero vector is not a bend vector")
     positives = sum(1 for b in bends if b > 0)

@@ -40,7 +40,7 @@ import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import frexp, isfinite, isinf, isqrt, ldexp, sqrt
+from math import frexp, isfinite, isqrt, ldexp, sqrt
 from operator import mul
 
 from . import linalg
@@ -492,12 +492,14 @@ def bend_residual(geometry, bends):
     tangent spheres, exact on exact bends.  Float bends of magnitude m > 1
     are summed times f = 2**-e, e of frexp(m), as complete_bend takes them,
     and the residual divided back by f^2, +-inf past the float range."""
-    return _bend_check(geometry, bends)[0]
+    r, f = _scaled_bend_residual(geometry, bends)
+    return r / f / f
 
 
-def _bend_check(geometry, bends):
-    """(bend_residual, whether scalars.negligible takes it); one past the
-    float range, r / f^2, when |r| <= ROUNDING (m f)^2."""
+def _scaled_bend_residual(geometry, bends):
+    """(r, f), r the bend_residual times f^2: f = 1 on exact bends, and on
+    float bends the power of two that bend_residual sums them times, so
+    that r stays within the float range."""
     k = _by_geometry(CURVATURE_SIGN, geometry)
     bends = tuple(bends)
     n = len(bends) - 2
@@ -508,31 +510,27 @@ def _bend_check(geometry, bends):
         (ints,), s = integer_rows([bends])
         total = sum(ints)
         ns2 = n * s * s
-        residual = Fraction(n * sum(map(mul, ints, ints)) - total * total
-                            + 2 * k * ns2, ns2)
-        return residual, not residual
+        return Fraction(n * sum(map(mul, ints, ints)) - total * total
+                        + 2 * k * ns2, ns2), 1
     m = max(map(abs, bends))
     f = ldexp(1.0, -frexp(m)[1]) if m > 1 else 1.0
     scaled = [b * f for b in bends]
     total = sum(scaled)
-    r = sum(map(mul, scaled, scaled)) - total * total / float(n) + 2 * k * f * f
-    residual = r / f / f
-    if isinf(residual):  # past the float range
-        return residual, abs(r) <= ROUNDING * (m * f) ** 2
-    return residual, negligible(residual, bends)
+    return (sum(map(mul, scaled, scaled)) - total * total / float(n)
+            + 2 * k * f * f), f
 
 
-def _tangent_values(geometry, bends, name):
-    """(c, mode): spherical cot or hyperbolic coth values as one row of
-    their mode, or the ValueError, which calls them name, of values that
-    miss the bend relation.  Float values may miss it by DEFAULT_TOL or by
-    the rounding of float values as large as theirs."""
+def _bend_values(geometry, bends, what):
+    """(c, mode): the bends as one row of their mode, or the ValueError
+    "{what} by {bend_residual}" of bends that miss the bend relation.
+    Float bends may miss it by DEFAULT_TOL or by the rounding of float
+    values as large as theirs (scalars.negligible)."""
     bends = tuple(bends)
     mode = mode_of(bends)
     c = coerce_row(bends, mode)
-    residual, ok = _bend_check(geometry, c)
-    if not ok:
-        raise ValueError(f"{name} values violate the bend relation by {residual}")
+    r, f = _scaled_bend_residual(geometry, c)
+    if not negligible(r, c, f):
+        raise ValueError(f"{what} by {r / f / f}")
     return c, mode
 
 
@@ -550,7 +548,8 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     are otherwise realized by the exact tail search of _search_tangent_rows,
     which first_tails starts, or refused with a ValueError.
     """
-    c, mode = _tangent_values(geometry, bends, name)
+    c, mode = _bend_values(geometry, bends,
+                           f"{name} values violate the bend relation")
     n = len(c) - 2
     if mode == EXACT and n != 2:
         _refuse_irrational(n)

@@ -190,19 +190,22 @@ def near(x, y, tol=DEFAULT_TOL):
     return abs(x - y) <= tol
 
 
-def negligible(residual, values):
+def negligible(residual, values, scale):
     """Whether the residual of a relation quadratic in values is zero:
     within DEFAULT_TOL, or within ROUNDING after dividing by m = max(1, max|values|)
-    twice, the rounding error of float values of size m.
+    twice, the rounding error of float values of size m.  The residual is
+    given times scale^2, scale 1 or, for a float residual, a power of two
+    below 1: the relation's residual on the values times scale, so that a
+    residual past the float range is judged too.
 
     When the residual and the values are all exact, the residual must be
     zero: no rounding made it, and dividing ints would round.  A nan
     residual is never negligible.  The values are only read when the
     residual is not within DEFAULT_TOL.
     """
-    if near(residual, 0):
+    if near(residual, 0, DEFAULT_TOL * scale * scale):
         return True
     if is_exact(residual) and all_exact(values):
         return False
-    m = max(1, max(map(abs, values)))
+    m = max(1, max(map(abs, values))) * scale
     return near(residual / m / m, 0, ROUNDING)

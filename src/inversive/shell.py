@@ -21,12 +21,11 @@ one scale, or float rows, written by repr) with one format of the whole
 body.  loads_packing reads the stream whole: one multiline findall of one
 regex reads a body of rows written that way, exact entries straight into
 ints, float entries, the repr of a finite float, by float(), which reads
-number text as json does; any other body is read line by line, by the
-same regex where it matches, else, a NaN or an Infinity among them, by
-json and scalar_from_json.  A row's "bend" must be its bend-column entry:
-on the regex paths the entry text must repeat the bend text, and any
-other line compares the decoded values.  Malformed input raises
-ValueError.
+number text as json does; any other body, a NaN or an Infinity among
+its entries, is read line by line by json and scalar_from_json.  A row's
+"bend" must be its bend-column entry: in the regex the entry text must
+repeat the bend text, and a line read by json compares the decoded
+values.  Malformed input raises ValueError.
 
 The CLI runs as `inversive` or `python -m inversive`.  Exit codes: 0
 success, 1 validation failure or malformed input, 2 usage error.
@@ -281,7 +280,7 @@ def _row_pattern(width, bend_col, mode):
 def _body_entries(pattern, body, width):
     """The entry texts of the rows of a stream body, row after row in one
     list, when one findall of the row pattern matches every line of the
-    body, else None (the per-line path)."""
+    body, else None (the json path)."""
     found = pattern.findall(body)
     # a body that does not end in "\n" has one line more than line breaks
     if len(found) != body.count("\n") + (body[-1:] not in ("", "\n")):
@@ -314,12 +313,12 @@ def loads_packing(source):
     object, which is read whole.
 
     The packing holds its rows as scaled=(rows, scale), as generate()
-    leaves them, and builds its CoordRows when they are read.  When every
-    line after the header (its first non-blank line) is a row written as
-    dumps_packing writes it, one findall of one anchored regex reads the
-    whole body (_body_entries); otherwise each non-blank line is read
-    alone, by the regex where it fullmatches, else by json, so that it is
-    accepted or rejected as any JSON row record is.  Exact entry texts go
+    leaves them, and builds its CoordRows when they are read.  The header
+    is the first line after any leading white space.  When every line
+    after it is a row written as dumps_packing writes it, one findall of
+    one anchored regex reads the whole body (_body_entries); otherwise
+    each non-blank line is read by json, so that it is accepted or
+    rejected as any JSON row record is.  Exact entry texts go
     to ints once per distinct text, over the least common multiple of the
     denominators seen; float entries are read by float(), at scale 1.0.
     The header's n, explored, depth and truncated are checked too, a
@@ -328,14 +327,9 @@ def loads_packing(source):
     rejected unless it is a seed row; float rows are not checked against
     the bound, which generate() widens by a tol the header does not record."""
     text = source if isinstance(source, str) else "".join(source)
-    first, _, body = text.partition("\n")
-    if not first.strip() or first.splitlines() != [first]:
-        # blank lines or other line breaks before the header: the stream's
-        # non-blank lines, which the per-line path reads, joined by "\n"
-        first, _, body = "\n".join(
-            ln for ln in text.splitlines() if ln.strip()).partition("\n")
-        if not first:
-            raise ValueError("empty packing stream")
+    first, _, body = text.lstrip().partition("\n")
+    if not first:
+        raise ValueError("empty packing stream")
     head = json.loads(first)
     if not isinstance(head, dict) or head.get("kind") != "packing":
         raise ValueError("not a packing stream (missing packing header)")
@@ -377,14 +371,10 @@ def loads_packing(source):
             # a float by repr, which float() reads back to the same float
             return map(str, row)
 
-        pattern = _row_pattern(width, bend_col, mode)
-        entries = _body_entries(pattern, body, width)
+        entries = _body_entries(_row_pattern(width, bend_col, mode), body, width)
         if entries is None:
-            # group 1 is the bend; a line the regex does not match, its
-            # bend among them, is checked on the json path
             entries = list(itertools.chain.from_iterable(
-                m.groups()[1:] if (m := pattern.fullmatch(ln))
-                else decoded(ln) for ln in body.splitlines() if ln.strip()))
+                decoded(ln) for ln in body.splitlines() if ln.strip()))
         if mode == EXACT:
             ints, scale = _exact_values(entries)
             rows = tuple(zip(*[map(ints.__getitem__, entries)] * width))

@@ -904,7 +904,8 @@ def _searched(geometry, bends):
     and what it gives above the plane."""
     name, first_tails = {S: ("cot", spherical._first_tails),
                          H: ("coth", hyperbolic._first_tails)}[geometry]
-    c, _ = forms._tangent_values(geometry, bends, name)
+    c, _ = forms._bend_values(geometry, bends,
+                             f"{name} values violate the bend relation")
     return forms._search_tangent_rows(geometry, c, name, first_tails)
 
 

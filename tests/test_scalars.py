@@ -60,11 +60,11 @@ def test_near():
 def test_exact_residuals_must_be_zero(residual, values):
     # ints are exact: dividing them by the values' sizes rounded to floats
     # and called a nonzero residual negligible
-    assert not scalars.negligible(residual, values)
-    assert not scalars.negligible(F(residual), tuple(map(F, values)))
-    assert scalars.negligible(0, values)
+    assert not scalars.negligible(residual, values, 1)
+    assert not scalars.negligible(F(residual), tuple(map(F, values)), 1)
+    assert scalars.negligible(0, values, 1)
     # float values this large round away residuals this small
-    assert scalars.negligible(float(residual), tuple(map(float, values)))
+    assert scalars.negligible(float(residual), tuple(map(float, values)), 1)
 
 
 def test_scaled_rows():

@@ -6,7 +6,6 @@ Fraction decoder."""
 import dataclasses
 import json
 import math
-import re
 import types
 import warnings
 from fractions import Fraction as F
@@ -86,10 +85,10 @@ def _json_path(text):
 
 
 def _loads_through_json(monkeypatch, text):
-    """loads_packing with its row regex matching nothing, on the whole body
-    and on each line, so that every row line goes through json."""
+    """loads_packing with its whole-body path refused, so that every row
+    line goes through json."""
     with monkeypatch.context() as m:
-        m.setattr(shell, "_row_pattern", lambda *args: re.compile("(?!)"))
+        m.setattr(shell, "_body_entries", lambda *args: None)
         return shell.loads_packing(text)
 
 

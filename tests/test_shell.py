@@ -225,7 +225,7 @@ def _nan_row(rec):
     rec["bend"], rec["row"] = math.nan, [math.nan] * len(rec["row"])
 
 
-# edits of a stream's last row line, each read on the per-line path, or
+# edits of a stream's last row line, each read on the json path, or
 # (zero-padded and tripled entries in an exact stream) on either
 _ROW_EDITS = {
     "trailing-space": lambda ln: ln[:-1] + " \n",
@@ -272,10 +272,11 @@ def _decoded(text):
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))
 @pytest.mark.parametrize("geometry, bends, bound", _CODEC_INPUTS)
-def test_whole_body_decode_matches_the_per_line_path(monkeypatch, geometry,
-                                                     bends, bound, mode):
-    """loads_packing gives the packing, or the error, of its per-line path
-    on every codec stream and on each edit of it."""
+def test_whole_body_decode_matches_the_json_path(monkeypatch, geometry,
+                                                 bends, bound, mode):
+    """loads_packing gives the packing, or the error, of its json path on
+    every codec stream and on each edit of it; an edit of white space or
+    line ends gives the packing as written."""
     text = shell.dumps_packing(_codec_packing(geometry, bends, bound, mode))
     found = []
     whole_body = shell._body_entries
@@ -287,6 +288,9 @@ def test_whole_body_decode_matches_the_per_line_path(monkeypatch, geometry,
     monkeypatch.setattr(shell, "_body_entries", lambda *args: None)
     for name, edit in _TEXT_EDITS.items():
         assert fast[name] == _decoded(edit(text)), name
+    for name in ("leading-blank-lines", "crlf", "no-final-newline",
+                 "blank-line", "trailing-space", "spaced"):
+        assert fast[name] == fast["as-written"], name
 
 
 def test_packing_codec_non_finite_floats():
