@@ -41,9 +41,9 @@ from functools import cache
 from math import floor, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
-from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, frame_quotient,
-                      integer_rows, mode_frame, mode_of, near, scaled_rows,
-                      sqrt_scalar, unscaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, _sum,
+                      frame_quotient, integer_rows, mode_frame, mode_of, near,
+                      scaled_rows, sqrt_scalar, unscaled_rows)
 
 
 @cache
@@ -231,7 +231,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     scaled field, and builds its Fraction rows only when they are read; in
     a float Packing each entry is the int one divided once, rounded, over
     1.0.  Kept configurations leave the walk's frame by scalars.mode_frame,
-    as reflect()'s do.
+    as reflect()'s do; a float row beyond the float range raises ValueError.
 
     Each configuration remembers the index whose reflection produced it and
     is not reflected at that index again, since that only rebuilds its
@@ -351,16 +351,20 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
 
     rows.sort()
     configs = None
-    if keep_configs:
-        configs = tuple(
-            forms.ConfigMatrix(seed.geometry,
-                               mode_frame(kept_configs[k], scale, mode))
-            for k in sorted(kept_configs))
-    if type(coeff) is not int:
-        rows, denominator = integer_rows(rows)
-        scale *= denominator
-    if mode != EXACT:  # each entry leaves the frame once, rounded
-        rows, scale = unscaled_rows(rows, scale, mode), 1.0
+    try:
+        if keep_configs:
+            configs = tuple(
+                forms.ConfigMatrix(seed.geometry,
+                                   mode_frame(kept_configs[k], scale, mode))
+                for k in sorted(kept_configs))
+        if type(coeff) is not int:
+            rows, denominator = integer_rows(rows)
+            scale *= denominator
+        if mode != EXACT:  # each entry leaves the frame once, rounded
+            rows, scale = unscaled_rows(rows, scale, mode), 1.0
+    except OverflowError:
+        raise ValueError(f"a row of the packing within the bound {bound} is "
+                         "beyond the float range") from None
     return Packing(seed.geometry, n, seed, None, bound_value, configs,
                    explored, depth, truncated, scaled=(tuple(rows), scale))
 
@@ -508,11 +512,11 @@ def root_quadruple(bends, bound=None):
     down a chain of circles, one circle a step.
     """
     v = list(bends)
-    if sum(v) < 0:
+    if _sum(v) < 0:
         v = [-b for b in v]
     while True:
         i = max(range(len(v)), key=v.__getitem__)
-        new = 2 * (sum(v) - v[i]) - v[i]
+        new = 2 * (_sum(v) - v[i]) - v[i]
         if new >= v[i] or near(new, v[i], DEFAULT_TOL * v[i]) or (
                 bound is not None and abs(new) > bound):
             return tuple(v)

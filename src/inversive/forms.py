@@ -45,7 +45,7 @@ from operator import mul
 
 from . import linalg
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ROUNDING, ExactnessError,
-                      all_exact, coerce, coerce_row, frame_quotient,
+                      _sum, all_exact, coerce, coerce_row, frame_quotient,
                       integer_rows, mode_frame, mode_of, near, negligible,
                       scaled_rows, unscaled_rows)
 
@@ -331,10 +331,10 @@ def pair_product(geometry, row_a, row_b):
     (p, q), (_, s) = head[mode_of(a + b)]
     if q:  # an antidiagonal head; its tail sum starts from a_0 * 0
         return (q * (a[0] * b[1] + a[1] * b[0])
-                + sum(map(mul, a[2:], b[2:]), start=a[0] * 0))
+                + _sum(map(mul, a[2:], b[2:]), a[0] * 0))
     if s == 1:  # the plain product reaches back to column 1
-        return p * a[0] * b[0] + sum(map(mul, a[1:], b[1:]))
-    return p * a[0] * b[0] + s * a[1] * b[1] + sum(map(mul, a[2:], b[2:]))
+        return p * a[0] * b[0] + _sum(map(mul, a[1:], b[1:]))
+    return p * a[0] * b[0] + s * a[1] * b[1] + _sum(map(mul, a[2:], b[2:]))
 
 
 def _scaled_gram(w, q):
@@ -367,7 +367,7 @@ def _scaled_gram(w, q):
                          f"{len(v)} rows")
     if form is not None:
         n = form.n
-        sigma = tuple(map(sum, zip(*v)))
+        sigma = tuple(map(_sum, zip(*v)))
         d, shift = ((n, sigma) if mode == EXACT else
                     (1, [t / n for t in sigma]))
         pv = [[d * x - t for x, t in zip(row, shift)] for row in v]
@@ -375,7 +375,7 @@ def _scaled_gram(w, q):
         p, d = scaled_rows(qrows, mode)
         pv = linalg.matmul(p, v)
     pv_cols = tuple(zip(*pv))
-    g = [[sum(map(mul, ca, cb)) for cb in pv_cols] for ca in zip(*v)]
+    g = [[_sum(map(mul, ca, cb)) for cb in pv_cols] for ca in zip(*v)]
     return g, s * s * d, frame_quotient(mode)
 
 
@@ -515,8 +515,8 @@ def _scaled_bend_residual(geometry, bends):
     m = max(map(abs, bends))
     f = ldexp(1.0, -frexp(m)[1]) if m > 1 else 1.0
     scaled = [b * f for b in bends]
-    total = sum(scaled)
-    return (sum(map(mul, scaled, scaled)) - total * total / float(n)
+    total = _sum(scaled)
+    return (_sum(map(mul, scaled, scaled)) - total * total / float(n)
             + 2 * k * f * f), f
 
 

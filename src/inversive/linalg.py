@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .scalars import EXACT, coerce, coerce_row, integer_rows, unscaled_rows
+from .scalars import EXACT, _sum, coerce, coerce_row, integer_rows, unscaled_rows
 
 
 def block_diag(head, diagonal, mode):
@@ -43,7 +43,7 @@ def matmul(a, b):
     """Product of two matrices given as sequences of rows; each entry adds
     its products in index order."""
     cols = transpose(b)
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    return tuple(tuple(_sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def max_abs(a):

@@ -7,6 +7,8 @@ mode; the helpers here are the only place the two modes are told apart.
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from sys import float_info
 
 DEFAULT_TOL = 1e-9
@@ -129,16 +131,24 @@ def unscaled_rows(rows, scale, mode):
     frame_quotient(mode)(x, scale); the float rows of a float frame
     (scaled_rows, over 1.0) as they are.
 
-    Float mode makes one correctly rounded true division per entry: x /
-    scale for an int entry, and float(x / scale) for a Fraction entry (the
-    frames of walks with n >= 4), since a Fraction over an int is a
-    Fraction.  Exact mode makes one Fraction per distinct entry: building
-    them is the cost there, and a packing repeats its entries (equal bends,
-    mirrored centers).
+    Float mode rounds each x / scale once: over a scale 2^k, 53 <= k <=
+    1022, as float(x) times the exact 2^-k, normal for ints x != 0, which
+    is quicker than dividing ints past 2^53; else, on a smaller scale (whose
+    ints mostly divide as doubles), Fraction entries (walks with n >= 4) or
+    past the float range, by one true division per entry.  Exact mode makes
+    one Fraction per distinct entry: building them is the cost there, and a
+    packing repeats its entries (equal bends, mirrored centers).
     """
     if scale.__class__ is float:
         return rows
     if mode != EXACT:
+        if not scale & (scale - 1) and 53 < scale.bit_length() <= 1023:
+            unit = 1.0 / scale
+            try:
+                return tuple([tuple([int.__float__(x) * unit for x in row])
+                              for row in rows])
+            except (TypeError, OverflowError):
+                pass
         return tuple([tuple([x / scale if x.__class__ is int
                              else float(x / scale) for x in row])
                       for row in rows])
@@ -146,6 +156,11 @@ def unscaled_rows(rows, scale, mode):
     unscaled = {x: Fraction(x) if scale == 1 else Fraction(x, scale)
                 for x in {x for row in rows for x in row}}.__getitem__
     return tuple([tuple(map(unscaled, row)) for row in rows])
+
+
+def _sum(values, start=0):
+    """sum() of floats as before Python 3.12: left to right, uncompensated."""
+    return reduce(add, values, start)
 
 
 def div(a, b):

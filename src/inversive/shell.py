@@ -39,12 +39,12 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import floordiv, itemgetter, mul
+from operator import floordiv, itemgetter, mul, not_
 from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
-from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError, all_exact,
-                      sqrt_scalar)
+from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError, _sum,
+                      all_exact, sqrt_scalar)
 
 
 def scalar_to_json(x):
@@ -219,9 +219,9 @@ def dumps_packing(p):
 
     The body is one format of all its lines, on the entries of
     Packing.scaled with each row's bend put before it by slice assignment.
-    A float is written by repr, a NaN or an Infinity as json writes it; an
-    exact x / scale is the int x at scale 1, else the text of _ratio_texts,
-    made once per distinct x."""
+    An exact x / scale is the int x at scale 1, else the text of
+    _ratio_texts; a float is its repr, or json's text in a body with a
+    NaN, an Infinity or a -0.0; each text made once per distinct x."""
     head = {
         "kind": "packing",
         "geometry": p.geometry,
@@ -238,16 +238,15 @@ def dumps_packing(p):
     flat = list(itertools.chain.from_iterable(rows))
     # the scale's type tells the modes apart, as 1.0 == 1 too
     is_float = scale.__class__ is float
-    if is_float and all(map(math.isfinite, flat)):
-        field = "%r"
-    elif not is_float and scale == 1:
+    if not is_float and scale == 1:
         field = '"%d"'
-    elif is_float:
-        field, flat = "%s", list(map(json.dumps, flat))
     else:  # each distinct x written once, then looked up per entry
-        field, xs = '"%s"', set(flat)
-        texts = dict(zip(xs, map(_ratio_texts(scale), xs)))
-        flat = list(map(texts.__getitem__, flat))
+        field, xs = ("%s" if is_float else '"%s"'), set(flat)
+        texts = dict(zip(xs, map(repr if is_float else _ratio_texts(scale), xs)))
+        # json's NaN and Infinity per entry, and -0.0, one key with 0.0
+        per_entry = is_float and not (all(map(math.isfinite, xs)) and (
+            0.0 not in xs or "-0.0" not in map(repr, filter(not_, flat))))
+        flat = list(map(json.dumps if per_entry else texts.__getitem__, flat))
     values = [None] * (len(flat) + len(rows))
     values[::width + 1] = flat[forms.bend_column(p.geometry)::width]
     for j in range(width):
@@ -428,8 +427,8 @@ def complete_bend(geometry, values):
         e = math.frexp(max(map(abs, values)))[1]
         values = [math.ldexp(v, -e) for v in values]
         k = math.ldexp(k, -2 * e)
-    s1 = sum(values)
-    s2 = sum(v * v for v in values)
+    s1 = _sum(values)
+    s2 = _sum(v * v for v in values)
     a = n - 1
     b = -2 * s1
     c = n * s2 - s1 * s1 + 2 * n * k

@@ -30,8 +30,8 @@ commute.  translation, dilation and inversion build G on Euclidean rows
 import functools
 
 from . import forms, linalg
-from .scalars import (DEFAULT_TOL, EXACT, coerce_row, div, integer_rows,
-                      mode_frame, mode_of, scaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, _sum, coerce_row, div,
+                      integer_rows, mode_frame, mode_of, scaled_rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,7 +77,7 @@ def translation(v):
     mode = mode_of(v)
     v = coerce_row(v, mode)
     eye = linalg.block_diag((), (1,) * (len(v) + 2), mode)
-    return ((eye[0], (sum(x * x for x in v), eye[1][1]) + v)
+    return ((eye[0], (_sum(x * x for x in v), eye[1][1]) + v)
             + tuple((2 * x,) + row[1:] for x, row in zip(v, eye[2:])))
 
 

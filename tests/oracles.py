@@ -14,6 +14,8 @@ them from outside, as tests/reference_svg.py checks the renderer.
   with their stereographic images.
 - The curved plane realization: a base configuration moved onto a bend
   vector by reflections of the Gram target, on Fraction matrices.
+- A dilation by a power of two written entry by entry, which float rows
+  undergo without rounding.
 
 cap_to_plane and plane_to_cap are deliberately not written as G products;
 they apply the projection formulas directly, so that the matrix route of
@@ -391,3 +393,14 @@ def reflected_base(geometry, bends, factor=2):
         if sheet and (sheet[0][0] > 0) != (sheet[0][1] > 0):
             w = [[r[0], -r[1], *r[2:]] for r in w]
     return tuple(tuple(r) for r in w)
+
+
+def power_of_two_dilated(rows, k):
+    """Euclidean augmented rows (bbar, b, b x) under the dilation x -> 2^k x,
+    entry by entry: bbar times 2^k, b times 2^-k and b x as it is.  A float
+    product by a power of two is exact while it stays normal, so rounding
+    commutes with it: since the reflections act on W from the left and the
+    dilation from the right (Lagarias, Mallows, Wilks), the float walk of
+    the dilated seed at the bound times 2^-k has these rows of the walk of
+    the seed, bit for bit."""
+    return [(math.ldexp(r[0], k), math.ldexp(r[1], -k), *r[2:]) for r in rows]

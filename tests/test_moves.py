@@ -15,12 +15,15 @@ matrices against objects moved by hand, from their centers, radii,
 normals and offsets.
 """
 
+import functools
+import math
 import sys
 from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from inversive import apollonian, forms, linalg, transform
 from inversive.scalars import EXACT, FLOAT, ExactnessError, coerce_row
 
@@ -139,6 +142,62 @@ def test_capped_generate_commutes_with_every_move(n, mode, move, geometry):
     rows = _check_generate(seed, _moves(n)[move], bound, bound,
                            max_depth=4 if n == 2 else 3)
     assert rows > 40
+
+
+# --- float dilations by powers of two --------------------------------------
+
+# the float seed realized from its bends, whose int frame has the scale
+# 2^54, and its walk at 200.0, of 413 rows; the frames of the dilated seeds
+# have scales from 2^54 to 2^1052 (k = -1000), so their walks leave them
+# by both float exits of scalars.unscaled_rows: by one division per entry
+# past 2^1022, and as float(x) times 2^-k up to it
+_DILATED_KS = range(-1000, 1016, 50)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_of_two_walk():
+    seed = apollonian.realize_bends(E, (-1.0, 2.0, 2.0, 3.0))
+    return seed, apollonian.generate(seed, 200.0)
+
+
+def _power_of_two_moved(seed, k):
+    return transform.moved(seed, transform.dilation(2.0 ** k, 2))
+
+
+def _hexes(rows):
+    return [tuple(x.hex() for x in row) for row in rows]
+
+
+@pytest.mark.parametrize("k", _DILATED_KS)
+def test_float_walks_commute_with_power_of_two_dilations_to_the_bit(k):
+    seed, plain = _power_of_two_walk()
+    assert len(plain.rows) == 413
+    moved_seed = _power_of_two_moved(seed, k)
+    assert _hexes(r.entries for r in moved_seed.rows) == _hexes(
+        oracles.power_of_two_dilated([r.entries for r in seed.rows], k))
+    moved = apollonian.generate(moved_seed, math.ldexp(200.0, -k))
+    assert (moved.explored, moved.depth) == (plain.explored, plain.depth)
+    assert _hexes(r.entries for r in moved.rows) == _hexes(
+        oracles.power_of_two_dilated([r.entries for r in plain.rows], k))
+
+
+def test_power_of_two_dilations_reach_both_float_exits():
+    seed, _ = _power_of_two_walk()
+    scales = [_power_of_two_moved(seed, k).int_frame[1] for k in _DILATED_KS]
+    assert min(scales) <= 2 ** 1022 < max(scales)
+
+
+def test_power_of_two_dilations_past_the_float_range_are_refused():
+    seed, _ = _power_of_two_walk()
+    # the walk's rows pass 2^1024 on their way out of the frame
+    moved_seed = _power_of_two_moved(seed, 1020)
+    with pytest.raises(ValueError, match="is beyond the float range$"):
+        apollonian.generate(moved_seed, math.ldexp(200.0, -1020))
+    # 1/s = 2^-k of the dilation matrix is past the float range
+    for k in (-1040, -1074):
+        with pytest.raises(ValueError, match="does not keep the Euclidean "
+                           "Gram target"):
+            _power_of_two_moved(seed, k)
 
 
 # --- loxodromic -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact/float scalar layer: coercion, mode detection, square roots."""
 
 import math
+import random
 from fractions import Fraction as F
 from operator import truediv
 
@@ -123,3 +124,67 @@ def test_float_frames_leave_by_one_rounded_division():
     exact = scalars.unscaled_rows(rows[:1], scale, EXACT)
     assert exact == (tuple(F(x, scale) for x in rows[0]),)
     assert {type(x) for x in exact[0]} == {F}
+
+
+def _divided(rows, scale):
+    """The float exit of an int frame as one true division per entry,
+    rounded once: the reference of unscaled_rows in float mode."""
+    return tuple(tuple(x / scale if type(x) is int else float(x / scale)
+                       for x in row) for row in rows)
+
+
+def _hexes_or_error(f, rows, scale):
+    try:
+        out = f(rows, scale)
+    except Exception as e:  # the exception type is compared
+        return type(e)
+    assert all(type(x) is float for row in out for x in row)
+    return [[x.hex() for x in row] for row in out]
+
+
+def _exit_rows(entries, width=4):
+    """The entries as rows of a frame, all of one width, padded by ones."""
+    entries = list(entries) + [1] * (-len(entries) % width)
+    return tuple(tuple(entries[i:i + width])
+                 for i in range(0, len(entries), width))
+
+
+def test_float_exit_is_one_rounded_division_per_entry():
+    # over a power-of-two scale 2^k, k <= 1022, unscaled_rows multiplies
+    # float(x) by 2^-k; every other frame divides per entry.  Both must
+    # give the bits of x / scale, or raise as it does
+    rng = random.Random(36)
+    edge = [0, 1, -1, 2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 54 + 2, 2 ** 53 - 1,
+            2 ** 1023, -(2 ** 1023), 2 ** 1024 - 2 ** 970 - 1,
+            (2 ** 53 - 1) << 971]
+    edge += [rng.getrandbits(rng.randrange(1, 1024)) * rng.choice((1, -1))
+             for _ in range(60)]
+    # below 2^1024 - 2^970, which rounds to 2^1024
+    edge += [rng.randrange(2 ** 1023, 2 ** 1024 - 2 ** 970) for _ in range(7)]
+    rows = _exit_rows(edge)
+    scales = ([2 ** k for k in range(1023)] + [2 ** 1023, 2 ** 1100]
+              + [3 * 2 ** 10, 10 ** 6])
+    fast = lambda rows, scale: scalars.unscaled_rows(rows, scale, FLOAT)
+    for scale in scales:
+        want = _hexes_or_error(_divided, rows, scale)
+        assert isinstance(want, list)
+        assert _hexes_or_error(fast, rows, scale) == want, scale
+    # Fraction entries, as of walks with n >= 4; quotients that are
+    # subnormal tell one rounding from two
+    fractions = [F(rng.getrandbits(64) | 1, 3 * 2 ** rng.randrange(990, 1040))
+                 for _ in range(200)]
+    fractions += [F(2 ** 123 + 1, 7), F(-(2 ** 53 + 1), 5), F(0), 5]
+    for k in (0, 20, 40, 60, 80, 1022):
+        frows = _exit_rows(fractions)
+        got = _hexes_or_error(fast, frows, 2 ** k)
+        assert got == _hexes_or_error(_divided, frows, 2 ** k), k
+    # entries of 2^1024 and more: a quotient in the float range is rounded
+    # as any other, one past it raises OverflowError at every scale
+    for x, scale in ((2 ** 1030, 2 ** 10), (-(2 ** 1030), 2 ** 7),
+                     (2 ** 1024, 1), (2 ** 1024 - 1, 1), (2 ** 1024 - 1, 2),
+                     (2 ** 1024 - 2 ** 970, 1), (2 ** 1100, 2 ** 20), (2 ** 1024, 3),
+                     (10 ** 400, 10 ** 6), (F(10 ** 400, 7), 2 ** 4),
+                     (2 ** 2000, 2 ** 1100)):
+        xrows = ((1, 2, 3, x),)
+        got = _hexes_or_error(fast, xrows, scale)
+        assert got == _hexes_or_error(_divided, xrows, scale), (x, scale)

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -301,6 +302,29 @@ def test_packing_codec_non_finite_floats():
     assert text == _reference_dumps_packing(p)
     assert text.endswith('{"bend":Infinity,"row":[NaN,Infinity,-Infinity,-0.0]}\n')
     assert repr(shell.loads_packing(text)) == repr(_reference_loads_packing(text))
+
+
+def _signed_zeros(rows, signs):
+    """The rows with their zero entries given the signs in turn."""
+    signs = itertools.cycle(signs)
+    return tuple(forms.CoordRow(r.kind, tuple(next(signs) if x == 0 else x
+                                              for x in r.entries))
+                 for r in rows)
+
+
+@pytest.mark.parametrize("signs", [(0.0, -0.0), (-0.0, 0.0), (-0.0,)],
+                         ids=["zero-first", "negative-zero-first",
+                              "negative-zero-only"])
+def test_packing_codec_negative_zero(signs):
+    # 0.0 == -0.0 as a dict key: a finite float body with both zeros must
+    # not write them by one text
+    p = apollonian.generate(apollonian.standard_seed(forms.EUCLIDEAN, mode=FLOAT), 6.0)
+    p = dataclasses.replace(p, rows=_signed_zeros(p.rows, signs))
+    zeros = [repr(x) for r in p.rows for x in r.entries if x == 0]
+    assert set(zeros) == set(map(repr, signs)) and len(zeros) > 2
+    text = shell.dumps_packing(p)
+    assert text == _reference_dumps_packing(p)
+    assert shell.dumps_packing(shell.loads_packing(text)) == text
 
 
 def _one_row_stream(values, mode=EXACT):
@@ -709,6 +733,22 @@ def test_float_lox_past_the_float_range_is_an_error(capsys):
                    "is beyond the float range\n")
     code, out, _ = run(argv + ["667"], capsys)
     assert code == 0 and len(json.loads(out)["bends"]) == 671
+
+
+def test_float_gen_past_the_float_range_is_an_error(capsys):
+    # the seed and the bound are in range, the rows of the walk are not:
+    # their bbar reaches past 2^1024 on the packing's way out of its frame
+    argv = ["gen", "--geometry", "euclidean", "--mode", "float",
+            "--seed=-1e-307,2e-307,2e-307,3e-307", "--max-bend"]
+    code, out, err = run(argv + ["2e-305"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: a row of the packing within the bound 2e-305 is "
+                   "beyond the float range\n")
+    # the kept configurations leave the frame alike
+    seed = apollonian.realize_bends(forms.EUCLIDEAN,
+                                    (-1e-307, 2e-307, 2e-307, 3e-307))
+    with pytest.raises(ValueError, match="is beyond the float range$"):
+        apollonian.generate(seed, 2e-305, keep_configs=True)
 
 
 @pytest.mark.parametrize("argv, error", [
