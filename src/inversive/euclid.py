@@ -16,19 +16,17 @@ float rows are the exact rows of the float bends rounded once.
 """
 
 from . import forms
-from .scalars import integer_rows
 
 
-def _realize_strip(s):
+def _realize_strip(sigma, l):
     """(rows, scale): the two equal circles of bend s > 0 of a strip and its
     two lines, as int rows over a positive int scale: the circles centered
     at (0, 1/s) and (2/s, 1/s), (0, s, 0, 1) and (4/s, s, 2, 1), and the
     lines y = 0 and y = 2/s facing each other, (0, 0, 0, -1) and
-    (4/s, 0, 0, 1).  The rows are ints over l sigma, sigma = l s the bend
-    in the frame of its LCM scale l (scalars.integer_rows; a float s is its
-    dyadic value).
+    (4/s, 0, 0, 1).  The bend is given in the int frame of the bends,
+    sigma = l s over their LCM scale l (forms._bend_values; a float s is
+    its dyadic value), and the rows are ints over l sigma.
     """
-    ((sigma,),), l = integer_rows([(s,)])
     scale = l * sigma
     return [(0, sigma * sigma, 0, scale),
             (4 * l * l, sigma * sigma, 2 * scale, scale),
@@ -59,41 +57,40 @@ def realize_curvature_vector(bends):
     bends = tuple(bends)
     if len(bends) != 4:
         raise ValueError("realization is implemented for the plane (4 bends)")
-    bends, mode = forms._bend_values(forms.EUCLIDEAN, bends,
-                                     "bends violate the Descartes relation")
-    if all(b == 0 for b in bends):
+    bends, mode, ((v,), l) = forms._bend_values(
+        forms.EUCLIDEAN, bends, "bends violate the Descartes relation")
+    if not any(v):
         raise ValueError("the zero vector is not a bend vector")
-    positives = sum(1 for b in bends if b > 0)
-    if positives < 2:
+    if sum(1 for x in v if x > 0) < 2:
         rows, scale = realize_curvature_vector(tuple(-b for b in bends)).scaled
         return forms.ConfigMatrix(forms.EUCLIDEAN, (
             tuple([tuple([-x for x in r]) for r in rows]), scale))
     # largest first; the stable sort keeps ties in index order, so a strip
     # has its circles in the first two slots and its lines in the others
-    order = sorted(range(4), key=bends.__getitem__, reverse=True)
-    ba, bb, bc, bd = (bends[i] for i in order)
-    placed, scale = (_realize_strip(ba) if bc == bd == 0
-                     else _place(ba, bb, bc, bd))
+    order = sorted(range(4), key=v.__getitem__, reverse=True)
+    va, vb, vc, vd = (v[i] for i in order)
+    placed, scale = (_realize_strip(va, l) if vc == vd == 0
+                     else _place(va, vb, vc, vd, l))
     rows = [None] * 4
     for slot, original_index in enumerate(order):
         rows[original_index] = placed[slot]
     return forms._realized(forms.EUCLIDEAN, rows, scale, bends, mode)
 
 
-def _place(ba, bb, bc, bd):
+def _place(ia, ib, ic, id_, l):
     """(rows, scale): the canonical rows for Descartes bends
-    ba >= bb >= bc >= bd with ba, bb > 0, worked out on the bends in the
-    frame of their LCM scale l (scalars.integer_rows; a float bend is its
-    dyadic value), l times their values, so that s and q below are l times
-    theirs.  The rows (0, b_a, 1, 0), (0, b_b, -1, 0), (4l/s, b_c, x, y) and
-    (4l/s, b_d, x, y_d), x and y the center of circle c, are ints over l s.
+    b_a >= b_b >= b_c >= b_d with b_a, b_b > 0, worked out on the bends in
+    the int frame of their LCM scale l (forms._bend_values; a float bend is
+    its dyadic value), ia = l b_a and so on, so that s and q below are l
+    times theirs.  The rows (0, b_a, 1, 0), (0, b_b, -1, 0),
+    (4l/s, b_c, x, y) and (4l/s, b_d, x, y_d), x and y the center of circle
+    c, are ints over l s.
 
-    For exact bends bc > 0 too (bc <= 0 would force a second zero bend), so
+    For exact bends b_c > 0 too (b_c <= 0 would force a second zero bend), so
     circle c, centered at (b_a - b_b, q) / (s b_c) with s = b_a + b_b and
     q = |b_d - b_a - b_b - b_c|, lies above the x axis, and
     q^2 = 4 (b_a b_b + b_c s) > 0: the two completions of circles a, b and
     c never coincide here."""
-    ((ia, ib, ic, id_),), l = integer_rows([(ba, bb, bc, bd)])
     s = ia + ib
     q = abs(id_ - s - ic)
     # rows a and b fix bbar_d and x_d, and row c then gives y_d = y - 2 or

@@ -29,19 +29,23 @@ and the tangency values of the tail search run on rows in the frame of
 scalars.scaled_rows: on integers in exact mode, so with V = sW the rows
 scaled by the LCM s of their denominators and sigma the column sums of V,
 n s^2 W^T Q_n W = n V^T V - sigma sigma^T, and one quotient by the scale
-turns a result back into an entry.  A ConfigMatrix is built from that
-frame alone, its scaled field, as an apollonian.Packing holds one: the
-realizers, conversions, Moebius moves, reflections, walks, the document
-reader and from_rows hand it over, and its CoordRows are built only when
-rows is read.
+turns a result back into an entry: that int matrix is symmetric, summed
+by the built-in sum, and compared with the int target, where float
+products keep the left-to-right fold of scalars._sum.  The bend check and
+the realizers work on the int frame of the bends (_bend_values).  A
+ConfigMatrix is built from that frame alone, its scaled field, as an
+apollonian.Packing holds one: the realizers, conversions, Moebius moves,
+reflections, walks, the document reader and from_rows hand it over, and
+its CoordRows are built only when rows is read.
 """
 
 import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import frexp, isfinite, isqrt, ldexp, sqrt
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ROUNDING, ExactnessError,
@@ -346,8 +350,11 @@ def _scaled_gram(w, q):
     a configuration of the mode of the product is in it already
     (ConfigMatrix.scaled).  For the Descartes form exact mode takes d = n
     and P V = n V - ones sigma^T, sigma holding the column sums of V, so
-    G = n V^T V - sigma sigma^T and P is never formed; float mode takes
-    d = 1 and P V = V - ones sigma^T / n.
+    that G = n V^T V - sigma sigma^T, symmetric: each unordered pair of
+    columns is summed once, by the built-in sum, as the order of an int sum
+    cannot change its value, and P is never formed.  Float mode takes
+    d = 1 and P V = V - ones sigma^T / n.  Other entries add their products
+    left to right from 0, the fold of scalars._sum inlined.
     """
     if isinstance(q, QuadForm):
         form, qrows, q_mode = q, q.matrix, q.mode
@@ -365,17 +372,25 @@ def _scaled_gram(w, q):
     if len(qrows) != len(v):
         raise ValueError(f"form of size {len(qrows)} does not fit "
                          f"{len(v)} rows")
-    if form is not None:
-        n = form.n
-        sigma = tuple(map(_sum, zip(*v)))
-        d, shift = ((n, sigma) if mode == EXACT else
-                    (1, [t / n for t in sigma]))
-        pv = [[d * x - t for x, t in zip(row, shift)] for row in v]
-    else:
+    cols = tuple(zip(*v))
+    if form is None:
         p, d = scaled_rows(qrows, mode)
-        pv = linalg.matmul(p, v)
-    pv_cols = tuple(zip(*pv))
-    g = [[_sum(map(mul, ca, cb)) for cb in pv_cols] for ca in zip(*v)]
+        pv_cols = tuple(zip(*linalg.matmul(p, v)))
+    elif mode == EXACT:
+        d, k = form.n, len(cols)
+        sigma = [sum(col) for col in cols]
+        g = [[0] * k for _ in cols]
+        for i in range(k):
+            ci, si, gi = cols[i], sigma[i], g[i]
+            for j in range(i, k):
+                gi[j] = g[j][i] = (d * sum(map(mul, ci, cols[j]))
+                                   - si * sigma[j])
+        return g, s * s * d, Fraction
+    else:
+        d = 1
+        shift = [reduce(add, col, 0) / form.n for col in cols]
+        pv_cols = [[x - t for x in col] for col, t in zip(cols, shift)]
+    g = [[reduce(add, map(mul, ca, cb), 0) for cb in pv_cols] for ca in cols]
     return g, s * s * d, frame_quotient(mode)
 
 
@@ -401,6 +416,13 @@ def _int_target(t):
     of its denominators (scalars.integer_rows), or None when t has a float
     entry."""
     return integer_rows(t) if all_exact([x for row in t for x in row]) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _holds(k):
+    """The Residual of every exact check of a k x k Gram matrix that holds,
+    all entries _ZERO; one object is shared, as it is immutable."""
+    return Residual(_ZERO, ((_ZERO,) * k,) * k, True)
 
 
 def _float_inv(m):
@@ -451,18 +473,22 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
 
     Exact W, Q and target are compared exactly and tol is ignored, as the
     int matrix G = m W^T Q W of _scaled_gram against the int target
-    T = d t of _int_target, d G = m T, with a Fraction only for an entry
-    that differs.  Other inputs are ok when every entry deviates by at most
-    tol, or else by _rounding_ok.  max_abs_entry_error and entrywise are
-    those of W^T Q W - T either way.
+    T = d t of _int_target: d G = m T, one list comparison of ints, gives
+    the shared Residual of _holds, and otherwise a Fraction is built for
+    each entry that differs.  Other inputs are ok when every entry
+    deviates by at most tol, or else by _rounding_ok.  max_abs_entry_error
+    and entrywise are those of W^T Q W - T either way.
     """
     g, m, quotient = _scaled_gram(w, q)
     t = _rows(target)
-    if len(t) != len(g) or any(len(row) != len(g) for row in t):
+    if len(t) != len(g) or set(map(len, t)) != {len(g)}:
         raise ValueError("target shape does not match the Gram matrix")
     int_target = _derived(t, _int_target) if quotient is Fraction else None
     if int_target is not None:
         t, d = int_target
+        if ([x * d for row in g for x in row]
+                == [y * m for row in t for y in row]):
+            return _holds(len(g))
         md = m * d
         diff = []
         err = _ZERO
@@ -492,26 +518,28 @@ def bend_residual(geometry, bends):
     tangent spheres, exact on exact bends.  Float bends of magnitude m > 1
     are summed times f = 2**-e, e of frexp(m), as complete_bend takes them,
     and the residual divided back by f^2, +-inf past the float range."""
-    r, f = _scaled_bend_residual(geometry, bends)
+    bends = tuple(bends)
+    r, f = _scaled_bend_residual(
+        geometry, bends, integer_rows([bends]) if all_exact(bends) else None)
     return r / f / f
 
 
-def _scaled_bend_residual(geometry, bends):
-    """(r, f), r the bend_residual times f^2: f = 1 on exact bends, and on
-    float bends the power of two that bend_residual sums them times, so
-    that r stays within the float range."""
+def _scaled_bend_residual(geometry, bends, frame):
+    """(r, f), r the bend_residual times f^2.  Exact bends come with their
+    int frame ((v,), s) of scalars.integer_rows, v = s b: f = 1 and r is an
+    int residual over n s^2, _ZERO, no Fraction, when it is 0.  Float bends
+    come with frame None, and f is the power of two that bend_residual sums
+    them times, so that r stays within the float range."""
     k = _by_geometry(CURVATURE_SIGN, geometry)
-    bends = tuple(bends)
     n = len(bends) - 2
     if n < 1:
         raise ValueError("need at least 3 bends")
-    if all_exact(bends):
-        # on the bends times s, the LCM of their denominators
-        (ints,), s = integer_rows([bends])
-        total = sum(ints)
+    if frame:
+        (v,), s = frame
+        total = sum(v)
         ns2 = n * s * s
-        return Fraction(n * sum(map(mul, ints, ints)) - total * total
-                        + 2 * k * ns2, ns2), 1
+        r = n * sum(map(mul, v, v)) - total * total + 2 * k * ns2
+        return (Fraction(r, ns2) if r else _ZERO), 1
     m = max(map(abs, bends))
     f = ldexp(1.0, -frexp(m)[1]) if m > 1 else 1.0
     scaled = [b * f for b in bends]
@@ -521,17 +549,23 @@ def _scaled_bend_residual(geometry, bends):
 
 
 def _bend_values(geometry, bends, what):
-    """(c, mode): the bends as one row of their mode, or the ValueError
-    "{what} by {bend_residual}" of bends that miss the bend relation.
-    Float bends may miss it by DEFAULT_TOL or by the rounding of float
-    values as large as theirs (scalars.negligible)."""
+    """(c, mode, frame): the bends as one row, exact ones as given and
+    float ones as floats, their mode, and the int frame ((v,), s) of their
+    exact (for floats, dyadic) values, scalars.integer_rows, on which the
+    realizers work; or the ValueError "{what} by {bend_residual}" of bends
+    that miss the bend relation.  Float bends may miss it by DEFAULT_TOL or
+    by the rounding of float values as large as theirs
+    (scalars.negligible)."""
     bends = tuple(bends)
-    mode = mode_of(bends)
-    c = coerce_row(bends, mode)
-    r, f = _scaled_bend_residual(geometry, c)
-    if not negligible(r, c, f):
+    if all_exact(bends):
+        c, mode, frame = bends, EXACT, integer_rows([bends])
+    else:
+        c, mode, frame = coerce_row(bends, FLOAT), FLOAT, None
+    r, f = _scaled_bend_residual(geometry, c, frame)
+    if r and not negligible(r, c, f):  # a zero residual needs no tolerance
         raise ValueError(f"{what} by {r / f / f}")
-    return c, mode
+    # float bends are framed once they pass: inf and nan have no ratio
+    return c, mode, frame or integer_rows([c])
 
 
 def _realize_tangent_rows(geometry, bends, name, first_tails):
@@ -548,13 +582,14 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
     are otherwise realized by the exact tail search of _search_tangent_rows,
     which first_tails starts, or refused with a ValueError.
     """
-    c, mode = _bend_values(geometry, bends,
-                           f"{name} values violate the bend relation")
+    c, mode, frame = _bend_values(geometry, bends,
+                                  f"{name} values violate the bend relation")
     n = len(c) - 2
     if mode == EXACT and n != 2:
         _refuse_irrational(n)
         return _search_tangent_rows(geometry, c, name, first_tails)
-    return _realized(geometry, *_reflected_base(geometry, c, mode), c, mode)
+    return _realized(geometry, *_reflected_base(geometry, frame, mode), c,
+                     mode)
 
 
 def _realized(geometry, rows, scale, bends, mode):
@@ -590,7 +625,8 @@ def _refuse_irrational(n):
 
 def _search_tangent_rows(geometry, c, name, first_tails):
     """The configuration of _realize_tangent_rows found by a tail search,
-    for exact values c that meet the bend relation, on any n.
+    for exact values c (ints or Fractions) that meet the bend relation, on
+    any n.
 
     With k the geometry's curvature sign the tails carry the form
     diag(k, 1, ..., 1), and tangency asks <t_i, t_i> = 1 + k c_i^2 and
@@ -604,6 +640,7 @@ def _search_tangent_rows(geometry, c, name, first_tails):
     would move the rational points the search picks.  The tails come back
     as Fractions in one conversion; no tails give a ValueError.
     """
+    c = coerce_row(c, EXACT)
     n = len(c) - 2
     k = _by_geometry(CURVATURE_SIGN, geometry)
     one = Fraction(1)
@@ -635,9 +672,10 @@ def _carried(rows, a, b, t):
             for r, f in zip(rows, [2 * sum(map(mul, r, v)) for r in rows])], m
 
 
-def _reflected_base(geometry, c, mode):
+def _reflected_base(geometry, frame, mode):
     """(V, m): the int rows V over the positive int m of the rows W = W0 G
-    of a configuration with bends c, the exact values of c in either mode.
+    of a configuration with bends c, given as the int frame ((v,), s) of
+    their exact values in either mode (_bend_values), v = s c.
 
     W0 = R / sigma is the geometry's base in the dimension of c (_base), T
     its Gram target and e the unit vector of the bend column.  Rows times
@@ -661,9 +699,9 @@ def _reflected_base(geometry, c, mode):
     q_0 of the other sign than c_i lies on the lower sheet, and gets its
     q_0 column negated, which keeps T.
     """
-    w0, sigma, inverse, d, t = _base(geometry, len(c) - 2)
-    (ints,), s = integer_rows([c])
-    e = [d * s] + [0] * (len(c) - 1)
+    (ints,), s = frame
+    w0, sigma, inverse, d, t = _base(geometry, len(ints) - 2)
+    e = [d * s] + [0] * (len(ints) - 1)
     terms = list(map(mul, inverse[0], ints))
     g = [sum(terms)] + [sum(map(mul, row, ints)) for row in inverse[1:]]
     v0 = e[0] - g[0]

@@ -159,7 +159,9 @@ def unscaled_rows(rows, scale, mode):
 
 
 def _sum(values, start=0):
-    """sum() of floats as before Python 3.12: left to right, uncompensated."""
+    """sum() of floats as before Python 3.12: left to right, uncompensated.
+    Int sums use the built-in sum(): their order cannot change their value,
+    and its int fast path is quicker."""
     return reduce(add, values, start)
 
 

@@ -44,7 +44,7 @@ from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
 from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError, _sum,
-                      all_exact, sqrt_scalar)
+                      all_exact, integer_rows)
 
 
 def scalar_to_json(x):
@@ -413,29 +413,47 @@ def loads_packing(source):
 def complete_bend(geometry, values):
     """Both completions of n+1 bend values to a full Descartes bend vector,
     from the quadratic (n-1)x^2 - 2*s1*x + (n*s2 - s1^2 + 2*n*k) = 0 with
-    k the geometry's curvature sign; ascending order.  Float values of
-    magnitude m > 1 are first divided by the power of two 2**e of frexp(m),
+    k the geometry's curvature sign; ascending order.  Exact values are
+    solved on their int frame v = s x, where the roots are
+    (S1 +- isqrt(D)) / (n-1), S1 the sum of v and
+    D = S1^2 - (n-1)(n S2 - S1^2 + 2nk s^2).  Float values are first
+    divided by the power of two 2**e of frexp(m), m their largest magnitude,
     which rounds as the values do, so that the squares stay in the float
-    range, and the roots are multiplied back; a root beyond the float range
-    raises ValueError."""
+    range, and the roots are multiplied back: at every m in the plane,
+    where the quadratic is homogeneous, and elsewhere when m > 1, as the
+    2nk term sets the scale of smaller values.  A root beyond the float
+    range raises ValueError."""
     k = forms._by_geometry(forms.CURVATURE_SIGN, geometry)
     n = len(values) - 1
     if n < 2:
         raise ValueError("bend completion needs at least three values")
-    e = 0
-    if not all_exact(values) and max(map(abs, values)) > 1:
-        e = math.frexp(max(map(abs, values)))[1]
+    a = n - 1
+    if all_exact(values):
+        (v,), s = integer_rows([values])
+        s1 = sum(v)
+        d = s1 * s1 - a * (n * sum(map(mul, v, v)) - s1 * s1
+                           + 2 * n * k * s * s)
+        if d < 0:
+            raise ValueError("the given bends admit no real completion")
+        root = math.isqrt(d)
+        if root * root != d:
+            # the discriminant of the quadratic in x is 4 D / s^2
+            raise ExactnessError(f"sqrt({Fraction(4 * d, s * s)}) is "
+                                 "irrational; use float mode")
+        return Fraction(s1 - root, a * s), Fraction(s1 + root, a * s)
+    m = max(map(abs, values))
+    e = math.frexp(m)[1] if m > 1 or not k else 0
+    if e:
         values = [math.ldexp(v, -e) for v in values]
         k = math.ldexp(k, -2 * e)
     s1 = _sum(values)
     s2 = _sum(v * v for v in values)
-    a = n - 1
     b = -2 * s1
     c = n * s2 - s1 * s1 + 2 * n * k
     disc = b * b - 4 * a * c
     if disc < 0:
         raise ValueError("the given bends admit no real completion")
-    root = sqrt_scalar(disc)
+    root = math.sqrt(disc)
     lo = (-b - root) / (2 * a)
     hi = (-b + root) / (2 * a)
     if not e:

@@ -1,8 +1,9 @@
 """Code hygiene: every name a module of the package imports is used there,
 every module-level function and class of the package is used by the
 package, the benchmark or the README, every option of a public function is
-set by some call, importing the package loads none of its modules, and
-only apollonian._row_kernels builds code at run time."""
+set by some call, importing the package loads none of its modules, only
+apollonian._row_kernels builds code at run time, and the lines that tell
+the two scalar modes apart stay within their bound."""
 
 import ast
 import itertools
@@ -214,3 +215,31 @@ def test_generated_code_comes_from_the_row_kernels_alone():
     sites = {(path.name, function) for path in MODULES
              for function in code_builders(path.read_text())}
     assert sites == {("apollonian.py", "_row_kernels")}
+
+
+# a line that tells the exact and float modes apart, as ROADMAP aim 2
+# counts them: grep -c "mode == EXACT\|mode != EXACT\|__class__ is float\|
+# mode_of(\|all_exact(\|is_exact(\|== FLOAT" over src/inversive/*.py
+MODE_BRANCH = re.compile(r"mode == EXACT|mode != EXACT|__class__ is float|"
+                         r"mode_of\(|all_exact\(|is_exact\(|== FLOAT")
+# the count may fall; a change that needs a new branch raises this bound in
+# its own diff and says why
+MODE_BRANCH_BOUND = 50
+
+
+def mode_branches(source):
+    """The number of lines of a module's source that match MODE_BRANCH,
+    each line once, as grep -c counts them."""
+    return sum(1 for line in source.splitlines() if MODE_BRANCH.search(line))
+
+
+def test_mode_branches_are_counted():
+    source = ("if mode == EXACT and is_exact(x):\n"
+              "    y = mode_of(v) if m.__class__ is float else FLOAT\n"
+              "mode = EXACT\nexact = all_exact\n")
+    assert mode_branches(source) == 2
+
+
+def test_mode_branches_stay_within_their_bound():
+    counts = {path.name: mode_branches(path.read_text()) for path in MODULES}
+    assert sum(counts.values()) <= MODE_BRANCH_BOUND, counts

@@ -228,6 +228,25 @@ def _grid(geometry, mode):
     return configs
 
 
+def _multiword_grid(geometry):
+    """Exact n = 2 configurations of the geometry whose frames hold ints
+    past 2^64 over a scale other than 1: 60-step loxodromic walks of
+    Mobius-placed roots, and roots moved by a dilation by 3^41 / 7^20
+    (converted for S and H)."""
+    configs = []
+    for bends in ROOTS[:3]:
+        w = apollonian.realize_bends(E, bends)
+        configs.append(apollonian.loxodromic(_placed(w), 60).configs[-1])
+        configs.append(transform.moved(
+            w, transform.dilation(Fraction(3 ** 41, 7 ** 20), 2)))
+    if geometry != E:
+        configs = [transform.convert_matrix(w, geometry) for w in configs]
+    for w in configs:
+        rows, scale = w.scaled
+        assert scale != 1 and max(abs(x) for r in rows for x in r) >= 2 ** 64
+    return configs
+
+
 def _corrupt(w):
     """w with 1/7 added to one entry: no longer a configuration."""
     rows = [list(r.entries) for r in w.rows]
@@ -271,8 +290,10 @@ CASES = [(g, m) for g in GEOMS for m in (EXACT, FLOAT)]
 def test_check_identity_matches_reference(geometry, mode):
     exact = mode == EXACT
     configs = _grid(geometry, mode)
-    checked = 0
-    for w in configs + [_corrupt(w) for w in configs]:
+    # multi-word ints in the Gram matrix and its comparison
+    wide = _multiword_grid(geometry) if exact else []
+    checked = float_targets = 0
+    for w in configs + wide + [_corrupt(w) for w in configs + wide]:
         q = forms.descartes_form(w.n, mode)
         t = forms.target_for(geometry, w.n, mode)
         new = forms.check_identity(w, q, t)
@@ -288,7 +309,9 @@ def test_check_identity_matches_reference(geometry, mode):
         zeros = ((0,) * (w.n + 2),) * (w.n + 2)
         assert _same(forms.check_identity(w, q.matrix, zeros).entrywise,
                      _ref_gram(w, q), exact, scale), w
-        if exact:  # exact W and Q against a float target compare in float
+        # exact W and Q against a float target compare in float; the
+        # reference's absolute tol decides nothing past entries of 2^64
+        if exact and scale < 2.0 ** 128:
             t = forms.target_for(geometry, w.n, FLOAT)
             new = forms.check_identity(w, q, t)
             ref = _reference_check_identity(w, q, t)
@@ -297,8 +320,10 @@ def test_check_identity_matches_reference(geometry, mode):
             assert _same(new.max_abs_entry_error, ref.max_abs_entry_error,
                          False, scale), w
             assert _same(new.entrywise, ref.entrywise, False, scale), w
+            float_targets += 1
         checked += 1
-    assert checked == 2 * len(configs)
+    assert checked == 2 * len(configs + wide)
+    assert float_targets >= (2 * len(configs) if exact else 0)
 
 
 def _exact_residual_parts(res):
@@ -316,29 +341,32 @@ def _exact_residual_parts(res):
 def test_exact_check_identity_frames_each_target_once(geometry, monkeypatch):
     """Exact checks compare against the int rows of the target, framed once
     per target object; the residuals are the reference's, entry types
-    included, also on a target of another denominator and on one given as
-    lists, which is a new tuple at every call."""
-    configs = _grid(geometry, EXACT)
+    included, also on a target of another denominator, on one that is off
+    in its last entry alone, which only the last row of the comparison
+    sees, and on one given as lists, which is a new tuple at every call."""
+    configs = _grid(geometry, EXACT) + _multiword_grid(geometry)
     configs += [_corrupt(w) for w in configs]
     q = forms.descartes_form(2)
     cached = forms.target_for(geometry, 2)
     thirds = tuple(tuple(x / 3 for x in row) for row in cached)
+    last = cached[:-1] + (cached[-1][:-1] + (cached[-1][-1] + 1,),)
     frames = []
     inner = forms.integer_rows
     monkeypatch.setattr(forms, "integer_rows",
                         lambda rows: frames.append(rows) or inner(rows))
     monkeypatch.setattr(forms, "_DERIVED", {})
-    for t in (cached, thirds):
+    for t in (cached, thirds, last):
         for w in configs:
             new = forms.check_identity(w, q, t)
             assert _exact_residual_parts(new) == _exact_residual_parts(
                 _reference_check_identity(w, q, t)), w
-    assert frames == [cached, thirds]
+    assert frames == [cached, thirds, last]
     for w in configs[::7]:
         t = [list(row) for row in thirds]
         assert _exact_residual_parts(forms.check_identity(w, q, t)) == \
             _exact_residual_parts(_reference_check_identity(w, q, t)), w
-    assert not any(forms.check_identity(w, q, thirds).ok for w in configs)
+    assert not any(forms.check_identity(w, q, t).ok
+                   for t in (thirds, last) for w in configs)
 
 
 # seeds of the bends-only walk: float n = 3 and n = 4, an exact n = 8 seed
@@ -904,8 +932,8 @@ def _searched(geometry, bends):
     and what it gives above the plane."""
     name, first_tails = {S: ("cot", spherical._first_tails),
                          H: ("coth", hyperbolic._first_tails)}[geometry]
-    c, _ = forms._bend_values(geometry, bends,
-                             f"{name} values violate the bend relation")
+    c = forms._bend_values(geometry, bends,
+                           f"{name} values violate the bend relation")[0]
     return forms._search_tangent_rows(geometry, c, name, first_tails)
 
 
@@ -1099,6 +1127,43 @@ def test_strip_frames_are_the_object_route_rows():
                     ref = _reference_realize_curvature_vector(v).matrix()
                 assert [_typed_bits(row) for row in new.matrix()] == \
                     [_typed_bits(row) for row in ref], v
+
+
+def _fraction_bend_vectors(geometry):
+    """Exact bend vectors with Fraction entries: the bends of the exact
+    grid, the multi-word one included, each also with 1/7 added to one
+    entry, and the vectors of _bend_vectors as Fractions over 3 (their
+    thirds in the plane, where the relation is homogeneous)."""
+    on = [w.bends for w in _grid(geometry, EXACT) + _multiword_grid(geometry)]
+    off = [v[:2] + (v[2] + Fraction(1, 7),) + v[3:] for v in on]
+    third = Fraction(1, 3) if geometry == E else Fraction(3, 3)
+    mixed = [tuple(x * third for x in v) for v in _bend_vectors(geometry)]
+    return on + off + mixed
+
+
+@pytest.mark.parametrize("geometry", GEOMS)
+def test_exact_bend_checks_match_reference(geometry):
+    """bend_residual on the int frame of Fraction bends is the reference's
+    Fraction arithmetic, and _bend_values passes exactly the vectors whose
+    reference residual is 0, with their values and int frame, and refuses
+    the others with that residual in its message."""
+    met = missed = 0
+    for v in _fraction_bend_vectors(geometry):
+        ref = _reference_bend_residual(geometry, v)
+        new = forms.bend_residual(geometry, v)
+        assert type(new) is Fraction and new == ref, v
+        if ref == 0:
+            c, mode, ((ints,), s) = forms._bend_values(geometry, v, "off")
+            assert (c, mode) == (tuple(v), EXACT), v
+            assert [Fraction(x, s) for x in ints] == list(v), v
+            assert s == math.lcm(*[Fraction(x).denominator for x in v]), v
+            met += 1
+        else:
+            with pytest.raises(ValueError) as info:
+                forms._bend_values(geometry, v, "off")
+            assert str(info.value) == f"off by {ref}", v
+            missed += 1
+    assert met >= 100 and missed >= 50, (met, missed)
 
 
 @pytest.mark.parametrize("geometry,mode", CASES)

@@ -479,6 +479,25 @@ def test_float_solve_past_the_square_range(capsys):
         "range\n"
 
 
+def test_float_solve_of_tiny_plane_bends(capsys):
+    # the squares of 1e-160 are subnormal, so the unscaled quadratic split
+    # the double root 3e-160 into 2.9888862062525746e-160 and
+    # 3.0111137937474254e-160; the plane's quadratic is homogeneous and is
+    # solved on the values scaled by a power of two at every magnitude
+    code, out, _ = run(["solve", "--mode", "float", "--geometry", "euclidean",
+                        "--seed=-1e-160,2e-160,2e-160"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["completions"] == [3e-160, 3e-160]
+    for config in doc["configurations"]:
+        assert shell.parse_document(json.dumps(config)).valid
+    # exactly the relation's scaling: 2^-600 times the completions of the
+    # values times 2^600
+    values = (-1.5e-181, 4e-181, 7e-181)
+    assert shell.complete_bend(forms.EUCLIDEAN, values) == tuple(
+        math.ldexp(r, -600) for r in shell.complete_bend(
+            forms.EUCLIDEAN, tuple(math.ldexp(v, 600) for v in values)))
+
+
 # command line
 
 
