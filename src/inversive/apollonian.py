@@ -30,36 +30,21 @@ is the exact one of its float seed, each entry rounded once.
 
 The arithmetic of a reflection, the column sums of a configuration and the
 new row, is generated once per row width as two unrolled expressions
-(_row_kernels), so that generate(), reflect() and the replayed loxodromic
-configurations make no Python call per entry, for every n alike.
+(linalg._row_kernels, imported here), so that generate(), reflect() and the
+replayed loxodromic configurations make no Python call per entry, for
+every n alike.
 """
 
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import floor, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
+from .linalg import _row_kernels
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, _sum,
                       frame_quotient, integer_rows, mode_frame, mode_of, near,
                       scaled_rows, sqrt_scalar, unscaled_rows)
-
-
-@cache
-def _row_kernels(width):
-    """(sums, reflected) on rows of width entries, unrolled from source
-    text of ints only.  sums(rows) is the tuple of column sums of width
-    rows, each column added left to right, as a loop over the rows in order
-    adds floats and -0.0.  reflected(t, x, c) is the row c * (t - x) - x
-    of column sums t, old row x and coefficient c."""
-    cols = range(width)
-    sums = eval("lambda r: (" + ", ".join(
-        " + ".join(f"r[{i}][{j}]" for i in range(width)) for j in cols)
-        + ",)")
-    reflected = eval("lambda t, x, c: (" + ", ".join(
-        f"c * (t[{j}] - x[{j}]) - x[{j}]" for j in cols) + ",)")
-    return sums, reflected
 
 
 def _reflect_entries(entry_rows, i, coeff):

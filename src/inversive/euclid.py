@@ -45,7 +45,10 @@ def realize_curvature_vector(bends):
     b_d.  A vector with two zero bends yields the two-line strip arrangement
     instead.  Vectors whose majority orientation is outward are realized by
     reversing all orientations of the mirror input: its rows negated, so
-    that a float zero entry there is -0.0.
+    that a float zero entry there is -0.0.  A nonzero vector meeting the
+    relation exactly has two bends of one sign at least; float bends that
+    pass within tolerance with fewer than two of either sign, whose mirror
+    would be flipped back, are refused with a ValueError naming them.
 
     Both modes place the rows by one closed form, with no square root and no
     solve: rows a and b are (0, b_a, 1, 0) and (0, b_b, -1, 0), and the
@@ -62,6 +65,11 @@ def realize_curvature_vector(bends):
     if not any(v):
         raise ValueError("the zero vector is not a bend vector")
     if sum(1 for x in v if x > 0) < 2:
+        if sum(1 for x in v if x < 0) < 2:
+            raise ValueError(
+                f"bends {', '.join(map(str, bends))} have fewer than two "
+                "positive and fewer than two negative entries: no "
+                "configuration has them")
         rows, scale = realize_curvature_vector(tuple(-b for b in bends)).scaled
         return forms.ConfigMatrix(forms.EUCLIDEAN, (
             tuple([tuple([-x for x in r]) for r in rows]), scale))

@@ -29,9 +29,11 @@ and the tangency values of the tail search run on rows in the frame of
 scalars.scaled_rows: on integers in exact mode, so with V = sW the rows
 scaled by the LCM s of their denominators and sigma the column sums of V,
 n s^2 W^T Q_n W = n V^T V - sigma sigma^T, and one quotient by the scale
-turns a result back into an entry: that int matrix is symmetric, summed
-by the built-in sum, and compared with the int target, where float
-products keep the left-to-right fold of scalars._sum.  The bend check and
+turns a result back into an entry: that int matrix is symmetric and
+compared with the int target, where float products keep the left-to-right
+fold of scalars._sum.  Both Descartes Grams and the step that compares
+them with the target run on kernels that linalg generates once per row
+width (_exact_gram, _float_gram), with no call per entry.  The bend check and
 the realizers work on the int frame of the bends (_bend_values).  A
 ConfigMatrix is built from that frame alone, its scaled field, as an
 apollonian.Packing holds one: the realizers, conversions, Moebius moves,
@@ -350,11 +352,13 @@ def _scaled_gram(w, q):
     a configuration of the mode of the product is in it already
     (ConfigMatrix.scaled).  For the Descartes form exact mode takes d = n
     and P V = n V - ones sigma^T, sigma holding the column sums of V, so
-    that G = n V^T V - sigma sigma^T, symmetric: each unordered pair of
-    columns is summed once, by the built-in sum, as the order of an int sum
-    cannot change its value, and P is never formed.  Float mode takes
-    d = 1 and P V = V - ones sigma^T / n.  Other entries add their products
-    left to right from 0, the fold of scalars._sum inlined.
+    that G = n V^T V - sigma sigma^T, the symmetric int matrix of
+    linalg._exact_gram, and P is never formed.  Float mode takes d = 1 and
+    G = V^T (V - ones sigma^T / n), by linalg._float_gram in the order of
+    operations of the loops it replaced, each sum folded from the int 0.
+    Both are kernels generated once per row width, which make no call per
+    entry.  Other forms, as transform.moved passes them, add each entry's
+    products left to right from 0 by functools.reduce.
     """
     if isinstance(q, QuadForm):
         form, qrows, q_mode = q, q.matrix, q.mode
@@ -372,26 +376,16 @@ def _scaled_gram(w, q):
     if len(qrows) != len(v):
         raise ValueError(f"form of size {len(qrows)} does not fit "
                          f"{len(v)} rows")
-    cols = tuple(zip(*v))
     if form is None:
         p, d = scaled_rows(qrows, mode)
         pv_cols = tuple(zip(*linalg.matmul(p, v)))
-    elif mode == EXACT:
-        d, k = form.n, len(cols)
-        sigma = [sum(col) for col in cols]
-        g = [[0] * k for _ in cols]
-        for i in range(k):
-            ci, si, gi = cols[i], sigma[i], g[i]
-            for j in range(i, k):
-                gi[j] = g[j][i] = (d * sum(map(mul, ci, cols[j]))
-                                   - si * sigma[j])
-        return g, s * s * d, Fraction
+        return ([[reduce(add, map(mul, ca, cb), 0) for cb in pv_cols]
+                 for ca in zip(*v)], s * s * d, frame_quotient(mode))
+    if mode == EXACT:
+        gram, d = linalg._exact_gram(len(v[0]))[0], form.n
     else:
-        d = 1
-        shift = [reduce(add, col, 0) / form.n for col in cols]
-        pv_cols = [[x - t for x in col] for col, t in zip(cols, shift)]
-    g = [[reduce(add, map(mul, ca, cb), 0) for cb in pv_cols] for ca in cols]
-    return g, s * s * d, frame_quotient(mode)
+        gram, d = linalg._float_gram(len(v[0]))[0], 1
+    return gram(v, form.n), s * s * d, frame_quotient(mode)
 
 
 # (m, make(m)) by (id(m), make): a target's int rows, a target's or form's
@@ -473,11 +467,13 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
 
     Exact W, Q and target are compared exactly and tol is ignored, as the
     int matrix G = m W^T Q W of _scaled_gram against the int target
-    T = d t of _int_target: d G = m T, one list comparison of ints, gives
-    the shared Residual of _holds, and otherwise a Fraction is built for
-    each entry that differs.  Other inputs are ok when every entry
-    deviates by at most tol, or else by _rounding_ok.  max_abs_entry_error
-    and entrywise are those of W^T Q W - T either way.
+    T = d t of _int_target: d G = m T, decided on ints by the holds kernel
+    of linalg._exact_gram, gives the shared Residual of _holds, and
+    otherwise a Fraction is built for each entry that differs.  Other
+    inputs take the rows of G / m - t from the residual kernel of
+    linalg._float_gram, and are ok when every entry deviates by at most
+    tol, or else by _rounding_ok.  max_abs_entry_error and entrywise are
+    those of W^T Q W - T either way.
     """
     g, m, quotient = _scaled_gram(w, q)
     t = _rows(target)
@@ -486,8 +482,7 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
     int_target = _derived(t, _int_target) if quotient is Fraction else None
     if int_target is not None:
         t, d = int_target
-        if ([x * d for row in g for x in row]
-                == [y * m for row in t for y in row]):
+        if linalg._exact_gram(len(g))[1](g, t, d, m):
             return _holds(len(g))
         md = m * d
         diff = []
@@ -505,8 +500,7 @@ def check_identity(w, q, target, tol=DEFAULT_TOL):
             diff.append(tuple(out))
         ok = not err
     else:
-        diff = [tuple([x / m - y for x, y in zip(grow, trow)])
-                for grow, trow in zip(g, t)]
+        diff = linalg._float_gram(len(g))[1](g, m, t)
         err = linalg.max_abs(diff)
         ok = near(err, 0, tol) or _rounding_ok(w, q, t)
     return Residual(err, tuple(diff), ok)

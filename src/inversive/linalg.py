@@ -11,9 +11,19 @@ by their gcd, and only the results become Fractions.  The reduced row
 echelon form is unique, so the results do not depend on the pivot order.
 The tail search, which realizes exact curved bends above the plane, reads
 its conditions from a table of targets over one denominator.
+
+The arithmetic run on every reflection and every Gram check is generated
+here once per row width, from source text of ints alone, through
+_compiled, the one place the package builds code: the column sums and the
+reflected row of apollonian's walks (_row_kernels), and the Descartes
+Grams of forms.check_identity with the step that compares them with the
+target (_exact_gram, _float_gram).  These make no Python call per entry.
+The source of a Gram kernel grows as the square of the width, a loop over
+the rows whose body updates one accumulator per entry.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -49,6 +59,108 @@ def matmul(a, b):
 def max_abs(a):
     """Largest absolute entry of a matrix; exact scalar for exact input."""
     return max([abs(x) for row in a for x in row], default=0)
+
+
+def _compiled(source):
+    """The function kernel that source, a def statement generated from ints
+    alone, defines: the one place the package builds code."""
+    space = {}
+    exec(source, space)
+    return space["kernel"]
+
+
+def _names(letter, width):
+    """'x0, x1, ...': width names of one letter, joined."""
+    return ", ".join([f"{letter}{j}" for j in range(width)])
+
+
+def _matrix(width, entry):
+    """The source of the width x width tuple of row tuples of entry(a, b)."""
+    return "(" + "".join(["(" + "".join([entry(a, b) + ", "
+                                         for b in range(width)]) + "), "
+                          for a in range(width)]) + ")"
+
+
+@cache
+def _row_kernels(width):
+    """(sums, reflected) on rows of width entries, unrolled.  sums(rows) is
+    the tuple of column sums of width rows, each column added left to
+    right, as a loop over the rows in order adds floats and -0.0.
+    reflected(t, x, c) is the row c * (t - x) - x of column sums t, old row
+    x and coefficient c."""
+    cols = range(width)
+    sums = _compiled("def kernel(r): return (" + "".join(
+        [" + ".join([f"r[{i}][{j}]" for i in range(width)]) + ", "
+         for j in cols]) + ")")
+    reflected = _compiled("def kernel(t, x, c): return (" + "".join(
+        [f"c * (t[{j}] - x[{j}]) - x[{j}], " for j in cols]) + ")")
+    return sums, reflected
+
+
+@cache
+def _exact_gram(width):
+    """(gram, holds) on int rows of width entries, generated once per width.
+
+    gram(v, n) is the symmetric int matrix n V^T V - sigma sigma^T of the
+    rows V, sigma their column sums: one loop over the rows adds each
+    column and each product of two columns of the upper triangle into its
+    own accumulator, as the order of an int sum cannot change its value.
+    holds(g, t, d, m) tells whether d g = m t in every entry, one row of g
+    and t at a time, and stops at the first that differs."""
+    cols = range(width)
+    upper = [(a, b) for a in cols for b in cols if a <= b]
+    gram = _compiled("\n".join([
+        "def kernel(v, n):",
+        "    " + " = ".join([f"s{a}" for a in cols]
+                            + [f"g{a}_{b}" for a, b in upper]) + " = 0",
+        f"    for {_names('x', width)} in v:",
+        *[f"        s{a} += x{a}" for a in cols],
+        *[f"        g{a}_{b} += x{a} * x{b}" for a, b in upper],
+        *[f"    g{a}_{b} = n * g{a}_{b} - s{a} * s{b}" for a, b in upper],
+        "    return " + _matrix(
+            width, lambda a, b: f"g{min(a, b)}_{max(a, b)}")]))
+    holds = _compiled("\n".join([
+        "def kernel(g, t, d, m):",
+        f"    for ({_names('g', width)}), ({_names('t', width)}) in zip(g, t):",
+        "        if " + " or ".join([f"g{a} * d != t{a} * m" for a in cols])
+        + ":",
+        "            return False",
+        "    return True"]))
+    return gram, holds
+
+
+@cache
+def _float_gram(width):
+    """(gram, residual) on float rows of width entries, generated once per
+    width, each float operation that of the loops they replace, in their
+    order, so that every entry keeps its bits.
+
+    gram(v, n) is V^T P, P = V - ones c^T: one loop over the rows folds
+    each column sum from the int 0, then c = sums / n, and a second loop
+    takes each row p = x - c and adds each entry's product x_a p_b to its
+    accumulator, each entry folded from the int 0 over the rows in order.
+    residual(g, m, t) is the tuple of rows of g / m - t."""
+    cols = range(width)
+    entries = [(a, b) for a in cols for b in cols]
+    gram = _compiled("\n".join([
+        "def kernel(v, n):",
+        "    " + " = ".join([f"s{a}" for a in cols]) + " = 0",
+        f"    for {_names('x', width)} in v:",
+        *[f"        s{a} += x{a}" for a in cols],
+        f"    {_names('c', width)} = "
+        + ", ".join([f"s{a} / n" for a in cols]),
+        "    " + " = ".join([f"g{a}_{b}" for a, b in entries]) + " = 0",
+        f"    for {_names('x', width)} in v:",
+        f"        {_names('p', width)} = "
+        + ", ".join([f"x{a} - c{a}" for a in cols]),
+        *[f"        g{a}_{b} += x{a} * p{b}" for a, b in entries],
+        "    return " + _matrix(width, lambda a, b: f"g{a}_{b}")]))
+    residual = _compiled("\n".join([
+        "def kernel(g, m, t):",
+        "    return tuple([(" + "".join([f"g{a} / m - t{a}, " for a in cols])
+        + f") for ({_names('g', width)}), ({_names('t', width)})"
+        " in zip(g, t)])"]))
+    return gram, residual
 
 
 def _integer_rref(out, cols):

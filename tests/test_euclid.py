@@ -210,6 +210,19 @@ def test_realize_float_rejects_bends_off_the_relation():
             euclid.realize_curvature_vector(bends)
 
 
+
+def test_realize_float_refuses_bends_of_no_sign_majority():
+    # within the absolute 1e-9 of the bend check (residual 2e-10), but with
+    # one positive and one negative bend: no exact vector meets the relation
+    # so, and the mirror input, flipped for its majority orientation, had
+    # the same shape again, which recursed without end
+    for bends in ((1e-5, -1e-5, 0.0, 0.0), (0.0, -1e-5, 0.0, 1e-5),
+                  (1e-5, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="fewer than two positive") as e:
+            apollonian.realize_bends(forms.EUCLIDEAN, bends)
+        assert ", ".join(map(str, bends)) in str(e.value)
+
+
 # float bends whose squares (1e155 and up), or whose rows' bbar entries
 # squared (1e-160 and down), are past the float range
 FAR_SCALES = (1e155, 1e200, 1e300, 1e-160, 1e-300)

@@ -2,7 +2,7 @@
 every module-level function and class of the package is used by the
 package, the benchmark or the README, every option of a public function is
 set by some call, importing the package loads none of its modules, only
-apollonian._row_kernels builds code at run time, and the lines that tell
+linalg._compiled builds code at run time, and the lines that tell
 the two scalar modes apart stay within their bound."""
 
 import ast
@@ -210,11 +210,11 @@ def test_code_builders_are_found():
 
 
 def test_generated_code_comes_from_the_row_kernels_alone():
-    # the only code the package builds at run time is the unrolled
-    # reflection arithmetic of apollonian._row_kernels, from ints
+    # the only code the package builds at run time is the kernels that
+    # linalg generates from ints, each through linalg._compiled
     sites = {(path.name, function) for path in MODULES
              for function in code_builders(path.read_text())}
-    assert sites == {("apollonian.py", "_row_kernels")}
+    assert sites == {("linalg.py", "_compiled")}
 
 
 # a line that tells the exact and float modes apart, as ROADMAP aim 2

@@ -33,6 +33,8 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -367,6 +369,109 @@ def test_exact_check_identity_frames_each_target_once(geometry, monkeypatch):
             _exact_residual_parts(_reference_check_identity(w, q, t)), w
     assert not any(forms.check_identity(w, q, t).ok
                    for t in (thirds, last) for w in configs)
+
+
+# --- the generated Gram kernels against the loops they replace -----------
+
+def _ref_float_gram(v, n):
+    """The float Descartes Gram V^T (V - ones c^T), c = sigma / n, as the
+    loops of forms._scaled_gram had it: each column sum and each entry
+    folded from the int 0 with functools.reduce."""
+    cols = tuple(zip(*v))
+    shift = [reduce(add, col, 0) / n for col in cols]
+    pv_cols = [[x - t for x in col] for col, t in zip(cols, shift)]
+    return [[reduce(add, map(mul, ca, cb), 0) for cb in pv_cols]
+            for ca in cols]
+
+
+def _ref_float_residual(g, m, t):
+    return [tuple([x / m - y for x, y in zip(grow, trow)])
+            for grow, trow in zip(g, t)]
+
+
+def _ref_exact_gram(v, n):
+    """n V^T Q_n V on Fractions, Q_n = I - ones ones^T / n: the int matrix
+    n V^T V - sigma sigma^T."""
+    cols = tuple(zip(*v))
+    qv_cols = [[x - Fraction(sum(col), n) for x in col] for col in cols]
+    return [[n * sum(map(mul, ca, cb)) for cb in qv_cols] for ca in cols]
+
+
+def _float_bits(rows):
+    """The entries of float rows by float.hex, inf and nan by repr."""
+    return [[x.hex() if math.isfinite(x) else repr(x) for x in row]
+            for row in rows]
+
+
+def _float_kernel_rows(width, rng):
+    """Square float rows of a width: random magnitudes and signs, -0.0,
+    and columns whose sum cancels, so that the order of every fold shows."""
+    rows = [[rng.choice((-1.0, 1.0)) * rng.random() * 10.0 ** rng.randrange(-3, 4)
+             for _ in range(width)] for _ in range(width)]
+    for row, x in zip(rows, (1e16, 1.0, -1e16, 1.0)):
+        row[0] = x
+    rows[1][1] = rows[2][2] = -0.0
+    return tuple(map(tuple, rows))
+
+
+KERNEL_WIDTHS = (*range(3, 11), 34)
+
+
+@pytest.mark.parametrize("width", KERNEL_WIDTHS)
+def test_float_gram_kernels_match_the_loops(width, rng):
+    # float.hex equality of every entry: the kernels keep the order of each
+    # fold, -0.0 and the int 0 that each starts from included; inf and nan
+    # entries give the loops' inf and nan where they land
+    gram, residual = linalg._float_gram(width)
+    assert linalg._float_gram(width) is linalg._float_gram(width)
+    n = width - 2
+    inputs = [_float_kernel_rows(width, rng) for _ in range(4)]
+    inputs.append(((-0.0,) * width,) * width)
+    if 4 <= width <= 10:
+        inputs += [apollonian.standard_seed(g, width - 2, FLOAT).scaled[0]
+                   for g in GEOMS]
+    for bad in (math.inf, -math.inf, math.nan):
+        rows = [list(r) for r in _float_kernel_rows(width, rng)]
+        rows[width // 2][width - 1] = bad
+        inputs.append(tuple(map(tuple, rows)))
+    targets = [tuple(tuple(rng.uniform(-4, 4) for _ in range(width))
+                     for _ in range(width)),
+               forms.target_for(E, n, FLOAT),
+               forms.target_for(H, n, EXACT)]
+    for v in inputs:
+        g = gram(v, n)
+        assert type(g) is tuple and all(type(row) is tuple for row in g)
+        ref = _ref_float_gram(v, n)
+        assert _float_bits(g) == _float_bits(ref), v
+        for m, t in itertools.product((1.0, 4.0, 0.1), targets):
+            assert _float_bits(residual(g, m, t)) \
+                == _float_bits(_ref_float_residual(ref, m, t)), (v, m)
+    assert any(math.isnan(x) for row in gram(inputs[-1], n) for x in row)
+
+
+@pytest.mark.parametrize("width", KERNEL_WIDTHS)
+def test_exact_gram_kernels_match_the_fraction_formula(width, rng):
+    # == and the int type of every entry, on ints of one word and of many
+    gram, holds = linalg._exact_gram(width)
+    assert linalg._exact_gram(width) is linalg._exact_gram(width)
+    n = width - 2
+    inputs = [tuple(tuple(rng.randrange(-bound, bound + 1)
+                          for _ in range(width)) for _ in range(width))
+              for bound in (1, 9, 2 ** 62, 2 ** 200)]
+    if width == 4:
+        inputs += [w.scaled[0] for g in GEOMS for w in _multiword_grid(g)]
+    for v in inputs:
+        g = gram(v, n)
+        assert g == tuple(map(tuple, _ref_exact_gram(v, n))), v
+        assert all(type(x) is int for row in g for x in row)
+        # d g = m t with t = c g and d = m c, and then off in one entry
+        m, c = rng.randrange(1, 2 ** 70), rng.randrange(-5, 6) or 7
+        t = [[c * x for x in row] for row in g]
+        assert holds(g, t, m * c, m) and holds(g, g, 5, 5)
+        for i, j in ((0, 0), (width - 1, width - 1), (width // 2, 1)):
+            off = [row[:] for row in t]
+            off[i][j] += 1
+            assert not holds(g, off, m * c, m)
 
 
 # seeds of the bends-only walk: float n = 3 and n = 4, an exact n = 8 seed

@@ -498,6 +498,18 @@ def test_float_solve_of_tiny_plane_bends(capsys):
             forms.EUCLIDEAN, tuple(math.ldexp(v, 600) for v in values)))
 
 
+
+def test_gen_of_float_bends_of_no_sign_majority(capsys):
+    # accepted by the bend check within its absolute tolerance, and then
+    # refused by the realizer in one error line, not a RecursionError
+    code, out, err = run(["gen", "--mode", "float", "--geometry", "euclidean",
+                          "--seed=1e-5,-1e-5,0,0", "--max-bend", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: bends 1e-05, -1e-05, 0.0, 0.0 have fewer than two "
+                   "positive and fewer than two negative entries: no "
+                   "configuration has them\n")
+
+
 # command line
 
 
