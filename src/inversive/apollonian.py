@@ -38,7 +38,7 @@ every n alike.
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from math import floor, isfinite
+from math import floor, inf, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
 from .linalg import _row_kernels
@@ -240,7 +240,9 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     bound; pass max_depth or max_configs to truncate them.  The returned
     Packing records whether truncation happened.  Without either cap, a
     Euclidean n = 2 seed whose walk reaches a strip within the bound raises
-    InfiniteClosure (a ValueError) before walking.
+    InfiniteClosure (a ValueError) before walking, as does a float bound
+    that is infinite, with its tolerance, since it prunes nothing.  A nan
+    bound raises ValueError, and so does an infinite one for an exact seed.
     """
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
@@ -248,10 +250,19 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     n, mode = seed.n, seed.mode
     col = forms.bend_column(seed.geometry)
     if mode == EXACT:
+        if isinstance(bound, float) and not isfinite(bound):
+            raise ValueError(
+                f"an exact walk needs a finite bound, not {bound}")
         bound_value = limit = Fraction(bound)
     else:
         bound_value = float(bound)
+        if bound_value != bound_value:
+            raise ValueError("bound must be a number, not nan")
         limit = bound_value + tol * max(bound_value, *map(abs, seed.bends))
+        if limit == inf and max_depth is None and max_configs is None:
+            raise InfiniteClosure(
+                f"the bound {bound} prunes nothing, so the walk never ends; "
+                "pass max_depth or max_configs")
     if bound_value < 0:
         raise ValueError("bound must be nonnegative")
     if max_depth is None and max_configs is None:

@@ -33,8 +33,10 @@ turns a result back into an entry: that int matrix is symmetric and
 compared with the int target, where float products keep the left-to-right
 fold of scalars._sum.  Both Descartes Grams and the step that compares
 them with the target run on kernels that linalg generates once per row
-width (_exact_gram, _float_gram), with no call per entry.  The bend check and
-the realizers work on the int frame of the bends (_bend_values).  A
+width (_exact_gram, _float_gram), with no call per entry, and so does the
+reflection of the base configuration that curved bends are realized from
+(_base_reflection, in _reflected_base).  The bend check and the realizers
+work on the int frame of the bends, framed once (_bend_values).  A
 ConfigMatrix is built from that frame alone, its scaled field, as an
 apollonian.Packing holds one: the realizers, conversions, Moebius moves,
 reflections, walks, the document reader and from_rows hand it over, and
@@ -46,7 +48,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import frexp, isfinite, isqrt, ldexp, sqrt
+from math import frexp, isfinite, isqrt, lcm, ldexp, sqrt
 from operator import add, mul
 
 from . import linalg
@@ -79,6 +81,11 @@ CURVATURE_SIGN = {tag: -g.target_head[g.bend_column][g.bend_column] // 2
                   for tag, g in _GEOMETRY.items()}
 
 _ZERO = Fraction(0)
+# (p, q) by mode: the isotropy test of _reflected_base forgives a v_0 up
+# to p / q of the size of its terms, ROUNDING for float values and nothing
+# for exact ones
+_ISOTROPY_SLACK = {EXACT: (0, 1), FLOAT: ROUNDING.as_integer_ratio()}
+_INTS = frozenset((int,))
 
 
 def _by_geometry(table, geometry):
@@ -514,13 +521,23 @@ def bend_residual(geometry, bends):
     and the residual divided back by f^2, +-inf past the float range."""
     bends = tuple(bends)
     r, f = _scaled_bend_residual(
-        geometry, bends, integer_rows([bends]) if all_exact(bends) else None)
+        geometry, bends, _exact_frame(bends) if all_exact(bends) else None)
     return r / f / f
+
+
+def _exact_frame(bends):
+    """((v,), s): a tuple of exact bends as ints v = s b over the LCM s of
+    their denominators, in one pass, as scalars.integer_rows frames them;
+    a tuple of ints is its own v, over 1."""
+    if _INTS.issuperset(map(type, bends)):
+        return (bends,), 1
+    s = lcm(*[x.denominator for x in bends])
+    return (tuple([x.numerator * (s // x.denominator) for x in bends]),), s
 
 
 def _scaled_bend_residual(geometry, bends, frame):
     """(r, f), r the bend_residual times f^2.  Exact bends come with their
-    int frame ((v,), s) of scalars.integer_rows, v = s b: f = 1 and r is an
+    int frame ((v,), s) of _exact_frame, v = s b: f = 1 and r is an
     int residual over n s^2, _ZERO, no Fraction, when it is 0.  Float bends
     come with frame None, and f is the power of two that bend_residual sums
     them times, so that r stays within the float range."""
@@ -545,14 +562,16 @@ def _scaled_bend_residual(geometry, bends, frame):
 def _bend_values(geometry, bends, what):
     """(c, mode, frame): the bends as one row, exact ones as given and
     float ones as floats, their mode, and the int frame ((v,), s) of their
-    exact (for floats, dyadic) values, scalars.integer_rows, on which the
-    realizers work; or the ValueError "{what} by {bend_residual}" of bends
-    that miss the bend relation.  Float bends may miss it by DEFAULT_TOL or
-    by the rounding of float values as large as theirs
-    (scalars.negligible)."""
+    exact (for floats, dyadic) values, on which the realizers work; or the
+    ValueError "{what} by {bend_residual}" of bends that miss the bend
+    relation.  Exact bends are framed in one pass (_exact_frame: one LCM
+    of the denominators, ints as they are) and the relation decided on
+    that frame's ints.  Float bends are framed by scalars.integer_rows once
+    they pass, and may miss the relation by DEFAULT_TOL or by the rounding
+    of float values as large as theirs (scalars.negligible)."""
     bends = tuple(bends)
     if all_exact(bends):
-        c, mode, frame = bends, EXACT, integer_rows([bends])
+        c, mode, frame = bends, EXACT, _exact_frame(bends)
     else:
         c, mode, frame = coerce_row(bends, FLOAT), FLOAT, None
     r, f = _scaled_bend_residual(geometry, c, frame)
@@ -588,16 +607,17 @@ def _realize_tangent_rows(geometry, bends, name, first_tails):
 
 def _realized(geometry, rows, scale, bends, mode):
     """The configuration of a realizer's int rows over scale, by
-    scalars.mode_frame; float rows then carry the bends as given, which
-    their rounded exact values are but for the sign of a zero.  A float
-    entry beyond the float range (4/s of a subnormal plane bend s) raises
-    ValueError."""
+    scalars.mode_frame.  Float rows carry the bends as given: the int bend
+    column is the scale times the bends' dyadic values, so each entry
+    rounds back to its bend, and only a zero loses its sign; where a bend
+    is zero the column is written from the bends.  A float entry beyond
+    the float range (4/s of a subnormal plane bend s) raises ValueError."""
     try:
         rows, scale = mode_frame(rows, scale, mode)
     except OverflowError:
         raise ValueError("an entry of the configuration of these bends is "
                          "beyond the float range") from None
-    if mode != EXACT:
+    if mode != EXACT and 0.0 in bends:
         col = bend_column(geometry)
         rows = tuple([(*row[:col], b, *row[col + 1:])
                       for row, b in zip(rows, bends)])
@@ -679,48 +699,55 @@ def _reflected_base(geometry, frame, mode):
     the norm of e, so the reflection in v = e - g does, or, when v is
     isotropic (then v^T T v = 2 T_00 v_0 is zero), the reflection in e + g
     followed by the one in g (Witt's theorem).  Each is a rank-one update
-    of int rows (_carried): the bends over their LCM s and W0^{-1} over its
-    d, so that g = g'/(d s), and R G = V / m, so that W = V / (m sigma).
+    of int rows: the bends over their LCM s and W0^{-1} = D / d, so that
+    g = D v / (d s), and R G = V / m, so that W = V / (m sigma).  The one
+    reflection runs on the kernel of linalg._base_reflection, generated
+    once per row width, which takes the base as arguments and makes no
+    call per entry: as R D = d sigma I, each row's product with e - g is
+    d (s R_r0 - sigma v_r), with no sum over the row.  The kernel also
+    gives g and the isotropy data; the two reflections of the rare
+    isotropic case, and W0 itself for values equal to the base's, are
+    worked out here (_carried).
 
     Float bends run the same computation on their dyadic values, which meet
     the relation only up to rounding, as do the float base's.  Each map
     carries its vector exactly, so the bends come out as given and the rows
     within rounding of an isometry's, and a v_0 within the rounding of its
-    terms counts as zero, where one reflection would divide by it.  Values
-    equal to the base's give W0 itself.  The bend column of V is m c.
+    terms counts as zero, where one reflection would divide by it: that is
+    |v_0| <= ROUNDING sum_j |D_0j v_j|, decided on ints as
+    |v_0| q <= p sum_j |D_0j v_j| for ROUNDING = p / q, so that it holds
+    for ints past the float range, as the bases above n = 16 give, and
+    with p = 0, v_0 = 0, for exact bends (_ISOTROPY_SLACK).  The bend
+    column of V is m c.
 
     A hyperbolic W whose first row with |c_i| >= 1 and a nonzero q_0 has
     q_0 of the other sign than c_i lies on the lower sheet, and gets its
     q_0 column negated, which keeps T.
     """
     (ints,), s = frame
-    w0, sigma, inverse, d, t = _base(geometry, len(ints) - 2)
-    e = [d * s] + [0] * (len(ints) - 1)
-    terms = list(map(mul, inverse[0], ints))
-    g = [sum(terms)] + [sum(map(mul, row, ints)) for row in inverse[1:]]
-    v0 = e[0] - g[0]
-    if mode == EXACT:
-        isotropic = not v0
-    else:
-        isotropic = abs(v0) <= ROUNDING * sum(map(abs, terms))
-    if g == e:
-        rows, m = w0, 1
-    elif not isotropic:
-        rows, m = _carried(w0, e, g, t)
-    else:
-        # G carries e to -g and then -g to g, so W0 G = (W0 G_2) G_1
-        minus_g = [-x for x in g]
-        rows, m = _carried(w0, minus_g, g, t)
-        rows, m2 = _carried(rows, e, minus_g, t)
-        m *= m2
-    if m < 0:  # a frame's scale is positive
-        rows, m = [[-x for x in r] for r in rows], -m
-    m *= sigma
+    base = _base(geometry, len(ints) - 2)
+    g, v0, size, rows, scale = linalg._base_reflection(len(ints))(ints, s,
+                                                                  *base)
+    p, q = _ISOTROPY_SLACK[mode]
+    if abs(v0) * q <= p * size:
+        w0, sigma, _, d, t = base
+        e = (d * s,) + (0,) * (len(ints) - 1)
+        if g == e:
+            rows, m = w0, 1
+        else:
+            # G carries e to -g and then -g to g, so W0 G = (W0 G_2) G_1
+            minus_g = [-x for x in g]
+            rows, m = _carried(w0, minus_g, g, t)
+            rows, m2 = _carried(rows, e, minus_g, t)
+            m *= m2
+            if m < 0:  # a frame's scale is positive
+                rows, m = [[-x for x in r] for r in rows], -m
+        scale = m * sigma
     if geometry == HYPERBOLIC:
         # the first row of |c_i| = |r_0 / m| >= 1 with a nonzero q_0 = r_1 / m
         for r in rows:
-            if r[1] and abs(r[0]) >= m:
+            if r[1] and abs(r[0]) >= scale:
                 if (r[0] > 0) != (r[1] > 0):
                     rows = [(r[0], -r[1], *r[2:]) for r in rows]
                 break
-    return rows, m
+    return rows, scale

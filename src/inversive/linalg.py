@@ -15,11 +15,15 @@ its conditions from a table of targets over one denominator.
 The arithmetic run on every reflection and every Gram check is generated
 here once per row width, from source text of ints alone, through
 _compiled, the one place the package builds code: the column sums and the
-reflected row of apollonian's walks (_row_kernels), and the Descartes
-Grams of forms.check_identity with the step that compares them with the
-target (_exact_gram, _float_gram).  These make no Python call per entry.
-The source of a Gram kernel grows as the square of the width, a loop over
-the rows whose body updates one accumulator per entry.
+reflected row of apollonian's walks (_row_kernels), the Descartes Grams
+of forms.check_identity with the step that compares them with the target
+(_exact_gram, _float_gram), and the reflection of the base configuration
+that forms._reflected_base realizes curved bends from (_base_reflection).
+These make no Python call per entry.  The source of a Gram kernel grows as
+the square of the width, a loop over the rows whose body updates one
+accumulator per entry; that of the reflection as the square too, one
+expression per entry of its rows, with the base passed in as arguments,
+since above the plane its ints are longer than Python reads as literals.
 """
 
 from fractions import Fraction
@@ -95,6 +99,51 @@ def _row_kernels(width):
     reflected = _compiled("def kernel(t, x, c): return (" + "".join(
         [f"c * (t[{j}] - x[{j}]) - x[{j}], " for j in cols]) + ")")
     return sums, reflected
+
+
+@cache
+def _base_reflection(width):
+    """The reflection of forms._reflected_base on int rows of width
+    entries, generated once per width.
+
+    kernel(x, s, r, sigma, inverse, d, t) takes the int bends x over s and
+    the base W0 = R / sigma with W0^{-1} = D / d and the diagonal t of the
+    Gram target (forms._base), as arguments: above the plane their ints
+    are too long for literals.  With e = (d s, 0, ..., 0) it returns
+    (g, v_0, size, V, m sigma): g = D x, the first entry v_0 = d s - g_0
+    of e - g, size = sum |D_0j x_j|, the rounding scale of g_0, and the
+    int rows V = m R G over the positive m, G the reflection of t in
+    e - g, with the scale m sigma of W0 G = V / (m sigma).  As
+    R D = d sigma I, row r has r.(e - g) = d (s R_r0 - sigma x_r), and
+    V_rj = m R_rj - 2 d (s R_r0 - sigma x_r) t_j (e - g)_j with
+    m = 2 t_0 v_0 d s, both negated when m < 0."""
+    cols = range(width)
+    return _compiled("\n".join([
+        "def kernel(x, s, r, sigma, inverse, d, t):",
+        f"    {_names('x', width)}, = x",
+        "    " + ", ".join([f"({_names(f'D{i}_', width)},)" for i in cols])
+        + ", = inverse",
+        "    " + ", ".join([f"({_names(f'R{i}_', width)},)" for i in cols])
+        + ", = r",
+        f"    {_names('t', width)}, = t",
+        f"    {_names('p', width)} = "
+        + ", ".join([f"D0_{j} * x{j}" for j in cols]),
+        "    e = d * s",
+        "    g0 = " + " + ".join([f"p{j}" for j in cols]),
+        "    v0 = e - g0",
+        *[f"    g{i} = " + " + ".join([f"D{i}_{j} * x{j}" for j in cols])
+          for i in cols if i],
+        "    m = 2 * t0 * v0 * e",
+        "    f = 2 * d",
+        "    if m < 0:",
+        "        m, f = -m, -f",
+        "    h0 = f * t0 * v0",
+        *[f"    h{j} = -f * t{j} * g{j}" for j in cols if j],
+        *[f"    u{i} = s * R{i}_0 - sigma * x{i}" for i in cols],
+        "    return (" + "".join([f"g{i}, " for i in cols]) + "), v0, "
+        + " + ".join([f"abs(p{j})" for j in cols]) + ", "
+        + _matrix(width, lambda a, b: f"m * R{a}_{b} - u{a} * h{b}")
+        + ", m * sigma"]))
 
 
 @cache

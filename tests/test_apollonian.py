@@ -1,6 +1,7 @@
 """Reflection group, packing generation, loxodromic sequences."""
 
 import json
+import math
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -528,6 +529,55 @@ def test_float_generate_takes_an_infinite_bound_with_a_cap():
     p = apollonian.generate(seed, float("inf"), max_depth=3)
     assert p.truncated and p.bound == float("inf")
     assert p.rows == apollonian.generate(seed, 1e9, max_depth=3).rows
+
+
+@pytest.mark.parametrize("geometry", (forms.EUCLIDEAN, forms.SPHERICAL,
+                                      forms.HYPERBOLIC))
+@pytest.mark.parametrize("bound", (float("inf"), 1.7976931348623157e308))
+def test_an_uncapped_walk_that_prunes_nothing_is_refused(geometry, bound):
+    # an infinite bound, or one whose tolerance takes it past the float
+    # range, prunes nothing, so the uncapped walk would never end
+    for n in (2, 3):
+        seed = apollonian.standard_seed(geometry, n, mode=FLOAT)
+        with pytest.raises(apollonian.InfiniteClosure,
+                           match="prunes nothing, so the walk never ends"):
+            apollonian.generate(seed, bound)
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("caps", ({}, {"max_depth": 4}), ids=("uncapped",
+                                                             "capped"))
+def test_a_nan_bound_is_refused(euclid_seed, mode, caps):
+    seed = euclid_seed if mode == EXACT else _float_twin(euclid_seed)
+    message = ("an exact walk needs a finite bound, not nan" if mode == EXACT
+               else "bound must be a number, not nan")
+    with pytest.raises(ValueError) as info:
+        apollonian.generate(seed, float("nan"), **caps)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("bound", (float("inf"), float("-inf")))
+@pytest.mark.parametrize("caps", ({}, {"max_depth": 3}), ids=("uncapped",
+                                                             "capped"))
+def test_an_exact_walk_refuses_an_infinite_bound(euclid_seed, bound, caps):
+    # a ValueError that says so, not the OverflowError of Fraction(inf)
+    with pytest.raises(ValueError) as info:
+        apollonian.generate(euclid_seed, bound, **caps)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"an exact walk needs a finite bound, not {bound}"
+
+
+@pytest.mark.parametrize("geometry", (forms.EUCLIDEAN, forms.SPHERICAL,
+                                      forms.HYPERBOLIC))
+@pytest.mark.parametrize("n", (17, 24))
+def test_float_standard_seeds_above_n_16(geometry, n):
+    # the equal caps of a regular simplex, realized from their float cot
+    # values through the base reflection, whose isotropy test runs on ints
+    seed = apollonian.standard_seed(geometry, n, mode=FLOAT)
+    assert seed.n == n and seed.mode == FLOAT and seed.residual().ok
+    cot = math.sqrt(n / (n + 2))
+    caps = apollonian.standard_seed(forms.SPHERICAL, n, mode=FLOAT)
+    assert caps.bends == (cot,) * (n + 2)
 
 
 @pytest.mark.parametrize("mode", (EXACT, FLOAT))

@@ -27,6 +27,11 @@ and coth values must keep their bends and be congruent to the reference's
 rows wherever the reference finds rows that pass the Gram check (_congruent),
 those whose bend residual is float rounding, which the old absolute 1e-9
 check rejected, included.
+
+The third set is the base reflection of the curved realizers as it ran on
+lists, before it moved onto a kernel generated per row width:
+_reference_reflected_base and _ref_carried, verbatim but for names.  The
+kernel must give the same int rows and scale on every frame both take.
 """
 
 import itertools
@@ -1382,6 +1387,181 @@ def test_curved_plane_realize_bends_matches_the_base_reflection(geometry):
                 assert w.residual().ok, v
             realized += 1
     assert realized >= 2 * 60 and refused == 2 * 4, (realized, refused)
+
+
+# --- the base reflection on lists, verbatim ------------------------------
+
+def _ref_carried(rows, a, b, t):
+    """(V, m): int rows R times the map G: x -> x - 2 (x^T t v) / m v of
+    column vectors, v = a - b and m = 2 a^T t v != 0, as V = m R G, that
+    is r -> m r - 2 (r.v) (t v)^T on each row.  G carries a to b whatever
+    their norms; when a and b have one norm of the diagonal form t,
+    m = v^T t v and G is the reflection of t in v, an isometry."""
+    v = [x - y for x, y in zip(a, b)]
+    tv = [x * y for x, y in zip(t, v)]
+    m = 2 * sum(map(mul, tv, a))
+    return [[m * x - f * y for x, y in zip(r, tv)]
+            for r, f in zip(rows, [2 * sum(map(mul, r, v)) for r in rows])], m
+
+
+def _reference_reflected_base(geometry, frame, mode):
+    """(V, m): the int rows V over the positive int m of the rows W = W0 G
+    of a configuration with bends c, given as the int frame ((v,), s) of
+    their exact values in either mode (_bend_values), v = s c."""
+    (ints,), s = frame
+    w0, sigma, inverse, d, t = forms._base(geometry, len(ints) - 2)
+    e = [d * s] + [0] * (len(ints) - 1)
+    terms = list(map(mul, inverse[0], ints))
+    g = [sum(terms)] + [sum(map(mul, row, ints)) for row in inverse[1:]]
+    v0 = e[0] - g[0]
+    if mode == EXACT:
+        isotropic = not v0
+    else:
+        isotropic = abs(v0) <= scalars.ROUNDING * sum(map(abs, terms))
+    if g == e:
+        rows, m = w0, 1
+    elif not isotropic:
+        rows, m = _ref_carried(w0, e, g, t)
+    else:
+        # G carries e to -g and then -g to g, so W0 G = (W0 G_2) G_1
+        minus_g = [-x for x in g]
+        rows, m = _ref_carried(w0, minus_g, g, t)
+        rows, m2 = _ref_carried(rows, e, minus_g, t)
+        m *= m2
+    if m < 0:  # a frame's scale is positive
+        rows, m = [[-x for x in r] for r in rows], -m
+    m *= sigma
+    if geometry == H:
+        # the first row of |c_i| = |r_0 / m| >= 1 with a nonzero q_0 = r_1 / m
+        for r in rows:
+            if r[1] and abs(r[0]) >= m:
+                if (r[0] > 0) != (r[1] > 0):
+                    rows = [(r[0], -r[1], *r[2:]) for r in rows]
+                break
+    return rows, m
+
+
+def _isotropic_coths():
+    """Coth values whose e - W0^{-1} c is isotropic: (-3, 5, 7, 9) and
+    W0 (1, 5l, 3l, 4l) for a few l, the last two multi-word."""
+    base = oracles.BASE_ROWS["hyperbolic"]
+    out = [(-3, 5, 7, 9)]
+    for lam in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 10), 1, 7,
+                Fraction(3 ** 41, 7 ** 20), 5 ** 40):
+        g = (1, 5 * lam, 3 * lam, 4 * lam)
+        out.append(tuple(sum(x * y for x, y in zip(row, g)) for row in base))
+    return out
+
+
+def _reflection_inputs(geometry):
+    """(bends, exact) pairs that realize_bends reflects a base for: the n = 2
+    grid in both modes, the loxodromic multi-word ints of _multiword_grid
+    and, for H, the isotropic coth vectors, each also as floats, and the
+    float bends of the n = 3..16 standard seeds moved by words of 0-6
+    letters."""
+    rng = random.Random(39)
+    exact = [w.bends for w in _grid(geometry, EXACT)
+             + _multiword_grid(geometry)]
+    if geometry == H:
+        exact += _isotropic_coths()
+    out = exact + [tuple(map(float, v)) for v in exact]
+    out += [w.bends for w in _grid(geometry, FLOAT)]
+    for n in range(3, 17):
+        seed = apollonian.standard_seed(geometry, n, FLOAT)
+        for length in range(7):
+            w, last = seed, None
+            for _ in range(length):
+                last = rng.choice([i for i in range(n + 2) if i != last])
+                w = apollonian.reflect(w, last)
+            out.append(w.bends)
+    return out
+
+
+def _edge_frames(geometry):
+    """Int frames ((x,), s) at the edge of the float isotropy test,
+    |v_0| 2^46 = sum_j |D_0j x_j|, and just past it.  The spherical n = 2
+    base has D_0 = (2, 1, 1, 0) over d = 2, so x = (2^46, 0, 0, x_3) over
+    s = 2^46 +- 1 gives v_0 = +-2 and the sum 2^47, and x_0 = 2^46 - 1
+    over 2^46 gives v_0 = 2 and the sum 2^47 - 2.  They meet no bend
+    relation; the kernel is checked on them as a map of ints."""
+    if geometry != S:
+        return []
+    k = 2 ** 46
+    return [(((k, 0, 0, 0),), k + 1), (((k, 0, 0, 5),), k - 1),
+            (((k - 1, 0, 0, 0),), k)]
+
+
+@pytest.mark.parametrize("geometry", (S, H))
+def test_base_reflection_kernel_matches_the_list_loops(geometry):
+    """forms._reflected_base, on the kernel of linalg._base_reflection,
+    gives the (V, m) of the list loops it replaced on the int frame of
+    every input, in its mode, and takes the isotropic path on the same
+    inputs: a sign flipped in the kernel's row expression, or < in place
+    of <= in the float isotropy test, fails here."""
+    compared = isotropic = edges = 0
+    for bends in _reflection_inputs(geometry):
+        c, mode, frame = forms._bend_values(geometry, bends, "off")
+        rows, m = forms._reflected_base(geometry, frame, mode)
+        ref_rows, ref_m = _reference_reflected_base(geometry, frame, mode)
+        assert type(m) is int and m > 0 and m == ref_m, bends
+        assert [list(r) for r in rows] == [list(r) for r in ref_rows], bends
+        assert all(type(x) is int for r in rows for x in r), bends
+        compared += 1
+        isotropic += len(bends) == 4 and oracles.isotropic_reflection(
+            geometry, bends)
+    for (ints,), s in _edge_frames(geometry):
+        for mode in (EXACT, FLOAT):
+            got = forms._reflected_base(geometry, ((ints,), s), mode)
+            ref = _reference_reflected_base(geometry, ((ints,), s), mode)
+            assert [list(r) for r in got[0]] == [list(r) for r in ref[0]]
+            assert got[1] == ref[1], (ints, s, mode)
+            edges += 1
+    assert compared >= 200, compared
+    if geometry == H:
+        assert isotropic >= len(_isotropic_coths()), isotropic
+    else:
+        assert edges == 6
+
+
+@pytest.mark.parametrize("geometry", GEOMS)
+def test_float_realizations_above_n_16_pass_their_gram_check(geometry):
+    """The n = 17..39 float standard seeds pass their Gram check, and for
+    the curved geometries (the plane realizer takes 4 bends) the seeds'
+    bends moved by one reflection are realized with the bends as given and
+    a residual() that is ok: the isotropy test decides on ints, where the
+    list loops turned an int past 2^1024 into a float."""
+    for n in range(17, 40):
+        seed = apollonian.standard_seed(geometry, n, FLOAT)
+        assert seed.n == n and seed.residual().ok, n
+        if geometry == E:
+            continue
+        bends = apollonian.reflect(seed, n % (n + 2)).bends
+        w = apollonian.realize_bends(geometry, bends)
+        assert w.n == n and w.bends == bends and w.residual().ok, n
+
+
+def test_each_reflection_kernel_is_built_once_per_width(monkeypatch):
+    # three widths, each realized from three times over, in both curved
+    # geometries, build three kernels
+    built = []
+    compiled = linalg._compiled
+
+    def counted(source):
+        if source.startswith("def kernel(x, s, r, sigma, inverse, d, t):"):
+            built.append(source)
+        return compiled(source)
+
+    monkeypatch.setattr(linalg, "_compiled", counted)
+    linalg._base_reflection.cache_clear()
+    for _ in range(3):
+        for geometry in (S, H):
+            for n in (2, 3, 5):
+                seed = apollonian.standard_seed(geometry, n, FLOAT)
+                apollonian.realize_bends(geometry, apollonian.reflect(
+                    seed, 0).bends)
+            apollonian.realize_bends(geometry, BASES[geometry][0])
+    assert len(built) == 3, built
+    assert linalg._base_reflection(4) is linalg._base_reflection(4)
 
 
 def _tail_searches(geometry):

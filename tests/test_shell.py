@@ -782,6 +782,22 @@ def test_float_gen_past_the_float_range_is_an_error(capsys):
         apollonian.generate(seed, 2e-305, keep_configs=True)
 
 
+def test_float_gen_from_a_seed_above_n_16(capsys):
+    # the 19 equal caps of n = 17: the base reflection's isotropy test runs
+    # on ints, where turning one past 2^1024 into a float raised
+    # OverflowError; the packing is written, and its seed verifies
+    cot = repr(math.sqrt(17 / 19))
+    argv = ["gen", "--mode", "float", "--geometry", "spherical",
+            f"--seed={','.join([cot] * 19)}", "--max-bend", "5",
+            "--max-configs", "50"]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    packing = shell.loads_packing(out)
+    assert packing.n == 17 and packing.truncated
+    assert packing.seed.bends == (float(cot),) * 19
+    assert packing.seed.residual().ok
+
+
 @pytest.mark.parametrize("argv, error", [
     (["gen", "--max-bend=-1"], "bound must be nonnegative"),
     (["lox", "--steps=-1"], "step count must be nonnegative"),
