@@ -28,11 +28,14 @@ Both modes run one walk: every finite float is a dyadic rational, so a
 float packing, reflection or loxodromic sequence, configurations included,
 is the exact one of its float seed, each entry rounded once.
 
-The arithmetic of a reflection, the column sums of a configuration and the
-new row, is generated once per row width as two unrolled expressions
-(linalg._row_kernels, imported here), so that generate(), reflect() and the
-replayed loxodromic configurations make no Python call per entry, for
-every n alike.
+The arithmetic of a reflection is generated from ints alone, in linalg.
+generate() takes one step of its walk per configuration, a kernel built
+once per row width and bend column (linalg._walk_step): it forms the
+column sums once, tests the bend of every child against the bound, and
+builds and hands back the children in bound, in index order, so that the
+walk makes no Python call per child or per entry.  reflect() and the
+replayed loxodromic configurations use the column sums and the new row of
+linalg._row_kernels, generated once per row width.
 """
 
 from collections import Counter
@@ -41,7 +44,7 @@ from fractions import Fraction
 from math import floor, inf, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
-from .linalg import _row_kernels
+from .linalg import _row_kernels, _walk_step
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, _sum,
                       frame_quotient, integer_rows, mode_frame, mode_of, near,
                       scaled_rows, sqrt_scalar, unscaled_rows)
@@ -174,27 +177,32 @@ def _check_finite(seed, bound):
     The walk reaches the configuration that root_quadruple(bends, bound)
     returns.  When that is a root (0, 0, c, c) with c <= bound, the circles
     of bend c between its two parallel lines repeat forever.  An exact
-    seed is reduced on the int bends of _int_frame, over their scale s,
-    with the bound times s; each step and test is unchanged by the positive
-    scale.  A float bend counts as zero within tol of the root's largest
-    |bend|, at any scale.  The horocycle chains of hyperbolic packings are
-    not checked.
+    seed is decided on the int bends of _int_frame, over their scale s:
+    reduced with the bound floor(bound s), and a strip when two of the
+    root's ints are 0 and its largest is within that bound, each step and
+    test unchanged by the positive scale; its Fractions are built only for
+    the message.  A float bend counts as zero within tol of the root's
+    largest |bend|, at any scale.  The horocycle chains of hyperbolic
+    packings are not checked.
     """
     if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
         return
     if seed.mode == EXACT:
         (bends,), scale, _ = _int_frame(seed, bends_only=True)
-        root = tuple([Fraction(b, scale) for b in
-                      root_quadruple(bends, floor(bound * scale))])
+        bound = floor(bound * scale)
+        root = root_quadruple(bends, bound)
+        if root.count(0) < 2 or max(root) > bound:
+            return
+        root = [Fraction(b, scale) for b in root]
     else:
         root = root_quadruple(seed.bends, bound)
-    tol = DEFAULT_TOL * max(map(abs, root))
-    zeros = sum(near(b, 0, tol) for b in root)
-    if zeros >= 2 and max(root) <= bound:
-        raise InfiniteClosure(
-            f"the packing of this seed is infinite at any bound of at least "
-            f"{max(root)}: its root quadruple {','.join(map(str, root))} is "
-            "a strip between two parallel lines")
+        tol = DEFAULT_TOL * max(map(abs, root))
+        if sum(near(b, 0, tol) for b in root) < 2 or max(root) > bound:
+            return
+    raise InfiniteClosure(
+        f"the packing of this seed is infinite at any bound of at least "
+        f"{max(root)}: its root quadruple {','.join(map(str, root))} is "
+        "a strip between two parallel lines")
 
 
 def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
@@ -231,10 +239,17 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     deduplicated by equality, and configurations by the sorted int ids of
     their rows.  A new row gets the next id once it is kept, after the
     max_configs test; since every row of a configuration met has an id, a
-    child with a row of no id is a new configuration.  The column sums are
-    formed once per configuration, and a child row is built only when its
-    bend is within the bound, both by the unrolled kernels of _row_kernels
-    for the width n + 2.
+    child with a row of no id is a new configuration.
+
+    Each configuration is expanded by one call of the step that
+    linalg._walk_step generates for its width n + 2 and bend column: the
+    column sums are formed once, and a child row is built only when its
+    bend is within the bound.  For n = 2 that step appends the children
+    and their rows to the next level and to the packing's rows, and is the
+    whole walk; for n >= 3 only the children in bound reach the dedup
+    above.  A max_configs cap that falls among the children of a level
+    keeps the first of them, in the order of the walk, and the walk is
+    truncated only when a child past the cap was within the bound.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
@@ -277,7 +292,7 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         if type(coeff) is int:
             limit = floor(limit)
 
-    sums, reflected = _row_kernels(n + 2)
+    step = _walk_step(n + 2, col)
     dedup = n > 2
     # n >= 3: an int id per distinct row, and the configurations met, each
     # as the sorted ids of its rows
@@ -301,18 +316,26 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
             break
         explored += len(frontier)
         next_frontier = []
-        for entry_rows, entry_ids, parent in frontier:
-            total = sums(entry_rows)
-            total_bend = total[col]
-            for i in range(n + 2):
-                if i == parent:
-                    continue
-                old = entry_rows[i]
-                if abs(coeff * (total_bend - old[col]) - old[col]) > limit:
-                    continue
-                new = reflected(total, old, coeff)
-                child_ids = None
-                if dedup:
+        if not dedup:
+            # a tree: every child in bound is a new configuration, and adds
+            # its one new row to rows
+            for entry_rows, _, parent in frontier:
+                step(entry_rows, parent, coeff, limit, next_frontier, rows)
+            if max_configs is not None and \
+                    found + len(next_frontier) > max_configs:
+                kept = max(0, max_configs - found)
+                del rows[len(rows) - len(next_frontier) + kept:]
+                del next_frontier[kept:]
+                truncated = True
+            found += len(next_frontier)
+            if keep_configs:
+                for child, _, _ in next_frontier:
+                    kept_configs[tuple(sorted(child))] = child
+        else:
+            candidates, new_rows = [], []
+            for entry_rows, entry_ids, parent in frontier:
+                step(entry_rows, parent, coeff, limit, candidates, new_rows)
+                for (child, _, i), new in zip(candidates, new_rows):
                     new_id = ids.get(new)
                     # every row of a configuration met has an id, so a row
                     # without one makes a new configuration
@@ -321,25 +344,23 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
                         key = tuple(sorted(child_ids))
                         if key in seen_configs:
                             continue
-                if max_configs is not None and found >= max_configs:
-                    truncated = True
-                    break
-                found += 1
-                child = entry_rows[:i] + (new,) + entry_rows[i + 1:]
-                if not dedup:
-                    rows.append(new)
-                else:
+                    if max_configs is not None and found >= max_configs:
+                        truncated = True
+                        break
+                    found += 1
                     if new_id is None:  # an id only for a row kept
                         new_id = ids[new] = len(ids)
                         rows.append(new)
                         child_ids = entry_ids[:i] + (new_id,) + entry_ids[i + 1:]
                         key = tuple(sorted(child_ids))
                     seen_configs.add(key)
-                if keep_configs:
-                    kept_configs[tuple(sorted(child))] = child
-                next_frontier.append((child, child_ids, i))
-            if truncated:
-                break
+                    if keep_configs:
+                        kept_configs[tuple(sorted(child))] = child
+                    next_frontier.append((child, child_ids, i))
+                if truncated:
+                    break
+                candidates.clear()
+                new_rows.clear()
         depth += 1
         if truncated:
             break
@@ -487,6 +508,11 @@ def recurrence_check(seq):
     return True
 
 
+# the slack of root_quadruple's steps by the type of the bend sum: a sum
+# of ints and Fractions is exact, and any other is taken for a float one
+_STEP_SLACK = {int: 0, Fraction: 0}
+
+
 def root_quadruple(bends, bound=None):
     """The root of an exact Descartes quadruple: oriented to a positive bend
     sum, then reflected at its largest bend while that lowers it (Graham,
@@ -505,15 +531,22 @@ def root_quadruple(bends, bound=None):
     ones takes one step per circle of the chain.
     A float step that lowers the largest bend by at most tol of it is not
     taken: on a strip whose zeros are off by rounding, such steps would go
-    down a chain of circles, one circle a step.
+    down a chain of circles, one circle a step.  That slack is read once,
+    by the type of the bend sum (_STEP_SLACK): none for int and Fraction
+    sums, whose steps are decided exactly.
     """
     v = list(bends)
-    if _sum(v) < 0:
+    total = _sum(v)
+    if total < 0:
         v = [-b for b in v]
+    slack = _STEP_SLACK.get(total.__class__, DEFAULT_TOL)
     while True:
         i = max(range(len(v)), key=v.__getitem__)
         new = 2 * (_sum(v) - v[i]) - v[i]
-        if new >= v[i] or near(new, v[i], DEFAULT_TOL * v[i]) or (
+        # v[i] >= 0, as the sum is: a step that does not lower v[i] ends
+        # the reduction, as does a float one that lowers it by at most
+        # DEFAULT_TOL of it
+        if v[i] - new <= slack * v[i] or (
                 bound is not None and abs(new) > bound):
             return tuple(v)
         v[i] = new

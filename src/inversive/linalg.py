@@ -14,16 +14,19 @@ its conditions from a table of targets over one denominator.
 
 The arithmetic run on every reflection and every Gram check is generated
 here once per row width, from source text of ints alone, through
-_compiled, the one place the package builds code: the column sums and the
-reflected row of apollonian's walks (_row_kernels), the Descartes Grams
-of forms.check_identity with the step that compares them with the target
-(_exact_gram, _float_gram), and the reflection of the base configuration
-that forms._reflected_base realizes curved bends from (_base_reflection).
-These make no Python call per entry.  The source of a Gram kernel grows as
-the square of the width, a loop over the rows whose body updates one
-accumulator per entry; that of the reflection as the square too, one
-expression per entry of its rows, with the base passed in as arguments,
-since above the plane its ints are longer than Python reads as literals.
+_compiled, the one place the package builds code: the step of
+apollonian.generate's walk, once per width and bend column (_walk_step),
+the column sums and the reflected row of reflect() and the loxodromic
+replay (_row_kernels), the Descartes Grams of forms.check_identity with
+the step that compares them with the target (_exact_gram, _float_gram),
+and the reflection of the base configuration that forms._reflected_base
+realizes curved bends from (_base_reflection).  These make no Python call
+per entry, and the walk's step none per child.  The source of the walk's
+step, of a Gram kernel and of the base reflection grows as the square of
+the width: one expression per entry of each child, a loop over the rows
+whose body updates one accumulator per entry, and one expression per
+entry of the reflected rows, with the base passed in as arguments, since
+above the plane its ints are longer than Python reads as literals.
 """
 
 from fractions import Fraction
@@ -87,7 +90,8 @@ def _matrix(width, entry):
 
 @cache
 def _row_kernels(width):
-    """(sums, reflected) on rows of width entries, unrolled.  sums(rows) is
+    """(sums, reflected) on rows of width entries, unrolled, for reflect()
+    and the loxodromic replay.  sums(rows) is
     the tuple of column sums of width rows, each column added left to
     right, as a loop over the rows in order adds floats and -0.0.
     reflected(t, x, c) is the row c * (t - x) - x of column sums t, old row
@@ -99,6 +103,39 @@ def _row_kernels(width):
     reflected = _compiled("def kernel(t, x, c): return (" + "".join(
         [f"c * (t[{j}] - x[{j}]) - x[{j}], " for j in cols]) + ")")
     return sums, reflected
+
+
+@cache
+def _walk_step(width, col):
+    """One step of apollonian.generate's walk on rows of width entries with
+    the bend in column col, generated once per (width, col).
+
+    kernel(rows, parent, c, limit, frontier, found) unpacks the rows into
+    locals and forms their column sums t once.  At each index i but parent
+    it forms only the bend c * (t_col - x_col) - x_col of the child that
+    reflecting row x = rows[i] makes; when -limit <= bend <= limit it
+    builds the child's row c * (t - x) - x, appends it to found and
+    appends (the child's rows, None, i) to frontier, in index order."""
+    cols = range(width)
+    lines = ["def kernel(rows, parent, c, limit, frontier, found):",
+             f"    {_names('r', width)}, = rows",
+             *[f"    {_names(f'x{i}_', width)}, = r{i}" for i in cols],
+             *[f"    t{j} = " + " + ".join([f"x{i}_{j}" for i in cols])
+               for j in cols],
+             "    low = -limit"]
+    for i in cols:
+        lines += [
+            f"    if parent != {i}:",
+            f"        b = c * (t{col} - x{i}_{col}) - x{i}_{col}",
+            "        if low <= b <= limit:",
+            "            new = (" + "".join(
+                ["b, " if j == col else f"c * (t{j} - x{i}_{j}) - x{i}_{j}, "
+                 for j in cols]) + ")",
+            "            found.append(new)",
+            "            frontier.append(((" + "".join(
+                ["new, " if k == i else f"r{k}, " for k in cols])
+            + f"), None, {i}))"]
+    return _compiled("\n".join(lines))
 
 
 @cache

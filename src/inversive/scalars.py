@@ -8,6 +8,7 @@ mode; the helpers here are the only place the two modes are told apart.
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import add
 from sys import float_info
 
@@ -133,7 +134,8 @@ def unscaled_rows(rows, scale, mode):
 
     Float mode rounds each x / scale once: over a scale 2^k, 53 <= k <=
     1022, as float(x) times the exact 2^-k, normal for ints x != 0, which
-    is quicker than dividing ints past 2^53; else, on a smaller scale (whose
+    is quicker than dividing ints past 2^53 (one map over the flattened
+    rows, all of one width, regrouped by zip); else, on a smaller scale (whose
     ints mostly divide as doubles), Fraction entries (walks with n >= 4) or
     past the float range, by one true division per entry.  Exact mode makes
     one Fraction per distinct entry: building them is the cost there, and a
@@ -143,10 +145,10 @@ def unscaled_rows(rows, scale, mode):
         return rows
     if mode != EXACT:
         if not scale & (scale - 1) and 53 < scale.bit_length() <= 1023:
-            unit = 1.0 / scale
-            try:
-                return tuple([tuple([int.__float__(x) * unit for x in row])
-                              for row in rows])
+            flat = map((1.0 / scale).__mul__,
+                       map(int.__float__, chain.from_iterable(rows)))
+            try:  # regrouped into rows of the first row's width
+                return tuple(zip(*[flat] * len(rows[0]))) if rows else ()
             except (TypeError, OverflowError):
                 pass
         return tuple([tuple([x / scale if x.__class__ is int

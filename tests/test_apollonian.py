@@ -13,6 +13,7 @@ from inversive import apollonian, forms, linalg, onedim, shell, transform
 from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
 from test_reference_kernels import (DIMENSION_8_BENDS, _ref_column_sums,
                                     _ref_reflect_entries,
+                                    _reference_loop_generate,
                                     _reference_loxodromic,
                                     _rounded_reference_loxodromic)
 
@@ -440,6 +441,106 @@ def test_capped_higher_dimensional_walks_match_reference(name):
             ref.explored, ref.depth, ref.truncated)
     if seed.mode == EXACT:  # the frame of scalars.scaled_rows: int rows
         assert all(type(x) is int for r in got.scaled[0] for x in r)
+
+
+def _walk_fields(p):
+    """A packing as a walk returns it: its frame, each entry by type and
+    repr, its counts, and its kept configurations with their frames."""
+    rows, scale = p.scaled
+    configs = p.configs and [(w, _bits(w.scaled[0]), repr(w.scaled[1]))
+                             for w in p.configs]
+    return (_bits(rows), repr(scale), p.explored, p.depth, p.truncated,
+            configs)
+
+
+def _check_walk(seed, bound, **caps):
+    """generate() against the per-child loop it replaced, to the bit, and
+    against the breadth-first Fraction closure; returns the packing."""
+    reference = (_reference_generate if seed.mode == EXACT
+                 else _rounded_reference)
+    for keep in (False, True):
+        got = apollonian.generate(seed, bound, keep_configs=keep, **caps)
+        loop = _reference_loop_generate(seed, bound, keep_configs=keep,
+                                        **caps)
+        assert _walk_fields(got) == _walk_fields(loop)
+    ref = reference(seed, bound, keep_configs=True, **caps)
+    assert shell.dumps_packing(got) == shell.dumps_packing(ref)
+    assert got.configs == ref.configs
+    assert (got.explored, got.depth, got.truncated) == (
+        ref.explored, ref.depth, ref.truncated)
+    return got
+
+
+# (seed builder, bound, modes): walks that max_configs stops anywhere
+# among their first 61 configurations, in a tree (n = 2) and with dedup
+# (n >= 3, the n = 4 and 8 walks on a Fraction coefficient)
+_SWEPT_SEEDS = {
+    "strip": (_realized(forms.EUCLIDEAN, (0, 0, 1, 1)), 1, (EXACT, FLOAT)),
+    "euclidean": (_realized(forms.EUCLIDEAN, (-1, 2, 2, 3)), 200,
+                  (EXACT, FLOAT)),
+    "horocycles": (_realized(forms.HYPERBOLIC, (-1, 1, 1, 1)), 1000,
+                   (EXACT, FLOAT)),
+    "n3": (_float_standard(3), 4.0, (FLOAT,)),
+    "n4": (_float_standard(4), 6.0, (FLOAT,)),
+    "n8-spherical": (_N8_SPHERICAL, 3, (EXACT,)),
+}
+
+
+@pytest.mark.parametrize("name", _SWEPT_SEEDS)
+def test_every_config_cap_matches_the_per_child_loop(name):
+    # a cap that falls among one configuration's children keeps the first
+    # max(0, max_configs - found) of them, in index order, and sets
+    # truncated only when a child past it is in bound
+    build, bound, modes = _SWEPT_SEEDS[name]
+    for mode in modes:
+        seed = build()
+        if seed.mode != mode:
+            seed, bound = _float_twin(seed), float(bound)
+        counts = set()
+        for cap in range(61):
+            p = _check_walk(seed, bound, max_configs=cap)
+            counts.add((p.truncated, len(p.rows)))
+        if name != "n8-spherical":  # its first level has 9 new configs
+            assert len(counts) >= 30, (name, mode, counts)
+
+
+def _moved_off_root(geometry, bends):
+    """The configuration of the bends reflected at their least bend: its
+    child at that index is the root again, with its negative bend."""
+    seed = apollonian.realize_bends(geometry, tuple(map(F, bends)))
+    return apollonian.reflect(seed, bends.index(min(bends)))
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("geometry,bends", (
+    (forms.EUCLIDEAN, (-1, 2, 2, 3)),
+    (forms.EUCLIDEAN, (F(-1, 2), 1, 1, F(3, 2))),
+    (forms.SPHERICAL, (0, 1, 1, 2)),
+    (forms.HYPERBOLIC, (-2, 3, 5, 6))))
+def test_bounds_on_a_rows_bend_match_the_per_child_loop(geometry, bends,
+                                                        mode):
+    # a child whose bend is the bound, or minus the bound, is in bound:
+    # each bend of the packing to 60 as the bound, and the negative bend
+    # of the root as the bound of a walk from one step off it
+    seed = apollonian.realize_bends(geometry, tuple(map(F, bends)))
+    off = _moved_off_root(geometry, bends)
+    if mode == FLOAT:
+        seed, off = _float_twin(seed), _float_twin(off)
+    walks = [(seed, b) for b in sorted({abs(b) for b in apollonian.generate(
+        seed, 60).bends})[:12]]
+    if min(bends) < 0:
+        walks.append((off, -min(bends)))
+    col = forms.bend_column(geometry)
+    on = below = 0
+    for w, b in walks:
+        b = F(b) if mode == EXACT else float(b)
+        p = _check_walk(w, b)
+        seed_rows = {r.entries for r in w.rows}
+        new = [r.entries[col] for r in p.rows if r.entries not in seed_rows]
+        on += b in new or -b in new
+        below += -b in new
+    assert on >= len(walks) - 3, (on, len(walks))
+    assert below == (min(bends) < 0), below
 
 
 def _bits(rows):

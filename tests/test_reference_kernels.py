@@ -32,6 +32,16 @@ The third set is the base reflection of the curved realizers as it ran on
 lists, before it moved onto a kernel generated per row width:
 _reference_reflected_base and _ref_carried, verbatim but for names.  The
 kernel must give the same int rows and scale on every frame both take.
+
+The fourth set is the walk of apollonian.generate as it ran before one
+generated step per configuration replaced its per-child loop: the loop,
+the strip check that decided exact seeds on Fractions and root_quadruple
+with near() on every step, verbatim but for names and docstrings
+(_reference_loop_generate, _reference_check_finite,
+_reference_root_quadruple).  generate must give their rows, counts and
+kept configurations to the bit, and raise as they do; tests/test_apollonian.py
+also holds it to the breadth-first Fraction closure, under caps that stop
+a level among one configuration's children and at bounds on a row's bend.
 """
 
 import itertools
@@ -39,6 +49,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from math import floor, inf, isfinite
 from operator import add, mul
 
 import numpy as np
@@ -47,8 +58,9 @@ import pytest
 from inversive import (apollonian, forms, hyperbolic, linalg, scalars, shell,
                        spherical, transform)
 from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
-                               coerce, coerce_row, div, integer_rows,
-                               is_exact, mode_of, near, sqrt_scalar)
+                               _sum, coerce, coerce_row, div, integer_rows,
+                               is_exact, mode_frame, mode_of, near,
+                               sqrt_scalar, unscaled_rows)
 
 import oracles
 
@@ -1683,3 +1695,233 @@ def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
                           for row, den in values)
     assert len(conversions) == realized
     assert realized >= 60 and len(searches) >= realized, realized
+
+
+# --- generate's per-child loop, verbatim -----------------------------------
+
+def _reference_check_finite(seed, bound):
+    """_check_finite as it decided exact seeds on Fractions."""
+    if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
+        return
+    if seed.mode == EXACT:
+        (bends,), scale, _ = apollonian._int_frame(seed, bends_only=True)
+        root = tuple([Fraction(b, scale) for b in
+                      _reference_root_quadruple(bends, floor(bound * scale))])
+    else:
+        root = _reference_root_quadruple(seed.bends, bound)
+    tol = DEFAULT_TOL * max(map(abs, root))
+    zeros = sum(near(b, 0, tol) for b in root)
+    if zeros >= 2 and max(root) <= bound:
+        raise apollonian.InfiniteClosure(
+            f"the packing of this seed is infinite at any bound of at least "
+            f"{max(root)}: its root quadruple {','.join(map(str, root))} is "
+            "a strip between two parallel lines")
+
+
+def _reference_loop_generate(seed, bound, keep_configs=False, max_depth=None,
+                             max_configs=None, tol=DEFAULT_TOL):
+    """generate() as it ran with the per-child loop in Python: the column
+    sums once per configuration and the new row by the kernels of
+    linalg._row_kernels, the bound tested per child."""
+    if not isinstance(seed, forms.ConfigMatrix):
+        raise TypeError("seed must be a ConfigMatrix")
+    seed_rows, scale, coeff, _ = apollonian._walk_frame(seed, tol, "generation")
+    n, mode = seed.n, seed.mode
+    col = forms.bend_column(seed.geometry)
+    if mode == EXACT:
+        if isinstance(bound, float) and not isfinite(bound):
+            raise ValueError(
+                f"an exact walk needs a finite bound, not {bound}")
+        bound_value = limit = Fraction(bound)
+    else:
+        bound_value = float(bound)
+        if bound_value != bound_value:
+            raise ValueError("bound must be a number, not nan")
+        limit = bound_value + tol * max(bound_value, *map(abs, seed.bends))
+        if limit == inf and max_depth is None and max_configs is None:
+            raise apollonian.InfiniteClosure(
+                f"the bound {bound} prunes nothing, so the walk never ends; "
+                "pass max_depth or max_configs")
+    if bound_value < 0:
+        raise ValueError("bound must be nonnegative")
+    if max_depth is None and max_configs is None:
+        _reference_check_finite(seed, limit)
+    elif (max_depth or 0) < 0 or (max_configs or 0) < 0:
+        raise ValueError("max_depth and max_configs must be nonnegative")
+    # an int is within the bound when within its floor: the bound test on
+    # int rows stays in int arithmetic.  An infinite float bound prunes
+    # nothing as it is.
+    if isfinite(limit):
+        limit = Fraction(limit) * scale
+        if type(coeff) is int:
+            limit = floor(limit)
+
+    sums, reflected = linalg._row_kernels(n + 2)
+    dedup = n > 2
+    # n >= 3: an int id per distinct row, and the configurations met, each
+    # as the sorted ids of its rows
+    ids = {}
+    seed_ids = (tuple([ids.setdefault(r, len(ids)) for r in seed_rows])
+                if dedup else None)
+    seen_configs = {tuple(sorted(seed_ids))} if dedup else None
+    kept_configs = ({tuple(sorted(seed_rows)): seed_rows} if keep_configs
+                    else None)
+    rows = list(seed_rows)
+
+    # (rows, row ids for n >= 3, index that produced it; -1 for the seed)
+    frontier = [(seed_rows, seed_ids, -1)]
+    found = 1  # configurations, the seed included
+    explored = 0
+    depth = 0
+    truncated = False
+    while frontier:
+        if max_depth is not None and depth >= max_depth:
+            truncated = True
+            break
+        explored += len(frontier)
+        next_frontier = []
+        for entry_rows, entry_ids, parent in frontier:
+            total = sums(entry_rows)
+            total_bend = total[col]
+            for i in range(n + 2):
+                if i == parent:
+                    continue
+                old = entry_rows[i]
+                if abs(coeff * (total_bend - old[col]) - old[col]) > limit:
+                    continue
+                new = reflected(total, old, coeff)
+                child_ids = None
+                if dedup:
+                    new_id = ids.get(new)
+                    # every row of a configuration met has an id, so a row
+                    # without one makes a new configuration
+                    if new_id is not None:
+                        child_ids = entry_ids[:i] + (new_id,) + entry_ids[i + 1:]
+                        key = tuple(sorted(child_ids))
+                        if key in seen_configs:
+                            continue
+                if max_configs is not None and found >= max_configs:
+                    truncated = True
+                    break
+                found += 1
+                child = entry_rows[:i] + (new,) + entry_rows[i + 1:]
+                if not dedup:
+                    rows.append(new)
+                else:
+                    if new_id is None:  # an id only for a row kept
+                        new_id = ids[new] = len(ids)
+                        rows.append(new)
+                        child_ids = entry_ids[:i] + (new_id,) + entry_ids[i + 1:]
+                        key = tuple(sorted(child_ids))
+                    seen_configs.add(key)
+                if keep_configs:
+                    kept_configs[tuple(sorted(child))] = child
+                next_frontier.append((child, child_ids, i))
+            if truncated:
+                break
+        depth += 1
+        if truncated:
+            break
+        frontier = next_frontier
+
+    rows.sort()
+    configs = None
+    try:
+        if keep_configs:
+            configs = tuple(
+                forms.ConfigMatrix(seed.geometry,
+                                   mode_frame(kept_configs[k], scale, mode))
+                for k in sorted(kept_configs))
+        if type(coeff) is not int:
+            rows, denominator = integer_rows(rows)
+            scale *= denominator
+        if mode != EXACT:  # each entry leaves the frame once, rounded
+            rows, scale = unscaled_rows(rows, scale, mode), 1.0
+    except OverflowError:
+        raise ValueError(f"a row of the packing within the bound {bound} is "
+                         "beyond the float range") from None
+    return apollonian.Packing(seed.geometry, n, seed, None, bound_value,
+                              configs, explored, depth, truncated,
+                              scaled=(tuple(rows), scale))
+
+
+def _reference_root_quadruple(bends, bound=None):
+    """root_quadruple as it called near() on every step taken."""
+    v = list(bends)
+    if _sum(v) < 0:
+        v = [-b for b in v]
+    while True:
+        i = max(range(len(v)), key=v.__getitem__)
+        new = 2 * (_sum(v) - v[i]) - v[i]
+        if new >= v[i] or near(new, v[i], DEFAULT_TOL * v[i]) or (
+                bound is not None and abs(new) > bound):
+            return tuple(v)
+        v[i] = new
+
+
+def _strip_outcome(check, seed, bound):
+    """None, or the text of the InfiniteClosure that check raises."""
+    try:
+        check(seed, bound)
+    except apollonian.InfiniteClosure as e:
+        return str(e)
+    return None
+
+
+# Euclidean bend vectors for the strip check: strips, seeds down a chain of
+# circles tangent to two fixed ones, roots, and roots moved off by a word
+_STRIP_BENDS = ((0, 0, 1, 1), (4, 0, 1, 1), (Fraction(-1, 2), Fraction(-1, 2), 0, 0),
+                (Fraction(2, 3), 0, 0, Fraction(2, 3)), (0, 1, 100, 121),
+                (Fraction(4, 3), 0, Fraction(1, 3), Fraction(1, 3)),
+                (0, -1, 0, -1), (0, 1, 4, 9), *ROOTS,
+                *[_reflect_bends(_reflect_bends(v, 0), 3) for v in ROOTS[:4]])
+
+
+def test_strip_checks_match_the_fraction_check():
+    """_check_finite decides an exact seed on its ints as the Fraction check
+    did, and a float seed as before, refusal text included, at bounds
+    below, on and above the root's largest bend; root_quadruple takes the
+    steps that near() took, on int, Fraction, float and mixed bends."""
+    bounds = (0, Fraction(1, 3), Fraction(1, 2), 1, Fraction(4, 3), 2, 80,
+              81, 121, 10 ** 6)
+    refused = 0
+    for bends in _STRIP_BENDS:
+        seed = apollonian.realize_bends(E, tuple(map(Fraction, bends)))
+        for w in (seed, _to_float(seed)):
+            for bound in bounds:
+                b = Fraction(bound) if w.mode == EXACT else float(bound)
+                got = _strip_outcome(apollonian._check_finite, w, b)
+                assert got == _strip_outcome(_reference_check_finite, w, b), (
+                    bends, w.mode, bound)
+                refused += got is not None
+        for v in (bends, tuple(map(Fraction, bends)), tuple(map(float, bends)),
+                  (float(bends[0]),) + tuple(bends[1:])):
+            for bound in (None, 1, 80, 81):
+                assert apollonian.root_quadruple(v, bound) == \
+                    _reference_root_quadruple(v, bound), (v, bound)
+    assert refused >= 40, refused
+
+
+def test_each_walk_step_is_built_once_per_width_and_bend_column(monkeypatch):
+    # generate at n = 2 in the three geometries (bend columns 1, 0 and 0)
+    # and at n = 3, each three times over, builds three step kernels
+    built = []
+    compiled = linalg._compiled
+
+    def counted(source):
+        if source.startswith(
+                "def kernel(rows, parent, c, limit, frontier, found):"):
+            built.append(source)
+        return compiled(source)
+
+    monkeypatch.setattr(linalg, "_compiled", counted)
+    linalg._walk_step.cache_clear()
+    for _ in range(3):
+        for geometry in GEOMS:
+            apollonian.generate(apollonian.standard_seed(geometry), 30,
+                                max_configs=40)
+        apollonian.generate(apollonian.standard_seed(E, 3, FLOAT), 4.0,
+                            max_configs=40)
+    assert len(built) == 3, [source.splitlines()[1] for source in built]
+    assert linalg._walk_step(4, 1) is linalg._walk_step(4, 1)
+    assert linalg._walk_step(4, 1) is not linalg._walk_step(4, 0)

@@ -188,3 +188,24 @@ def test_float_exit_is_one_rounded_division_per_entry():
         xrows = ((1, 2, 3, x),)
         got = _hexes_or_error(fast, xrows, scale)
         assert got == _hexes_or_error(_divided, xrows, scale), (x, scale)
+
+
+@pytest.mark.parametrize("width", (1, 3, 4, 7, 12))
+def test_float_exit_keeps_the_rows_of_every_width(width):
+    # the power-of-two exit maps the flattened rows and regroups them by
+    # zip: every width gives back the rows of _divided, a Fraction or an
+    # entry past the float range in the last row included
+    rng = random.Random(width)
+    entries = [rng.getrandbits(rng.randrange(1, 200)) * rng.choice((1, -1))
+               for _ in range(6 * width)]
+    rows = _exit_rows(entries, width)
+    fast = lambda rows, scale: scalars.unscaled_rows(rows, scale, FLOAT)
+    for scale in (2 ** 54, 2 ** 80, 2 ** 1022):
+        got = _hexes_or_error(fast, rows, scale)
+        assert got == _hexes_or_error(_divided, rows, scale), scale
+        assert len(got) == 6 and {len(row) for row in got} == {width}
+        for last in (F(1, 3), 2 ** 1100):
+            edited = rows[:-1] + (rows[-1][:-1] + (last,),)
+            assert _hexes_or_error(fast, edited, scale) == \
+                _hexes_or_error(_divided, edited, scale), (scale, last)
+    assert scalars.unscaled_rows((), 2 ** 60, FLOAT) == ()
