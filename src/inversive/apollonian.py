@@ -34,8 +34,9 @@ once per row width and bend column (linalg._walk_step): it forms the
 column sums once, tests the bend of every child against the bound, and
 builds and hands back the children in bound, in index order, so that the
 walk makes no Python call per child or per entry.  reflect() and the
-replayed loxodromic configurations use the column sums and the new row of
-linalg._row_kernels, generated once per row width.
+replay of a loxodromic sequence's configurations, which generate() does
+not use, reflect their int frame by one plain comprehension over its
+column sums (_reflect_entries).
 """
 
 from collections import Counter
@@ -44,18 +45,18 @@ from fractions import Fraction
 from math import floor, inf, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
-from .linalg import _row_kernels, _walk_step
+from .linalg import _walk_step
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, _sum,
                       frame_quotient, integer_rows, mode_frame, mode_of, near,
-                      scaled_rows, sqrt_scalar, unscaled_rows)
+                      scaled_rows, unscaled_rows)
 
 
 def _reflect_entries(entry_rows, i, coeff):
-    """The rows with row i replaced by its reflection, by the kernels of
-    _row_kernels: the one entry point of reflect() and of the replayed
-    loxodromic configurations."""
-    sums, reflected = _row_kernels(len(entry_rows))
-    new = reflected(sums(entry_rows), entry_rows[i], coeff)
+    """The int or Fraction rows with row i, x, replaced by its reflection
+    coeff * (t - x) - x, t the column sums of the rows: the one entry point
+    of reflect() and of the replayed loxodromic configurations."""
+    new = tuple([coeff * (t - x) - x
+                 for t, x in zip(map(sum, zip(*entry_rows)), entry_rows[i])])
     return entry_rows[:i] + (new,) + entry_rows[i + 1:]
 
 
@@ -130,8 +131,12 @@ class Packing:
 
     @property
     def bends(self):
+        """The bend column, read from the frame, as ConfigMatrix.bends is:
+        no CoordRow is built."""
         col = forms.bend_column(self.geometry)
-        return tuple(r.entries[col] for r in self.rows)
+        rows, scale = self.scaled
+        return unscaled_rows((tuple([row[col] for row in rows]),), scale,
+                             self.seed.mode)[0]
 
 
 def _int_frame(seed, bends_only=False):
@@ -585,8 +590,9 @@ _SEED_ROWS = ((1, -1, 0, 0), (0, 2, 1, 0), (0, 2, -1, 0), (1, 3, 0, 2))
 def standard_seed(geometry, n=2, mode=EXACT):
     """Canonical Descartes configuration: for n = 2 the integer seed with
     bends (-1, 2, 2, 3) (cot values (0,1,1,2), coth values (-1,1,1,1)); for
-    higher n the float equal caps of a regular simplex, the base that float
-    curved bends of that n are realized from (forms._base).
+    higher n the float equal caps of a regular simplex in the geometry, the
+    base that float curved bends of that n are realized from (forms._base),
+    read from its int frame by scalars.mode_frame.
 
     For n such as 3, 4 and 5 no rational configuration exists
     (forms._refuse_irrational).  No exact seed is built above n = 2, and
@@ -603,9 +609,9 @@ def standard_seed(geometry, n=2, mode=EXACT):
         raise ExactnessError(
             f"no exact standard seed is built for n = {n}; apollonian."
             "realize_bends builds exact configurations from bend vectors")
-    c = sqrt_scalar(n / (n + 2))
-    wp = spherical.realize_cap_config((c,) * (n + 2))
-    return transform.convert_matrix(wp, geometry)
+    forms.bend_column(geometry)  # or raise, before _base's cache hashes it
+    rows, scale = forms._base(geometry, n)[:2]
+    return forms.ConfigMatrix(geometry, mode_frame(rows, scale, mode))
 
 
 # realizers by module and name, so that a wrapper set on one later is called

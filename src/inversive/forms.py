@@ -218,7 +218,6 @@ class ConfigMatrix:
         row already of the mode's type as it is."""
         if mode is None:
             mode = mode_of([x for row in entry_rows for x in row])
-        mode = EXACT if mode == EXACT else FLOAT
         return cls(geometry, scaled_rows(
             [coerce_row(r, mode) for r in entry_rows], mode))
 
@@ -519,10 +518,20 @@ def bend_residual(geometry, bends):
     tangent spheres, exact on exact bends.  Float bends of magnitude m > 1
     are summed times f = 2**-e, e of frexp(m), as complete_bend takes them,
     and the residual divided back by f^2, +-inf past the float range."""
-    bends = tuple(bends)
-    r, f = _scaled_bend_residual(
-        geometry, bends, _exact_frame(bends) if all_exact(bends) else None)
+    c, _, frame = _bend_mode(bends)
+    r, f = _scaled_bend_residual(geometry, c, frame)
     return r / f / f
+
+
+def _bend_mode(bends):
+    """(c, mode, frame): the bends as one row, exact ones as given and any
+    other as floats, their mode, and for exact bends their int frame of
+    _exact_frame, None for float ones.  The one place that decides the mode
+    of a bend vector, for bend_residual and _bend_values."""
+    bends = tuple(bends)
+    if all_exact(bends):
+        return bends, EXACT, _exact_frame(bends)
+    return coerce_row(bends, FLOAT), FLOAT, None
 
 
 def _exact_frame(bends):
@@ -560,20 +569,16 @@ def _scaled_bend_residual(geometry, bends, frame):
 
 
 def _bend_values(geometry, bends, what):
-    """(c, mode, frame): the bends as one row, exact ones as given and
-    float ones as floats, their mode, and the int frame ((v,), s) of their
-    exact (for floats, dyadic) values, on which the realizers work; or the
-    ValueError "{what} by {bend_residual}" of bends that miss the bend
-    relation.  Exact bends are framed in one pass (_exact_frame: one LCM
-    of the denominators, ints as they are) and the relation decided on
-    that frame's ints.  Float bends are framed by scalars.integer_rows once
-    they pass, and may miss the relation by DEFAULT_TOL or by the rounding
-    of float values as large as theirs (scalars.negligible)."""
-    bends = tuple(bends)
-    if all_exact(bends):
-        c, mode, frame = bends, EXACT, _exact_frame(bends)
-    else:
-        c, mode, frame = coerce_row(bends, FLOAT), FLOAT, None
+    """(c, mode, frame): the row and mode of _bend_mode, and the int frame
+    ((v,), s) of the bends' exact (for floats, dyadic) values, on which the
+    realizers work; or the ValueError "{what} by {bend_residual}" of bends
+    that miss the bend relation.  Exact bends are framed in one pass
+    (_exact_frame: one LCM of the denominators, ints as they are) and the
+    relation decided on that frame's ints.  Float bends are framed by
+    scalars.integer_rows once they pass, and may miss the relation by
+    DEFAULT_TOL or by the rounding of float values as large as theirs
+    (scalars.negligible)."""
+    c, mode, frame = _bend_mode(bends)
     r, f = _scaled_bend_residual(geometry, c, frame)
     if r and not negligible(r, c, f):  # a zero residual needs no tolerance
         raise ValueError(f"{what} by {r / f / f}")

@@ -16,17 +16,16 @@ The arithmetic run on every reflection and every Gram check is generated
 here once per row width, from source text of ints alone, through
 _compiled, the one place the package builds code: the step of
 apollonian.generate's walk, once per width and bend column (_walk_step),
-the column sums and the reflected row of reflect() and the loxodromic
-replay (_row_kernels), the Descartes Grams of forms.check_identity with
-the step that compares them with the target (_exact_gram, _float_gram),
-and the reflection of the base configuration that forms._reflected_base
-realizes curved bends from (_base_reflection).  These make no Python call
-per entry, and the walk's step none per child.  The source of the walk's
-step, of a Gram kernel and of the base reflection grows as the square of
-the width: one expression per entry of each child, a loop over the rows
-whose body updates one accumulator per entry, and one expression per
-entry of the reflected rows, with the base passed in as arguments, since
-above the plane its ints are longer than Python reads as literals.
+the Descartes Grams of forms.check_identity with the step that compares
+them with the target (_exact_gram, _float_gram), and the reflection of the
+base configuration that forms._reflected_base realizes curved bends from
+(_base_reflection).  These make no Python call per entry, and the walk's
+step none per child.  The source of the walk's step, of a Gram kernel and
+of the base reflection grows as the square of the width: one expression
+per entry of each child, a loop over the rows whose body updates one
+accumulator per entry, and one expression per entry of the reflected
+rows, with the base passed in as arguments, since above the plane its
+ints are longer than Python reads as literals.
 """
 
 from fractions import Fraction
@@ -86,23 +85,6 @@ def _matrix(width, entry):
     return "(" + "".join(["(" + "".join([entry(a, b) + ", "
                                          for b in range(width)]) + "), "
                           for a in range(width)]) + ")"
-
-
-@cache
-def _row_kernels(width):
-    """(sums, reflected) on rows of width entries, unrolled, for reflect()
-    and the loxodromic replay.  sums(rows) is
-    the tuple of column sums of width rows, each column added left to
-    right, as a loop over the rows in order adds floats and -0.0.
-    reflected(t, x, c) is the row c * (t - x) - x of column sums t, old row
-    x and coefficient c."""
-    cols = range(width)
-    sums = _compiled("def kernel(r): return (" + "".join(
-        [" + ".join([f"r[{i}][{j}]" for i in range(width)]) + ", "
-         for j in cols]) + ")")
-    reflected = _compiled("def kernel(t, x, c): return (" + "".join(
-        [f"c * (t[{j}] - x[{j}]) - x[{j}], " for j in cols]) + ")")
-    return sums, reflected
 
 
 @cache

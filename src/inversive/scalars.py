@@ -2,7 +2,10 @@
 
 Every quantity in this package is either exact (python Fraction, with int
 accepted and normalized) or floating point.  Operations stay generic over the
-mode; the helpers here are the only place the two modes are told apart.
+mode; the helpers here coerce scalars, frame rows (scaled_rows,
+integer_rows), take them out of an int frame (mode_frame, unscaled_rows),
+fold float sums (_sum) and compare within tolerances.  None of them takes a
+square root.
 """
 
 import math
@@ -172,34 +175,6 @@ def div(a, b):
     if is_exact(a) and is_exact(b):
         return Fraction(a) / b
     return a / b
-
-
-def rational_sqrt(q):
-    """Square root of a nonnegative Fraction, or None if irrational."""
-    q = Fraction(q)
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def sqrt_scalar(x):
-    """Mode-aware square root.
-
-    For exact input the root must itself be rational, otherwise
-    ExactnessError is raised (callers fall back to float mode explicitly).
-    """
-    if x < 0:
-        raise ValueError(f"sqrt({x}) of a negative scalar")
-    if is_exact(x):
-        root = rational_sqrt(Fraction(x))
-        if root is None:
-            raise ExactnessError(f"sqrt({x}) is irrational; use float mode")
-        return root
-    return math.sqrt(x)
 
 
 def near(x, y, tol=DEFAULT_TOL):

@@ -10,10 +10,10 @@ and stereographic loci are the images of the rows under the conversion of
 transform.conversion_matrix to Euclidean rows.
 
 Output is SVG 1.1 text assembled from canonically sorted rows with a fixed
-number format, so identical inputs produce identical bytes.  Rows are read
-in the frame of scalars.scaled_rows, a packing's from Packing.scaled, so
-its Fraction rows are never built, and each row is converted to float
-once.  Exact labels are read from the ints too.
+number format, so identical inputs produce identical bytes.  A render reads
+a Packing or a ConfigMatrix, each from its frame (Packing.scaled,
+ConfigMatrix.scaled), so its Fraction rows are never built, and each row
+is converted to float once.  Exact labels are read from the ints too.
 
 A render builds a scene and draws it, by the builder and drawer that
 one table holds for the packing's geometry.  The scene is what no option
@@ -21,15 +21,14 @@ changes: the sorted float rows with the text of their labels, then the
 circles, lines and world box of the plane or the disk, or the caps of the
 orthographic view, in world coordinates.  A Packing or ConfigMatrix is
 immutable, so its scene is built once per packing and projection and kept
-with it, O(rows) memory for the packing's lifetime; any other row holder
-gets a scene per render.  The draw applies the canvas transform, the
-cutoff and the labels option.  A scene keeps what it drew on its last
-canvas (width, height): per (signed radius, label value) pair its pixel
-radius, r text and label size, and per circle, cap or line its element,
-label anchor and, once a labelled render drew it, label.  Only what a
-render draws is filled in, and another canvas replaces the memo, so a
-later render on one canvas, at any cutoff, labels option or stroke width,
-only culls by pixel radius and joins.
+with it, O(rows) memory for the packing's lifetime.  The draw applies the
+canvas transform, the cutoff and the labels option.  A scene keeps what it
+drew on its last canvas (width, height): per (signed radius, label value)
+pair its pixel radius, r text and label size, and per circle, cap or line
+its element, label anchor and, once a labelled render drew it, label.
+Only what a render draws is filled in, and another canvas replaces the
+memo, so a later render on one canvas, at any cutoff, labels option or
+stroke width, only culls by pixel radius and joins.
 """
 
 import math
@@ -39,8 +38,8 @@ from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
-from . import apollonian, forms, transform
-from .scalars import FLOAT, mode_of, scaled_rows
+from . import forms, transform
+from .scalars import FLOAT
 
 ORTHOGRAPHIC = "orthographic"
 STEREOGRAPHIC = "stereographic"
@@ -98,23 +97,18 @@ def _scaled_label(scale, x):
 
 def _sorted_rows(packing):
     """(float tuple, label value) per row, in canonical float order, and the
-    function that gives a label value its text; accepts a Packing, a
-    ConfigMatrix or any other object with CoordRow-valued .rows.  The
-    label value is the row's bend entry in the frame: the bend in the plane,
-    the cot or coth value on the sphere and in the disk.
+    function that gives a label value its text, for a Packing or a
+    ConfigMatrix.  The label value is the row's bend entry in the frame:
+    the bend in the plane, the cot or coth value on the sphere and in the
+    disk.
 
-    A Packing or a ConfigMatrix is read from its scaled frame, and its rows
-    are not built; other rows are put in the frame of scalars.scaled_rows
-    first, in the mode of their entries.  Float rows are used as they are.
-    Each int is divided once in float, x / scale, which is correctly
-    rounded and so the same float as float(Fraction(x, scale)).
+    The rows are read from the scaled frame, and the CoordRows are not
+    built.  Float rows are used as they are.  Each int is divided once in
+    float, x / scale, which is correctly rounded and so the same float as
+    float(Fraction(x, scale)).
     """
     col = forms.bend_column(packing.geometry)
-    scaled = getattr(packing, "scaled", None)
-    if scaled is None:
-        entries = [r.entries for r in packing.rows]
-        scaled = scaled_rows(entries, mode_of([x for e in entries for x in e]))
-    ints, scale = scaled
+    ints, scale = packing.scaled
     text = _label_text
     if scale.__class__ is float:  # float rows, at scale 1.0
         rows = [(r, r[col]) for r in ints]
@@ -257,10 +251,7 @@ def _scene(packing, build):
     """build(packing), the scene of a packing under one projection.  A
     Packing or a ConfigMatrix is immutable, so its scene is built once and
     kept in its __dict__ per builder, as ConfigMatrix.residual keeps its
-    residuals; any other object, whose rows may change, gets a scene built
-    on each call."""
-    if not isinstance(packing, (apollonian.Packing, forms.ConfigMatrix)):
-        return build(packing)
+    residuals."""
     scenes = packing.__dict__.setdefault("_scenes", {})
     scene = scenes.get(build)
     if scene is None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from inversive import apollonian, forms, linalg, onedim, shell, transform
-from inversive.scalars import DEFAULT_TOL, EXACT, FLOAT, ExactnessError, coerce
-from test_reference_kernels import (DIMENSION_8_BENDS, _ref_column_sums,
-                                    _ref_reflect_entries,
+from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
+                               coerce, mode_frame)
+from test_reference_kernels import (DIMENSION_8_BENDS, _ref_reflect_entries,
                                     _reference_loop_generate,
                                     _reference_loxodromic,
                                     _rounded_reference_loxodromic)
@@ -87,8 +88,9 @@ def test_reflect_validate_flags_broken_input(euclid_seed):
 def _kernel_rows(width, kind, rng):
     """width rows of width random entries of one kind: ints past 2^64,
     Fractions, or floats over 40 orders of magnitude.  Float rows also
-    hold a column whose sum depends on the order of addition, 1.0 added
-    left to right and 0.0 right to left, and a column of -0.0."""
+    hold a column whose sum in float arithmetic depends on the order of
+    addition, 1.0 added left to right and 0.0 right to left, and a column
+    of -0.0."""
     if kind == "int":
         def draw():
             return rng.randrange(-10 ** 20, 10 ** 20)
@@ -110,34 +112,33 @@ def _kernel_rows(width, kind, rng):
 def _kernel_coefficient(width, kind):
     """The coefficient 2/(n-1) of a walk of width n + 2: on int rows an int
     for n = 2 and 3 and a Fraction above (_int_frame), a Fraction on
-    Fraction rows, a float on float rows."""
+    Fraction rows."""
     n = width - 2
-    if kind == "float":
-        return 2.0 / (n - 1)
     return 2 // (n - 1) if kind == "int" and n <= 3 else F(2, n - 1)
 
 
 @pytest.mark.parametrize("kind", ("int", "fraction", "float"))
 @pytest.mark.parametrize("width", range(4, 11))
 def test_row_kernels_match_reference(width, kind, rng):
-    # the unrolled kernels against the loops of the reference, to the bit
-    # and the entry type (repr tells int, Fraction and float apart), -0.0
-    # and the order of float addition included
-    sums, reflected = apollonian._row_kernels(width)
-    assert apollonian._row_kernels(width) == (sums, reflected)
+    # the reflection of rows, _reflect_entries, against the loops of the
+    # reference, to the entry type (repr tells int and Fraction apart).
+    # Float rows reach it only as the int frame of reflect(): the result is
+    # the reference on their exact values, each entry rounded once, so
+    # neither the order of float addition nor a -0.0 shows
     coeff = _kernel_coefficient(width, kind)
     for _ in range(5):
         rows = _kernel_rows(width, kind, rng)
-        total = sums(rows)
-        assert _bits([total]) == _bits([_ref_column_sums(rows)])
-        if kind == "float":
-            assert repr(total[:2]) == "(1.0, -0.0)"
         for i in range(width):
-            expected = _ref_reflect_entries(rows, i, coeff)
-            assert _bits([reflected(total, rows[i], coeff)]) \
-                == _bits(expected[i:i + 1])
+            if kind == "float":
+                got = apollonian.reflect(
+                    forms.ConfigMatrix(forms.EUCLIDEAN, (rows, 1.0)), i)
+                expected = _ref_reflect_entries(
+                    tuple([tuple(map(F, row)) for row in rows]), i, coeff)
+                assert _bits(got.scaled[0]) == _bits(
+                    [tuple(map(float, row)) for row in expected])
+                continue
             assert _bits(apollonian._reflect_entries(rows, i, coeff)) \
-                == _bits(expected)
+                == _bits(_ref_reflect_entries(rows, i, coeff))
 
 
 def test_generate_bound_twenty(euclid_seed):
@@ -1150,6 +1151,28 @@ def test_standard_seed_float_high_dimensions():
                 forms.target_for(geometry, n, FLOAT), tol=1e-9,
             )
             assert res.ok, (geometry, n, res.max_abs_entry_error)
+
+
+def _frame_bits(frame):
+    """The bits of each float of a frame (rows, scale), -0.0 told apart."""
+    rows, scale = frame
+    return [struct.pack(f">{len(row)}d", *row) for row in rows], scale
+
+
+@pytest.mark.parametrize("geometry", forms.GEOMETRIES)
+def test_float_standard_seed_is_the_base_of_its_dimension(geometry):
+    # above the plane the float seed is the frame of the base that float
+    # curved bends of its dimension are realized from, to the bit, and the
+    # realization of its own equal cot values sqrt(n/(n+2)) converted to
+    # the geometry
+    for n in range(3, 17):
+        got = _frame_bits(apollonian.standard_seed(geometry, n, FLOAT).scaled)
+        assert got == _frame_bits(
+            mode_frame(*forms._base(geometry, n)[:2], FLOAT)), n
+        caps = apollonian.realize_bends(forms.SPHERICAL,
+                                        (math.sqrt(n / (n + 2)),) * (n + 2))
+        assert got == _frame_bits(
+            transform.convert_matrix(caps, geometry).scaled), n
 
 
 # the bends of the float n = 3 equal caps reflected at 0, 1, 2, 3, 4, 0, 1, 2

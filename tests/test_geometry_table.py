@@ -201,6 +201,7 @@ def test_unknown_geometry_is_one_error(tag, tmp_path, capsys):
         lambda: forms.bend_column(tag),
         lambda: forms.pair_product(tag, rows[0], rows[1]),
         lambda: apollonian.realize_bends(tag, (-1, 2, 2, 3)),
+        lambda: apollonian.standard_seed(tag, 3, "float"),
         lambda: svg.render(types.SimpleNamespace(geometry=tag, n=2)),
         lambda: shell.parse_document(document),
     ]

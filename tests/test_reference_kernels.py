@@ -60,7 +60,7 @@ from inversive import (apollonian, forms, hyperbolic, linalg, scalars, shell,
 from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
                                _sum, coerce, coerce_row, div, integer_rows,
                                is_exact, mode_frame, mode_of, near,
-                               sqrt_scalar, unscaled_rows)
+                               unscaled_rows)
 
 import oracles
 
@@ -150,11 +150,29 @@ def _ref_column_sums(entry_rows):
     return total
 
 
+def _ref_reflected_row(total, old, coeff):
+    return tuple(coeff * (t - x) - x for t, x in zip(total, old))
+
+
 def _ref_reflect_entries(entry_rows, i, coeff):
-    total = _ref_column_sums(entry_rows)
-    old = entry_rows[i]
-    new = tuple(coeff * (t - x) - x for t, x in zip(total, old))
+    new = _ref_reflected_row(_ref_column_sums(entry_rows), entry_rows[i],
+                             coeff)
     return entry_rows[:i] + (new,) + entry_rows[i + 1:]
+
+
+def _ref_sqrt(x):
+    """The square root of a scalar in its mode, for the reference
+    realizers: the Fraction root of an exact x whose root is rational, or
+    ExactnessError; math.sqrt of a float; ValueError below 0."""
+    if x < 0:
+        raise ValueError(f"sqrt({x}) of a negative scalar")
+    if not is_exact(x):
+        return math.sqrt(x)
+    q = Fraction(x)
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        raise ExactnessError(f"sqrt({x}) is irrational; use float mode")
+    return Fraction(num, den)
 
 
 def _reference_loxodromic(seed, k, tol=DEFAULT_TOL, check=True):
@@ -765,7 +783,7 @@ def _reference_solve_univariate(a, b, c, exact):
         # put an error of about 1e-8 into the tail and strand later rows
         disc = 0.0
     try:
-        root = sqrt_scalar(disc)
+        root = _ref_sqrt(disc)
     except (ValueError, ExactnessError):  # no real or no rational root
         return None
     return (-b + root) / (2 * a)
@@ -945,7 +963,7 @@ def _reference_complete_rows(w1, w2, w3, mode):
     disc = b * b - 4 * a * c
     if disc < 0:
         raise ValueError("no real completion; tangency points may coincide")
-    root = sqrt_scalar(disc)
+    root = _ref_sqrt(disc)
     if root == 0:
         raise ValueError("completions coincide; tangency points are not distinct")
     u1 = (-b + root) / (2 * a)
@@ -1007,7 +1025,7 @@ def _reference_realize_curvature_vector(bends, tol=DEFAULT_TOL):
     ra, rb, rc = one / ba, one / bb, one / bc
     ax, bx = ra, -rb
     cx = rc * (rb - ra) / (ra + rb)
-    cy = 2 * sqrt_scalar((ra + rb + rc) * ra * rb * rc) / (ra + rb)
+    cy = 2 * _ref_sqrt((ra + rb + rc) * ra * rb * rc) / (ra + rb)
     circle_a = oracles.OrientedSphere(ba, (ax, 0 * one))
     circle_b = oracles.OrientedSphere(bb, (bx, 0 * one))
     circle_c = oracles.OrientedSphere(bc, (cx, cy))
@@ -1721,8 +1739,8 @@ def _reference_check_finite(seed, bound):
 def _reference_loop_generate(seed, bound, keep_configs=False, max_depth=None,
                              max_configs=None, tol=DEFAULT_TOL):
     """generate() as it ran with the per-child loop in Python: the column
-    sums once per configuration and the new row by the kernels of
-    linalg._row_kernels, the bound tested per child."""
+    sums once per configuration and the new row by plain loops, the bound
+    tested per child."""
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
     seed_rows, scale, coeff, _ = apollonian._walk_frame(seed, tol, "generation")
@@ -1756,7 +1774,6 @@ def _reference_loop_generate(seed, bound, keep_configs=False, max_depth=None,
         if type(coeff) is int:
             limit = floor(limit)
 
-    sums, reflected = linalg._row_kernels(n + 2)
     dedup = n > 2
     # n >= 3: an int id per distinct row, and the configurations met, each
     # as the sorted ids of its rows
@@ -1781,7 +1798,7 @@ def _reference_loop_generate(seed, bound, keep_configs=False, max_depth=None,
         explored += len(frontier)
         next_frontier = []
         for entry_rows, entry_ids, parent in frontier:
-            total = sums(entry_rows)
+            total = _ref_column_sums(entry_rows)
             total_bend = total[col]
             for i in range(n + 2):
                 if i == parent:
@@ -1789,7 +1806,7 @@ def _reference_loop_generate(seed, bound, keep_configs=False, max_depth=None,
                 old = entry_rows[i]
                 if abs(coeff * (total_bend - old[col]) - old[col]) > limit:
                     continue
-                new = reflected(total, old, coeff)
+                new = _ref_reflected_row(total, old, coeff)
                 child_ids = None
                 if dedup:
                     new_id = ids.get(new)

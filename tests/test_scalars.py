@@ -1,4 +1,4 @@
-"""Exact/float scalar layer: coercion, mode detection, square roots."""
+"""Exact/float scalar layer: coercion, mode detection, frames."""
 
 import math
 import random
@@ -8,7 +8,7 @@ from operator import truediv
 import pytest
 
 from inversive import scalars
-from inversive.scalars import EXACT, FLOAT, ExactnessError
+from inversive.scalars import EXACT, FLOAT
 
 
 def test_mode_detection():
@@ -28,22 +28,6 @@ def test_coerce():
     row = scalars.coerce_row([1, F(1, 2), 3], EXACT)
     assert row == (F(1), F(1, 2), F(3))
     assert all(isinstance(x, F) for x in row)
-
-
-def test_rational_sqrt():
-    assert scalars.rational_sqrt(F(9, 4)) == F(3, 2)
-    assert scalars.rational_sqrt(F(0)) == 0
-    assert scalars.rational_sqrt(F(2)) is None
-    assert scalars.rational_sqrt(F(49)) == 7
-
-
-def test_sqrt_scalar():
-    assert scalars.sqrt_scalar(F(9, 4)) == F(3, 2)
-    assert scalars.sqrt_scalar(2.0) == pytest.approx(math.sqrt(2))
-    with pytest.raises(ExactnessError, match="irrational"):
-        scalars.sqrt_scalar(F(2))
-    with pytest.raises(ValueError):
-        scalars.sqrt_scalar(F(-1))
 
 
 def test_near():

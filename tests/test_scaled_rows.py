@@ -303,6 +303,19 @@ def test_replacing_a_field_with_rows_none_builds_no_rows(mode):
     assert q == dataclasses.replace(p, truncated=True)
 
 
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("geometry,bends,bound,scale", INPUTS, ids=IDS)
+def test_bends_are_read_from_the_frame(geometry, bends, bound, scale, mode):
+    p = shell.loads_packing(shell.dumps_packing(
+        _packing(geometry, bends, bound, mode)))
+    got = p.bends
+    assert "rows" not in vars(p)
+    col = forms.bend_column(geometry)
+    # repr tells Fraction, int and float apart, and -0.0 from 0.0
+    assert repr(got) == repr(tuple(r.entries[col] for r in p.rows))
+    assert "rows" in vars(p)
+
+
 def test_packing_needs_rows_or_scaled_rows():
     p = _packing(forms.SPHERICAL, (0, 1, 1, 2), 20, EXACT)
     with pytest.raises(ValueError):

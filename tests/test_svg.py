@@ -9,18 +9,19 @@ from fractions import Fraction as F
 import pytest
 
 from inversive import apollonian, forms, shell, svg
-from inversive.scalars import FLOAT
+from inversive.scalars import FLOAT, mode_of, scaled_rows
 
 import reference_svg
 
 
-class Holder:
-    """Bare row container, for rendering hand-built row lists."""
-
-    def __init__(self, geometry, n, rows):
-        self.geometry = geometry
-        self.n = n
-        self.rows = rows
+def _framed(seed, rows):
+    """A Packing of the seed's geometry that holds the CoordRows rows as
+    their frame, as generate() and shell.loads_packing() hand one over:
+    for rendering hand-built row lists."""
+    entries = [r.entries for r in rows]
+    return dataclasses.replace(
+        apollonian.generate(seed, 0), rows=None,
+        scaled=scaled_rows(entries, mode_of([x for e in entries for x in e])))
 
 
 def _labels(text):
@@ -82,7 +83,7 @@ def test_virtual_rows_are_skipped_with_warning():
     rows = list(hs.rows) + [forms.CoordRow(forms.HYPERBOLIC, (F(0), F(0), F(1), F(0)))]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        s = svg.render(Holder(forms.HYPERBOLIC, 2, rows)).decode("ascii")
+        s = svg.render(_framed(hs, rows)).decode("ascii")
     assert any("virtual" in str(w.message) for w in caught)
     assert "virtual" in s  # the skip is also recorded in the file
     assert s.count("<circle") == 4
@@ -137,7 +138,8 @@ def test_geometry_dispatch_is_checked():
         svg.render(n3)
     # the geometry is checked first
     with pytest.raises(ValueError, match="^unknown geometry 'elliptic'$"):
-        svg.render(Holder("elliptic", 3, n3.rows))
+        svg.render(dataclasses.replace(apollonian.generate(n3, 0), rows=None,
+                                       geometry="elliptic"))
 
 
 def _reference_sorted_rows(packing):
@@ -257,9 +259,9 @@ def test_render_matches_reference_on_repeated_float_bends():
 
 
 def test_render_matches_reference_on_configurations():
-    virtual = Holder(forms.HYPERBOLIC, 2, list(
-        apollonian.standard_seed(forms.HYPERBOLIC).rows)
-        + [forms.CoordRow(forms.HYPERBOLIC, (F(0), F(0), F(1), F(0)))])
+    hs = apollonian.standard_seed(forms.HYPERBOLIC)
+    virtual = _framed(hs, list(hs.rows) + [
+        forms.CoordRow(forms.HYPERBOLIC, (F(0), F(0), F(1), F(0)))])
     _assert_oracle_bytes(virtual)
     for geometry in (forms.EUCLIDEAN, forms.SPHERICAL, forms.HYPERBOLIC):
         for mode in ("exact", FLOAT):
@@ -333,16 +335,6 @@ def test_kept_scene_of_a_configuration_warns_on_every_render():
     assert all(warned == ["skipped 1 virtual rows with no disk locus"]
                for _, warned in expected)
     _assert_scene_reuse(lambda: apollonian.standard_seed(forms.SPHERICAL))
-
-
-def test_row_holder_draws_its_current_rows(euclid_seed):
-    holder = Holder(forms.EUCLIDEAN, 2, list(euclid_seed.rows))
-    assert svg.render(holder) == reference_svg.render(holder)
-    holder.rows = list(apollonian.generate(euclid_seed, 20).rows)
-    assert svg.render(holder) == reference_svg.render(holder)
-    holder.rows.pop()
-    assert svg.render(holder) == reference_svg.render(holder)
-    assert "_scenes" not in vars(holder)
 
 
 # --- the canvas memo of a kept scene --------------------------------------
