@@ -129,45 +129,42 @@ class Packing:
         object.__setattr__(self, "rows", built)
         return built
 
-    @property
-    def bends(self):
-        """The bend column, read from the frame, as ConfigMatrix.bends is:
-        no CoordRow is built."""
-        col = forms.bend_column(self.geometry)
-        rows, scale = self.scaled
-        return unscaled_rows((tuple([row[col] for row in rows]),), scale,
-                             self.seed.mode)[0]
+    bends = property(forms._frame_bends)
 
 
-def _int_frame(seed, bends_only=False):
-    """(rows, scale, coeff): the seed rows of either mode, or with
-    bends_only the one row of its bends, on ints over the least common
-    multiple scale of their denominators (ConfigMatrix.int_frame; a power
-    of two for floats), and the reflection coefficient 2/(n-1): an int for
-    n = 2 and n = 3, so that reflections of int rows stay ints, and a
-    Fraction above.  The bend row is the bend column of that frame reduced
-    by one gcd."""
-    n = seed.n
-    rows, scale = seed.int_frame
-    if bends_only:
-        col = forms.bend_column(seed.geometry)
-        rows, scale = mode_frame((tuple([row[col] for row in rows]),), scale,
-                                 EXACT)
-    return rows, scale, 2 // (n - 1) if n <= 3 else Fraction(2, n - 1)
+def _coefficient(n):
+    """The reflection coefficient 2/(n-1): an int for n = 2 and n = 3, so
+    that reflections of int rows stay ints, and a Fraction above."""
+    return 2 // (n - 1) if n <= 3 else Fraction(2, n - 1)
 
 
-def _walk_frame(seed, tol, task, bends_only=False):
-    """(rows, scale, coeff, quotient): the _int_frame that the walks of
-    generate() and loxodromic() start from, and the quotient(x, scale) that
-    turns an entry of the walk back into the seed's mode
-    (scalars.frame_quotient).  A seed whose Gram identity fails at tol
-    (ConfigMatrix.residual) raises ValueError."""
+def _int_frame(seed):
+    """(rows, scale, coeff): the seed rows on ints over the LCM scale of
+    their denominators (ConfigMatrix.int_frame; a power of two for
+    floats), and the seed's _coefficient."""
+    return (*seed.int_frame, _coefficient(seed.n))
+
+
+def _bend_frame(seed):
+    """_int_frame of the seed's bend column alone, as one row: ints over
+    the LCM of the bends' denominators (scalars.integer_rows), 1 for
+    integral bends in either mode."""
+    return (*integer_rows([seed.bends]), _coefficient(seed.n))
+
+
+def _walk_frame(seed, tol, task, frame):
+    """(rows, scale, coeff, quotient): frame(seed), the frame that a walk
+    starts from (_int_frame for generate(), _bend_frame for loxodromic()),
+    and the quotient(x, scale) that turns an entry of the walk back into
+    the seed's mode (scalars.frame_quotient).  The seed is checked before
+    it is framed: n < 2, or a Gram identity that fails at tol
+    (ConfigMatrix.residual), raises ValueError."""
     if seed.n < 2:
         raise ValueError(f"{task} needs n >= 2")
     res = seed.residual(tol)
     if not res.ok:
         raise ValueError(f"invalid seed, Gram residual {res.max_abs_entry_error}")
-    return (*_int_frame(seed, bends_only), frame_quotient(seed.mode))
+    return (*frame(seed), frame_quotient(seed.mode))
 
 
 class InfiniteClosure(ValueError):
@@ -182,7 +179,8 @@ def _check_finite(seed, bound):
     The walk reaches the configuration that root_quadruple(bends, bound)
     returns.  When that is a root (0, 0, c, c) with c <= bound, the circles
     of bend c between its two parallel lines repeat forever.  An exact
-    seed is decided on the int bends of _int_frame, over their scale s:
+    seed is decided on the ints of its bend column alone (_bend_frame),
+    over their scale s:
     reduced with the bound floor(bound s), and a strip when two of the
     root's ints are 0 and its largest is within that bound, each step and
     test unchanged by the positive scale; its Fractions are built only for
@@ -193,7 +191,7 @@ def _check_finite(seed, bound):
     if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
         return
     if seed.mode == EXACT:
-        (bends,), scale, _ = _int_frame(seed, bends_only=True)
+        (bends,), scale, _ = _bend_frame(seed)
         bound = floor(bound * scale)
         root = root_quadruple(bends, bound)
         if root.count(0) < 2 or max(root) > bound:
@@ -266,7 +264,8 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     """
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
-    seed_rows, scale, coeff, _ = _walk_frame(seed, tol, "generation")
+    seed_rows, scale, coeff, _ = _walk_frame(seed, tol, "generation",
+                                             _int_frame)
     n, mode = seed.n, seed.mode
     col = forms.bend_column(seed.geometry)
     if mode == EXACT:
@@ -448,9 +447,10 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
 
     Reflections act on W from the left, so they mix rows and never columns:
     the bend column evolves on its own, and the walk reads nothing else.
-    It runs on the bend column alone, on the ints of _walk_frame over the
-    column's own scale (1 for integral bends, in either mode), keeping the
-    column sum; positive scaling keeps the least index of the least bend.
+    It runs on the ints of _bend_frame, the bend column alone over its own
+    scale (1 for integral bends, in either mode), so no other column is
+    framed, and keeps the column sum; positive scaling keeps the least
+    index of the least bend.
     Each new bend leaves the frame once by the frame's quotient, so a float
     bend is its exact twin correctly rounded.  Only the reflected indices
     are recorded; the configurations are replayed from them when the
@@ -463,7 +463,7 @@ def loxodromic(seed, k, tol=DEFAULT_TOL):
     if k < 0:
         raise ValueError("step count must be nonnegative")
     (scaled,), scale, coeff, quotient = _walk_frame(
-        seed, tol, "the loxodromic sequence", bends_only=True)
+        seed, tol, "the loxodromic sequence", _bend_frame)
     # index() of the least finds the least index among the least bends
     scaled = list(scaled)
     total = sum(scaled)

@@ -101,6 +101,15 @@ def bend_column(geometry):
     return _by_geometry(_GEOMETRY, geometry).bend_column
 
 
+def _frame_bends(holder):
+    """The bend column of a ConfigMatrix or Packing, read from its frame
+    (scalars.unscaled_rows): no CoordRow is built.  An int frame is exact,
+    and a float frame's column is taken as it is."""
+    col = bend_column(holder.geometry)
+    rows, scale = holder.scaled
+    return unscaled_rows((tuple([row[col] for row in rows]),), scale, EXACT)[0]
+
+
 @dataclass(frozen=True)
 class CoordRow:
     """One sphere's coordinate vector, tagged by geometry."""
@@ -139,8 +148,9 @@ class ConfigMatrix:
     none.  Equality and repr are those of geometry and rows.
 
     A configuration is immutable, so what is worked out from it is kept on
-    the instance: n, its mode (of the scale's type), and its residual() per
-    tolerance.  None of them, nor scaled, takes part in equality or repr.
+    the instance: n, its mode (of the scale's type), its bends and its
+    residual() per tolerance.  None of them, nor scaled, takes part in
+    equality or repr.
     """
 
     geometry: str
@@ -175,13 +185,7 @@ class ConfigMatrix:
             [CoordRow(self.geometry, row) for row in self.matrix()])
         return built
 
-    @property
-    def bends(self):
-        """The bend column, read from the frame."""
-        col = bend_column(self.geometry)
-        rows, scale = self.scaled
-        return unscaled_rows((tuple([row[col] for row in rows]),), scale,
-                             self.mode)[0]
+    bends = functools.cached_property(_frame_bends)
 
     @property
     def int_frame(self):

@@ -11,8 +11,8 @@ square root.
 import math
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
-from operator import add
+from itertools import chain, repeat
+from operator import add, truediv
 from sys import float_info
 
 DEFAULT_TOL = 1e-9
@@ -135,28 +135,29 @@ def unscaled_rows(rows, scale, mode):
     frame_quotient(mode)(x, scale); the float rows of a float frame
     (scaled_rows, over 1.0) as they are.
 
-    Float mode rounds each x / scale once: over a scale 2^k, 53 <= k <=
-    1022, as float(x) times the exact 2^-k, normal for ints x != 0, which
-    is quicker than dividing ints past 2^53 (one map over the flattened
-    rows, all of one width, regrouped by zip); else, on a smaller scale (whose
-    ints mostly divide as doubles), Fraction entries (walks with n >= 4) or
-    past the float range, by one true division per entry.  Exact mode makes
-    one Fraction per distinct entry: building them is the cost there, and a
-    packing repeats its entries (equal bends, mirrored centers).
+    Float mode rounds each x / scale once, in one C-level pass over the
+    flattened rows, all of one width, regrouped by zip: over a scale 2^k,
+    k <= 1022, as float(x) times the exact 2^-k (at scale 1, float(x)
+    alone), normal for ints x != 0; over any other scale, and for Fraction
+    entries (walks with n >= 4) or ints past the float range, by true
+    division.  Exact mode makes one Fraction per distinct entry: building
+    them is the cost there, and a packing repeats its entries (equal
+    bends, mirrored centers).
     """
     if scale.__class__ is float:
         return rows
     if mode != EXACT:
-        if not scale & (scale - 1) and 53 < scale.bit_length() <= 1023:
-            flat = map((1.0 / scale).__mul__,
-                       map(int.__float__, chain.from_iterable(rows)))
-            try:  # regrouped into rows of the first row's width
-                return tuple(zip(*[flat] * len(rows[0]))) if rows else ()
-            except (TypeError, OverflowError):
+        width = len(rows[0]) if rows else 1
+        if not scale & (scale - 1) and scale.bit_length() <= 1023:
+            flat = map(int.__float__, chain.from_iterable(rows))
+            if scale != 1:
+                flat = map((1.0 / scale).__mul__, flat)
+            try:
+                return tuple(zip(*[flat] * width))
+            except (TypeError, OverflowError):  # a Fraction; float(x) > 2^1024
                 pass
-        return tuple([tuple([x / scale if x.__class__ is int
-                             else float(x / scale) for x in row])
-                      for row in rows])
+        return tuple(zip(*[map(float, map(truediv, chain.from_iterable(rows),
+                                          repeat(scale)))] * width))
     # Fraction(x) is quicker than Fraction(x, 1)
     unscaled = {x: Fraction(x) if scale == 1 else Fraction(x, scale)
                 for x in {x for row in rows for x in row}}.__getitem__

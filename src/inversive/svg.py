@@ -13,7 +13,8 @@ Output is SVG 1.1 text assembled from canonically sorted rows with a fixed
 number format, so identical inputs produce identical bytes.  A render reads
 a Packing or a ConfigMatrix, each from its frame (Packing.scaled,
 ConfigMatrix.scaled), so its Fraction rows are never built, and each row
-is converted to float once.  Exact labels are read from the ints too.
+is converted to float once, by scalars.unscaled_rows.  Exact labels are
+read from the ints too.
 
 A render builds a scene and draws it, by the builder and drawer that
 one table holds for the packing's geometry.  The scene is what no option
@@ -39,7 +40,7 @@ from functools import partial
 from operator import itemgetter
 
 from . import forms, transform
-from .scalars import FLOAT
+from .scalars import FLOAT, unscaled_rows
 
 ORTHOGRAPHIC = "orthographic"
 STEREOGRAPHIC = "stereographic"
@@ -103,24 +104,17 @@ def _sorted_rows(packing):
     disk.
 
     The rows are read from the scaled frame, and the CoordRows are not
-    built.  Float rows are used as they are.  Each int is divided once in
-    float, x / scale, which is correctly rounded and so the same float as
-    float(Fraction(x, scale)).
+    built: the floats are scalars.unscaled_rows of the frame, each entry
+    of an int frame x / scale correctly rounded, so the same float as
+    float(Fraction(x, scale)), and float rows as they are.
     """
     col = forms.bend_column(packing.geometry)
     ints, scale = packing.scaled
-    text = _label_text
-    if scale.__class__ is float:  # float rows, at scale 1.0
-        rows = [(r, r[col]) for r in ints]
-    elif scale == 1:
-        rows = [(tuple(map(float, r)), r[col]) for r in ints]
-    else:
-        rows = [(tuple([x / scale for x in r]), r[col]) for r in ints]
-        # a partial, not a closure, so that a packing with a kept scene
-        # still pickles
-        text = partial(_scaled_label, scale)
-    rows.sort(key=itemgetter(0))
-    return rows, text
+    rows = sorted(zip(unscaled_rows(ints, scale, FLOAT),
+                      map(itemgetter(col), ints)), key=itemgetter(0))
+    # a partial, not a closure, so that a packing with a kept scene still
+    # pickles
+    return rows, _label_text if scale == 1 else partial(_scaled_label, scale)
 
 
 def _document(options, elements, labels, comment=None):

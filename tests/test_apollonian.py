@@ -891,7 +891,7 @@ def test_loxodromic_bend_tie_on_a_bend_frame_of_its_own(mode, monkeypatch):
     seed = apollonian.realize_bends(forms.EUCLIDEAN, (F(-1), F(2), F(2), F(3)))
     if mode == FLOAT:
         seed = _float_twin(seed)
-    assert apollonian._int_frame(seed, bends_only=True)[1] == 1
+    assert apollonian._bend_frame(seed)[1] == 1
     full_scale = apollonian._int_frame(seed)[1]
     if mode == EXACT:
         assert full_scale == 5
@@ -1225,22 +1225,31 @@ def test_realize_bends_dispatch():
         apollonian.realize_bends("affine", (F(0), F(1), F(1), F(2)))
 
 
+def _walked(seed, frame=apollonian._int_frame):
+    return apollonian._walk_frame(seed, 1e-9, "walk", frame)
+
+
 def test_walk_frame_returns_quotient():
     seed = apollonian.standard_seed(forms.EUCLIDEAN)
-    rows, scale, coeff, quotient = apollonian._walk_frame(seed, 1e-9, "walk")
+    rows, scale, coeff, quotient = _walked(seed)
     assert (scale, coeff) == (1, 2) and type(coeff) is int
     assert all(type(x) is int for row in rows for x in row)
     assert quotient(3, scale) == 3 and type(quotient(3, scale)) is F
     seed = apollonian.realize_bends(forms.EUCLIDEAN, (F(-1), F(2), F(2), F(3)))
-    rows, scale, coeff, quotient = apollonian._walk_frame(seed, 1e-9, "walk")
+    rows, scale, coeff, quotient = _walked(seed)
     assert scale == 5
     assert [[quotient(x, scale) for x in row] for row in rows] == \
         [list(r.entries) for r in seed.rows]
+    # the bend column alone is framed over its own scale, and the quotient
+    # gives the bends back
+    (bends,), scale, coeff, quotient = _walked(seed, apollonian._bend_frame)
+    assert (bends, scale, coeff) == ((-1, 2, 2, 3), 1, 2)
+    assert all(type(x) is int for x in bends)
+    assert tuple(quotient(x, scale) for x in bends) == seed.bends
     # a float seed is framed exactly, on ints over a power of two, and
     # the quotient gives its floats back
     float_seed = apollonian.standard_seed(forms.EUCLIDEAN, n=3, mode=FLOAT)
-    rows, scale, coeff, quotient = apollonian._walk_frame(float_seed, 1e-9,
-                                                          "walk")
+    rows, scale, coeff, quotient = _walked(float_seed)
     assert coeff == 1 and type(coeff) is int
     assert type(scale) is int and scale > 1 and scale & (scale - 1) == 0
     assert all(type(x) is int for row in rows for x in row)
@@ -1249,7 +1258,7 @@ def test_walk_frame_returns_quotient():
     assert all(type(x) is float for row in back for x in row)
     # above n = 3 the coefficient 2/(n-1) is a Fraction in both modes
     n4 = apollonian.standard_seed(forms.EUCLIDEAN, n=4, mode=FLOAT)
-    assert apollonian._walk_frame(n4, 1e-9, "walk")[2] == F(2, 3)
+    assert _walked(n4)[2] == _walked(n4, apollonian._bend_frame)[2] == F(2, 3)
 
 
 @pytest.mark.parametrize("bends", ((0, 0, 1, 1), (4, 0, 1, 1),

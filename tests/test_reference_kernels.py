@@ -562,7 +562,7 @@ def test_bends_only_walk_matches_reference(name, monkeypatch):
                 [_typed_bits(r.entries) for r in b.rows], k
         assert seq == ref
     # the bend column has a frame of its own, at most the full one
-    bend_scale = apollonian._int_frame(seed, bends_only=True)[1]
+    bend_scale = apollonian._bend_frame(seed)[1]
     assert apollonian._int_frame(seed)[1] % bend_scale == 0
 
 
@@ -1722,7 +1722,7 @@ def _reference_check_finite(seed, bound):
     if seed.geometry != forms.EUCLIDEAN or seed.n != 2:
         return
     if seed.mode == EXACT:
-        (bends,), scale, _ = apollonian._int_frame(seed, bends_only=True)
+        (bends,), scale, _ = apollonian._bend_frame(seed)
         root = tuple([Fraction(b, scale) for b in
                       _reference_root_quadruple(bends, floor(bound * scale))])
     else:
@@ -1743,7 +1743,8 @@ def _reference_loop_generate(seed, bound, keep_configs=False, max_depth=None,
     tested per child."""
     if not isinstance(seed, forms.ConfigMatrix):
         raise TypeError("seed must be a ConfigMatrix")
-    seed_rows, scale, coeff, _ = apollonian._walk_frame(seed, tol, "generation")
+    seed_rows, scale, coeff, _ = apollonian._walk_frame(
+        seed, tol, "generation", apollonian._int_frame)
     n, mode = seed.n, seed.mode
     col = forms.bend_column(seed.geometry)
     if mode == EXACT:

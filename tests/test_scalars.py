@@ -2,12 +2,13 @@
 
 import math
 import random
+import struct
 from fractions import Fraction as F
 from operator import truediv
 
 import pytest
 
-from inversive import scalars
+from inversive import apollonian, forms, scalars, transform
 from inversive.scalars import EXACT, FLOAT
 
 
@@ -193,3 +194,55 @@ def test_float_exit_keeps_the_rows_of_every_width(width):
             assert _hexes_or_error(fast, edited, scale) == \
                 _hexes_or_error(_divided, edited, scale), (scale, last)
     assert scalars.unscaled_rows((), 2 ** 60, FLOAT) == ()
+
+
+# the scales of the float exit's cases: 1, which converts alone, the powers
+# of two it multiplies by 2^-k, and scales it divides by
+_EXIT_SCALES = ([2 ** k for k in (*range(61), 1020, 1021, 1022)]
+                + [3, 125, 5 * 2 ** 40, 10 ** 30 + 1])
+
+
+def _packed(rows):
+    """The bits of float rows, one bytes object per row."""
+    return [struct.pack(f"<{len(row)}d", *row) for row in rows]
+
+
+def _entrywise(rows, scale):
+    """x / scale per entry, a Fraction quotient rounded once by float()."""
+    return [[float(x / scale) for x in row] for row in rows]
+
+
+def test_float_exit_matches_per_entry_division_to_the_bit():
+    big = [x for m in (2 ** 53 - 1, 2 ** 53 + 1) for x in (m, -m)]
+    rows = _exit_rows([0, 1, -1] + big)
+    for scale in _EXIT_SCALES:
+        got = scalars.unscaled_rows(rows, scale, FLOAT)
+        assert _packed(got) == _packed(_entrywise(rows, scale)), scale
+    # past the float range over 2^1000: float(x) overflows, the quotient
+    # does not
+    huge = ((2 ** 1100, -(2 ** 1100), 1, 0),)
+    assert _packed(scalars.unscaled_rows(huge, 2 ** 1000, FLOAT)) == \
+        _packed([[2.0 ** 100, -2.0 ** 100, 2.0 ** -1000, 0.0]])
+    # the Fraction rows of an n = 4 reflection, coefficient 2/3
+    seed = apollonian.standard_seed(forms.EUCLIDEAN, n=4, mode=FLOAT)
+    ints, frame_scale, coeff = apollonian._int_frame(seed)
+    reflected = apollonian._reflect_entries(ints, 0, coeff)
+    assert type(coeff) is F and F in {type(x) for x in reflected[0]}
+    for scale in _EXIT_SCALES + [frame_scale]:
+        got = scalars.unscaled_rows(reflected, scale, FLOAT)
+        assert _packed(got) == _packed(_entrywise(reflected, scale)), scale
+
+
+def test_a_packing_row_past_the_float_range_is_one_value_error():
+    # this seed's frame has the scale 2^1020, so the walk's rows leave it
+    # by the power-of-two exit, whose float(x) overflows on the rows past
+    # 2^1024; their quotients overflow too, and generate says so in a line
+    seed = transform.moved(
+        apollonian.realize_bends(forms.EUCLIDEAN, (-1.0, 2.0, 2.0, 3.0)),
+        transform.dilation(2.0 ** 1020, 2))
+    assert seed.int_frame[1] == 2 ** 1020
+    with pytest.raises(ValueError) as caught:
+        apollonian.generate(seed, math.ldexp(200.0, -1020))
+    assert str(caught.value).endswith("is beyond the float range")
+    assert "\n" not in str(caught.value)
+    assert caught.value.__suppress_context__ and caught.value.__cause__ is None
