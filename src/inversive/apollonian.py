@@ -29,11 +29,12 @@ float packing, reflection or loxodromic sequence, configurations included,
 is the exact one of its float seed, each entry rounded once.
 
 The arithmetic of a reflection is generated from ints alone, in linalg.
-generate() takes one step of its walk per configuration, a kernel built
-once per row width and bend column (linalg._walk_step): it forms the
-column sums once, tests the bend of every child against the bound, and
-builds and hands back the children in bound, in index order, so that the
-walk makes no Python call per child or per entry.  reflect() and the
+generate() walks each level in one call of a kernel built once per row
+width and bend column (linalg._walk_level): every configuration carries
+its column sums, and the kernel tests the bend of every child against the
+bound, builds the children in bound in index order, deduplicates them for
+n >= 3 and stops at the max_configs cap, so that the walk makes no Python
+call per configuration, per child or per entry.  reflect() and the
 replay of a loxodromic sequence's configurations, which generate() does
 not use, reflect their int frame by one plain comprehension over its
 column sums (_reflect_entries).
@@ -45,7 +46,7 @@ from fractions import Fraction
 from math import floor, inf, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
-from .linalg import _walk_step
+from .linalg import _walk_level
 from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, _sum,
                       frame_quotient, integer_rows, mode_frame, mode_of, near,
                       scaled_rows, unscaled_rows)
@@ -244,15 +245,15 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
     max_configs test; since every row of a configuration met has an id, a
     child with a row of no id is a new configuration.
 
-    Each configuration is expanded by one call of the step that
-    linalg._walk_step generates for its width n + 2 and bend column: the
-    column sums are formed once, and a child row is built only when its
-    bend is within the bound.  For n = 2 that step appends the children
-    and their rows to the next level and to the packing's rows, and is the
-    whole walk; for n >= 3 only the children in bound reach the dedup
-    above.  A max_configs cap that falls among the children of a level
-    keeps the first of them, in the order of the walk, and the walk is
-    truncated only when a child past the cap was within the bound.
+    Each level is walked by one call of the kernel that linalg._walk_level
+    generates for the width n + 2 and the bend column, in every dimension:
+    each configuration carries its column sums, a child row is built only
+    when its bend is within the bound, and the kernel does the dedup above
+    for n >= 3 and appends the new configurations to the next level and
+    their new rows to the packing's rows.  A max_configs cap that falls
+    among the children of a level keeps the first of them, in the order of
+    the walk, and the walk is truncated only when a child past the cap was
+    within the bound.
 
     Packings with hyperplane or horocycle chains are infinite at any bend
     bound; pass max_depth or max_configs to truncate them.  The returned
@@ -296,21 +297,21 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
         if type(coeff) is int:
             limit = floor(limit)
 
-    step = _walk_step(n + 2, col)
-    dedup = n > 2
-    # n >= 3: an int id per distinct row, and the configurations met, each
-    # as the sorted ids of its rows
+    level = _walk_level(n + 2, col)
+    # an int id per distinct row, and the configurations met, each as the
+    # sorted ids of its rows; the kernel reads them for n >= 3 only
     ids = {}
-    seed_ids = (tuple([ids.setdefault(r, len(ids)) for r in seed_rows])
-                if dedup else None)
-    seen_configs = {tuple(sorted(seed_ids))} if dedup else None
+    seed_ids = tuple([ids.setdefault(r, len(ids)) for r in seed_rows])
+    seen_configs = {tuple(sorted(seed_ids))}
     kept_configs = ({tuple(sorted(seed_rows)): seed_rows} if keep_configs
                     else None)
     rows = list(seed_rows)
 
-    # (rows, row ids for n >= 3, index that produced it; -1 for the seed)
-    frontier = [(seed_rows, seed_ids, -1)]
-    found = 1  # configurations, the seed included
+    # (rows, row ids, index that produced it, -1 for the seed, column
+    # sums), and the configurations past the seed a cap leaves room for,
+    # negative for none
+    frontier = [(seed_rows, seed_ids, -1, tuple(map(sum, zip(*seed_rows))))]
+    room = -1 if max_configs is None else max(0, max_configs - 1)
     explored = 0
     depth = 0
     truncated = False
@@ -320,53 +321,14 @@ def generate(seed, bound, keep_configs=False, max_depth=None, max_configs=None,
             break
         explored += len(frontier)
         next_frontier = []
-        if not dedup:
-            # a tree: every child in bound is a new configuration, and adds
-            # its one new row to rows
-            for entry_rows, _, parent in frontier:
-                step(entry_rows, parent, coeff, limit, next_frontier, rows)
-            if max_configs is not None and \
-                    found + len(next_frontier) > max_configs:
-                kept = max(0, max_configs - found)
-                del rows[len(rows) - len(next_frontier) + kept:]
-                del next_frontier[kept:]
-                truncated = True
-            found += len(next_frontier)
-            if keep_configs:
-                for child, _, _ in next_frontier:
-                    kept_configs[tuple(sorted(child))] = child
-        else:
-            candidates, new_rows = [], []
-            for entry_rows, entry_ids, parent in frontier:
-                step(entry_rows, parent, coeff, limit, candidates, new_rows)
-                for (child, _, i), new in zip(candidates, new_rows):
-                    new_id = ids.get(new)
-                    # every row of a configuration met has an id, so a row
-                    # without one makes a new configuration
-                    if new_id is not None:
-                        child_ids = entry_ids[:i] + (new_id,) + entry_ids[i + 1:]
-                        key = tuple(sorted(child_ids))
-                        if key in seen_configs:
-                            continue
-                    if max_configs is not None and found >= max_configs:
-                        truncated = True
-                        break
-                    found += 1
-                    if new_id is None:  # an id only for a row kept
-                        new_id = ids[new] = len(ids)
-                        rows.append(new)
-                        child_ids = entry_ids[:i] + (new_id,) + entry_ids[i + 1:]
-                        key = tuple(sorted(child_ids))
-                    seen_configs.add(key)
-                    if keep_configs:
-                        kept_configs[tuple(sorted(child))] = child
-                    next_frontier.append((child, child_ids, i))
-                if truncated:
-                    break
-                candidates.clear()
-                new_rows.clear()
+        room = level(frontier, coeff, limit, ids, seen_configs, rows,
+                     next_frontier, room)
         depth += 1
-        if truncated:
+        if keep_configs:
+            for child, *_ in next_frontier:
+                kept_configs[tuple(sorted(child))] = child
+        if room is None:
+            truncated = True
             break
         frontier = next_frontier
 

@@ -14,18 +14,19 @@ its conditions from a table of targets over one denominator.
 
 The arithmetic run on every reflection and every Gram check is generated
 here once per row width, from source text of ints alone, through
-_compiled, the one place the package builds code: the step of
-apollonian.generate's walk, once per width and bend column (_walk_step),
+_compiled, the one place the package builds code: a level of
+apollonian.generate's walk, once per width and bend column (_walk_level),
 the Descartes Grams of forms.check_identity with the step that compares
 them with the target (_exact_gram, _float_gram), and the reflection of the
 base configuration that forms._reflected_base realizes curved bends from
 (_base_reflection).  These make no Python call per entry, and the walk's
-step none per child.  The source of the walk's step, of a Gram kernel and
-of the base reflection grows as the square of the width: one expression
-per entry of each child, a loop over the rows whose body updates one
-accumulator per entry, and one expression per entry of the reflected
-rows, with the base passed in as arguments, since above the plane its
-ints are longer than Python reads as literals.
+level none per configuration or child, its dedup for n >= 3 included.
+The source of the walk's level, of a Gram kernel and of the base
+reflection grows as the square of the width: one expression per entry of
+each child, a loop over the rows whose body updates one accumulator per
+entry, and one expression per entry of the reflected rows, with the base
+passed in as arguments, since above the plane its ints are longer than
+Python reads as literals.
 """
 
 from fractions import Fraction
@@ -88,36 +89,64 @@ def _matrix(width, entry):
 
 
 @cache
-def _walk_step(width, col):
-    """One step of apollonian.generate's walk on rows of width entries with
-    the bend in column col, generated once per (width, col).
+def _walk_level(width, col):
+    """One level of apollonian.generate's walk on rows of width entries
+    with the bend in column col, generated once per (width, col).
 
-    kernel(rows, parent, c, limit, frontier, found) unpacks the rows into
-    locals and forms their column sums t once.  At each index i but parent
-    it forms only the bend c * (t_col - x_col) - x_col of the child that
-    reflecting row x = rows[i] makes; when -limit <= bend <= limit it
-    builds the child's row c * (t - x) - x, appends it to found and
-    appends (the child's rows, None, i) to frontier, in index order."""
+    kernel(frontier, c, limit, ids, seen, found, nxt, room) takes the
+    entries (rows, row ids or None, parent index, column sums t) of the
+    frontier in order.  At each index i but parent it forms only the bend
+    of the child that reflecting row x = rows[i] makes, c * (t - x) - x in
+    the bend column, written 2 * (t - x) - x for width 4 and t - x - x for
+    width 5 (c = 1); when -limit <= bend <= limit it builds the child's
+    row.  For width 4 the walk is a tree and every such child is a new
+    configuration.  From width 5 on, a row already in the dict ids whose
+    child has the sorted ids of a configuration in the set seen is passed
+    over; a new row gets the next id and goes to found.  Each new
+    configuration takes one unit of room, and is appended to nxt as
+    (its rows, its row ids or None, i, its column sums t - x + new).  A
+    new configuration met at room 0 ends the level, and the kernel returns
+    None; otherwise it returns the room left, negative for no cap."""
     cols = range(width)
-    lines = ["def kernel(rows, parent, c, limit, frontier, found):",
-             f"    {_names('r', width)}, = rows",
-             *[f"    {_names(f'x{i}_', width)}, = r{i}" for i in cols],
-             *[f"    t{j} = " + " + ".join([f"x{i}_{j}" for i in cols])
-               for j in cols],
-             "    low = -limit"]
+    form = {4: "2 * (t{j} - x{i}_{j}) - x{i}_{j}",
+            5: "t{j} - x{i}_{j} - x{i}_{j}"}.get(
+                width, "c * (t{j} - x{i}_{j}) - x{i}_{j}")
+    lines = ["def kernel(frontier, c, limit, ids, seen, found, nxt, room):",
+             "    low = -limit",
+             f"    for ({_names('r', width)}), k, parent, "
+             f"({_names('t', width)}) in frontier:",
+             *[f"        {_names(f'x{i}_', width)}, = r{i}" for i in cols]]
+    if width > 4:
+        lines.append(f"        {_names('k', width)}, = k")
+    take = ["if room == 0:", "    return None", "room -= 1"]
     for i in cols:
-        lines += [
-            f"    if parent != {i}:",
-            f"        b = c * (t{col} - x{i}_{col}) - x{i}_{col}",
-            "        if low <= b <= limit:",
-            "            new = (" + "".join(
-                ["b, " if j == col else f"c * (t{j} - x{i}_{j}) - x{i}_{j}, "
-                 for j in cols]) + ")",
-            "            found.append(new)",
-            "            frontier.append(((" + "".join(
-                ["new, " if k == i else f"r{k}, " for k in cols])
-            + f"), None, {i}))"]
-    return _compiled("\n".join(lines))
+        push = ("nxt.append(((" + "".join(
+            ["new, " if a == i else f"r{a}, " for a in cols])
+            + f"), {'key' if width > 4 else 'None'}, {i}, ("
+            + "".join([f"t{j} - x{i}_{j} + y{j}, " for j in cols]) + ")))")
+        if width == 4:
+            body = [*take, "found.append(new)", push]
+        else:
+            key = "key = (" + "".join(
+                ["m, " if a == i else f"k{a}, " for a in cols]) + ")"
+            body = ["m = ids.get(new)",
+                    "if m is None:",
+                    *["    " + ln for ln in [
+                        *take, "m = ids[new] = len(ids)", "found.append(new)",
+                        key, "seen.add(tuple(sorted(key)))", push]],
+                    "else:",
+                    "    " + key,
+                    "    s = tuple(sorted(key))",
+                    "    if s not in seen:",
+                    *["        " + ln for ln in [*take, "seen.add(s)", push]]]
+        lines += [f"        if parent != {i}:",
+                  f"            y{col} = " + form.format(i=i, j=col),
+                  f"            if low <= y{col} <= limit:",
+                  *["                " + ln for ln in [
+                      *[f"y{j} = " + form.format(i=i, j=j)
+                        for j in cols if j != col],
+                      f"new = ({_names('y', width)},)", *body]]]
+    return _compiled("\n".join(lines + ["    return room"]))
 
 
 @cache

@@ -351,27 +351,28 @@ def loads_packing(source):
                 f"packing header n, explored, depth, truncated = {n!r}, "
                 f"{explored!r}, {depth!r}, {truncated!r}: not the seed's "
                 f"n = {seed.n}, two non-negative ints and a boolean")
-        decode = json.JSONDecoder().decode
         width = seed.n + 2
         bend_col = forms.bend_column(geometry)
-
-        def decoded(ln):
-            rec = decode(ln)
-            row = rec["row"] if isinstance(rec, dict) else None
-            if not isinstance(row, list) or len(row) != width:
-                raise ValueError(f"malformed packing row {ln.strip()[:80]!r}")
-            row = tuple([scalar_from_json(v, mode) for v in row])
-            bend, entry = scalar_from_json(rec["bend"], mode), row[bend_col]
-            # the encoder writes a NaN bend column as a NaN bend
-            if bend != entry and not (bend != bend and entry != entry):
-                raise ValueError(f"packing row bend {bend} is not the bend "
-                                 f"{entry} of its row")
-            # as text, as the regex reads it: a Fraction in lowest terms,
-            # a float by repr, which float() reads back to the same float
-            return map(str, row)
-
         entries = _body_entries(_row_pattern(width, bend_col, mode), body, width)
         if entries is None:
+            decode = json.JSONDecoder().decode
+
+            def decoded(ln):
+                rec = decode(ln)
+                row = rec["row"] if isinstance(rec, dict) else None
+                if not isinstance(row, list) or len(row) != width:
+                    raise ValueError(
+                        f"malformed packing row {ln.strip()[:80]!r}")
+                row = tuple([scalar_from_json(v, mode) for v in row])
+                bend, entry = scalar_from_json(rec["bend"], mode), row[bend_col]
+                # the encoder writes a NaN bend column as a NaN bend
+                if bend != entry and not (bend != bend and entry != entry):
+                    raise ValueError(f"packing row bend {bend} is not the "
+                                     f"bend {entry} of its row")
+                # as text, as the regex reads it: a Fraction in lowest terms,
+                # a float by repr, which float() reads back to the same float
+                return map(str, row)
+
             entries = list(itertools.chain.from_iterable(
                 decoded(ln) for ln in body.splitlines() if ln.strip()))
         if mode == EXACT:

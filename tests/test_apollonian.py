@@ -474,7 +474,8 @@ def _check_walk(seed, bound, **caps):
 
 # (seed builder, bound, modes): walks that max_configs stops anywhere
 # among their first 61 configurations, in a tree (n = 2) and with dedup
-# (n >= 3, the n = 4 and 8 walks on a Fraction coefficient)
+# (n >= 3, the n = 4 and 8 walks on a Fraction coefficient), and the
+# n = 3 walk, whose 408 configurations take 14 levels, in every level
 _SWEPT_SEEDS = {
     "strip": (_realized(forms.EUCLIDEAN, (0, 0, 1, 1)), 1, (EXACT, FLOAT)),
     "euclidean": (_realized(forms.EUCLIDEAN, (-1, 2, 2, 3)), 200,
@@ -497,12 +498,15 @@ def test_every_config_cap_matches_the_per_child_loop(name):
         seed = build()
         if seed.mode != mode:
             seed, bound = _float_twin(seed), float(bound)
-        counts = set()
-        for cap in range(61):
+        counts, depths = set(), set()
+        for cap in range(0, 420, 7) if name == "n3" else range(61):
             p = _check_walk(seed, bound, max_configs=cap)
             counts.add((p.truncated, len(p.rows)))
+            depths.add(p.depth)
         if name != "n8-spherical":  # its first level has 9 new configs
             assert len(counts) >= 30, (name, mode, counts)
+        if name == "n3":  # caps in each level, and the whole walk
+            assert depths == set(range(1, 15)), depths
 
 
 def _moved_off_root(geometry, bends):

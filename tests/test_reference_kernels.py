@@ -34,7 +34,7 @@ _reference_reflected_base and _ref_carried, verbatim but for names.  The
 kernel must give the same int rows and scale on every frame both take.
 
 The fourth set is the walk of apollonian.generate as it ran before one
-generated step per configuration replaced its per-child loop: the loop,
+generated kernel per level replaced its per-child loop: the loop,
 the strip check that decided exact seeds on Fractions and root_quadruple
 with near() on every step, verbatim but for names and docstrings
 (_reference_loop_generate, _reference_check_finite,
@@ -1920,20 +1920,20 @@ def test_strip_checks_match_the_fraction_check():
     assert refused >= 40, refused
 
 
-def test_each_walk_step_is_built_once_per_width_and_bend_column(monkeypatch):
+def test_each_walk_level_is_built_once_per_width_and_bend_column(monkeypatch):
     # generate at n = 2 in the three geometries (bend columns 1, 0 and 0)
-    # and at n = 3, each three times over, builds three step kernels
+    # and at n = 3, each three times over, builds three level kernels
     built = []
     compiled = linalg._compiled
 
     def counted(source):
         if source.startswith(
-                "def kernel(rows, parent, c, limit, frontier, found):"):
+                "def kernel(frontier, c, limit, ids, seen, found, nxt, room):"):
             built.append(source)
         return compiled(source)
 
     monkeypatch.setattr(linalg, "_compiled", counted)
-    linalg._walk_step.cache_clear()
+    linalg._walk_level.cache_clear()
     for _ in range(3):
         for geometry in GEOMS:
             apollonian.generate(apollonian.standard_seed(geometry), 30,
@@ -1941,5 +1941,39 @@ def test_each_walk_step_is_built_once_per_width_and_bend_column(monkeypatch):
         apollonian.generate(apollonian.standard_seed(E, 3, FLOAT), 4.0,
                             max_configs=40)
     assert len(built) == 3, [source.splitlines()[1] for source in built]
-    assert linalg._walk_step(4, 1) is linalg._walk_step(4, 1)
-    assert linalg._walk_step(4, 1) is not linalg._walk_step(4, 0)
+    assert linalg._walk_level(4, 1) is linalg._walk_level(4, 1)
+    assert linalg._walk_level(4, 1) is not linalg._walk_level(4, 0)
+
+
+@pytest.mark.parametrize("n,bound,caps", (
+    (2, 300, {}), (2, 300, {"max_configs": 100}), (2, 300, {"max_depth": 3}),
+    (3, 4.0, {}), (3, 4.0, {"max_configs": 137}), (3, 4.0, {"max_depth": 5})))
+def test_generate_calls_its_level_kernel_once_per_level(monkeypatch, n, bound,
+                                                        caps):
+    # one call of the generated kernel per level walked, the level a cap
+    # stops included: no per-configuration or per-child loop in Python
+    calls = []
+    compiled = linalg._compiled
+
+    def counted(source):
+        kernel = compiled(source)
+        if not source.startswith("def kernel(frontier, c, limit, ids, seen,"):
+            return kernel
+
+        def level(*args):
+            calls.append(len(args[0]))
+            return kernel(*args)
+        return level
+
+    monkeypatch.setattr(linalg, "_compiled", counted)
+    linalg._walk_level.cache_clear()
+    try:
+        seed = apollonian.standard_seed(E, n, EXACT if n == 2 else FLOAT)
+        p = apollonian.generate(seed, bound, keep_configs=True, **caps)
+    finally:
+        linalg._walk_level.cache_clear()
+    assert p.truncated == bool(caps)
+    if "max_configs" in caps:  # the cap stops a level
+        assert len(p.configs) == caps["max_configs"]
+    assert len(calls) == p.depth > 2
+    assert sum(calls) == p.explored
