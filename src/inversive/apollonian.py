@@ -47,9 +47,9 @@ from math import floor, inf, isfinite
 
 from . import euclid, forms, hyperbolic, spherical, transform
 from .linalg import _walk_level
-from .scalars import (DEFAULT_TOL, EXACT, ExactnessError, _sum,
-                      frame_quotient, integer_rows, mode_frame, mode_of, near,
-                      scaled_rows, unscaled_rows)
+from .scalars import (DEFAULT_TOL, EXACT, _sum, frame_quotient,
+                      integer_rows, mode_frame, mode_of, near, scaled_rows,
+                      unscaled_rows)
 
 
 def _reflect_entries(entry_rows, i, coeff):
@@ -552,27 +552,22 @@ _SEED_ROWS = ((1, -1, 0, 0), (0, 2, 1, 0), (0, 2, -1, 0), (1, 3, 0, 2))
 def standard_seed(geometry, n=2, mode=EXACT):
     """Canonical Descartes configuration: for n = 2 the integer seed with
     bends (-1, 2, 2, 3) (cot values (0,1,1,2), coth values (-1,1,1,1)); for
-    higher n the float equal caps of a regular simplex in the geometry, the
-    base that float curved bends of that n are realized from (forms._base),
-    read from its int frame by scalars.mode_frame.
+    higher n the base that curved bends of that n and mode are realized
+    from (forms._base), read from its int frame by scalars.mode_frame: the
+    float equal caps of a regular simplex in the geometry, and in exact
+    mode the rational configuration of n = 8 or 9.
 
     For n such as 3, 4 and 5 no rational configuration exists
-    (forms._refuse_irrational).  No exact seed is built above n = 2, and
-    the ExactnessError says which case holds; for n = 8, realize_bends
-    builds one from the cot values (-3,-3,-3,-3,-2,-2,-1,-1,-1,-1).
+    (forms._refuse_irrational), and other exact dimensions have no base;
+    the ExactnessError says which case holds.
     """
     if n == 2:
         w = forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, _SEED_ROWS, mode=mode)
         return transform.convert_matrix(w, geometry)
     if n < 2:
         raise ValueError("use the interval configurations for n = 1")
-    if mode == EXACT:
-        forms._refuse_irrational(n)
-        raise ExactnessError(
-            f"no exact standard seed is built for n = {n}; apollonian."
-            "realize_bends builds exact configurations from bend vectors")
     forms.bend_column(geometry)  # or raise, before _base's cache hashes it
-    rows, scale = forms._base(geometry, n)[:2]
+    rows, scale = forms._base(geometry, n, mode)[:2]
     return forms.ConfigMatrix(geometry, mode_frame(rows, scale, mode))
 
 

@@ -13,8 +13,11 @@ The targets differ only in a 2x2 head T on the first two coordinates (the
 rest is 2I), so one table keyed by the geometry tags holds what sets a
 geometry apart: its bend column c, T, the head of the map carrying its
 rows to Euclidean rows, and for the spherical and hyperbolic geometries the
-integral base configuration that their plane bends are realized from (the
-float bases of other dimensions are written in closed form, _base).
+integral base configuration that their plane bends are realized from.  The
+bases of other dimensions are spherical ones carried over by the conversion
+head (_base): in float mode the equal caps in closed form, in exact mode the
+configuration a tail search finds once for the cot values of a table, in
+the dimensions n = 1, 8 and 9 it holds.
 bend_column, CURVATURE_SIGN (k = -T[c][c]/2), target_for, pair_product
 (2 T^{-1} on the head), transform and the realizer read it.
 
@@ -25,7 +28,7 @@ identity W T^{-1} W^T = Q^{-1}.  ConfigMatrix.residual runs it against the
 configuration's own form and target, once per configuration and tolerance.
 
 Matrices are tuples of row tuples.  The Gram products, the base reflection
-and the tangency values of the tail search run on rows in the frame of
+and the tangency values of the base search run on rows in the frame of
 scalars.scaled_rows: on integers in exact mode, so with V = sW the rows
 scaled by the LCM s of their denominators and sigma the column sums of V,
 n s^2 W^T Q_n W = n V^T V - sigma sigma^T, and one quotient by the scale
@@ -294,32 +297,53 @@ def target_for(geometry, n, mode=EXACT):
     return linalg.block_diag(head, (2,) * n, mode)
 
 
-@functools.lru_cache(maxsize=None)
-def _base(geometry, n):
-    """(R, sigma, D, d, t) of the base W0 = R / sigma that _reflected_base
-    moves, for a geometry with a base: int rows R over sigma, the exact
-    inverse W0^{-1} = D / d of W0's own dyadic values as int rows D over d,
-    and the diagonal t of the Gram target T.
+# spherical cot values, by dimension above the plane, of the exact base
+# that _base finds by the tail search
+_EXACT_BASE_COTS = {1: (-3, -2, 1),
+                    8: (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1),
+                    9: (-4, -2, -2, -2, -2, -2, -2, -2, -1, -1, -1)}
 
-    In the plane W0 is the geometry's integral base, sigma = 1.  In other
-    dimensions it is the float configuration of n+2 equal caps centered at
-    the vertices of a regular simplex: cot a = sqrt(n/(n+2)), and cap i has
-    the tail sqrt(2) h_i, its unit center over sin a, with h_i the Helmert
-    coordinates of e_i - ones/(n+2).  The hyperbolic base is the spherical
-    one carried over by the conversion head.
+
+@functools.lru_cache(maxsize=None)
+def _base(geometry, n, mode):
+    """(R, sigma, D, d, t) of the base W0 = R / sigma that _reflected_base
+    moves for bends of the mode, for a geometry with a base: int rows R over
+    sigma, the exact inverse W0^{-1} = D / d of W0's own dyadic values as
+    int rows D over d, and the diagonal t of the Gram target T.
+
+    In the plane W0 is the geometry's integral base, sigma = 1, in both
+    modes.  In other dimensions it is a spherical configuration carried
+    over by the conversion head (transform.convert_matrix).  For float
+    bends that is the configuration of n+2 equal caps centered at the
+    vertices of a regular simplex: cot a = sqrt(n/(n+2)), and cap i has the
+    tail sqrt(2) h_i, its unit center over sin a, with h_i the Helmert
+    coordinates of e_i - ones/(n+2).  For exact bends it is the exact
+    configuration that _search_tangent_rows finds for the cot values of
+    _EXACT_BASE_COTS, once per geometry and dimension; a dimension with no
+    rational configuration raises the ExactnessError of _refuse_irrational,
+    and one with no entry in the table an ExactnessError that names it.
     """
     if n == 2:
         w0 = _by_geometry(_GEOMETRY, geometry).base
     else:
         from . import transform  # transform imports forms
-        cot = sqrt(n / (n + 2))
-        # Helmert row k is (1, ..., 1, -k, 0, ...) / sqrt(k (k+1)), k ones
-        ups = [sqrt(2) / sqrt(k * (k + 1)) for k in range(1, n + 2)]
-        caps = tuple([(cot, *[up if i < k else -k * up if i == k else 0.0
-                              for k, up in enumerate(ups, 1)])
-                      for i in range(n + 2)])
-        w0 = transform.convert_matrix(ConfigMatrix(SPHERICAL, (caps, 1.0)),
-                                      geometry).scaled[0]
+        if mode == EXACT:
+            cots = _EXACT_BASE_COTS.get(n)
+            if cots is None:
+                _refuse_irrational(n)
+                raise ExactnessError(
+                    f"no exact base configuration is known for n = {n}; "
+                    "exact bends are realized for n = 1, 2, 8 and 9")
+            caps = _search_tangent_rows(cots)
+        else:
+            cot = sqrt(n / (n + 2))
+            # Helmert row k is (1, ..., 1, -k, 0, ...) / sqrt(k (k+1)), k ones
+            ups = [sqrt(2) / sqrt(k * (k + 1)) for k in range(1, n + 2)]
+            caps = ConfigMatrix(SPHERICAL, (tuple(
+                [(cot, *[up if i < k else -k * up if i == k else 0.0
+                         for k, up in enumerate(ups, 1)])
+                 for i in range(n + 2)]), 1.0))
+        w0 = transform.convert_matrix(caps, geometry).matrix()
     head = _by_geometry(_GEOMETRY, geometry).target_head
     return (*integer_rows(w0), *integer_rows(linalg.mat_inv(w0)),
             (head[0][0], head[1][1]) + (2,) * n)
@@ -590,26 +614,20 @@ def _bend_values(geometry, bends, what):
     return c, mode, frame or integer_rows([c])
 
 
-def _realize_tangent_rows(geometry, bends, name, first_tails):
+def _realize_tangent_rows(geometry, bends, name):
     """One configuration of pairwise tangent rows (c_i, t_i) with the given
     spherical cot or hyperbolic coth values c_i, which errors call name.
 
-    Float values in every dimension, and exact ones in the plane, give the
-    geometry's base rows W0 moved from the right by an isometry of the Gram
-    target (_reflected_base), which every vector meeting the bend relation
-    admits: an exact matrix for exact bends, and for float bends the rows
-    of their dyadic values rounded once with the bends as given.  Exact
-    values above the plane raise the ExactnessError of _refuse_irrational
-    in a dimension with no rational configuration, before any search, and
-    are otherwise realized by the exact tail search of _search_tangent_rows,
-    which first_tails starts, or refused with a ValueError.
+    The rows are the geometry's base rows W0 of the dimension and mode of
+    the values moved from the right by an isometry of the Gram target
+    (_reflected_base), which every vector meeting the bend relation admits
+    once its dimension has a base: an exact matrix for exact values, and
+    for float values the rows of their dyadic values rounded once with the
+    bends as given.  Exact values in a dimension with no exact base raise
+    the ExactnessError of _base.
     """
     c, mode, frame = _bend_values(geometry, bends,
                                   f"{name} values violate the bend relation")
-    n = len(c) - 2
-    if mode == EXACT and n != 2:
-        _refuse_irrational(n)
-        return _search_tangent_rows(geometry, c, name, first_tails)
     return _realized(geometry, *_reflected_base(geometry, frame, mode), c,
                      mode)
 
@@ -646,40 +664,31 @@ def _refuse_irrational(n):
             "Gram identity forces an irrational determinant")
 
 
-def _search_tangent_rows(geometry, c, name, first_tails):
-    """The configuration of _realize_tangent_rows found by a tail search,
-    for exact values c (ints or Fractions) that meet the bend relation, on
-    any n.
+def _search_tangent_rows(c):
+    """The exact spherical configuration with the exact cot values c, met
+    by a tail search, for _base: the exact base of a dimension above the
+    plane, found once per geometry.
 
-    With k the geometry's curvature sign the tails carry the form
-    diag(k, 1, ..., 1), and tangency asks <t_i, t_i> = 1 + k c_i^2 and
-    <t_j, t_i> = k c_i c_j - 1.  first_tails(c_0, one) lists the leading
-    entries of the first-tail candidates, zero-padded to full length; later
-    tails come from linalg.realize_tails, which backtracks out of tail
-    choices that strand a later row.  It takes the tangency values as one
-    table of targets on the bends v = s c of their int frame
-    (scalars.integer_rows), times s^2: ints over the one denominator s^2,
-    so no Fraction is built for them.  The tails are not scaled by s, which
-    would move the rational points the search picks.  The tails come back
-    as Fractions in one conversion; no tails give a ValueError.
+    The tails carry the form diag(1, ..., 1), and tangency asks
+    <t_i, t_i> = 1 + c_i^2 and <t_j, t_i> = c_i c_j - 1.  The first tail is
+    (1, c_0, 0, ..., 0); later tails come from linalg.realize_tails, which
+    backtracks out of tail choices that strand a later row.  It takes the
+    tangency values as one table of targets on the values v = s c of their
+    int frame (scalars.integer_rows), times s^2: ints over the one
+    denominator s^2.  The tails come back as Fractions in one conversion;
+    no tails give a ValueError.
     """
-    c = coerce_row(c, EXACT)
     n = len(c) - 2
-    k = _by_geometry(CURVATURE_SIGN, geometry)
-    one = Fraction(1)
-    first_options = [head + (_ZERO,) * (n + 1 - len(head))
-                     for head in first_tails(c[0], one)]
-    # the tangency values times s^2, on the bends v = s c of the frame
     (v,), s = integer_rows([c])
     s2 = s * s
-    targets = [[k * vi * vj - s2 for vj in v[:i]] + [s2 + k * vi * vi]
+    targets = [[vi * vj - s2 for vj in v[:i]] + [s2 + vi * vi]
                for i, vi in enumerate(v)]
-    tails = linalg.realize_tails(first_options, (k,) + (1,) * n, targets, s2)
+    tails = linalg.realize_tails([(1, c[0]) + (0,) * (n - 1)],
+                                 (1,) * (n + 1), targets, s2)
     if tails is None:
-        raise ValueError(f"no realization found for these {name} values")
-    # Fraction rows already, so from_rows coerces none of them
-    entry_rows = [(c[i],) + tuple(tails[i]) for i in range(n + 2)]
-    return ConfigMatrix.from_rows(geometry, entry_rows, mode=EXACT)
+        raise ValueError("no realization found for these cot values")
+    return ConfigMatrix.from_rows(
+        SPHERICAL, [(ci, *t) for ci, t in zip(c, tails)], mode=EXACT)
 
 
 def _carried(rows, a, b, t):
@@ -734,7 +743,7 @@ def _reflected_base(geometry, frame, mode):
     q_0 column negated, which keeps T.
     """
     (ints,), s = frame
-    base = _base(geometry, len(ints) - 2)
+    base = _base(geometry, len(ints) - 2, mode)
     g, v0, size, rows, scale = linalg._base_reflection(len(ints))(ints, s,
                                                                   *base)
     p, q = _ISOTROPY_SLACK[mode]

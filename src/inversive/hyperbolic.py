@@ -20,26 +20,16 @@ rows and never need a center and radius.
 from . import forms
 
 
-def _first_tails(c0, one):
-    # a coth of absolute value 1 admits the zero tail, the row of the ideal
-    # boundary itself, which is tried first
-    return ([()] if abs(c0) == 1 else []) + [(c0, one)]
-
-
 def realize_sphere_config(coths):
     """One configuration of pairwise tangent rows with the given coth values.
 
     As by the spherical realizer, the rows are those of a base
     configuration moved by one or two reflections of the Gram target onto
     the given values and put on the upper sheet (forms._reflected_base):
-    in the plane the base coth values (-2, 3, 5, 6), and for float values in
-    any other dimension the spherical equal caps carried over by the
-    conversion head.  Every coth vector that meets the Soddy relation is
-    realized, in exact rows when its values are exact in the plane.  Exact
-    values above the plane have their tails searched as by the spherical
-    realizer, under the Lorentz tail form diag(-1, 1, ..., 1) and from the
-    first tail (c_1, 1, 0, ..., 0), or the zero tail first when |c_1| = 1;
-    they yield an exact matrix or a ValueError.
+    in the plane the base coth values (-2, 3, 5, 6), and in any other
+    dimension the spherical base of the realizer of cot values carried over
+    by the conversion head.  Every coth vector that meets the Soddy
+    relation is realized, in exact rows when its values are exact, where
+    the spherical realizer realizes exact values: in n = 1, 2, 8 and 9.
     """
-    return forms._realize_tangent_rows(forms.HYPERBOLIC, coths, "coth",
-                                       _first_tails)
+    return forms._realize_tangent_rows(forms.HYPERBOLIC, coths, "coth")

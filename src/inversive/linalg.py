@@ -1,7 +1,7 @@
 """Dense matrix helpers that work for exact and float entries alike, and
 the exact tail search.
 
-Matrices are tuples of row tuples (the largest one in this package is 7x7),
+Matrices are tuples of row tuples (n+2 rows of n+2 entries at most),
 with Fraction entries in exact mode and floats in float mode.  The few
 solvers needed here are written out by hand.  The inverse, exact on the
 values of its entries in either mode, and the linear conditions of the
@@ -9,8 +9,9 @@ tail search eliminate on Python ints, fraction-free: the rows are scaled by
 the LCM of their denominators, combined by cross multiplication and divided
 by their gcd, and only the results become Fractions.  The reduced row
 echelon form is unique, so the results do not depend on the pivot order.
-The tail search, which realizes exact curved bends above the plane, reads
-its conditions from a table of targets over one denominator.
+The tail search, which finds the exact spherical bases that forms reflects
+exact curved bends above the plane from, once per dimension, reads its
+conditions from a table of targets over one denominator.
 
 The arithmetic run on every reflection and every Gram check is generated
 here once per row width, from source text of ints alone, through

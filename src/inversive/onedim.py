@@ -105,11 +105,8 @@ def _infinite_row(interval):
     # in the frame shifted by -shift the complement is symmetric around 0,
     # x -> 1/x maps the infinite interval onto [-2/L, 2/L], and that image
     # has curvature L/2 and center 0
-    bbar_shifted = div(length, 2)
     curv = -div(2, length)
-    m_shifted = curv * 0
-    bbar = bbar_shifted + 2 * shift * m_shifted + shift * shift * curv
-    return (bbar, curv, m_shifted + curv * shift)
+    return (div(length, 2) + shift * shift * curv, curv, curv * shift)
 
 
 def augmented_1d(config):

@@ -17,10 +17,6 @@ never stores a cap's radian radius or center.
 from . import forms
 
 
-def _first_tails(c0, one):
-    return [(one, c0)]
-
-
 def realize_cap_config(cots):
     """One configuration of pairwise tangent caps with the given cot values.
 
@@ -28,13 +24,10 @@ def realize_cap_config(cots):
     reflections of the Gram target onto the given values
     (forms._reflected_base), so every cot vector that meets the Soddy
     relation is realized: in the plane from the base cot values
-    (0, 1, 1, 2), in exact rows when its values are exact, and for float
-    values in any other dimension from the equal caps of a regular simplex.
-    Exact values above the plane are searched for rational rows: the first
-    tail is (1, c_1, 0, ..., 0) and each later tail solves the linear
-    tangency conditions against the earlier rows plus its own quadratic
-    norm condition.  The search raises if none of its candidate branches
-    closes.
+    (0, 1, 1, 2), in exact rows when its values are exact; for float values
+    in any other dimension from the equal caps of a regular simplex; and
+    for exact values in n = 1, 8 and 9 from one rational configuration of
+    the dimension, found once by a tail search (forms._base).  Exact values
+    in any other dimension raise ExactnessError.
     """
-    return forms._realize_tangent_rows(forms.SPHERICAL, cots, "cot",
-                                       _first_tails)
+    return forms._realize_tangent_rows(forms.SPHERICAL, cots, "cot")

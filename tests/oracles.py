@@ -12,8 +12,9 @@ them from outside, as tests/reference_svg.py checks the renderer.
 - The object routes: oriented planar spheres and hyperplanes, their
   augmented rows and the rows read back as objects, and spherical caps
   with their stereographic images.
-- The curved plane realization: a base configuration moved onto a bend
-  vector by reflections of the Gram target, on Fraction matrices.
+- The curved realization: a base configuration moved onto a bend vector by
+  reflections of the Gram target, on Fraction matrices, and the Gram
+  product W^T Q_n W those rows are held to.
 - A dilation by a power of two written entry by entry, which float rows
   undergo without rounding.
 
@@ -314,15 +315,35 @@ def plane_to_cap(obj):
     return cap_from_coords(entries)
 
 
-# --- the curved plane realization ------------------------------------------
+# --- the curved realization ------------------------------------------------
 
 # the rows of cot values (0, 1, 1, 2) and of coth values (-2, 3, 5, 6), and
-# the diagonal Gram targets of the two geometries in the plane
+# the head of the diagonal Gram targets of the two geometries, then 2s
 BASE_ROWS = {
     "spherical": ((0, 1, 0, 0), (1, -1, 1, 0), (1, -1, -1, 0), (2, -1, 0, 2)),
     "hyperbolic": ((-2, -2, 1, 0), (3, 3, -1, 0), (5, 7, -5, 0), (6, 8, -5, 2)),
 }
-_TARGET_DIAGONAL = {"spherical": (-2, 2, 2, 2), "hyperbolic": (2, -2, 2, 2)}
+_TARGET_HEAD = {"spherical": (-2, 2), "hyperbolic": (2, -2)}
+
+
+def curved_target(geometry, n):
+    """The diagonal of the spherical or hyperbolic Gram target in n-space."""
+    return _TARGET_HEAD[geometry] + (2,) * n
+
+
+def curved_identity_holds(geometry, rows):
+    """Whether W^T Q_n W is the diagonal Gram target of the geometry, on
+    Fractions: with Q_n = I - ones ones^T / n on n+2 rows, entry (i, j) is
+    the product of columns i and j less sigma_i sigma_j / n, sigma the
+    column sums."""
+    cols = [[Fraction(x) for x in col] for col in zip(*rows)]
+    n = len(rows) - 2
+    t = curved_target(geometry, n)
+    sums = [sum(col) for col in cols]
+    return all(sum(x * y for x, y in zip(a, b)) - sa * sb / n
+               == (t[i] if i == j else 0)
+               for i, (a, sa) in enumerate(zip(cols, sums))
+               for j, (b, sb) in enumerate(zip(cols, sums)))
 
 
 def _fraction_solve(a, b):
@@ -349,36 +370,39 @@ def _fraction_matmul(a, b):
 def isotropic_reflection(geometry, bends):
     """Whether v = e - W0^{-1} c is a nonzero isotropic vector of the Gram
     target T, where one reflection cannot carry e to W0^{-1} c."""
-    t = _TARGET_DIAGONAL[geometry]
+    t = curved_target(geometry, 2)
     g = _fraction_solve(BASE_ROWS[geometry], bends)
     v = [int(i == 0) - x for i, x in enumerate(g)]
     return any(v) and sum(ti * x * x for ti, x in zip(t, v)) == 0
 
 
-def reflected_base(geometry, bends, factor=2):
-    """Fraction rows W0 G of a spherical or hyperbolic plane configuration
-    with the Descartes bends c, taken at their exact values (a float at its
+def reflected_base(geometry, bends, factor=2, w0=None):
+    """Fraction rows W0 G of a spherical or hyperbolic configuration with
+    the Descartes bends c, taken at their exact values (a float at its
     dyadic one).
 
-    W0 is the base of BASE_ROWS, T the Gram target and e = (1, 0, 0, 0), so
-    that W0 e holds the base bends, and g = W0^{-1} c.  The map that
-    carries a to b is x -> x - factor (x^T T v) / (2 a^T T v) v with
+    W0 is w0, by default the plane base of BASE_ROWS, T the Gram target and
+    e = (1, 0, ..., 0), so that W0 e holds the base bends, and
+    g = W0^{-1} c.  The map that carries a to b is
+    x -> x - factor (x^T T v) / (2 a^T T v) v with
     v = a - b: the reflection of T in v when a and b have one norm and
     factor is 2, and no isometry of T for another factor.  G carries e to
     g, or, when v = e - g is isotropic (v_0 = 0), e to -g and then -g to g.
     A hyperbolic W whose first row with |c| >= 1 and a nonzero q_0 has q_0
     of the other sign than c gets its q_0 column negated.
     """
-    t = _TARGET_DIAGONAL[geometry]
-    w0 = [[Fraction(x) for x in row] for row in BASE_ROWS[geometry]]
+    w0 = [[Fraction(x) for x in row]
+          for row in (BASE_ROWS[geometry] if w0 is None else w0)]
+    k = len(w0)
+    t = curved_target(geometry, k - 2)
     g = _fraction_solve(w0, bends)
-    e = [1, 0, 0, 0]
+    e = [1] + [0] * (k - 1)
 
     def carrying(a, b):
         v = [x - y for x, y in zip(a, b)]
         m = 2 * sum(ti * x * y for ti, x, y in zip(t, a, v))
         return [[int(i == j) - factor * v[i] * t[j] * v[j] / m
-                 for j in range(4)] for i in range(4)]
+                 for j in range(k)] for i in range(k)]
 
     if g == e:
         w = w0

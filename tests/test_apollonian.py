@@ -424,6 +424,19 @@ _CAPPED_SEEDS = {
 }
 
 
+def test_n8_seeds_keep_their_bends_and_meet_the_fraction_gram_formula():
+    # their rows are reflected from the exact base of n = 8
+    for build, bends, geometry in (
+            (_N8_SPHERICAL, (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1),
+             "spherical"),
+            (_N8_HYPERBOLIC, (-3, -3, -2, -2, -2, -1, -1, -1, -1, 0),
+             "hyperbolic")):
+        w = build()
+        assert w.bends == bends
+        assert oracles.curved_identity_holds(geometry,
+                                             [r.entries for r in w.rows])
+
+
 @pytest.mark.parametrize("name", _CAPPED_SEEDS)
 def test_capped_higher_dimensional_walks_match_reference(name):
     build, bound, caps = _CAPPED_SEEDS[name]
@@ -1098,16 +1111,19 @@ def test_standard_seed_exact_messages_tell_the_dimensions_apart(geometry):
                        "configuration exists for n = 3; the Gram identity "
                        "forces an irrational determinant"):
         apollonian.standard_seed(geometry, n=3)
+    # n = 18 has rational configurations, but no exact base is known there
+    with pytest.raises(ExactnessError) as info:
+        apollonian.standard_seed(geometry, n=18)
+    message = str(info.value)
+    assert "no exact base configuration is known for n = 18" in message
+    assert "no rational" not in message
+    # n = 8 and 9 have exact seeds: the bases exact bends are realized from
     for n in (8, 9):
-        with pytest.raises(ExactnessError) as info:
-            apollonian.standard_seed(geometry, n=n)
-        message = str(info.value)
-        assert f"no exact standard seed is built for n = {n}" in message
-        assert "realize_bends" in message and "no rational" not in message
-    # and one exists for n = 8, as the message says
-    w = apollonian.realize_bends(
-        forms.SPHERICAL, (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1))
-    assert w.mode == EXACT and w.residual().max_abs_entry_error == 0
+        w = apollonian.standard_seed(geometry, n=n)
+        assert w.mode == EXACT and w.n == n
+        assert w.residual().max_abs_entry_error == 0
+        assert w.scaled == mode_frame(*forms._base(geometry, n, EXACT)[:2],
+                                      EXACT)
 
 
 # exact vectors meeting the bend relation for n = 3..7, where det(W)^2 is
@@ -1126,11 +1142,13 @@ def test_exact_dimensions_with_no_rational_configuration_refuse_at_once(
         geometry, monkeypatch):
     # the ExactnessError of the det(W)^2 rule, before any tail search; the
     # float values of the same vectors are realized by reflecting a base,
-    # and only the exact n = 8 vector is searched
+    # and the exact n = 8 vector by reflecting the exact base of n = 8,
+    # which one search finds
     searches = []
     inner = linalg.realize_tails
     monkeypatch.setattr(linalg, "realize_tails",
                         lambda *args: searches.append(args) or inner(*args))
+    forms._base.cache_clear()
     for n, bends in enumerate(_IRRATIONAL_DIMENSION_BENDS[geometry], 3):
         assert len(bends) == n + 2
         assert forms.bend_residual(geometry, bends) == 0
@@ -1172,7 +1190,7 @@ def test_float_standard_seed_is_the_base_of_its_dimension(geometry):
     for n in range(3, 17):
         got = _frame_bits(apollonian.standard_seed(geometry, n, FLOAT).scaled)
         assert got == _frame_bits(
-            mode_frame(*forms._base(geometry, n)[:2], FLOAT)), n
+            mode_frame(*forms._base(geometry, n, FLOAT)[:2], FLOAT)), n
         caps = apollonian.realize_bends(forms.SPHERICAL,
                                         (math.sqrt(n / (n + 2)),) * (n + 2))
         assert got == _frame_bits(

@@ -62,7 +62,7 @@ def _vectors():
 
 
 VECTORS = _vectors()
-# cot values of an exact configuration in n = 8 (forms._search_tangent_rows)
+# cot values of the exact base of n = 8 (forms._base)
 COTS_8 = (-3, -3, -3, -3, -2, -2, -1, -1, -1, -1)
 
 

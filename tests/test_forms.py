@@ -1,12 +1,14 @@
 """Quadratic forms, Gram targets, and the identity checker."""
 
+import itertools
+import time
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from inversive import apollonian, forms, linalg, shell
-from inversive.scalars import EXACT, FLOAT
+from inversive.scalars import EXACT, FLOAT, ExactnessError
 
 import oracles
 from test_reference_kernels import _bend_vectors
@@ -354,6 +356,109 @@ def test_a_reflection_with_another_factor_fails_the_exact_gate():
             w = forms.ConfigMatrix.from_rows(geometry, rows)
             assert (w.residual().ok and w.bends == coths) is ok, \
                 (geometry, coths, factor)
+
+
+# --- exact bends above the plane -------------------------------------------
+
+CURVED = (forms.SPHERICAL, forms.HYPERBOLIC)
+# the entries of the exact vectors of each dimension with an exact base
+EXACT_RANGES = {1: range(-20, 21), 8: range(-5, 4), 9: range(-5, 4)}
+
+
+def _exact_vectors(geometry, n):
+    """The non-decreasing int vectors of n+2 entries in EXACT_RANGES[n] that
+    meet the geometry's bend relation."""
+    return [v for v in itertools.combinations_with_replacement(
+        EXACT_RANGES[n], n + 2) if forms.bend_residual(geometry, v) == 0]
+
+
+@pytest.mark.parametrize("geometry", CURVED)
+def test_every_exact_vector_above_the_plane_reflects_the_exact_base(
+        geometry, monkeypatch):
+    """Every exact vector of n = 1, 8 and 9 with entries in EXACT_RANGES
+    that meets the bend relation is realized with the bends as given, and
+    its rows are those of oracles.reflected_base on Fractions from the
+    exact base of its dimension, which meet W^T Q_n W = T by the Fraction
+    Gram formula, as the base does; the spherical base has the cot values
+    of its table.  The hyperbolic inputs whose e - g is isotropic take the
+    two reflections of forms._carried."""
+    carried = []
+    inner = forms._carried
+    monkeypatch.setattr(forms, "_carried",
+                        lambda *args: carried.append(args) or inner(*args))
+    isotropic, counts = [], {}
+    for n in EXACT_RANGES:
+        rows, sigma = forms._base(geometry, n, EXACT)[:2]
+        w0 = [[F(x, sigma) for x in row] for row in rows]
+        assert oracles.curved_identity_holds(geometry, w0), n
+        if geometry == forms.SPHERICAL:
+            assert tuple(r[0] for r in w0) == forms._EXACT_BASE_COTS[n]
+        vectors = _exact_vectors(geometry, n)
+        for v in vectors:
+            before = len(carried)
+            w = apollonian.realize_bends(geometry, v)
+            got = tuple(r.entries for r in w.rows)
+            assert w.mode == EXACT and w.bends == v, v
+            assert got == oracles.reflected_base(geometry, v, w0=w0), v
+            assert oracles.curved_identity_holds(geometry, got), v
+            assert w.residual().max_abs_entry_error == 0, v
+            if len(carried) > before:
+                isotropic.append(v)
+        counts[n] = len(vectors)
+    if geometry == forms.SPHERICAL:
+        assert counts == {1: 14, 8: 42, 9: 73} and isotropic == []
+    else:
+        assert counts == {1: 67, 8: 68, 9: 110}
+        assert sorted(isotropic) == [(-17, -7, 5), (-11, -4, 3),
+                                     (-5,) * 8 + (-1, 1), (-5, -1, 1)]
+
+
+def test_an_n8_coth_vector_the_search_refused_is_realized():
+    # a tail search gave up on these coth values after about 4 s
+    coths = (-5, -5, -4, -3, -3, -3, -2, -1, -1, -1)
+    w = apollonian.realize_bends(forms.HYPERBOLIC, coths)
+    assert w.mode == EXACT and w.bends == coths
+    assert w.residual().max_abs_entry_error == 0
+
+
+# exact vectors meeting the bend relation in n = 18 and 25, which have
+# rational configurations but no exact base
+_NO_BASE_BENDS = {
+    forms.SPHERICAL: ((-3,) * 11 + (-2,) * 6 + (-1,) * 3,
+                      (-3,) * 19 + (-2,) * 5 + (-1,) * 3),
+    forms.HYPERBOLIC: ((-3,) * 18 + (-1, 1), (-3,) * 25 + (-1, 1)),
+}
+
+
+@pytest.mark.parametrize("geometry", CURVED)
+def test_exact_dimensions_with_no_base_refuse_at_once(geometry, monkeypatch):
+    searches = []
+    monkeypatch.setattr(linalg, "realize_tails",
+                        lambda *args: searches.append(args))
+    for bends, n in zip(_NO_BASE_BENDS[geometry], (18, 25)):
+        assert len(bends) == n + 2
+        assert forms.bend_residual(geometry, bends) == 0
+        start = time.perf_counter()
+        with pytest.raises(ExactnessError, match=f"^no exact base "
+                           f"configuration is known for n = {n};"):
+            apollonian.realize_bends(geometry, bends)
+        assert time.perf_counter() - start < 0.01, n
+    assert searches == []
+
+
+@pytest.mark.parametrize("geometry", CURVED)
+def test_each_exact_base_is_searched_once(geometry, monkeypatch):
+    # the tail search finds the base of a dimension, and every exact vector
+    # of that dimension is then reflected from it
+    searches = []
+    inner = linalg.realize_tails
+    monkeypatch.setattr(linalg, "realize_tails",
+                        lambda *args: searches.append(args) or inner(*args))
+    forms._base.cache_clear()
+    vectors = _exact_vectors(geometry, 8)
+    for v in vectors:
+        assert apollonian.realize_bends(geometry, v).bends == v
+    assert len(vectors) > 40 and len(searches) == 1
 
 
 @pytest.mark.parametrize("geometry,bends,moved", (

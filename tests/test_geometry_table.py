@@ -233,7 +233,7 @@ _GEOMETRY_CALLS = {
     "forms.pair_product": lambda tag: forms.pair_product(tag, _ROW, _ROW),
     "forms.bend_residual": lambda tag: forms.bend_residual(tag, (0, 1, 1, 2)),
     "forms._realize_tangent_rows": lambda tag: forms._realize_tangent_rows(
-        tag, (0, 1, 1, 2), "cot", lambda c0, one: [(one, c0)]),
+        tag, (0, 1, 1, 2), "cot"),
     "apollonian.standard_seed": lambda tag: apollonian.standard_seed(tag),
     "apollonian.realize_bends":
         lambda tag: apollonian.realize_bends(tag, (0, 1, 1, 2)),

@@ -15,14 +15,16 @@ The second set is the realize path as it was on Fractions, before exact
 realization moved onto integers: solve_affine on lists, the tail search,
 bend_residual, the tangent-row realizer and the Euclidean realizer with its
 completion, again verbatim but for names.  Spherical and hyperbolic bends
-are now realized by reflecting a base configuration, in the plane in both
-modes and in float mode in every dimension, so the tail search is checked
-where the package still runs it, through forms._search_tangent_rows on the
-same exact bend vectors, and the reflection against oracles.reflected_base.
-There every exact output must be the same to the byte.  Float Euclidean
-rows now come from the closed form of exact mode on the bends' dyadic
-values, each entry rounded once, and are checked against the exact rows
-and held within 1e-15 relative of the old ones.  Float cot
+are now realized by reflecting a base configuration in every dimension and
+mode, so the spherical tail search is checked where the package still runs
+it, through forms._search_tangent_rows, which finds the exact bases above
+the plane, on the same exact cot vectors, and the reflection against
+oracles.reflected_base.  There every exact output must be the same to the
+byte; exact coth values, which no package search realizes any more, must
+give the reference's rows up to an exact isometry of the Gram target.
+Float Euclidean rows now come from the closed form of exact mode on the
+bends' dyadic values, each entry rounded once, and are checked against the
+exact rows and held within 1e-15 relative of the old ones.  Float cot
 and coth values must keep their bends and be congruent to the reference's
 rows wherever the reference finds rows that pass the Gram check (_congruent),
 those whose bend residual is float rounding, which the old absolute 1e-9
@@ -55,8 +57,7 @@ from operator import add, mul
 import numpy as np
 import pytest
 
-from inversive import (apollonian, forms, hyperbolic, linalg, scalars, shell,
-                       spherical, transform)
+from inversive import apollonian, forms, linalg, scalars, shell, transform
 from inversive.scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
                                _sum, coerce, coerce_row, div, integer_rows,
                                is_exact, mode_frame, mode_of, near,
@@ -1065,23 +1066,20 @@ REFERENCE_REALIZERS = {E: _reference_realize_curvature_vector,
                        H: _reference_realize_sphere_config}
 
 
-def _searched(geometry, bends):
-    """The configuration of the package's tail search for exact cot or coth
-    values of any n, after the realizer's bend check: what realize_bends
-    gave for n = 2 before curved plane bends were reflected from a base,
-    and what it gives above the plane."""
-    name, first_tails = {S: ("cot", spherical._first_tails),
-                         H: ("coth", hyperbolic._first_tails)}[geometry]
-    c = forms._bend_values(geometry, bends,
-                           f"{name} values violate the bend relation")[0]
-    return forms._search_tangent_rows(geometry, c, name, first_tails)
+def _searched(bends):
+    """The configuration of the package's tail search for exact cot values
+    of any n, after the realizer's bend check: what realize_bends gave for
+    n = 2 before curved plane bends were reflected from a base, and what
+    finds the exact bases above the plane (forms._base)."""
+    c = forms._bend_values(S, bends, "cot values violate the bend relation")[0]
+    return forms._search_tangent_rows(c)
 
 
 # the package realizer that runs the code each reference realizer had on
-# exact values
+# exact values, and for H, where no package search is left, realize_bends
 SEARCH_REALIZERS = {E: lambda bends: apollonian.realize_bends(E, bends),
-                    S: lambda bends: _searched(S, bends),
-                    H: lambda bends: _searched(H, bends)}
+                    S: _searched,
+                    H: lambda bends: apollonian.realize_bends(H, bends)}
 
 
 # --- bend vectors --------------------------------------------------------
@@ -1230,6 +1228,25 @@ def _check_float_curved(geometry, v, bends, new, ref):
     return _violates(ref), w_ref is not None
 
 
+def _check_exact_hyperbolic(bends, new, ref):
+    """Exact coth values are realized by reflecting a base, not by the tail
+    search the reference runs.  They fail only where they miss the bend
+    relation, with the reference's error, and otherwise come out with the
+    bends as given and an exactly zero Gram residual, and are the
+    reference's rows times an exact isometry G = W_ref^{-1} W of the Gram
+    target wherever the reference finds rows."""
+    if isinstance(new[0], type):
+        assert new == ref and _violates(ref), bends
+        return
+    w = apollonian.realize_bends(H, bends)
+    assert w.bends == bends and w.residual().max_abs_entry_error == 0, bends
+    if not isinstance(ref[0], type):
+        w_ref = REFERENCE_REALIZERS[H](bends)
+        g = linalg.matmul(linalg.mat_inv(w_ref.matrix()), w.matrix())
+        t = forms.target_for(H, w.n)
+        assert forms.check_identity(g, t, t).max_abs_entry_error == 0, bends
+
+
 def _rounded_plane_rows(bends, exact_rows):
     """The plane rows of float bends as the realizer must give them: the
     rows exact_rows gives their Fraction twin, each entry rounded once, with
@@ -1322,6 +1339,8 @@ def test_realize_bends_matches_reference(geometry, mode):
             refused, found = _check_float_curved(geometry, v, bends, new, ref)
             rounding += refused
             compared += found
+        elif geometry == H:
+            _check_exact_hyperbolic(bends, new, ref)
         else:
             assert new == ref, (geometry, bends)
         if isinstance(new[0], type):
@@ -1439,7 +1458,7 @@ def _reference_reflected_base(geometry, frame, mode):
     of a configuration with bends c, given as the int frame ((v,), s) of
     their exact values in either mode (_bend_values), v = s c."""
     (ints,), s = frame
-    w0, sigma, inverse, d, t = forms._base(geometry, len(ints) - 2)
+    w0, sigma, inverse, d, t = forms._base(geometry, len(ints) - 2, mode)
     e = [d * s] + [0] * (len(ints) - 1)
     terms = list(map(mul, inverse[0], ints))
     g = [sum(terms)] + [sum(map(mul, row, ints)) for row in inverse[1:]]
@@ -1596,12 +1615,13 @@ def test_each_reflection_kernel_is_built_once_per_width(monkeypatch):
 
 def _tail_searches(geometry):
     """(prev_tails, signs, pair_values, self_value) for every row of the
-    exact tail search along each configuration it finds for the geometry."""
+    exact tail search along each configuration the reference search finds
+    for the geometry."""
     k = forms.CURVATURE_SIGN[geometry]
     out = []
     for v in _bend_vectors(geometry):
         try:
-            w = _searched(geometry, v)
+            w = REFERENCE_REALIZERS[geometry](v)
         except ValueError:
             continue
         c = [r.entries[0] for r in w.rows]
@@ -1670,15 +1690,16 @@ def test_tail_search_stops_at_the_branch_limit(monkeypatch):
     assert found is not None and list(found) == search(31)
 
 
-# the search is exact only; the one mode keeps the tests' ids
-@pytest.mark.parametrize("geometry,mode", [(g, EXACT) for g in (S, H)])
+# the search is exact and spherical only; the one case keeps the test's id
+@pytest.mark.parametrize("geometry,mode", [(S, EXACT)])
 def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
-    """On cot and coth values that are already Fractions, tangency values
-    reach the candidates as ints over one positive int denominator, the
-    tails of each realization become rows in one unscaled_rows call, and no
-    entry is coerced on the way, not by from_rows either; the rows are
-    those of the reference tail search.  The package runs the search above
-    the plane, and here on the n = 2 vectors of _bend_vectors."""
+    """On cot values that are already Fractions, tangency values reach the
+    candidates as ints over one positive int denominator, the tails of each
+    realization become rows in one unscaled_rows call, and no entry is
+    coerced on the way, not by from_rows either; the rows are those of the
+    reference tail search.  The package runs the search for the exact
+    bases above the plane, and here on the n = 2 vectors of
+    _bend_vectors."""
     inputs = [tuple(map(Fraction, v)) for v in _bend_vectors(geometry)]
     refs = [_outcome_bytes(REFERENCE_REALIZERS[geometry], bends)
             for bends in inputs]
@@ -1704,7 +1725,7 @@ def test_tail_search_takes_its_fast_paths(geometry, mode, monkeypatch):
     monkeypatch.setattr(scalars, "coerce", counted(coerce, coerced))
     realized = 0
     for bends, ref in zip(inputs, refs):
-        new = _outcome_bytes(_searched, geometry, bends)
+        new = _outcome_bytes(_searched, bends)
         assert new == ref, bends
         realized += not isinstance(new[0], type)
     assert coerced == [], coerced[:3]

@@ -588,6 +588,23 @@ def test_solve_in_a_dimension_with_no_rational_configuration_fails(
     assert (code, out, err) == (1, "", message)
 
 
+def test_exact_solve_above_the_plane_gives_both_configurations(monkeypatch,
+                                                               capsys):
+    # n = 8 coth values on which a tail search refused both completions;
+    # each completion is realized from the exact base of n = 8 and verifies
+    code, out, err = run(["solve", "--geometry", "hyperbolic",
+                          "--seed=-5,-5,-4,-3,-3,-3,-2,-1,-1"], capsys)
+    doc = json.loads(out)
+    assert (code, err) == (0, "") and doc["completions"] == ["-47/7", "-1"]
+    assert len(doc["configurations"]) == 2
+    for config, completion in zip(doc["configurations"], doc["completions"]):
+        assert config is not None
+        w = shell.loads_config(json.dumps(config))
+        assert w.bends[-1] == F(completion) and w.mode == EXACT
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+        assert run(["verify"], capsys)[0] == 0
+
+
 def test_solve_reports_why_a_completion_has_no_configuration(capsys):
     # n = 3 in the plane: both completions exist, no realizer builds them;
     # each null gets one stderr line with the realizer's error, and stdout
