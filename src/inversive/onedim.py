@@ -25,7 +25,9 @@ class OrientedInterval:
     """Finite interval [a, b], or the complement of (a, b) when infinite.
 
     The oriented radius is half the length, negated for the infinite
-    interval, so complementary pairs have opposite radii.
+    interval, so complementary pairs have opposite radii.  A float interval
+    whose radius rounds to zero, half a subnormal length, has no curvature
+    and raises ValueError.
     """
 
     a: object
@@ -35,6 +37,9 @@ class OrientedInterval:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError("need a < b")
+        if not self.r:
+            raise ValueError(f"interval ({self.a}, {self.b}) has a radius "
+                             "that rounds to zero")
 
     @property
     def r(self):

@@ -5,15 +5,18 @@ one header record followed by one row per line, so large generations can be
 streamed.  Exact scalars serialize as fraction strings in lowest terms
 (integers without the denominator), float scalars as JSON numbers.
 
-A configuration travels as its frame, ConfigMatrix.scaled.  parse_document
+A configuration travels as its frame, ConfigMatrix.scaled.  dumps_config
+writes a document with one format of its entries, as dumps_packing writes
+rows: exact entries as their texts in lowest terms, floats as their repr,
+and a float document with a NaN or an infinity by json.  parse_document
 (and loads_config on it), and loads_packing for the seed of an exact
-header, read an exact entry written that way, text that _EXACT_SCALAR
-fullmatches, straight into the int rows of the frame (_exact_values), once
-per distinct text of the document; any other entry goes through
-scalar_from_json, so what it accepts and rejects, and its error, do not
-depend on the path.  JSON floats in a float document are kept as they
-are, and are the frame.  dumps_config and document_from_config write the
-entries from the frame as dumps_packing writes rows, so neither reading,
+header, read the string entries of an exact document with one fullmatch
+of _EXACT_SCALAR over their joined text, straight into the int rows of the
+frame (_exact_values), once per distinct text; any other exact document
+is read entry by entry, through scalar_from_json where an entry is not
+written that way, so what it accepts and rejects, and its error, do not
+depend on the path.  A float document whose entries are all JSON floats
+keeps them as they are, and they are the frame.  Neither reading,
 checking nor writing a document builds a CoordRow.
 
 dumps_packing writes a packing stream from Packing.scaled (int rows over
@@ -43,8 +46,8 @@ from operator import floordiv, itemgetter, mul, not_
 from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
-from .scalars import (DEFAULT_TOL, EXACT, FLOAT, ExactnessError, _sum,
-                      all_exact, integer_rows)
+from .scalars import (_FLOATS, DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
+                      _sum, all_exact, integer_rows)
 
 
 def scalar_to_json(x):
@@ -98,20 +101,34 @@ def _exact_entry(v):
     return str(scalar_from_json(v, EXACT))
 
 
-def _float_from_json(v):
-    return v if v.__class__ is float else scalar_from_json(v, FLOAT)
+# the string entries of an exact document joined by "\n", each written as
+# the encoder writes it; a "\n" within an entry shows in the count of them
+_exact_joined = re.compile(r"%s(?:\n%s)*" % (_EXACT_SCALAR,
+                                               _EXACT_SCALAR)).fullmatch
 
 
 def _scaled_entries(rows, mode):
     """The frame (scalars.scaled_rows) of the JSON rows of a document or of
-    a packing header's seed: exact entries by _exact_entry and
-    _exact_values, float entries that are JSON floats as they are, any
-    other float entry through scalar_from_json."""
+    a packing header's seed.  An exact document whose entries are all texts
+    as the encoder writes them is checked by one fullmatch of the texts
+    joined; any other exact document is read by _exact_entry per entry;
+    then _exact_values reads the texts.  Float entries that are all JSON
+    floats are kept as they are, any others go through scalar_from_json."""
+    flat = list(itertools.chain.from_iterable(rows))
     if mode == EXACT:
-        entries = [tuple(map(_exact_entry, row)) for row in rows]
-        ints, scale = _exact_values(itertools.chain.from_iterable(entries))
-        return tuple([tuple(map(ints.__getitem__, row)) for row in entries]), scale
-    return tuple([tuple(map(_float_from_json, row)) for row in rows]), 1.0
+        try:
+            joined = "\n".join(flat)
+        except TypeError:  # an entry that is no string
+            joined = ""
+        if joined.count("\n") != len(flat) - 1 or not _exact_joined(joined):
+            rows = [tuple(map(_exact_entry, row)) for row in rows]
+            flat = itertools.chain.from_iterable(rows)
+        ints, scale = _exact_values(flat)
+        return tuple([tuple(map(ints.__getitem__, row)) for row in rows]), scale
+    if _FLOATS.issuperset(map(type, flat)):
+        return tuple(map(tuple, rows)), 1.0
+    return tuple([tuple([scalar_from_json(v, FLOAT) for v in row])
+                  for row in rows]), 1.0
 
 
 @dataclass(frozen=True)
@@ -131,12 +148,18 @@ class ConfigDocument:
         return self.config.matrix()
 
 
+def _is_float(scale):
+    """Whether a frame's scale is a float frame's: the scale's type tells
+    the modes apart, as 1.0 == 1 too."""
+    return scale.__class__ is float
+
+
 def document_from_config(w):
     """The configuration document of w as a JSON value, its rows written
     from ConfigMatrix.scaled: floats as they are, an exact x / scale as its
     text in lowest terms, as dumps_packing writes it."""
     rows, scale = w.scaled
-    if scale.__class__ is float:
+    if _is_float(scale):
         rows = [list(row) for row in rows]
     else:
         text = _ratio_texts(scale)
@@ -145,7 +168,25 @@ def document_from_config(w):
 
 
 def dumps_config(w):
-    return json.dumps(document_from_config(w), separators=(",", ":")) + "\n"
+    """The configuration document of w as json.dumps writes
+    document_from_config(w) with compact separators, and a newline: one
+    format of the entries of ConfigMatrix.scaled, an exact x / scale as
+    the int x at scale 1, else the text of _ratio_texts, and a float as its
+    repr; a float document with a NaN or an infinity is written by json."""
+    rows, scale = w.scaled
+    flat = list(itertools.chain.from_iterable(rows))
+    if _is_float(scale):
+        if not all(map(math.isfinite, flat)):
+            return json.dumps(document_from_config(w), separators=(",", ":")) + "\n"
+        field = "%r"
+    elif scale == 1:
+        field = '"%d"'
+    else:
+        field, flat = '"%s"', list(map(_ratio_texts(scale), flat))
+    row = "[%s]" % ",".join([field] * len(rows[0]))
+    return ('{"geometry":"%s","n":%d,"mode":"%s","rows":['
+            + ",".join([row] * len(rows)) + "]}\n") % (
+                w.geometry, w.n, w.mode, *flat)
 
 
 def _is_rows(v):
@@ -236,8 +277,7 @@ def dumps_packing(p):
     rows, scale = p.scaled
     width = p.n + 2
     flat = list(itertools.chain.from_iterable(rows))
-    # the scale's type tells the modes apart, as 1.0 == 1 too
-    is_float = scale.__class__ is float
+    is_float = _is_float(scale)
     if not is_float and scale == 1:
         field = '"%d"'
     else:  # each distinct x written once, then looked up per entry

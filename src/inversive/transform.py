@@ -45,6 +45,14 @@ def conversion_matrix(src, dst, n, mode=EXACT):
     return linalg.block_diag(head, (1,) * n, mode)
 
 
+@functools.lru_cache(maxsize=None)
+def _framed_head(src, dst, mode):
+    """The 2x2 conversion head of src to dst in its frame, (H, h) =
+    scaled_rows(conversion_matrix(src, dst, 0, mode), mode), made once per
+    pair and mode."""
+    return scaled_rows(conversion_matrix(src, dst, 0, mode), mode)
+
+
 def convert_matrix(w, to, tol=DEFAULT_TOL):
     """Convert a configuration to another geometry's coordinates.
 
@@ -52,8 +60,9 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
     target's, and the round trip is exact in rational mode.  Each row keeps
     its tail, and its first two entries are mixed by the conversion head,
     on the frame of the configuration (ConfigMatrix.scaled) and the head's
-    own, H = hC: the rows over s h, in the frame of scalars.mode_frame.
-    Float rows are mixed in float arithmetic, which keeps a -0.0 entry.
+    own, H = hC, taken framed from a cache per pair and mode (_framed_head):
+    the rows over s h, in the frame of scalars.mode_frame.  Float rows are
+    mixed in float arithmetic, which keeps a -0.0 entry.
     """
     if not isinstance(w, forms.ConfigMatrix):
         raise TypeError("convert_matrix expects a ConfigMatrix")
@@ -63,8 +72,7 @@ def convert_matrix(w, to, tol=DEFAULT_TOL):
         raise ValueError(
             f"input violates the {w.geometry} identity "
             f"(max residual {res.max_abs_entry_error})")
-    ((a, b), (c, d)), h = scaled_rows(
-        conversion_matrix(w.geometry, to, 0, mode), mode)
+    ((a, b), (c, d)), h = _framed_head(w.geometry, to, mode)
     rows, s = w.scaled
     rows = tuple([(x * a + y * c, x * b + y * d, *[t * h for t in tail])
                   for x, y, *tail in rows])

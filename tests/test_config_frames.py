@@ -20,7 +20,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracles
-from inversive import apollonian, forms, linalg, shell, transform
+from inversive import apollonian, forms, linalg, onedim, shell, transform
 from inversive.scalars import EXACT, FLOAT, coerce, scaled_rows
 from test_apollonian import _reference_generate, _rounded_reference
 from test_cli_bytes import CASES, LOX_CASES, SOLVE_CASES
@@ -176,6 +176,62 @@ def test_convert_matrix_frames_match_rows(mode):
         for to in GEOMETRIES:
             _check(lambda: transform.convert_matrix(w, to),
                    _rows_converted(w, to))
+
+
+def _json_document(w):
+    """The configuration document of w as json writes it."""
+    return json.dumps(shell.document_from_config(w), separators=(",", ":")) + "\n"
+
+
+def _written_configurations():
+    """Configurations on each path of dumps_config: converted mirrored
+    ones, with -0.0 entries, one with int entries and one of n = 1, in
+    both modes; the float n = 1 one of intervals too short for their
+    curvatures, with infinities and a NaN, and a float one with a NaN,
+    both infinities and -0.0; the float n = 3 seed and the exact n = 8
+    seed."""
+    out = []
+    for mode in (EXACT, FLOAT):
+        mirrored = _realized(E, tuple(-b for b in VECTORS[E][1]), mode)
+        out += [transform.convert_matrix(mirrored, to) for to in GEOMETRIES]
+        out.append(_realized(H, BASES[H], mode))  # int entries
+        out.append(onedim.augmented_1d(onedim.complete_line(
+            onedim.OrientedInterval(*_in_mode((-1, F(1, 3)), mode)),
+            onedim.OrientedInterval(*_in_mode((F(1, 3), 2), mode)))))
+    out.append(onedim.augmented_1d(onedim.complete_line(
+        onedim.OrientedInterval(0.0, 1e-323),
+        onedim.OrientedInterval(1e-323, 2e-323))))  # curvatures past the range
+    nan, inf = float("nan"), float("inf")
+    out.append(forms.ConfigMatrix(E, (
+        ((nan, 1.0, 2.0), (inf, -0.0, 0.5), (-inf, 2.0, 3.0)), 1.0)))
+    out.append(apollonian.standard_seed(E, 3, FLOAT))
+    out.append(apollonian.standard_seed(S, 8, EXACT))
+    return out
+
+
+def test_dumps_config_writes_what_json_writes():
+    written = _written_configurations()
+    for w in written:
+        assert shell.dumps_config(w) == _json_document(w), w
+    text = "".join(map(shell.dumps_config, written))
+    for part in ("NaN", ",Infinity", "-Infinity", '"n":1,', '"n":3,', '"n":8,'):
+        assert part in text, part
+    assert "-0.0" in [repr(x) for w in written if w.mode == FLOAT
+                      for row in w.matrix() for x in row]
+    # exact frames at scale 1, written by %d, and over other scales
+    assert {w.scaled[1] == 1 for w in written if w.mode == EXACT} == {True, False}
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+def test_cached_conversion_head_is_the_framed_head(mode):
+    for src in GEOMETRIES:
+        for dst in GEOMETRIES:
+            head = transform._framed_head(src, dst, mode)
+            want = scaled_rows(transform.conversion_matrix(src, dst, 0, mode), mode)
+            assert head == want
+            assert _typed(head[0]) == _typed(want[0])
+            assert type(head[1]) is type(want[1])
+            assert transform._framed_head(src, dst, mode) is head
 
 
 # --- realize_bends -------------------------------------------------------

@@ -87,6 +87,8 @@ ENTRIES = (
     LONG, "-" + LONG, "1/" + LONG,
     # JSON numbers, booleans and other values
     3, -2, 0, 10 ** 30, 1.5, 2.0, -0.0, 1e300, True, False, None, [1], {},
+    # texts that a reader of all entries joined by "\n" must still refuse
+    "2/0", "+1", "1\n2", "\n1", "1\n", "\n",
 )
 
 
@@ -119,6 +121,16 @@ def _documents():
                     ("short", exact_rows[:-1]),
                     ("flat", [v for row in exact_rows for v in row]),
                     ("nested", [[[v] for v in row] for row in exact_rows]),
+                    # the entry texts joined as the whole document's are:
+                    # two entries as one, and ragged rows of the same count
+                    ("merged", [["\n".join(exact_rows[0][:2])]
+                                + exact_rows[0][2:]] + exact_rows[1:]),
+                    ("ragged-same-count", exact_rows[:1] + [
+                        exact_rows[1][:-1], exact_rows[2] + exact_rows[1][-1:]]
+                     + exact_rows[3:]),
+                    ("mixed", [[int(v) if "/" not in v and (i + j) % 2 else v
+                                for j, v in enumerate(row)]
+                               for i, row in enumerate(exact_rows)]),
                     ("empty", [])):
                 out.append((f"{geometry}{bends}-{mode}-{name}",
                             json.dumps({**doc, "rows": rows})))
@@ -185,6 +197,33 @@ def test_canonical_exact_document_needs_no_fraction_parse(geometry, bends,
     # a non-canonical entry still takes the Fraction(str) path
     shell.parse_document(text.replace('"0"', '"+0"', 1))
     assert calls == ["+0"]
+
+
+@pytest.mark.parametrize("geometry, bends", BASES)
+def test_canonical_exact_document_reads_no_entry_alone(geometry, bends,
+                                                       monkeypatch):
+    """A document, and the seed of a packing stream, as the encoders write
+    them are read by one fullmatch of their joined entry texts: no entry
+    reaches shell._exact_entry.  One non-canonical entry sends every entry
+    of its document through it, as before."""
+    w = apollonian.realize_bends(geometry, bends)
+    text = shell.dumps_config(w)
+    stream = shell.dumps_packing(apollonian.generate(w, 20))
+    calls = []
+    entry = shell._exact_entry
+
+    def counting(v):
+        calls.append(v)
+        return entry(v)
+
+    monkeypatch.setattr(shell, "_exact_entry", counting)
+    assert shell.parse_document(text).config == w
+    assert shell.loads_config(text) == w
+    assert shell.loads_packing(stream).seed == w
+    assert calls == []
+    doc = shell.parse_document(text.replace('"0"', '"+0"', 1))
+    assert "+0" in calls and len(calls) == (w.n + 2) ** 2
+    assert doc.config == w
 
 
 def test_scalar_to_json_writes_fractions_as_str_does():

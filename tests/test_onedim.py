@@ -84,6 +84,11 @@ def test_interval_validation():
         onedim.OrientedInterval(F(1), F(1))
     with pytest.raises(ValueError):
         onedim.OrientedInterval(F(2), F(1))
+    # half a subnormal length rounds to zero: no radius, no curvature
+    for infinite in (False, True):
+        with pytest.raises(ValueError, match="rounds to zero"):
+            onedim.OrientedInterval(0.0, 5e-324, infinite)
+    assert onedim.OrientedInterval(0.0, 1e-323).r == 5e-324
 
 
 def test_complete_line_input_errors():

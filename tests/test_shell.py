@@ -1203,6 +1203,17 @@ def test_float_values_past_the_float_range_are_an_error(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("intervals", ["0,5e-324,5e-324,1e-323",
+                                       "-5e-324,0,0,5e-324"])
+def test_intervals_whose_radius_rounds_to_zero_are_an_error(intervals):
+    """Half of the subnormal length 5e-324 rounds to 0.0, which has no
+    curvature: one error line, no traceback."""
+    proc = _cli(["onedim", "--mode", "float", f"--intervals={intervals}"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "rounds to zero" in proc.stderr
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "Infinity", "-NaN"])
 def test_non_finite_float_texts_are_no_float_scalars(text, tmp_path, capsys):
     message = f"error: not a float scalar: {text!r}\n"
