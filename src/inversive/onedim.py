@@ -3,18 +3,18 @@
 Three intervals cover the line: two touching finite ones and the infinite
 complement of their union, whose "radius" is minus half the complement's
 length, so the three oriented radii sum to zero.  Each interval gets an
-augmented row (bbar, b, b*center) exactly as circles do, except that the
-infinite interval has no center of its own: its curvature-times-center
-entry is defined through the reflection x -> 1/x, which maps it to a finite
-interval.  When 0 is not interior to the complement that reflection fails
-to produce a finite image, so the recipe is applied in a shifted frame
-centered on the complement and the row is translated back afterwards.
+augmented row (bbar, b, b*center) exactly as circles do: a finite [a, b]
+of length L = b - a has the row (2ab/L, 2/L, (a+b)/L), whose bbar is the
+curvature of its image under x -> 1/x, and the complement of (a, b) has
+the negated row.  Each row is formed from the exact values of its
+endpoints, so a float entry is rounded once.
 
 The resulting 3x3 matrix W satisfies W^T Q_1 W = [[0,-4,0],[-4,0,0],[0,0,2]]
 with Q_1 the Descartes form on three variables.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import forms
 from .scalars import div, mode_of
@@ -93,40 +93,22 @@ def complete_line(i1, i2):
     return OneDimConfig((i1, i2, OrientedInterval(lo, hi, infinite=True)))
 
 
-def _finite_row(interval):
-    a, b = interval.a, interval.b
+def _row(interval):
+    a, b = Fraction(interval.a), Fraction(interval.b)
     length = b - a
-    curv = div(2, length)
-    # image of [a, b] under x -> 1/x has oriented curvature 2ab/(b - a),
-    # covering the 0-in-interior and 0-endpoint cases uniformly
-    bbar = div(2 * a * b, length)
-    center = div(a + b, 2)
-    return (bbar, curv, curv * center)
-
-
-def _infinite_row(interval):
-    length = interval.b - interval.a
-    shift = div(interval.a + interval.b, 2)
-    # in the frame shifted by -shift the complement is symmetric around 0,
-    # x -> 1/x maps the infinite interval onto [-2/L, 2/L], and that image
-    # has curvature L/2 and center 0
-    curv = -div(2, length)
-    return (div(length, 2) + shift * shift * curv, curv, curv * shift)
+    row = (2 * a * b / length, 2 / length, (a + b) / length)
+    return tuple([-x for x in row]) if interval.infinite else row
 
 
 def augmented_1d(config):
     """3x3 augmented matrix of a covering configuration, rows in input
-    order; satisfies the n = 1 Gram identity exactly on exact input."""
-    rows = [_infinite_row(i) if i.infinite else _finite_row(i)
-            for i in config.intervals]
-    return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows, mode=config.mode)
-
-
-def solve_third_curvature(a2, a3):
-    """The unique curvature completing two touching intervals: Q_1 is linear
-    in each variable, so unlike higher dimensions there is no second
-    solution and reflections fix the configuration."""
-    s = a2 + a3
-    if s == 0:
-        raise ValueError("degenerate pair, curvatures cancel")
-    return div(-a2 * a3, s)
+    order, each entry computed exactly from the endpoints and rounded once
+    in float mode; satisfies the n = 1 Gram identity exactly on exact
+    input.  A float entry beyond the float range raises ValueError."""
+    rows = [_row(i) for i in config.intervals]
+    try:
+        return forms.ConfigMatrix.from_rows(forms.EUCLIDEAN, rows,
+                                            mode=config.mode)
+    except OverflowError:
+        raise ValueError("an entry of the configuration of these intervals "
+                         "is beyond the float range") from None

@@ -47,7 +47,7 @@ from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
 from .scalars import (_FLOATS, DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
-                      _sum, all_exact, integer_rows)
+                      _sum)
 
 
 def scalar_to_json(x):
@@ -452,26 +452,33 @@ def loads_packing(source):
 # bend completion
 
 def complete_bend(geometry, values):
-    """Both completions of n+1 bend values to a full Descartes bend vector,
-    from the quadratic (n-1)x^2 - 2*s1*x + (n*s2 - s1^2 + 2*n*k) = 0 with
-    k the geometry's curvature sign; ascending order.  Exact values are
-    solved on their int frame v = s x, where the roots are
-    (S1 +- isqrt(D)) / (n-1), S1 the sum of v and
-    D = S1^2 - (n-1)(n S2 - S1^2 + 2nk s^2).  Float values are first
-    divided by the power of two 2**e of frexp(m), m their largest magnitude,
-    which rounds as the values do, so that the squares stay in the float
-    range, and the roots are multiplied back: at every m in the plane,
-    where the quadratic is homogeneous, and elsewhere when m > 1, as the
-    2nk term sets the scale of smaller values.  A root beyond the float
-    range raises ValueError."""
+    """The completions of n+1 bend values to a full Descartes bend vector,
+    k the geometry's curvature sign: the roots, ascending, of the quadratic
+    (n-1)x^2 - 2*s1*x + (n*s2 - s1^2 + 2*n*k) = 0, or at n = 1, where it is
+    linear, its one root (k - ab)/(a + b) of the values a, b (ValueError
+    when a + b = 0).  Exact values are solved on their int frame v = s x
+    of forms._bend_mode, where the roots are (S1 +- isqrt(D)) / (n-1), S1
+    the sum of v and D = S1^2 - (n-1)(n S2 - S1^2 + 2nk s^2), and the one
+    root at n = 1 is (k s^2 - v0 v1) / (s (v0 + v1)).  Float values are
+    first divided by the power of two 2**e of frexp(m), m their largest
+    magnitude, which rounds as the values do, so that the squares and
+    products stay in the float range, and the roots are multiplied back:
+    at every m in the plane, where the relation is homogeneous, and
+    elsewhere when m > 1, as the k term sets the scale of smaller values.
+    A root beyond the float range raises ValueError."""
     k = forms._by_geometry(forms.CURVATURE_SIGN, geometry)
     n = len(values) - 1
-    if n < 2:
-        raise ValueError("bend completion needs at least three values")
+    if n < 1:
+        raise ValueError("bend completion needs at least two values")
+    values, _, frame = forms._bend_mode(values)
     a = n - 1
-    if all_exact(values):
-        (v,), s = integer_rows([values])
+    if not a and not sum(values):
+        raise ValueError("degenerate pair, curvatures cancel")
+    if frame:
+        (v,), s = frame
         s1 = sum(v)
+        if not a:
+            return (Fraction(k * s * s - v[0] * v[1], s * s1),)
         d = s1 * s1 - a * (n * sum(map(mul, v, v)) - s1 * s1
                            + 2 * n * k * s * s)
         if d < 0:
@@ -487,23 +494,29 @@ def complete_bend(geometry, values):
     if e:
         values = [math.ldexp(v, -e) for v in values]
         k = math.ldexp(k, -2 * e)
-    s1 = _sum(values)
-    s2 = _sum(v * v for v in values)
-    b = -2 * s1
-    c = n * s2 - s1 * s1 + 2 * n * k
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        raise ValueError("the given bends admit no real completion")
-    root = math.sqrt(disc)
-    lo = (-b - root) / (2 * a)
-    hi = (-b + root) / (2 * a)
-    if not e:
-        return lo, hi
-    try:
-        return math.ldexp(lo, e), math.ldexp(hi, e)
-    except OverflowError:
-        raise ValueError("a completion of these bends is beyond the float "
-                         "range") from None
+    if not a:
+        x, y = values
+        # -(xy - k), not k - xy, keeps the sign of a zero product
+        lo = -(x * y - k) / (x + y)
+    else:
+        s1 = _sum(values)
+        s2 = _sum(v * v for v in values)
+        b = -2 * s1
+        c = n * s2 - s1 * s1 + 2 * n * k
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            raise ValueError("the given bends admit no real completion")
+        root = math.sqrt(disc)
+        lo = (-b - root) / (2 * a)
+        hi = (-b + root) / (2 * a)
+    if math.isfinite(lo):  # inf at n = 1 over a tiny x + y
+        try:
+            if not a:
+                return (math.ldexp(lo, e),)
+            return math.ldexp(lo, e), math.ldexp(hi, e)
+        except OverflowError:
+            pass
+    raise ValueError("a completion of these bends is beyond the float range")
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +764,11 @@ def _cmd_onedim(args):
         # a configuration document, so that the output pipes into verify,
         # convert and lox (parse_document reads past the other fields); the
         # nested "document" keeps the earlier layout readable
-        document = document_from_config(onedim.augmented_1d(cfg))
+        w = onedim.augmented_1d(cfg)
+        document = document_from_config(w)
         out = {
             **document,
-            "curvatures": [scalar_to_json(i.curvature) for i in cfg.intervals],
+            "curvatures": [scalar_to_json(b) for b in w.bends],
             "radii": [scalar_to_json(i.r) for i in cfg.intervals],
             "document": document,
         }
@@ -762,8 +776,8 @@ def _cmd_onedim(args):
         vals = _parse_scalars(args.curvatures, args.mode)
         if len(vals) != 2:
             raise ValueError("--curvatures needs exactly two values")
-        third = onedim.solve_third_curvature(*vals)
-        out = {"curvatures": [scalar_to_json(v) for v in (*vals, third)]}
+        third = complete_bend(forms.EUCLIDEAN, vals)
+        out = {"curvatures": [scalar_to_json(v) for v in vals + third]}
     else:
         raise ValueError("onedim needs --intervals or --curvatures")
     _write_text(args, json.dumps(out) + "\n")

@@ -1,11 +1,13 @@
 """Interval configurations on the line, the n = 1 degeneration."""
 
 import itertools
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from inversive import forms, onedim
+from inversive import forms, onedim, shell
 
 import oracles
 
@@ -121,14 +123,53 @@ def test_descartes_1d_check_values():
     assert abs(oracles.descartes_1d_check((2.0, 1.0, -2 / 3))) < 1e-12
 
 
-def test_solve_third_curvature_paths():
-    assert onedim.solve_third_curvature(F(2), F(1)) == F(-2, 3)
-    assert onedim.solve_third_curvature(2, 1) == F(-2, 3)
-    out = onedim.solve_third_curvature(2.0, 1.0)
+def test_complete_bend_at_n1():
+    """At n = 1 the bend relation is linear in the completion: one root,
+    (k - ab)/(a + b), in every geometry and mode."""
+    E = forms.EUCLIDEAN
+    assert shell.complete_bend(E, (F(2), F(1))) == (F(-2, 3),)
+    assert shell.complete_bend(E, (2, 1)) == (F(-2, 3),)
+    (out,) = shell.complete_bend(E, (2.0, 1.0))
     assert isinstance(out, float) and out == pytest.approx(-2 / 3)
-    with pytest.raises(ValueError, match="cancel"):
-        onedim.solve_third_curvature(F(1), F(-1))
+    for pair in ((F(1), F(-1)), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="cancel"):
+            shell.complete_bend(E, pair)
     # completing with the solved curvature closes the relation
     assert oracles.descartes_1d_check(
-        (F(2), F(1), onedim.solve_third_curvature(F(2), F(1)))
-    ) == 0
+        (F(2), F(1), *shell.complete_bend(E, (F(2), F(1))))) == 0
+    # the third cot of the spherical base, and a hyperbolic triple
+    assert shell.complete_bend(forms.SPHERICAL, (-3, -2)) == (1,)
+    assert shell.complete_bend(forms.SPHERICAL, (-3.0, -2.0)) == (1.0,)
+    assert shell.complete_bend(forms.HYPERBOLIC, (F(2), F(1))) == (-1,)
+    # float products past and under the range are scaled by a power of two;
+    # unscaled they gave -inf and -0.0
+    assert shell.complete_bend(E, (1e200, 1e200)) == (-5e199,)
+    assert shell.complete_bend(E, (1e-200, 1e-200)) == (-5e-201,)
+    # a zero product keeps its sign, as -ab/(a + b) does
+    (zero,) = shell.complete_bend(E, (0.0, 1.0))
+    assert math.copysign(1.0, zero) == -1.0
+
+
+def _line(cuts):
+    return onedim.complete_line(onedim.OrientedInterval(cuts[0], cuts[1]),
+                                onedim.OrientedInterval(cuts[1], cuts[2]))
+
+
+@pytest.mark.parametrize("scale", (1e-300, 1e-200, 1e-8, 1.0, 1e8, 1e200,
+                                   1e300))
+def test_float_rows_are_their_exact_twins_rounded_once(scale):
+    """Each entry of a float interval configuration is the entry of the
+    configuration of the same (dyadic) endpoints in exact mode, rounded
+    once, and the configuration passes its Gram check at every scale."""
+    rng = random.Random(2)
+    count = 0
+    while count < 500:
+        cuts = sorted(rng.uniform(-1, 1) * scale for _ in range(3))
+        if cuts[0] == cuts[1] or cuts[1] == cuts[2]:
+            continue
+        count += 1
+        w = onedim.augmented_1d(_line(cuts))
+        twin = onedim.augmented_1d(_line([F(c) for c in cuts]))
+        assert [list(row) for row in w.matrix()] == [
+            [float(x) for x in row] for row in twin.matrix()], cuts
+        assert w.residual().ok, cuts

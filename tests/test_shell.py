@@ -874,6 +874,65 @@ def test_float_onedim_output_verifies(monkeypatch, capsys):
     assert json.loads(out)["valid"] is True
 
 
+def test_onedim_float_curvatures_are_completed_in_range(capsys):
+    # the unscaled -ab/(a + b) printed -Infinity and -0.0 for the first two
+    for pair, third in (("1e200,1e200", "-5e+199"),
+                        ("1e-200,1e-200", "-5e-201"), ("0,1", "-0.0")):
+        code, out, _ = run(["onedim", "--mode", "float",
+                            f"--curvatures={pair}"], capsys)
+        a, b = (float(x) for x in pair.split(","))
+        assert (code, out) == (0, f'{{"curvatures": [{a!r}, {b!r}, {third}]}}\n')
+
+
+def test_onedim_intervals_at_the_ends_of_the_float_range(monkeypatch,
+                                                          capsys):
+    # curvatures 2/1e-323 past the float range: one error line, where a
+    # document of infinities and a NaN was printed
+    code, out, err = run(["onedim", "--mode", "float",
+                          "--intervals=0,1e-323,1e-323,2e-323"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    # bbar 2e300 and curvatures 1.3e-308: finite rows that verify accepts,
+    # where Infinity rows were printed
+    code, out, err = run(["onedim", "--mode", "float",
+                          "--intervals=0,1e300,1e300,1.5e308"], capsys)
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert all(math.isfinite(x) for row in doc["rows"] for x in row)
+    assert doc["curvatures"] == [row[1] for row in doc["rows"]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    code, out, err = run(["verify"], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["valid"] is True
+
+
+@pytest.mark.parametrize("mode", (EXACT, FLOAT))
+@pytest.mark.parametrize("geometry, seed, completion", (
+    ("spherical", "-3,-2", 1), ("spherical", "2,1", F(-1, 3)),
+    ("hyperbolic", "2,1", -1), ("hyperbolic", "-2,3", 5)))
+def test_solve_at_n1_prints_one_realized_completion(
+        geometry, seed, completion, mode, monkeypatch, capsys):
+    code, out, err = run(["solve", "--geometry", geometry, "--mode", mode,
+                          f"--seed={seed}"], capsys)
+    doc = json.loads(out)
+    assert (code, err, doc["n"]) == (0, "", 1)
+    (text,) = doc["completions"]
+    assert scalar_from_json(text, mode) == pytest.approx(completion)
+    (config,) = doc["configurations"]
+    assert config["mode"] == mode
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    code, out, err = run(["verify"], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["valid"] is True
+
+
+def test_euclidean_solve_at_n1_prints_no_configuration(capsys):
+    code, out, err = run(["solve", "--geometry", "euclidean", "--seed=2,1"],
+                         capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["n"] == 1
+    assert doc["completions"] == ["-2/3"] and doc["configurations"] == [None]
+    assert err.startswith("no configuration for the completion -2/3: ")
+
+
 def test_lox_on_an_interval_configuration_is_an_error(monkeypatch, capsys):
     code, out, _ = run(["onedim", "--intervals=0,1,1,3"], capsys)
     assert code == 0
