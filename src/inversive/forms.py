@@ -544,8 +544,8 @@ def bend_residual(geometry, bends):
     """Residual sum b^2 - (sum b)^2 / n + 2k of the Descartes relation on
     n+2 bends, k the geometry's curvature sign; zero for n+2 pairwise
     tangent spheres, exact on exact bends.  Float bends of magnitude m > 1
-    are summed times f = 2**-e, e of frexp(m), as complete_bend takes them,
-    and the residual divided back by f^2, +-inf past the float range."""
+    are summed times f = 2**-e, e of frexp(m), and the residual divided
+    back by f^2, +-inf past the float range."""
     c, _, frame = _bend_mode(bends)
     r, f = _scaled_bend_residual(geometry, c, frame)
     return r / f / f

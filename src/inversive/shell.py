@@ -46,8 +46,8 @@ from operator import floordiv, itemgetter, mul, not_
 from pathlib import Path
 
 from . import apollonian, forms, onedim, svg, transform
-from .scalars import (_FLOATS, DEFAULT_TOL, EXACT, FLOAT, ExactnessError,
-                      _sum)
+from .scalars import (_FLOATS, DEFAULT_TOL, EXACT, FLOAT, ROUNDING,
+                      ExactnessError, frame_quotient, integer_rows)
 
 
 def scalar_to_json(x):
@@ -451,72 +451,68 @@ def loads_packing(source):
 # ---------------------------------------------------------------------------
 # bend completion
 
+def _irrational_roots(s1, d, a, s):  # 4 D / s^2 is the discriminant in x
+    raise ExactnessError(f"sqrt({Fraction(4 * d, s * s)}) is irrational; "
+                         "use float mode")
+
+
+def _rounded_roots(s1, d, a, s):
+    """The roots (s1 -+ sqrt(d)) / (a s) of a d > 0 that is no square, each
+    rounded once: sqrt(d) 2^p is in (r, r + 1), r = isqrt(d 4^p), for p = 64,
+    128, ... until both ends of each root round alike (an irrational root is
+    no tie), and the lower end, whose sign is the root's, is returned."""
+    for p in map((64).__lshift__, itertools.count()):  # 64, 128, ...
+        r, c, den = math.isqrt(d << 2 * p), s1 << p, a * s << p
+        lo, lo_up, hi, hi_up = [x / den for x in (c - r - 1, c - r, c + r,
+                                                  c + r + 1)]
+        if lo == lo_up and hi == hi_up:
+            return lo, hi
+
+
+# by mode: complete_bend's slack p / q on a D < 0, and its non-square roots
+_COMPLETION = {EXACT: ((0, 1), _irrational_roots),
+               FLOAT: (ROUNDING.as_integer_ratio(), _rounded_roots)}
+
+
 def complete_bend(geometry, values):
     """The completions of n+1 bend values to a full Descartes bend vector,
     k the geometry's curvature sign: the roots, ascending, of the quadratic
     (n-1)x^2 - 2*s1*x + (n*s2 - s1^2 + 2*n*k) = 0, or at n = 1, where it is
-    linear, its one root (k - ab)/(a + b) of the values a, b (ValueError
-    when a + b = 0).  Exact values are solved on their int frame v = s x
-    of forms._bend_mode, where the roots are (S1 +- isqrt(D)) / (n-1), S1
-    the sum of v and D = S1^2 - (n-1)(n S2 - S1^2 + 2nk s^2), and the one
-    root at n = 1 is (k s^2 - v0 v1) / (s (v0 + v1)).  Float values are
-    first divided by the power of two 2**e of frexp(m), m their largest
-    magnitude, which rounds as the values do, so that the squares and
-    products stay in the float range, and the roots are multiplied back:
-    at every m in the plane, where the relation is homogeneous, and
-    elsewhere when m > 1, as the k term sets the scale of smaller values.
-    A root beyond the float range raises ValueError."""
+    linear, its one root (k - ab)/(a + b) (ValueError when a + b = 0).  Both
+    modes solve it on the int frame v = s x of the values (forms._bend_mode,
+    integer_rows for floats): (S1 -+ sqrt(D)) / ((n-1) s), S1 and S2 the
+    sums of v and v^2 and D = S1^2 - (n-1)(n S2 - S1^2 + 2nk s^2), or at
+    n = 1 (k s^2 - v0 v1) / (s S1), each a Fraction or rounded once.  An
+    irrational exact root raises ExactnessError, a float one past the float
+    range ValueError; a float D < 0 within ROUNDING of its terms' size is 0."""
     k = forms._by_geometry(forms.CURVATURE_SIGN, geometry)
     n = len(values) - 1
     if n < 1:
         raise ValueError("bend completion needs at least two values")
-    values, _, frame = forms._bend_mode(values)
+    values, mode, frame = forms._bend_mode(values)
+    quotient, ((p, q), irrational) = frame_quotient(mode), _COMPLETION[mode]
     a = n - 1
-    if not a and not sum(values):
-        raise ValueError("degenerate pair, curvatures cancel")
-    if frame:
-        (v,), s = frame
-        s1 = sum(v)
+    try:
+        (v,), s = frame or integer_rows((values,))
+        s1, ks = sum(v), k * s * s
         if not a:
-            return (Fraction(k * s * s - v[0] * v[1], s * s1),)
-        d = s1 * s1 - a * (n * sum(map(mul, v, v)) - s1 * s1
-                           + 2 * n * k * s * s)
-        if d < 0:
+            if not s1:
+                raise ValueError("degenerate pair, curvatures cancel")
+            num = ks - v[0] * v[1]
+            # a zero root keeps the sign that -(xy - k) / (x + y) gives it
+            return (quotient(num, s * s1) if num else
+                    quotient(-(math.prod(values) - k), sum(values)),)
+        s2 = sum(map(mul, v, v))
+        d = s1 * s1 - a * (n * s2 - s1 * s1 + 2 * n * ks)
+        if d < 0 and -d * q > p * n * (s1 * s1 + a * (s2 + 2 * abs(ks))):
             raise ValueError("the given bends admit no real completion")
-        root = math.isqrt(d)
-        if root * root != d:
-            # the discriminant of the quadratic in x is 4 D / s^2
-            raise ExactnessError(f"sqrt({Fraction(4 * d, s * s)}) is "
-                                 "irrational; use float mode")
-        return Fraction(s1 - root, a * s), Fraction(s1 + root, a * s)
-    m = max(map(abs, values))
-    e = math.frexp(m)[1] if m > 1 or not k else 0
-    if e:
-        values = [math.ldexp(v, -e) for v in values]
-        k = math.ldexp(k, -2 * e)
-    if not a:
-        x, y = values
-        # -(xy - k), not k - xy, keeps the sign of a zero product
-        lo = -(x * y - k) / (x + y)
-    else:
-        s1 = _sum(values)
-        s2 = _sum(v * v for v in values)
-        b = -2 * s1
-        c = n * s2 - s1 * s1 + 2 * n * k
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            raise ValueError("the given bends admit no real completion")
-        root = math.sqrt(disc)
-        lo = (-b - root) / (2 * a)
-        hi = (-b + root) / (2 * a)
-    if math.isfinite(lo):  # inf at n = 1 over a tiny x + y
-        try:
-            if not a:
-                return (math.ldexp(lo, e),)
-            return math.ldexp(lo, e), math.ldexp(hi, e)
-        except OverflowError:
-            pass
-    raise ValueError("a completion of these bends is beyond the float range")
+        root = math.isqrt(max(d, 0))
+        if root * root < d:  # d is no square
+            return irrational(s1, d, a, s)
+        return quotient(s1 - root, a * s), quotient(s1 + root, a * s)
+    except OverflowError:  # an infinite value, or a root past the range
+        raise ValueError("a completion of these bends is beyond the float "
+                         "range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +671,8 @@ def _cmd_solve(args):
     for r in roots:
         try:
             w = apollonian.realize_bends(args.geometry, values + (r,))
+            if not w.residual().ok:  # as verify reads the document
+                raise ValueError("its realization fails its Gram identity")
             documents.append(document_from_config(w))
         except ValueError as e:  # a completion that is not realized here
             print(f"no configuration for the completion {r}: {e}",

@@ -17,6 +17,8 @@ them from outside, as tests/reference_svg.py checks the renderer.
   product W^T Q_n W those rows are held to.
 - A dilation by a power of two written entry by entry, which float rows
   undergo without rounding.
+- The completions of float bend values as the exact roots of their
+  Fractions, each rounded once, with the square root taken by decimal.
 
 cap_to_plane and plane_to_cap are deliberately not written as G products;
 they apply the projection formulas directly, so that the matrix route of
@@ -26,6 +28,7 @@ answer.
 
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from inversive import forms, linalg
@@ -428,3 +431,40 @@ def power_of_two_dilated(rows, k):
     the dilated seed at the bound times 2^-k has these rows of the walk of
     the seed, bit for bit."""
     return [(math.ldexp(r[0], k), math.ldexp(r[1], -k), *r[2:]) for r in rows]
+
+
+def rounded_completions(geometry, values):
+    """The completions of float bend values that shell.complete_bend must
+    give: the exact roots of the bend relation on the values' Fractions,
+    each rounded once to a float, () when it has no real root.  A root past
+    the float range raises OverflowError, as float() of its Fraction does.
+
+    The relation (n-1)x^2 - 2 s1 x + (n s2 - s1^2 + 2nk) = 0 is solved on
+    the Fractions themselves, not on an int frame; at n = 1 it is linear.
+    An irrational sqrt(N / M) = sqrt(N M) / M is taken by decimal at P
+    digits, within one unit in the last digit, so each root lies between
+    two Fractions; P doubles until both round to the same float."""
+    k = forms.CURVATURE_SIGN[geometry]
+    x = [Fraction(v) for v in values]
+    n = len(x) - 1
+    s1, s2 = sum(x), sum(t * t for t in x)
+    if n == 1:
+        return (float((k - x[0] * x[1]) / s1),)
+    a = n - 1
+    disc = s1 * s1 - a * (n * s2 - s1 * s1 + 2 * n * k)
+    if disc < 0:
+        return ()
+    nm, m = disc.numerator * disc.denominator, disc.denominator
+    root = math.isqrt(nm)
+    if root * root == nm:
+        return tuple(float((s1 + sign * Fraction(root, m)) / a)
+                     for sign in (-1, 1))
+    digits = 40
+    while True:
+        t = Context(prec=digits).sqrt(Decimal(nm))
+        unit = Fraction(Decimal(1).scaleb(t.adjusted() - digits + 1))
+        ends = [[float((s1 + sign * (Fraction(t) + e) / m) / a)
+                 for e in (-unit, unit)] for sign in (-1, 1)]
+        if all(lo == hi for lo, hi in ends):
+            return tuple(lo for lo, _ in ends)
+        digits *= 2

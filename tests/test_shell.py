@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -20,6 +21,8 @@ import inversive
 from inversive import apollonian, forms, shell, transform
 from inversive.scalars import EXACT, FLOAT
 from inversive.shell import scalar_from_json, scalar_to_json
+
+import oracles
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -438,19 +441,8 @@ def test_complete_bend():
     assert shell.complete_bend(forms.HYPERBOLIC, (F(-1), F(1), F(1))) == (1, 1)
 
 
-def _unscaled_completions(geometry, values):
-    """complete_bend's quadratic on the float values as they are."""
-    k = forms.CURVATURE_SIGN[geometry]
-    n = len(values) - 1
-    s1, s2 = sum(values), sum(v * v for v in values)
-    c = n * s2 - s1 * s1 + 2 * n * k
-    root = math.sqrt(4 * s1 * s1 - 4 * (n - 1) * c)
-    return (2 * s1 - root) / (2 * (n - 1)), (2 * s1 + root) / (2 * (n - 1))
-
-
-def test_float_completion_rounds_as_unscaled_arithmetic():
-    # dividing by a power of two changes no rounding, so wherever the
-    # unscaled quadratic stays in the float range it gives the same floats
+def test_float_completion_is_the_exact_root_rounded_once():
+    # the exact roots of the values' Fractions, each rounded once
     cases = [(forms.EUCLIDEAN, (2.0, 2.0, 3.0)),
              (forms.EUCLIDEAN, (-1.5, 7.25, 9.0)),
              (forms.EUCLIDEAN, (-0.1, 0.3, 0.7)),
@@ -461,7 +453,82 @@ def test_float_completion_rounds_as_unscaled_arithmetic():
              (forms.HYPERBOLIC, (10.0 / 3, 7.0 / 3, 11.0, 13.0))]
     for geometry, values in cases:
         assert shell.complete_bend(geometry, values) \
-            == _unscaled_completions(geometry, values)
+            == oracles.rounded_completions(geometry, values)
+
+
+def _sweep_vectors():
+    """60 seeded vectors of values in [-1, 3) times each scale 10^e,
+    e = -300, -275, ..., 300, for each geometry and n = 1, 2, 3."""
+    rng = random.Random(48)
+    for geometry in forms.GEOMETRIES:
+        for n in (1, 2, 3):
+            for e in range(-300, 301, 25):
+                scale = 10.0 ** e
+                for _ in range(60):
+                    yield geometry, tuple(rng.uniform(-1, 3) * scale
+                                          for _ in range(n + 1))
+
+
+def test_float_completions_of_a_seeded_sweep_are_rounded_once():
+    # float sums and a float sqrt over a power-of-two scaling got 6,949 of
+    # these 14,546 roots wrong
+    roots = 0
+    for geometry, values in _sweep_vectors():
+        try:
+            expected = oracles.rounded_completions(geometry, values)
+        except OverflowError:
+            expected = None
+        try:
+            got = shell.complete_bend(geometry, values)
+        except ValueError as e:
+            reason = "no real" if expected == () else "beyond the float range"
+            assert expected in ((), None) and reason in str(e), values
+            continue
+        assert got == expected, (geometry, values)
+        roots += len(got)
+    assert roots == 14546
+
+
+def test_a_rounded_root_below_the_float_range_keeps_its_sign():
+    # sqrt(s1^2 -+ 1) is within 2^-71 of |s1|, so at p = 64 one end of the
+    # small root's interval is 0, which divides to +0.0 at either sign
+    s1, s = 2 ** 70, 2 ** 1100
+    lo, hi = shell._rounded_roots(-s1, s1 * s1 - 1, 1, s)
+    assert hi == 0 and math.copysign(1.0, hi) == -1.0 and lo < 0
+    lo, hi = shell._rounded_roots(s1, s1 * s1 + 1, 1, s)
+    assert lo == 0 and math.copysign(1.0, lo) == -1.0 and hi > 0
+
+
+@pytest.mark.parametrize("values, low", (((1.0, 1.0, 1e-20), -1e-20),
+                                         ((1e8, 1e8, 1e-8),
+                                          -9.999999999999999e-09)))
+def test_float_completion_of_a_cancelling_root(values, low, capsys):
+    # s1 - sqrt(D) cancels in floats, which gave 0.0
+    code, out, _ = run(["solve", "--mode", "float", "--geometry", "euclidean",
+                        "--seed=" + ",".join(map(repr, values))], capsys)
+    assert code == 0 and json.loads(out)["completions"][0] == low
+    assert shell.complete_bend(forms.EUCLIDEAN, values) \
+        == oracles.rounded_completions(forms.EUCLIDEAN, values)
+
+
+def test_float_double_roots_complete_and_verify():
+    # the 17 integral Euclidean triples of a double root with entries in
+    # -4..7, times 8 factors and 25 powers of ten: rounding the values can
+    # take D a little below 0, which was refused as no real completion
+    triples = sorted({tuple(sorted(t))
+                      for t in itertools.product(range(-4, 8), repeat=3)
+                      if any(t) and t[0] * t[1] + t[1] * t[2] + t[2] * t[0] == 0})
+    assert len(triples) == 17
+    inputs = 0
+    for t in triples:
+        for m in (0.1, 0.3, 0.7, 1 / 3, 1.1, 2.9, 1e-5, 123.456):
+            for e in range(-120, 121, 10):
+                values = tuple(x * m * 10.0 ** e for x in t)
+                inputs += 1
+                for r in set(shell.complete_bend(forms.EUCLIDEAN, values)):
+                    w = apollonian.realize_bends(forms.EUCLIDEAN, values + (r,))
+                    assert shell.parse_document(shell.dumps_config(w)).valid
+    assert inputs == 3400
 
 
 def test_float_solve_past_the_square_range(capsys):
@@ -685,6 +752,26 @@ def test_float_solve_realizes_completions_past_the_square_range(s, capsys):
     assert code == 0 and len(documents) == 2 and None not in documents
     for document in documents:
         assert shell.parse_document(json.dumps(document)).valid
+
+
+@pytest.mark.parametrize("geometry, seed, printed", (
+    ("spherical", "1e160,1e160,1e160", 0),
+    ("hyperbolic", "1e100,1e100", 0),
+    ("hyperbolic", "1e160,1e160,1e160", 0),
+    ("euclidean", "1e160,1e160,1e160", 2)))
+def test_float_solve_prints_only_configurations_that_verify(
+        geometry, seed, printed, capsys):
+    # the curved realizations of these large bends fail their Gram identity,
+    # and were printed all the same; each is now null with a reason
+    code, out, err = run(["solve", "--mode", "float", "--geometry", geometry,
+                          f"--seed={seed}"], capsys)
+    doc = json.loads(out)
+    documents = [d for d in doc["configurations"] if d is not None]
+    assert code == 0 and len(documents) == printed
+    for document in documents:
+        assert shell.parse_document(json.dumps(document)).valid
+    assert err.count("fails its Gram identity") \
+        == len(doc["completions"]) - printed
 
 
 def test_gen_requires_a_seed_source(capsys):
